@@ -8,6 +8,8 @@ returns Absent (None) rather than pivoting, because pivoting would change
 the Weyl component of the factorization.  The Bruhat cell of a matrix is
 read off the rank profile of its leading submatrices, for the fixed
 convention h in V^- . w . P (lower unipotent times w times upper Borel).
+Weyl representatives act on a matrix as signed row and column
+permutations (weyl_untranslate, weyl_translate), never as products.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import Singular, ValidationError
+from .errors import InvariantViolation, Singular, ValidationError
 from .numfield import FieldElement, NumberField
 from .rootdata import RootSubset, WeylElement
 
@@ -181,11 +183,15 @@ def mat_det(a: MatrixK) -> FieldElement:
 
 @dataclass(frozen=True)
 class BlockLDU:
-    """h = v_minus * levi * v_plus along the block pattern of subset."""
+    """h = v_minus * levi * v_plus along the block pattern of subset.
+
+    zv_plus is the product levi * v_plus, formed once for the recomposition
+    check and kept for callers that need it."""
     v_minus: MatrixK
     levi: MatrixK
     v_plus: MatrixK
     subset: RootSubset
+    zv_plus: MatrixK
 
     def recompose(self) -> MatrixK:
         return self.v_minus * self.levi * self.v_plus
@@ -203,13 +209,18 @@ def block_ldu(h: MatrixK, subset: RootSubset) -> Optional[BlockLDU]:
     blocks = subset.blocks
     a = [list(r) for r in h.rows]
     vminus = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
-    # eliminate below each diagonal block, block column by block column
-    for blk in blocks[:-1]:
+    # eliminate below each diagonal block, block column by block column;
+    # a pivot block's rows are final once it is reached, so its inverse
+    # serves again for v_plus.  The last block has nothing below it but
+    # must also be invertible (det h != 0 overall).
+    invs = []
+    for blk in blocks:
         lo, hi = blk.start, blk.stop
         pivot = [row[lo:hi] for row in a[lo:hi]]
         inv = _invert_small(f, pivot)
         if inv is None:
             return None
+        invs.append(inv)
         below = range(hi, n)
         for r in below:
             coefs = [a[r][lo + t] for t in range(hi - lo)]
@@ -224,17 +235,11 @@ def block_ldu(h: MatrixK, subset: RootSubset) -> Optional[BlockLDU]:
                 for s in range(hi - lo):
                     acc = acc - mult[s] * a[lo + s][k]
                 a[r][k] = acc
-    # the last diagonal block must also be invertible (det h != 0 overall)
-    last = blocks[-1]
-    if _invert_small(f, [row[last.start:last.stop] for row in a[last.start:last.stop]]) is None:
-        return None
     # now a = z * v_plus with z block diagonal, v_plus unit block upper
     levi = [[f.zero] * n for _ in range(n)]
     vplus = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
-    for blk in blocks:
+    for blk, inv in zip(blocks, invs):
         lo, hi = blk.start, blk.stop
-        pivot = [row[lo:hi] for row in a[lo:hi]]
-        inv = _invert_small(f, pivot)
         for i in range(lo, hi):
             for j in range(lo, hi):
                 levi[i][j] = a[i][j]
@@ -244,9 +249,11 @@ def block_ldu(h: MatrixK, subset: RootSubset) -> Optional[BlockLDU]:
                    for s in range(hi - lo)]
             for s in range(hi - lo):
                 vplus[lo + s][j] = sol[s]
-    out = BlockLDU(MatrixK(f, vminus), MatrixK(f, levi), MatrixK(f, vplus), subset)
-    assert out.recompose() == h, "block LDU recomposition failed"
-    return out
+    v_minus, z, v_plus = MatrixK(f, vminus), MatrixK(f, levi), MatrixK(f, vplus)
+    zv_plus = z * v_plus
+    if v_minus * zv_plus != h:
+        raise InvariantViolation("block LDU recomposition failed")
+    return BlockLDU(v_minus, z, v_plus, subset, zv_plus)
 
 
 def _invert_small(field, rows):
@@ -330,9 +337,43 @@ def cell_membership(h: MatrixK, subset: RootSubset, w1: WeylElement,
     Equivalent to the block LDU of w1^{-1} h w2 existing; invariant under
     replacing w1, w2 by other representatives of their cosets modulo the
     Levi's Weyl group."""
-    f = h.field
-    m1 = w1.matrix(f).inverse() * h * w2.matrix(f)
-    return block_ldu(m1, subset) is not None
+    return block_ldu(weyl_untranslate(w1, h, w2), subset) is not None
+
+
+def weyl_untranslate(w1: WeylElement, x: MatrixK, w2: WeylElement) -> MatrixK:
+    """w1^{-1} x w2 for the det-one representatives of w1 and w2.
+
+    A representative's inverse is its transpose, so the product is a signed
+    permutation of rows and columns, with no field arithmetic beyond
+    negation: entry (a, b) is s1[a] s2[b] x[w1(a), w2(b)], where s1, s2 are
+    the representatives' column signs (WeylElement.signs)."""
+    _check_weyl(x, w1, w2)
+    s1, s2 = w1.signs, w2.signs
+    rows = x.rows
+    return MatrixK(x.field, [[_signed(rows[w1(a)][w2(b)], s1[a] * s2[b])
+                              for b in range(x.n)] for a in range(x.n)])
+
+
+def weyl_translate(w1: WeylElement, x: MatrixK, w2: WeylElement) -> MatrixK:
+    """w1 x w2^{-1} for the det-one representatives, the inverse of
+    weyl_untranslate: entry (w1(a), w2(b)) is s1[a] s2[b] x[a, b]."""
+    _check_weyl(x, w1, w2)
+    n = x.n
+    s1, s2 = w1.signs, w2.signs
+    out = [[None] * n for _ in range(n)]
+    for a, row in enumerate(x.rows):
+        for b, v in enumerate(row):
+            out[w1(a)][w2(b)] = _signed(v, s1[a] * s2[b])
+    return MatrixK(x.field, out)
+
+
+def _check_weyl(x: MatrixK, w1: WeylElement, w2: WeylElement) -> None:
+    if w1.n != x.n or w2.n != x.n:
+        raise ValidationError("Weyl element size mismatch")
+
+
+def _signed(v: FieldElement, s: int) -> FieldElement:
+    return v if s > 0 else -v
 
 
 def unipotent_matrix(field, n: int, entries: dict) -> MatrixK:

@@ -19,13 +19,13 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import polyutil as pu
-from .decomp import MatrixK, block_ldu, diagonal_matrix
+from .decomp import MatrixK, block_ldu, diagonal_matrix, weyl_untranslate
 from .errors import (CapExceeded, HypothesisViolated, MembershipFails,
                      ToleranceAmbiguous, ValidationError)
 from .intervals import RInt
 from .numfield import NumberField
 from .rootdata import RootSubset, WeylElement
-from .strata import OrbitInput
+from .strata import OrbitInput, pair_representative
 
 DIRECT_SCAN_CAP = 6_000_000
 
@@ -523,23 +523,18 @@ def predicted_limit(inp: OrbitInput, subset: RootSubset, w1: WeylElement,
                     w2: WeylElement):
     """The representative of the stratum the path drifts into.
 
-    Exactly the orbit representative attached by the stratification: from
-    w1^{-1} h w2 = v^- z v^+, the pair (w1 (v^-)^{-1} w1^{-1} g1,
-    w2 v^+ w2^{-1} g2).  Raises MembershipFails when the cell misses h.
+    Exactly the orbit representative attached by the stratification
+    (strata.pair_representative): from w1^{-1} h w2 = v^- z v^+, the pair
+    (w1 (v^-)^{-1} w1^{-1} g1, w2 v^+ w2^{-1} g2).  Raises MembershipFails
+    when the cell misses h.
     """
     if inp.r != 2:
         raise ValidationError("limit prediction handles two places")
     g1, g2 = inp.components
-    f = inp.field
-    h = g1 * g2.inverse()
-    m1 = w1.matrix(f)
-    m2 = w2.matrix(f)
-    dec = block_ldu(m1.inverse() * h * m2, subset)
+    dec = block_ldu(weyl_untranslate(w1, g1 * g2.inverse(), w2), subset)
     if dec is None:
         raise MembershipFails("the quotient misses the requested cell")
-    rep1 = m1 * dec.v_minus.inverse() * m1.inverse() * g1
-    rep2 = m2 * dec.v_plus * m2.inverse() * g2
-    return rep1, rep2
+    return pair_representative(dec, w1, w2, g2)
 
 
 def limit_approach_distances(inp: OrbitInput, subset: RootSubset,
@@ -559,11 +554,7 @@ def limit_approach_distances(inp: OrbitInput, subset: RootSubset,
     n = inp.n
     rep = predicted_limit(inp, subset, w1, w2)
     f = field
-    g1, g2 = inp.components
-    m2 = w2.matrix(f)
-    h = g1 * g2.inverse()
-    dec = block_ldu(w1.matrix(f).inverse() * h * m2, subset)
-    base_point = m2 * dec.v_plus * m2.inverse() * g2   # = rep2
+    base_point = rep[1]
     base_inv = base_point.inverse()
 
     units = field.units

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import TooLarge, ValidationError
 
@@ -130,16 +130,17 @@ class WeylElement:
                 sgn = -sgn
         return sgn
 
+    @property
+    def signs(self) -> tuple:
+        """Sign of the representative's entry in each column: -1 only in
+        the column whose entry sits in row 0, and only for odd w."""
+        odd = self.sign() < 0
+        return tuple(-1 if odd and row == 0 else 1 for row in self.perm)
+
     def representative_entries(self):
         """(row, col, sign) triples of the det-one monomial representative."""
-        n = self.n
-        entries = []
-        neg_row = 0 if self.sign() < 0 else None
-        for col in range(n):
-            row = self.perm[col]
-            s = -1 if row == neg_row else 1
-            entries.append((row, col, s))
-        return entries
+        return [(row, col, s)
+                for col, (row, s) in enumerate(zip(self.perm, self.signs))]
 
     def matrix(self, field):
         """Monomial MatrixK representative over the given field."""
@@ -192,6 +193,11 @@ class ParabolicDescriptor:
 
     def sorted_positions(self):
         return sorted(self.positions)
+
+    @cached_property
+    def mask(self) -> int:
+        """The position set as n^2 bits: bit i*n + j for position (i, j)."""
+        return sum(1 << (i * self.n + j) for i, j in self.positions)
 
 
 def _check_cap(n: int):

@@ -16,15 +16,20 @@ counting bounds.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
-from .decomp import MatrixK, block_ldu, cell_membership
+import numpy as np
+
+from .decomp import (BlockLDU, MatrixK, block_ldu, cell_membership,
+                     weyl_translate, weyl_untranslate)
 from .errors import BoundViolated, MinimalNotBorel, TooLarge, ValidationError
 from .numfield import NumberField
-from .rootdata import (ParabolicDescriptor, RootSubset, all_subsets,
-                       coset_representatives, n_psi, parabolic_descriptor,
-                       sum_n_psi_squared)
+from .rootdata import (ParabolicDescriptor, RootSubset, WeylElement,
+                       all_subsets, coset_representatives, n_psi,
+                       parabolic_descriptor, sum_n_psi_squared)
 
 
 @dataclass(frozen=True)
@@ -66,14 +71,12 @@ class ParabolicPair:
     witnesses: tuple                 # (w1, w2) coset representatives
     order_key: tuple = None          # (|subset|, mask, i1, i2)
 
-    def key(self):
-        return (tuple(sorted(self.first.positions)),
-                tuple(sorted(self.second.positions)))
-
-    def contains_pair(self, other: "ParabolicPair") -> bool:
-        """Componentwise position-set containment of other inside self."""
-        return (other.first.positions <= self.first.positions
-                and other.second.positions <= self.second.positions)
+    @cached_property
+    def mask(self) -> int:
+        """Both position sets in 2 n^2 bits, the second above the first:
+        another pair sits inside this one exactly when its mask b has
+        b & ~mask == 0."""
+        return self.first.mask | self.second.mask << (self.subset.n ** 2)
 
 
 @dataclass
@@ -110,6 +113,7 @@ class StrataSet:
     records: List[StratumRecord]
     pair_count: int = 0                  # size of the raw pair set
     poset_edges: Optional[list] = None   # filled by closure_poset
+    minimal_pairs: Optional[list] = None  # filled by enumerate_strata
 
     @property
     def n(self) -> int:
@@ -124,15 +128,28 @@ class StrataSet:
     def all_pairs(self):
         return [p for rec in self.records for p in rec.pairs]
 
+    @property
+    def is_generic(self) -> bool:
+        """Whether all (n!)^2 Borel pairs are present, that is, whether h
+        lies in every Borel-pair translate of the open cell: the test
+        genericity_check(h) makes, read from the pair set."""
+        borel = sum(1 for p in self.all_pairs() if not p.subset.simples)
+        return borel == math.factorial(self.n) ** 2
+
 
 def enumerate_strata(g1: MatrixK, g2: MatrixK) -> StrataSet:
     """All strata of the orbit closure through (g1, g2).
 
     For every subset of the simple roots and every pair of Weyl coset
-    representatives, the pair joins the set exactly when g1 g2^{-1} lies in
-    the translated cell; the attached representative comes from the exact
-    block factorization of the translated quotient.  Deterministic order:
-    subset size, subset mask, then the two representative indices.
+    representatives, the pair joins the set exactly when h = g1 g2^{-1} lies
+    in the translated cell, that is, when w1^{-1} h w2 = v^- z v^+ has a
+    block LDU.  The attached representative (pair_representative) is
+    (w1 (z v^+) w2^{-1} g2, w2 v^+ w2^{-1} g2), equal to the textbook
+    (w1 (v^-)^{-1} w1^{-1} g1, w2 v^+ w2^{-1} g2) because w1^{-1} g1 =
+    v^- z v^+ w2^{-1} g2; z v^+ comes with the factorization, so no inverse
+    is formed.  The Weyl representatives act as signed row and column
+    permutations, never as matrix products.  Deterministic order: subset
+    size, subset mask, then the two representative indices.
     """
     if g1.n != g2.n or g1.field is not g2.field:
         raise ValidationError("components must share size and field")
@@ -140,22 +157,15 @@ def enumerate_strata(g1: MatrixK, g2: MatrixK) -> StrataSet:
     n = g1.n
     if n > 5:
         raise TooLarge("strata enumeration supports n <= 5")
-    f = g1.field
     h = g1 * g2.inverse()
     entries = []   # (pair, representative)
     for subset in all_subsets(n):
         reps = coset_representatives(n, subset)
         for i1, w1 in enumerate(reps):
-            m1 = w1.matrix(f)
-            m1_inv = m1.inverse()
-            left = m1_inv * h
             for i2, w2 in enumerate(reps):
-                m2 = w2.matrix(f)
-                dec = block_ldu(left * m2, subset)
+                dec = block_ldu(weyl_untranslate(w1, h, w2), subset)
                 if dec is None:
                     continue
-                rep1 = m1 * dec.v_minus.inverse() * m1_inv * g1
-                rep2 = m2 * dec.v_plus * m2.inverse() * g2
                 pair = ParabolicPair(
                     first=parabolic_descriptor(subset, w1, opposite=True),
                     second=parabolic_descriptor(subset, w2, opposite=False),
@@ -163,42 +173,49 @@ def enumerate_strata(g1: MatrixK, g2: MatrixK) -> StrataSet:
                     witnesses=(w1, w2),
                     order_key=(len(subset.simples), subset.mask, i1, i2),
                 )
-                entries.append((pair, (rep1, rep2)))
+                entries.append((pair, pair_representative(dec, w1, w2, g2)))
     # merge pairs whose representatives agree entry-exactly: same point,
     # hence provably the same orbit
     groups = {}
-    order = []
     for pair, rep in entries:
-        key = rep
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(pair)
-    records = []
-    for key in order:
-        pairs = sorted(groups[key], key=lambda p: p.order_key)
-        records.append(StratumRecord(pairs, key))
+        groups.setdefault(rep, []).append(pair)
+    records = [StratumRecord(sorted(pairs, key=lambda p: p.order_key), rep)
+               for rep, pairs in groups.items()]
     records.sort(key=lambda r: r.pairs[0].order_key)
     out = StrataSet(inp, records, pair_count=len(entries))
     _mark_closed(out)
     return out
 
 
-def _minimal_pairs(all_pairs):
-    out = []
-    for p in all_pairs:
-        if not any(q is not p and p.contains_pair(q) and q.key() != p.key()
-                   for q in all_pairs):
-            out.append(p)
-    return out
+def pair_representative(dec: BlockLDU, w1: WeylElement, w2: WeylElement,
+                        g2: MatrixK) -> tuple:
+    """The orbit representative attached to the pair (w1, w2).
+
+    From w1^{-1} h w2 = v^- z v^+ (dec) and g1 = h g2, the textbook
+    representative (w1 (v^-)^{-1} w1^{-1} g1, w2 v^+ w2^{-1} g2) equals
+    (w1 (z v^+) w2^{-1} g2, w2 v^+ w2^{-1} g2): w1^{-1} g1 = v^- z v^+
+    w2^{-1} g2, so (v^-)^{-1} w1^{-1} g1 = z v^+ w2^{-1} g2.  No inverse of
+    v^- is formed, and the Weyl factors are signed permutations.
+    """
+    return (weyl_translate(w1, dec.zv_plus, w2) * g2,
+            weyl_translate(w2, dec.v_plus, w2) * g2)
+
+
+def _pair_masks(pairs) -> np.ndarray:
+    return np.array([p.mask for p in pairs], dtype=np.uint64)
 
 
 def _mark_closed(s: StrataSet) -> None:
-    """A record is closed when it carries a pair minimal in the pair set."""
+    """A record is closed when it carries a pair minimal in the pair set:
+    no other mask b satisfies b & ~a == 0 for the pair's mask a.  The
+    minimal pairs are kept on s for closed_strata."""
     pairs = s.all_pairs()
-    minimal_keys = {p.key() for p in _minimal_pairs(pairs)}
+    masks = _pair_masks(pairs)
+    s.minimal_pairs = [p for p, a in zip(pairs, masks)
+                       if not np.any(((masks & ~a) == 0) & (masks != a))]
+    minimal = {p.mask for p in s.minimal_pairs}
     for rec in s.records:
-        rec.is_closed = any(p.key() in minimal_keys for p in rec.pairs)
+        rec.is_closed = any(p.mask in minimal for p in rec.pairs)
 
 
 def closure_poset(s: StrataSet):
@@ -207,24 +224,39 @@ def closure_poset(s: StrataSet):
     Edge (i, j) means record j's pair sits strictly inside record i's, so
     the i-th orbit's closure contains the j-th orbit; the top record is
     always a source and never a target.
+
+    Each pair is a 2 n^2-bit mask (ParabolicPair.mask), so containment of
+    pair b in pair a is b & ~a == 0, tested against all pairs at once.
+    The order is kept as one successor bitset per record (bit j of succ[i]
+    for the relation above), and the reduction keeps the successors of i
+    that no successor of i reaches: succ[i] & ~(OR of succ[k], k in succ[i]).
     """
     recs = s.records
-    m = len(recs)
-    full = [[False] * m for _ in range(m)]
-    for i, j in itertools.permutations(range(m), 2):
-        if any(pi.contains_pair(pj) and pi.key() != pj.key()
-               for pi in recs[i].pairs for pj in recs[j].pairs):
-            full[i][j] = True
+    owner = np.array([i for i, rec in enumerate(recs) for _ in rec.pairs],
+                     dtype=np.int64)
+    masks = _pair_masks(s.all_pairs())
+    succ = [0] * len(recs)
+    for b, j in zip(masks, owner.tolist()):
+        above = owner[((masks & b) == b) & (masks != b)]
+        for i in np.unique(above).tolist():
+            if i != j:
+                succ[i] |= 1 << j
     edges = []
-    for i in range(m):
-        for j in range(m):
-            if not full[i][j]:
-                continue
-            if any(full[i][k] and full[k][j] for k in range(m)):
-                continue
-            edges.append((i, j))
-    s.poset_edges = sorted(edges)
+    for i, row in enumerate(succ):
+        reached = 0
+        for k in _bits(row):
+            reached |= succ[k]
+        edges.extend((i, j) for j in _bits(row & ~reached))
+    s.poset_edges = edges
     return s.poset_edges
+
+
+def _bits(x: int):
+    """Indices of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def closed_strata(s: StrataSet) -> List[StratumRecord]:
@@ -232,7 +264,7 @@ def closed_strata(s: StrataSet) -> List[StratumRecord]:
 
     Every minimal pair must be a pair of Borel descriptors; anything else is
     a bug, never expected."""
-    for p in _minimal_pairs(s.all_pairs()):
+    for p in s.minimal_pairs:
         if p.subset.simples:
             raise MinimalNotBorel(
                 f"minimal pair has non-empty subset {p.subset}")
@@ -338,7 +370,5 @@ def _unit_monomials(field: NumberField, n: int, bound: int):
 
 def summary_line(s: StrataSet) -> str:
     rep = verify_counts(s)
-    h = s.input.components[0] * s.input.components[1].inverse()
-    gen = genericity_check(h)
     return (f"strata={rep.strata} closed={rep.closed} "
-            f"bound={rep.strata_bound} generic={str(gen).lower()}")
+            f"bound={rep.strata_bound} generic={str(s.is_generic).lower()}")

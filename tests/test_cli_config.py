@@ -159,3 +159,24 @@ def test_ellipsoid_matches_direct_scan(Ksqrt2, monkeypatch):
         enc_fp, _ = dynamics.systole(inp, torus, 2)
         monkeypatch.undo()
         assert abs(float(enc_direct.mid) - float(enc_fp.mid)) < 1e-9
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("fmt", ["json", "summary", "dot"])
+def test_cli_strata_golden(tmp_path, Ksqrt2, fmt, monkeypatch):
+    """`strata` on the acceptance SL3 input, byte for byte against the
+    committed output in tests/golden/strata_sl3.<fmt>; rewrite those files
+    only for an intended change of the output."""
+    monkeypatch.delenv("TORUSORBITS_PRECISION", raising=False)
+    cfg.save_field(Ksqrt2, tmp_path / "field.json")
+    cfg.save_matrix(dc.MatrixK.from_rational_rows(
+        Ksqrt2, [[Fraction(1, 2)] * 3, [1, 2, 4], [1, 3, 9]]),
+        tmp_path / "g1.json")
+    out = tmp_path / f"strata.{fmt}"
+    rc = main(["--field", str(tmp_path / "field.json"), "--format", fmt,
+               "--out", str(out), "strata", "--n", "3",
+               "--g1", str(tmp_path / "g1.json"), "--g2", "id"])
+    assert rc == 0
+    assert out.read_bytes() == (GOLDEN / f"strata_sl3.{fmt}").read_bytes()

@@ -1,12 +1,17 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from torusorbits import decomp as dc
 from torusorbits import rootdata as rd
-from torusorbits.errors import Singular
+from torusorbits.errors import InvariantViolation, Singular
 
 from conftest import random_element, random_sl
 
@@ -146,6 +151,7 @@ def test_block_ldu_roundtrip_random(Ksqrt2):
         if dec is None:
             continue
         assert dec.recompose() == h
+        assert dec.zv_plus == dec.levi * dec.v_plus
         # pattern shape
         blk = subset.block_of()
         for i in range(3):
@@ -172,6 +178,66 @@ def test_block_ldu_unique(Ksqrt2):
         assert d1.v_minus == d2.v_minus
         assert d1.levi == d2.levi
         assert d1.v_plus == d2.v_plus
+
+
+def test_block_ldu_recomposition_check_raises(Ksqrt2, monkeypatch):
+    # a wrong block inverse leaves v^- (z v^+) != h, and the factorization
+    # must refuse to return it
+    real = dc._invert_small
+
+    def doubled(field, rows):
+        inv = real(field, rows)
+        return None if inv is None else [[x + x for x in row] for row in inv]
+
+    monkeypatch.setattr(dc, "_invert_small", doubled)
+    h = dc.MatrixK.from_rational_rows(Ksqrt2, [[2, 3], [1, 2]])
+    with pytest.raises(InvariantViolation):
+        dc.block_ldu(h, rd.RootSubset.empty(2))
+
+
+def test_block_ldu_recomposition_check_under_optimize():
+    # the same check in a `python -O` process, where an assert would vanish
+    code = textwrap.dedent("""
+        import sys
+        from torusorbits import decomp as dc, numfield as nf, rootdata as rd
+        from torusorbits.errors import InvariantViolation
+        K = nf.create_field([-2, 0, 1], declared_units=[[1, 1]])
+        real = dc._invert_small
+        dc._invert_small = lambda f, rows: [[x + x for x in row]
+                                            for row in real(f, rows)]
+        h = dc.MatrixK.from_rational_rows(K, [[2, 3], [1, 2]])
+        try:
+            dc.block_ldu(h, rd.RootSubset.empty(2))
+        except InvariantViolation:
+            print("raised", sys.flags.optimize)
+    """)
+    src = str(Path(dc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "1"]
+
+
+# -- Weyl action ---------------------------------------------------------------------
+
+def test_weyl_action_matches_matrix_products(Ksqrt2):
+    # the signed row and column permutations equal the products with the
+    # det-one monomial representatives, for every Weyl element up to n = 4
+    rng = random.Random(19)
+    for n in (2, 3, 4):
+        ws = rd.all_weyl(n)
+        for w in ws:
+            x = dc.MatrixK(Ksqrt2, [[random_element(Ksqrt2, rng)
+                                     for _ in range(n)] for _ in range(n)])
+            v = rng.choice(ws)
+            mw, mv = w.matrix(Ksqrt2), v.matrix(Ksqrt2)
+            assert dc.weyl_untranslate(w, x, v) == mw.inverse() * x * mv
+            assert dc.weyl_untranslate(v, x, w) == mv.inverse() * x * mw
+            assert dc.weyl_translate(w, x, v) == mw * x * mv.inverse()
+            assert dc.weyl_translate(v, x, w) == mv * x * mw.inverse()
 
 
 # -- Bruhat cell --------------------------------------------------------------------

@@ -22,6 +22,52 @@ def generic_sl3(K):
             [1, 2, 4], [1, 3, 9]])
 
 
+# -- independent oracles -------------------------------------------------------
+
+def textbook_representative(pair, g1, g2):
+    """(m1 (v^-)^{-1} m1^{-1} g1, m2 v^+ m2^{-1} g2) with the monomial
+    matrices m1, m2 of the witnesses and matrix inverses throughout."""
+    f = g1.field
+    w1, w2 = pair.witnesses
+    m1, m2 = w1.matrix(f), w2.matrix(f)
+    dec = dc.block_ldu(m1.inverse() * g1 * g2.inverse() * m2, pair.subset)
+    return (m1 * dec.v_minus.inverse() * m1.inverse() * g1,
+            m2 * dec.v_plus * m2.inverse() * g2)
+
+
+def poset_oracle(s):
+    """Closure poset edges and closed flags by brute force on position
+    sets: the full record order, its O(m^3) transitive reduction, and
+    minimality of each pair against every other pair."""
+    def inside(q, p):
+        return (q.first.positions <= p.first.positions
+                and q.second.positions <= p.second.positions
+                and (q.first.positions, q.second.positions)
+                != (p.first.positions, p.second.positions))
+
+    recs = s.records
+    m = len(recs)
+    full = [[i != j and any(inside(pj, pi) for pi in recs[i].pairs
+                            for pj in recs[j].pairs)
+             for j in range(m)] for i in range(m)]
+    edges = [(i, j) for i in range(m) for j in range(m) if full[i][j]
+             and not any(full[i][k] and full[k][j] for k in range(m))]
+    pairs = s.all_pairs()
+    closed = [any(not any(inside(q, p) for q in pairs) for p in rec.pairs)
+              for rec in recs]
+    return edges, closed
+
+
+@pytest.fixture(scope="module")
+def unipotent_sl4(Ksqrt2):
+    """The non-generic unipotent SL4 quotient, moved off g2 = identity."""
+    g2 = random_sl(Ksqrt2, 4, random.Random(67), steps=5)
+    u = dc.unipotent_matrix(Ksqrt2, 4, {(1, 0): Ksqrt2.one,
+                                        (2, 1): Ksqrt2.theta,
+                                        (3, 2): Ksqrt2.one})
+    return u * g2, g2, st.enumerate_strata(u * g2, g2)
+
+
 def test_enumerate_generic_sl2(Ksqrt2):
     s = st.enumerate_strata(generic_sl2(Ksqrt2), dc.MatrixK.identity(Ksqrt2, 2))
     assert len(s.records) == 5
@@ -274,3 +320,46 @@ def test_three_component_input_rejected_for_strata(Ksqrt2):
 def test_summary_line(Ksqrt2):
     s = st.enumerate_strata(generic_sl2(Ksqrt2), dc.MatrixK.identity(Ksqrt2, 2))
     assert st.summary_line(s) == "strata=5 closed=4 bound=5 generic=true"
+
+
+def test_representatives_match_textbook_formula(Ksqrt2, unipotent_sl4):
+    rng = random.Random(71)
+    cases = [unipotent_sl4]
+    while len(cases) < 4:
+        g1 = random_sl(Ksqrt2, 3, rng, steps=5)
+        g2 = random_sl(Ksqrt2, 3, rng, steps=5)
+        if not g2.is_identity():
+            cases.append((g1, g2, st.enumerate_strata(g1, g2)))
+    assert len(unipotent_sl4[2].records) == 126
+    for g1, g2, s in cases:
+        assert not g2.is_identity()
+        for rec in s.records:
+            for p in rec.pairs:
+                assert textbook_representative(p, g1, g2) == rec.representative
+
+
+def test_closure_poset_matches_bruteforce(Ksqrt2, unipotent_sl4):
+    s3 = st.enumerate_strata(generic_sl3(Ksqrt2), dc.MatrixK.identity(Ksqrt2, 3))
+    for s in (s3, unipotent_sl4[2]):
+        edges, closed = poset_oracle(s)
+        assert st.closure_poset(s) == edges
+        assert [rec.is_closed for rec in s.records] == closed
+        assert [rec for rec in s.records if rec.is_closed] == st.closed_strata(s)
+
+
+def test_summary_genericity_matches_check(Ksqrt2):
+    rng = random.Random(73)
+    i2 = dc.MatrixK.identity(Ksqrt2, 2)
+    cases = [(generic_sl2(Ksqrt2), i2), (i2, i2),
+             (dc.MatrixK.from_rational_rows(Ksqrt2, [[1, 1], [0, 1]]), i2),
+             (generic_sl3(Ksqrt2), dc.MatrixK.identity(Ksqrt2, 3))]
+    cases += [(random_sl(Ksqrt2, 3, rng, steps=6), random_sl(Ksqrt2, 3, rng))
+              for _ in range(6)]
+    seen = set()
+    for g1, g2 in cases:
+        s = st.enumerate_strata(g1, g2)
+        want = st.genericity_check(g1 * g2.inverse())
+        assert s.is_generic is want
+        assert st.summary_line(s).endswith(f"generic={str(want).lower()}")
+        seen.add(want)
+    assert seen == {True, False}
