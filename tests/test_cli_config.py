@@ -9,6 +9,7 @@ import pytest
 from torusorbits import config as cfg
 from torusorbits import decomp as dc
 from torusorbits import dynamics as dy
+from torusorbits import forms as fm
 from torusorbits import numfield as nf
 from torusorbits import strata as st
 from torusorbits.cli import main
@@ -180,3 +181,49 @@ def test_cli_strata_golden(tmp_path, Ksqrt2, fmt, monkeypatch):
                "--g1", str(tmp_path / "g1.json"), "--g2", "id"])
     assert rc == 0
     assert out.read_bytes() == (GOLDEN / f"strata_sl3.{fmt}").read_bytes()
+
+
+def _kernel_case(case, tmp_path, Ksqrt2, Kzeta8):
+    """Inputs and CLI arguments for one exact linear-algebra path: Bruhat
+    rank profiles, block LDU pivot blocks, determinants and inverses in
+    the group bridge, ranks in the variable reduction, and the CM split."""
+    K = Kzeta8 if case in ("forms_to_group", "cm_check") else Ksqrt2
+    cfg.save_field(K, tmp_path / "field.json")
+    s = Ksqrt2.theta
+    h = dc.MatrixK(Ksqrt2, [[0, 1, s], [1, s, 0], [s, 2, 1]])
+    ldu = dc.MatrixK(Ksqrt2, [[1, s, 0], [s, 3, 1], [0, 1, s + 2]])
+    cfg.save_matrix(h, tmp_path / "h.json")
+    cfg.save_matrix(ldu, tmp_path / "ldu.json")
+    if K is Kzeta8:
+        r2 = Kzeta8.element([0, 1, 0, -1])
+        form = fm.make_form(Kzeta8, [[[1, r2], [r2, 3]]] * 2)
+    else:
+        form = fm.make_form(Ksqrt2, [[[1, 0, s], [0, 1, 1]],
+                                     [[1, 1, 0], [0, s, 1]]])
+    (tmp_path / "form.json").write_text(json.dumps(cfg.form_to_dict(form)))
+    tail = {
+        "bruhat_cell": ["bruhat", "cell", "--h", "h.json"],
+        "bruhat_ldu": ["bruhat", "ldu", "--h", "ldu.json", "--subset", "1"],
+        "bruhat_ldu_absent": ["bruhat", "ldu", "--h", "h.json"],
+        "forms_reduce": ["forms", "reduce", "--form", "form.json"],
+        "forms_to_group": ["forms", "to-group", "--form", "form.json"],
+        "cm_check": ["--seed", "7", "cm", "check", "--form", "form.json",
+                     "--height", "10", "--sample", "200", "--index-l", "2"],
+    }[case]
+    args = ["--field", str(tmp_path / "field.json"),
+            "--out", str(tmp_path / "out.json")]
+    return args + [str(tmp_path / t) if t.endswith(".json") else t
+                   for t in tail]
+
+
+@pytest.mark.parametrize("case", ["bruhat_cell", "bruhat_ldu",
+                                  "bruhat_ldu_absent", "forms_reduce",
+                                  "forms_to_group", "cm_check"])
+def test_cli_kernel_golden(tmp_path, Ksqrt2, Kzeta8, case, monkeypatch):
+    """The CLI paths through exact elimination, byte for byte against
+    tests/golden/<case>.json."""
+    monkeypatch.delenv("TORUSORBITS_PRECISION", raising=False)
+    monkeypatch.delenv("TORUSORBITS_SEED", raising=False)
+    assert main(_kernel_case(case, tmp_path, Ksqrt2, Kzeta8)) == 0
+    assert ((tmp_path / "out.json").read_bytes()
+            == (GOLDEN / f"{case}.json").read_bytes())
