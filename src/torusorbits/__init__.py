@@ -6,15 +6,14 @@ __version__ = "0.1.0"
 
 from .numfield import (ArchimedeanPlace, BalanceResult, CmStructure,
                        FieldElement, NumberField, UnitClosureReport,
-                       balance_by_unit, compute_places, create_field,
-                       field_norm, is_cm, normalized_abs,
+                       balance_by_unit, create_field, field_norm, is_cm,
+                       normalized_abs,
                        pell_fundamental_unit, unit_closure_classify)
 from .rootdata import (ParabolicDescriptor, RootSubset, WeylElement, all_weyl,
                        coset_representatives, longest_element, n_psi,
                        parabolic_descriptor, unipotent_positions)
 from .decomp import (BlockLDU, MatrixK, block_ldu, bruhat_cell,
-                     cell_membership, diagonal_matrix, mat_det, mat_inv,
-                     mat_mul, unipotent_matrix)
+                     cell_membership, diagonal_matrix, unipotent_matrix)
 from .strata import (OrbitInput, ParabolicPair, StrataSet, StratumRecord,
                      closed_strata, closure_poset, enumerate_strata,
                      genericity_check, is_orbit_closed, summary_line,

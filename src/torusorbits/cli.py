@@ -79,15 +79,6 @@ def _subset(field_n, spec):
     return rd.RootSubset.make(field_n, idx)
 
 
-def _weyl(n, spec):
-    if spec in (None, "", "e", "id"):
-        return rd.identity_weyl(n)
-    perm = tuple(int(t) - 1 for t in spec.split(","))
-    if sorted(perm) != list(range(n)):
-        raise ValidationError(f"not a permutation of 1..{n}: {spec}")
-    return rd.WeylElement(perm)
-
-
 # -- strata ------------------------------------------------------------------
 
 
@@ -98,7 +89,7 @@ def cmd_strata(args):
     sset = st.enumerate_strata(g1, g2)
     edges = st.closure_poset(sset)
     counts = st.verify_counts(sset)
-    closed = st.closed_strata(sset)
+    st.closed_strata(sset)  # raises MinimalNotBorel on a broken poset
     if args.format == "summary":
         _emit_text(st.summary_line(sset) + "\n", args.out)
         return 0
@@ -454,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="field config JSON")
     ap.add_argument("--precision", type=int,
                     default=int(_env_default("precision", "128")))
-    ap.add_argument("--threads", type=int,
-                    default=int(_env_default("threads", "1")))
     ap.add_argument("--seed", type=int, default=int(_env_default("seed", "0")))
     ap.add_argument("--out", default=None, help="output file (default stdout)")
     ap.add_argument("--format", default="json",

@@ -10,6 +10,8 @@ read off the rank profile of its leading submatrices, for the fixed
 convention h in V^- . w . P (lower unipotent times w times upper Borel).
 Weyl representatives act on a matrix as signed row and column
 permutations (weyl_untranslate, weyl_translate), never as products.
+Determinants, inverses and ranks come from the elimination kernel in
+polyutil.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Optional
 
 from .errors import InvariantViolation, Singular, ValidationError
 from .numfield import FieldElement, NumberField
+from .polyutil import determinant, echelon, invert
 from .rootdata import RootSubset, WeylElement
 
 
@@ -96,36 +99,16 @@ class MatrixK:
             out.append(row)
         return MatrixK(self.field, out)
 
-    def scale(self, c: FieldElement) -> "MatrixK":
-        return MatrixK(self.field, [[c * x for x in row] for row in self.rows])
-
-    def transpose(self) -> "MatrixK":
-        return MatrixK(self.field,
-                       [[self.rows[j][i] for j in range(self.n)]
-                        for i in range(self.n)])
-
     def det(self) -> FieldElement:
         if self._det is None:
-            self._det = _det_elim(self)
+            self._det = determinant(self.rows, self.field.zero)
         return self._det
 
     def inverse(self) -> "MatrixK":
-        n = self.n
-        f = self.field
-        aug = [list(self.rows[i]) + [f.one if j == i else f.zero
-                                     for j in range(n)] for i in range(n)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if not aug[r][c].is_zero()), None)
-            if piv is None:
-                raise Singular("matrix is singular")
-            aug[c], aug[piv] = aug[piv], aug[c]
-            inv = aug[c][c].inverse()
-            aug[c] = [inv * x for x in aug[c]]
-            for r in range(n):
-                if r != c and not aug[r][c].is_zero():
-                    fct = aug[r][c]
-                    aug[r] = [a - fct * b for a, b in zip(aug[r], aug[c])]
-        return MatrixK(f, [row[n:] for row in aug])
+        inv = invert(self.rows, self.field.one, self.field.zero)
+        if inv is None:
+            raise Singular("matrix is singular")
+        return MatrixK(self.field, inv)
 
     def is_monomial(self) -> bool:
         """Exactly one nonzero entry in every row and every column."""
@@ -141,44 +124,6 @@ class MatrixK:
 
     def is_identity(self) -> bool:
         return self == MatrixK.identity(self.field, self.n)
-
-    def submatrix(self, rows, cols) -> "MatrixK":
-        sub = [[self.rows[i][j] for j in cols] for i in rows]
-        return MatrixK(self.field, sub) if len(rows) == len(cols) else sub
-
-
-def _det_elim(m: MatrixK) -> FieldElement:
-    n = m.n
-    f = m.field
-    a = [list(r) for r in m.rows]
-    det = f.one
-    for c in range(n):
-        piv = next((r for r in range(c, n) if not a[r][c].is_zero()), None)
-        if piv is None:
-            return f.zero
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det = det * a[c][c]
-        inv = a[c][c].inverse()
-        for r in range(c + 1, n):
-            if not a[r][c].is_zero():
-                fct = a[r][c] * inv
-                for k in range(c, n):
-                    a[r][k] = a[r][k] - fct * a[c][k]
-    return det
-
-
-def mat_mul(a: MatrixK, b: MatrixK) -> MatrixK:
-    return a * b
-
-
-def mat_inv(a: MatrixK) -> MatrixK:
-    return a.inverse()
-
-
-def mat_det(a: MatrixK) -> FieldElement:
-    return a.det()
 
 
 @dataclass(frozen=True)
@@ -201,7 +146,8 @@ def block_ldu(h: MatrixK, subset: RootSubset) -> Optional[BlockLDU]:
     """Unique factorization h = v^- z v^+ for the block composition, when the
     leading principal minors at every block boundary are nonzero; None
     (Absent) otherwise.  No pivoting: a vanishing boundary minor is the
-    answer, not an obstacle."""
+    answer, not an obstacle, so this stays outside the elimination kernel,
+    which only inverts the pivot blocks."""
     n = h.n
     if subset.n != n:
         raise ValidationError("subset size mismatch")
@@ -217,7 +163,7 @@ def block_ldu(h: MatrixK, subset: RootSubset) -> Optional[BlockLDU]:
     for blk in blocks:
         lo, hi = blk.start, blk.stop
         pivot = [row[lo:hi] for row in a[lo:hi]]
-        inv = _invert_small(f, pivot)
+        inv = invert(pivot, f.one, f.zero)
         if inv is None:
             return None
         invs.append(inv)
@@ -256,54 +202,12 @@ def block_ldu(h: MatrixK, subset: RootSubset) -> Optional[BlockLDU]:
     return BlockLDU(v_minus, z, v_plus, subset, zv_plus)
 
 
-def _invert_small(field, rows):
-    """Inverse of a small block given as lists, or None if singular."""
-    n = len(rows)
-    aug = [list(rows[i]) + [field.one if j == i else field.zero
-                            for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if not aug[r][c].is_zero()), None)
-        if piv is None:
-            return None
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = aug[c][c].inverse()
-        aug[c] = [inv * x for x in aug[c]]
-        for r in range(n):
-            if r != c and not aug[r][c].is_zero():
-                fct = aug[r][c]
-                aug[r] = [a - fct * b for a, b in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
-
-
 def _dot(field, xs, ys):
     acc = field.zero
     for x, y in zip(xs, ys):
         if not x.is_zero() and not y.is_zero():
             acc = acc + x * y
     return acc
-
-
-def _rank(field, rows) -> int:
-    if not rows or not rows[0]:
-        return 0
-    a = [list(r) for r in rows]
-    nr, nc = len(a), len(a[0])
-    rank = 0
-    for c in range(nc):
-        piv = next((r for r in range(rank, nr) if not a[r][c].is_zero()), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = a[rank][c].inverse()
-        for r in range(rank + 1, nr):
-            if not a[r][c].is_zero():
-                fct = a[r][c] * inv
-                for k in range(c, nc):
-                    a[r][k] = a[r][k] - fct * a[rank][k]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
 
 
 def bruhat_cell(h: MatrixK) -> WeylElement:
@@ -316,11 +220,10 @@ def bruhat_cell(h: MatrixK) -> WeylElement:
     n = h.n
     if h.det().is_zero():
         raise Singular("Bruhat cell needs an invertible matrix")
-    f = h.field
     r = [[0] * (n + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            r[i][j] = _rank(f, [row[:j] for row in h.rows[:i]])
+            r[i][j] = len(echelon([row[:j] for row in h.rows[:i]], j)[1])
     perm = [0] * n
     for b in range(1, n + 1):
         for i in range(1, n + 1):

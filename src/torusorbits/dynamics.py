@@ -371,7 +371,10 @@ def _fincke_pohst(q: np.ndarray, bound: float, height: int):
 
 
 def _ldl(qr):
-    """LDL^T of a symmetric positive definite rational matrix."""
+    """LDL^T of a symmetric positive definite rational matrix.
+
+    Stays outside the elimination kernel: a symmetric factorisation whose
+    positivity test is the answer, on the Fincke-Pohst hot path."""
     n = len(qr)
     lower = [[Fraction(0)] * n for _ in range(n)]
     diag = [Fraction(0)] * n
@@ -411,8 +414,6 @@ def evaluate_product(inp: OrbitInput, torus, witness) -> RInt:
             m = field.normalized_abs(entry, places[v],
                                      max_width=Fraction(1, 2 ** 64)) \
                 if not entry.is_zero() else RInt(0)
-            if places[v].is_real:
-                pass
             sup = m if sup is None else RInt(max(sup.lo, m.lo), max(sup.hi, m.hi))
         acc = acc * sup
     return acc

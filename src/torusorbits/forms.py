@@ -97,7 +97,7 @@ def make_form(field: NumberField, per_place_factors, scalars=None) -> Decomposab
                 raise ArityMismatch("factor arities differ")
             conv.append(tuple(x if isinstance(x, FieldElement)
                               else field.from_rational(x) for x in fac))
-        if _rank_over_k(field, conv) != m:
+        if len(pu.echelon(conv, n)[1]) != m:
             raise DependentFactors(f"place {v}: factors are dependent")
         factors.append(tuple(conv))
     if m > n:
@@ -109,25 +109,6 @@ def make_form(field: NumberField, per_place_factors, scalars=None) -> Decomposab
     if len(scalars) != r or any(s.is_zero() for s in scalars):
         raise ValidationError("need one nonzero scalar per place")
     return DecomposableForm(field, n, m, tuple(factors), tuple(scalars))
-
-
-def _rank_over_k(field, vectors) -> int:
-    rows = [list(v) for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows))
-                    if not rows[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][c].inverse()
-        for i in range(rank + 1, len(rows)):
-            if not rows[i][c].is_zero():
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 def is_rational(form: DecomposableForm) -> bool:
@@ -209,7 +190,7 @@ def reduce_variables(form: DecomposableForm, seed: int = 0,
         ok = True
         for v in range(form.r):
             lst = [tuple(_apply_phi(f, phi, fac)) for fac in form.factors[v]]
-            if _rank_over_k(f, lst) != form.m:
+            if len(pu.echelon(lst, form.m)[1]) != form.m:
                 ok = False
                 break
             new_factors.append(lst)

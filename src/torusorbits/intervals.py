@@ -73,9 +73,6 @@ class RInt:
         x = _frac(x)
         return self.lo <= x <= self.hi
 
-    def contains_interval(self, other: "RInt") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def overlaps(self, other: "RInt") -> bool:
         return not (self.hi < other.lo or other.hi < self.lo)
 
@@ -200,10 +197,6 @@ class CBox:
 
     def contains(self, re, im) -> bool:
         return self.re.contains(re) and self.im.contains(im)
-
-    def contains_box(self, other: "CBox") -> bool:
-        return (self.re.contains_interval(other.re)
-                and self.im.contains_interval(other.im))
 
     def overlaps(self, other: "CBox") -> bool:
         return self.re.overlaps(other.re) and self.im.overlaps(other.im)

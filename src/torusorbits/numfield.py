@@ -113,7 +113,8 @@ class FieldElement:
         return self * self._check(other).inverse()
 
     def __rtruediv__(self, other):
-        return self._check(other) * self.inverse()
+        inv = self.inverse()
+        return inv if other == 1 else self._check(other) * inv
 
     def __pow__(self, k: int):
         if k < 0:
@@ -128,7 +129,10 @@ class FieldElement:
         return out
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -431,11 +435,6 @@ class NumberField:
             if bits > 1 << 16:
                 raise PrecisionExhausted("log refinement exceeded 65536 bits")
 
-    # -- element <-> rational vector plumbing for serialization --
-
-    def as_vector(self, x: FieldElement):
-        return list(x.coeffs)
-
 
 # -- public operations ---------------------------------------------------------
 
@@ -506,6 +505,8 @@ def _verify_unit_independence(K: NumberField, units):
 
 
 def _interval_det(rows):
+    """Cofactor expansion: dividing by interval pivots would widen the
+    enclosure, so this stays outside the elimination kernel."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -549,7 +550,8 @@ def subfield_coordinates(K: NumberField, cm: CmStructure, x: FieldElement):
     """Coordinates of x in the basis g^i of F, or None when x is not in F."""
     fdeg = pu.degree(cm.subfield_poly)
     basis = [cm.subfield_gen ** i for i in range(fdeg)]
-    return _solve_in_span(K, basis, x)
+    return pu.solve([[b.coeffs[i] for b in basis] for i in range(K.degree)],
+                    x.coeffs, Fraction(0))
 
 
 def _cm_split_solver(K: NumberField, cm: CmStructure):
@@ -562,29 +564,11 @@ def _cm_split_solver(K: NumberField, cm: CmStructure):
     basis += [cm.relative_gen * b for b in basis]
     d = K.degree
     mat = [[basis[j].coeffs[i] for j in range(d)] for i in range(d)]
-    inv = _invert_rational(mat)
+    inv = pu.invert(mat, Fraction(1), Fraction(0))
     if inv is None:
         raise ValidationError("CM basis is degenerate")
     K._cm_split_cache = (basis, inv)
     return basis, inv
-
-
-def _invert_rational(mat):
-    n = len(mat)
-    aug = [list(row) + [Fraction(1) if j == i else Fraction(0)
-                        for j in range(n)] for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if piv is None:
-            return None
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
 
 
 def split_cm(K: NumberField, cm: CmStructure, x: FieldElement):
@@ -617,58 +601,7 @@ def fast_norm(K: NumberField, x: FieldElement) -> Fraction:
     return norm_form(K).eval_exact(x.coeffs)
 
 
-def _solve_in_span(K: NumberField, basis, x):
-    """Rational coordinates of x in the span of basis elements, or None."""
-    d = K.degree
-    m = len(basis)
-    rows = [[basis[j].coeffs[i] for j in range(m)] + [x.coeffs[i]]
-            for i in range(d)]
-    # Gaussian elimination on the augmented d x (m+1) system
-    piv_rows = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, d) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(d):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        piv_rows.append(c)
-        r += 1
-    for i in range(r, d):
-        if rows[i][m] != 0:
-            return None
-    coords = [Fraction(0)] * m
-    for i, c in enumerate(piv_rows):
-        coords[c] = rows[i][m]
-    return coords
-
-
 # -- spec-level wrappers (module functions mirroring the operation names) ------
-
-def elem_add(x: FieldElement, y: FieldElement) -> FieldElement:
-    return x + y
-
-
-def elem_mul(x: FieldElement, y: FieldElement) -> FieldElement:
-    return x * y
-
-
-def elem_inv(x: FieldElement) -> FieldElement:
-    return x.inverse()
-
-
-def elem_eq(x: FieldElement, y: FieldElement) -> bool:
-    return x == y
-
-
-def compute_places(field: NumberField, precision_bits: int = DEFAULT_PRECISION):
-    return field.places(precision_bits)
-
 
 def normalized_abs(x: FieldElement, place: ArchimedeanPlace, max_width=None) -> RInt:
     return x.field.normalized_abs(x, place, max_width=max_width)
@@ -765,7 +698,7 @@ def order_discriminant(K: NumberField, basis=None) -> Fraction:
     if len(basis) != d:
         raise ValidationError("basis must have length equal to the degree")
     gram = [[trace(K, bi * bj) for bj in basis] for bi in basis]
-    return pu._det_fraction(gram)
+    return pu.determinant(gram, Fraction(0))
 
 
 # -- Pell helper ----------------------------------------------------------------
@@ -855,7 +788,9 @@ def balance_by_unit(field: NumberField, values: Sequence[FieldElement],
 # -- unit closure classification ---------------------------------------------------
 
 def _charpoly(K: NumberField, x: FieldElement) -> pu.Poly:
-    """Characteristic polynomial of multiplication by x (roots = embeddings)."""
+    """Characteristic polynomial of multiplication by x (roots = embeddings).
+
+    Faddeev-LeVerrier: matrix products and traces, not an elimination."""
     d = K.degree
     cols = []
     for i in range(d):

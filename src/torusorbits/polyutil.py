@@ -4,6 +4,11 @@ Polynomials are tuples of Fractions indexed by degree (low to high).
 Provides Sturm-based real root isolation with rational endpoints, certified
 complex root boxes, resultants via Sylvester determinants, and an exact
 irreducibility test for monic integer polynomials of small degree.
+
+Also home to the package's one exact elimination kernel (echelon, with
+reduce_above, determinant, invert and solve on top), generic over
+Fraction and FieldElement entries: every rank, determinant, inverse and
+linear solve over Q or a number field goes through it.
 """
 
 from __future__ import annotations
@@ -100,29 +105,103 @@ def reversed_poly(p: Poly) -> Poly:
     return poly(reversed(p))
 
 
-# -- resultants ---------------------------------------------------------------
+# -- exact elimination --------------------------------------------------------
+#
+# The one Gaussian elimination of the package.  Entries are Fractions or
+# FieldElements: the kernel uses only +, -, *, 1 / x and the truth value
+# (nonzero), so it runs unchanged over Q and over a number field.  Kept
+# apart on purpose: decomp.block_ldu (no pivoting, a vanishing minor is its
+# answer), dynamics._ldl (symmetric, with a positivity test),
+# numfield._interval_det (dividing by interval pivots would widen the
+# enclosure) and numfield._charpoly (not an elimination).
 
-def _det_fraction(rows) -> Fraction:
-    """Exact determinant by Gaussian elimination over the rationals."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+def echelon(rows, ncols: int):
+    """Row echelon form of a copy of rows, pivoting in the first ncols
+    columns (later columns, such as an augmented right-hand side, are
+    carried along).
+
+    Each pivot is the first nonzero entry at or below the current row; its
+    row is scaled so the pivot is 1 and the entries below it are cleared.
+    Returns (rows, pivots, det): pivots[r] is the pivot column of row r, so
+    the rank is len(pivots), and det is the product of the original pivots
+    times the sign of the row swaps (the determinant of a square matrix of
+    full rank; None when there is no pivot).
+    """
+    a = [list(r) for r in rows]
+    pivots = []
+    det = None
+    sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                for k in range(c, n):
-                    m[r][k] -= f * m[c][k]
-    return det
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        p = a[r][c]
+        det = p if det is None else det * p
+        inv = 1 / p
+        prow = [inv * y if y else y for y in a[r][c:]]
+        a[r][c:] = prow
+        for i in range(r + 1, len(a)):
+            f = a[i][c]
+            if f:
+                a[i][c:] = [x - f * y if y else x
+                            for x, y in zip(a[i][c:], prow)]
+        pivots.append(c)
+    if sign < 0 and det is not None:
+        det = -det
+    return a, pivots, det
 
+
+def reduce_above(rows, pivots):
+    """Clear the entries above the pivots of an echelon form, in place and
+    without further scaling: the reduced row echelon form."""
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        prow = rows[r][c:]
+        for i in range(r):
+            f = rows[i][c]
+            if f:
+                rows[i][c:] = [x - f * y if y else x
+                               for x, y in zip(rows[i][c:], prow)]
+    return rows
+
+
+def determinant(rows, zero):
+    """Determinant of a square matrix; zero when it is singular."""
+    _, pivots, det = echelon(rows, len(rows))
+    return det if len(pivots) == len(rows) else zero
+
+
+def invert(rows, one, zero):
+    """Inverse of a square matrix as a list of rows, or None if singular."""
+    n = len(rows)
+    aug = [list(row) + [one if j == i else zero for j in range(n)]
+           for i, row in enumerate(rows)]
+    a, pivots, _ = echelon(aug, n)
+    if len(pivots) < n:
+        return None
+    return [row[n:] for row in reduce_above(a, pivots)]
+
+
+def solve(rows, rhs, zero):
+    """A solution x of rows . x = rhs, with every free unknown zero, or
+    None when the system is inconsistent."""
+    ncols = len(rows[0])
+    a, pivots, _ = echelon([list(row) + [b] for row, b in zip(rows, rhs)],
+                           ncols)
+    if any(row[ncols] for row in a[len(pivots):]):
+        return None
+    reduce_above(a, pivots)
+    x = [zero] * ncols
+    for row, c in zip(a, pivots):
+        x[c] = row[ncols]
+    return x
+
+
+# -- resultants ---------------------------------------------------------------
 
 def resultant(f: Poly, g: Poly) -> Fraction:
     """Sylvester-matrix resultant; res(f, g) = lc(f)^deg(g) * prod g(roots of f)."""
@@ -140,7 +219,7 @@ def resultant(f: Poly, g: Poly) -> Fraction:
     for i in range(n):
         rows.append([Fraction(0)] * i + gr + [Fraction(0)] * (n - 1 - i))
     assert all(len(r) == size for r in rows)
-    return _det_fraction(rows)
+    return determinant(rows, Fraction(0))
 
 
 # -- real root isolation (Sturm) ----------------------------------------------
@@ -231,10 +310,6 @@ def refine_root(p: Poly, iso: RInt, max_width: Fraction) -> RInt:
 
 
 # -- complex root isolation -----------------------------------------------------
-
-def _float_to_fraction(x: float) -> Fraction:
-    return Fraction(x).limit_denominator(10 ** 30)
-
 
 def isolate_complex_roots(p: Poly, precision_bits: int = 128):
     """Certified boxes for the upper-half-plane roots of a squarefree p.

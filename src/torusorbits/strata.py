@@ -157,7 +157,10 @@ def enumerate_strata(g1: MatrixK, g2: MatrixK) -> StrataSet:
     n = g1.n
     if n > 5:
         raise TooLarge("strata enumeration supports n <= 5")
-    h = g1 * g2.inverse()
+    # an identity g2, as on every `--g2 id` run, is never inverted or
+    # multiplied by
+    right = None if g2.is_identity() else g2
+    h = g1 if right is None else g1 * g2.inverse()
     entries = []   # (pair, representative)
     for subset in all_subsets(n):
         reps = coset_representatives(n, subset)
@@ -173,7 +176,7 @@ def enumerate_strata(g1: MatrixK, g2: MatrixK) -> StrataSet:
                     witnesses=(w1, w2),
                     order_key=(len(subset.simples), subset.mask, i1, i2),
                 )
-                entries.append((pair, pair_representative(dec, w1, w2, g2)))
+                entries.append((pair, pair_representative(dec, w1, w2, right)))
     # merge pairs whose representatives agree entry-exactly: same point,
     # hence provably the same orbit
     groups = {}
@@ -188,17 +191,21 @@ def enumerate_strata(g1: MatrixK, g2: MatrixK) -> StrataSet:
 
 
 def pair_representative(dec: BlockLDU, w1: WeylElement, w2: WeylElement,
-                        g2: MatrixK) -> tuple:
+                        g2: Optional[MatrixK]) -> tuple:
     """The orbit representative attached to the pair (w1, w2).
 
     From w1^{-1} h w2 = v^- z v^+ (dec) and g1 = h g2, the textbook
     representative (w1 (v^-)^{-1} w1^{-1} g1, w2 v^+ w2^{-1} g2) equals
     (w1 (z v^+) w2^{-1} g2, w2 v^+ w2^{-1} g2): w1^{-1} g1 = v^- z v^+
     w2^{-1} g2, so (v^-)^{-1} w1^{-1} g1 = z v^+ w2^{-1} g2.  No inverse of
-    v^- is formed, and the Weyl factors are signed permutations.
+    v^- is formed, and the Weyl factors are signed permutations.  g2 None
+    stands for the identity, whose two products are skipped.
     """
-    return (weyl_translate(w1, dec.zv_plus, w2) * g2,
-            weyl_translate(w2, dec.v_plus, w2) * g2)
+    first = weyl_translate(w1, dec.zv_plus, w2)
+    second = weyl_translate(w2, dec.v_plus, w2)
+    if g2 is None:
+        return first, second
+    return first * g2, second * g2
 
 
 def _pair_masks(pairs) -> np.ndarray:

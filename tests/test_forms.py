@@ -8,6 +8,7 @@ import pytest
 from torusorbits import decomp as dc
 from torusorbits import forms as fm
 from torusorbits import numfield as nf
+from torusorbits import polyutil as pu
 from torusorbits import strata as st
 from torusorbits.errors import (ArityMismatch, CapExceeded,
                                 CoefficientsNotInF, DependentFactors,
@@ -113,8 +114,7 @@ def test_reduce_three_to_two(Ksqrt2):
     assert red.n == 2 and red.m == 2
     assert fm._nonproportional_witness(red) is not None
     for v in range(2):
-        assert fm._rank_over_k(Ksqrt2.field_norm and Ksqrt2 or Ksqrt2,
-                               red.factors[v]) == 2
+        assert len(pu.echelon(red.factors[v], red.n)[1]) == 2
 
 
 def test_reduce_hypothesis_fails(Ksqrt2):
