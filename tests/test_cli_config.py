@@ -184,19 +184,31 @@ def test_cli_strata_golden(tmp_path, Ksqrt2, fmt, monkeypatch):
 
 
 def _kernel_case(case, tmp_path, Ksqrt2, Kzeta8):
-    """Inputs and CLI arguments for one exact linear-algebra path: Bruhat
-    rank profiles, block LDU pivot blocks, determinants and inverses in
-    the group bridge, ranks in the variable reduction, and the CM split."""
-    K = Kzeta8 if case in ("forms_to_group", "cm_check") else Ksqrt2
+    """Inputs and CLI arguments for one exact linear-algebra or float-image
+    path: Bruhat rank profiles, block LDU pivot blocks, determinants and
+    inverses in the group bridge, ranks in the variable reduction, the CM
+    split, the systole scan and the numeric form values at real and complex
+    places.  Returns the arguments and the golden file name."""
+    K = Kzeta8 if case in ("forms_to_group", "cm_check",
+                           "forms_density_zeta8") else Ksqrt2
     cfg.save_field(K, tmp_path / "field.json")
     s = Ksqrt2.theta
     h = dc.MatrixK(Ksqrt2, [[0, 1, s], [1, s, 0], [s, 2, 1]])
     ldu = dc.MatrixK(Ksqrt2, [[1, s, 0], [s, 3, 1], [0, 1, s + 2]])
     cfg.save_matrix(h, tmp_path / "h.json")
     cfg.save_matrix(ldu, tmp_path / "ldu.json")
+    cfg.save_matrix(dc.MatrixK(Ksqrt2, [[1, s], [s, 3]]), tmp_path / "g1.json")
+    cfg.save_matrix(dc.MatrixK.from_rational_rows(Ksqrt2, [[1, 1], [1, 2]]),
+                    tmp_path / "g2.json")
+    (tmp_path / "path.json").write_text(json.dumps(
+        {"n": 2, "bases": ["2", "2"],
+         "schedules": [[[k] for k in range(6)], [[k] for k in range(6)]]}))
     if K is Kzeta8:
         r2 = Kzeta8.element([0, 1, 0, -1])
         form = fm.make_form(Kzeta8, [[[1, r2], [r2, 3]]] * 2)
+    elif case == "forms_density":
+        form = fm.make_form(Ksqrt2, [[[1, s], [1, -s]], [[2, s], [1, 1]]],
+                            scalars=[Ksqrt2.element([1, 1]), 3])
     else:
         form = fm.make_form(Ksqrt2, [[[1, 0, s], [0, 1, 1]],
                                      [[1, 1, 0], [0, s, 1]]])
@@ -209,21 +221,37 @@ def _kernel_case(case, tmp_path, Ksqrt2, Kzeta8):
         "forms_to_group": ["forms", "to-group", "--form", "form.json"],
         "cm_check": ["--seed", "7", "cm", "check", "--form", "form.json",
                      "--height", "10", "--sample", "200", "--index-l", "2"],
+        "dynamics_systole": ["dynamics", "systole", "--g1", "g1.json",
+                             "--g2", "g2.json", "--height", "6"],
+        "dynamics_path": ["--format", "csv", "dynamics", "path",
+                          "--g1", "g1.json", "--g2", "g2.json",
+                          "--path", "path.json", "--height", "4"],
+        "forms_density": ["forms", "density", "--form", "form.json",
+                          "--height", "5", "--window=-20,20",
+                          "--eps", "0.5"],
+        "forms_density_zeta8": ["--seed", "5", "forms", "density",
+                                "--form", "form.json", "--height", "2",
+                                "--sample", "300", "--window=0,2000",
+                                "--eps", "1"],
     }[case]
+    golden = f"{case}.csv" if "csv" in tail else f"{case}.json"
     args = ["--field", str(tmp_path / "field.json"),
-            "--out", str(tmp_path / "out.json")]
+            "--out", str(tmp_path / "out")]
     return args + [str(tmp_path / t) if t.endswith(".json") else t
-                   for t in tail]
+                   for t in tail], golden
 
 
 @pytest.mark.parametrize("case", ["bruhat_cell", "bruhat_ldu",
                                   "bruhat_ldu_absent", "forms_reduce",
-                                  "forms_to_group", "cm_check"])
+                                  "forms_to_group", "cm_check",
+                                  "dynamics_systole", "dynamics_path",
+                                  "forms_density", "forms_density_zeta8"])
 def test_cli_kernel_golden(tmp_path, Ksqrt2, Kzeta8, case, monkeypatch):
-    """The CLI paths through exact elimination, byte for byte against
-    tests/golden/<case>.json."""
+    """The CLI paths through exact elimination and through the float images
+    of field elements, byte for byte against tests/golden/<case>.json (or
+    .csv)."""
     monkeypatch.delenv("TORUSORBITS_PRECISION", raising=False)
     monkeypatch.delenv("TORUSORBITS_SEED", raising=False)
-    assert main(_kernel_case(case, tmp_path, Ksqrt2, Kzeta8)) == 0
-    assert ((tmp_path / "out.json").read_bytes()
-            == (GOLDEN / f"{case}.json").read_bytes())
+    args, golden = _kernel_case(case, tmp_path, Ksqrt2, Kzeta8)
+    assert main(args) == 0
+    assert (tmp_path / "out").read_bytes() == (GOLDEN / golden).read_bytes()
