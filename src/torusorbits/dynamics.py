@@ -18,7 +18,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from . import polyutil as pu
 from .decomp import MatrixK, block_ldu, diagonal_matrix, weyl_untranslate
 from .errors import (CapExceeded, HypothesisViolated, MembershipFails,
                      ToleranceAmbiguous, ValidationError)
@@ -173,43 +172,9 @@ class SystoleTrace:
     final_value: float
 
 
-def _embedding_matrices(field: NumberField, n: int):
-    """Per place: float matrix mapping coefficient vectors to embeddings.
-
-    Real place: (n, n*deg); complex place: complex (n, n*deg)."""
-    deg = field.degree
-    out = []
-    for pl in field.places():
-        if pl.is_real:
-            row = np.array([float(pu.peval(pu.poly([0] * t + [1]), pl.region).mid)
-                            if t else 1.0 for t in range(deg)])
-            mat = np.zeros((n, n * deg))
-            for j in range(n):
-                mat[j, j * deg:(j + 1) * deg] = row
-        else:
-            vals = []
-            acc = complex(1.0, 0.0)
-            root = complex(float(pl.region.re.mid), float(pl.region.im.mid))
-            for t in range(deg):
-                vals.append(acc)
-                acc *= root
-            row = np.array(vals, dtype=complex)
-            mat = np.zeros((n, n * deg), dtype=complex)
-            for j in range(n):
-                mat[j, j * deg:(j + 1) * deg] = row
-        out.append(mat)
-    return out
-
-
 def _numeric_component(field: NumberField, g: MatrixK, v: int):
     pl = field.places()[v]
-    if pl.is_real:
-        return np.array([[float(pu.peval(x.coeff_poly(), pl.region).mid)
-                          for x in row] for row in g.rows])
-    def cval(x):
-        b = pu.peval(x.coeff_poly(), pl.region)
-        return complex(float(b.re.mid), float(b.im.mid))
-    return np.array([[cval(x) for x in row] for row in g.rows], dtype=complex)
+    return np.array([[field.float_embed(x, pl) for x in row] for row in g.rows])
 
 
 def systole(inp: OrbitInput, torus: Sequence[Sequence[Fraction]],
@@ -231,12 +196,12 @@ def systole(inp: OrbitInput, torus: Sequence[Sequence[Fraction]],
     places = field.places()
     if len(torus) != len(places) or any(len(t) != n for t in torus):
         raise ValidationError("need one diagonal entry per matrix row per place")
-    embs = _embedding_matrices(field, n)
     bmats = []
     for v in range(inp.r):
         gnum = _numeric_component(field, inp.components[v], v)
         tnum = np.diag([float(x) for x in torus[v]])
-        bmats.append(tnum @ gnum @ embs[v])
+        emb = np.kron(np.eye(n), field.float_basis(places[v]))
+        bmats.append(tnum @ gnum @ emb)
     exps = [1 if pl.is_real else 2 for pl in places]
 
     total = (2 * height + 1) ** dim

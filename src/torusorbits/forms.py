@@ -12,6 +12,7 @@ two-place norm-product spectrum.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -354,29 +355,11 @@ def _coeff_matrix_int(form: DecomposableForm, v: int, i: int):
     """Integer matrix (deg x n*deg) and denominator D mapping point
     coefficients to D * (power-basis coords of the i-th factor value)."""
     f = form.field
-    deg = f.degree
-    n = form.n
-    cols = []
-    for j in range(n):
-        c = form.factors[v][i][j]
-        for t in range(deg):
-            basis_el = f.element([1 if s == t else 0 for s in range(deg)])
-            cols.append((c * basis_el).coeffs)
-    den = 1
-    for col in cols:
-        for x in col:
-            den = den * x.denominator // _gcd(den, x.denominator) \
-                if x.denominator != 1 else den
-    mat = np.zeros((deg, n * deg), dtype=np.int64)
-    for jj, col in enumerate(cols):
-        for t in range(deg):
-            mat[t, jj] = int(col[t] * den)
+    mats = [f.mult_matrix(c) for c in form.factors[v][i]]
+    den = math.lcm(*(x.denominator for m in mats for row in m for x in row))
+    mat = np.array([[int(x * den) for m in mats for x in m[t]]
+                    for t in range(f.degree)], dtype=np.int64)
     return mat, den
-
-
-def _gcd(a, b):
-    import math
-    return math.gcd(a, b)
 
 
 def _degenerate_mask(form: DecomposableForm, pts: np.ndarray) -> np.ndarray:
@@ -391,57 +374,23 @@ def _degenerate_mask(form: DecomposableForm, pts: np.ndarray) -> np.ndarray:
     return bad
 
 
-def _embedding_row(field: NumberField, place) -> np.ndarray:
-    """Float midpoints of the power basis at a place: real row or (re, im)."""
-    deg = field.degree
-    if place.is_real:
-        out = np.empty((1, deg))
-        for t in range(deg):
-            out[0, t] = float(pu.peval(pu.poly([0] * t + [1]), place.region).mid) \
-                if t else 1.0
-        return out
-    out = np.empty((2, deg))
-    box = place.region
-    acc_re, acc_im = RInt(1), RInt(0)
-    for t in range(deg):
-        out[0, t] = float(acc_re.mid)
-        out[1, t] = float(acc_im.mid)
-        new_re = acc_re * box.re - acc_im * box.im
-        new_im = acc_re * box.im + acc_im * box.re
-        acc_re, acc_im = new_re, new_im
-    return out
-
-
 def _numeric_form_values(form: DecomposableForm, pts: np.ndarray, v: int) -> np.ndarray:
+    """Signed values at a real place; at a complex place the product of the
+    factor values, then its squared modulus times |alpha|^2."""
     f = form.field
     place = f.places()[v]
-    emb = _embedding_row(f, place)            # (1 or 2, deg)
-    deg = f.degree
-    n = form.n
-    if place.is_real:
-        acc = None
-        for i in range(form.m):
-            mat, den = _coeff_matrix_int(form, v, i)
-            coords = pts @ mat.T                      # (N, deg)
-            vals = coords @ emb[0] / den              # (N,)
-            acc = vals if acc is None else acc * vals
-        s = form.scalars[v]
-        sval = float(pu.peval(s.coeff_poly(), place.region).mid)
-        return acc * sval
-    # complex: product of factor values, then squared modulus, times |alpha|^2
+    basis = f.float_basis(place)
     acc = None
     for i in range(form.m):
         mat, den = _coeff_matrix_int(form, v, i)
-        coords = pts @ mat.T
-        re = coords @ emb[0] / den
-        im = coords @ emb[1] / den
-        cur = re + 1j * im
+        coords = pts @ mat.T                          # (N, deg)
+        if place.is_real:
+            cur = coords @ basis / den
+        else:
+            cur = coords @ basis.real / den + 1j * (coords @ basis.imag / den)
         acc = cur if acc is None else acc * cur
-    s = form.scalars[v]
-    sp = s.coeff_poly()
-    sre = pu.peval(sp, place.region)
-    sval = complex(float(sre.re.mid), float(sre.im.mid))
-    return np.abs(acc * sval) ** 2
+    sval = f.float_embed(form.scalars[v], place)
+    return acc * sval if place.is_real else np.abs(acc * sval) ** 2
 
 
 def window_scan(form: DecomposableForm, height: int, window,
@@ -466,13 +415,12 @@ def window_scan(form: DecomposableForm, height: int, window,
         raise ValidationError("one window interval per place")
     if form.m != 2:
         raise ValidationError("window enumeration handles two factors")
-    scalar_abs = [abs(float(field.embed(s, places[v]).mid))
+    scalar_abs = [abs(field.float_embed(s, places[v]))
                   for v, s in enumerate(form.scalars)]
     if any(s == 0 for s in scalar_abs):
         raise ValidationError("zero scalar")
     deg = field.degree
-    phi = np.array([[float(pu.peval(pu.poly([0] * t + [1]), pl.region).mid)
-                     if t else 1.0 for t in range(deg)] for pl in places])
+    phi = np.array([field.float_basis(pl) for pl in places])
     Minv = np.linalg.inv(phi)
     rng1 = np.arange(-height, height + 1)
     grids = np.meshgrid(*[rng1] * deg, indexing="ij")
@@ -483,8 +431,8 @@ def window_scan(form: DecomposableForm, height: int, window,
     for v in range(r):
         for i in range(2):
             alpha, beta = form.factors[v][i]
-            a[v, i] = float(field.embed(alpha, places[v]).mid)
-            b[v, i] = float(field.embed(beta, places[v]).mid)
+            a[v, i] = field.float_embed(alpha, places[v])
+            b[v, i] = field.float_embed(beta, places[v])
     ybound = float(np.abs(phi).sum(axis=1).max()) * height * (1 + 1e-9)
 
     points = []

@@ -9,7 +9,13 @@ unit for real quadratic fields.
 
 Embeddings are certified: every place carries an isolating rational
 interval (real) or box (complex) for one root of m, and all absolute values
-are returned as enclosures whose width the caller controls.
+are returned as enclosures whose width the caller controls.  The field also
+owns the two derived representations the rest of the package uses: the
+float image of an element (float_basis, the midpoints of the cached power
+enclosures; float_embed, the midpoint of embed), which is the one source of
+floats for the scans, and the rational matrix of multiplication by an
+element (mult_matrix), behind the trace, the characteristic polynomial and
+the integer coordinate maps of forms.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import mpmath
+import numpy as np
 
 from . import polyutil as pu
 from .errors import (DivisionByZero, Inconclusive, MissingCmStructure, NoUnits,
@@ -359,19 +366,36 @@ class NumberField:
         if key in cache:
             return cache[key]
         region = self.places(bits)[place_index].region
-        powers = [None] * self.degree
-        if isinstance(region, RInt):
-            acc = RInt(1)
-            for t in range(self.degree):
-                powers[t] = acc
-                acc = acc * region
-        else:
-            acc = CBox(1, 0)
-            for t in range(self.degree):
-                powers[t] = acc
-                acc = acc * region
+        powers = [RInt(1) if isinstance(region, RInt) else CBox(1, 0)]
+        for _ in range(self.degree - 1):
+            powers.append(powers[-1] * region)
         cache[key] = powers
         return powers
+
+    def float_basis(self, place: ArchimedeanPlace) -> np.ndarray:
+        """Float midpoints of the enclosures of 1, theta, ..., theta^(d-1) at
+        a place: float64 at a real place, complex128 at a complex one."""
+        powers = self._power_regions(place.index, place.working_precision)
+        if place.is_real:
+            return np.array([float(p.mid) for p in powers])
+        return np.array([p.mid() for p in powers])
+
+    def float_embed(self, x: FieldElement, place: ArchimedeanPlace):
+        """Float (real place) or complex (complex place) midpoint of embed."""
+        val = self.embed(x, place)
+        return float(val.mid) if place.is_real else val.mid()
+
+    def mult_matrix(self, x: FieldElement):
+        """Rational d x d matrix of multiplication by x: column t holds the
+        coefficients of x * theta^t."""
+        red = self._theta_powers[self.degree]
+        col = list(x.coeffs)
+        cols = [col]
+        for _ in range(self.degree - 1):
+            top = col[-1]
+            col = [s + top * r for s, r in zip([Fraction(0)] + col[:-1], red)]
+            cols.append(col)
+        return [list(row) for row in zip(*cols)]
 
     def embed(self, x: FieldElement, place: ArchimedeanPlace, max_width=None):
         """Certified enclosure of the embedding of x at the given place."""
@@ -681,13 +705,8 @@ def norm_form(K: NumberField) -> "pu.MultiPoly":
 
 def trace(K: NumberField, x: FieldElement) -> Fraction:
     """Field trace, exactly, from the multiplication matrix diagonal."""
-    d = K.degree
-    tr = Fraction(0)
-    for j in range(d):
-        basis_el = FieldElement(K, [Fraction(1) if t == j else Fraction(0)
-                                    for t in range(d)])
-        tr += (x * basis_el).coeffs[j]
-    return tr
+    M = K.mult_matrix(x)
+    return sum(M[j][j] for j in range(K.degree))
 
 
 def order_discriminant(K: NumberField, basis=None) -> Fraction:
@@ -792,13 +811,7 @@ def _charpoly(K: NumberField, x: FieldElement) -> pu.Poly:
 
     Faddeev-LeVerrier: matrix products and traces, not an elimination."""
     d = K.degree
-    cols = []
-    for i in range(d):
-        basis_el = FieldElement(K, [Fraction(1) if j == i else Fraction(0)
-                                    for j in range(d)])
-        cols.append((x * basis_el).coeffs)
-    # Faddeev-LeVerrier on the d x d rational matrix M with M[i][j] = cols[j][i]
-    M = [[cols[j][i] for j in range(d)] for i in range(d)]
+    M = K.mult_matrix(x)
     coeffs = [Fraction(1)]  # leading
     A = [row[:] for row in M]
     for k in range(1, d + 1):
@@ -1015,6 +1028,11 @@ def _ray_gap_statistic(field, units, pl, box: int = 30, window: float = 1.0):
     return min(b - a for a, b in zip(pts, pts[1:]) if b > a)
 
 
+def _as_mp(r: RInt):
+    """Midpoint of an enclosure at the current mpmath precision."""
+    return mpmath.mpf(r.mid.numerator) / mpmath.mpf(r.mid.denominator)
+
+
 def _modulus_relations(field, moving, logs, pl, max_denominator, precision_bits):
     """Verified integer relations among the nonzero log moduli.
 
@@ -1025,8 +1043,7 @@ def _modulus_relations(field, moving, logs, pl, max_denominator, precision_bits)
     if len(moving) == 1:
         return []
     mpmath.mp.prec = max(256, precision_bits)
-    vec = [mpmath.mpf(field.log_abs(u, pl, target_width=Fraction(1, 2 ** 200)).mid.numerator)
-           / mpmath.mpf(field.log_abs(u, pl, target_width=Fraction(1, 2 ** 200)).mid.denominator)
+    vec = [_as_mp(field.log_abs(u, pl, target_width=Fraction(1, 2 ** 200)))
            for u in moving]
     rels = []
     work = list(range(len(moving)))
@@ -1057,12 +1074,8 @@ def _spiral_functional(field, units, pl, max_denominator, precision_bits):
     two_pi = pi_rint(prec=precision_bits + 128) * 2
     yhat = [yy / two_pi for yy in y]
     mpmath.mp.prec = max(320, precision_bits)
-
-    def as_mp(r: RInt):
-        return mpmath.mpf(r.mid.numerator) / mpmath.mpf(r.mid.denominator)
-
-    target = [as_mp(x[1]), -as_mp(x[0]),
-              -(as_mp(yhat[0]) * as_mp(x[1]) - as_mp(yhat[1]) * as_mp(x[0]))]
+    target = [_as_mp(x[1]), -_as_mp(x[0]),
+              -(_as_mp(yhat[0]) * _as_mp(x[1]) - _as_mp(yhat[1]) * _as_mp(x[0]))]
     cand = mpmath.pslq(target, maxcoeff=max_denominator, maxsteps=10 ** 5)
     if cand is None:
         return None

@@ -14,6 +14,7 @@ linear solve over Q or a number field goes through it.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import mpmath
@@ -115,32 +116,36 @@ def reversed_poly(p: Poly) -> Poly:
 # numfield._interval_det (dividing by interval pivots would widen the
 # enclosure) and numfield._charpoly (not an elimination).
 
-def echelon(rows, ncols: int):
+def echelon(rows, ncols: int, stop_at_gap: bool = False):
     """Row echelon form of a copy of rows, pivoting in the first ncols
     columns (later columns, such as an augmented right-hand side, are
     carried along).
 
     Each pivot is the first nonzero entry at or below the current row; its
     row is scaled so the pivot is 1 and the entries below it are cleared.
-    Returns (rows, pivots, det): pivots[r] is the pivot column of row r, so
-    the rank is len(pivots), and det is the product of the original pivots
-    times the sign of the row swaps (the determinant of a square matrix of
-    full rank; None when there is no pivot).
+    Returns (rows, pivots, values, sign): pivots[r] is the pivot column of
+    row r, so the rank is len(pivots); values[r] is that pivot's original
+    value and sign the sign of the row swaps, so a square matrix of full
+    rank has determinant sign * prod(values).  With stop_at_gap the
+    elimination returns at the first column without a pivot, where a
+    square matrix is already known to be singular.
     """
     a = [list(r) for r in rows]
     pivots = []
-    det = None
+    values = []
     sign = 1
     for c in range(ncols):
         r = len(pivots)
         piv = next((i for i in range(r, len(a)) if a[i][c]), None)
         if piv is None:
+            if stop_at_gap:
+                break
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
         p = a[r][c]
-        det = p if det is None else det * p
+        values.append(p)
         inv = 1 / p
         prow = [inv * y if y else y for y in a[r][c:]]
         a[r][c:] = prow
@@ -150,9 +155,7 @@ def echelon(rows, ncols: int):
                 a[i][c:] = [x - f * y if y else x
                             for x, y in zip(a[i][c:], prow)]
         pivots.append(c)
-    if sign < 0 and det is not None:
-        det = -det
-    return a, pivots, det
+    return a, pivots, values, sign
 
 
 def reduce_above(rows, pivots):
@@ -171,8 +174,11 @@ def reduce_above(rows, pivots):
 
 def determinant(rows, zero):
     """Determinant of a square matrix; zero when it is singular."""
-    _, pivots, det = echelon(rows, len(rows))
-    return det if len(pivots) == len(rows) else zero
+    _, pivots, values, sign = echelon(rows, len(rows), stop_at_gap=True)
+    if len(pivots) < len(rows):
+        return zero
+    det = math.prod(values[1:], start=values[0])
+    return det if sign > 0 else -det
 
 
 def invert(rows, one, zero):
@@ -180,7 +186,7 @@ def invert(rows, one, zero):
     n = len(rows)
     aug = [list(row) + [one if j == i else zero for j in range(n)]
            for i, row in enumerate(rows)]
-    a, pivots, _ = echelon(aug, n)
+    a, pivots, _, _ = echelon(aug, n, stop_at_gap=True)
     if len(pivots) < n:
         return None
     return [row[n:] for row in reduce_above(a, pivots)]
@@ -190,8 +196,8 @@ def solve(rows, rhs, zero):
     """A solution x of rows . x = rhs, with every free unknown zero, or
     None when the system is inconsistent."""
     ncols = len(rows[0])
-    a, pivots, _ = echelon([list(row) + [b] for row, b in zip(rows, rhs)],
-                           ncols)
+    a, pivots, _, _ = echelon([list(row) + [b] for row, b in zip(rows, rhs)],
+                              ncols)
     if any(row[ncols] for row in a[len(pivots):]):
         return None
     reduce_above(a, pivots)
@@ -367,7 +373,6 @@ def _dyadic_sqrt_upper(x: Fraction, out_bits: int = 100) -> Fraction:
 
 
 def _isqrt_ceil(n: int) -> int:
-    import math
     r = math.isqrt(n)
     return r if r * r == n else r + 1
 

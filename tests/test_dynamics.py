@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from torusorbits import rootdata as rd
 from torusorbits import strata as st
 from torusorbits.errors import (HypothesisViolated, MembershipFails,
                                 ToleranceAmbiguous)
+
+from conftest import random_sl
 
 
 def ramp_path(n, steps, s_rate=1, t_rate=-1, root_index=None):
@@ -119,6 +122,21 @@ def test_systole_invariant_under_unit_monomial(Ksqrt2):
     e1, w1 = dy.systole(inp1, torus, 6)
     e2, w2 = dy.systole(inp2, torus, 8)
     assert abs(float(e1.mid) - float(e2.mid)) < 1e-9
+
+
+def test_systole_at_complex_places_is_the_box_minimum(Kzeta8):
+    # every nonzero point of the height-1 box up to sign, evaluated exactly;
+    # unit multiples tie, so values are compared, not witnesses
+    rng = random.Random(41)
+    inp = st.OrbitInput((random_sl(Kzeta8, 2, rng), random_sl(Kzeta8, 2, rng)))
+    torus = [(Fraction(2), Fraction(1, 2)), (Fraction(1, 2), Fraction(2))]
+    enc, _ = dy.systole(inp, torus, 1)
+    half = [p for p in itertools.product((-1, 0, 1), repeat=8)
+            if any(p) and next(c for c in p if c) > 0]
+    assert len(half) == 3280
+    encs = [dy.evaluate_product(inp, torus, p) for p in half]
+    assert enc.overlaps(min(encs, key=lambda e: e.mid))
+    assert enc.lo <= min(e.hi for e in encs)
 
 
 def test_run_path_constant(Ksqrt2):

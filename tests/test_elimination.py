@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from torusorbits import decomp as dc
+from torusorbits import numfield as nf
 from torusorbits import polyutil as pu
 from torusorbits import rootdata as rd
 from torusorbits.errors import Singular
@@ -49,8 +50,13 @@ def to_fraction(x) -> Fraction:
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_rank_matches_sympy(rows):
-    _, pivots, _ = pu.echelon(rows, len(rows[0]))
+    ncols = len(rows[0])
+    _, pivots, _, _ = pu.echelon(rows, ncols)
     assert len(pivots) == to_sympy(rows).rank()
+    # stopping at the first column without a pivot keeps full column rank
+    _, head, _, _ = pu.echelon(rows, ncols, stop_at_gap=True)
+    assert head == pivots[:len(head)]
+    assert (len(head) == ncols) == (len(pivots) == ncols)
 
 
 @settings(max_examples=150, deadline=None)
@@ -90,9 +96,10 @@ def test_solve_matches_sympy(rows, data):
 def test_echelon_pivots_and_swap_sign():
     rows = [[ZERO, Fraction(2), ONE], [Fraction(3), ONE, ZERO],
             [Fraction(6), Fraction(4), Fraction(5)]]
-    ech, pivots, det = pu.echelon(rows, 3)
+    ech, pivots, values, sign = pu.echelon(rows, 3)
     assert pivots == [0, 1, 2]
-    assert det == -(3 * 2 * 4) == -24    # one swap, pivots 3, 2, 4
+    assert values == [3, 2, 4] and sign == -1    # one swap
+    assert pu.determinant(rows, ZERO) == -24
     assert [ech[r][c] for r, c in enumerate(pivots)] == [ONE] * 3
     assert all(ech[r][c] == 0 for c in range(3) for r in range(c + 1, 3))
     assert rows[0][0] == ZERO            # the input is not modified
@@ -126,6 +133,23 @@ def test_singular_matrix_over_fields(name, request):
         h.inverse()
     assert pu.invert(h.rows, K.one, K.zero) is None
     assert dc.block_ldu(h, rd.RootSubset.full(3)) is None
+
+
+def test_singular_block_with_empty_first_column_needs_no_inverse(
+        Ksqrt2, monkeypatch):
+    calls = []
+    inverse = nf.FieldElement.inverse
+    monkeypatch.setattr(nf.FieldElement, "inverse",
+                        lambda x: calls.append(x) or inverse(x))
+    s = Ksqrt2.theta
+    block = [[Ksqrt2.zero, s, Ksqrt2.one], [Ksqrt2.zero, s + 1, s],
+             [Ksqrt2.zero, Ksqrt2.one, 3 * s]]
+    assert pu.invert(block, Ksqrt2.one, Ksqrt2.zero) is None
+    assert pu.determinant(block, Ksqrt2.zero) == Ksqrt2.zero
+    assert not calls
+    # a rank count goes on past the empty column
+    assert len(pu.echelon(block, 3)[1]) == 2
+    assert calls
 
 
 def test_field_element_truth_and_reciprocal(Ksqrt2):

@@ -144,8 +144,7 @@ def test_scan_values_exact(Ksqrt2):
                 if tuple(sc.points[i]) == (1, 1, 1, 0))
     vals = sc.exact_values(idx1)
     assert vals[0] == Ksqrt2.element([1, 1])
-    nums = sorted(float(fm._numeric_form_values(f, sc.points[idx1:idx1 + 1], v)[0])
-                  for v in range(2))
+    nums = sorted(float(sc.numeric_values(v)[idx1]) for v in range(2))
     assert abs(nums[0] + 0.41421356) < 1e-6
     assert abs(nums[1] - 2.41421356) < 1e-6
 
@@ -162,16 +161,22 @@ def test_scan_cap_and_sampling(Kcubic):
     assert np.array_equal(sc2.points[:500], sc.points)
 
 
-def test_scan_numeric_reevaluates_exactly(Ksqrt2):
+@pytest.mark.parametrize("name,height", [("Ksqrt2", 3), ("Kzeta8", 1)])
+def test_scan_numeric_reevaluates_exactly(name, height, request):
+    # signed values at real places, squared moduli at complex places
+    K = request.getfixturevalue(name)
     rng = random.Random(3)
-    f = fm.make_form(Ksqrt2, [[[1, 1], [1, -1]], [[1, 2], [1, -1]]])
-    sc = fm.scan_values(f, 3)
-    places = Ksqrt2.places()
+    f = fm.make_form(K, [[[1, 1], [1, -1]], [[1, 2], [1, -1]]])
+    sc = fm.scan_values(f, height)
+    places = K.places()
     for v in range(2):
         nums = sc.numeric_values(v)
         for idx in rng.sample(range(sc.npoints), 12):
             exact = sc.exact_values(idx)[v]
-            enc = Ksqrt2.embed(exact, places[v], max_width=Fraction(1, 2 ** 40))
+            width = Fraction(1, 2 ** 40)
+            enc = (K.embed(exact, places[v], max_width=width)
+                   if places[v].is_real
+                   else K.normalized_abs(exact, places[v], max_width=width))
             assert enc.lo - 1e-9 <= nums[idx] <= enc.hi + 1e-9
 
 

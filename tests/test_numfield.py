@@ -1,7 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from torusorbits import numfield as nf
 from torusorbits.errors import (DivisionByZero, MissingCmStructure, NoUnits,
@@ -267,3 +271,57 @@ def test_cm_conjugate_is_automorphism(Kzeta8):
         cy = nf.cm_conjugate(Kzeta8, cm, y)
         assert nf.cm_conjugate(Kzeta8, cm, x * y) == cx * cy
         assert nf.cm_conjugate(Kzeta8, cm, cx) == x
+
+
+FIELDS = ["Ksqrt2", "Kcubic", "Kgauss", "Kquartic", "Kzeta8"]
+
+
+def element_coeffs(degree):
+    return hs.lists(hs.fractions(min_value=-50, max_value=50,
+                                 max_denominator=20),
+                    min_size=degree, max_size=degree)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_float_embed_within_one_ulp(name, request):
+    K = request.getfixturevalue(name)
+    places = K.places()
+    for pl in places:
+        basis = K.float_basis(pl)
+        assert basis.dtype == (np.float64 if pl.is_real else np.complex128)
+        assert list(basis) == [K.float_embed(K.theta ** t, pl)
+                               for t in range(K.degree)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(element_coeffs(K.degree))
+    def check(coeffs):
+        x = K.element(coeffs)
+        for pl in places:
+            f, enc = K.float_embed(x, pl), K.embed(x, pl)
+            parts = ([(f, enc)] if pl.is_real
+                     else [(f.real, enc.re), (f.imag, enc.im)])
+            for val, iv in parts:
+                ulp = Fraction(math.ulp(val))
+                assert iv.lo - ulp <= Fraction(val) <= iv.hi + ulp
+
+    check()
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_mult_matrix_and_charpoly(name, request):
+    K = request.getfixturevalue(name)
+    d = K.degree
+
+    @settings(max_examples=40, deadline=None)
+    @given(element_coeffs(d), element_coeffs(d))
+    def check(xc, yc):
+        x, y = K.element(xc), K.element(yc)
+        M = K.mult_matrix(x)
+        assert [sum(M[i][t] * y.coeffs[t] for t in range(d))
+                for i in range(d)] == list((x * y).coeffs)
+        acc = K.zero
+        for c in reversed(nf._charpoly(K, x)):
+            acc = acc * x + c
+        assert acc.is_zero()
+
+    check()
