@@ -375,8 +375,6 @@ def _degenerate_mask(form: DecomposableForm, pts: np.ndarray) -> np.ndarray:
 
 
 def _numeric_form_values(form: DecomposableForm, pts: np.ndarray, v: int) -> np.ndarray:
-    """Signed values at a real place; at a complex place the product of the
-    factor values, then its squared modulus times |alpha|^2."""
     f = form.field
     place = f.places()[v]
     basis = f.float_basis(place)
