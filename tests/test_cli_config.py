@@ -203,6 +203,19 @@ def _kernel_case(case, tmp_path, Ksqrt2, Kzeta8):
     (tmp_path / "path.json").write_text(json.dumps(
         {"n": 2, "bases": ["2", "2"],
          "schedules": [[[k] for k in range(6)], [[k] for k in range(6)]]}))
+    # acceptance 8's sl3-psi input and ramp: at height 8 the 17^6-point box
+    # exceeds DIRECT_SCAN_CAP, so every step takes the ellipsoid search
+    cfg.save_matrix(dc.unipotent_matrix(Ksqrt2, 3, {(2, 0): Ksqrt2.one,
+                                                   (2, 1): s}),
+                    tmp_path / "h3.json")
+    cfg.save_matrix(dc.MatrixK.identity(Ksqrt2, 3), tmp_path / "i3.json")
+    (tmp_path / "path3.json").write_text(json.dumps(
+        {"n": 3, "bases": ["2", "2"],
+         "schedules": [[[0, k] for k in range(4)],
+                       [[0, -k] for k in range(4)]]}))
+    # height 20 on SL2 over Q(sqrt 2): the full 41^4-point direct scan
+    (tmp_path / "path2.json").write_text(json.dumps(
+        {"n": 2, "bases": ["2", "2"], "schedules": [[[2], [3]], [[-2], [-3]]]}))
     if K is Kzeta8:
         r2 = Kzeta8.element([0, 1, 0, -1])
         form = fm.make_form(Kzeta8, [[[1, r2], [r2, 3]]] * 2)
@@ -226,6 +239,12 @@ def _kernel_case(case, tmp_path, Ksqrt2, Kzeta8):
         "dynamics_path": ["--format", "csv", "dynamics", "path",
                           "--g1", "g1.json", "--g2", "g2.json",
                           "--path", "path.json", "--height", "4"],
+        "dynamics_path_ellipsoid": ["--format", "csv", "dynamics", "path",
+                                    "--g1", "h3.json", "--g2", "i3.json",
+                                    "--path", "path3.json", "--height", "8"],
+        "dynamics_path_h20": ["--format", "csv", "dynamics", "path",
+                              "--g1", "g1.json", "--g2", "g2.json",
+                              "--path", "path2.json", "--height", "20"],
         "forms_density": ["forms", "density", "--form", "form.json",
                           "--height", "5", "--window=-20,20",
                           "--eps", "0.5"],
@@ -245,7 +264,9 @@ def _kernel_case(case, tmp_path, Ksqrt2, Kzeta8):
                                   "bruhat_ldu_absent", "forms_reduce",
                                   "forms_to_group", "cm_check",
                                   "dynamics_systole", "dynamics_path",
-                                  "forms_density", "forms_density_zeta8"])
+                                  "dynamics_path_ellipsoid",
+                                  "dynamics_path_h20", "forms_density",
+                                  "forms_density_zeta8"])
 def test_cli_kernel_golden(tmp_path, Ksqrt2, Kzeta8, case, monkeypatch):
     """The CLI paths through exact elimination and through the float images
     of field elements, byte for byte against tests/golden/<case>.json (or
