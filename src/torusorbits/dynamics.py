@@ -11,7 +11,9 @@ exact rational, which keeps the boundedness criterion checks exact.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -220,7 +222,8 @@ def _value_array(bmats, exps, pts):
     acc = None
     for bmat, e in zip(bmats, exps):
         y = np.abs(pts @ bmat.T)
-        u = y.max(axis=1)
+        # column by column: numpy reduces a short row axis far more slowly
+        u = functools.reduce(np.maximum, y.T)
         if e == 2:
             u = u * u
         acc = u if acc is None else acc * u
@@ -231,14 +234,17 @@ def _direct_scan(bmats, exps, height, dim):
     rng = np.arange(-height, height + 1)
     best_val = math.inf
     best = None
-    # chunk over the leading coordinate to bound memory
+    # chunk over the leading coordinate to bound memory: one float block
+    # whose lead column is overwritten for each chunk
     tail = np.stack([g.ravel() for g in
                      np.meshgrid(*[rng] * (dim - 1), indexing="ij")], axis=1)
+    block = np.empty((tail.shape[0], dim))
+    block[:, 1:] = tail
+    nonzero = np.any(tail != 0, axis=1)
     for lead in rng:
-        pts = np.concatenate([np.full((tail.shape[0], 1), lead), tail], axis=1)
-        if lead == 0:
-            pts = pts[np.any(pts != 0, axis=1)]
-        vals = _value_array(bmats, exps, pts.astype(float))
+        block[:, 0] = lead
+        pts = block if lead else block[nonzero]
+        vals = _value_array(bmats, exps, pts)
         i = int(np.argmin(vals))
         if vals[i] < best_val:
             best_val = float(vals[i])
@@ -266,8 +272,7 @@ def _ellipsoid_scan(bmats, height, dim):
     u2max = float(np.abs(bmats[1]).sum(axis=1).max()) * height + 1e-300
     lo = max(sigma[1] ** 2 / p_seed, sigma[1] / u1max) / 16
     hi = min(p_seed / sigma[0] ** 2, u2max / sigma[0]) * 16
-    # rational Gram matrices from exact rational embeddings are expensive;
-    # float Gram + exact LDL of the rationalized Gram keeps the bounds safe
+    # float Gram matrices, factored exactly as the rationals they hold
     g1 = bmats[0].T @ bmats[0]
     g2 = bmats[1].T @ bmats[1]
     radius_factor = 3.0 / math.sqrt(2.0) * n * 1.0001
@@ -278,10 +283,7 @@ def _ellipsoid_scan(bmats, height, dim):
     while s2 <= hi * 1.0001:
         q = g1 * s2 + g2 / s2
         bound = radius_factor * best_val
-        for cand in _fincke_pohst(q, bound, height):
-            if cand in seen:
-                continue
-            seen.add(cand)
+        for cand in _fincke_pohst(q, bound, height, seen):
             val = float(_value_array(bmats, [1, 1],
                                      np.array([cand], dtype=float))[0])
             if val < best_val:
@@ -291,69 +293,113 @@ def _ellipsoid_scan(bmats, height, dim):
     return best
 
 
-def _fincke_pohst(q: np.ndarray, bound: float, height: int):
+def _fincke_pohst(q: np.ndarray, bound: float, height: int, seen: set):
     """Integer vectors with x^T q x <= bound and |x|_inf <= height.
 
-    LDL^T factorization over exact rationals of the (rationalized) float
-    Gram matrix; the recursion uses floats with a small safety pad.  Only
-    one representative of each +-x pair is emitted; 0 is skipped.
+    q is factored by `_ldl`, exactly; the enumeration runs in floats with a
+    small safety pad, depth first from the last coordinate down, as one
+    loop over explicit per-level state.  Each +-x pair is emitted once, with
+    its highest nonzero coordinate positive, and only if it is not yet in
+    `seen`, to which it is then added; 0 is skipped.
+    """
+    fact = _ldl(q)
+    if fact is None:
+        return
+    d, lower = fact
+    dim = len(d)
+    cols = [lower[k + 1:, k].tolist() for k in range(dim)]
+    pad = bound * (1 + 1e-9) + 1e-12
+    x = [0] * dim                 # x[0] stays 0: the leaves are built apart
+    rem = [0.0] * dim             # bound left on entering each level
+    center = [0] * dim
+    top = [0] * dim               # last value of each level's range
+    rem[-1] = pad
+    zeros = (0,) * (dim - 1)
+    k = dim - 1
+    while True:
+        c = -sum(map(operator.mul, cols[k], x[k + 1:]))
+        lo, hi = 1, 0
+        if d[k] > 0:
+            r = rem[k]
+            if r < 0.0:
+                r = 0.0
+            half = math.sqrt(r / d[k])
+            lo = math.ceil(c - half - 1e-9)
+            hi = math.floor(c + half + 1e-9)
+            if lo < -height:
+                lo = -height
+            if hi > height:
+                hi = height
+        if k == 0:
+            # the level-0 range in one go, sign-canonical: the highest
+            # nonzero coordinate positive
+            last = next((v for v in reversed(x) if v), 0)
+            if last > 0:
+                tail = tuple(x[1:])
+                cands = [(v,) + tail for v in range(lo, hi + 1)]
+            elif last < 0:
+                tail = tuple(map(operator.neg, x[1:]))
+                cands = [(-v,) + tail for v in range(lo, hi + 1)]
+            else:
+                cands = [(abs(v),) + zeros for v in range(lo, hi + 1) if v]
+            for cand in cands:
+                if cand not in seen:
+                    seen.add(cand)
+                    yield cand
+        elif lo <= hi:
+            x[k], center[k], top[k] = lo, c, hi
+            rem[k - 1] = rem[k] - d[k] * (lo - c) ** 2
+            k -= 1
+            continue
+        # climb to the nearest level with values left, and step it
+        k += 1
+        while k < dim and x[k] == top[k]:
+            x[k] = 0
+            k += 1
+        if k == dim:
+            return
+        x[k] += 1
+        rem[k - 1] = rem[k] - d[k] * (x[k] - center[k]) ** 2
+        k -= 1
+
+
+def _ldl(q: np.ndarray):
+    """LDL^T of a symmetric float matrix, read from its lower triangle,
+    exactly: (d, L) as floats, or None unless q is positive definite.
+
+    The entries are exact dyadic rationals, so one power-of-two common
+    denominator S makes them integers.  Symmetric fraction-free (Bareiss)
+    elimination of those integers leaves D_k = S^k det q[:k, :k] on the
+    diagonal and, below it in column k, the integer numerators of L; so
+    d_k = D_k / (D_{k-1} S) and L_ik = M_ik / D_k.  Each is one Python int
+    true division, rounded correctly, hence the same float as the exact
+    rational rounded.  Positivity (every D_k > 0) is decided exactly.
+    Stays outside the elimination kernel: symmetric, and its positivity
+    test is the answer.
     """
     dim = q.shape[0]
-    qr = [[Fraction(q[i, j]) for j in range(dim)] for i in range(dim)]
-    diag, lower = _ldl(qr)
-    if diag is None:
-        return
-    d = [float(x) for x in diag]
-    lf = [[float(x) for x in row] for row in lower]
-    pad = bound * (1 + 1e-9) + 1e-12
-    x = [0] * dim
-    # recursion from the last coordinate down
-    def rec(k, rem, shift_terms):
-        if k < 0:
-            cand = tuple(x)
-            if any(cand):
-                yield cand
-            return
-        center = -sum(lf[j][k] * x[j] for j in range(k + 1, dim))
-        if d[k] <= 0:
-            return
-        half = math.sqrt(max(rem, 0.0) / d[k])
-        lo = max(-height, math.ceil(center - half - 1e-9))
-        hi = min(height, math.floor(center + half + 1e-9))
-        for xv in range(lo, hi + 1):
-            x[k] = xv
-            used = d[k] * (xv - center) ** 2
-            yield from rec(k - 1, rem - used, None)
-        x[k] = 0
-
-    # canonical sign: highest nonzero coordinate positive
-    for cand in rec(dim - 1, pad, None):
-        top = next(i for i in reversed(range(dim)) if cand[i])
-        if cand[top] > 0:
-            yield cand
-        else:
-            yield tuple(-c for c in cand)
-
-
-def _ldl(qr):
-    """LDL^T of a symmetric positive definite rational matrix.
-
-    Stays outside the elimination kernel: a symmetric factorisation whose
-    positivity test is the answer, on the Fincke-Pohst hot path."""
-    n = len(qr)
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
-    for j in range(n):
-        s = qr[j][j] - sum(lower[j][k] ** 2 * diag[k] for k in range(j))
-        if s <= 0:
-            return None, None
-        diag[j] = s
-        lower[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            t = qr[i][j] - sum(lower[i][k] * lower[j][k] * diag[k]
-                               for k in range(j))
-            lower[i][j] = t / s
-    return diag, lower
+    ratios = [[x.as_integer_ratio() for x in row[:i + 1]]
+              for i, row in enumerate(q.tolist())]
+    scale = max(den for row in ratios for _, den in row)
+    m = [[num * (scale // den) for num, den in row] for row in ratios]
+    prev = 1
+    for k in range(dim):
+        piv = m[k][k]
+        if piv <= 0:
+            return None
+        for i in range(k + 1, dim):
+            mik = m[i][k]
+            row = m[i]
+            for j in range(k + 1, i + 1):
+                row[j] = (row[j] * piv - mik * m[j][k]) // prev
+        prev = piv
+    d = [m[0][0] / scale] + [m[k][k] / (m[k - 1][k - 1] * scale)
+                             for k in range(1, dim)]
+    lower = np.eye(dim)
+    for i in range(dim):
+        for j in range(i):
+            lower[i, j] = m[i][j] / m[j][j]
+    return d, lower
 
 
 def evaluate_product(inp: OrbitInput, torus, witness) -> RInt:
@@ -542,15 +588,17 @@ def limit_approach_distances(inp: OrbitInput, subset: RootSubset,
                 if _is_integral(gam) and _denominator_ok(gam, gamma_denominator_cap):
                     gammas.append((gam, (pat, j)))
     rep_num = [_numeric_component(field, rep[v], v) for v in range(2)]
+    # the corrected points g_v gamma do not depend on the step
+    moved = [[_numeric_component(field, inp.components[v] * gam, v)
+              for v in range(2)] for gam, _tag in gammas]
     out = []
     for k in range(path.steps):
         torus = path.realize(k)
         best = math.inf
-        for gam, _tag in gammas:
+        for gnum in moved:
             dist = 0.0
             for v in range(2):
-                moving = _numeric_component(field, inp.components[v] * gam, v)
-                moving = np.diag([float(x) for x in torus[v]]) @ moving
+                moving = np.diag([float(x) for x in torus[v]]) @ gnum[v]
                 dist = max(dist, _diag_orbit_distance(moving, rep_num[v]))
             best = min(best, dist)
         out.append(best)

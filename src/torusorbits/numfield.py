@@ -946,12 +946,9 @@ def unit_closure_classify(field: NumberField, target_place: int,
     if not moving:
         rank = 0
     else:
-        logs = [float(field.log_abs(u, pl, target_width=Fraction(1, 2 ** 120)).mid)
-                for u in moving]
-        rels = _modulus_relations(field, moving, logs, pl, max_denominator,
-                                  precision_bits)
-        relations = rels
-        rank = len(moving) - len(rels)
+        relations = _modulus_relations(field, moving, pl, max_denominator,
+                                       precision_bits)
+        rank = len(moving) - len(relations)
 
     if rank <= 1:
         # moduli are discrete; density on the circle fiber decides
@@ -1033,7 +1030,7 @@ def _as_mp(r: RInt):
     return mpmath.mpf(r.mid.numerator) / mpmath.mpf(r.mid.denominator)
 
 
-def _modulus_relations(field, moving, logs, pl, max_denominator, precision_bits):
+def _modulus_relations(field, moving, pl, max_denominator, precision_bits):
     """Verified integer relations among the nonzero log moduli.
 
     Candidates come from PSLQ on high-precision midpoints; each candidate is
@@ -1046,7 +1043,6 @@ def _modulus_relations(field, moving, logs, pl, max_denominator, precision_bits)
     vec = [_as_mp(field.log_abs(u, pl, target_width=Fraction(1, 2 ** 200)))
            for u in moving]
     rels = []
-    work = list(range(len(moving)))
     cand = mpmath.pslq(vec, maxcoeff=max_denominator, maxsteps=10 ** 5)
     if cand is not None:
         w = field.one

@@ -112,7 +112,8 @@ def reversed_poly(p: Poly) -> Poly:
 # FieldElements: the kernel uses only +, -, *, 1 / x and the truth value
 # (nonzero), so it runs unchanged over Q and over a number field.  Kept
 # apart on purpose: decomp.block_ldu (no pivoting, a vanishing minor is its
-# answer), dynamics._ldl (symmetric, with a positivity test),
+# answer), dynamics._ldl (symmetric fraction-free LDL of a float Gram
+# matrix's exact integer image, with a positivity test),
 # numfield._interval_det (dividing by interval pivots would widen the
 # enclosure) and numfield._charpoly (not an elimination).
 

@@ -1,8 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from torusorbits import decomp as dc
 from torusorbits import dynamics as dy
@@ -137,6 +141,136 @@ def test_systole_at_complex_places_is_the_box_minimum(Kzeta8):
     encs = [dy.evaluate_product(inp, torus, p) for p in half]
     assert enc.overlaps(min(encs, key=lambda e: e.mid))
     assert enc.lo <= min(e.hi for e in encs)
+
+
+# -- exact LDL and the Fincke-Pohst enumeration --------------------------------
+
+
+def fraction_ldl(q):
+    """LDL^T of q's lower triangle over Fractions: the factorisation the
+    ellipsoid search ran before the integer one, kept as its oracle."""
+    n = q.shape[0]
+    qr = [[Fraction(q[i, j]) for j in range(n)] for i in range(n)]
+    lower = [[Fraction(0)] * n for _ in range(n)]
+    diag = [Fraction(0)] * n
+    for j in range(n):
+        s = qr[j][j] - sum(lower[j][k] ** 2 * diag[k] for k in range(j))
+        if s <= 0:
+            return None
+        diag[j] = s
+        lower[j][j] = Fraction(1)
+        for i in range(j + 1, n):
+            t = qr[i][j] - sum(lower[i][k] * lower[j][k] * diag[k]
+                               for k in range(j))
+            lower[i][j] = t / s
+    return diag, lower
+
+
+def recursive_fincke_pohst(q, bound, height, seen):
+    """The recursive enumeration with the Fraction LDL and the caller-side
+    dedupe that the flat loop replaced: the same vectors in the same order."""
+    fact = fraction_ldl(q)
+    if fact is None:
+        return []
+    d = [float(x) for x in fact[0]]
+    lf = [[float(x) for x in row] for row in fact[1]]
+    dim = len(d)
+    pad = bound * (1 + 1e-9) + 1e-12
+    x = [0] * dim
+    out = []
+
+    def rec(k, rem):
+        if k < 0:
+            if any(x):
+                top = next(i for i in reversed(range(dim)) if x[i])
+                cand = tuple(x) if x[top] > 0 else tuple(-c for c in x)
+                if cand not in seen:
+                    seen.add(cand)
+                    out.append(cand)
+            return
+        center = -sum(lf[j][k] * x[j] for j in range(k + 1, dim))
+        if d[k] <= 0:
+            return
+        half = math.sqrt(max(rem, 0.0) / d[k])
+        lo = max(-height, math.ceil(center - half - 1e-9))
+        hi = min(height, math.floor(center + half + 1e-9))
+        for xv in range(lo, hi + 1):
+            x[k] = xv
+            rec(k - 1, rem - d[k] * (xv - center) ** 2)
+        x[k] = 0
+
+    rec(dim - 1, pad)
+    return out
+
+
+# mantissa times a power of two: entries from about 2^-203 to 2^150
+wide = hs.builds(math.ldexp, hs.integers(-2 ** 53, 2 ** 53),
+                 hs.integers(-203, 97))
+small = hs.floats(-4, 4, allow_subnormal=False)
+
+
+@hs.composite
+def symmetric_floats(draw):
+    """Symmetric float matrices up to 6 x 6: arbitrary (mostly indefinite)
+    wide-range ones, Gram matrices, Gram matrices made near-singular by an
+    almost repeated row, and ladder rungs s^2 G1 + G2 / s^2 with s^2 up to
+    2^+-150, as the ellipsoid search forms them."""
+    dim = draw(hs.integers(1, 6))
+    kind = draw(hs.sampled_from(["symmetric", "gram", "near-singular",
+                                 "ladder"]))
+    if kind == "symmetric":
+        low = [[draw(wide) for _ in range(i + 1)] for i in range(dim)]
+        return np.array([[low[max(i, j)][min(i, j)] for j in range(dim)]
+                         for i in range(dim)])
+    b = np.array([[draw(small) for _ in range(dim)] for _ in range(dim)])
+    if kind == "near-singular":
+        b[-1] = b[0] + math.ldexp(1.0, -draw(hs.integers(20, 60))) * b[-1]
+    g = b.T @ b
+    if kind == "ladder":
+        b2 = np.array([[draw(small) for _ in range(dim)] for _ in range(dim)])
+        s2 = math.ldexp(1.0, draw(hs.integers(-150, 150)))
+        g = g * s2 + (b2.T @ b2) / s2
+    return g
+
+
+@settings(max_examples=400, deadline=None)
+@given(symmetric_floats())
+def test_integer_ldl_matches_fraction_ldl(q):
+    # bit for bit: every d and L float, and None exactly when the oracle
+    # finds a non-positive pivot
+    got = dy._ldl(q)
+    want = fraction_ldl(q)
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    d, lower = got
+    assert [x.hex() for x in d] == [float(x).hex() for x in want[0]]
+    assert [[x.hex() for x in row] for row in lower.tolist()] == \
+        [[float(x).hex() for x in row] for row in want[1]]
+
+
+def test_integer_ldl_decides_definiteness_exactly():
+    # 1 + 2^-52 off the diagonal against 1 on it: the float determinant
+    # rounds to 0 in both orders, the exact one is negative
+    e = 1.0 + 2.0 ** -52
+    assert dy._ldl(np.array([[1.0, e], [e, 1.0]])) is None
+    assert dy._ldl(np.array([[e, 1.0], [1.0, e]])) is not None
+    assert dy._ldl(np.array([[0.0]])) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(hs.integers(2, 6), hs.integers(1, 3), hs.data())
+def test_flat_fincke_pohst_matches_recursion(dim, height, data):
+    # the same new vectors, in the same order, with the caller's seen set
+    b = np.array([[data.draw(small) for _ in range(dim)] for _ in range(dim)])
+    q = b.T @ b + np.eye(dim) * data.draw(hs.floats(0, 1))
+    bound = data.draw(hs.floats(0, 40))
+    seed = tuple(data.draw(hs.integers(-height, height)) for _ in range(dim))
+    seen = {seed}
+    got = list(dy._fincke_pohst(q, bound, height, seen))
+    want_seen = {seed}
+    assert got == recursive_fincke_pohst(q, bound, height, want_seen)
+    assert seen == want_seen
 
 
 def test_run_path_constant(Ksqrt2):
