@@ -305,9 +305,8 @@ def _fincke_pohst(q: np.ndarray, bound: float, height: int, seen: set):
     fact = _ldl(q)
     if fact is None:
         return
-    d, lower = fact
+    d, cols = fact
     dim = len(d)
-    cols = [lower[k + 1:, k].tolist() for k in range(dim)]
     pad = bound * (1 + 1e-9) + 1e-12
     x = [0] * dim                 # x[0] stays 0: the leaves are built apart
     rem = [0.0] * dim             # bound left on entering each level
@@ -365,7 +364,8 @@ def _fincke_pohst(q: np.ndarray, bound: float, height: int, seen: set):
 
 def _ldl(q: np.ndarray):
     """LDL^T of a symmetric float matrix, read from its lower triangle,
-    exactly: (d, L) as floats, or None unless q is positive definite.
+    exactly: d and the columns of L below the diagonal (cols[k] holds
+    L_ik for i > k) as floats, or None unless q is positive definite.
 
     The entries are exact dyadic rationals, so one power-of-two common
     denominator S makes them integers.  Symmetric fraction-free (Bareiss)
@@ -382,24 +382,21 @@ def _ldl(q: np.ndarray):
               for i, row in enumerate(q.tolist())]
     scale = max(den for row in ratios for _, den in row)
     m = [[num * (scale // den) for num, den in row] for row in ratios]
+    d = []
     prev = 1
     for k in range(dim):
         piv = m[k][k]
         if piv <= 0:
             return None
+        d.append(piv / (prev * scale))
         for i in range(k + 1, dim):
             mik = m[i][k]
             row = m[i]
             for j in range(k + 1, i + 1):
                 row[j] = (row[j] * piv - mik * m[j][k]) // prev
         prev = piv
-    d = [m[0][0] / scale] + [m[k][k] / (m[k - 1][k - 1] * scale)
-                             for k in range(1, dim)]
-    lower = np.eye(dim)
-    for i in range(dim):
-        for j in range(i):
-            lower[i, j] = m[i][j] / m[j][j]
-    return d, lower
+    return d, [[m[i][k] / m[k][k] for i in range(k + 1, dim)]
+               for k in range(dim)]
 
 
 def evaluate_product(inp: OrbitInput, torus, witness) -> RInt:

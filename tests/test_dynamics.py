@@ -243,10 +243,12 @@ def test_integer_ldl_matches_fraction_ldl(q):
     assert (got is None) == (want is None)
     if want is None:
         return
-    d, lower = got
+    d, cols = got
+    n = q.shape[0]
     assert [x.hex() for x in d] == [float(x).hex() for x in want[0]]
-    assert [[x.hex() for x in row] for row in lower.tolist()] == \
-        [[float(x).hex() for x in row] for row in want[1]]
+    assert [[x.hex() for x in col] for col in cols] == \
+        [[float(want[1][i][k]).hex() for i in range(k + 1, n)]
+         for k in range(n)]
 
 
 def test_integer_ldl_decides_definiteness_exactly():
