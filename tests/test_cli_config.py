@@ -187,10 +187,11 @@ def _kernel_case(case, tmp_path, Ksqrt2, Kzeta8):
     """Inputs and CLI arguments for one exact linear-algebra or float-image
     path: Bruhat rank profiles, block LDU pivot blocks, determinants and
     inverses in the group bridge, ranks in the variable reduction, the CM
-    split, the systole scan and the numeric form values at real and complex
-    places.  Returns the arguments and the golden file name."""
-    K = Kzeta8 if case in ("forms_to_group", "cm_check",
-                           "forms_density_zeta8") else Ksqrt2
+    split, the systole scan, the numeric form values at real and complex
+    places and the exact two-place spectrum.  Returns the arguments and the
+    golden file name."""
+    K = Kzeta8 if case in ("forms_to_group", "cm_check", "forms_density_zeta8",
+                           "forms_spectrum_zeta8") else Ksqrt2
     cfg.save_field(K, tmp_path / "field.json")
     s = Ksqrt2.theta
     h = dc.MatrixK(Ksqrt2, [[0, 1, s], [1, s, 0], [s, 2, 1]])
@@ -222,6 +223,8 @@ def _kernel_case(case, tmp_path, Ksqrt2, Kzeta8):
     elif case == "forms_density":
         form = fm.make_form(Ksqrt2, [[[1, s], [1, -s]], [[2, s], [1, 1]]],
                             scalars=[Ksqrt2.element([1, 1]), 3])
+    elif case == "forms_spectrum":
+        form = fm.make_form(Ksqrt2, [[[1, 0], [0, 1]]] * 2)
     else:
         form = fm.make_form(Ksqrt2, [[[1, 0, s], [0, 1, 1]],
                                      [[1, 1, 0], [0, s, 1]]])
@@ -252,6 +255,11 @@ def _kernel_case(case, tmp_path, Ksqrt2, Kzeta8):
                                 "--form", "form.json", "--height", "2",
                                 "--sample", "300", "--window=0,2000",
                                 "--eps", "1"],
+        "forms_spectrum": ["forms", "spectrum", "--form", "form.json",
+                           "--height", "8", "--clip", "100"],
+        "forms_spectrum_zeta8": ["--seed", "5", "forms", "spectrum",
+                                 "--form", "form.json", "--height", "5",
+                                 "--sample", "300", "--clip", "1e15"],
     }[case]
     golden = f"{case}.csv" if "csv" in tail else f"{case}.json"
     args = ["--field", str(tmp_path / "field.json"),
@@ -266,7 +274,8 @@ def _kernel_case(case, tmp_path, Ksqrt2, Kzeta8):
                                   "dynamics_systole", "dynamics_path",
                                   "dynamics_path_ellipsoid",
                                   "dynamics_path_h20", "forms_density",
-                                  "forms_density_zeta8"])
+                                  "forms_density_zeta8", "forms_spectrum",
+                                  "forms_spectrum_zeta8"])
 def test_cli_kernel_golden(tmp_path, Ksqrt2, Kzeta8, case, monkeypatch):
     """The CLI paths through exact elimination and through the float images
     of field elements, byte for byte against tests/golden/<case>.json (or
