@@ -12,6 +12,7 @@ two-place norm-product spectrum.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -313,9 +314,7 @@ def scan_values(form: DecomposableForm, height: int,
         if total > cap:
             raise CapExceeded(
                 f"box of {total} points exceeds the cap {cap}; pass sample=")
-        grids = np.meshgrid(*[np.arange(-height, height + 1)] * dim,
-                            indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
+        pts = _box(height, dim)
         pts = pts[np.any(pts != 0, axis=1)]
         mode = "full"
     else:
@@ -351,26 +350,62 @@ def scan_values(form: DecomposableForm, height: int,
                     seed=None if sample is None else seed)
 
 
-def _coeff_matrix_int(form: DecomposableForm, v: int, i: int):
-    """Integer matrix (deg x n*deg) and denominator D mapping point
-    coefficients to D * (power-basis coords of the i-th factor value)."""
-    f = form.field
-    mats = [f.mult_matrix(c) for c in form.factors[v][i]]
-    den = math.lcm(*(x.denominator for m in mats for row in m for x in row))
-    mat = np.array([[int(x * den) for m in mats for x in m[t]]
-                    for t in range(f.degree)], dtype=np.int64)
-    return mat, den
+def _box(height: int, dim: int) -> np.ndarray:
+    """Every point of {-height..height}^dim as an (N, dim) int64 array."""
+    grids = np.meshgrid(*[np.arange(-height, height + 1)] * dim, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
+
+
+def _int_image(field: NumberField, factors, pts: np.ndarray, norm: bool = False):
+    """Exact integer image of an integer point batch under K-linear factors.
+
+    pts is an (N, n*deg) array of power-basis coefficients of n coordinates.
+    A factor (c_1, ..., c_n) maps z to D * (the power-basis coordinates of
+    c_1 z_1 + ... + c_n z_n) through the integer matrix D [M(c_1) ... M(c_n)],
+    with M from mult_matrix and D its least common denominator.  Returns a
+    list of (N, deg) images and the list of the D; with norm=True, the
+    length-N product of the field norms of those images and the product of
+    the D^deg.
+
+    The dtype follows an a-priori bound B on every intermediate: the
+    largest row sum of |D M| times max(1, max|pts|) for an image (so a scan
+    merged from a larger height is covered), sum |c| * B^deg over the norm
+    form's coefficients for a norm, and the product of those for a product
+    of norms.  Below 2^63 the arrays are int64, otherwise Python-int object
+    arrays; the numpy expressions are the same on both.
+    """
+    deg = field.degree
+    maps = []
+    for fac in factors:
+        mats = [field.mult_matrix(c) for c in fac]
+        den = math.lcm(*(x.denominator for m in mats for row in m for x in row))
+        maps.append(([[int(x * den) for m in mats for x in m[t]]
+                      for t in range(deg)], den))
+    top = max(1, -int(pts.min()), int(pts.max())) if pts.size else 1
+    bounds = [top * max(sum(map(abs, row)) for row in mat) for mat, _ in maps]
+    if norm:
+        nform = norm_form(field)
+        csum = sum(abs(c) for c in nform.terms.values())
+        bounds = [math.prod(csum * b ** deg for b in bounds)]
+    dtype = np.int64 if max(bounds) < 2 ** 63 else object
+    pts = pts.astype(dtype, copy=False)
+    images = [pts @ np.array(mat, dtype=dtype).T for mat, _ in maps]
+    dens = [den for _, den in maps]
+    if not norm:
+        return images, dens
+    acc = None
+    for img in images:
+        cur = nform.eval_int_numpy(list(img.T))
+        acc = cur if acc is None else acc * cur
+    return acc, math.prod(den ** deg for den in dens)
 
 
 def _degenerate_mask(form: DecomposableForm, pts: np.ndarray) -> np.ndarray:
     """Exact vanishing test of any factor at any place (integer arithmetic)."""
     bad = np.zeros(pts.shape[0], dtype=bool)
-    ptsT = pts.T
     for v in range(form.r):
-        for i in range(form.m):
-            mat, _ = _coeff_matrix_int(form, v, i)
-            coords = mat @ ptsT          # (deg, N) exact in int64
-            bad |= np.all(coords == 0, axis=0)
+        for coords in _int_image(form.field, form.factors[v], pts)[0]:
+            bad |= np.all(coords == 0, axis=1)
     return bad
 
 
@@ -379,9 +414,8 @@ def _numeric_form_values(form: DecomposableForm, pts: np.ndarray, v: int) -> np.
     place = f.places()[v]
     basis = f.float_basis(place)
     acc = None
-    for i in range(form.m):
-        mat, den = _coeff_matrix_int(form, v, i)
-        coords = pts @ mat.T                          # (N, deg)
+    for coords, den in zip(*_int_image(f, form.factors[v], pts)):
+        coords = coords.astype(np.float64)
         if place.is_real:
             cur = coords @ basis / den
         else:
@@ -420,9 +454,7 @@ def window_scan(form: DecomposableForm, height: int, window,
     deg = field.degree
     phi = np.array([field.float_basis(pl) for pl in places])
     Minv = np.linalg.inv(phi)
-    rng1 = np.arange(-height, height + 1)
-    grids = np.meshgrid(*[rng1] * deg, indexing="ij")
-    c_all = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
+    c_all = _box(height, deg)
     x_all = c_all @ phi.T                       # (N1, r): embeddings of z1
     a = np.zeros((r, 2))
     b = np.zeros((r, 2))
@@ -463,8 +495,7 @@ def window_scan(form: DecomposableForm, height: int, window,
         dhi = np.floor(corners.max(axis=0) + 1e-9).astype(np.int64)
         dlo = np.maximum(dlo, -height)
         dhi = np.minimum(dhi, height)
-        counts = np.prod(np.maximum(dhi - dlo + 1, 0), axis=1)
-        for t in np.nonzero(counts > 0)[0]:
+        for t in np.nonzero(np.all(dhi >= dlo, axis=1))[0]:
             ranges = [np.arange(dlo[t, k], dhi[t, k] + 1) for k in range(deg)]
             mesh = np.stack([g.ravel() for g in
                              np.meshgrid(*ranges, indexing="ij")], axis=1)
@@ -586,12 +617,9 @@ def norm_product_spectrum(form: DecomposableForm, height: int,
         touched.append(nz[0])
     if sorted(touched) != list(range(form.n)):
         raise ValidationError("factors must cover each variable once")
-    nformp = norm_form(field)
-    deg = field.degree
-    rng = np.arange(-height, height + 1)
-    grids = np.meshgrid(*[rng] * deg, indexing="ij")
-    coords = [g.ravel().astype(np.int64) for g in grids]
-    norms = np.abs(nformp.eval_int_numpy(coords))
+    norms, _ = _int_image(field, [(field.one,)], _box(height, field.degree),
+                          norm=True)
+    norms = np.unique(np.abs(norms)).tolist()
     # per factor: |N(coef)| * |N(w)| over the one-variable box
     scale = Fraction(1)
     for v, s in enumerate(form.scalars):
@@ -601,8 +629,7 @@ def norm_product_spectrum(form: DecomposableForm, height: int,
     for fac in form.factors[0]:
         coef = next(c for c in fac if not c.is_zero())
         cn = abs(fast_norm(field, coef))
-        per_var.append(sorted({Fraction(int(x)) * cn
-                               for x in np.unique(norms) if x > 0}))
+        per_var.append(sorted({Fraction(x) * cn for x in norms if x > 0}))
     # combine products under the clip
     limit = Fraction(clip).limit_denominator(10 ** 9) / scale
     frontier = [Fraction(1)]
@@ -766,45 +793,31 @@ def _spectrum_exact(scan: FormScan, clip: float):
     """Products for a rational form with identical factor lists.
 
     prod_v |f_v(z)|_v = C * |N(l_1(z))| ... |N(l_m(z))| with
-    C = prod_v |scalar_v|_v; the norms are exact integers over a controlled
-    denominator, evaluated through the norm form.
+    C = prod_v |scalar_v|_v; the norms are exact integers over the
+    denominator of the integer image, so the products are exact integers
+    times C / den.  Returns the sorted distinct integers whose product with
+    that constant is at most clip, and the constant.
     """
     form = scan.form
     f = form.field
-    nform = norm_form(f)
-    deg = f.degree
-    pts = scan.points
-    acc = np.ones(pts.shape[0], dtype=np.float64)
-    acc_exact_den = Fraction(1)
-    for i in range(form.m):
-        mat, den = _coeff_matrix_int(form, 0, i)
-        coords = (pts @ mat.T).T      # (deg, N) int64
-        norms = nform.eval_int_numpy([coords[t] for t in range(deg)])
-        acc = acc * np.abs(norms.astype(np.float64))
-        acc_exact_den *= Fraction(den) ** deg
-    # constant: product over places of |scalar|_v divided by the denominators
     places = f.places()
-    cvals = RInt(1)
-    for v in range(form.r):
-        cvals = cvals * f.normalized_abs(form.scalars[v], places[v],
-                                         max_width=Fraction(1, 2 ** 64))
-    const_frac = None
+    norms, den = _int_image(f, form.factors[0], scan.points, norm=True)
+    norms = np.abs(norms)       # zero exactly at the degenerate points
+    vals = np.unique(norms[norms > 0]).tolist()
     if all(s.is_rational() for s in form.scalars):
-        cf = Fraction(1)
+        const = Fraction(1)
         for v, s in enumerate(form.scalars):
             q = abs(s.coeffs[0])
-            cf *= q if places[v].is_real else q * q
-        const_frac = cf / acc_exact_den
-    mask = scan.nonzero_mask() & (acc > 0)
-    scaled = acc[mask]
-    if const_frac is not None:
-        limit = float(clip / const_frac)
-        vals = np.unique(scaled[scaled <= limit + 1e-9])
-        return [Fraction(int(round(v))) if float(v).is_integer() else Fraction(v)
-                for v in vals.tolist()], const_frac
-    cmid = float(cvals.mid)
-    vals = np.unique(scaled[scaled * cmid <= clip])
-    return [Fraction(v) for v in vals.tolist()], Fraction(cmid)
+            const *= q if places[v].is_real else q * q
+    else:
+        cvals = RInt(1)
+        for v in range(form.r):
+            cvals = cvals * f.normalized_abs(form.scalars[v], places[v],
+                                             max_width=Fraction(1, 2 ** 64))
+        const = Fraction(float(cvals.mid))
+    const /= den
+    keep = bisect.bisect_right(vals, clip, key=lambda x: const * x)
+    return [Fraction(x) for x in vals[:keep]], const
 
 
 # -- CM obstruction -----------------------------------------------------------------

@@ -134,16 +134,6 @@ class RInt:
             return RInt(self.hi * self.hi, self.lo * self.lo)
         return RInt(0, max(self.lo * self.lo, self.hi * self.hi))
 
-    def pow(self, k: int):
-        if k == 0:
-            return RInt(1)
-        if k < 0:
-            return self.pow(-k).inverse()
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
-
 
 def as_rint(x) -> RInt:
     if isinstance(x, RInt):

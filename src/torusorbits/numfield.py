@@ -32,20 +32,10 @@ from . import polyutil as pu
 from .errors import (DivisionByZero, Inconclusive, MissingCmStructure, NoUnits,
                      NotMonic, PrecisionExhausted, UnitVerificationFailed,
                      ValidationError, WrongUnitRank)
-from .intervals import CBox, RInt, atan2_rint, log_rint, pi_rint
+from .intervals import CBox, RInt, _frac, atan2_rint, log_rint, pi_rint
 
 DEFAULT_PRECISION = 128
 MAX_DEGREE = 8
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
 
 
 class FieldElement:
@@ -515,7 +505,7 @@ def _verify_unit_independence(K: NumberField, units):
     width = Fraction(1, 2 ** 40)
     logs = [[K.log_abs(u, pl, target_width=width) for pl in places[:k]]
             for u in units]
-    det = _interval_det(logs)
+    det = pu.cofactor_det(logs)
     attempts = 0
     while det.contains(0):
         attempts += 1
@@ -525,21 +515,7 @@ def _verify_unit_independence(K: NumberField, units):
         width /= Fraction(2 ** 40)
         logs = [[K.log_abs(u, pl, target_width=width) for pl in places[:k]]
                 for u in units]
-        det = _interval_det(logs)
-
-
-def _interval_det(rows):
-    """Cofactor expansion: dividing by interval pivots would widen the
-    enclosure, so this stays outside the elimination kernel."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    out = RInt(0)
-    for j in range(n):
-        minor = [[rows[i][c] for c in range(n) if c != j] for i in range(1, n)]
-        term = rows[0][j] * _interval_det(minor)
-        out = out + (term if j % 2 == 0 else -term)
-    return out
+        det = pu.cofactor_det(logs)
 
 
 def _attach_cm(K: NumberField, cm) -> CmStructure:
@@ -698,7 +674,7 @@ def norm_form(K: NumberField) -> "pu.MultiPoly":
                         col[t] = col[t] + pu.MultiPoly.const(d, red[t]) * xs[i]
         cols.append(col)
     rows = [[cols[j][i] for j in range(d)] for i in range(d)]
-    nf_poly = pu.det_multipoly(rows)
+    nf_poly = pu.cofactor_det(rows)
     K._norm_form = nf_poly
     return nf_poly
 

@@ -113,9 +113,10 @@ def reversed_poly(p: Poly) -> Poly:
 # (nonzero), so it runs unchanged over Q and over a number field.  Kept
 # apart on purpose: decomp.block_ldu (no pivoting, a vanishing minor is its
 # answer), dynamics._ldl (symmetric fraction-free LDL of a float Gram
-# matrix's exact integer image, with a positivity test),
-# numfield._interval_det (dividing by interval pivots would widen the
-# enclosure) and numfield._charpoly (not an elimination).
+# matrix's exact integer image, with a positivity test), cofactor_det
+# below (division-free: symbolic entries, and interval entries, whose
+# enclosures dividing by interval pivots would widen) and
+# numfield._charpoly (not an elimination).
 
 def echelon(rows, ncols: int, stop_at_gap: bool = False):
     """Row echelon form of a copy of rows, pivoting in the first ncols
@@ -217,7 +218,6 @@ def resultant(f: Poly, g: Poly) -> Fraction:
         return f[0] ** m
     if m == 0:
         return g[0] ** n
-    size = n + m
     rows = []
     fr = list(reversed(f))
     gr = list(reversed(g))
@@ -225,7 +225,6 @@ def resultant(f: Poly, g: Poly) -> Fraction:
         rows.append([Fraction(0)] * i + fr + [Fraction(0)] * (m - 1 - i))
     for i in range(n):
         rows.append([Fraction(0)] * i + gr + [Fraction(0)] * (n - 1 - i))
-    assert all(len(r) == size for r in rows)
     return determinant(rows, Fraction(0))
 
 
@@ -605,7 +604,10 @@ class MultiPoly:
     def eval_int_numpy(self, cols):
         """Elementwise evaluation on numpy integer arrays (one per variable).
 
-        Coefficients must be integers; overflow is the caller's concern."""
+        Coefficients must be integers.  The same expressions run on int64
+        and on Python-int object arrays; forms._int_image picks the dtype
+        from an a-priori bound, so int64 is used only where it cannot
+        overflow."""
         import numpy as np
         acc = None
         for e, c in self.terms.items():
@@ -619,15 +621,15 @@ class MultiPoly:
         return acc
 
 
-def det_multipoly(rows):
-    """Determinant of a small matrix of MultiPoly entries (cofactors)."""
+def cofactor_det(rows):
+    """Determinant of a small square matrix by cofactor expansion along the
+    first row.  Division-free, so it runs on any entries with + - and *:
+    MultiPoly (the norm form) and RInt (the unit-independence minor)."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    nv = rows[0][0].nvars
-    acc = MultiPoly(nv)
+    acc = None
     for j in range(n):
-        minor = [[rows[i][c] for c in range(n) if c != j] for i in range(1, n)]
-        term = rows[0][j] * det_multipoly(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
+        term = rows[0][j] * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        acc = term if acc is None else acc + term if j % 2 == 0 else acc - term
     return acc

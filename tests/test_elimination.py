@@ -14,6 +14,7 @@ from torusorbits import numfield as nf
 from torusorbits import polyutil as pu
 from torusorbits import rootdata as rd
 from torusorbits.errors import Singular
+from torusorbits.intervals import RInt
 
 from conftest import random_element
 
@@ -91,6 +92,19 @@ def test_solve_matches_sympy(rows, data):
     sol, params = m.gauss_jordan_solve(b)
     expect = sol.subs({p: 0 for p in params})
     assert x == [to_fraction(v) for v in expect]
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(square=True))
+def test_cofactor_det_matches_the_kernel(rows):
+    # the division-free expansion on exact entries and on enclosures
+    det = pu.determinant(rows, ZERO)
+    assert pu.cofactor_det(rows) == det
+    point = pu.cofactor_det([[RInt(x) for x in row] for row in rows])
+    assert point.lo == point.hi == det
+    eps = Fraction(1, 1000)
+    assert pu.cofactor_det([[RInt(x - eps, x + eps) for x in row]
+                            for row in rows]).contains(det)
 
 
 def test_echelon_pivots_and_swap_sign():

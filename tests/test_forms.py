@@ -1,9 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from torusorbits import decomp as dc
 from torusorbits import forms as fm
@@ -242,6 +245,135 @@ def test_spectrum_empty(Ksqrt2):
     sc = fm.scan_values(f0(Ksqrt2), 1)
     rep = fm.two_place_spectrum(sc, clip=Fraction(1, 2))
     assert rep.values == [] and rep.count_nonzero == 0
+
+
+@pytest.mark.parametrize("height", [100, 10 ** 5])
+def test_spectrum_exact_beyond_float_precision(Kzeta8, height):
+    # the norm products pass 2^53 at height 100 and 2^63 at height 10^5;
+    # the exact spectrum must still equal the per-point field norms
+    f = f0(Kzeta8)
+    sc = fm.scan_values(f, height, sample=300, seed=1)
+    rep = fm.two_place_spectrum(sc, clip=math.inf)
+    want = {abs(nf.fast_norm(Kzeta8, f.value(0, sc.coordinate(i))))
+            for i in range(sc.npoints)} - {0}
+    assert rep.values == sorted(want) and rep.constant == 1
+
+
+def test_spectrum_irrational_constant_over_a_denominator(Ksqrt2):
+    # scalar sqrt 2 at both places: C is computed numerically, and the
+    # factor 1/2 puts the integer norms over the denominator 2^2
+    s = Ksqrt2.theta
+    f = fm.make_form(Ksqrt2, [[[Fraction(1, 2), 0], [0, 1]]] * 2,
+                     scalars=[s, s])
+    sc = fm.scan_values(f, 3)
+    rep = fm.two_place_spectrum(sc, clip=math.inf)
+    want = sorted({abs(nf.fast_norm(Ksqrt2, f.value(0, sc.coordinate(i))))
+                   for i in range(sc.npoints)} - {0})
+    assert len(rep.values) == len(want)
+    for got, w in zip(rep.values, want):
+        assert abs(float(got) / float(w) - 1) < 1e-12
+
+
+def test_numeric_values_beyond_int64(Kzeta8):
+    # coefficients times height pass 2^63, where an int64 image wraps
+    c = Kzeta8.element([Fraction(12345, 7), 3, 0, 1])
+    f = fm.make_form(Kzeta8, [[[c, 0], [0, 1]]] * 2)
+    sc = fm.scan_values(f, 2 ** 50, sample=200, seed=1)
+    places = Kzeta8.places()
+    for v in range(f.r):
+        vals = sc.numeric_values(v)
+        for i in range(sc.npoints):
+            ref = float(nf.normalized_abs(f.value(v, sc.coordinate(i)),
+                                          places[v]).mid)
+            assert abs(vals[i] / ref - 1) < 1e-9
+
+
+def _image_bound(K, factors, pts, norm):
+    """The a-priori bound of the integer image, from its definition."""
+    top = max([1] + [abs(int(x)) for x in pts.ravel()])
+    bounds = []
+    for fac in factors:
+        mats = [K.mult_matrix(c) for c in fac]
+        den = math.lcm(*(x.denominator for m in mats for row in m for x in row))
+        rows = [[abs(x * den) for m in mats for x in m[t]]
+                for t in range(K.degree)]
+        bounds.append(top * max(sum(row) for row in rows))
+    if not norm:
+        return max(bounds)
+    csum = sum(abs(c) for c in nf.norm_form(K).terms.values())
+    return math.prod(csum * b ** K.degree for b in bounds)
+
+
+def _image_oracle(K, factors, pts, norm):
+    """The same image point by point in Python integers."""
+    deg = K.degree
+    images, dens = [], []
+    for fac in factors:
+        mats = [K.mult_matrix(c) for c in fac]
+        den = math.lcm(*(x.denominator for m in mats for row in m for x in row))
+        images.append([[int(sum(den * m[t][k] * int(row[j * deg + k])
+                                for j, m in enumerate(mats) for k in range(deg)))
+                        for t in range(deg)] for row in pts])
+        dens.append(den)
+    if not norm:
+        return images, dens
+    nform = nf.norm_form(K)
+    prods = [math.prod(int(nform.eval_exact(img[p])) for img in images)
+             for p in range(len(pts))]
+    return prods, math.prod(d ** deg for d in dens)
+
+
+@hs.composite
+def image_cases(draw, K):
+    """One or two binary factors and points up to the int64 edge."""
+    coef = hs.fractions(min_value=-9, max_value=9, max_denominator=4)
+    factors = [tuple(K.element([draw(coef) for _ in range(K.degree)])
+                     for _ in range(2))
+               for _ in range(draw(hs.integers(1, 2)))]
+    k = draw(hs.one_of(hs.integers(0, 3), hs.integers(0, 63)))
+    entry = hs.integers(-(2 ** k), 2 ** k - 1)
+    if draw(hs.booleans()):
+        entry = entry | hs.sampled_from([2 ** 63 - 1, -(2 ** 63)])
+    rows = draw(hs.integers(1, 4))
+    pts = np.array([[draw(entry) for _ in range(2 * K.degree)]
+                    for _ in range(rows)], dtype=np.int64)
+    return factors, pts, draw(hs.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(hs.data())
+def test_int_image_matches_python_integers(Ksqrt2, Kzeta8, data):
+    K = data.draw(hs.sampled_from([Ksqrt2, Kzeta8]))
+    factors, pts, norm = data.draw(image_cases(K))
+    image, den = fm._int_image(K, factors, pts, norm=norm)
+    want, want_den = _image_oracle(K, factors, pts, norm)
+    expect = np.int64 if _image_bound(K, factors, pts, norm) < 2 ** 63 else object
+    assert den == want_den
+    if norm:
+        assert image.dtype == expect
+        assert [int(x) for x in image] == want
+    else:
+        assert all(img.dtype == expect for img in image)
+        assert [[[int(x) for x in row] for row in img] for img in image] == want
+
+
+@pytest.mark.parametrize("norm", [False, True])
+def test_int_image_dtype_at_the_int64_edge(Ksqrt2, norm):
+    # identity factor over Q(sqrt 2): the bound is max|pts| for the image
+    # and 3 * max|pts|^2 for the norm x0^2 - 2 x1^2
+    edge = math.isqrt((2 ** 63 - 1) // 3) if norm else 2 ** 63 - 1
+    for top, dtype in ((edge, np.int64), (edge + 1, object)):
+        pts = np.array([[-top, top - 1, 0, 0], [top - 1, 1, 5, -7]],
+                       dtype=np.int64)
+        image, _ = fm._int_image(Ksqrt2, [(Ksqrt2.one, Ksqrt2.zero)], pts,
+                                 norm=norm)
+        got = image if norm else image[0]
+        assert got.dtype == dtype
+        want = [[int(p[0]), int(p[1])] for p in pts]
+        if norm:
+            assert [int(x) for x in got] == [a * a - 2 * b * b for a, b in want]
+        else:
+            assert [[int(x) for x in row] for row in got] == want
 
 
 def test_spectrum_nonrational_path(Ksqrt2):
