@@ -362,8 +362,9 @@ def _int_image(field: NumberField, factors, pts: np.ndarray, norm: bool = False)
     pts is an (N, n*deg) array of power-basis coefficients of n coordinates.
     A factor (c_1, ..., c_n) maps z to D * (the power-basis coordinates of
     c_1 z_1 + ... + c_n z_n) through the integer matrix D [M(c_1) ... M(c_n)],
-    with M from mult_matrix and D its least common denominator.  Returns a
-    list of (N, deg) images and the list of the D; with norm=True, the
+    with M from mult_matrix and D its least common denominator.  Returns an
+    iterator over the (N, deg) images, formed one at a time to keep one
+    image in memory, and the list of the D; with norm=True, the
     length-N product of the field norms of those images and the product of
     the D^deg.
 
@@ -389,7 +390,7 @@ def _int_image(field: NumberField, factors, pts: np.ndarray, norm: bool = False)
         bounds = [math.prod(csum * b ** deg for b in bounds)]
     dtype = np.int64 if max(bounds) < 2 ** 63 else object
     pts = pts.astype(dtype, copy=False)
-    images = [pts @ np.array(mat, dtype=dtype).T for mat, _ in maps]
+    images = (pts @ np.array(mat, dtype=dtype).T for mat, _ in maps)
     dens = [den for _, den in maps]
     if not norm:
         return images, dens
