@@ -363,7 +363,7 @@ def _int_image(field: NumberField, factors, pts: np.ndarray, norm: bool = False)
     A factor (c_1, ..., c_n) maps z to D * (the power-basis coordinates of
     c_1 z_1 + ... + c_n z_n) through the integer matrix D [M(c_1) ... M(c_n)],
     with M from mult_matrix and D its least common denominator.  Returns an
-    iterator over the (N, deg) images, formed one at a time to keep one
+    iterator over the (deg, N) images, formed one at a time to keep one
     image in memory, and the list of the D; with norm=True, the
     length-N product of the field norms of those images and the product of
     the D^deg.
@@ -390,13 +390,13 @@ def _int_image(field: NumberField, factors, pts: np.ndarray, norm: bool = False)
         bounds = [math.prod(csum * b ** deg for b in bounds)]
     dtype = np.int64 if max(bounds) < 2 ** 63 else object
     pts = pts.astype(dtype, copy=False)
-    images = (pts @ np.array(mat, dtype=dtype).T for mat, _ in maps)
+    images = (np.array(mat, dtype=dtype) @ pts.T for mat, _ in maps)
     dens = [den for _, den in maps]
     if not norm:
         return images, dens
     acc = None
     for img in images:
-        cur = nform.eval_int_numpy(list(img.T))
+        cur = nform.eval_int_numpy(list(img))
         acc = cur if acc is None else acc * cur
     return acc, math.prod(den ** deg for den in dens)
 
@@ -406,7 +406,7 @@ def _degenerate_mask(form: DecomposableForm, pts: np.ndarray) -> np.ndarray:
     bad = np.zeros(pts.shape[0], dtype=bool)
     for v in range(form.r):
         for coords in _int_image(form.field, form.factors[v], pts)[0]:
-            bad |= np.all(coords == 0, axis=1)
+            bad |= np.all(coords == 0, axis=0)
     return bad
 
 
@@ -416,7 +416,7 @@ def _numeric_form_values(form: DecomposableForm, pts: np.ndarray, v: int) -> np.
     basis = f.float_basis(place)
     acc = None
     for coords, den in zip(*_int_image(f, form.factors[v], pts)):
-        coords = coords.astype(np.float64)
+        coords = np.ascontiguousarray(coords.T, dtype=np.float64)
         if place.is_real:
             cur = coords @ basis / den
         else:

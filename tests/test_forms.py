@@ -355,7 +355,7 @@ def test_int_image_matches_python_integers(Ksqrt2, Kzeta8, data):
     else:
         image = list(image)
         assert all(img.dtype == expect for img in image)
-        assert [[[int(x) for x in row] for row in img] for img in image] == want
+        assert [[[int(x) for x in row] for row in img.T] for img in image] == want
 
 
 @pytest.mark.parametrize("norm", [False, True])
@@ -374,7 +374,7 @@ def test_int_image_dtype_at_the_int64_edge(Ksqrt2, norm):
         if norm:
             assert [int(x) for x in got] == [a * a - 2 * b * b for a, b in want]
         else:
-            assert [[int(x) for x in row] for row in got] == want
+            assert [[int(x) for x in row] for row in got.T] == want
 
 
 def test_spectrum_nonrational_path(Ksqrt2):
