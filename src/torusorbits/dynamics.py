@@ -322,13 +322,10 @@ def _fincke_pohst(q: np.ndarray, bound: float, height: int, seen: set):
             r = rem[k]
             if r < 0.0:
                 r = 0.0
+            # half is inf when r / d[k] overflows; the box clamps it first
             half = math.sqrt(r / d[k])
-            lo = math.ceil(c - half - 1e-9)
-            hi = math.floor(c + half + 1e-9)
-            if lo < -height:
-                lo = -height
-            if hi > height:
-                hi = height
+            lo = -height if c - half < -height else math.ceil(c - half - 1e-9)
+            hi = height if c + half > height else math.floor(c + half + 1e-9)
         if k == 0:
             # the level-0 range in one go, sign-canonical: the highest
             # nonzero coordinate positive

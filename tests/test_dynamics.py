@@ -191,7 +191,8 @@ def recursive_fincke_pohst(q, bound, height, seen):
         center = -sum(lf[j][k] * x[j] for j in range(k + 1, dim))
         if d[k] <= 0:
             return
-        half = math.sqrt(max(rem, 0.0) / d[k])
+        # capped where it cannot matter: an overflowing quotient gives inf
+        half = min(math.sqrt(max(rem, 0.0) / d[k]), 2 * height + abs(center))
         lo = max(-height, math.ceil(center - half - 1e-9))
         hi = min(height, math.floor(center + half + 1e-9))
         for xv in range(lo, hi + 1):
@@ -273,6 +274,15 @@ def test_flat_fincke_pohst_matches_recursion(dim, height, data):
     want_seen = {seed}
     assert got == recursive_fincke_pohst(q, bound, height, want_seen)
     assert seen == want_seen
+
+
+def test_fincke_pohst_pivot_below_bound_over_max_float():
+    # bound / d overflows to inf: every box vector is in range, and no
+    # float infinity reaches ceil or floor
+    q = np.eye(2) * 2.0 ** -1022
+    got = list(dy._fincke_pohst(q, 4.0, 1, set()))
+    assert sorted(got) == [(-1, 1), (0, 1), (1, 0), (1, 1)]
+    assert got == recursive_fincke_pohst(q, 4.0, 1, set())
 
 
 def test_run_path_constant(Ksqrt2):
