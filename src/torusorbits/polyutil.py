@@ -605,9 +605,8 @@ class MultiPoly:
         """Elementwise evaluation on numpy integer arrays (one per variable).
 
         Coefficients must be integers.  The same expressions run on int64
-        and on Python-int object arrays; forms._int_image picks the dtype
-        from an a-priori bound, so int64 is used only where it cannot
-        overflow."""
+        and on Python-int object arrays: a caller passes int64 only under
+        an a-priori bound below 2^63, as forms._int_image does."""
         import numpy as np
         acc = None
         for e, c in self.terms.items():
