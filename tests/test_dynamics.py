@@ -191,10 +191,12 @@ def recursive_fincke_pohst(q, bound, height, seen):
         center = -sum(lf[j][k] * x[j] for j in range(k + 1, dim))
         if d[k] <= 0:
             return
-        # capped where it cannot matter: an overflowing quotient gives inf
-        half = min(math.sqrt(max(rem, 0.0) / d[k]), 2 * height + abs(center))
-        lo = max(-height, math.ceil(center - half - 1e-9))
-        hi = min(height, math.floor(center + half + 1e-9))
+        half = math.sqrt(max(rem, 0.0) / d[k])
+        if math.isinf(half):        # the quotient overflowed: all of the box
+            lo, hi = -height, height
+        else:
+            lo = max(-height, math.ceil(center - half - 1e-9))
+            hi = min(height, math.floor(center + half + 1e-9))
         for xv in range(lo, hi + 1):
             x[k] = xv
             rec(k - 1, rem - d[k] * (xv - center) ** 2)
