@@ -190,7 +190,8 @@ def _kernel_case(case, tmp_path, Ksqrt2, Kzeta8):
     split, the systole scan, the numeric form values at real and complex
     places and the exact two-place spectrum.  Returns the arguments and the
     golden file name."""
-    K = Kzeta8 if case in ("forms_to_group", "cm_check", "forms_density_zeta8",
+    K = Kzeta8 if case in ("forms_to_group", "cm_check", "cm_check_ff",
+                           "forms_density_zeta8",
                            "forms_spectrum_zeta8") else Ksqrt2
     cfg.save_field(K, tmp_path / "field.json")
     s = Ksqrt2.theta
@@ -237,6 +238,9 @@ def _kernel_case(case, tmp_path, Ksqrt2, Kzeta8):
         "forms_to_group": ["forms", "to-group", "--form", "form.json"],
         "cm_check": ["--seed", "7", "cm", "check", "--form", "form.json",
                      "--height", "10", "--sample", "200", "--index-l", "2"],
+        "cm_check_ff": ["--seed", "31", "cm", "check", "--form", "form.json",
+                        "--height", "10", "--sample", "500",
+                        "--index-l", "2"],
         "dynamics_systole": ["dynamics", "systole", "--g1", "g1.json",
                              "--g2", "g2.json", "--height", "6"],
         "dynamics_path": ["--format", "csv", "dynamics", "path",
@@ -271,7 +275,7 @@ def _kernel_case(case, tmp_path, Ksqrt2, Kzeta8):
 @pytest.mark.parametrize("case", ["bruhat_cell", "bruhat_ldu",
                                   "bruhat_ldu_absent", "forms_reduce",
                                   "forms_to_group", "cm_check",
-                                  "dynamics_systole", "dynamics_path",
+                                  "cm_check_ff", "dynamics_systole", "dynamics_path",
                                   "dynamics_path_ellipsoid",
                                   "dynamics_path_h20", "forms_density",
                                   "forms_density_zeta8", "forms_spectrum",

@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,3 +498,44 @@ def test_cm_nontrivial_form(Kzeta8):
     rep = fm.cm_obstruction_check(f, sc, index_l=2)
     assert rep.violations == []
     assert rep.checked == 400
+
+
+def cm_report_payload(rep):
+    """A CmCheckReport as JSON data: every field, Fractions as strings."""
+    return {"constant": str(rep.constant), "index_l": rep.index_l,
+            "checked": rep.checked,
+            "points": [[p.index, p.branch,
+                        None if p.norm_product is None else str(p.norm_product),
+                        None if p.ray_scalar is None
+                        else [str(x) for x in p.ray_scalar], p.sine_gap]
+                       for p in rep.points],
+            "violations": [[i, msg] for i, msg in rep.violations]}
+
+
+def acceptance7_scan(K, stride=33, count=300):
+    """Every stride-th of acceptance 7's 10^4 sampled points (count of
+    them) plus its two engineered ray points."""
+    f = f0(K)
+    rg = K.cm_structure.relative_gen
+    sqrt2 = K.element([0, 1, 0, -1])
+    ray1 = K.one + rg * K.from_rational(3)
+    ray2 = sqrt2 + rg * (K.from_rational(3) * sqrt2)
+    extra = np.array([list(ray1.coeffs) + list(ray2.coeffs),
+                      list((rg * K.one).coeffs) + list((rg * sqrt2).coeffs)],
+                     dtype=np.int64)
+    base = fm.scan_values(f, 10, sample=10_000, seed=7).points
+    pts = np.concatenate([base[::stride][:count], extra], axis=0)
+    return fm.FormScan(f, 10, pts, "sampled", fm._degenerate_mask(f, pts))
+
+
+def test_cm_report_golden(Kzeta8):
+    """The whole CM report on part of acceptance 7's scan, for f0 and the
+    form with sqrt 2 coefficients, byte for byte against
+    tests/golden/cm_report.json."""
+    scan = acceptance7_scan(Kzeta8)
+    payload = {name: cm_report_payload(fm.cm_obstruction_check(
+        form, scan, index_l=2)) for name, form in (("f0", f0(Kzeta8)),
+                                                   ("ff", fF(Kzeta8)))}
+    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    golden = Path(__file__).parent / "golden" / "cm_report.json"
+    assert text == golden.read_text()
