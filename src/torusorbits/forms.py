@@ -28,9 +28,9 @@ from .errors import (ArityMismatch, CapExceeded, CoefficientsNotInF,
                      SearchExhausted, SingularCoefficientMatrix,
                      ValidationError, WrongPlaceCount)
 from .intervals import RInt
-from .numfield import (FieldElement, NumberField, cm_conjugate, fast_norm,
-                       is_cm, norm_form, order_discriminant, split_cm,
-                       subfield_coordinates)
+from .numfield import (FieldElement, NumberField, _cm_split_solver,
+                       fast_norm, is_cm, norm_form, order_discriminant,
+                       split_cm, subfield_coordinates)
 from .strata import OrbitInput
 
 EXACT_POINT_CAP = 250_000
@@ -357,40 +357,45 @@ def _box(height: int, dim: int) -> np.ndarray:
 
 
 def _int_image(field: NumberField, factors, pts: np.ndarray, norm: bool = False):
-    """Exact integer image of an integer point batch under K-linear factors.
+    """Exact integer image of an integer point batch under polynomial maps.
 
     pts is an (N, n*deg) array of power-basis coefficients of n coordinates.
-    A factor (c_1, ..., c_n) maps z to D * (the power-basis coordinates of
-    c_1 z_1 + ... + c_n z_n) through the integer matrix D [M(c_1) ... M(c_n)],
-    with M from mult_matrix and D its least common denominator.  Returns an
-    iterator over the (deg, N) images, formed one at a time to keep one
-    image in memory, and the list of the D; with norm=True, the
-    length-N product of the field norms of those images and the product of
-    the D^deg.
+    A factor is a list of MultiPolys with rational coefficients in those
+    n*deg coordinates, or a K-linear form (c_1, ..., c_n): the degree-1
+    case, whose deg polynomials are the rows of [M(c_1) ... M(c_n)] (M from
+    mult_matrix), the power-basis coordinates of c_1 z_1 + ... + c_n z_n.
+    A factor's image is D times its polynomial values, D the least common
+    denominator of its coefficients.  Returns an iterator over the
+    (len(factor), N) images, formed one at a time to keep one image in
+    memory, and the list of the D; with norm=True (deg polynomials per
+    factor), the length-N product of the field norms of those images and
+    the product of the D^deg.
 
-    The dtype follows an a-priori bound B on every intermediate: the
-    largest row sum of |D M| times max(1, max|pts|) for an image (so a scan
-    merged from a larger height is covered), sum |c| * B^deg over the norm
-    form's coefficients for a norm, and the product of those for a product
-    of norms.  Below 2^63 the arrays are int64, otherwise Python-int object
+    The dtype follows one a-priori bound on every intermediate: a
+    polynomial with integer coefficients c on inputs bounded by B stays
+    below sum |c| * B^(degree of the term).  For an image B is
+    max(1, max|pts|), read from the points themselves (so a scan merged
+    from a larger height is covered); a norm applies the rule to the norm
+    form over the image's bound, and a product of norms multiplies those
+    bounds.  Below 2^63 the arrays are int64, otherwise Python-int object
     arrays; the numpy expressions are the same on both.
     """
     deg = field.degree
     maps = []
     for fac in factors:
-        mats = [field.mult_matrix(c) for c in fac]
-        den = math.lcm(*(x.denominator for m in mats for row in m for x in row))
-        maps.append(([[int(x * den) for m in mats for x in m[t]]
-                      for t in range(deg)], den))
+        polys = fac if isinstance(fac[0], pu.MultiPoly) else \
+            _linear_polys(field, fac)
+        den = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+        maps.append(([p * den for p in polys], den))
     top = max(1, -int(pts.min()), int(pts.max())) if pts.size else 1
-    bounds = [top * max(sum(map(abs, row)) for row in mat) for mat, _ in maps]
+    bounds = [max(_poly_bound(p, top) for p in polys) for polys, _ in maps]
     if norm:
         nform = norm_form(field)
-        csum = sum(abs(c) for c in nform.terms.values())
-        bounds = [math.prod(csum * b ** deg for b in bounds)]
+        bounds = [math.prod(_poly_bound(nform, b) for b in bounds)]
     dtype = np.int64 if max(bounds) < 2 ** 63 else object
-    pts = pts.astype(dtype, copy=False)
-    images = (np.array(mat, dtype=dtype) @ pts.T for mat, _ in maps)
+    cols = list(np.ascontiguousarray(pts.astype(dtype, copy=False).T))
+    images = (np.array([p.eval_int_numpy(cols) for p in polys])
+              for polys, _ in maps)
     dens = [den for _, den in maps]
     if not norm:
         return images, dens
@@ -399,6 +404,22 @@ def _int_image(field: NumberField, factors, pts: np.ndarray, norm: bool = False)
         cur = nform.eval_int_numpy(list(img))
         acc = cur if acc is None else acc * cur
     return acc, math.prod(den ** deg for den in dens)
+
+
+def _linear_polys(field: NumberField, fac):
+    """A K-linear form (c_1, ..., c_n) as the deg linear MultiPolys whose
+    coefficients are the rows of [M(c_1) ... M(c_n)]."""
+    mats = [field.mult_matrix(c) for c in fac]
+    nv = len(fac) * field.degree
+    units = [tuple(int(j == k) for j in range(nv)) for k in range(nv)]
+    return [pu.MultiPoly(nv, {u: x for u, x in
+                              zip(units, (x for m in mats for x in m[t])) if x})
+            for t in range(field.degree)]
+
+
+def _poly_bound(poly, bound: int) -> int:
+    """sum |c| * bound^(degree of the term) over the terms of poly."""
+    return sum(abs(c) * bound ** sum(e) for e, c in poly.terms.items())
 
 
 def _degenerate_mask(form: DecomposableForm, pts: np.ndarray) -> np.ndarray:
@@ -862,8 +883,7 @@ def verify_suborder_index(field: NumberField, l: int) -> bool:
 
 
 def cm_obstruction_check(form: DecomposableForm, scan: FormScan,
-                         index_l: int,
-                         sine_tolerance: Fraction = Fraction(1, 10 ** 10)) -> CmCheckReport:
+                         index_l: int) -> CmCheckReport:
     """Integrality/ray dichotomy for binary forms with subfield coefficients.
 
     For each scanned point z = gamma + sqrt(-d) delta: when gamma and delta
@@ -871,7 +891,15 @@ def cm_obstruction_check(form: DecomposableForm, scan: FormScan,
     below by |N_F(d)| times the exact rational N_F(det(gamma, delta))^2,
     which lies in (1/l^(4r)) N; otherwise delta = a gamma for an exact
     a in F and every place value sits on the ray through (1 + a sqrt(-d))^2.
-    The per-place sine identity is certified at every point.
+    The per-place sine identity is verified exactly at every point.
+
+    The whole batch is checked in integer arithmetic: det(gamma, delta) at
+    z and at each place's factor values are quadratic polynomials in the
+    point coordinates, N_F(det)^2 is the field norm of det (K/F has degree
+    two), and with common factor lists the exact value norm is the integer
+    norm image of the factors.  Per-point field arithmetic is left to the
+    ray points and, when the factor lists differ between places, to the
+    certified normalized values.
     """
     field = form.field
     if not is_cm(field):
@@ -896,40 +924,54 @@ def cm_obstruction_check(form: DecomposableForm, scan: FormScan,
         if not (h.det() == field.one):
             raise ValidationError(f"place {v}: factor matrix must have det 1")
     nd = _norm_f(field, cm, cm.d)
-    constant = abs(nd) / Fraction(index_l) ** (4 * r)
+    scale = Fraction(index_l) ** (4 * r)
+    constant = abs(nd) / scale
 
+    d = field.degree
+    ident = ((field.one, field.zero), (field.zero, field.one))
+    polys = [p for pair in (ident,) + form.factors
+             for p in _cm_det_polys(field, cm, pair)]
+    images, (den,) = _int_image(field, [polys], scan.points)
+    dets = next(images)
+    det_z = dets[:d]
+    prods, _ = _int_image(field, [(field.one,)], det_z.T, norm=True)
+    # y = w1 conj(w2) has delta part -det(gamma_w, delta_w) since s^2 = -d,
+    # so the identity delta_y^2 = det^2 reads det_w = +-det_z
+    sine_ok = np.ones(scan.npoints, dtype=bool)
+    for v in range(form.r):
+        det_w = dets[(v + 1) * d:(v + 2) * d]
+        sine_ok &= (np.all(det_w == det_z, axis=0)
+                    | np.all(det_w == -det_z, axis=0))
     common_factors = _common_factor_lists(form)
+    if common_factors:
+        norms, norm_den = _int_image(field, form.factors[0], scan.points,
+                                     norm=True)
+    prod_den = den ** d
     results = []
     violations = []
-    for idx in range(scan.npoints):
-        z = scan.coordinate(idx)
-        g1, d1 = split_cm(field, cm, z[0])
-        g2, d2 = split_cm(field, cm, z[1])
-        det_gd = g1 * d2 - g2 * d1
-        if det_gd.is_zero():
-            res = _ray_branch(field, cm, form, idx, (g1, g2), (d1, d2))
+    for idx, p in enumerate(prods.tolist()):
+        if p == 0:
+            res = _ray_branch(field, cm, form, idx, scan.coordinate(idx))
             if res is None:
                 violations.append((idx, "ray certificate failed"))
                 continue
             results.append(res)
             continue
-        # independent branch
-        nfd = _norm_f(field, cm, det_gd)
-        prod = nfd * nfd
-        scaled = prod * Fraction(index_l) ** (4 * r)
-        if scaled.denominator != 1 or scaled <= 0:
+        # independent branch: N_F(det)^2 = N_K(det) > 0
+        prod = Fraction(p, prod_den)
+        if (prod * scale).denominator != 1:
             violations.append((idx, f"norm product {prod} not in (1/l^{4*r})N"))
             continue
         # inequality prod_v |f_v(z)|_v >= |N_F(d)| * prod: exact via the field
         # norm when the factor lists agree across places, else certified
         rhs = abs(nd) * prod
         if common_factors:
-            val = form.value(0, z)
-            lhs_exact = abs(fast_norm(field, val))
-            if not val.is_zero() and lhs_exact < rhs:
+            lhs_exact = Fraction(abs(int(norms[idx])), norm_den)
+            if lhs_exact and lhs_exact < rhs:
                 violations.append((idx, "exact inequality violation"))
                 continue
         else:
+            z = scan.coordinate(idx)
             lhs = RInt(1)
             ok = True
             for v in range(r):
@@ -942,14 +984,32 @@ def cm_obstruction_check(form: DecomposableForm, scan: FormScan,
             if ok and lhs.hi < rhs:
                 violations.append((idx, "certified inequality violation"))
                 continue
-        sine_gap = _sine_identity_check(field, cm, form, z, det_gd,
-                                        sine_tolerance)
-        if sine_gap is None:
+        if not sine_ok[idx]:
             violations.append((idx, "sine identity failed"))
             continue
-        results.append(CmPointResult(idx, "norm-product", prod, None, sine_gap))
+        results.append(CmPointResult(idx, "norm-product", prod, None, 0.0))
     return CmCheckReport(constant, index_l, results, violations,
                          checked=scan.npoints)
+
+
+def _cm_det_polys(field, cm, pair):
+    """Power-basis coordinates of det(gamma, delta) = gamma_1 delta_2 -
+    gamma_2 delta_1, where gamma_i + relative_gen delta_i is the value of
+    the i-th K-linear form of pair: rational quadratic MultiPolys in the
+    point coordinates, split by the projections of split_cm."""
+    parts = []
+    for fac in pair:
+        w = _linear_polys(field, fac)
+        parts.append([[sum(a * x for a, x in zip(row, w)) for row in proj]
+                      for proj in _cm_split_solver(field, cm)])
+    (g1, d1), (g2, d2) = parts
+    return [a - b for a, b in zip(_mul_polys(field, g1, d2),
+                                  _mul_polys(field, g2, d1))]
+
+
+def _mul_polys(field, a, b):
+    """Power-basis coordinates of the product of two symbolic elements."""
+    return [sum(x * y for x, y in zip(row, b)) for row in field.mult_matrix(a)]
 
 
 def _norm_f(field, cm, x) -> Fraction:
@@ -963,10 +1023,9 @@ def _norm_f(field, cm, x) -> Fraction:
     return pu.resultant(cm.subfield_poly, xp)
 
 
-def _ray_branch(field, cm, form, idx, gammas, deltas):
+def _ray_branch(field, cm, form, idx, z):
     """delta = a gamma exactly: f_v(z) = (1 + a sqrt(-d))^2 f_v(gamma)."""
-    g1, g2 = gammas
-    d1, d2 = deltas
+    (g1, d1), (g2, d2) = (split_cm(field, cm, x) for x in z)
     if g1.is_zero() and g2.is_zero():
         # z purely imaginary multiple: values are (-d) f_v(delta), still a ray
         return CmPointResult(idx, "ray", None, ("inf",), None)
@@ -987,26 +1046,6 @@ def _ray_branch(field, cm, form, idx, gammas, deltas):
             return None
     coords = subfield_coordinates(field, cm, a)
     return CmPointResult(idx, "ray", None, tuple(coords), None)
-
-
-def _sine_identity_check(field, cm, form, z, det_gd, tolerance):
-    """The per-place identity |det(h gamma, h delta)|_v sigma_v(d)
-    = |f_v(z)|_v |sin(phi_1 - phi_2)|^2, verified exactly.
-
-    Complex conjugation of a CM field is a field automorphism commuting
-    with every embedding, so Im(sigma(w1) conj(sigma(w2))) equals
-    sigma(imaginary F-part of w1 * conj(w2)) times sqrt(sigma(d)); clearing
-    the moduli turns the identity into det(gamma, delta)^2 = (that
-    imaginary part)^2, an exact equation in F.  Returns 0.0 (the enclosure
-    width of an exact identity) or None on failure."""
-    for v in range(form.r):
-        w1 = form.factor_value(v, 0, z)
-        w2 = form.factor_value(v, 1, z)
-        y = w1 * cm_conjugate(field, cm, w2)
-        _, delta_y = split_cm(field, cm, y)
-        if not (delta_y * delta_y == det_gd * det_gd):
-            return None
-    return 0.0
 
 
 def sine_identity_enclosure(field, form, z, width=Fraction(1, 2 ** 64)):

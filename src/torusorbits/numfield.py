@@ -375,11 +375,12 @@ class NumberField:
         val = self.embed(x, place)
         return float(val.mid) if place.is_real else val.mid()
 
-    def mult_matrix(self, x: FieldElement):
+    def mult_matrix(self, x):
         """Rational d x d matrix of multiplication by x: column t holds the
-        coefficients of x * theta^t."""
+        coefficients of x * theta^t.  x is an element or its power-basis
+        coordinates, which may be symbolic (MultiPoly)."""
         red = self._theta_powers[self.degree]
-        col = list(x.coeffs)
+        col = list(x.coeffs if isinstance(x, FieldElement) else x)
         cols = [col]
         for _ in range(self.degree - 1):
             top = col[-1]
@@ -555,7 +556,9 @@ def subfield_coordinates(K: NumberField, cm: CmStructure, x: FieldElement):
 
 
 def _cm_split_solver(K: NumberField, cm: CmStructure):
-    """Cached inverse of the basis matrix for the F + relative_gen*F split."""
+    """The two rational d x d projections of the F + relative_gen*F split:
+    gamma = P_gamma x and delta = P_delta x in power-basis coordinates.
+    Built once and cached on the field."""
     cached = getattr(K, "_cm_split_cache", None)
     if cached is not None:
         return cached
@@ -567,33 +570,28 @@ def _cm_split_solver(K: NumberField, cm: CmStructure):
     inv = pu.invert(mat, Fraction(1), Fraction(0))
     if inv is None:
         raise ValidationError("CM basis is degenerate")
-    K._cm_split_cache = (basis, inv)
-    return basis, inv
+    # F-coordinates: rows 0..fdeg-1 of inv for gamma, the rest for delta
+    K._cm_split_cache = tuple(
+        [[sum(basis[i].coeffs[k] * inv[off + i][j] for i in range(fdeg))
+          for j in range(d)] for k in range(d)] for off in (0, fdeg))
+    return K._cm_split_cache
 
 
 def split_cm(K: NumberField, cm: CmStructure, x: FieldElement):
     """Exact splitting x = gamma + relative_gen * delta with gamma, delta in F."""
-    basis, inv = _cm_split_solver(K, cm)
-    d = K.degree
-    fdeg = d // 2
-    coords = [sum(inv[i][j] * x.coeffs[j] for j in range(d)) for i in range(d)]
-    gamma = K.zero
-    delta = K.zero
-    for i in range(fdeg):
-        if coords[i]:
-            gamma = gamma + K.from_rational(coords[i]) * basis[i]
-        if coords[fdeg + i]:
-            delta = delta + K.from_rational(coords[fdeg + i]) * basis[i]
-    return gamma, delta
+    return tuple(K.element([sum(a * c for a, c in zip(row, x.coeffs))
+                            for row in proj])
+                 for proj in _cm_split_solver(K, cm))
 
 
 def cm_conjugate(K: NumberField, cm: CmStructure, x: FieldElement) -> FieldElement:
-    """The complex conjugation automorphism gamma + s delta -> gamma - s delta.
+    """The complex conjugation automorphism gamma + s delta -> gamma - s delta,
+    that is 2 gamma - x.
 
     For a CM field this automorphism commutes with every embedding into the
     complex numbers, so conj(sigma(x)) = sigma(cm_conjugate(x)) exactly."""
-    gamma, delta = split_cm(K, cm, x)
-    return gamma - cm.relative_gen * delta
+    gamma, _ = split_cm(K, cm, x)
+    return K.element([2 * g - c for g, c in zip(gamma.coeffs, x.coeffs)])
 
 
 def fast_norm(K: NumberField, x: FieldElement) -> Fraction:
@@ -656,25 +654,8 @@ def norm_form(K: NumberField) -> "pu.MultiPoly":
     cached = getattr(K, "_norm_form", None)
     if cached is not None:
         return cached
-    d = K.degree
-    # column j of the multiplication matrix is x * theta^j with symbolic x
-    xs = [pu.MultiPoly.variable(d, i) for i in range(d)]
-    cols = []
-    for j in range(d):
-        col = [pu.MultiPoly(d) for _ in range(d)]
-        for i in range(d):
-            # theta^i * theta^j contribution of coordinate i
-            k = i + j
-            if k < d:
-                col[k] = col[k] + xs[i]
-            else:
-                red = K._theta_powers[k]
-                for t in range(d):
-                    if red[t]:
-                        col[t] = col[t] + pu.MultiPoly.const(d, red[t]) * xs[i]
-        cols.append(col)
-    rows = [[cols[j][i] for j in range(d)] for i in range(d)]
-    nf_poly = pu.cofactor_det(rows)
+    xs = [pu.MultiPoly.variable(K.degree, i) for i in range(K.degree)]
+    nf_poly = pu.cofactor_det(K.mult_matrix(xs))
     K._norm_form = nf_poly
     return nf_poly
 

@@ -560,6 +560,8 @@ class MultiPoly:
         return MultiPoly(nvars, {tuple([0] * nvars): c})
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = MultiPoly.const(self.nvars, other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             v = out.get(e, Fraction(0)) + c
@@ -568,6 +570,8 @@ class MultiPoly:
             elif e in out:
                 del out[e]
         return MultiPoly(self.nvars, out)
+
+    __radd__ = __add__
 
     def __neg__(self):
         return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -612,12 +616,16 @@ class MultiPoly:
         for e, c in self.terms.items():
             if c.denominator != 1:
                 raise ValueError("integer coefficients required")
-            t = np.full_like(cols[0], int(c))
+            t = None
             for col, k in zip(cols, e):
                 for _ in range(k):
-                    t = t * col
+                    t = col if t is None else t * col
+            if t is None:
+                t = np.full_like(cols[0], int(c))
+            elif c != 1:
+                t = t * int(c)
             acc = t if acc is None else acc + t
-        return acc
+        return np.zeros_like(cols[0]) if acc is None else acc
 
 
 def cofactor_det(rows):

@@ -15,6 +15,7 @@ from torusorbits import forms as fm
 from torusorbits import numfield as nf
 from torusorbits import polyutil as pu
 from torusorbits import strata as st
+from torusorbits.intervals import RInt
 from torusorbits.errors import (ArityMismatch, CapExceeded,
                                 CoefficientsNotInF, DependentFactors,
                                 HypothesisFails, NotCm,
@@ -379,6 +380,24 @@ def test_int_image_dtype_at_the_int64_edge(Ksqrt2, norm):
             assert [[int(x) for x in row] for row in got.T] == want
 
 
+def test_int_image_polynomial_dtype_at_the_int64_edge(Ksqrt2):
+    # (2 x0 x1 + x2 x3 + x0) / 3 over two Q(sqrt 2) coordinates: the image
+    # is 3 times it, bounded by 2 top^2 + top^2 + top term by term
+    x = [pu.MultiPoly.variable(4, i) for i in range(4)]
+    poly = (x[0] * x[1] * 2 + x[2] * x[3] + x[0]) * Fraction(1, 3)
+    edge = math.isqrt((2 ** 63 - 1) // 3)
+    while 3 * edge * edge + edge >= 2 ** 63:
+        edge -= 1
+    for top, dtype in ((edge, np.int64), (edge + 1, object)):
+        pts = np.array([[-top, top - 1, top, -top], [top - 1, 1, 5, -7]],
+                       dtype=np.int64)
+        images, dens = fm._int_image(Ksqrt2, [[poly]], pts)
+        got = next(images)
+        assert dens == [3] and got.dtype == dtype
+        assert [int(v) for v in got[0]] == [
+            2 * a * b + c * e + a for a, b, c, e in pts.tolist()]
+
+
 def test_spectrum_nonrational_path(Ksqrt2):
     f = fm.make_form(Ksqrt2, [[[1, 1], [1, -1]], [[1, 2], [1, -1]]])
     sc = fm.scan_values(f, 2)
@@ -395,6 +414,153 @@ def fF(K):
     sqrt2 = K.element([0, 1, 0, -1])
     three = K.element([3])
     return fm.make_form(K, [[[1, sqrt2], [sqrt2, three]]] * 2)
+
+
+def sine_identity_oracle(field, cm, form, z, det_gd):
+    """The per-place identity delta_y^2 = det^2 with y = w1 conj(w2), in
+    field arithmetic; 0.0 when it holds, None otherwise."""
+    for v in range(form.r):
+        w1 = form.factor_value(v, 0, z)
+        w2 = form.factor_value(v, 1, z)
+        y = w1 * nf.cm_conjugate(field, cm, w2)
+        _, delta_y = nf.split_cm(field, cm, y)
+        if not (delta_y * delta_y == det_gd * det_gd):
+            return None
+    return 0.0
+
+
+def cm_check_oracle(form, scan, index_l):
+    """The per-point CM check the batched kernel replaced: split_cm, the
+    norm from F by resultant, fast_norm and the sine identity at every
+    point in FieldElement and Fraction arithmetic.  It does not validate
+    its input."""
+    field = form.field
+    cm = field.cm_structure
+    r = field.n_places
+    places = field.places()
+    nd = fm._norm_f(field, cm, cm.d)
+    constant = abs(nd) / Fraction(index_l) ** (4 * r)
+    common_factors = fm._common_factor_lists(form)
+    results = []
+    violations = []
+    for idx in range(scan.npoints):
+        z = scan.coordinate(idx)
+        g1, d1 = nf.split_cm(field, cm, z[0])
+        g2, d2 = nf.split_cm(field, cm, z[1])
+        det_gd = g1 * d2 - g2 * d1
+        if det_gd.is_zero():
+            res = fm._ray_branch(field, cm, form, idx, z)
+            if res is None:
+                violations.append((idx, "ray certificate failed"))
+                continue
+            results.append(res)
+            continue
+        nfd = fm._norm_f(field, cm, det_gd)
+        prod = nfd * nfd
+        scaled = prod * Fraction(index_l) ** (4 * r)
+        if scaled.denominator != 1 or scaled <= 0:
+            violations.append((idx, f"norm product {prod} not in (1/l^{4*r})N"))
+            continue
+        rhs = abs(nd) * prod
+        if common_factors:
+            val = form.value(0, z)
+            lhs_exact = abs(nf.fast_norm(field, val))
+            if not val.is_zero() and lhs_exact < rhs:
+                violations.append((idx, "exact inequality violation"))
+                continue
+        else:
+            lhs = RInt(1)
+            ok = True
+            for v in range(r):
+                val = form.value(v, z)
+                if val.is_zero():
+                    ok = False
+                    break
+                lhs = lhs * field.normalized_abs(val, places[v],
+                                                 max_width=Fraction(1, 2 ** 64))
+            if ok and lhs.hi < rhs:
+                violations.append((idx, "certified inequality violation"))
+                continue
+        sine_gap = sine_identity_oracle(field, cm, form, z, det_gd)
+        if sine_gap is None:
+            violations.append((idx, "sine identity failed"))
+            continue
+        results.append(fm.CmPointResult(idx, "norm-product", prod, None,
+                                         sine_gap))
+    return fm.CmCheckReport(constant, index_l, results, violations,
+                            checked=scan.npoints)
+
+
+def fD(K):
+    """Subfield coefficients, det 1, and different factor lists at the two
+    places."""
+    sqrt2 = K.element([0, 1, 0, -1])
+    return fm.make_form(K, [[[1, 0], [0, 1]], [[1, sqrt2], [0, 1]]])
+
+
+@hs.composite
+def cm_batches(draw, K):
+    """Q(zeta8) points with coordinates up to 2^20 (int64 and object
+    images both occur), with engineered ray points: delta = a gamma for
+    gamma, a in Z[sqrt 2], and gamma = 0."""
+    k = draw(hs.integers(0, 20))
+    entry = hs.integers(-(2 ** k), 2 ** k)
+    rows = [[draw(entry) for _ in range(2 * K.degree)]
+            for _ in range(draw(hs.integers(1, 5)))]
+    rg = K.cm_structure.relative_gen
+    sqrt2 = K.element([0, 1, 0, -1])
+
+    def in_f(bound):
+        return K.from_rational(draw(hs.integers(-bound, bound))) \
+            + K.from_rational(draw(hs.integers(-bound, bound))) * sqrt2
+
+    for _ in range(draw(hs.integers(0, 2))):
+        a = in_f(3)
+        gammas = [in_f(2 ** k) for _ in range(2)]
+        rows.append([int(c) for g in gammas for c in (g + rg * (a * g)).coeffs])
+    if draw(hs.booleans()):
+        rows.append([int(c) for _ in range(2)
+                     for c in (rg * in_f(2 ** k)).coeffs])
+    rng = random.Random(draw(hs.integers(0, 2 ** 32)))
+    rng.shuffle(rows)
+    return np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.data())
+def test_cm_kernel_matches_oracle(Kzeta8, data):
+    form = data.draw(hs.sampled_from([f0, fF, fD]))(Kzeta8)
+    pts = data.draw(cm_batches(Kzeta8))
+    scan = fm.FormScan(form, 10, pts, "sampled", fm._degenerate_mask(form, pts))
+    assert fm.cm_obstruction_check(form, scan, index_l=2) == \
+        cm_check_oracle(form, scan, 2)
+
+
+HALF = [[Fraction(1, 2), 0], [0, 1]]
+SWAP = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("places, l, kinds", [
+    (None, 1, {"norm"}),
+    ([HALF, HALF], 2, {"exact", "sine"}),
+    ([[[1, 0], [0, 1]], HALF], 2, {"certified", "sine"}),
+    ([[[1, 0], [0, 1]], SWAP], 2, set())])
+def test_cm_kernel_violations_match_oracle(Kzeta8, places, l, kinds,
+                                           monkeypatch):
+    """With l = 1 accepted, points fail the integrality test.  With the det
+    check bypassed, a factor matrix of det 1/2 makes the inequality (exact
+    with common factor lists, certified otherwise) and the sine identity
+    fail, and det -1 flips the sign of det(gamma, delta), which the
+    identity allows."""
+    monkeypatch.setattr(fm, "verify_suborder_index", lambda field, l: True)
+    monkeypatch.setattr(fm.MatrixK, "det", lambda self: self.field.one)
+    form = fF(Kzeta8) if places is None else fm.make_form(Kzeta8, places)
+    scan = acceptance7_scan(Kzeta8, stride=50, count=200)
+    rep = fm.cm_obstruction_check(form, scan, index_l=l)
+    want = cm_check_oracle(form, scan, l)
+    assert rep.violations == want.violations
+    assert rep == want
+    assert {msg.split(" ")[0] for _, msg in rep.violations} == kinds
 
 
 def test_index_l_verification(Kzeta8):

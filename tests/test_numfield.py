@@ -273,6 +273,35 @@ def test_cm_conjugate_is_automorphism(Kzeta8):
         assert nf.cm_conjugate(Kzeta8, cm, cx) == x
 
 
+def split_cm_oracle(K, cm, x):
+    """The split by solving for the F + relative_gen*F coordinates of x and
+    recombining them with field multiplications, and the conjugate
+    gamma - relative_gen * delta."""
+    from torusorbits import polyutil as pu
+    fdeg = pu.degree(cm.subfield_poly)
+    basis = [cm.subfield_gen ** i for i in range(fdeg)]
+    basis += [cm.relative_gen * b for b in basis]
+    d = K.degree
+    inv = pu.invert([[basis[j].coeffs[i] for j in range(d)] for i in range(d)],
+                    Fraction(1), Fraction(0))
+    coords = [sum(inv[i][j] * x.coeffs[j] for j in range(d)) for i in range(d)]
+    gamma = sum((K.from_rational(coords[i]) * basis[i] for i in range(fdeg)),
+                K.zero)
+    delta = sum((K.from_rational(coords[fdeg + i]) * basis[i]
+                 for i in range(fdeg)), K.zero)
+    return gamma, delta, gamma - cm.relative_gen * delta
+
+
+@settings(max_examples=150, deadline=None)
+@given(hs.data())
+def test_split_cm_matches_solved_coordinates(Kzeta8, data):
+    cm = Kzeta8.cm_structure
+    x = Kzeta8.element(data.draw(element_coeffs(Kzeta8.degree)))
+    gamma, delta, conj = split_cm_oracle(Kzeta8, cm, x)
+    assert nf.split_cm(Kzeta8, cm, x) == (gamma, delta)
+    assert nf.cm_conjugate(Kzeta8, cm, x) == conj
+
+
 FIELDS = ["Ksqrt2", "Kcubic", "Kgauss", "Kquartic", "Kzeta8"]
 
 
