@@ -393,7 +393,7 @@ def _int_image(field: NumberField, factors, pts: np.ndarray, norm: bool = False)
         nform = norm_form(field)
         bounds = [math.prod(_poly_bound(nform, b) for b in bounds)]
     dtype = np.int64 if max(bounds) < 2 ** 63 else object
-    cols = list(np.ascontiguousarray(pts.astype(dtype, copy=False).T))
+    cols = list(pts.astype(dtype, copy=False).T)
     images = (np.array([p.eval_int_numpy(cols) for p in polys])
               for polys, _ in maps)
     dens = [den for _, den in maps]

@@ -14,8 +14,8 @@ owns the two derived representations the rest of the package uses: the
 float image of an element (float_basis, the midpoints of the cached power
 enclosures; float_embed, the midpoint of embed), which is the one source of
 floats for the scans, and the rational matrix of multiplication by an
-element (mult_matrix), behind the trace, the characteristic polynomial and
-the integer coordinate maps of forms.
+element (mult_matrix), behind the trace, the characteristic polynomial, the
+norm form and the integer coordinate maps of forms.
 """
 
 from __future__ import annotations
