@@ -935,8 +935,10 @@ def cm_obstruction_check(form: DecomposableForm, scan: FormScan,
     dets = next(images)
     det_z = dets[:d]
     prods, _ = _int_image(field, [(field.one,)], det_z.T, norm=True)
-    # y = w1 conj(w2) has delta part -det(gamma_w, delta_w) since s^2 = -d,
-    # so the identity delta_y^2 = det^2 reads det_w = +-det_z
+    # the per-place sine identity |det(h gamma, h delta)|_v sigma_v(d) =
+    # |f_v(z)|_v |sin(phi_1 - phi_2)|^2: conjugation commutes with every
+    # embedding, so it is delta_y^2 = det^2 in F for y = w1 conj(w2), and
+    # as s^2 = -d, delta_y = -det(gamma_w, delta_w): it reads det_w = +-det_z
     sine_ok = np.ones(scan.npoints, dtype=bool)
     for v in range(form.r):
         det_w = dets[(v + 1) * d:(v + 2) * d]
@@ -1049,7 +1051,8 @@ def _ray_branch(field, cm, form, idx, z):
 
 
 def sine_identity_enclosure(field, form, z, width=Fraction(1, 2 ** 64)):
-    """Certified numeric enclosure of the same identity, for spot checks.
+    """Certified numeric enclosure of the per-place sine identity that
+    cm_obstruction_check verifies exactly, for spot checks.
 
     Returns the worst residual-interval width across places, or None if an
     enclosure excludes zero (which would falsify the identity)."""

@@ -15,11 +15,11 @@ from torusorbits import forms as fm
 from torusorbits import numfield as nf
 from torusorbits import polyutil as pu
 from torusorbits import strata as st
-from torusorbits.intervals import RInt
 from torusorbits.errors import (ArityMismatch, CapExceeded,
                                 CoefficientsNotInF, DependentFactors,
                                 HypothesisFails, NotCm,
                                 SingularCoefficientMatrix, WrongPlaceCount)
+from torusorbits.intervals import RInt
 
 
 def f0(K):
