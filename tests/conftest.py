@@ -1,8 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from torusorbits import forms as fm
 from torusorbits import numfield as nf
 from torusorbits.decomp import MatrixK, diagonal_matrix, unipotent_matrix
 
@@ -67,3 +69,28 @@ def random_sl(K, n, rng, steps=4):
             diag = [x ** e] + [K.one] * (n - 2) + [x ** (-e)]
             m = m * diagonal_matrix(K, diag)
     return m
+
+
+def cubic_density_form(K):
+    """Acceptance 9's non-rational binary form over the cyclic cubic."""
+    half = K.from_rational(Fraction(1, 2))
+    return fm.make_form(K, [
+        [[1, 0], [0, 1]],
+        [[1, 1], [0, 1]],
+        [[1, 0], [1, 1]],
+    ], scalars=[half] * 3)
+
+
+CUBIC_WINDOW = ((-5.0, 5.0),) * 3
+
+
+def window_scan_digest(scan, window, eps=0.25):
+    """Shape, sha256 of the point array and of the degenerate mask, and the
+    density counts of a window scan, as JSON data."""
+    rep = fm.density_report(scan, window=window, eps=eps)
+    return {"shape": list(scan.points.shape),
+            "points_sha256": hashlib.sha256(scan.points.tobytes()).hexdigest(),
+            "degenerate_sha256":
+                hashlib.sha256(scan.degenerate.tobytes()).hexdigest(),
+            "cells_hit": rep.cells_hit,
+            "points_in_window": rep.points_in_window}

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from torusorbits import numfield as nf
 from torusorbits import rootdata as rd
 from torusorbits import strata as st
 
-from conftest import random_element, random_sl
+from conftest import (CUBIC_WINDOW, cubic_density_form, random_element,
+                      random_sl, window_scan_digest)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def report(num, ok, detail):
@@ -331,18 +335,16 @@ def test_acceptance_8_boundedness(Ksqrt2):
 
 
 def test_acceptance_9_density(Kcubic, Ksqrt2):
-    half = Kcubic.from_rational(Fraction(1, 2))
-    f = fm.make_form(Kcubic, [
-        [[1, 0], [0, 1]],
-        [[1, 1], [0, 1]],
-        [[1, 0], [1, 1]],
-    ], scalars=[half] * 3)
+    f = cubic_density_form(Kcubic)
     assert not fm.is_rational(f)
-    win = ((-5.0, 5.0),) * 3
+    win = CUBIC_WINDOW
+    golden = json.loads((GOLDEN / "window_scan_cubic.json").read_text())
     covs = []
     for H in (8, 16, 32):
         scan = fm.window_scan(f, H, win)
         covs.append(fm.density_report(scan, window=win, eps=0.25).coverage)
+    # the H = 32 point array, bit for bit
+    assert window_scan_digest(scan, win) == golden["32"]
     increasing = covs[0] < covs[1] < covs[2]
     ok = increasing and covs[2] > 0.5
     # two-place contrast: the norm-product spectrum stays discrete

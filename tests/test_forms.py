@@ -21,6 +21,10 @@ from torusorbits.errors import (ArityMismatch, CapExceeded,
                                 SingularCoefficientMatrix, WrongPlaceCount)
 from torusorbits.intervals import RInt
 
+from conftest import CUBIC_WINDOW, cubic_density_form, window_scan_digest
+
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def f0(K):
     """The coordinate-product form, identical at every place."""
@@ -184,6 +188,19 @@ def test_scan_numeric_reevaluates_exactly(name, height, request):
                    if places[v].is_real
                    else K.normalized_abs(exact, places[v], max_width=width))
             assert enc.lo - 1e-9 <= nums[idx] <= enc.hi + 1e-9
+
+
+# -- window scan ----------------------------------------------------------------------
+
+
+def test_window_scan_golden(Kcubic):
+    """The window scan of acceptance 9's form at H = 4, 8 and 16, bit for bit
+    against tests/golden/window_scan_cubic.json (acceptance 9 checks H = 32)."""
+    f = cubic_density_form(Kcubic)
+    golden = json.loads((GOLDEN / "window_scan_cubic.json").read_text())
+    for H in (4, 8, 16):
+        scan = fm.window_scan(f, H, CUBIC_WINDOW)
+        assert window_scan_digest(scan, CUBIC_WINDOW) == golden[str(H)], H
 
 
 # -- density --------------------------------------------------------------------------
