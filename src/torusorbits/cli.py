@@ -283,9 +283,7 @@ def cmd_forms_spectrum(args):
         "rational_form": rep.rational_form,
         "constant": cfg.rat_to_str(rep.constant) if rep.constant is not None else None,
         "values": [cfg.rat_to_str(v) if isinstance(v, Fraction) else v
-                   for v in rep.values[:args.limit]] if args.limit
-                  else [cfg.rat_to_str(v) if isinstance(v, Fraction) else v
-                        for v in rep.values],
+                   for v in rep.values[:args.limit or None]],
         "min_value": rep.min_value, "min_gap": rep.min_gap,
         "count": rep.count_nonzero, "note": rep.note,
     }

@@ -13,6 +13,7 @@ two-place norm-product spectrum.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -308,8 +309,7 @@ def scan_values(form: DecomposableForm, height: int,
         raise ValidationError("height must be positive")
     deg = form.field.degree
     dim = form.n * deg
-    side = 2 * height + 1
-    total = side ** dim
+    total = (2 * height + 1) ** dim
     if sample is None:
         if total > cap:
             raise CapExceeded(
@@ -319,29 +319,28 @@ def scan_values(form: DecomposableForm, height: int,
         mode = "full"
     else:
         rng = np.random.default_rng(seed)
-        want = sample
+        prev = include.points if include is not None else \
+            np.zeros((0, dim), dtype=np.int64)
+        bound = max(height, int(np.abs(prev).max(initial=0)))
+        taken = np.unique(_row_keys(prev, bound))
+        zero = _row_keys(np.zeros((1, dim), dtype=np.int64), bound)
         chunks = []
-        seen = set()
-        if include is not None:
-            for row in include.points:
-                seen.add(tuple(int(x) for x in row))
-        guard = 0
-        while sum(len(c) for c in chunks) < want:
-            draw = rng.integers(-height, height + 1, size=(want, dim),
+        count = guard = 0
+        while count < sample:
+            draw = rng.integers(-height, height + 1, size=(sample, dim),
                                 dtype=np.int64)
-            fresh = []
-            for row in draw:
-                t = tuple(int(x) for x in row)
-                if t in seen or all(x == 0 for x in t):
-                    continue
-                seen.add(t)
-                fresh.append(row)
-            if fresh:
-                chunks.append(np.array(fresh, dtype=np.int64))
+            keys = _row_keys(draw, bound)
+            # the first occurrence of each new nonzero row, in draw order
+            fresh = np.sort(np.unique(keys, return_index=True)[1])
+            fresh = fresh[~np.isin(keys[fresh], taken, assume_unique=True)
+                          & (keys[fresh] != zero)][:sample - count]
+            chunks.append(draw[fresh])
+            taken = np.concatenate([taken, keys[fresh]])
+            count += len(fresh)
             guard += 1
             if guard > 200:
                 raise SearchExhausted("sampling stalled; box too small?")
-        pts = np.concatenate(chunks, axis=0)[:want]
+        pts = np.concatenate(chunks, axis=0)
         if include is not None and include.npoints:
             pts = np.concatenate([include.points, pts], axis=0)
         mode = "sampled"
@@ -454,10 +453,11 @@ def window_scan(form: DecomposableForm, height: int, window,
 
     Binary forms over totally real fields only.  For each first coordinate
     the admissible second-coordinate embeddings solve per-place quadratic
-    inequalities |f_v| <= W_v, cutting out at most two intervals per place;
-    the integer points of the resulting parallelepipeds are enumerated
-    directly.  Coverage statistics on the result equal full-box coverage.
-    """
+    inequalities |f_v| <= W_v, cutting out at most two intervals per place.
+    One interval per place is a parallelepiped, enumerated for all first
+    coordinates at once: the leading deg - 1 coordinates over its bounding
+    box, the last over its exact range given them.  Coverage statistics on
+    the result equal full-box coverage."""
     field = form.field
     if form.n != 2:
         raise ValidationError("window enumeration handles binary forms")
@@ -478,142 +478,161 @@ def window_scan(form: DecomposableForm, height: int, window,
     Minv = np.linalg.inv(phi)
     c_all = _box(height, deg)
     x_all = c_all @ phi.T                       # (N1, r): embeddings of z1
-    a = np.zeros((r, 2))
-    b = np.zeros((r, 2))
-    for v in range(r):
-        for i in range(2):
-            alpha, beta = form.factors[v][i]
-            a[v, i] = field.float_embed(alpha, places[v])
-            b[v, i] = field.float_embed(beta, places[v])
+    # a[v, i], b[v, i]: embeddings of the i-th factor's two coefficients
+    a, b = np.array([[[field.float_embed(c, pl) for c in fac]
+                      for fac in form.factors[v]]
+                     for v, pl in enumerate(places)]).transpose(2, 0, 1)
     ybound = float(np.abs(phi).sum(axis=1).max()) * height * (1 + 1e-9)
-
-    points = []
-    n1 = c_all.shape[0]
-    intervals = np.full((n1, r, 2, 2), np.nan)
-    for v in range(r):
-        wlo, whi = window[v]
-        wmax = (max(abs(wlo), abs(whi)) / scalar_abs[v]) * (1 + pad) + pad
-        p1 = a[v, 0] * x_all[:, v]
-        p2 = a[v, 1] * x_all[:, v]
-        iv = _abs_quadratic_regions(p1, b[v, 0], p2, b[v, 1], wmax, ybound)
-        intervals[:, v, :, :] = iv
-    import itertools as _it
-    for combo in _it.product(range(2), repeat=r):
-        sel = np.stack([intervals[:, v, combo[v], :] for v in range(r)],
-                       axis=1)                      # (N1, r, 2)
-        valid = ~np.isnan(sel[:, :, 0]).any(axis=1)
-        if not valid.any():
-            continue
-        idxs = np.nonzero(valid)[0]
-        lows = sel[idxs, :, 0]
-        highs = sel[idxs, :, 1]
+    wmax = [(max(abs(lo), abs(hi)) / scalar_abs[v]) * (1 + pad) + pad
+            for v, (lo, hi) in enumerate(window)]
+    intervals = np.stack([_abs_quadratic_regions(
+        a[v, 0] * x_all[:, v], b[v, 0], a[v, 1] * x_all[:, v], b[v, 1],
+        wmax[v], ybound) for v in range(r)], axis=1)    # (N1, r, 2, 2)
+    found = [np.zeros((0, 2 * deg), dtype=np.int64)]
+    for combo in itertools.product(range(2), repeat=r):
+        sel = intervals[:, np.arange(r), combo, :]      # (N1, r, 2)
+        idxs = np.nonzero(~np.isnan(sel[:, :, 0]).any(axis=1))[0]
+        lows, highs = sel[idxs, :, 0], sel[idxs, :, 1]
         # corners of the y-box map to d-space; the integer bounding ranges
-        corners = []
-        for mask in _it.product((0, 1), repeat=r):
-            yc = np.where(np.array(mask)[None, :] > 0, highs, lows)
-            corners.append(yc @ Minv.T)
-        corners = np.stack(corners, axis=0)         # (2^r, Nv, deg)
-        dlo = np.ceil(corners.min(axis=0) - 1e-9).astype(np.int64)
-        dhi = np.floor(corners.max(axis=0) + 1e-9).astype(np.int64)
+        corners = [np.where(np.array(mask), highs, lows) @ Minv.T
+                   for mask in itertools.product((False, True), repeat=r)]
+        dlo = np.ceil(np.min(corners, axis=0) - 1e-9).astype(np.int64)
+        dhi = np.floor(np.max(corners, axis=0) + 1e-9).astype(np.int64)
         dlo = np.maximum(dlo, -height)
         dhi = np.minimum(dhi, height)
-        for t in np.nonzero(np.all(dhi >= dlo, axis=1))[0]:
-            ranges = [np.arange(dlo[t, k], dhi[t, k] + 1) for k in range(deg)]
-            mesh = np.stack([g.ravel() for g in
-                             np.meshgrid(*ranges, indexing="ij")], axis=1)
-            y = mesh @ phi.T
-            keep = np.all((y >= lows[t][None, :] - 1e-9)
-                          & (y <= highs[t][None, :] + 1e-9), axis=1)
-            if not keep.any():
-                continue
-            c_row = c_all[idxs[t]]
-            for d_row in mesh[keep]:
-                points.append(tuple(c_row) + tuple(int(x) for x in d_row))
-    if points:
-        pts = np.array(sorted(set(points)), dtype=np.int64)
-        pts = pts[np.any(pts != 0, axis=1)]
-    else:
-        pts = np.zeros((0, 2 * deg), dtype=np.int64)
+        rows = np.nonzero(np.all(dhi >= dlo, axis=1))[0]
+        sizes = np.prod(dhi[rows, :-1] - dlo[rows, :-1] + 1, axis=1)
+        for part in _chunks(sizes, WINDOW_CHUNK_POINTS):
+            t = rows[part]
+            lead, owner = _ragged_box(dlo[t, :-1], dhi[t, :-1])
+            first, final = _last_range(lead, owner, lows[t], highs[t], phi,
+                                       ybound)
+            first = np.maximum(first, dlo[t, -1][owner]).astype(np.int64)
+            final = np.minimum(final, dhi[t, -1][owner]).astype(np.int64)
+            ok = np.nonzero(first <= final)[0]
+            (last,), pick = _ragged_box(first[ok, None], final[ok, None])
+            pick = ok[pick]
+            d = np.column_stack([c[pick] for c in lead] + [last])
+            src = t[owner[pick]]
+            y = d @ phi.T
+            keep = np.all((y >= lows[src] - 1e-9) & (y <= highs[src] + 1e-9),
+                          axis=1)
+            found.append(np.column_stack([c_all[idxs[src[keep]]], d[keep]]))
+    pts = np.concatenate(found, axis=0)
+    pts = pts[np.unique(_row_keys(pts, height), return_index=True)[1]]
+    pts = pts[np.any(pts != 0, axis=1)]
     # final exact-window filter happens in density_report's mask; the pad
     # above only ever adds candidates, never loses them
-    degenerate = _degenerate_mask(form, pts) if len(pts) else \
-        np.zeros(0, dtype=bool)
-    return FormScan(form, height, pts, "window-complete", degenerate)
+    return FormScan(form, height, pts, "window-complete",
+                    _degenerate_mask(form, pts))
+
+
+WINDOW_CHUNK_POINTS = 1 << 17
+
+
+def _chunks(sizes: np.ndarray, budget: int):
+    """Consecutive slices of rows whose sizes sum to at most budget (a row
+    larger than budget is a slice of its own)."""
+    ends = np.cumsum(np.concatenate([[0], sizes]))
+    start = 0
+    while start < len(sizes):
+        stop = np.searchsorted(ends, ends[start] + budget, side="right") - 1
+        stop = max(start + 1, int(stop))
+        yield slice(start, stop)
+        start = stop
+
+
+def _ragged_box(lo: np.ndarray, hi: np.ndarray):
+    """The integer points of the boxes [lo_i, hi_i] (rows of (R, k) arrays)
+    one box after another, each in meshgrid "ij" order (last coordinate
+    fastest): the k coordinate arrays, and the index of each point's box."""
+    owner = np.arange(len(lo))
+    cols = []
+    for k in range(lo.shape[1]):
+        ext = hi[owner, k] - lo[owner, k] + 1
+        base = np.repeat(lo[owner, k] - (np.cumsum(ext) - ext), ext)
+        cols = [np.repeat(c, ext) for c in cols] + [base + np.arange(len(base))]
+        owner = np.repeat(owner, ext)
+    return cols, owner
+
+
+def _last_range(lead, owner, lows, highs, phi, ybound):
+    """For each point of leading coordinates lead in box row owner: the
+    range of the last coordinate that may pass lows_v - 1e-9 <= phi_v . d <=
+    highs_v + 1e-9 at every place v, as integral floats."""
+    # phi[:, -1] holds theta_v^(deg-1), nonzero.  Every quantity here is at
+    # most 2*ybound + 1 in size, so the filter's deg-term dot product and
+    # this solve (products, a sum, a difference, a division) each move a
+    # bound by at most about deg * eps * (2*ybound + 1) / |phi_v,last|.
+    # Sixteen times that as slack keeps every point that the filter keeps.
+    slack = (16 * phi.shape[1] * np.finfo(float).eps * (2 * ybound + 1)
+             / np.abs(phi[:, -1]).min())
+    first = np.full(len(owner), -np.inf)
+    final = np.full(len(owner), np.inf)
+    for v, p in enumerate(phi[:, -1]):
+        ends = ((lows[:, v] - 1e-9) / p, (highs[:, v] + 1e-9) / p)
+        lo_v, hi_v = ends if p > 0 else ends[::-1]
+        rest = sum(phi[v, k] / p * c for k, c in enumerate(lead))
+        first = np.maximum(first, lo_v[owner] - rest)
+        final = np.minimum(final, hi_v[owner] - rest)
+    return np.ceil(first - slack), np.floor(final + slack)
+
+
+def _row_keys(pts: np.ndarray, bound: int) -> np.ndarray:
+    """One integer per row of an integer array with entries in
+    [-bound, bound]: the row's digits in base 2*bound + 1, so key order is
+    the lexicographic order of the rows.  int64 when (2*bound + 1)^dim <
+    2^63, Python-int object arrays otherwise."""
+    side = 2 * bound + 1
+    dtype = np.int64 if side ** pts.shape[1] < 2 ** 63 else object
+    keys = np.zeros(pts.shape[0], dtype=dtype)
+    for col in pts.astype(dtype, copy=False).T:
+        keys = keys * side + (col + bound)
+    return keys
 
 
 def _abs_quadratic_regions(p1, q1, p2, q2, wmax, ybound):
     """Per row: up to two intervals where |(p1 + q1 y)(p2 + q2 y)| <= wmax,
-    intersected with |y| <= ybound.  Shape (N, 2, 2); NaN marks absent."""
-    n = p1.shape[0]
-    out = np.full((n, 2, 2), np.nan)
-    aa = q1 * q2 * np.ones(n)
+    intersected with |y| <= ybound.  Shape (N, 2, 2); NaN marks absent, and
+    a segment that clips to empty leaves its slot to the next one."""
+    aa = q1 * q2 * np.ones(p1.shape[0])
     bb = p1 * q2 + p2 * q1
     cc = p1 * p2
     quad = np.abs(aa) > 1e-300
     lin = (~quad) & (np.abs(bb) > 1e-300)
-    const = (~quad) & (~lin)
-    # constant: whole line when |c| <= w
-    ok = const & (np.abs(cc) <= wmax)
-    out[ok, 0, 0] = -ybound
-    out[ok, 0, 1] = ybound
-    # linear: |b y + c| <= w
-    if lin.any():
-        lo = (-wmax - cc[lin]) / bb[lin]
-        hi = (wmax - cc[lin]) / bb[lin]
-        l = np.minimum(lo, hi)
-        h = np.maximum(lo, hi)
-        l = np.maximum(l, -ybound)
-        h = np.minimum(h, ybound)
-        good = l <= h
-        idx = np.nonzero(lin)[0][good]
-        out[idx, 0, 0] = l[good]
-        out[idx, 0, 1] = h[good]
-    if quad.any():
-        qa = aa[quad]
-        qb = bb[quad]
-        qc = cc[quad]
-        # g(y) = qa y^2 + qb y + qc; region between the roots of g = +-w
-        sign = np.sign(qa)
-        # normalize to an up-opening parabola: g' = g * sign
-        # region |g| <= w: between roots of g' = w, minus interior of g' = -w
-        rt_hi = _quad_roots(qa, qb, qc - sign * wmax)
-        rt_lo = _quad_roots(qa, qb, qc + sign * wmax)
-        idx = np.nonzero(quad)[0]
-        for pos, row in enumerate(idx):
-            outer = rt_hi[pos]
-            inner = rt_lo[pos]
-            segs = []
-            if outer is None:
-                pass
-            elif inner is None:
-                segs = [outer]
-            else:
-                segs = [(outer[0], inner[0]), (inner[1], outer[1])]
-            k = 0
-            for lo_s, hi_s in segs:
-                lo_s = max(lo_s, -ybound)
-                hi_s = min(hi_s, ybound)
-                if lo_s <= hi_s and k < 2:
-                    out[row, k, 0] = lo_s
-                    out[row, k, 1] = hi_s
-                    k += 1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # linear: |b y + c| <= w between two roots
+        e1, e2 = (-wmax - cc) / bb, (wmax - cc) / bb
+        # quadratic g = a y^2 + b y + c, opened upwards by sign(a): |g| <= w
+        # between the roots of sign g = w (outer), minus the open interval
+        # between those of sign g = -w (inner)
+        has_o, o1, o2 = _quad_roots(aa, bb, cc - np.sign(aa) * wmax)
+        has_i, i1, i2 = _quad_roots(aa, bb, cc + np.sign(aa) * wmax)
+    # a constant |c| <= w holds on the whole line
+    segs = ((np.where(quad, o1, np.where(lin, np.minimum(e1, e2), -ybound)),
+             np.where(quad, np.where(has_i, i1, o2),
+                      np.where(lin, np.maximum(e1, e2), ybound)),
+             np.where(quad, has_o, lin | (np.abs(cc) <= wmax))),
+            (i2, o2, quad & has_o & has_i))
+    out = np.full((len(aa), 2, 2), np.nan)
+    slot = np.zeros(len(aa), dtype=np.int64)
+    for lo, hi, has in segs:
+        lo = np.maximum(lo, -ybound)
+        hi = np.minimum(hi, ybound)
+        good = has & (lo <= hi)
+        out[good, slot[good]] = np.stack([lo[good], hi[good]], axis=1)
+        slot += good
     return out
 
 
 def _quad_roots(a, b, c):
-    """Sorted real root pairs of each quadratic row, or None."""
+    """Per row of quadratics: whether it has real roots, and the sorted
+    pair."""
     disc = b * b - 4 * a * c
-    out = []
-    for i in range(len(np.atleast_1d(a))):
-        d = disc[i]
-        if d < 0:
-            out.append(None)
-            continue
-        s = np.sqrt(d)
-        r1 = (-b[i] - s) / (2 * a[i])
-        r2 = (-b[i] + s) / (2 * a[i])
-        out.append((min(r1, r2), max(r1, r2)))
-    return out
+    s = np.sqrt(np.maximum(disc, 0))
+    r1 = (-b - s) / (2 * a)
+    r2 = (-b + s) / (2 * a)
+    return ~(disc < 0), np.minimum(r1, r2), np.maximum(r1, r2)
 
 
 def norm_product_spectrum(form: DecomposableForm, height: int,
@@ -665,14 +684,9 @@ def norm_product_spectrum(form: DecomposableForm, height: int,
                 else:
                     break
         frontier = sorted(new)
-    exact_vals = sorted(scale * t for t in frontier)
-    floats = [float(v) for v in exact_vals]
-    gaps = [b - a for a, b in zip(floats, floats[1:])]
-    return SpectrumReport(height, clip, True, scale, exact_vals,
-                          floats[0] if floats else None,
-                          min(gaps) if gaps else (floats[0] if floats else None),
-                          len(floats),
-                          note="exact: factored full-box spectrum")
+    return _spectrum_report(height, clip, True, scale,
+                            sorted(scale * t for t in frontier),
+                            "exact: factored full-box spectrum")
 
 
 # -- density ---------------------------------------------------------------------
@@ -714,9 +728,7 @@ def density_report(scan: FormScan, window=None, eps: float = 0.25) -> DensityRep
         lo, hi = window[v]
         mask &= (vals[v] >= lo) & (vals[v] <= hi)
         per_axis.append(int(np.ceil((hi - lo) / eps)))
-    total = 1
-    for k in per_axis:
-        total *= k
+    total = math.prod(per_axis)
     if not mask.any():
         return DensityReport(scan.height, eps, tuple(window), total, 0,
                              scan.npoints, 0, scan.mode)
@@ -761,49 +773,47 @@ def two_place_spectrum(scan: FormScan, clip: float = 10.0) -> SpectrumReport:
     rational = is_rational(form)
     if rational and _common_factor_lists(form):
         vals, const = _spectrum_exact(scan, clip)
-        exact_vals = sorted(const * v for v in vals)
-        floats = [float(v) for v in exact_vals]
-        gaps = [b - a for a, b in zip(floats, floats[1:])]
-        return SpectrumReport(scan.height, clip, True, const, exact_vals,
-                              floats[0] if floats else None,
-                              min(gaps) if gaps else (floats[0] if floats else None),
-                              len(floats),
-                              note="exact: products lie in C*N")
+        return _spectrum_report(scan.height, clip, True, const,
+                                sorted(const * v for v in vals),
+                                "exact: products lie in C*N")
     # general path: certified per point, capped
     if scan.npoints > EXACT_POINT_CAP:
         raise CapExceeded("per-point spectrum needs a smaller scan")
     prods = []
-    f = form.field
-    places = f.places()
     for idx in range(scan.npoints):
         if scan.degenerate[idx]:
             continue
-        z = scan.coordinate(idx)
-        p = RInt(1)
-        zero = False
-        for v in range(form.r):
-            val = form.value(v, z)
-            if val.is_zero():
-                zero = True
-                break
-            p = p * f.normalized_abs(val, places[v],
-                                     max_width=Fraction(1, 2 ** 64))
-        if zero:
-            continue
-        mid = float(p.mid)
-        if 0 < mid <= clip:
-            prods.append(mid)
+        p = _certified_product(form, scan.coordinate(idx))
+        if p is not None and 0 < float(p.mid) <= clip:
+            prods.append(float(p.mid))
     prods.sort()
     distinct = []
     for x in prods:
         if not distinct or x - distinct[-1] > 1e-9:
             distinct.append(x)
-    gaps = [b - a for a, b in zip(distinct, distinct[1:])]
-    return SpectrumReport(scan.height, clip, rational, None, distinct,
-                          distinct[0] if distinct else None,
-                          min(gaps) if gaps else (distinct[0] if distinct else None),
-                          len(distinct),
-                          note="numeric midpoints; consistent-with evidence only")
+    return _spectrum_report(scan.height, clip, rational, None, distinct,
+                            "numeric midpoints; consistent-with evidence only")
+
+
+def _spectrum_report(height, clip, rational, constant, values, note):
+    """A SpectrumReport on sorted values: the least one and the least gap
+    between neighbours (the least value when there is one), as floats."""
+    floats = [float(v) for v in values]
+    gaps = [b - a for a, b in zip(floats, floats[1:])]
+    least = floats[0] if floats else None
+    return SpectrumReport(height, clip, rational, constant, values, least,
+                          min(gaps) if gaps else least, len(floats), note=note)
+
+
+def _certified_product(form: DecomposableForm, z) -> Optional[RInt]:
+    """Certified enclosure of prod_v |f_v(z)|_v, or None if a value is 0."""
+    field = form.field
+    vals = [form.value(v, z) for v in range(form.r)]
+    if any(val.is_zero() for val in vals):
+        return None
+    width = Fraction(1, 2 ** 64)
+    return math.prod((field.normalized_abs(val, pl, max_width=width)
+                      for val, pl in zip(vals, field.places())), start=RInt(1))
 
 
 def _common_factor_lists(form: DecomposableForm) -> bool:
@@ -913,7 +923,6 @@ def cm_obstruction_check(form: DecomposableForm, scan: FormScan,
         raise ValidationError(f"declared index {index_l} fails the "
                               "discriminant-ratio verification")
     r = field.n_places
-    places = field.places()
     # coefficients in F, factor matrices in SL_2(F)
     for v in range(form.r):
         for i in range(form.m):
@@ -973,17 +982,8 @@ def cm_obstruction_check(form: DecomposableForm, scan: FormScan,
                 violations.append((idx, "exact inequality violation"))
                 continue
         else:
-            z = scan.coordinate(idx)
-            lhs = RInt(1)
-            ok = True
-            for v in range(r):
-                val = form.value(v, z)
-                if val.is_zero():
-                    ok = False
-                    break
-                lhs = lhs * field.normalized_abs(val, places[v],
-                                                 max_width=Fraction(1, 2 ** 64))
-            if ok and lhs.hi < rhs:
+            lhs = _certified_product(form, scan.coordinate(idx))
+            if lhs is not None and lhs.hi < rhs:
                 violations.append((idx, "certified inequality violation"))
                 continue
         if not sine_ok[idx]:

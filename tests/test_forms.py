@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -171,6 +172,66 @@ def test_scan_cap_and_sampling(Kcubic):
     assert np.array_equal(sc2.points[:500], sc.points)
 
 
+def sample_oracle(form, height, sample, seed, include=None):
+    """The set-of-tuples sampler that scan_values replaced: its points."""
+    dim = form.n * form.field.degree
+    rng = np.random.default_rng(seed)
+    chunks = []
+    seen = set()
+    if include is not None:
+        seen.update(tuple(int(x) for x in row) for row in include.points)
+    while sum(len(c) for c in chunks) < sample:
+        draw = rng.integers(-height, height + 1, size=(sample, dim),
+                            dtype=np.int64)
+        fresh = []
+        for row in draw:
+            t = tuple(int(x) for x in row)
+            if t in seen or all(x == 0 for x in t):
+                continue
+            seen.add(t)
+            fresh.append(row)
+        if fresh:
+            chunks.append(np.array(fresh, dtype=np.int64))
+    pts = np.concatenate(chunks, axis=0)[:sample]
+    if include is not None and include.npoints:
+        pts = np.concatenate([include.points, pts], axis=0)
+    return pts
+
+
+@settings(max_examples=40, deadline=None)
+@given(hs.data())
+def test_sampled_scan_matches_oracle(Ksqrt2, Kzeta8, data):
+    """Sampling keeps the first new nonzero occurrence of each row, in
+    draw order, bit for bit as the set-based sampler did; include points
+    come first and are never drawn again."""
+    K = data.draw(hs.sampled_from([Ksqrt2, Kzeta8]))
+    f = f0(K)
+    height = data.draw(hs.sampled_from([1, 2, 3, 2 ** 40]))
+    box = (2 * height + 1) ** (2 * K.degree) - 1
+    sample = data.draw(hs.integers(1, min(box // 2, 300)))
+    seed = data.draw(hs.integers(0, 2 ** 16))
+    include = None
+    if data.draw(hs.booleans()):
+        include = fm.scan_values(f, data.draw(hs.sampled_from([1, height])),
+                                 sample=data.draw(hs.integers(1, 30)),
+                                 seed=seed + 1)
+    sc = fm.scan_values(f, height, sample=sample, seed=seed, include=include)
+    want = sample_oracle(f, height, sample, seed, include)
+    assert sc.points.dtype == want.dtype
+    assert sc.points.tobytes() == want.tobytes()
+    assert len({tuple(p) for p in sc.points.tolist()}) == sc.npoints
+    assert not np.all(sc.points == 0, axis=1).any()
+
+
+def test_sampled_scan_covers_the_nonzero_box(Ksqrt2):
+    # 80 draws from the 81-point box: every nonzero point once, zero never
+    f = f0(Ksqrt2)
+    sc = fm.scan_values(f, 1, sample=80, seed=3)
+    assert sc.points.tobytes() == sample_oracle(f, 1, 80, 3).tobytes()
+    assert sorted(map(tuple, sc.points.tolist())) == \
+        sorted(map(tuple, fm.scan_values(f, 1).points.tolist()))
+
+
 @pytest.mark.parametrize("name,height", [("Ksqrt2", 3), ("Kzeta8", 1)])
 def test_scan_numeric_reevaluates_exactly(name, height, request):
     # signed values at real places, squared moduli at complex places
@@ -201,6 +262,299 @@ def test_window_scan_golden(Kcubic):
     for H in (4, 8, 16):
         scan = fm.window_scan(f, H, CUBIC_WINDOW)
         assert window_scan_digest(scan, CUBIC_WINDOW) == golden[str(H)], H
+
+
+def window_scan_oracle(form, height, window, pad=1e-9):
+    """The per-row window enumeration that window_scan replaced: for each
+    first coordinate, the whole integer bounding box of each
+    parallelepiped, filtered, then deduplicated through a set of tuples.
+    Returns the point array and the degenerate mask."""
+    field = form.field
+    places = field.places()
+    r = len(places)
+    scalar_abs = [abs(field.float_embed(s, places[v]))
+                  for v, s in enumerate(form.scalars)]
+    deg = field.degree
+    phi = np.array([field.float_basis(pl) for pl in places])
+    Minv = np.linalg.inv(phi)
+    c_all = fm._box(height, deg)
+    x_all = c_all @ phi.T
+    a = np.zeros((r, 2))
+    b = np.zeros((r, 2))
+    for v in range(r):
+        for i in range(2):
+            alpha, beta = form.factors[v][i]
+            a[v, i] = field.float_embed(alpha, places[v])
+            b[v, i] = field.float_embed(beta, places[v])
+    ybound = float(np.abs(phi).sum(axis=1).max()) * height * (1 + 1e-9)
+    points = []
+    intervals = np.full((c_all.shape[0], r, 2, 2), np.nan)
+    for v in range(r):
+        wlo, whi = window[v]
+        wmax = (max(abs(wlo), abs(whi)) / scalar_abs[v]) * (1 + pad) + pad
+        p1 = a[v, 0] * x_all[:, v]
+        p2 = a[v, 1] * x_all[:, v]
+        intervals[:, v, :, :] = abs_quadratic_regions_oracle(
+            p1, b[v, 0], p2, b[v, 1], wmax, ybound)
+    for combo in itertools.product(range(2), repeat=r):
+        sel = np.stack([intervals[:, v, combo[v], :] for v in range(r)],
+                       axis=1)
+        valid = ~np.isnan(sel[:, :, 0]).any(axis=1)
+        if not valid.any():
+            continue
+        idxs = np.nonzero(valid)[0]
+        lows = sel[idxs, :, 0]
+        highs = sel[idxs, :, 1]
+        corners = []
+        for mask in itertools.product((0, 1), repeat=r):
+            yc = np.where(np.array(mask)[None, :] > 0, highs, lows)
+            corners.append(yc @ Minv.T)
+        corners = np.stack(corners, axis=0)
+        dlo = np.ceil(corners.min(axis=0) - 1e-9).astype(np.int64)
+        dhi = np.floor(corners.max(axis=0) + 1e-9).astype(np.int64)
+        dlo = np.maximum(dlo, -height)
+        dhi = np.minimum(dhi, height)
+        for t in np.nonzero(np.all(dhi >= dlo, axis=1))[0]:
+            ranges = [np.arange(dlo[t, k], dhi[t, k] + 1) for k in range(deg)]
+            mesh = np.stack([g.ravel() for g in
+                             np.meshgrid(*ranges, indexing="ij")], axis=1)
+            y = mesh @ phi.T
+            keep = np.all((y >= lows[t][None, :] - 1e-9)
+                          & (y <= highs[t][None, :] + 1e-9), axis=1)
+            c_row = c_all[idxs[t]]
+            for d_row in mesh[keep]:
+                points.append(tuple(c_row) + tuple(int(x) for x in d_row))
+    if points:
+        pts = np.array(sorted(set(points)), dtype=np.int64)
+        pts = pts[np.any(pts != 0, axis=1)]
+    else:
+        pts = np.zeros((0, 2 * deg), dtype=np.int64)
+    degenerate = fm._degenerate_mask(form, pts) if len(pts) else \
+        np.zeros(0, dtype=bool)
+    return pts, degenerate
+
+
+def abs_quadratic_regions_oracle(p1, q1, p2, q2, wmax, ybound):
+    """The per-row region loop that _abs_quadratic_regions replaced."""
+    n = p1.shape[0]
+    out = np.full((n, 2, 2), np.nan)
+    aa = q1 * q2 * np.ones(n)
+    bb = p1 * q2 + p2 * q1
+    cc = p1 * p2
+    quad = np.abs(aa) > 1e-300
+    lin = (~quad) & (np.abs(bb) > 1e-300)
+    const = (~quad) & (~lin)
+    ok = const & (np.abs(cc) <= wmax)
+    out[ok, 0, 0] = -ybound
+    out[ok, 0, 1] = ybound
+    if lin.any():
+        lo = (-wmax - cc[lin]) / bb[lin]
+        hi = (wmax - cc[lin]) / bb[lin]
+        l = np.maximum(np.minimum(lo, hi), -ybound)
+        h = np.minimum(np.maximum(lo, hi), ybound)
+        good = l <= h
+        idx = np.nonzero(lin)[0][good]
+        out[idx, 0, 0] = l[good]
+        out[idx, 0, 1] = h[good]
+    if quad.any():
+        qa, qb, qc = aa[quad], bb[quad], cc[quad]
+        sign = np.sign(qa)
+        rt_hi = quad_roots_oracle(qa, qb, qc - sign * wmax)
+        rt_lo = quad_roots_oracle(qa, qb, qc + sign * wmax)
+        for pos, row in enumerate(np.nonzero(quad)[0]):
+            outer, inner = rt_hi[pos], rt_lo[pos]
+            if outer is None:
+                segs = []
+            elif inner is None:
+                segs = [outer]
+            else:
+                segs = [(outer[0], inner[0]), (inner[1], outer[1])]
+            k = 0
+            for lo_s, hi_s in segs:
+                lo_s = max(lo_s, -ybound)
+                hi_s = min(hi_s, ybound)
+                if lo_s <= hi_s and k < 2:
+                    out[row, k, 0] = lo_s
+                    out[row, k, 1] = hi_s
+                    k += 1
+    return out
+
+
+def quad_roots_oracle(a, b, c):
+    """Sorted real root pairs of each quadratic row, or None."""
+    disc = b * b - 4 * a * c
+    out = []
+    for i in range(len(a)):
+        if disc[i] < 0:
+            out.append(None)
+            continue
+        s = np.sqrt(disc[i])
+        r1 = (-b[i] - s) / (2 * a[i])
+        r2 = (-b[i] + s) / (2 * a[i])
+        out.append((min(r1, r2), max(r1, r2)))
+    return out
+
+
+def window_forms(K):
+    """A non-rational binary form for the window scan: acceptance 9's over
+    the cyclic cubic, and a two-place one over Q(sqrt 2)."""
+    if K.degree == 3:
+        return cubic_density_form(K)
+    return fm.make_form(K, [[[1, 1], [1, -1]], [[1, 2], [1, -1]]])
+
+
+@hs.composite
+def scan_windows(draw, r):
+    """One window interval per place: asymmetric, with or without 0."""
+    out = []
+    for _ in range(r):
+        lo = draw(hs.floats(-6, 6, allow_nan=False))
+        out.append((lo, lo + draw(hs.floats(0.05, 8, allow_nan=False))))
+    return tuple(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hs.data())
+def test_window_scan_matches_oracle(Kcubic, Ksqrt2, data):
+    """Bit for bit against the per-row enumeration: points, their order and
+    the degenerate mask, under any chunk budget."""
+    K = data.draw(hs.sampled_from([Kcubic, Ksqrt2]))
+    base = window_forms(K)
+    scalars = [K.from_rational(Fraction(data.draw(hs.integers(1, 4))
+                                        * data.draw(hs.sampled_from([-1, 1])),
+                                        data.draw(hs.integers(1, 3))))
+               for _ in range(K.n_places)]
+    f = fm.make_form(K, [list(fac) for fac in base.factors], scalars=scalars)
+    H = data.draw(hs.integers(1, 6))
+    win = data.draw(scan_windows(K.n_places))
+    budget = data.draw(hs.sampled_from([1, 3, 40, fm.WINDOW_CHUNK_POINTS]))
+    with mock.patch.object(fm, "WINDOW_CHUNK_POINTS", budget):
+        scan = fm.window_scan(f, H, win)
+    pts, degenerate = window_scan_oracle(f, H, win)
+    assert scan.points.dtype == pts.dtype and scan.points.shape == pts.shape
+    assert scan.points.tobytes() == pts.tobytes()
+    assert scan.degenerate.tobytes() == degenerate.tobytes()
+    assert scan.mode == "window-complete" and scan.height == H
+
+
+@settings(max_examples=150, deadline=None)
+@given(hs.lists(hs.floats(-8, 8), min_size=1, max_size=20),
+       hs.lists(hs.floats(-8, 8), min_size=20, max_size=20),
+       hs.sampled_from([0.0, 1.0, -1.0, 0.5, -2.0]),
+       hs.sampled_from([0.0, 1.0, -1.0, 3.0]),
+       hs.floats(1e-3, 30), hs.floats(0.1, 12))
+def test_abs_quadratic_regions_match_oracle(p1, p2, q1, q2, wmax, ybound):
+    p1 = np.array(p1)
+    p2 = np.array(p2[:len(p1)])
+    got = fm._abs_quadratic_regions(p1, q1, p2, q2, wmax, ybound)
+    want = abs_quadratic_regions_oracle(p1, q1, p2, q2, wmax, ybound)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_abs_quadratic_regions_slot_rule():
+    # |(y + 3)(y + 1)| <= 1/2 holds on two intervals, near -3 and near -1;
+    # |y| <= 2 empties the first, so the second takes slot 0
+    out = fm._abs_quadratic_regions(np.array([3.0]), 1.0, np.array([1.0]),
+                                    1.0, 0.5, 2.0)
+    assert -1.3 < out[0, 0, 0] < out[0, 0, 1] < -0.7
+    assert np.isnan(out[0, 1]).all()
+    assert out.tobytes() == abs_quadratic_regions_oracle(
+        np.array([3.0]), 1.0, np.array([1.0]), 1.0, 0.5, 2.0).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(hs.lists(hs.integers(0, 50), max_size=30), hs.integers(1, 100))
+def test_chunks_fill_each_budget_greedily(sizes, budget):
+    sizes = np.array(sizes, dtype=np.int64)
+    parts = list(fm._chunks(sizes, budget))
+    bounds = [0] + [p.stop for p in parts]
+    assert [p.start for p in parts] == bounds[:-1] and bounds[-1] == len(sizes)
+    for p in parts:
+        total = int(sizes[p].sum())
+        assert total <= budget or p.stop - p.start == 1
+        if p.stop < len(sizes):
+            assert total + sizes[p.stop] > budget
+
+
+def test_window_scan_expansion_respects_the_chunk_budget(Kcubic):
+    """Each expansion of the leading coordinates holds at most the budget's
+    points, unless it is a single row's box."""
+    f = cubic_density_form(Kcubic)
+    calls = []
+    real = fm._ragged_box
+
+    def spy(lo, hi):
+        cols, owner = real(lo, hi)
+        if lo.shape[1] == 2:
+            calls.append((len(lo), len(owner)))
+        return cols, owner
+
+    with mock.patch.object(fm, "WINDOW_CHUNK_POINTS", 50), \
+            mock.patch.object(fm, "_ragged_box", spy):
+        scan = fm.window_scan(f, 3, CUBIC_WINDOW)
+    assert calls and any(rows > 1 for rows, _ in calls)
+    assert all(points <= 50 or rows == 1 for rows, points in calls)
+    pts, _ = window_scan_oracle(f, 3, CUBIC_WINDOW)
+    assert scan.points.tobytes() == pts.tobytes()
+
+
+def _edge(b, keep, outward):
+    """The last float from b towards outward at which keep holds."""
+    while not keep(b):
+        b = np.nextafter(b, -outward)
+    while keep(np.nextafter(b, outward)):
+        b = np.nextafter(b, outward)
+    return b
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.data())
+def test_last_range_holds_every_point_the_filter_keeps(Kcubic, Ksqrt2, data):
+    """The last-coordinate range is a superset of what the exact filter
+    keeps, also when a point sits on the filter's tolerance edge at every
+    place."""
+    K = data.draw(hs.sampled_from([Kcubic, Ksqrt2]))
+    phi = np.array([K.float_basis(pl) for pl in K.places()])
+    H = data.draw(hs.integers(1, 200))
+    d = np.array([data.draw(hs.integers(-H, H)) for _ in range(K.degree)])
+    y = (d[None, :] @ phi.T)[0]
+    lows, highs = y.copy(), y.copy()
+    for v, yv in enumerate(y):
+        lows[v] = _edge(yv + 1e-9, lambda b: yv >= b - 1e-9, np.inf) \
+            if data.draw(hs.booleans()) else yv - data.draw(hs.floats(0, 1))
+        highs[v] = _edge(yv - 1e-9, lambda b: yv <= b + 1e-9, -np.inf) \
+            if data.draw(hs.booleans()) else yv + data.draw(hs.floats(0, 1))
+    ybound = float(np.abs(phi).sum(axis=1).max()) * H * (1 + 1e-9)
+    assert np.all((y >= lows - 1e-9) & (y <= highs + 1e-9))
+    first, final = fm._last_range([np.array([x]) for x in d[:-1]],
+                                  np.array([0]), lows[None, :],
+                                  highs[None, :], phi, ybound + 1)
+    assert first[0] <= d[-1] <= final[0]
+
+
+_FULL_SCANS = {}
+
+
+@settings(max_examples=25, deadline=None)
+@given(hs.data())
+def test_window_scan_holds_every_box_point_inside_the_window(Kcubic, Ksqrt2,
+                                                              data):
+    """The pad of the region bounds only adds candidates: every point of
+    the full box whose numeric values lie in the window shrunk by 1e-6 is
+    in the window scan."""
+    K = data.draw(hs.sampled_from([Kcubic, Ksqrt2]))
+    f = window_forms(K)
+    H = data.draw(hs.integers(1, 3))
+    if (K.label, H) not in _FULL_SCANS:
+        full = fm.scan_values(f, H)
+        _FULL_SCANS[K.label, H] = (full.points, np.array(
+            [full.numeric_values(v) for v in range(f.r)]))
+    pts, vals = _FULL_SCANS[K.label, H]
+    win = data.draw(scan_windows(K.n_places))
+    inside = np.all([(vals[v] >= lo + 1e-6) & (vals[v] <= hi - 1e-6)
+                     for v, (lo, hi) in enumerate(win)], axis=0)
+    got = {tuple(p) for p in fm.window_scan(f, H, win).points.tolist()}
+    assert {tuple(p) for p in pts[inside].tolist()} <= got
 
 
 # -- density --------------------------------------------------------------------------
