@@ -21,6 +21,7 @@ norm form and the integer coordinate maps of forms.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -685,7 +686,6 @@ def pell_fundamental_unit(d: int):
     Continued fraction expansion of sqrt(d); solves a^2 - d b^2 = +-1 with
     the smallest b > 0.  Only for nonsquare d > 1.
     """
-    import math
     if d <= 1 or math.isqrt(d) ** 2 == d:
         raise ValidationError("need a nonsquare d > 1")
     a0 = math.isqrt(d)
@@ -733,7 +733,6 @@ def balance_by_unit(field: NumberField, values: Sequence[FieldElement],
     log_u = [[float(field.log_abs(u, pl, target_width=width).mid)
               for pl in places] for u in units]
 
-    import math
     best_key = None
     best_e = None
     for e in itertools.product(range(-radius, radius + 1), repeat=len(units)):

@@ -18,6 +18,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 from .errors import PrecisionExhausted, Reducible
 from .intervals import CBox, RInt, mpf_to_fraction
@@ -611,7 +612,6 @@ class MultiPoly:
         Coefficients must be integers.  The same expressions run on int64
         and on Python-int object arrays: a caller passes int64 only under
         an a-priori bound below 2^63, as forms._int_image does."""
-        import numpy as np
         acc = None
         for e, c in self.terms.items():
             if c.denominator != 1:

@@ -10,6 +10,7 @@ determinant one.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -311,7 +312,6 @@ def n_psi(n: int, subset: RootSubset) -> int:
     against n!/prod(block sizes factorial)."""
     _check_cap(n)
     distinct = {parabolic_descriptor(subset, w).positions for w in all_weyl(n)}
-    import math
     formula = math.factorial(n)
     for b in subset.composition:
         formula //= math.factorial(b)
