@@ -30,7 +30,9 @@ def _env_default(name, fallback=None):
     return os.environ.get(f"TORUSORBITS_{name.upper()}", fallback)
 
 
-def _meta(field, precision):
+def _meta(field, precision=nf.DEFAULT_PRECISION):
+    """The meta block; precision is the working precision the command
+    actually used, which only units classify takes from --precision."""
     return {
         "field": field.label if field else None,
         "order": "Z[theta]",
@@ -97,7 +99,7 @@ def cmd_strata(args):
         _emit_text(_poset_dot(sset, edges), args.out)
         return 0
     payload = {
-        "meta": _meta(field, args.precision),
+        "meta": _meta(field),
         "summary": st.summary_line(sset),
         "counts": {
             "strata": counts.strata, "closed": counts.closed,
@@ -152,7 +154,7 @@ def cmd_closed(args):
         comps = tuple(_load_matrix(field, spec, args.n) for spec in args.g)
         inp = st.OrbitInput(comps)
         payload = {
-            "meta": _meta(field, args.precision),
+            "meta": _meta(field),
             "components": len(comps),
             "is_orbit_closed": st.is_orbit_closed(inp),
         }
@@ -168,7 +170,7 @@ def cmd_closed(args):
     sset = st.enumerate_strata(g1, g2)
     closed = st.closed_strata(sset)
     payload = {
-        "meta": _meta(field, args.precision),
+        "meta": _meta(field),
         "is_orbit_closed": st.is_orbit_closed(sset.input),
         "closed_count": len(closed),
         "records": [_record_json(i, rec) for i, rec in enumerate(sset.records)
@@ -208,7 +210,7 @@ def cmd_cm_check(args):
                           seed=args.seed)
     rep = fm.cm_obstruction_check(form, scan, index_l=args.index_l)
     payload = {
-        "meta": _meta(field, args.precision),
+        "meta": _meta(field),
         "constant": cfg.rat_to_str(rep.constant),
         "index_l": rep.index_l,
         "checked": rep.checked,
@@ -242,7 +244,7 @@ def cmd_forms_scan(args):
         _emit_text("\n".join(lines) + "\n", args.out)
         return 0
     payload = {
-        "meta": _meta(field, args.precision),
+        "meta": _meta(field),
         "height": scan.height,
         "mode": scan.mode,
         "points": scan.npoints,
@@ -262,7 +264,7 @@ def cmd_forms_density(args):
         window = tuple((lo, hi) for _ in range(form.r))
     rep = fm.density_report(scan, window=window, eps=args.eps)
     payload = {
-        "meta": _meta(field, args.precision),
+        "meta": _meta(field),
         "height": rep.height, "eps": rep.eps, "window": list(rep.window),
         "cells_total": rep.cells_total, "cells_hit": rep.cells_hit,
         "coverage": rep.coverage, "points_used": rep.points_used,
@@ -278,7 +280,7 @@ def cmd_forms_spectrum(args):
     scan = fm.scan_values(form, args.height, sample=args.sample, seed=args.seed)
     rep = fm.two_place_spectrum(scan, clip=args.clip)
     payload = {
-        "meta": _meta(field, args.precision),
+        "meta": _meta(field),
         "height": rep.height, "clip": rep.clip,
         "rational_form": rep.rational_form,
         "constant": cfg.rat_to_str(rep.constant) if rep.constant is not None else None,
@@ -296,7 +298,7 @@ def cmd_forms_to_group(args):
     form = cfg.load_form(field, args.form)
     alphas, inp = fm.form_to_group(form)
     payload = {
-        "meta": _meta(field, args.precision),
+        "meta": _meta(field),
         "alphas": [cfg.elem_to_list(a) for a in alphas],
         "components": [cfg.matrix_to_dict(c) for c in inp.components],
     }
@@ -309,7 +311,7 @@ def cmd_forms_reduce(args):
     form = cfg.load_form(field, args.form)
     reduced, phi = fm.reduce_variables(form, seed=args.seed)
     payload = {
-        "meta": _meta(field, args.precision),
+        "meta": _meta(field),
         "n": reduced.n, "m": reduced.m,
         "substitution": [[cfg.elem_to_list(x) for x in row] for row in phi],
         "factors": [[[cfg.elem_to_list(c) for c in fac] for fac in place]
@@ -330,7 +332,7 @@ def cmd_dyn_systole(args):
     torus = [[Fraction(1)] * inp.n for _ in range(inp.r)]
     enc, wit = dy.systole(inp, torus, args.height)
     payload = {
-        "meta": _meta(field, args.precision),
+        "meta": _meta(field),
         "height": args.height,
         "value": float(enc.mid),
         "enclosure": [float(enc.lo), float(enc.hi)],
@@ -356,7 +358,7 @@ def cmd_dyn_path(args):
         _emit_text("\n".join(lines) + "\n", args.out)
         return 0
     payload = {
-        "meta": _meta(field, args.precision),
+        "meta": _meta(field),
         "verdict": trace.verdict,
         "bounded_margin": trace.bounded_margin,
         "final_value": trace.final_value,
@@ -377,7 +379,7 @@ def cmd_dyn_bounded(args):
     rep = dy.check_boundedness(g1, g2, subset, path, Fraction(args.C),
                                height=args.height)
     payload = {
-        "meta": _meta(field, args.precision),
+        "meta": _meta(field),
         "membership": rep.membership,
         "products_bounded": rep.products_bounded,
         "product_band": list(rep.product_band),
@@ -398,7 +400,7 @@ def cmd_bruhat_cell(args):
     h = _load_matrix(field, args.h, args.n)
     w = dc.bruhat_cell(h)
     payload = {
-        "meta": _meta(field, args.precision),
+        "meta": _meta(field),
         "convention": "h in V-minus . w . P (lower unipotent x upper Borel)",
         "cell": str(w),
         "permutation": [p + 1 for p in w.perm],
@@ -414,13 +416,13 @@ def cmd_bruhat_ldu(args):
     dec = dc.block_ldu(h, subset)
     if dec is None:
         payload = {
-            "meta": _meta(field, args.precision),
+            "meta": _meta(field),
             "subset": sorted(subset.simples),
             "present": False,
         }
     else:
         payload = {
-            "meta": _meta(field, args.precision),
+            "meta": _meta(field),
             "subset": sorted(subset.simples),
             "present": True,
             "v_minus": cfg.matrix_to_dict(dec.v_minus),

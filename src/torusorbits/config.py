@@ -11,7 +11,9 @@ import json
 from fractions import Fraction
 
 from .decomp import MatrixK
+from .dynamics import TorusPath
 from .errors import ValidationError
+from .forms import DecomposableForm, make_form
 from .numfield import FieldElement, NumberField, create_field
 
 
@@ -130,8 +132,7 @@ def place_factors_flat(form, v):
     return [c for factor in form.factors[v] for c in factor]
 
 
-def form_from_dict(field: NumberField, data: dict) -> "DecomposableForm":
-    from .forms import make_form
+def form_from_dict(field: NumberField, data: dict) -> DecomposableForm:
     n = data["n"]
     m = data["m"]
     factors = []
@@ -151,8 +152,7 @@ def load_form(field: NumberField, path):
         return form_from_dict(field, json.load(fh))
 
 
-def path_from_dict(data: dict) -> "TorusPath":
-    from .dynamics import TorusPath
+def path_from_dict(data: dict) -> TorusPath:
     bases = [rat_from_str(b) for b in data["bases"]]
     schedules = data["schedules"]
     return TorusPath(n=data["n"], bases=tuple(bases),

@@ -82,22 +82,10 @@ class MatrixK:
             return NotImplemented
         if other.n != self.n or other.field is not self.field:
             raise ValidationError("size or field mismatch")
-        z = self.field.zero
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = z
-                for k in range(n):
-                    a = self.rows[i][k]
-                    if not a.is_zero():
-                        b = other.rows[k][j]
-                        if not b.is_zero():
-                            acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return MatrixK(self.field, out)
+        dot = self.field.dot
+        cols = list(zip(*other.rows))
+        return MatrixK(self.field, [[dot(row, col) for col in cols]
+                                    for row in self.rows])
 
     def det(self) -> FieldElement:
         if self._det is None:
@@ -170,7 +158,7 @@ def block_ldu(h: MatrixK, subset: RootSubset) -> Optional[BlockLDU]:
         below = range(hi, n)
         for r in below:
             coefs = [a[r][lo + t] for t in range(hi - lo)]
-            mult = [_dot(f, coefs, [inv[t][s] for t in range(hi - lo)])
+            mult = [f.dot(coefs, [inv[t][s] for t in range(hi - lo)])
                     for s in range(hi - lo)]
             if all(x.is_zero() for x in mult):
                 continue
@@ -191,8 +179,7 @@ def block_ldu(h: MatrixK, subset: RootSubset) -> Optional[BlockLDU]:
                 levi[i][j] = a[i][j]
         for j in range(hi, n):
             col = [a[lo + t][j] for t in range(hi - lo)]
-            sol = [_dot(f, [inv[s][t] for t in range(hi - lo)], col)
-                   for s in range(hi - lo)]
+            sol = [f.dot(inv[s], col) for s in range(hi - lo)]
             for s in range(hi - lo):
                 vplus[lo + s][j] = sol[s]
     v_minus, z, v_plus = MatrixK(f, vminus), MatrixK(f, levi), MatrixK(f, vplus)
@@ -200,14 +187,6 @@ def block_ldu(h: MatrixK, subset: RootSubset) -> Optional[BlockLDU]:
     if v_minus * zv_plus != h:
         raise InvariantViolation("block LDU recomposition failed")
     return BlockLDU(v_minus, z, v_plus, subset, zv_plus)
-
-
-def _dot(field, xs, ys):
-    acc = field.zero
-    for x, y in zip(xs, ys):
-        if not x.is_zero() and not y.is_zero():
-            acc = acc + x * y
-    return acc
 
 
 def bruhat_cell(h: MatrixK) -> WeylElement:

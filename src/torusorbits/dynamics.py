@@ -407,13 +407,8 @@ def evaluate_product(inp: OrbitInput, torus, witness) -> RInt:
     acc = RInt(1)
     for v in range(inp.r):
         g = inp.components[v]
-        w = []
-        for i in range(n):
-            entry = field.zero
-            for j in range(n):
-                if not g.rows[i][j].is_zero() and not xi[j].is_zero():
-                    entry = entry + g.rows[i][j] * xi[j]
-            w.append(field.from_rational(torus[v][i]) * entry)
+        w = [field.from_rational(torus[v][i]) * field.dot(g.rows[i], xi)
+             for i in range(n)]
         sup = None
         for entry in w:
             m = field.normalized_abs(entry, places[v],

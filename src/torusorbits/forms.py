@@ -25,12 +25,12 @@ import numpy as np
 from . import polyutil as pu
 from .decomp import MatrixK
 from .errors import (ArityMismatch, CapExceeded, CoefficientsNotInF,
-                     DependentFactors, HypothesisFails, NotCm,
-                     SearchExhausted, SingularCoefficientMatrix,
+                     DependentFactors, HypothesisFails, InvariantViolation,
+                     NotCm, SearchExhausted, SingularCoefficientMatrix,
                      ValidationError, WrongPlaceCount)
 from .intervals import RInt
 from .numfield import (FieldElement, NumberField, _cm_split_solver,
-                       fast_norm, is_cm, norm_form, order_discriminant,
+                       field_norm, is_cm, norm_form, order_discriminant,
                        split_cm, subfield_coordinates)
 from .strata import OrbitInput
 
@@ -51,11 +51,7 @@ class DecomposableForm:
         return len(self.factors)
 
     def factor_value(self, v: int, i: int, z) -> FieldElement:
-        acc = self.field.zero
-        for c, zi in zip(self.factors[v][i], z):
-            if not c.is_zero() and not zi.is_zero():
-                acc = acc + c * zi
-        return acc
+        return self.field.dot(self.factors[v][i], z)
 
     def value(self, v: int, z) -> FieldElement:
         acc = self.scalars[v]
@@ -192,7 +188,8 @@ def reduce_variables(form: DecomposableForm, seed: int = 0,
         new_factors = []
         ok = True
         for v in range(form.r):
-            lst = [tuple(_apply_phi(f, phi, fac)) for fac in form.factors[v]]
+            lst = [tuple(f.dot(row, fac) for row in phi)
+                   for fac in form.factors[v]]
             if len(pu.echelon(lst, form.m)[1]) != form.m:
                 ok = False
                 break
@@ -205,17 +202,6 @@ def reduce_variables(form: DecomposableForm, seed: int = 0,
         reduced = make_form(f, new_factors, scalars=list(form.scalars))
         return reduced, phi
     raise SearchExhausted(f"no valid substitution in {budget} draws")
-
-
-def _apply_phi(field, phi, fac):
-    out = []
-    for i in range(len(phi)):
-        acc = field.zero
-        for j, c in enumerate(fac):
-            if not phi[i][j].is_zero() and not c.is_zero():
-                acc = acc + phi[i][j] * c
-        out.append(acc)
-    return out
 
 
 def _proportional(field, a, b) -> bool:
@@ -669,7 +655,7 @@ def norm_product_spectrum(form: DecomposableForm, height: int,
     per_var = []
     for fac in form.factors[0]:
         coef = next(c for c in fac if not c.is_zero())
-        cn = abs(fast_norm(field, coef))
+        cn = abs(field_norm(coef))
         per_var.append(sorted({Fraction(x) * cn for x in norms if x > 0}))
     # combine products under the clip
     limit = Fraction(clip).limit_denominator(10 ** 9) / scale
@@ -932,9 +918,9 @@ def cm_obstruction_check(form: DecomposableForm, scan: FormScan,
         h = MatrixK(field, [list(form.factors[v][i]) for i in range(2)])
         if not (h.det() == field.one):
             raise ValidationError(f"place {v}: factor matrix must have det 1")
-    nd = _norm_f(field, cm, cm.d)
+    nd = _abs_norm_f(cm.d)
     scale = Fraction(index_l) ** (4 * r)
-    constant = abs(nd) / scale
+    constant = nd / scale
 
     d = field.degree
     ident = ((field.one, field.zero), (field.zero, field.one))
@@ -975,7 +961,7 @@ def cm_obstruction_check(form: DecomposableForm, scan: FormScan,
             continue
         # inequality prod_v |f_v(z)|_v >= |N_F(d)| * prod: exact via the field
         # norm when the factor lists agree across places, else certified
-        rhs = abs(nd) * prod
+        rhs = nd * prod
         if common_factors:
             lhs_exact = Fraction(abs(int(norms[idx])), norm_den)
             if lhs_exact and lhs_exact < rhs:
@@ -1014,15 +1000,15 @@ def _mul_polys(field, a, b):
     return [sum(x * y for x, y in zip(row, b)) for row in field.mult_matrix(a)]
 
 
-def _norm_f(field, cm, x) -> Fraction:
-    """Norm from F to Q of an element of F given inside K (exact)."""
-    coords = subfield_coordinates(field, cm, x)
-    if coords is None:
-        raise ValidationError("element is not in F")
-    xp = pu.poly(coords)
-    if pu.degree(xp) == 0:
-        return xp[0] ** pu.degree(cm.subfield_poly)
-    return pu.resultant(cm.subfield_poly, xp)
+def _abs_norm_f(x: FieldElement) -> Fraction:
+    """|N_{F/Q}(x)| of an x in the CM subfield F, exactly: K/F has degree
+    two, so N_{K/Q}(x) = N_{F/Q}(x)^2 and this is its square root."""
+    n = abs(field_norm(x))
+    num, den = math.isqrt(n.numerator), math.isqrt(n.denominator)
+    if num * num != n.numerator or den * den != n.denominator:
+        raise InvariantViolation(f"N_K/Q of an element of F is {n}, "
+                                 "not a square")
+    return Fraction(num, den)
 
 
 def _ray_branch(field, cm, form, idx, z):

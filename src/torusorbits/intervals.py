@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from mpmath import iv, mpf
+from mpmath import iv
 
 Rat = Fraction
 
@@ -29,9 +29,15 @@ def _frac(x) -> Fraction:
 
 def mpf_to_fraction(x) -> Fraction:
     """Exact value of an mpmath float (binary floats are dyadic rationals)."""
-    sign, man, exp, _ = x._mpf_
+    return _raw_to_fraction(x._mpf_)
+
+
+def _raw_to_fraction(raw) -> Fraction:
+    """Exact value of a raw mpmath float tuple (sign, mantissa, exponent,
+    bit count), as an mpf's _mpf_ or either endpoint of an interval's _mpi_."""
+    sign, man, exp, _ = raw
     if man == 0 and exp != 0:
-        raise PrecisionExhaustedFloat(f"non-finite float {x}")
+        raise PrecisionExhaustedFloat(f"non-finite float {raw}")
     val = Fraction(man, 1) * (Fraction(2) ** exp if exp >= 0 else Fraction(1, 2 ** (-exp)))
     return -val if sign else val
 
@@ -210,7 +216,11 @@ def _to_iv(r: RInt, prec: int):
 
 
 def _from_iv(x) -> RInt:
-    return RInt(mpf_to_fraction(mpf(x.a)), mpf_to_fraction(mpf(x.b)))
+    """The exact endpoints of an mpmath interval.  They are read from the
+    raw _mpi_ tuples: passing them through mpf would round them to the
+    global mp.prec and could cut the enclosure short of the true value."""
+    lo, hi = x._mpi_
+    return RInt(_raw_to_fraction(lo), _raw_to_fraction(hi))
 
 
 def log_rint(r: RInt, prec: int = 256) -> RInt:

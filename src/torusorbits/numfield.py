@@ -14,8 +14,11 @@ owns the two derived representations the rest of the package uses: the
 float image of an element (float_basis, the midpoints of the cached power
 enclosures; float_embed, the midpoint of embed), which is the one source of
 floats for the scans, and the rational matrix of multiplication by an
-element (mult_matrix), behind the trace, the characteristic polynomial, the
-norm form and the integer coordinate maps of forms.
+element (mult_matrix).  Every exact quantity derived from an element comes
+from that matrix: the inverse and the quotient solve M(a) z = b and the
+norm is det M(x), both through the elimination kernel of polyutil; the
+trace, the characteristic polynomial, the norm form and the integer
+coordinate maps of forms read it directly.
 """
 
 from __future__ import annotations
@@ -105,14 +108,15 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        return self.field._inv(self)
+        return self.field._solve(self, self.field.one)
 
     def __truediv__(self, other):
-        return self * self._check(other).inverse()
+        return self.field._solve(self._check(other), self)
 
     def __rtruediv__(self, other):
-        inv = self.inverse()
-        return inv if other == 1 else self._check(other) * inv
+        if other == 1:
+            return self.inverse()
+        return self.field._solve(self, self._check(other))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -137,12 +141,6 @@ class FieldElement:
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
-
-    def coeff_poly(self) -> pu.Poly:
-        return pu.poly(self.coeffs)
-
-    def norm(self) -> Fraction:
-        return self.field.field_norm(self)
 
 
 @dataclass(frozen=True)
@@ -266,34 +264,22 @@ class NumberField:
                     out[i] += ck * red[i]
         return FieldElement(self, out)
 
-    def _inv(self, a: FieldElement) -> FieldElement:
-        if a.is_zero():
-            raise DivisionByZero("inverse of zero")
-        # extended Euclid on (coeff poly, min_poly)
-        r0, r1 = self.min_poly, a.coeff_poly()
-        s0, s1 = pu.poly([0]), pu.poly([1])
-        while not pu.is_zero(r1):
-            q, r = pu.pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, pu.padd(s0, pu.pscale(pu.pmul(q, s1), -1))
-        # r0 = gcd = constant (min_poly irreducible)
-        if pu.degree(r0) != 0 or r0[0] == 0:
-            raise DivisionByZero("element not invertible (degenerate field?)")
-        inv_poly = pu.pscale(s0, 1 / r0[0])
-        _, rem = pu.pdivmod(inv_poly, self.min_poly)
-        coeffs = list(rem) + [Fraction(0)] * self.degree
-        return FieldElement(self, coeffs[:self.degree])
+    def _solve(self, a: FieldElement, b: FieldElement) -> FieldElement:
+        """The z with a * z = b: the solution of mult_matrix(a) z = b,
+        unique for a nonzero a.  A zero a raises DivisionByZero."""
+        z = pu.solve(self.mult_matrix(a), b.coeffs, Fraction(0)) if a else None
+        if z is None:
+            raise DivisionByZero("division by zero")
+        return FieldElement(self, z)
 
-    # -- norms --
-
-    def field_norm(self, x: FieldElement) -> Fraction:
-        """N_{K/Q}(x), exact, via the resultant of m and the coefficient poly."""
-        if x.is_zero():
-            return Fraction(0)
-        xp = x.coeff_poly()
-        if pu.degree(xp) == 0:
-            return xp[0] ** self.degree
-        return pu.resultant(self.min_poly, xp)
+    def dot(self, xs, ys) -> FieldElement:
+        """The sum of x * y over the pairs of xs and ys; zero factors are
+        skipped, which saves most products in sparse matrices."""
+        acc = self.zero
+        for x, y in zip(xs, ys):
+            if x and y:
+                acc = acc + x * y
+        return acc
 
     # -- places --
 
@@ -487,7 +473,7 @@ def create_field(min_poly, declared_units=(), cm_structure=None,
     for u in units:
         if not u.is_integral():
             raise UnitVerificationFailed(f"{u.as_str()} is not in Z[theta]")
-        n = K.field_norm(u)
+        n = field_norm(u)
         if n != 1 and n != -1:
             raise UnitVerificationFailed(f"{u.as_str()} has norm {n}")
     if need >= 2:
@@ -595,11 +581,6 @@ def cm_conjugate(K: NumberField, cm: CmStructure, x: FieldElement) -> FieldEleme
     return K.element([2 * g - c for g, c in zip(gamma.coeffs, x.coeffs)])
 
 
-def fast_norm(K: NumberField, x: FieldElement) -> Fraction:
-    """field_norm through the cached norm form (same value, fewer steps)."""
-    return norm_form(K).eval_exact(x.coeffs)
-
-
 # -- spec-level wrappers (module functions mirroring the operation names) ------
 
 def normalized_abs(x: FieldElement, place: ArchimedeanPlace, max_width=None) -> RInt:
@@ -607,7 +588,8 @@ def normalized_abs(x: FieldElement, place: ArchimedeanPlace, max_width=None) -> 
 
 
 def field_norm(x: FieldElement) -> Fraction:
-    return x.field.field_norm(x)
+    """N_{K/Q}(x), exact: the determinant of multiplication by x."""
+    return pu.determinant(x.field.mult_matrix(x), Fraction(0))
 
 
 def is_cm(field: NumberField) -> bool:

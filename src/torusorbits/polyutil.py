@@ -2,8 +2,8 @@
 
 Polynomials are tuples of Fractions indexed by degree (low to high).
 Provides Sturm-based real root isolation with rational endpoints, certified
-complex root boxes, resultants via Sylvester determinants, and an exact
-irreducibility test for monic integer polynomials of small degree.
+complex root boxes, and an exact irreducibility test for monic integer
+polynomials of small degree.
 
 Also home to the package's one exact elimination kernel (echelon, with
 reduce_above, determinant, invert and solve on top), generic over
@@ -111,13 +111,16 @@ def reversed_poly(p: Poly) -> Poly:
 #
 # The one Gaussian elimination of the package.  Entries are Fractions or
 # FieldElements: the kernel uses only +, -, *, 1 / x and the truth value
-# (nonzero), so it runs unchanged over Q and over a number field.  Kept
-# apart on purpose: decomp.block_ldu (no pivoting, a vanishing minor is its
-# answer), dynamics._ldl (symmetric fraction-free LDL of a float Gram
-# matrix's exact integer image, with a positivity test), cofactor_det
-# below (division-free: symbolic entries, and interval entries, whose
-# enclosures dividing by interval pivots would widen) and
-# numfield._charpoly (not an elimination).
+# (nonzero), so it runs unchanged over Q and over a number field.  The
+# field's own exact arithmetic rests on it: an element's inverse, a
+# quotient and a norm solve or reduce the element's rational
+# multiplication matrix, and the pivot reciprocals 1 / x of a run over a
+# number field are such inverses.  Kept apart on purpose: decomp.block_ldu
+# (no pivoting, a vanishing minor is its answer), dynamics._ldl (symmetric
+# fraction-free LDL of a float Gram matrix's exact integer image, with a
+# positivity test), cofactor_det below (division-free: symbolic entries,
+# and interval entries, whose enclosures dividing by interval pivots would
+# widen) and numfield._charpoly (not an elimination).
 
 def echelon(rows, ncols: int, stop_at_gap: bool = False):
     """Row echelon form of a copy of rows, pivoting in the first ncols
@@ -208,25 +211,6 @@ def solve(rows, rhs, zero):
     for row, c in zip(a, pivots):
         x[c] = row[ncols]
     return x
-
-
-# -- resultants ---------------------------------------------------------------
-
-def resultant(f: Poly, g: Poly) -> Fraction:
-    """Sylvester-matrix resultant; res(f, g) = lc(f)^deg(g) * prod g(roots of f)."""
-    n, m = degree(f), degree(g)
-    if n == 0:
-        return f[0] ** m
-    if m == 0:
-        return g[0] ** n
-    rows = []
-    fr = list(reversed(f))
-    gr = list(reversed(g))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + fr + [Fraction(0)] * (m - 1 - i))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + gr + [Fraction(0)] * (n - 1 - i))
-    return determinant(rows, Fraction(0))
 
 
 # -- real root isolation (Sturm) ----------------------------------------------

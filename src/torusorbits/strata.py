@@ -28,7 +28,7 @@ from .decomp import (BlockLDU, MatrixK, block_ldu, cell_membership,
 from .errors import BoundViolated, MinimalNotBorel, TooLarge, ValidationError
 from .numfield import NumberField
 from .rootdata import (ParabolicDescriptor, RootSubset, WeylElement,
-                       all_subsets, coset_representatives, n_psi,
+                       all_subsets, all_weyl, coset_representatives, n_psi,
                        parabolic_descriptor, sum_n_psi_squared)
 
 
@@ -359,7 +359,6 @@ def _is_diagonal(m: MatrixK) -> bool:
 def _unit_monomials(field: NumberField, n: int, bound: int):
     """Monomial matrices with entries +-(unit power); the exponent box is
     |e| <= bound on the first declared unit, or plain signs without units."""
-    from .rootdata import all_weyl
     units = field.units
     base = [field.one]
     if units:

@@ -6,6 +6,7 @@ import pytest
 
 from torusorbits import forms as fm
 from torusorbits import numfield as nf
+from torusorbits import polyutil as pu
 from torusorbits.decomp import MatrixK, diagonal_matrix, unipotent_matrix
 
 
@@ -43,6 +44,15 @@ def Kzeta8():
         [1, 0, 0, 0, 1], declared_units=[[1, 1, 0, -1]], label="q-zeta8",
         cm_structure=dict(subfield_poly=[-2, 0, 1], subfield_gen=[0, 1, 0, -1],
                           d=[1, 0, 0, 0], relative_gen=[0, 0, 1, 0]))
+
+
+@pytest.fixture(scope="session")
+def Kzeta16():
+    # x^8 + 1, totally imaginary; the cyclotomic units (1 - z^a) / (1 - z)
+    # for a = 3, 5, 7 are independent
+    return nf.create_field([1, 0, 0, 0, 0, 0, 0, 0, 1],
+                           declared_units=[[1] * 3, [1] * 5, [1] * 7],
+                           label="q-zeta16")
 
 
 def random_element(K, rng, span=4, denom=3):
@@ -94,3 +104,59 @@ def window_scan_digest(scan, window, eps=0.25):
                 hashlib.sha256(scan.degenerate.tobytes()).hexdigest(),
             "cells_hit": rep.cells_hit,
             "points_in_window": rep.points_in_window}
+
+
+# -- oracles for the field arithmetic -------------------------------------------
+#
+# The algorithms the multiplication-matrix route replaced in the package,
+# kept here to check it: the extended Euclidean inverse modulo the minimal
+# polynomial, and norms as Sylvester resultants.
+
+
+def euclid_inverse(x):
+    """Inverse of a nonzero element by extended Euclid on its coefficient
+    polynomial against the minimal polynomial."""
+    K = x.field
+    r0, r1 = K.min_poly, pu.poly(x.coeffs)
+    s0, s1 = pu.poly([0]), pu.poly([1])
+    while not pu.is_zero(r1):
+        q, r = pu.pdivmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, pu.padd(s0, pu.pscale(pu.pmul(q, s1), -1))
+    # the minimal polynomial is irreducible, so the gcd r0 is a constant
+    _, rem = pu.pdivmod(pu.pscale(s0, 1 / r0[0]), K.min_poly)
+    return K.element(rem)
+
+
+def resultant(f, g):
+    """Sylvester-matrix resultant; res(f, g) = lc(f)^deg(g) * prod g(roots
+    of f)."""
+    n, m = pu.degree(f), pu.degree(g)
+    if n == 0:
+        return f[0] ** m
+    if m == 0:
+        return g[0] ** n
+    fr = list(reversed(f))
+    gr = list(reversed(g))
+    rows = [[Fraction(0)] * i + fr + [Fraction(0)] * (m - 1 - i)
+            for i in range(m)]
+    rows += [[Fraction(0)] * i + gr + [Fraction(0)] * (n - 1 - i)
+             for i in range(n)]
+    return pu.determinant(rows, Fraction(0))
+
+
+def resultant_norm(x):
+    """N_{K/Q}(x) as the resultant of the minimal polynomial and the
+    coefficient polynomial of x."""
+    if x.is_zero():
+        return Fraction(0)
+    return resultant(x.field.min_poly, pu.poly(x.coeffs))
+
+
+def resultant_norm_f(field, cm, x):
+    """N_{F/Q}(x) of an x in the CM subfield F, as the resultant of the
+    subfield polynomial and the F-coordinate polynomial of x."""
+    coords = nf.subfield_coordinates(field, cm, x)
+    if coords is None:
+        raise ValueError("element is not in F")
+    return resultant(cm.subfield_poly, pu.poly(coords))

@@ -141,6 +141,19 @@ def test_meta_embedded(workdir, capsys):
     assert out["meta"]["order"] == "Z[theta]"
     assert out["meta"]["field"] == "q-sqrt2"
     assert out["meta"]["precision_bits"] == 128
+    # meta reports the precision a command used: --precision reaches only
+    # units classify, every other command works at the default
+    rc = main(["--field", str(workdir / "field.json"), "--precision", "256",
+               "closed", "--n", "2", "--g1", str(workdir / "g1.json"),
+               "--g2", "id"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["meta"]["precision_bits"] == nf.DEFAULT_PRECISION == 128
+    rc = main(["--field", str(workdir / "field.json"), "--precision", "256",
+               "units", "classify"])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["meta"]["precision_bits"] == 256
 
 
 def test_ellipsoid_matches_direct_scan(Ksqrt2, monkeypatch):

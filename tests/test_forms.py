@@ -22,7 +22,8 @@ from torusorbits.errors import (ArityMismatch, CapExceeded,
                                 SingularCoefficientMatrix, WrongPlaceCount)
 from torusorbits.intervals import RInt
 
-from conftest import CUBIC_WINDOW, cubic_density_form, window_scan_digest
+from conftest import (CUBIC_WINDOW, cubic_density_form, resultant_norm,
+                      resultant_norm_f, window_scan_digest)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -628,7 +629,7 @@ def test_spectrum_exact_beyond_float_precision(Kzeta8, height):
     f = f0(Kzeta8)
     sc = fm.scan_values(f, height, sample=300, seed=1)
     rep = fm.two_place_spectrum(sc, clip=math.inf)
-    want = {abs(nf.fast_norm(Kzeta8, f.value(0, sc.coordinate(i))))
+    want = {abs(resultant_norm(f.value(0, sc.coordinate(i))))
             for i in range(sc.npoints)} - {0}
     assert rep.values == sorted(want) and rep.constant == 1
 
@@ -641,7 +642,7 @@ def test_spectrum_irrational_constant_over_a_denominator(Ksqrt2):
                      scalars=[s, s])
     sc = fm.scan_values(f, 3)
     rep = fm.two_place_spectrum(sc, clip=math.inf)
-    want = sorted({abs(nf.fast_norm(Ksqrt2, f.value(0, sc.coordinate(i))))
+    want = sorted({abs(resultant_norm(f.value(0, sc.coordinate(i))))
                    for i in range(sc.npoints)} - {0})
     assert len(rep.values) == len(want)
     for got, w in zip(rep.values, want):
@@ -802,14 +803,14 @@ def sine_identity_oracle(field, cm, form, z, det_gd):
 
 def cm_check_oracle(form, scan, index_l):
     """The per-point CM check the batched kernel replaced: split_cm, the
-    norm from F by resultant, fast_norm and the sine identity at every
+    norms from F and from K by resultant and the sine identity at every
     point in FieldElement and Fraction arithmetic.  It does not validate
     its input."""
     field = form.field
     cm = field.cm_structure
     r = field.n_places
     places = field.places()
-    nd = fm._norm_f(field, cm, cm.d)
+    nd = resultant_norm_f(field, cm, cm.d)
     constant = abs(nd) / Fraction(index_l) ** (4 * r)
     common_factors = fm._common_factor_lists(form)
     results = []
@@ -826,7 +827,7 @@ def cm_check_oracle(form, scan, index_l):
                 continue
             results.append(res)
             continue
-        nfd = fm._norm_f(field, cm, det_gd)
+        nfd = resultant_norm_f(field, cm, det_gd)
         prod = nfd * nfd
         scaled = prod * Fraction(index_l) ** (4 * r)
         if scaled.denominator != 1 or scaled <= 0:
@@ -835,7 +836,7 @@ def cm_check_oracle(form, scan, index_l):
         rhs = abs(nd) * prod
         if common_factors:
             val = form.value(0, z)
-            lhs_exact = abs(nf.fast_norm(field, val))
+            lhs_exact = abs(resultant_norm(val))
             if not val.is_zero() and lhs_exact < rhs:
                 violations.append((idx, "exact inequality violation"))
                 continue
@@ -987,13 +988,7 @@ def test_cm_norm_product_oracle(Kzeta8):
         g2, d2 = nf.split_cm(Kzeta8, cm, z[1])
         det = g1 * d2 - g2 * d1
         # brute-force norm of det through the resultant route
-        from torusorbits import polyutil as pu
-        coords = nf.subfield_coordinates(Kzeta8, cm, det)
-        npoly = pu.poly(coords)
-        if pu.degree(npoly) == 0:
-            nfd = npoly[0] ** 2
-        else:
-            nfd = pu.resultant(cm.subfield_poly, npoly)
+        nfd = resultant_norm_f(Kzeta8, cm, det)
         assert p.norm_product == nfd * nfd
         checked += 1
     assert checked > 5

@@ -1,18 +1,26 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from torusorbits import forms as fm
 from torusorbits import numfield as nf
-from torusorbits.errors import (DivisionByZero, MissingCmStructure, NoUnits,
-                                NotMonic, Reducible, UnitVerificationFailed,
+from torusorbits.errors import (DivisionByZero, InvariantViolation,
+                                MissingCmStructure, NoUnits, NotMonic,
+                                Reducible, UnitVerificationFailed,
                                 WrongUnitRank)
 
-from conftest import random_element
+from conftest import (euclid_inverse, random_element, resultant_norm,
+                      resultant_norm_f)
 
 
 def test_create_field_sqrt2(Ksqrt2):
@@ -24,11 +32,9 @@ def test_create_field_sqrt2(Ksqrt2):
 def test_create_field_cubic_units_verified(Kcubic):
     # oracle: both declared units have integral coordinates and norm +-1,
     # checked through the resultant directly
-    from torusorbits import polyutil as pu
     for u in Kcubic.units:
         assert u.is_integral()
-        r = pu.resultant(Kcubic.min_poly, pu.poly(u.coeffs))
-        assert r in (1, -1)
+        assert resultant_norm(u) in (1, -1)
     assert Kcubic.n_places == 3
 
 
@@ -354,3 +360,80 @@ def test_mult_matrix_and_charpoly(name, request):
         assert acc.is_zero()
 
     check()
+
+
+# -- inverse, quotient and norm from the multiplication matrix --------------------
+
+
+@pytest.mark.parametrize("name", FIELDS + ["Kzeta16"])
+def test_quotient_inverse_and_norm_match_the_oracles(name, request):
+    """x / y, 1 / y, y ** -k and the field norm, all from the multiplication
+    matrix, against the extended Euclidean inverse and the resultant norm."""
+    K = request.getfixturevalue(name)
+
+    @settings(max_examples=25, deadline=None)
+    @given(element_coeffs(K.degree), element_coeffs(K.degree),
+           hs.integers(1, 3))
+    def check(xc, yc, k):
+        x, y = K.element(xc), K.element(yc)
+        assert nf.field_norm(x) == resultant_norm(x)
+        for z in (x, K.zero):
+            for op in (lambda: z / K.zero, lambda: 1 / K.zero,
+                       lambda: K.zero ** -k, K.zero.inverse):
+                with pytest.raises(DivisionByZero):
+                    op()
+        if y.is_zero():
+            return
+        y_inv = euclid_inverse(y)
+        assert y.inverse() == y_inv
+        assert x / y == x * y_inv
+        assert 1 / y == y_inv
+        assert 3 / y == 3 * y_inv
+        assert y ** -k == y_inv ** k
+
+    check()
+
+
+@settings(max_examples=60, deadline=None)
+@given(element_coeffs(2))
+def test_norm_from_the_cm_subfield_is_the_root_of_the_field_norm(Kzeta8,
+                                                                  coords):
+    cm = Kzeta8.cm_structure
+    x = sum((c * cm.subfield_gen ** i for i, c in enumerate(coords)),
+            Kzeta8.zero)
+    assert fm._abs_norm_f(x) == abs(resultant_norm_f(Kzeta8, cm, x))
+
+
+def test_norm_from_the_cm_subfield_rejects_a_nonsquare_norm(Kzeta8):
+    # 1 + zeta8 lies outside F and has norm Phi_8(-1) = 2
+    with pytest.raises(InvariantViolation):
+        fm._abs_norm_f(Kzeta8.one + Kzeta8.theta)
+
+
+def test_log_abs_encloses_the_true_value_in_a_fresh_process():
+    """In a fresh process the global mpmath precision is 53 bits; the log
+    enclosures of theta on the cyclic cubic must still contain a 400-bit
+    reference at every place."""
+    code = textwrap.dedent("""
+        from fractions import Fraction
+        import mpmath
+        from torusorbits import numfield as nf
+        from torusorbits.intervals import mpf_to_fraction
+        K = nf.create_field([-1, -3, 0, 1],
+                            declared_units=[[0, 1, 0], [-2, 0, 1]])
+        for pl in K.places():
+            enc = K.log_abs(K.theta, pl, target_width=Fraction(1, 2 ** 80))
+            with mpmath.workprec(400):
+                root = mpmath.findroot(lambda t: t ** 3 - 3 * t - 1,
+                                       pl.approx())
+                ref = mpf_to_fraction(mpmath.log(abs(root)))
+            print(enc.lo <= ref <= enc.hi, enc.width <= Fraction(1, 2 ** 80))
+    """)
+    src = str(Path(nf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"] * 6

@@ -19,7 +19,7 @@ def test_no_assert_statements_in_the_package():
 def test_function_local_imports_only_break_cycles():
     """Imports sit at module level; a function may import only from a
     package module that would otherwise form an import cycle."""
-    allowed = {"forms", "dynamics", "decomp", "rootdata"}
+    allowed = {"decomp"}
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(SRC.glob("*.py"))
              for func in ast.walk(ast.parse(path.read_text()))
