@@ -444,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--field", default=_env_default("field"),
                     help="field config JSON")
     ap.add_argument("--precision", type=int,
-                    default=int(_env_default("precision", "128")))
+                    default=int(_env_default("precision", "128")),
+                    help="working precision in bits of units classify")
     ap.add_argument("--seed", type=int, default=int(_env_default("seed", "0")))
     ap.add_argument("--out", default=None, help="output file (default stdout)")
     ap.add_argument("--format", default="json",
