@@ -126,7 +126,7 @@ def _record_json(i, rec):
             "second_positions": [list(x) for x in p.second.sorted_positions()],
         } for p in rec.pairs],
         "representative": [
-            [[cfg.rat_to_str(c) for c in x.coeffs] for x in row]
+            [cfg.elem_to_list(x) for x in row]
             for comp in rec.representative for row in comp.rows
         ],
     }
@@ -237,8 +237,7 @@ def cmd_forms_scan(args):
         cap = min(scan.npoints, args.limit or scan.npoints)
         for i in range(cap):
             vals = scan.exact_values(i)
-            cells = [",".join(cfg.rat_to_str(c) for c in val.coeffs)
-                     for val in vals]
+            cells = [",".join(cfg.elem_to_list(val)) for val in vals]
             pt = ",".join(str(int(x)) for x in scan.points[i])
             lines.append(f"{pt};{int(bool(scan.degenerate[i]))};" + ";".join(cells))
         _emit_text("\n".join(lines) + "\n", args.out)

@@ -8,6 +8,7 @@ the field's power basis, row major.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .decomp import MatrixK
@@ -31,7 +32,13 @@ def rat_from_str(s) -> Fraction:
 
 
 def elem_to_list(x: FieldElement):
-    return [rat_to_str(c) for c in x.coeffs]
+    """The coordinates of x as rat_to_str strings, read from its integer
+    numerators and denominator."""
+    out = []
+    for c in x.num:
+        g = math.gcd(c, x.den)
+        out.append(str(c // g) if g == x.den else f"{c // g}/{x.den // g}")
+    return out
 
 
 def elem_from_list(field: NumberField, data) -> FieldElement:

@@ -257,15 +257,24 @@ def _ellipsoid_scan(bmats, height, dim):
 
     Any candidate with product value p satisfies, for the ladder weight s
     nearest its own balance point, s^2 |y1|^2 + s^-2 |y2|^2 <= c n p with
-    c = 3/sqrt(2); enumerating those ellipsoids intersected with the box
-    therefore covers everything that could beat the seed minimum.
+    c = 3/sqrt(2), so the ellipsoids intersected with the box cover every
+    candidate whose balance point lies inside the ladder.  The ladder's
+    ends are not proved to hold every such point: they divide by
+    sigma_min(B_v) / sqrt(n) as if it bounded the place's sup norm over
+    the box from below, but B_v is n x (n deg) and has a kernel, and unit
+    multiples push that sup norm lower.  On acceptance 8 the final
+    witnesses sit below that figure on 2 of 30 steps of sl3-psi TT and on
+    every step of sl3-psi FT and sl3-borel FF, by up to eps^-2 and eps^-4
+    (eps = 1 + sqrt 2), up to 20 rungs outside the unpadded ends and 12
+    beyond the x16 pads.  The result is the minimum found by a search; its
+    value is exact at the witness, not certified minimal.
     """
     n = bmats[0].shape[0]
     seed_h = 2
     witness = _direct_scan(bmats, [1, 1], seed_h, dim)
     p_seed = float(_value_array(bmats, [1, 1],
                                 np.array([witness], dtype=float))[0])
-    # positive lower bounds on the per-place sup norms over the box
+    # sigma_min(B_v) / sqrt(n): a scale for the ladder ends, not a bound
     sigma = [max(np.linalg.svd(b, compute_uv=False)[-1], 1e-300) / math.sqrt(n)
              for b in bmats]
     u1max = float(np.abs(bmats[0]).sum(axis=1).max()) * height + 1e-300

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mpmath import iv
+from mpmath.ctx_mp import PrecisionManager
 
 Rat = Fraction
 
@@ -208,8 +209,14 @@ def as_cbox(x) -> CBox:
 
 # -- bridge to mpmath's interval context for transcendental enclosures -------
 
-def _to_iv(r: RInt, prec: int):
-    iv.prec = prec
+def _iv_workprec(prec: int):
+    """A with block in which iv's precision is prec, restored after it: the
+    interval context's counterpart of mpmath.workprec, which it lacks."""
+    return PrecisionManager(iv, lambda _: prec, None)
+
+
+def _to_iv(r: RInt):
+    """An iv interval containing r, at the interval context's precision."""
     lo = iv.mpf(r.lo.numerator) / iv.mpf(r.lo.denominator)
     hi = iv.mpf(r.hi.numerator) / iv.mpf(r.hi.denominator)
     return iv.mpf([lo.a, hi.b])
@@ -227,17 +234,18 @@ def log_rint(r: RInt, prec: int = 256) -> RInt:
     """Certified enclosure of log over a strictly positive interval."""
     if r.lo <= 0:
         raise ValueError("log needs a strictly positive interval")
-    return _from_iv(iv.log(_to_iv(r, prec)))
+    with _iv_workprec(prec):
+        return _from_iv(iv.log(_to_iv(r)))
 
 
 def atan2_rint(y: RInt, x: RInt, prec: int = 256) -> RInt:
     """Certified enclosure of atan2 over a box that avoids the branch cut."""
     if x.hi < 0 and y.contains(0):
         raise ValueError("argument box straddles the branch cut")
-    iv.prec = prec
-    return _from_iv(iv.atan2(_to_iv(y, prec), _to_iv(x, prec)))
+    with _iv_workprec(prec):
+        return _from_iv(iv.atan2(_to_iv(y), _to_iv(x)))
 
 
 def pi_rint(prec: int = 256) -> RInt:
-    iv.prec = prec
-    return _from_iv(iv.pi)
+    with _iv_workprec(prec):
+        return _from_iv(iv.pi)

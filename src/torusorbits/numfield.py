@@ -43,17 +43,29 @@ MAX_DEGREE = 8
 
 
 class FieldElement:
-    """Element of a NumberField in the power basis 1, theta, ..., theta^(d-1)."""
+    """Element of a NumberField in the power basis 1, theta, ..., theta^(d-1).
 
-    __slots__ = ("field", "coeffs")
+    Stored as integer numerators num over one positive denominator den, in
+    lowest terms (gcd(den, *num) = 1; zero is ((0,) * d, 1)), so equal
+    elements have equal fields and hashes.  Ring operations and equality
+    run on these integers; coeffs is a Fraction view built on demand.
+    """
+
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field: "NumberField", coeffs):
-        d = field.degree
-        cs = [Fraction(0)] * d
+        fr = [Fraction(0)] * field.degree
         for i, c in enumerate(coeffs):
-            cs[i] = _frac(c)
+            fr[i] = _frac(c)
+        den = math.lcm(*(c.denominator for c in fr))
         self.field = field
-        self.coeffs = tuple(cs)
+        self.num = tuple(c.numerator * (den // c.denominator) for c in fr)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coordinates as Fractions (a view, not cached)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def __repr__(self):
         return f"<{self.as_str()} in {self.field.label}>"
@@ -80,26 +92,37 @@ class FieldElement:
                 other = self._check(other)
             except TypeError:
                 return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        return (self.field is other.field and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash((id(self.field), self.num, self.den))
 
     def __add__(self, other):
         other = self._check(other)
-        return FieldElement(self.field,
-                            [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        da, db = self.den, other.den
+        if da == db:
+            return _reduced(self.field, [a + b for a, b in zip(self.num, other.num)],
+                            da)
+        return _reduced(self.field, [a * db + b * da
+                                     for a, b in zip(self.num, other.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coeffs])
+        return _element(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        return self + (-self._check(other))
+        other = self._check(other)
+        da, db = self.den, other.den
+        if da == db:
+            return _reduced(self.field, [a - b for a, b in zip(self.num, other.num)],
+                            da)
+        return _reduced(self.field, [a * db - b * da
+                                     for a, b in zip(self.num, other.num)], da * db)
 
     def __rsub__(self, other):
-        return self._check(other) + (-self)
+        return self._check(other) - self
 
     def __mul__(self, other):
         other = self._check(other)
@@ -131,16 +154,34 @@ class FieldElement:
         return out
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
+
+
+def _element(field: "NumberField", num: tuple, den: int) -> FieldElement:
+    """The element num / den, trusted to be in lowest terms with den > 0."""
+    x = object.__new__(FieldElement)
+    x.field = field
+    x.num = num
+    x.den = den
+    return x
+
+
+def _reduced(field: "NumberField", num, den: int) -> FieldElement:
+    """The element num / den for integers num and a positive den, brought
+    to lowest terms."""
+    g = math.gcd(den, *num)
+    if g == 1:
+        return _element(field, tuple(num), den)
+    return _element(field, tuple(c // g for c in num), den // g)
 
 
 @dataclass(frozen=True)
@@ -225,14 +266,16 @@ class NumberField:
     # -- construction helpers --
 
     def _build_powers(self):
+        """Integer coordinates of theta^k for d <= k <= 2d - 2; integral
+        because the minimal polynomial is monic."""
         d = self.degree
         powers = {}
         # theta^d = -(m - x^d)
-        red = tuple(-c for c in self.min_poly[:-1])
+        red = tuple(-int(c) for c in self.min_poly[:-1])
         cur = red
         powers[d] = cur
         for k in range(d + 1, 2 * d - 1):
-            shifted = (Fraction(0),) + cur[:-1]
+            shifted = (0,) + cur[:-1]
             top = cur[-1]
             nxt = tuple(s + top * r for s, r in zip(shifted, red))
             powers[k] = nxt
@@ -247,39 +290,69 @@ class NumberField:
 
     # -- arithmetic core --
 
-    def _mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        d = self.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, ca in enumerate(a.coeffs):
+    def _product(self, a: tuple, b: tuple, conv: list) -> None:
+        """Add the coefficients of the polynomial product a * b (integer
+        vectors, not reduced modulo the minimal polynomial) into conv."""
+        for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b.coeffs):
+                for j, cb in enumerate(b):
                     if cb:
                         conv[i + j] += ca * cb
+
+    def _reduce(self, conv: list, den: int) -> FieldElement:
+        """The element conv / den for a polynomial conv of degree at most
+        2d - 2: fold theta^k onto the power basis with the integer table."""
+        d = self.degree
         out = conv[:d]
         for k in range(d, 2 * d - 1):
             ck = conv[k]
             if ck:
-                red = self._theta_powers[k]
-                for i in range(d):
-                    out[i] += ck * red[i]
-        return FieldElement(self, out)
+                for i, r in enumerate(self._theta_powers[k]):
+                    out[i] += ck * r
+        return _reduced(self, out, den)
+
+    def _mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
+        conv = [0] * (2 * self.degree - 1)
+        self._product(a.num, b.num, conv)
+        return self._reduce(conv, a.den * b.den)
 
     def _solve(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        """The z with a * z = b: the solution of mult_matrix(a) z = b,
-        unique for a nonzero a.  A zero a raises DivisionByZero."""
-        z = pu.solve(self.mult_matrix(a), b.coeffs, Fraction(0)) if a else None
-        if z is None:
+        """The z with a * z = b, unique for a nonzero a; a zero a raises
+        DivisionByZero.
+
+        den(a) M(a) = mult_matrix(num(a)) is an integer matrix, so the
+        fraction-free kernel gives w = X / D with den(a) M(a) w = num(b),
+        and z = den(a) X / (D den(b))."""
+        sol = pu.int_solve(self.mult_matrix(a.num), b.num)
+        if sol is None:
             raise DivisionByZero("division by zero")
-        return FieldElement(self, z)
+        xs, det = sol
+        scale = a.den if det > 0 else -a.den
+        return _reduced(self, [scale * x for x in xs], abs(det) * b.den)
 
     def dot(self, xs, ys) -> FieldElement:
-        """The sum of x * y over the pairs of xs and ys; zero factors are
-        skipped, which saves most products in sparse matrices."""
-        acc = self.zero
+        """The sum of x * y over the pairs of xs and ys.  The products are
+        summed over one common denominator and reduced modulo the minimal
+        polynomial and to lowest terms once; zero factors are skipped,
+        which saves most products in sparse matrices."""
+        conv = [0] * (2 * self.degree - 1)
+        den = 1
         for x, y in zip(xs, ys):
             if x and y:
-                acc = acc + x * y
-        return acc
+                pd = x.den * y.den
+                if pd != den:
+                    up = pd // math.gcd(den, pd)
+                    if up != 1:
+                        conv = [c * up for c in conv]
+                        den *= up
+                    f = den // pd
+                    if f != 1:
+                        term = [0] * len(conv)
+                        self._product(x.num, y.num, term)
+                        conv = [c + f * t for c, t in zip(conv, term)]
+                        continue
+                self._product(x.num, y.num, conv)
+        return self._reduce(conv, den)
 
     # -- places --
 
@@ -365,13 +438,14 @@ class NumberField:
     def mult_matrix(self, x):
         """Rational d x d matrix of multiplication by x: column t holds the
         coefficients of x * theta^t.  x is an element or its power-basis
-        coordinates, which may be symbolic (MultiPoly)."""
+        coordinates, which may be symbolic (MultiPoly) or integers (then so
+        is the matrix)."""
         red = self._theta_powers[self.degree]
         col = list(x.coeffs if isinstance(x, FieldElement) else x)
         cols = [col]
         for _ in range(self.degree - 1):
             top = col[-1]
-            col = [s + top * r for s, r in zip([Fraction(0)] + col[:-1], red)]
+            col = [s + top * r for s, r in zip([0] + col[:-1], red)]
             cols.append(col)
         return [list(row) for row in zip(*cols)]
 
@@ -422,14 +496,23 @@ class NumberField:
 
     def log_abs(self, x: FieldElement, place: ArchimedeanPlace,
                 target_width=Fraction(1, 2 ** 80)) -> RInt:
-        """Certified log of the normalized absolute value (x nonzero)."""
+        """Certified log of the normalized absolute value (x nonzero).
+
+        Since d log y = dy / y, an enclosure [lo, hi] of y no wider than
+        target_width * lo / 2 gives a log enclosure no wider than half the
+        target before rounding; only that width is asked of normalized_abs,
+        so the place's own precision serves whenever it can."""
         if x.is_zero():
             raise DivisionByZero("log of zero")
         bits = place.working_precision
         while True:
-            enc = self.normalized_abs(x, self.places(bits)[place.index],
-                                      max_width=Fraction(1, 2 ** bits))
+            pl = self.places(bits)[place.index]
+            val = self.embed(x, pl)
+            enc = abs(val) if pl.is_real else val.modulus_sq()
             if enc.lo > 0:
+                need = target_width * enc.lo / 2
+                if enc.width > need:
+                    enc = self.normalized_abs(x, pl, max_width=need)
                 out = log_rint(enc, prec=bits + 64)
                 if out.width <= target_width:
                     return out
@@ -588,8 +671,10 @@ def normalized_abs(x: FieldElement, place: ArchimedeanPlace, max_width=None) -> 
 
 
 def field_norm(x: FieldElement) -> Fraction:
-    """N_{K/Q}(x), exact: the determinant of multiplication by x."""
-    return pu.determinant(x.field.mult_matrix(x), Fraction(0))
+    """N_{K/Q}(x), exact: the determinant of multiplication by x, which is
+    det mult_matrix(num(x)) / den(x)^d."""
+    return Fraction(pu.int_determinant(x.field.mult_matrix(x.num)),
+                    x.den ** x.field.degree)
 
 
 def is_cm(field: NumberField) -> bool:
@@ -977,11 +1062,12 @@ def _modulus_relations(field, moving, pl, max_denominator, precision_bits):
     """
     if len(moving) == 1:
         return []
-    mpmath.mp.prec = max(256, precision_bits)
-    vec = [_as_mp(field.log_abs(u, pl, target_width=Fraction(1, 2 ** 200)))
-           for u in moving]
+    logs = [field.log_abs(u, pl, target_width=Fraction(1, 2 ** 200))
+            for u in moving]
+    with mpmath.workprec(max(256, precision_bits)):
+        cand = mpmath.pslq([_as_mp(x) for x in logs], maxcoeff=max_denominator,
+                           maxsteps=10 ** 5)
     rels = []
-    cand = mpmath.pslq(vec, maxcoeff=max_denominator, maxsteps=10 ** 5)
     if cand is not None:
         w = field.one
         for u, e in zip(moving, cand):
@@ -1007,10 +1093,11 @@ def _spiral_functional(field, units, pl, max_denominator, precision_bits):
         y.append(atan2_rint(box.im, box.re, prec=precision_bits + 128))
     two_pi = pi_rint(prec=precision_bits + 128) * 2
     yhat = [yy / two_pi for yy in y]
-    mpmath.mp.prec = max(320, precision_bits)
-    target = [_as_mp(x[1]), -_as_mp(x[0]),
-              -(_as_mp(yhat[0]) * _as_mp(x[1]) - _as_mp(yhat[1]) * _as_mp(x[0]))]
-    cand = mpmath.pslq(target, maxcoeff=max_denominator, maxsteps=10 ** 5)
+    with mpmath.workprec(max(320, precision_bits)):
+        target = [_as_mp(x[1]), -_as_mp(x[0]),
+                  -(_as_mp(yhat[0]) * _as_mp(x[1])
+                    - _as_mp(yhat[1]) * _as_mp(x[0]))]
+        cand = mpmath.pslq(target, maxcoeff=max_denominator, maxsteps=10 ** 5)
     if cand is None:
         return None
     m1, m2, n = (int(c) for c in cand)

@@ -213,6 +213,69 @@ def solve(rows, rhs, zero):
     return x
 
 
+def bareiss(rows, ncols: int):
+    """Fraction-free (Bareiss) forward elimination of a copy of an integer
+    matrix, pivoting in the first ncols columns (later columns are carried
+    along).  Every division is exact, so the entries stay integers: after
+    step k the entries right of and below the pivots are (k + 1) x (k + 1)
+    minors of the row-permuted matrix.  Returns (rows, sign), where the
+    last pivot times sign is the determinant of the leading ncols x ncols
+    block, or None at the first column without a pivot (that block is
+    singular).
+    """
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(ncols):
+        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if piv is None:
+            return None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        prow = a[k]
+        p = prow[k]
+        for i in range(k + 1, len(a)):
+            row = a[i]
+            f = row[k]
+            row[k] = 0
+            row[k + 1:] = [(x * p - f * y) // prev
+                           for x, y in zip(row[k + 1:], prow[k + 1:])]
+        prev = p
+    return a, sign
+
+
+def int_determinant(rows) -> int:
+    """Determinant of a square integer matrix; zero when it is singular."""
+    n = len(rows)
+    out = bareiss(rows, n)
+    if out is None:
+        return 0
+    a, sign = out
+    return sign * a[n - 1][n - 1]
+
+
+def int_solve(rows, rhs):
+    """The solution x = X / D of the square integer system rows . x = rhs,
+    as integer numerators X and a nonzero integer D (plus or minus the
+    determinant), or None when rows is singular.
+
+    D x is an integer vector (Cramer's rule), so the back substitution on
+    the fraction-free echelon form divides exactly."""
+    n = len(rows)
+    out = bareiss([list(row) + [b] for row, b in zip(rows, rhs)], n)
+    if out is None:
+        return None
+    a, _ = out
+    det = a[n - 1][n - 1]
+    xs = [0] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        s = det * row[n] - sum(row[j] * xs[j] for j in range(i + 1, n))
+        xs[i] = s // row[i]
+    return xs, det
+
+
 # -- real root isolation (Sturm) ----------------------------------------------
 
 def sturm_chain(p: Poly):
@@ -320,9 +383,10 @@ def isolate_complex_roots(p: Poly, precision_bits: int = 128):
     target = Fraction(1, 2 ** precision_bits)
     work = max(80, 2 * precision_bits + 80)
     for attempt in range(8):
-        mpmath.mp.prec = work
-        approx = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
-                                   for c in reversed(p)], maxsteps=400, extraprec=120)
+        with mpmath.workprec(work):
+            approx = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
+                                       for c in reversed(p)],
+                                      maxsteps=400, extraprec=120)
         boxes = []
         for z in approx:
             re = mpf_to_fraction(z.real) if isinstance(z, mpmath.mpc) else mpf_to_fraction(z)

@@ -160,3 +160,56 @@ def resultant_norm_f(field, cm, x):
     if coords is None:
         raise ValueError("element is not in F")
     return resultant(cm.subfield_poly, pu.poly(coords))
+
+
+# -- Fraction-coefficient oracle for the integer-vector element -----------------
+#
+# The element arithmetic as it was before elements held integer numerators:
+# Fraction coordinates, the convolution reduced with a Fraction theta-power
+# table built here from the minimal polynomial, and quotients by the Fraction
+# elimination kernel on the multiplication matrix that this product gives.
+
+
+def frac_theta_powers(K):
+    """Fraction coordinates of theta^k for d <= k <= 2d - 2."""
+    d = K.degree
+    red = tuple(-c for c in K.min_poly[:-1])
+    powers = {d: red}
+    for k in range(d + 1, 2 * d - 1):
+        prev = powers[k - 1]
+        powers[k] = tuple(s + prev[-1] * r
+                          for s, r in zip((Fraction(0),) + prev[:-1], red))
+    return powers
+
+
+def frac_mul(K, a, b):
+    """Product of two Fraction coordinate tuples."""
+    d = K.degree
+    conv = [Fraction(0)] * (2 * d - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            conv[i + j] += ca * cb
+    out = conv[:d]
+    for k, red in frac_theta_powers(K).items():
+        for i in range(d):
+            out[i] += conv[k] * red[i]
+    return tuple(out)
+
+
+def frac_mult_matrix(K, a):
+    """Column t holds the coordinates of a * theta^t."""
+    d = K.degree
+    cols = [frac_mul(K, a, tuple(Fraction(int(i == t)) for i in range(d)))
+            for t in range(d)]
+    return [list(row) for row in zip(*cols)]
+
+
+def frac_solve(K, a, b):
+    """The z with a * z = b, or None for a zero a."""
+    if not any(a):
+        return None
+    return tuple(pu.solve(frac_mult_matrix(K, a), list(b), Fraction(0)))
+
+
+def frac_norm(K, a):
+    return pu.determinant(frac_mult_matrix(K, a), Fraction(0))

@@ -19,8 +19,8 @@ from torusorbits.errors import (DivisionByZero, InvariantViolation,
                                 Reducible, UnitVerificationFailed,
                                 WrongUnitRank)
 
-from conftest import (euclid_inverse, random_element, resultant_norm,
-                      resultant_norm_f)
+from conftest import (euclid_inverse, frac_mul, frac_norm, frac_solve,
+                      random_element, resultant_norm, resultant_norm_f)
 
 
 def test_create_field_sqrt2(Ksqrt2):
@@ -394,6 +394,102 @@ def test_quotient_inverse_and_norm_match_the_oracles(name, request):
     check()
 
 
+# -- the integer-vector element against the Fraction oracle -----------------------
+
+
+def coordinate_entries():
+    """Zero, small fractions, and numerators and denominators far beyond
+    machine words."""
+    return hs.one_of(hs.just(Fraction(0)),
+                     hs.fractions(min_value=-50, max_value=50,
+                                  max_denominator=20),
+                     hs.builds(Fraction, hs.integers(-2 ** 200, 2 ** 200),
+                               hs.integers(1, 2 ** 100)))
+
+
+def assert_lowest_terms(x):
+    assert len(x.num) == x.field.degree
+    assert all(type(c) is int for c in (*x.num, x.den))
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+
+
+@pytest.mark.parametrize("name", FIELDS + ["Kzeta16"])
+def test_integer_element_matches_the_fraction_oracle(name, request):
+    """+, -, *, dot, inverse, /, ** (negative powers too), the norm, == and
+    hash of integer numerators over one denominator agree with Fraction
+    coordinates, and every result is in lowest terms."""
+    K = request.getfixturevalue(name)
+    d = K.degree
+    coords = hs.lists(coordinate_entries(), min_size=d, max_size=d)
+    one = tuple(Fraction(int(i == 0)) for i in range(d))
+
+    def power(a, k):
+        if k < 0:
+            a, k = frac_solve(K, a, one), -k
+        out = one
+        for _ in range(k):
+            out = frac_mul(K, out, a)
+        return out
+
+    @settings(max_examples=25, deadline=None)
+    @given(coords, hs.one_of(coords, hs.just([Fraction(0)] * d)),
+           hs.lists(hs.tuples(coords, coords), max_size=4), hs.integers(-3, 3))
+    def check(xc, yc, pairs, k):
+        x, y = K.element(xc), K.element(yc)
+        xo, yo = tuple(xc), tuple(yc)
+        dot_want = tuple(Fraction(0) for _ in range(d))
+        for a, b in pairs:
+            dot_want = tuple(s + t for s, t in
+                             zip(dot_want, frac_mul(K, tuple(a), tuple(b))))
+        results = [
+            (x + y, tuple(a + b for a, b in zip(xo, yo))),
+            (x - y, tuple(a - b for a, b in zip(xo, yo))),
+            (-x, tuple(-a for a in xo)),
+            (x * y, frac_mul(K, xo, yo)),
+            (K.dot([K.element(a) for a, _ in pairs],
+                   [K.element(b) for _, b in pairs]), dot_want),
+        ]
+        if any(yo):
+            results += [(x / y, frac_solve(K, yo, xo)),
+                        (y.inverse(), frac_solve(K, yo, one)),
+                        (1 / y, frac_solve(K, yo, one)),
+                        (y ** k, power(yo, k))]
+        else:
+            for op in (lambda: x / y, y.inverse, lambda: y ** -1):
+                with pytest.raises(DivisionByZero):
+                    op()
+            results.append((y ** abs(k), power(yo, abs(k))))
+        for got, want in results:
+            assert_lowest_terms(got)
+            assert got.coeffs == want
+        assert_lowest_terms(x)
+        assert nf.field_norm(x) == frac_norm(K, xo)
+        assert (x == y) == (xo == yo)
+        again = K.element([str(c) for c in xc])
+        assert again == x and hash(again) == hash(x)
+        back = (x + y) - y
+        assert back == x and hash(back) == hash(x)
+
+    check()
+
+
+@pytest.mark.parametrize("name", FIELDS + ["Kzeta16"])
+def test_equal_elements_built_differently_hash_equal(name, request):
+    K = request.getfixturevalue(name)
+    d = K.degree
+    half = [K.element([Fraction(2, 4)]), K.element(["1/2"]),
+            K.from_rational(Fraction(1, 2)), K.one / 2, K.one * K.element(["3/6"]),
+            K.element(["1/3"]) + K.element([Fraction(1, 6)]),
+            K.theta * K.element(["1/2"]) - K.theta * K.element(["1/2"]) + K.one / 2]
+    assert len({hash(h) for h in half}) == 1
+    assert all(h == half[0] and h.num == (1,) + (0,) * (d - 1) and h.den == 2
+               for h in half)
+    for zero in (K.zero, K.theta - K.theta, K.element(["0/7"] * d),
+                 K.dot([], []), K.dot([K.theta], [K.zero])):
+        assert zero.num == (0,) * d and zero.den == 1
+        assert hash(zero) == hash(K.zero)
+
+
 @settings(max_examples=60, deadline=None)
 @given(element_coeffs(2))
 def test_norm_from_the_cm_subfield_is_the_root_of_the_field_norm(Kzeta8,
@@ -437,3 +533,84 @@ def test_log_abs_encloses_the_true_value_in_a_fresh_process():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True"] * 6
+
+
+PRECISION_PROBE = textwrap.dedent("""
+    import sys
+    from fractions import Fraction
+    import tempfile
+    from pathlib import Path
+    import mpmath
+    from mpmath import iv
+    from torusorbits import config as cfg
+    from torusorbits import numfield as nf
+    from torusorbits.cli import main
+
+    def precisions(step):
+        print(step, mpmath.mp.prec, iv.prec)
+
+    def fields():
+        precisions("start")
+        cubic = nf.create_field([-1, -3, 0, 1],
+                                declared_units=[[0, 1, 0], [-2, 0, 1]])
+        quartic = nf.create_field([1, -2, 1, -2, 1],
+                                  declared_units=[[0, 1, 0, 0], [2, 0, 2, -1]])
+        precisions("create_field")
+        return cubic, quartic
+
+    def classify():
+        # x^4 - 2 at its complex place runs the PSLQ relation search
+        K = nf.create_field([-2, 0, 0, 0, 1],
+                            declared_units=[[-1, 1, 0, 0], [-1, 0, 1, 0]])
+        path = Path(tempfile.mkdtemp()) / "field.json"
+        cfg.save_field(K, path)
+        place = next(p.index for p in K.places() if not p.is_real)
+        assert main(["--field", str(path), "--precision", "256", "--out",
+                     str(path.with_suffix(".out")), "units", "classify",
+                     "--place", str(place)]) == 0
+        precisions("units classify")
+
+    if sys.argv[1] == "fields-first":
+        cubic, quartic = fields()
+        classify()
+    else:
+        classify()
+        cubic, quartic = fields()
+    for K in (cubic, quartic):
+        for u in K.units:
+            for pl in K.places():
+                enc = K.log_abs(u, pl, target_width=Fraction(1, 2 ** 100))
+                print("enclosure", enc.lo, enc.hi)
+    precisions("log_abs")
+""")
+
+
+def test_global_precision_is_untouched_and_order_free():
+    """In fresh processes, creating fields and classifying unit closures
+    leave mpmath's global precisions at their defaults, and log enclosures
+    do not depend on which of them ran first."""
+    src = str(Path(nf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    runs = {}
+    for order in ("fields-first", "classify-first"):
+        proc = subprocess.run([sys.executable, "-c", PRECISION_PROBE, order],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert {tuple(line.split()[-2:]) for line in lines
+                if not line.startswith("enclosure")} == {("53", "53")}
+        runs[order] = [line for line in lines if line.startswith("enclosure")]
+    assert len(runs["fields-first"]) == 2 * 3 + 2 * 3
+    assert runs["fields-first"] == runs["classify-first"]
+
+
+def test_create_field_computes_only_the_default_places():
+    """Unit independence needs 2^-40-wide logs, which the 128-bit places
+    give; no place is refined further."""
+    for poly, units in (([-1, -3, 0, 1], [[0, 1, 0], [-2, 0, 1]]),
+                        ([1, -2, 1, -2, 1], [[0, 1, 0, 0], [2, 0, 2, -1]])):
+        K = nf.create_field(poly, declared_units=units)
+        assert list(K._place_cache) == [nf.DEFAULT_PRECISION]

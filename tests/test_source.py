@@ -29,3 +29,57 @@ def test_function_local_imports_only_break_cycles():
              and not (isinstance(node, ast.ImportFrom) and node.level == 1
                       and node.module in allowed)]
     assert found == []
+
+
+def test_no_global_precision_assignment():
+    """Transcendental work runs in local precision contexts
+    (mpmath.workprec and its interval counterpart); no function sets
+    mpmath's global working precision."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+             for target in (node.targets if isinstance(node, ast.Assign)
+                            else [node.target])
+             if isinstance(target, ast.Attribute)
+             and target.attr in ("prec", "dps")]
+    assert found == []
+
+
+# Every function that reads the Fraction view FieldElement.coeffs, with the
+# number of reads.  Element arithmetic runs on the integer numerators; a new
+# reader of the view belongs on this list only when Fractions serve it.
+COEFFS_READERS = {
+    "dynamics.py:_denominator_ok": 1,
+    "forms.py:_spectrum_exact": 1,
+    "forms.py:norm_product_spectrum": 1,
+    "forms.py:cm_obstruction_check": 1,
+    "numfield.py:FieldElement.as_str": 1,
+    "numfield.py:NumberField.mult_matrix": 1,
+    "numfield.py:NumberField.embed": 2,
+    "numfield.py:subfield_coordinates": 2,
+    "numfield.py:_cm_split_solver": 2,
+    "numfield.py:split_cm": 1,
+    "numfield.py:cm_conjugate": 2,
+}
+
+
+def _coeffs_reads(tree, prefix=""):
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield from _coeffs_reads(node, f"{prefix}{node.name}.")
+        else:
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute) and sub.attr == "coeffs"
+                        and isinstance(sub.ctx, ast.Load)):
+                    yield prefix.rstrip(".")
+
+
+def test_readers_of_the_fraction_view_are_pinned():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for func in _coeffs_reads(ast.parse(path.read_text())):
+            key = f"{path.name}:{func}"
+            found[key] = found.get(key, 0) + 1
+    assert found == COEFFS_READERS
