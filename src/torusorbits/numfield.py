@@ -16,9 +16,12 @@ enclosures; float_embed, the midpoint of embed), which is the one source of
 floats for the scans, and the rational matrix of multiplication by an
 element (mult_matrix).  Every exact quantity derived from an element comes
 from that matrix: the inverse and the quotient solve M(a) z = b and the
-norm is det M(x), both through the elimination kernel of polyutil; the
-trace, the characteristic polynomial, the norm form and the integer
-coordinate maps of forms read it directly.
+norm is det M(x), both on the integer matrix den(a) M(a) through the
+fraction-free kernel of polyutil; the trace, the characteristic
+polynomial, the norm form and the integer coordinate maps of forms read
+it directly.  Elements hold integer numerators over one denominator, and
+ring operations never build a Fraction.  Transcendental steps (logs,
+arguments, PSLQ) run in local mpmath precision contexts.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ class FieldElement:
             if other.field is not self.field:
                 raise ValidationError("elements live in different fields")
             return other
-        return FieldElement(self.field, [other])
+        return self.field.from_rational(other)
 
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
@@ -99,13 +102,7 @@ class FieldElement:
         return hash((id(self.field), self.num, self.den))
 
     def __add__(self, other):
-        other = self._check(other)
-        da, db = self.den, other.den
-        if da == db:
-            return _reduced(self.field, [a + b for a, b in zip(self.num, other.num)],
-                            da)
-        return _reduced(self.field, [a * db + b * da
-                                     for a, b in zip(self.num, other.num)], da * db)
+        return self._plus(self._check(other), 1)
 
     __radd__ = __add__
 
@@ -113,13 +110,17 @@ class FieldElement:
         return _element(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        other = self._check(other)
+        return self._plus(self._check(other), -1)
+
+    def _plus(self, other, sign):
+        """self + sign * other, for a sign of 1 or -1."""
         da, db = self.den, other.den
         if da == db:
-            return _reduced(self.field, [a - b for a, b in zip(self.num, other.num)],
-                            da)
-        return _reduced(self.field, [a * db - b * da
-                                     for a, b in zip(self.num, other.num)], da * db)
+            num = [a + sign * b for a, b in zip(self.num, other.num)]
+        else:
+            num = [a * db + sign * b * da for a, b in zip(self.num, other.num)]
+            da *= db
+        return _reduced(self.field, num, da)
 
     def __rsub__(self, other):
         return self._check(other) - self
@@ -286,6 +287,9 @@ class NumberField:
         return FieldElement(self, coeffs)
 
     def from_rational(self, q) -> FieldElement:
+        if isinstance(q, (int, Fraction)):
+            return _element(self, (q.numerator,) + (0,) * (self.degree - 1),
+                            q.denominator)
         return FieldElement(self, [q])
 
     # -- arithmetic core --
@@ -340,18 +344,15 @@ class NumberField:
         for x, y in zip(xs, ys):
             if x and y:
                 pd = x.den * y.den
-                if pd != den:
-                    up = pd // math.gcd(den, pd)
-                    if up != 1:
-                        conv = [c * up for c in conv]
-                        den *= up
-                    f = den // pd
-                    if f != 1:
-                        term = [0] * len(conv)
-                        self._product(x.num, y.num, term)
-                        conv = [c + f * t for c, t in zip(conv, term)]
-                        continue
-                self._product(x.num, y.num, conv)
+                if pd == den:
+                    self._product(x.num, y.num, conv)
+                    continue
+                term = [0] * len(conv)
+                self._product(x.num, y.num, term)
+                lcm = math.lcm(den, pd)
+                up, f = lcm // den, lcm // pd
+                conv = [c * up + t * f for c, t in zip(conv, term)]
+                den = lcm
         return self._reduce(conv, den)
 
     # -- places --

@@ -8,7 +8,9 @@ polynomials of small degree.
 Also home to the package's one exact elimination kernel (echelon, with
 reduce_above, determinant, invert and solve on top), generic over
 Fraction and FieldElement entries: every rank, determinant, inverse and
-linear solve over Q or a number field goes through it.
+linear solve over Q or a number field goes through it, and its
+fraction-free integer form (bareiss, with int_determinant and int_solve),
+behind the inverse, quotient and norm of a field element.
 """
 
 from __future__ import annotations
@@ -111,16 +113,18 @@ def reversed_poly(p: Poly) -> Poly:
 #
 # The one Gaussian elimination of the package.  Entries are Fractions or
 # FieldElements: the kernel uses only +, -, *, 1 / x and the truth value
-# (nonzero), so it runs unchanged over Q and over a number field.  The
-# field's own exact arithmetic rests on it: an element's inverse, a
-# quotient and a norm solve or reduce the element's rational
-# multiplication matrix, and the pivot reciprocals 1 / x of a run over a
-# number field are such inverses.  Kept apart on purpose: decomp.block_ldu
-# (no pivoting, a vanishing minor is its answer), dynamics._ldl (symmetric
-# fraction-free LDL of a float Gram matrix's exact integer image, with a
-# positivity test), cofactor_det below (division-free: symbolic entries,
-# and interval entries, whose enclosures dividing by interval pivots would
-# widen) and numfield._charpoly (not an elimination).
+# (nonzero), so it runs unchanged over Q and over a number field.  Its
+# fraction-free form for integer matrices, bareiss, carries the field's
+# own exact arithmetic: an element's inverse, a quotient and a norm solve
+# or reduce the integer matrix den(a) M(a), and the pivot reciprocals
+# 1 / x of a run over a number field are such inverses.  Kept apart on
+# purpose: decomp.block_ldu (no pivoting, a vanishing minor is its
+# answer), dynamics._ldl (symmetric fraction-free LDL of a float Gram
+# matrix's exact integer image on its lower triangle, half the work of
+# bareiss, with a positivity test), cofactor_det below (division-free:
+# symbolic entries, and interval entries, whose enclosures dividing by
+# interval pivots would widen) and numfield._charpoly (not an
+# elimination).
 
 def echelon(rows, ncols: int, stop_at_gap: bool = False):
     """Row echelon form of a copy of rows, pivoting in the first ncols

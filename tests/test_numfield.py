@@ -445,6 +445,8 @@ def test_integer_element_matches_the_fraction_oracle(name, request):
             (x + y, tuple(a + b for a, b in zip(xo, yo))),
             (x - y, tuple(a - b for a, b in zip(xo, yo))),
             (-x, tuple(-a for a in xo)),
+            (3 - x, (3 - xo[0],) + tuple(-a for a in xo[1:])),
+            (x * Fraction(-2, 3), tuple(a * Fraction(-2, 3) for a in xo)),
             (x * y, frac_mul(K, xo, yo)),
             (K.dot([K.element(a) for a, _ in pairs],
                    [K.element(b) for _, b in pairs]), dot_want),
