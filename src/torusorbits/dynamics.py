@@ -262,12 +262,10 @@ def _ellipsoid_scan(bmats, height, dim):
     ends are not proved to hold every such point: they divide by
     sigma_min(B_v) / sqrt(n) as if it bounded the place's sup norm over
     the box from below, but B_v is n x (n deg) and has a kernel, and unit
-    multiples push that sup norm lower.  On acceptance 8 the final
-    witnesses sit below that figure on 2 of 30 steps of sl3-psi TT and on
-    every step of sl3-psi FT and sl3-borel FF, by up to eps^-2 and eps^-4
-    (eps = 1 + sqrt 2), up to 20 rungs outside the unpadded ends and 12
-    beyond the x16 pads.  The result is the minimum found by a search; its
-    value is exact at the witness, not certified minimal.
+    multiples push that sup norm lower (acceptance 8's sl3 inputs have
+    final witnesses below it, by up to (1 + sqrt 2)^-4).  The result is
+    the minimum a search found, exact at its witness, not a certified
+    minimum.
     """
     n = bmats[0].shape[0]
     seed_h = 2
