@@ -12,7 +12,7 @@ from .numfield import (ArchimedeanPlace, BalanceResult, CmStructure,
 from .rootdata import (ParabolicDescriptor, RootSubset, WeylElement, all_weyl,
                        coset_representatives, longest_element, n_psi,
                        parabolic_descriptor, unipotent_positions)
-from .decomp import (BlockLDU, MatrixK, block_ldu, bruhat_cell,
+from .decomp import (BlockLDU, MatrixK, MinorTable, block_ldu, bruhat_cell,
                      cell_membership, diagonal_matrix, unipotent_matrix)
 from .strata import (OrbitInput, ParabolicPair, StrataSet, StratumRecord,
                      closed_strata, closure_poset, enumerate_strata,

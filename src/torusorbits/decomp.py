@@ -1,17 +1,17 @@
 """Exact linear algebra over a number field.
 
-MatrixK is an immutable n x n matrix of field elements.  The block LDU
-factorization splits a matrix along a block composition into unit block
-lower x block diagonal x unit block upper, exactly when every leading
-principal minor at a block boundary is nonzero; a vanishing boundary minor
-returns Absent (None) rather than pivoting, because pivoting would change
-the Weyl component of the factorization.  The Bruhat cell of a matrix is
-read off the rank profile of its leading submatrices, for the fixed
-convention h in V^- . w . P (lower unipotent times w times upper Borel).
-Weyl representatives act on a matrix as signed row and column
-permutations (weyl_untranslate, weyl_translate), never as products.
-Determinants, inverses and ranks come from the elimination kernel in
-polyutil.
+MatrixK is an immutable n x n matrix of field elements; its determinant
+and inverse come from the elimination kernel in polyutil.  The rest is
+read from one MinorTable of a matrix h, its minors each computed once: the
+block LDU of every Weyl translate w1^{-1} h w2 along a block composition
+(unit block lower x block diagonal x unit block upper), which exists
+exactly when the leading principal minor at every block end is nonzero (a
+vanishing one returns Absent, None, rather than pivoting, because
+pivoting would change the Weyl component of the factorization); cell
+membership; and the Bruhat cell, for the fixed convention h in V^- . w . P
+(lower unipotent times w times upper Borel).  Weyl representatives act on
+a matrix as signed row and column permutations, and on its minors as
+signed permutations of index sets (WeylElement.set_action).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Optional
 
 from .errors import InvariantViolation, Singular, ValidationError
 from .numfield import FieldElement, NumberField
-from .polyutil import determinant, echelon, invert
-from .rootdata import RootSubset, WeylElement
+from .polyutil import determinant, invert
+from .rootdata import RootSubset, WeylElement, identity_weyl
 
 
 class MatrixK:
@@ -130,85 +130,138 @@ class BlockLDU:
         return self.v_minus * self.levi * self.v_plus
 
 
-def block_ldu(h: MatrixK, subset: RootSubset) -> Optional[BlockLDU]:
-    """Unique factorization h = v^- z v^+ for the block composition, when the
-    leading principal minors at every block boundary are nonzero; None
-    (Absent) otherwise.  No pivoting: a vanishing boundary minor is the
-    answer, not an obstacle, so this stays outside the elimination kernel,
-    which only inverts the pivot blocks."""
-    n = h.n
-    if subset.n != n:
-        raise ValidationError("subset size mismatch")
-    f = h.field
-    blocks = subset.blocks
-    a = [list(r) for r in h.rows]
-    vminus = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
-    # eliminate below each diagonal block, block column by block column;
-    # a pivot block's rows are final once it is reached, so its inverse
-    # serves again for v_plus.  The last block has nothing below it but
-    # must also be invertible (det h != 0 overall).
-    invs = []
-    for blk in blocks:
-        lo, hi = blk.start, blk.stop
-        pivot = [row[lo:hi] for row in a[lo:hi]]
-        inv = invert(pivot, f.one, f.zero)
-        if inv is None:
+class MinorTable:
+    """The minors det h[rows, cols] of a square h (index sets as bitmasks),
+    each computed once, on demand, by Laplace expansion along the first
+    row: one NumberField.dot over minors one size smaller.  Kept with them,
+    the inverse of every divisor and every signed ratio formed, so all
+    Weyl translates w1^{-1} h w2 factor with at most one inverse per minor."""
+
+    def __init__(self, h: MatrixK):
+        self.h, self.field, self.n = h, h.field, h.n
+        self._minors = {0: h.field.one}     # keyed by rows | cols << n
+        self._inverses = {}
+        self._ratios = {}
+
+    def minor(self, rows: int, cols: int) -> FieldElement:
+        key = rows | cols << self.n
+        m = self._minors.get(key)
+        if m is None:
+            r = (rows & -rows).bit_length() - 1
+            xs, ys = [], []
+            # a zero entry skips the minor it multiplies
+            for t, c in enumerate(j for j in range(self.n) if cols >> j & 1):
+                x = self.h.rows[r][c]
+                if x:
+                    xs.append(-x if t & 1 else x)
+                    ys.append(self.minor(rows ^ 1 << r, cols ^ 1 << c))
+            m = self._minors[key] = self.field.dot(xs, ys)
+        return m
+
+    def _ratio(self, rows: int, cols: int, drows: int, dcols: int,
+               sign: int) -> FieldElement:
+        """sign * minor(rows, cols) / minor(drows, dcols), divisor nonzero."""
+        key = (rows, cols, drows, dcols, sign)
+        r = self._ratios.get(key)
+        if r is None:
+            r = self.minor(rows, cols)
+            if r and drows:
+                d = drows | dcols << self.n
+                if d not in self._inverses:
+                    self._inverses[d] = self.minor(drows, dcols).inverse()
+                r = r * self._inverses[d]
+            r = self._ratios[key] = r if sign > 0 else -r
+        return r
+
+    def present(self, subset: RootSubset, w1: WeylElement,
+                w2: WeylElement) -> bool:
+        """Whether w1^{-1} h w2 has the block LDU of the subset: its leading
+        principal minor at every block end is nonzero."""
+        if subset.n != self.n:
+            raise ValidationError("subset size mismatch")
+        _check_weyl(self.h, w1, w2)
+        ends = [(1 << b.stop) - 1 for b in subset.blocks]
+        return all(self.minor(w1.set_action[e][1], w2.set_action[e][1])
+                   for e in ends)
+
+    def ldu(self, subset: RootSubset, w1: WeylElement,
+            w2: WeylElement) -> Optional[BlockLDU]:
+        """The unique M = v^- z v^+ for M = w1^{-1} h w2 and the subset's
+        blocks, or None (Absent) when a boundary minor vanishes.  For i in
+        the block [s, e), with the minors of M read through set_action,
+        z[i, j] = det M[:s + {i}, :s + {j}] / det M[:s, :s] for j in the
+        block (Sylvester's identity), v^+[i, j] = (-1)^(e-1-i)
+        det M[:e, :e - {i} + {j}] / det M[:e, :e] for j >= e (Cramer's
+        rule), and v^-[j, i] is its transpose.  z v^+ is formed as the
+        product, so the exact check v^- (z v^+) == M, which raises
+        InvariantViolation, covers every factor.  Both products skip only
+        the zero and identity blocks of z and v^- that are set here."""
+        if not self.present(subset, w1, w2):
             return None
-        invs.append(inv)
-        below = range(hi, n)
-        for r in below:
-            coefs = [a[r][lo + t] for t in range(hi - lo)]
-            mult = [f.dot(coefs, [inv[t][s] for t in range(hi - lo)])
-                    for s in range(hi - lo)]
-            if all(x.is_zero() for x in mult):
-                continue
-            for s in range(hi - lo):
-                vminus[r][lo + s] = mult[s]
-            for k in range(n):
-                acc = a[r][k]
-                for s in range(hi - lo):
-                    acc = acc - mult[s] * a[lo + s][k]
-                a[r][k] = acc
-    # now a = z * v_plus with z block diagonal, v_plus unit block upper
-    levi = [[f.zero] * n for _ in range(n)]
-    vplus = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
-    for blk, inv in zip(blocks, invs):
-        lo, hi = blk.start, blk.stop
-        for i in range(lo, hi):
-            for j in range(lo, hi):
-                levi[i][j] = a[i][j]
-        for j in range(hi, n):
-            col = [a[lo + t][j] for t in range(hi - lo)]
-            sol = [f.dot(inv[s], col) for s in range(hi - lo)]
-            for s in range(hi - lo):
-                vplus[lo + s][j] = sol[s]
-    v_minus, z, v_plus = MatrixK(f, vminus), MatrixK(f, levi), MatrixK(f, vplus)
-    zv_plus = z * v_plus
-    if v_minus * zv_plus != h:
-        raise InvariantViolation("block LDU recomposition failed")
-    return BlockLDU(v_minus, z, v_plus, subset, zv_plus)
+        act1, act2 = w1.set_action, w2.set_action
+        n, f = self.n, self.field
+
+        def entry(a, b, d, sign=1):
+            (sa, ra), (sb, cb) = act1[a], act2[b]
+            (sd, rd), (se, cd) = act1[d], act2[d]
+            return self._ratio(ra, cb, rd, cd, sign * sa * sb * sd * se)
+
+        vminus = [[f.one if i == j else f.zero for j in range(n)]
+                  for i in range(n)]
+        vplus = [row[:] for row in vminus]
+        levi, zv = ([[f.zero] * n for _ in range(n)] for _ in range(2))
+        for blk in subset.blocks:
+            s, e = blk.start, blk.stop
+            head, lead = (1 << s) - 1, (1 << e) - 1
+            for i in blk:
+                for j in blk:
+                    levi[i][j] = zv[i][j] = entry(head | 1 << i,
+                                                  head | 1 << j, head)
+                sign = (-1) ** (e - 1 - i)
+                for j in range(e, n):
+                    swapped = lead ^ 1 << i | 1 << j
+                    vplus[i][j] = entry(lead, swapped, lead, sign)
+                    vminus[j][i] = entry(swapped, lead, lead, sign)
+            for i in blk:
+                for j in range(e, n):
+                    zv[i][j] = f.dot(levi[i][s:e], [vplus[t][j] for t in blk])
+        target = weyl_untranslate(w1, self.h, w2).rows
+        for blk in subset.blocks:
+            for i in blk:
+                left = vminus[i][:blk.start] + [f.one]
+                if any(f.dot(left, [r[j] for r in zv[:blk.start]] + [zv[i][j]])
+                       != target[i][j] for j in range(n)):
+                    raise InvariantViolation("block LDU recomposition failed")
+        return BlockLDU(*(MatrixK(f, m) for m in (vminus, levi, vplus)),
+                        subset, MatrixK(f, zv))
+
+
+def block_ldu(h: MatrixK, subset: RootSubset) -> Optional[BlockLDU]:
+    """The block LDU h = v^- z v^+ along the subset's blocks, or None
+    (Absent): MinorTable.ldu with identity Weyl elements."""
+    e = identity_weyl(h.n)
+    return MinorTable(h).ldu(subset, e, e)
 
 
 def bruhat_cell(h: MatrixK) -> WeylElement:
     """The unique w with h in V^- . w . P for the lower x upper Borel pair.
 
-    Recovered from the rank profile r(i, j) = rank of the leading i x j
-    submatrix, which both factors preserve: w maps column b to the first row
-    index where the rank of the leading submatrix jumps.
+    h = L w U gives det h[R, :b+1] = +-det L[R, S] det U[:b+1, :b+1] for
+    S = w({0..b}), and for the lower unitriangular L, det L[S, S] = 1 while
+    det L[R, S] = 0 when R has a smaller row in place of w(b).  So w(b) is
+    the first row outside w({0..b-1}) whose minor on the leading b + 1
+    columns, with those rows, is nonzero: the leading-column rank profile.
     """
     n = h.n
-    if h.det().is_zero():
+    tab = MinorTable(h)
+    if not tab.minor((1 << n) - 1, (1 << n) - 1):
         raise Singular("Bruhat cell needs an invertible matrix")
-    r = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            r[i][j] = len(echelon([row[:j] for row in h.rows[:i]], j)[1])
-    perm = [0] * n
-    for b in range(1, n + 1):
-        for i in range(1, n + 1):
-            if r[i][b] - r[i][b - 1] == 1:
-                perm[b - 1] = i - 1
-                break
+    perm = []
+    seen = 0
+    for b in range(n):
+        perm.append(next(i for i in range(n) if not seen >> i & 1
+                         and tab.minor(seen | 1 << i, (2 << b) - 1)))
+        seen |= 1 << perm[-1]
     return WeylElement(tuple(perm))
 
 
@@ -216,10 +269,10 @@ def cell_membership(h: MatrixK, subset: RootSubset, w1: WeylElement,
                     w2: WeylElement) -> bool:
     """Whether h lies in w1 . V^- P . w2^{-1} for the subset's parabolic.
 
-    Equivalent to the block LDU of w1^{-1} h w2 existing; invariant under
-    replacing w1, w2 by other representatives of their cosets modulo the
-    Levi's Weyl group."""
-    return block_ldu(weyl_untranslate(w1, h, w2), subset) is not None
+    Equivalent to the block LDU of w1^{-1} h w2 existing, read from the
+    boundary minors alone; invariant under replacing w1, w2 by other
+    representatives of their cosets modulo the Levi's Weyl group."""
+    return MinorTable(h).present(subset, w1, w2)
 
 
 def weyl_untranslate(w1: WeylElement, x: MatrixK, w2: WeylElement) -> MatrixK:
@@ -230,9 +283,10 @@ def weyl_untranslate(w1: WeylElement, x: MatrixK, w2: WeylElement) -> MatrixK:
     negation: entry (a, b) is s1[a] s2[b] x[w1(a), w2(b)], where s1, s2 are
     the representatives' column signs (WeylElement.signs)."""
     _check_weyl(x, w1, w2)
+    p1, p2 = w1.perm, w2.perm
     s1, s2 = w1.signs, w2.signs
     rows = x.rows
-    return MatrixK(x.field, [[_signed(rows[w1(a)][w2(b)], s1[a] * s2[b])
+    return MatrixK(x.field, [[_signed(rows[p1[a]][p2[b]], s1[a] * s2[b])
                               for b in range(x.n)] for a in range(x.n)])
 
 
@@ -241,11 +295,12 @@ def weyl_translate(w1: WeylElement, x: MatrixK, w2: WeylElement) -> MatrixK:
     weyl_untranslate: entry (w1(a), w2(b)) is s1[a] s2[b] x[a, b]."""
     _check_weyl(x, w1, w2)
     n = x.n
+    p1, p2 = w1.perm, w2.perm
     s1, s2 = w1.signs, w2.signs
     out = [[None] * n for _ in range(n)]
     for a, row in enumerate(x.rows):
         for b, v in enumerate(row):
-            out[w1(a)][w2(b)] = _signed(v, s1[a] * s2[b])
+            out[p1[a]][p2[b]] = _signed(v, s1[a] * s2[b])
     return MatrixK(x.field, out)
 
 

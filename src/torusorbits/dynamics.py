@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .decomp import MatrixK, block_ldu, diagonal_matrix, weyl_untranslate
+from .decomp import MatrixK, MinorTable, block_ldu, diagonal_matrix
 from .errors import (CapExceeded, HypothesisViolated, MembershipFails,
                      ToleranceAmbiguous, ValidationError)
 from .intervals import RInt
@@ -539,7 +539,7 @@ def predicted_limit(inp: OrbitInput, subset: RootSubset, w1: WeylElement,
     if inp.r != 2:
         raise ValidationError("limit prediction handles two places")
     g1, g2 = inp.components
-    dec = block_ldu(weyl_untranslate(w1, g1 * g2.inverse(), w2), subset)
+    dec = MinorTable(g1 * g2.inverse()).ldu(subset, w1, w2)
     if dec is None:
         raise MembershipFails("the quotient misses the requested cell")
     return pair_representative(dec, w1, w2, g2)

@@ -118,13 +118,13 @@ def reversed_poly(p: Poly) -> Poly:
 # own exact arithmetic: an element's inverse, a quotient and a norm solve
 # or reduce the integer matrix den(a) M(a), and the pivot reciprocals
 # 1 / x of a run over a number field are such inverses.  Kept apart on
-# purpose: decomp.block_ldu (no pivoting, a vanishing minor is its
-# answer), dynamics._ldl (symmetric fraction-free LDL of a float Gram
+# purpose: dynamics._ldl (symmetric fraction-free LDL of a float Gram
 # matrix's exact integer image on its lower triangle, half the work of
 # bareiss, with a positivity test), cofactor_det below (division-free:
 # symbolic entries, and interval entries, whose enclosures dividing by
-# interval pivots would widen) and numfield._charpoly (not an
-# elimination).
+# interval pivots would widen), decomp.MinorTable (memoised Laplace
+# expansion of every minor, from which each block LDU is read, a vanishing
+# boundary minor its answer) and numfield._charpoly (not an elimination).
 
 def echelon(rows, ncols: int, stop_at_gap: bool = False):
     """Row echelon form of a copy of rows, pivoting in the first ncols

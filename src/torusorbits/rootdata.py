@@ -48,7 +48,7 @@ class RootSubset:
     def full(n: int) -> "RootSubset":
         return RootSubset(n, frozenset(range(1, n)))
 
-    @property
+    @cached_property
     def composition(self):
         """Block sizes cut by the complement of the subset."""
         cuts = [i for i in range(1, self.n) if i not in self.simples]
@@ -59,7 +59,7 @@ class RootSubset:
             prev = c
         return tuple(sizes)
 
-    @property
+    @cached_property
     def blocks(self):
         """Index ranges of each block."""
         out = []
@@ -67,7 +67,7 @@ class RootSubset:
         for b in self.composition:
             out.append(range(start, start + b))
             start += b
-        return out
+        return tuple(out)
 
     def block_of(self):
         """Map row index -> block index."""
@@ -115,28 +115,28 @@ class WeylElement:
         """self after other: (self*other)(i) = self(other(i))."""
         return WeylElement(tuple(self.perm[other.perm[i]] for i in range(self.n)))
 
-    def sign(self) -> int:
-        seen = [False] * self.n
-        sgn = 1
-        for i in range(self.n):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.perm[j]
-                length += 1
-            if length % 2 == 0:
-                sgn = -sgn
-        return sgn
-
-    @property
+    @cached_property
     def signs(self) -> tuple:
         """Sign of the representative's entry in each column: -1 only in
         the column whose entry sits in row 0, and only for odd w."""
-        odd = self.sign() < 0
+        odd = sum(p > q for p, q in itertools.combinations(self.perm, 2)) % 2
         return tuple(-1 if odd and row == 0 else 1 for row in self.perm)
+
+    @cached_property
+    def set_action(self) -> tuple:
+        """Entry k, for the index set with bitmask k, is (sign, image):
+        image is the bitmask of w(k), sign the product of the column signs
+        over k times the sign of the permutation sorting w(k).  The minor
+        of w1^{-1} x w2 on rows A and columns B is the sign of A under w1
+        times that of B under w2 times the minor of x on the images."""
+        out = []
+        for k in range(1 << self.n):
+            idx = [a for a in range(self.n) if k >> a & 1]
+            swaps = sum(self.perm[a] > self.perm[b]
+                        for a, b in itertools.combinations(idx, 2))
+            out.append((math.prod(self.signs[a] for a in idx) * (-1) ** swaps,
+                        sum(1 << self.perm[a] for a in idx)))
+        return tuple(out)
 
     def representative_entries(self):
         """(row, col, sign) triples of the det-one monomial representative."""

@@ -15,7 +15,6 @@ counting bounds.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,12 +22,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from .decomp import (BlockLDU, MatrixK, block_ldu, cell_membership,
-                     weyl_translate, weyl_untranslate)
+from .decomp import BlockLDU, MatrixK, MinorTable, weyl_translate
 from .errors import BoundViolated, MinimalNotBorel, TooLarge, ValidationError
 from .numfield import NumberField
 from .rootdata import (ParabolicDescriptor, RootSubset, WeylElement,
-                       all_subsets, all_weyl, coset_representatives, n_psi,
+                       all_subsets, coset_representatives, n_psi,
                        parabolic_descriptor, sum_n_psi_squared)
 
 
@@ -90,7 +88,6 @@ class StratumRecord:
     pairs: List[ParabolicPair]
     representative: tuple            # (MatrixK, MatrixK)
     is_closed: bool = False
-    duplicate_of: Optional[int] = None   # advisory only
 
     @property
     def pair(self) -> ParabolicPair:
@@ -143,13 +140,9 @@ def enumerate_strata(g1: MatrixK, g2: MatrixK) -> StrataSet:
     For every subset of the simple roots and every pair of Weyl coset
     representatives, the pair joins the set exactly when h = g1 g2^{-1} lies
     in the translated cell, that is, when w1^{-1} h w2 = v^- z v^+ has a
-    block LDU.  The attached representative (pair_representative) is
-    (w1 (z v^+) w2^{-1} g2, w2 v^+ w2^{-1} g2), equal to the textbook
-    (w1 (v^-)^{-1} w1^{-1} g1, w2 v^+ w2^{-1} g2) because w1^{-1} g1 =
-    v^- z v^+ w2^{-1} g2; z v^+ comes with the factorization, so no inverse
-    is formed.  The Weyl representatives act as signed row and column
-    permutations, never as matrix products.  Deterministic order: subset
-    size, subset mask, then the two representative indices.
+    block LDU, read from one MinorTable of h; pair_representative attaches
+    the orbit representative.  Deterministic order: subset size, subset
+    mask, then the two representative indices.
     """
     if g1.n != g2.n or g1.field is not g2.field:
         raise ValidationError("components must share size and field")
@@ -160,13 +153,13 @@ def enumerate_strata(g1: MatrixK, g2: MatrixK) -> StrataSet:
     # an identity g2, as on every `--g2 id` run, is never inverted or
     # multiplied by
     right = None if g2.is_identity() else g2
-    h = g1 if right is None else g1 * g2.inverse()
+    table = MinorTable(g1 if right is None else g1 * g2.inverse())
     entries = []   # (pair, representative)
     for subset in all_subsets(n):
         reps = coset_representatives(n, subset)
         for i1, w1 in enumerate(reps):
             for i2, w2 in enumerate(reps):
-                dec = block_ldu(weyl_untranslate(w1, h, w2), subset)
+                dec = table.ldu(subset, w1, w2)
                 if dec is None:
                     continue
                 pair = ParabolicPair(
@@ -315,63 +308,14 @@ def verify_counts(s: StrataSet) -> CountReport:
 
 
 def genericity_check(h: MatrixK) -> bool:
-    """Whether h lies in every Borel-pair translate of the open cell; when
-    true the stratum count must reach the full bound."""
-    n = h.n
-    empty = RootSubset.empty(n)
-    reps = coset_representatives(n, empty)
-    for w1 in reps:
-        for w2 in reps:
-            if not cell_membership(h, empty, w1, w2):
-                return False
-    return True
-
-
-def flag_duplicates(s: StrataSet, exponent_bound: int = 3) -> None:
-    """Advisory duplicate-orbit detection beyond exact point equality.
-
-    Two records are flagged when their representatives differ by an exact
-    relation rep2 = tau . rep1 . gamma with gamma monomial over bounded unit
-    powers and tau diagonal; sufficient but not necessary, so the flag is
-    advisory only and orbit equality in general stays undecided.
-    """
-    recs = s.records
-    f = s.input.field
-    gammas = _unit_monomials(f, s.n, exponent_bound)
-    for i, j in itertools.combinations(range(len(recs)), 2):
-        if recs[j].duplicate_of is not None:
-            continue
-        a = recs[i].representative
-        b = recs[j].representative
-        for g in gammas:
-            g_inv = g.inverse()
-            if _is_diagonal(b[0] * g_inv * a[0].inverse()) and \
-               _is_diagonal(b[1] * g_inv * a[1].inverse()):
-                recs[j].duplicate_of = i
-                break
-
-
-def _is_diagonal(m: MatrixK) -> bool:
-    return all(m.rows[i][j].is_zero()
-               for i in range(m.n) for j in range(m.n) if i != j)
-
-
-def _unit_monomials(field: NumberField, n: int, bound: int):
-    """Monomial matrices with entries +-(unit power); the exponent box is
-    |e| <= bound on the first declared unit, or plain signs without units."""
-    units = field.units
-    base = [field.one]
-    if units:
-        u = units[0]
-        base = [u ** e for e in range(-bound, bound + 1)]
-    out = []
-    for w in all_weyl(n):
-        for val in base:
-            rows = [[field.zero] * n for _ in range(n)]
-            for r, c, sgn in w.representative_entries():
-                rows[r][c] = val if sgn > 0 else -val
-            out.append(MatrixK(field, rows))
-    return out
+    """Whether h lies in every Borel-pair translate of the open cell (then
+    the stratum count must reach the full bound): the translate by (w1, w2)
+    needs det h[w1({0..k-1}), w2({0..k-1})] != 0 for every k, so every
+    minor of h must be nonzero, checked smallest first."""
+    table = MinorTable(h)
+    sets = sorted(range(1, 1 << h.n), key=int.bit_count)
+    return all(table.minor(r, c) for r in sets for c in sets
+               if r.bit_count() == c.bit_count())
 
 
 def summary_line(s: StrataSet) -> str:

@@ -7,7 +7,10 @@ import pytest
 from torusorbits import forms as fm
 from torusorbits import numfield as nf
 from torusorbits import polyutil as pu
-from torusorbits.decomp import MatrixK, diagonal_matrix, unipotent_matrix
+from torusorbits import rootdata as rd
+from torusorbits.decomp import (BlockLDU, MatrixK, diagonal_matrix,
+                                unipotent_matrix, weyl_untranslate)
+from torusorbits.errors import InvariantViolation
 
 
 @pytest.fixture(scope="session")
@@ -213,3 +216,78 @@ def frac_solve(K, a, b):
 
 def frac_norm(K, a):
     return pu.determinant(frac_mult_matrix(K, a), Fraction(0))
+
+
+# -- elimination oracles for the minors table ----------------------------------
+#
+# The block LDU, Bruhat cell and genericity test as they were computed before
+# decomp read them from one table of minors: block elimination with the
+# pivot blocks inverted by the elimination kernel, n^2 echelon rank counts,
+# and one elimination per Borel pair.
+
+
+def elimination_block_ldu(h, subset):
+    """The block LDU h = v^- z v^+ by eliminating below each pivot block,
+    or None when a pivot block is singular."""
+    n = h.n
+    f = h.field
+    blocks = subset.blocks
+    a = [list(r) for r in h.rows]
+    vminus = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
+    invs = []
+    for blk in blocks:
+        lo, hi = blk.start, blk.stop
+        inv = pu.invert([row[lo:hi] for row in a[lo:hi]], f.one, f.zero)
+        if inv is None:
+            return None
+        invs.append(inv)
+        for r in range(hi, n):
+            coefs = [a[r][lo + t] for t in range(hi - lo)]
+            mult = [f.dot(coefs, [inv[t][s] for t in range(hi - lo)])
+                    for s in range(hi - lo)]
+            if all(x.is_zero() for x in mult):
+                continue
+            for s in range(hi - lo):
+                vminus[r][lo + s] = mult[s]
+            for k in range(n):
+                acc = a[r][k]
+                for s in range(hi - lo):
+                    acc = acc - mult[s] * a[lo + s][k]
+                a[r][k] = acc
+    # now a = z * v_plus with z block diagonal, v_plus unit block upper
+    levi = [[f.zero] * n for _ in range(n)]
+    vplus = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
+    for blk, inv in zip(blocks, invs):
+        lo, hi = blk.start, blk.stop
+        for i in range(lo, hi):
+            for j in range(lo, hi):
+                levi[i][j] = a[i][j]
+        for j in range(hi, n):
+            col = [a[lo + t][j] for t in range(hi - lo)]
+            sol = [f.dot(inv[s], col) for s in range(hi - lo)]
+            for s in range(hi - lo):
+                vplus[lo + s][j] = sol[s]
+    v_minus, z, v_plus = MatrixK(f, vminus), MatrixK(f, levi), MatrixK(f, vplus)
+    zv_plus = z * v_plus
+    if v_minus * zv_plus != h:
+        raise InvariantViolation("block LDU recomposition failed")
+    return BlockLDU(v_minus, z, v_plus, subset, zv_plus)
+
+
+def echelon_bruhat_cell(h):
+    """w from the ranks r(i, j) of the leading i x j submatrices: w maps
+    column b to the first row index where r(i, b + 1) - r(i, b) = 1."""
+    n = h.n
+    r = [[len(pu.echelon([row[:j] for row in h.rows[:i]], j)[1])
+          for j in range(n + 1)] for i in range(n + 1)]
+    perm = [next(i - 1 for i in range(1, n + 1) if r[i][b] - r[i][b - 1] == 1)
+            for b in range(1, n + 1)]
+    return rd.WeylElement(tuple(perm))
+
+
+def elimination_genericity(h):
+    """Whether every Borel-pair translate w1^{-1} h w2 has an LDU."""
+    empty = rd.RootSubset.empty(h.n)
+    return all(elimination_block_ldu(weyl_untranslate(w1, h, w2), empty)
+               is not None
+               for w1 in rd.all_weyl(h.n) for w2 in rd.all_weyl(h.n))

@@ -8,12 +8,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from torusorbits import decomp as dc
 from torusorbits import rootdata as rd
+from torusorbits import strata as st
 from torusorbits.errors import InvariantViolation, Singular
 
-from conftest import random_element, random_sl
+from conftest import (echelon_bruhat_cell, elimination_block_ldu,
+                      elimination_genericity, random_element, random_sl)
 
 
 # -- independent oracles -------------------------------------------------------
@@ -180,19 +184,24 @@ def test_block_ldu_unique(Ksqrt2):
         assert d1.v_plus == d2.v_plus
 
 
-def test_block_ldu_recomposition_check_raises(Ksqrt2, monkeypatch):
-    # a wrong block inverse leaves v^- (z v^+) != h, and the factorization
+def _corrupt_one_ratio(table):
+    """Double the first cached ratio with a nonzero divisor, so that the
+    next factorization reading it gets a wrong factor."""
+    key = next(k for k in table._ratios if k[2])
+    table._ratios[key] = table._ratios[key] + table._ratios[key]
+
+
+def test_block_ldu_recomposition_check_raises(Ksqrt2):
+    # a wrong cached ratio leaves v^- (z v^+) != h, and the factorization
     # must refuse to return it
-    real = dc.invert
-
-    def doubled(rows, one, zero):
-        inv = real(rows, one, zero)
-        return None if inv is None else [[x + x for x in row] for row in inv]
-
-    monkeypatch.setattr(dc, "invert", doubled)
     h = dc.MatrixK.from_rational_rows(Ksqrt2, [[2, 3], [1, 2]])
+    empty = rd.RootSubset.empty(2)
+    e = rd.identity_weyl(2)
+    table = dc.MinorTable(h)
+    assert table.ldu(empty, e, e) == dc.block_ldu(h, empty)
+    _corrupt_one_ratio(table)
     with pytest.raises(InvariantViolation):
-        dc.block_ldu(h, rd.RootSubset.empty(2))
+        table.ldu(empty, e, e)
 
 
 def test_block_ldu_recomposition_check_under_optimize():
@@ -202,12 +211,14 @@ def test_block_ldu_recomposition_check_under_optimize():
         from torusorbits import decomp as dc, numfield as nf, rootdata as rd
         from torusorbits.errors import InvariantViolation
         K = nf.create_field([-2, 0, 1], declared_units=[[1, 1]])
-        real = dc.invert
-        dc.invert = lambda rows, one, zero: [[x + x for x in row]
-                                             for row in real(rows, one, zero)]
         h = dc.MatrixK.from_rational_rows(K, [[2, 3], [1, 2]])
+        e = rd.identity_weyl(2)
+        table = dc.MinorTable(h)
+        table.ldu(rd.RootSubset.empty(2), e, e)
+        key = next(k for k in table._ratios if k[2])
+        table._ratios[key] = table._ratios[key] + table._ratios[key]
         try:
-            dc.block_ldu(h, rd.RootSubset.empty(2))
+            table.ldu(rd.RootSubset.empty(2), e, e)
         except InvariantViolation:
             print("raised", sys.flags.optimize)
     """)
@@ -219,6 +230,86 @@ def test_block_ldu_recomposition_check_under_optimize():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["raised", "1"]
+
+
+# -- the minors table against the elimination oracles --------------------------
+
+def _field_element(draw, K):
+    """Zero half the time, so that entries and minors vanish."""
+    if draw(hs.booleans()):
+        return K.zero
+    return K.element(draw(hs.lists(hs.fractions(-3, 3, max_denominator=3),
+                                   min_size=1, max_size=K.degree)))
+
+
+@hs.composite
+def table_inputs(draw, fields, n_max):
+    """(h, weyl): h = L w U d in SL_n over one of the fields, with unipotent
+    L and U whose entries are often zero, or a singular h with a repeated
+    row; weyl gives the Weyl elements to try per subset, all of them below
+    n = 4 and the coset representatives at n = 4."""
+    K = draw(hs.sampled_from(fields))
+    n = draw(hs.integers(2, n_max))
+    lower = {(i, j): _field_element(draw, K)
+             for i in range(n) for j in range(i)}
+    upper = {(i, j): _field_element(draw, K)
+             for i in range(n) for j in range(i + 1, n)}
+    w = draw(hs.sampled_from(rd.all_weyl(n)))
+    e = draw(hs.integers(-2, 2))
+    d = dc.diagonal_matrix(K, [K.theta ** e] + [K.one] * (n - 2)
+                           + [K.theta ** -e])
+    h = (dc.unipotent_matrix(K, n, lower) * w.matrix(K)
+         * dc.unipotent_matrix(K, n, upper) * d)
+    if draw(hs.integers(0, 4)) == 0:
+        h = dc.MatrixK(K, h.rows[:-1] + (h.rows[0],))
+    if n < 4:
+        return h, lambda subset: rd.all_weyl(n)
+    return h, lambda subset: rd.coset_representatives(n, subset)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=hs.data())
+def test_minor_table_matches_elimination(Ksqrt2, Kzeta8, Kzeta16, data):
+    # presence and all four factors, on every subset and Weyl pair
+    h, weyl = data.draw(table_inputs([Ksqrt2, Kzeta8, Kzeta16], 4))
+    singular = h.det().is_zero()
+    table = dc.MinorTable(h)
+    for subset in rd.all_subsets(h.n):
+        for w1 in weyl(subset):
+            for w2 in weyl(subset):
+                got = table.ldu(subset, w1, w2)
+                want = elimination_block_ldu(dc.weyl_untranslate(w1, h, w2),
+                                             subset)
+                assert table.present(subset, w1, w2) is (want is not None)
+                if want is None:
+                    assert got is None
+                    continue
+                assert not singular
+                assert (got.v_minus, got.levi, got.v_plus, got.zv_plus) == \
+                    (want.v_minus, want.levi, want.v_plus, want.zv_plus)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=hs.data())
+def test_minor_table_cell_and_genericity(Ksqrt2, Kzeta8, Kzeta16, data):
+    # the Bruhat cell against the echelon rank profile, and genericity
+    # against one elimination per Borel pair
+    h, _ = data.draw(table_inputs([Ksqrt2, Kzeta8, Kzeta16], 3))
+    assert st.genericity_check(h) is elimination_genericity(h)
+    if h.det().is_zero():
+        with pytest.raises(Singular):
+            dc.bruhat_cell(h)
+    else:
+        assert dc.bruhat_cell(h) == echelon_bruhat_cell(h)
+
+
+def test_minor_table_generic_sl4(Ksqrt2):
+    # a dense input, where no minor vanishes
+    h = dc.MatrixK.from_rational_rows(
+        Ksqrt2, [[Fraction(1, 12)] * 4, [1, 2, 4, 8], [1, 3, 9, 27],
+                 [1, 4, 16, 64]])
+    assert st.genericity_check(h) is elimination_genericity(h) is True
+    assert dc.bruhat_cell(h) == echelon_bruhat_cell(h)
 
 
 # -- Weyl action ---------------------------------------------------------------------

@@ -26,6 +26,15 @@ def test_weyl_representative_det_one(Ksqrt2):
     assert ent == [(0, 1, -1), (1, 0, 1)] or ent == [(0, 1, 1), (1, 0, -1)]
 
 
+def test_cached_weyl_attributes_leave_equality_alone():
+    # signs and set_action are computed once per element and kept on it
+    for w in rd.all_weyl(3):
+        fresh = rd.WeylElement(w.perm)
+        assert w.signs is w.signs and w.set_action is w.set_action
+        assert fresh == w and hash(fresh) == hash(w)
+        assert fresh.set_action == w.set_action
+
+
 def test_longest_element():
     assert rd.longest_element(2).perm == (1, 0)
     assert rd.longest_element(3).perm == (2, 1, 0)

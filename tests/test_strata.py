@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from torusorbits import decomp as dc
+from torusorbits import numfield as nf
+from torusorbits import polyutil as pu
 from torusorbits import rootdata as rd
 from torusorbits import strata as st
 from torusorbits.errors import TooLarge, ValidationError
@@ -297,18 +299,6 @@ def test_closedness_consistency(Ksqrt2):
             assert rec.is_top and rec.is_closed
 
 
-def test_duplicate_flag_advisory(Ksqrt2):
-    w0m = rd.longest_element(2).matrix(Ksqrt2)
-    q = generic_sl2(Ksqrt2)
-    s = st.enumerate_strata(w0m * q, q)
-    st.flag_duplicates(s)
-    assert all(r.duplicate_of is None for r in s.records)  # single record
-    s2 = st.enumerate_strata(q, dc.MatrixK.identity(Ksqrt2, 2))
-    st.flag_duplicates(s2)
-    # generic: all five orbits genuinely distinct, nothing flagged
-    assert all(r.duplicate_of is None for r in s2.records)
-
-
 def test_three_component_input_rejected_for_strata(Ksqrt2):
     i2 = dc.MatrixK.identity(Ksqrt2, 2)
     inp = st.OrbitInput((i2, i2, i2))
@@ -345,6 +335,47 @@ def test_closure_poset_matches_bruteforce(Ksqrt2, unipotent_sl4):
         assert st.closure_poset(s) == edges
         assert [rec.is_closed for rec in s.records] == closed
         assert [rec for rec in s.records if rec.is_closed] == st.closed_strata(s)
+
+
+def test_enumeration_reads_one_table(Ksqrt2, monkeypatch):
+    # the work of a table: at most one inverse per nonzero minor
+    # (sum_k C(n, k)^2 of them: 19 at n = 3, 69 at n = 4), and no
+    # elimination; per-pair elimination would fail this loudly
+    counts = {"inverse": 0, "elimination": 0}
+    real_inverse = nf.FieldElement.inverse
+
+    def inverse(x):
+        counts["inverse"] += 1
+        return real_inverse(x)
+
+    def elimination(real):
+        def counted(*args, **kwargs):
+            counts["elimination"] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    g4 = dc.MatrixK.from_rational_rows(
+        Ksqrt2, [[Fraction(1, 12)] * 4, [1, 2, 4, 8], [1, 3, 9, 27],
+                 [1, 4, 16, 64]])
+    cases = [(g1, dc.MatrixK.identity(Ksqrt2, g1.n), most, records)
+             for g1, most, records in [(generic_sl3(Ksqrt2), 19, 55),
+                                       (g4, 69, 1077)]]
+    for g1, g2, _, _ in cases:
+        # the inputs' determinants are checked when they are loaded, as
+        # config.load_matrix does, and kept on the matrices
+        g1.det()
+        g2.det()
+    monkeypatch.setattr(nf.FieldElement, "inverse", inverse)
+    for mod in (pu, dc):
+        for name in ("invert", "echelon"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, elimination(getattr(mod, name)))
+    for g1, g2, most, records in cases:
+        counts.update(inverse=0, elimination=0)
+        s = st.enumerate_strata(g1, g2)
+        assert len(s.records) == records
+        assert counts["inverse"] <= most
+        assert counts["elimination"] == 0
 
 
 def test_summary_genericity_matches_check(Ksqrt2):
