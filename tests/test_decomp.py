@@ -184,22 +184,16 @@ def test_block_ldu_unique(Ksqrt2):
         assert d1.v_plus == d2.v_plus
 
 
-def _corrupt_one_ratio(table):
-    """Double the first cached ratio with a nonzero divisor, so that the
-    next factorization reading it gets a wrong factor."""
-    key = next(k for k in table._ratios if k[2])
-    table._ratios[key] = table._ratios[key] + table._ratios[key]
-
-
 def test_block_ldu_recomposition_check_raises(Ksqrt2):
-    # a wrong cached ratio leaves v^- (z v^+) != h, and the factorization
-    # must refuse to return it
+    # a wrong cached ratio (the first with a nonzero divisor, doubled)
+    # leaves v^- (z v^+) != h, and the factorization must refuse to return it
     h = dc.MatrixK.from_rational_rows(Ksqrt2, [[2, 3], [1, 2]])
     empty = rd.RootSubset.empty(2)
     e = rd.identity_weyl(2)
     table = dc.MinorTable(h)
     assert table.ldu(empty, e, e) == dc.block_ldu(h, empty)
-    _corrupt_one_ratio(table)
+    key = next(k for k in table._ratios if k[2])
+    table._ratios[key] = table._ratios[key] + table._ratios[key]
     with pytest.raises(InvariantViolation):
         table.ldu(empty, e, e)
 
