@@ -11,7 +11,6 @@ exact rational, which keeps the boundedness criterion checks exact.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -184,10 +183,14 @@ def systole(inp: OrbitInput, torus: Sequence[Sequence[Fraction]],
     """Minimum product of per-place sup-norms over the height box.
 
     torus: per place, the diagonal entries (exact rationals).  Returns the
-    certified enclosure of the minimum and the witness coefficient vector.
-    The scan runs in floats; the winner is re-evaluated exactly, and for
-    two real places large boxes go through an exact-ellipsoid enumeration
-    that provably covers every candidate that could beat the scan seed.
+    certified enclosure of the value at the witness, and the witness.
+    The search runs in floats and the witness is re-evaluated exactly.  A
+    box of at most DIRECT_SCAN_CAP points is scanned whole, and the witness
+    is the lexicographically first minimiser of the elementwise float
+    values.  Larger boxes at two real places go through an exact-LDL
+    Fincke-Pohst search over a ladder of place weights whose ends are not
+    proved to hold every candidate: its witness is the minimum that search
+    found, not a certified minimum.
     """
     if height < 1:
         raise ValidationError("height must be at least 1")
@@ -201,14 +204,14 @@ def systole(inp: OrbitInput, torus: Sequence[Sequence[Fraction]],
     bmats = []
     for v in range(inp.r):
         gnum = _numeric_component(field, inp.components[v], v)
-        tnum = np.diag([float(x) for x in torus[v]])
-        emb = np.kron(np.eye(n), field.float_basis(places[v]))
-        bmats.append(tnum @ gnum @ emb)
+        tnum = np.array([float(x) for x in torus[v]])
+        # B[i, j deg + t] = t_i g_ij theta^t, elementwise
+        bmats.append(np.kron(tnum[:, None] * gnum, field.float_basis(places[v])))
     exps = [1 if pl.is_real else 2 for pl in places]
 
     total = (2 * height + 1) ** dim
     if total <= DIRECT_SCAN_CAP:
-        witness = _direct_scan(bmats, exps, height, dim)
+        _, witness = _direct_scan(bmats, exps, height, dim)
     elif inp.r == 2 and all(pl.is_real for pl in places):
         witness = _ellipsoid_scan(bmats, height, dim)
     else:
@@ -218,38 +221,74 @@ def systole(inp: OrbitInput, torus: Sequence[Sequence[Fraction]],
     return enc, witness
 
 
-def _value_array(bmats, exps, pts):
-    acc = None
-    for bmat, e in zip(bmats, exps):
-        y = np.abs(pts @ bmat.T)
-        # column by column: numpy reduces a short row axis far more slowly
-        u = functools.reduce(np.maximum, y.T)
+def _image(bmat, cols):
+    """Image rows sum_j x_j B[i, j] of a point batch given by its coordinate
+    columns, one contiguous row per image coordinate, summed elementwise
+    from coordinate 0 to the last: a point's value is the same float in any
+    batch, and negating the point negates it exactly."""
+    img = np.multiply.outer(bmat[:, 0], cols[0])
+    for j in range(1, len(cols)):
+        img += np.multiply.outer(bmat[:, j], cols[j])
+    return img
+
+
+def _sup_product(images, exps, scratch, out):
+    """out[k]: the product over places of the sup norm of image column k,
+    squared at complex places; scratch is a float array of an image's shape."""
+    for p, (img, e) in enumerate(zip(images, exps)):
+        u = np.abs(img, out=scratch)[0]
+        for row in scratch[1:]:
+            np.maximum(u, row, out=u)
         if e == 2:
-            u = u * u
-        acc = u if acc is None else acc * u
-    return acc
+            np.multiply(u, u, out=u)
+        if p:
+            np.multiply(out, u, out=out)
+        else:
+            out[:] = u
+    return out
+
+
+def _value_array(bmats, exps, pts):
+    pts = np.asarray(pts)
+    images = [_image(b, pts.T) for b in bmats]
+    return _sup_product(images, exps, np.empty(images[0].shape),
+                        np.empty(len(pts)))
 
 
 def _direct_scan(bmats, exps, height, dim):
-    rng = np.arange(-height, height + 1)
-    best_val = math.inf
-    best = None
-    # chunk over the leading coordinate to bound memory: one float block
-    # whose lead column is overwritten for each chunk
-    tail = np.stack([g.ravel() for g in
-                     np.meshgrid(*[rng] * (dim - 1), indexing="ij")], axis=1)
-    block = np.empty((tail.shape[0], dim))
-    block[:, 1:] = tail
-    nonzero = np.any(tail != 0, axis=1)
-    for lead in rng:
-        block[:, 0] = lead
-        pts = block if lead else block[nonzero]
-        vals = _value_array(bmats, exps, pts)
+    """The lexicographically first minimiser of the box's nonzero points,
+    and its value.
+
+    value(-x) == value(x) bit for bit, so that point has its first nonzero
+    coordinate negative: it lies in the first half of the lexicographic
+    grid, and only that half is scanned.  The head (every coordinate but
+    the last) runs over the first half of its own grid, which ends at the
+    zero head; the last coordinate c, the kernel's last term, is added one
+    chunk at a time into preallocated buffers.  The zero head is masked for
+    c >= 0, and ties across chunks are broken by comparing points.
+    """
+    shape = (2 * height + 1,) * (dim - 1)
+    size = (math.prod(shape) + 1) // 2
+    cols = [x - height for x in np.unravel_index(np.arange(size), shape)]
+    heads = [_image(b, cols) for b in bmats]
+    del cols
+    bufs = [np.empty_like(hd) for hd in heads]
+    scratch = np.empty(heads[0].shape)
+    vals = np.empty(size)
+    best_val, best = math.inf, None
+    for c in range(-height, height + 1):
+        for hd, b, buf in zip(heads, bmats, bufs):
+            np.add(hd, c * b[:, -1:], out=buf)
+        _sup_product(bufs, exps, scratch, vals)
+        if c >= 0:
+            vals[-1] = math.inf
         i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best = tuple(int(x) for x in pts[i])
-    return best
+        if vals[i] <= best_val:
+            pt = tuple(int(x) - height
+                       for x in np.unravel_index(i, shape)) + (c,)
+            if vals[i] < best_val or pt < best:
+                best_val, best = float(vals[i]), pt
+    return best_val, best
 
 
 def _ellipsoid_scan(bmats, height, dim):
@@ -269,9 +308,7 @@ def _ellipsoid_scan(bmats, height, dim):
     """
     n = bmats[0].shape[0]
     seed_h = 2
-    witness = _direct_scan(bmats, [1, 1], seed_h, dim)
-    p_seed = float(_value_array(bmats, [1, 1],
-                                np.array([witness], dtype=float))[0])
+    p_seed, witness = _direct_scan(bmats, [1, 1], seed_h, dim)
     # sigma_min(B_v) / sqrt(n): a scale for the ladder ends, not a bound
     sigma = [max(np.linalg.svd(b, compute_uv=False)[-1], 1e-300) / math.sqrt(n)
              for b in bmats]
@@ -280,8 +317,7 @@ def _ellipsoid_scan(bmats, height, dim):
     lo = max(sigma[1] ** 2 / p_seed, sigma[1] / u1max) / 16
     hi = min(p_seed / sigma[0] ** 2, u2max / sigma[0]) * 16
     # float Gram matrices, factored exactly as the rationals they hold
-    g1 = bmats[0].T @ bmats[0]
-    g2 = bmats[1].T @ bmats[1]
+    g1, g2 = (sum(np.multiply.outer(row, row) for row in b) for b in bmats)
     radius_factor = 3.0 / math.sqrt(2.0) * n * 1.0001
     best = witness
     best_val = p_seed
@@ -290,12 +326,15 @@ def _ellipsoid_scan(bmats, height, dim):
     while s2 <= hi * 1.0001:
         q = g1 * s2 + g2 / s2
         bound = radius_factor * best_val
-        for cand in _fincke_pohst(q, bound, height, seen):
-            val = float(_value_array(bmats, [1, 1],
-                                     np.array([cand], dtype=float))[0])
-            if val < best_val:
-                best_val = val
-                best = cand
+        # one evaluation per rung; the first minimum is where a strict <
+        # walk over the candidates in their order would stop
+        cands = list(_fincke_pohst(q, bound, height, seen))
+        if cands:
+            vals = _value_array(bmats, [1, 1], cands)
+            i = int(np.argmin(vals))
+            if vals[i] < best_val:
+                best_val = float(vals[i])
+                best = cands[i]
         s2 *= math.sqrt(2.0)
     return best
 

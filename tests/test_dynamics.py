@@ -143,6 +143,71 @@ def test_systole_at_complex_places_is_the_box_minimum(Kzeta8):
     assert enc.lo <= min(e.hi for e in encs)
 
 
+# -- the elementwise image kernel and the half-box scan ------------------------
+
+
+def full_box_scan(bmats, exps, height, dim):
+    """Every nonzero point of the box in lexicographic order and the first
+    minimum of their values: the scan the half box replaced, kept as its
+    oracle."""
+    pts = np.array([p for p in itertools.product(range(-height, height + 1),
+                                                 repeat=dim) if any(p)])
+    vals = dy._value_array(bmats, exps, pts)
+    i = int(np.argmin(vals))
+    return float(vals[i]), tuple(int(x) for x in pts[i])
+
+
+@hs.composite
+def scan_inputs(draw):
+    """Image matrices at one or two places, real or complex, 1-3 rows by
+    2-6 columns, and a height of 1 or 2; small integer entries half the
+    time, which force exact ties between distinct points."""
+    dim = draw(hs.integers(2, 6))
+    rows = draw(hs.integers(1, 3))
+    entry = draw(hs.sampled_from([small, hs.integers(-3, 3).map(float)]))
+
+    def matrix():
+        return np.array([[draw(entry) for _ in range(dim)]
+                         for _ in range(rows)])
+
+    bmats, exps = [], []
+    for _ in range(draw(hs.integers(1, 2))):
+        if draw(hs.booleans()):
+            bmats.append(matrix() + 1j * matrix())
+            exps.append(2)
+        else:
+            bmats.append(matrix())
+            exps.append(1)
+    return bmats, exps, draw(hs.integers(1, 2)), dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_inputs())
+def test_direct_scan_matches_full_box_oracle(inp):
+    # the same witness and the same value, bit for bit
+    bmats, exps, height, dim = inp
+    val, wit = dy._direct_scan(bmats, exps, height, dim)
+    want_val, want_wit = full_box_scan(bmats, exps, height, dim)
+    assert wit == want_wit
+    assert val.hex() == want_val.hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_inputs(), hs.integers(0, 2 ** 32 - 1))
+def test_values_do_not_depend_on_batch_or_sign(inp, seed):
+    # a batch's values are its rows' values one at a time, and value(x) is
+    # value(-x), bit for bit
+    bmats, exps, height, dim = inp
+    pts = np.random.default_rng(seed).integers(-height, height + 1,
+                                               (64, dim))
+    vals = dy._value_array(bmats, exps, pts)
+    rows = [dy._value_array(bmats, exps, pts[i:i + 1])[0]
+            for i in range(len(pts))]
+    assert [v.hex() for v in vals] == [float(v).hex() for v in rows]
+    assert [v.hex() for v in vals] == \
+        [v.hex() for v in dy._value_array(bmats, exps, -pts)]
+
+
 # -- exact LDL and the Fincke-Pohst enumeration --------------------------------
 
 

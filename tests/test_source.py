@@ -83,3 +83,25 @@ def test_readers_of_the_fraction_view_are_pinned():
             key = f"{path.name}:{func}"
             found[key] = found.get(key, 0) + 1
     assert found == COEFFS_READERS
+
+
+# The systole's float evaluation: every value comes from the elementwise
+# image kernel, so a point's value does not depend on its batch or on the
+# BLAS build, and value(-x) == value(x).
+SCAN_FUNCTIONS = ("systole", "_image", "_sup_product", "_value_array",
+                  "_direct_scan", "_ellipsoid_scan")
+
+
+def test_scan_functions_form_no_matrix_product():
+    tree = ast.parse((SRC / "dynamics.py").read_text())
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    assert set(SCAN_FUNCTIONS) <= set(funcs)
+    found = [f"{name}:{node.lineno}"
+             for name in SCAN_FUNCTIONS
+             for node in ast.walk(funcs[name])
+             if isinstance(node, ast.MatMult)
+             or (isinstance(node, ast.Attribute)
+                 and node.attr in ("dot", "matmul", "einsum", "inner",
+                                   "tensordot", "vdot"))]
+    assert found == []
