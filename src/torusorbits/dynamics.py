@@ -249,7 +249,7 @@ def _sup_product(images, exps, scratch, out):
 
 
 def _value_array(bmats, exps, pts):
-    pts = np.asarray(pts)
+    pts = np.asarray(pts, dtype=float)
     images = [_image(b, pts.T) for b in bmats]
     return _sup_product(images, exps, np.empty(images[0].shape),
                         np.empty(len(pts)))
