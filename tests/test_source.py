@@ -100,7 +100,8 @@ def test_scan_functions_form_no_matrix_product():
     found = [f"{name}:{node.lineno}"
              for name in SCAN_FUNCTIONS
              for node in ast.walk(funcs[name])
-             if isinstance(node, ast.MatMult)
+             if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                 and isinstance(node.op, ast.MatMult))
              or (isinstance(node, ast.Attribute)
                  and node.attr in ("dot", "matmul", "einsum", "inner",
                                    "tensordot", "vdot"))]
