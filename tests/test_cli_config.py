@@ -197,6 +197,36 @@ def test_cli_strata_golden(tmp_path, Ksqrt2, fmt, monkeypatch):
     assert out.read_bytes() == (GOLDEN / f"strata_sl3.{fmt}").read_bytes()
 
 
+ACCEPTANCE_8_INPUTS = ("sl2a", "sl2b", "sl3psi", "sl3borel")
+
+
+def _acceptance_8_path(case, K):
+    """g1 (g2 is the identity) and the torus path of one of acceptance 8's
+    four boundedness inputs: the SL2 ramps on 8 steps, taking the direct
+    scan, and the SL3 paths on their first 10, taking the ellipsoid
+    search."""
+    u = K.element([1, 1])
+    if case == "sl2a":
+        g1 = dc.unipotent_matrix(K, 2, {(1, 0): K.one}) * \
+            dc.diagonal_matrix(K, [K.element([2]), K.element([Fraction(1, 2)])])
+    elif case == "sl2b":
+        g1 = dc.unipotent_matrix(K, 2, {(1, 0): K.theta}) * \
+            dc.diagonal_matrix(K, [u, u.inverse()])
+    elif case == "sl3psi":
+        g1 = dc.unipotent_matrix(K, 3, {(2, 0): K.one, (2, 1): K.theta})
+    else:
+        g1 = rd.longest_element(3).matrix(K) * \
+            dc.unipotent_matrix(K, 3, {(0, 1): K.one})
+    schedules = {
+        "sl2a": ([[k] for k in range(8)], [[-k] for k in range(8)]),
+        "sl2b": ([[k] for k in range(8)], [[-k] for k in range(8)]),
+        "sl3psi": ([[0, k] for k in range(10)], [[0, -k] for k in range(10)]),
+        "sl3borel": ([[2 * k] * 2 for k in range(10)],
+                     [[-k] * 2 for k in range(10)]),
+    }[case]
+    return g1, {"n": g1.n, "bases": ["2", "2"], "schedules": list(schedules)}
+
+
 def _kernel_case(case, tmp_path, Ksqrt2, Kzeta8):
     """Inputs and CLI arguments for one exact linear-algebra or float-image
     path: Bruhat rank profiles, block LDU pivot blocks, determinants and
@@ -229,6 +259,12 @@ def _kernel_case(case, tmp_path, Ksqrt2, Kzeta8):
         {"n": 3, "bases": ["2", "2"],
          "schedules": [[[0, k] for k in range(4)],
                        [[0, -k] for k in range(4)]]}))
+    # acceptance 8's four boundedness inputs at height 20, g2 the identity
+    cfg.save_matrix(dc.MatrixK.identity(Ksqrt2, 2), tmp_path / "i2.json")
+    for name in ACCEPTANCE_8_INPUTS:
+        g, path = _acceptance_8_path(name, Ksqrt2)
+        cfg.save_matrix(g, tmp_path / f"{name}.json")
+        (tmp_path / f"{name}_path.json").write_text(json.dumps(path))
     # height 20 on SL2 over Q(sqrt 2): the full 41^4-point direct scan
     (tmp_path / "path2.json").write_text(json.dumps(
         {"n": 2, "bases": ["2", "2"], "schedules": [[[2], [3]], [[-2], [-3]]]}))
@@ -266,6 +302,11 @@ def _kernel_case(case, tmp_path, Ksqrt2, Kzeta8):
         "dynamics_path_h20": ["--format", "csv", "dynamics", "path",
                               "--g1", "g1.json", "--g2", "g2.json",
                               "--path", "path2.json", "--height", "20"],
+        **{f"dynamics_path_acc8_{name}": [
+            "--format", "csv", "dynamics", "path", "--g1", f"{name}.json",
+            "--g2", "i2.json" if name.startswith("sl2") else "i3.json",
+            "--path", f"{name}_path.json",
+            "--height", "20"] for name in ACCEPTANCE_8_INPUTS},
         "forms_density": ["forms", "density", "--form", "form.json",
                           "--height", "5", "--window=-20,20",
                           "--eps", "0.5"],
@@ -293,7 +334,9 @@ def _kernel_case(case, tmp_path, Ksqrt2, Kzeta8):
                                   "dynamics_path_ellipsoid",
                                   "dynamics_path_h20", "forms_density",
                                   "forms_density_zeta8", "forms_spectrum",
-                                  "forms_spectrum_zeta8"])
+                                  "forms_spectrum_zeta8"]
+                         + [f"dynamics_path_acc8_{name}"
+                            for name in ACCEPTANCE_8_INPUTS])
 def test_cli_kernel_golden(tmp_path, Ksqrt2, Kzeta8, case, monkeypatch):
     """The CLI paths through exact elimination and through the float images
     of field elements, byte for byte against tests/golden/<case>.json (or
@@ -303,49 +346,3 @@ def test_cli_kernel_golden(tmp_path, Ksqrt2, Kzeta8, case, monkeypatch):
     args, golden = _kernel_case(case, tmp_path, Ksqrt2, Kzeta8)
     assert main(args) == 0
     assert (tmp_path / "out").read_bytes() == (GOLDEN / golden).read_bytes()
-
-
-def _acceptance_8_path(case, K):
-    """g1 (g2 is the identity) and the torus path of one of acceptance 8's
-    four boundedness inputs: the SL2 ramps on 8 steps, the SL3 paths on
-    their first 10."""
-    u = K.element([1, 1])
-    if case == "sl2a":
-        g1 = dc.unipotent_matrix(K, 2, {(1, 0): K.one}) * \
-            dc.diagonal_matrix(K, [K.element([2]), K.element([Fraction(1, 2)])])
-    elif case == "sl2b":
-        g1 = dc.unipotent_matrix(K, 2, {(1, 0): K.theta}) * \
-            dc.diagonal_matrix(K, [u, u.inverse()])
-    elif case == "sl3psi":
-        g1 = dc.unipotent_matrix(K, 3, {(2, 0): K.one, (2, 1): K.theta})
-    else:
-        g1 = rd.longest_element(3).matrix(K) * \
-            dc.unipotent_matrix(K, 3, {(0, 1): K.one})
-    schedules = {
-        "sl2a": ([[k] for k in range(8)], [[-k] for k in range(8)]),
-        "sl2b": ([[k] for k in range(8)], [[-k] for k in range(8)]),
-        "sl3psi": ([[0, k] for k in range(10)], [[0, -k] for k in range(10)]),
-        "sl3borel": ([[2 * k] * 2 for k in range(10)],
-                     [[-k] * 2 for k in range(10)]),
-    }[case]
-    return g1, {"n": g1.n, "bases": ["2", "2"], "schedules": list(schedules)}
-
-
-@pytest.mark.parametrize("case", ["sl2a", "sl2b", "sl3psi", "sl3borel"])
-def test_cli_acceptance_8_path_golden(tmp_path, Ksqrt2, case, monkeypatch):
-    """Every step's value and witness of the systole along acceptance 8's
-    boundedness inputs at height 20, byte for byte: the SL2 steps take the
-    direct scan, the SL3 steps the ellipsoid search."""
-    monkeypatch.delenv("TORUSORBITS_PRECISION", raising=False)
-    g1, path = _acceptance_8_path(case, Ksqrt2)
-    cfg.save_field(Ksqrt2, tmp_path / "field.json")
-    cfg.save_matrix(g1, tmp_path / "g1.json")
-    (tmp_path / "path.json").write_text(json.dumps(path))
-    out = tmp_path / "out"
-    assert main(["--field", str(tmp_path / "field.json"), "--out", str(out),
-                 "--format", "csv", "dynamics", "path", "--n", str(g1.n),
-                 "--g1", str(tmp_path / "g1.json"), "--g2", "id",
-                 "--path", str(tmp_path / "path.json"),
-                 "--height", "20"]) == 0
-    golden = GOLDEN / f"dynamics_path_acc8_{case}.csv"
-    assert out.read_bytes() == golden.read_bytes()
