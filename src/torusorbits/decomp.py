@@ -20,10 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InvariantViolation, Singular, ValidationError
+from .errors import InvariantViolation, Singular, TooLarge, ValidationError
 from .numfield import FieldElement, NumberField
 from .polyutil import determinant, invert
 from .rootdata import RootSubset, WeylElement, identity_weyl
+
+MINOR_TABLE_CAP = 10
 
 
 class MatrixK:
@@ -135,9 +137,12 @@ class MinorTable:
     each computed once, on demand, by Laplace expansion along the first
     row: one NumberField.dot over minors one size smaller.  Kept with them,
     the inverse of every divisor and every signed ratio formed, so all
-    Weyl translates w1^{-1} h w2 factor with at most one inverse per minor."""
+    Weyl translates w1^{-1} h w2 factor with at most one inverse per minor.
+    Exponential in n: above MINOR_TABLE_CAP it raises TooLarge up front."""
 
     def __init__(self, h: MatrixK):
+        if h.n > MINOR_TABLE_CAP:
+            raise TooLarge(f"the table of minors supports n <= {MINOR_TABLE_CAP}")
         self.h, self.field, self.n = h, h.field, h.n
         self._minors = {0: h.field.one}     # keyed by rows | cols << n
         self._inverses = {}

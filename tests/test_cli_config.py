@@ -83,6 +83,14 @@ def test_cli_bruhat_cell(workdir, tmp_path, capsys, Ksqrt2):
     assert out["permutation"] == [3, 2, 1]
 
 
+@pytest.mark.parametrize("cmd", [["cell"], ["ldu", "--subset", "1"]])
+def test_cli_bruhat_refuses_n_over_the_minor_table_cap(workdir, capsys, cmd):
+    rc = main(["--field", str(workdir / "field.json"), "bruhat", cmd[0],
+               "--h", "id", "--n", "11", *cmd[1:]])
+    assert rc == 2
+    assert "n <= 10" in capsys.readouterr().err
+
+
 def test_cli_dot_output(workdir, capsys):
     rc = main(["--field", str(workdir / "field.json"), "--format", "dot",
                "strata", "--n", "2", "--g1", str(workdir / "g1.json"),

@@ -14,7 +14,8 @@ from hypothesis import strategies as hs
 from torusorbits import decomp as dc
 from torusorbits import rootdata as rd
 from torusorbits import strata as st
-from torusorbits.errors import InvariantViolation, Singular
+from torusorbits import numfield as nf
+from torusorbits.errors import InvariantViolation, Singular, TooLarge
 
 from conftest import (echelon_bruhat_cell, elimination_block_ldu,
                       elimination_genericity, random_element, random_sl)
@@ -196,6 +197,22 @@ def test_block_ldu_recomposition_check_raises(Ksqrt2):
     table._ratios[key] = table._ratios[key] + table._ratios[key]
     with pytest.raises(InvariantViolation):
         table.ldu(empty, e, e)
+
+
+def test_minor_table_refuses_above_its_cap(Ksqrt2, monkeypatch):
+    # n = 11 raises before any minor is formed: not one NumberField.dot
+    big = dc.MatrixK.identity(Ksqrt2, dc.MINOR_TABLE_CAP + 1)
+    calls = []
+    dot = nf.NumberField.dot
+    monkeypatch.setattr(nf.NumberField, "dot",
+                        lambda self, xs, ys: calls.append(1) or dot(self, xs, ys))
+    for build in (dc.MinorTable, dc.bruhat_cell,
+                  lambda h: dc.block_ldu(h, rd.RootSubset.empty(h.n))):
+        with pytest.raises(TooLarge):
+            build(big)
+    assert calls == []
+    table = dc.MinorTable(dc.MatrixK.identity(Ksqrt2, dc.MINOR_TABLE_CAP))
+    assert table.minor(3, 3) == Ksqrt2.one and calls
 
 
 def test_block_ldu_recomposition_check_under_optimize():
