@@ -12,7 +12,6 @@ exact rational, which keeps the boundedness criterion checks exact.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -22,6 +21,7 @@ import numpy as np
 from .decomp import MatrixK, MinorTable, block_ldu, diagonal_matrix
 from .errors import (CapExceeded, HypothesisViolated, MembershipFails,
                      ToleranceAmbiguous, ValidationError)
+from .forms import _chunks, _row_keys
 from .intervals import RInt
 from .numfield import NumberField
 from .rootdata import RootSubset, WeylElement
@@ -304,7 +304,9 @@ def _ellipsoid_scan(bmats, height, dim):
     multiples push that sup norm lower (acceptance 8's sl3 inputs have
     final witnesses below it, by up to (1 + sqrt 2)^-4).  The result is
     the minimum a search found, exact at its witness, not a certified
-    minimum.
+    minimum.  Rungs whose float Gram matrix is not positive definite are
+    skipped unsearched: 1,982 of 5,734 on acceptance 8's sl3-psi TT path,
+    1,950 at the last pivot, alternating with definite rungs mid-ladder.
     """
     n = bmats[0].shape[0]
     seed_h = 2
@@ -318,128 +320,151 @@ def _ellipsoid_scan(bmats, height, dim):
     hi = min(p_seed / sigma[0] ** 2, u2max / sigma[0]) * 16
     # float Gram matrices, factored exactly as the rationals they hold
     g1, g2 = (sum(np.multiply.outer(row, row) for row in b) for b in bmats)
-    radius_factor = 3.0 / math.sqrt(2.0) * n * 1.0001
-    best = witness
-    best_val = p_seed
-    s2 = lo
-    seen = {witness}
+    s2, rungs = lo, []
     while s2 <= hi * 1.0001:
-        q = g1 * s2 + g2 / s2
-        bound = radius_factor * best_val
-        # one evaluation per rung; the first minimum is where a strict <
-        # walk over the candidates in their order would stop
-        cands = list(_fincke_pohst(q, bound, height, seen))
-        if cands:
-            vals = _value_array(bmats, [1, 1], cands)
-            i = int(np.argmin(vals))
-            if vals[i] < best_val:
-                best_val = float(vals[i])
-                best = cands[i]
+        rungs.append(s2)
         s2 *= math.sqrt(2.0)
-    return best
+    s2 = np.array(rungs).reshape(-1, 1, 1)
+    return _ladder(bmats, g1 * s2 + g2 / s2, witness, p_seed, height)[0]
 
 
-def _fincke_pohst(q: np.ndarray, bound: float, height: int, seen: set):
-    """Integer vectors with x^T q x <= bound and |x|_inf <= height.
+def _ladder(bmats, qs, best, best_val, height):
+    """The best witness, its value and each rung's new candidates (rung
+    index and vector arrays, a pair per pass) of the walk from the seed over
+    the Gram matrices qs: a rung searches x^T q x <= radius * best_val, keeps
+    what neither the seed nor an earlier rung yielded, and takes its first
+    minimum if below best_val.  A pass enumerates every rung left at the
+    current bound and evaluates in one call (values do not depend on the
+    batch); the first rung that improves ends it, keeping what it and the
+    rungs before it found."""
+    radius = 3.0 / math.sqrt(2.0) * bmats[0].shape[0] * 1.0001
+    rung, d, lmat = _ldl(qs)
+    seen, out = np.array([best], dtype=np.int64), []
+    while len(rung):
+        ids, pts = _fincke_pohst(d, lmat, radius * best_val, height, seen)
+        vals = _value_array(bmats, [1, 1], pts)
+        below = np.flatnonzero(vals < best_val)
+        stop = ids[below[0]] + 1 if len(below) else len(rung)
+        a, b = np.searchsorted(ids, [stop - 1, stop])
+        if len(below):
+            i = a + int(np.argmin(vals[a:b]))
+            best_val, best = float(vals[i]), tuple(int(c) for c in pts[i])
+        seen = np.concatenate([seen, pts[:b]])
+        out.append((rung[ids[:b]], pts[:b]))
+        rung, d, lmat = rung[stop:], d[stop:], lmat[stop:]
+    return best, best_val, out
 
-    q is factored by `_ldl`, exactly; the enumeration runs in floats with a
-    small safety pad, depth first from the last coordinate down, as one
-    loop over explicit per-level state.  Each +-x pair is emitted once, with
-    its highest nonzero coordinate positive, and only if it is not yet in
-    `seen`, to which it is then added; 0 is skipped.
+
+FP_ROWS, LDL_ROWS = 1 << 12, 32     # bounds on the working memory below
+
+
+def _fincke_pohst(d, lmat, bound, height, seen):
+    """Integer x != 0 with x^T q x <= bound and |x|_inf <= height, for each
+    q of a stack factored by `_ldl`, not in seen nor found for an earlier q,
+    as stack index and vector arrays in depth-first order from the last
+    coordinate down, q by q, highest nonzero coordinate positive: each chunk
+    of leaves keeps its first occurrences over seen and earlier chunks."""
+    rows, dim = d.shape
+    side = max(height, int(np.abs(seen).max(initial=0)))
+    out = [(np.zeros(0, dtype=np.int64), np.zeros((0, dim), dtype=np.int64))]
+    for ids, x in _fp_level(d, lmat, height, dim - 1, np.arange(rows),
+                            np.zeros(d.shape, dtype=np.int64),
+                            np.full(rows, bound * (1 + 1e-9) + 1e-12),
+                            np.zeros(rows, dtype=np.int64)):
+        keys = _row_keys(np.concatenate([seen, x]), side)
+        first = np.unique(keys, return_index=True)[1]
+        first = np.sort(first[first >= len(seen)]) - len(seen)
+        seen = np.concatenate([seen, x[first]])
+        out.append((ids[first], x[first]))
+    return tuple(np.concatenate(a) for a in zip(*out))
+
+
+def _fp_level(d, lmat, height, k, ids, xs, rem, sign):
+    """The leaves below level k of `_fincke_pohst` as (stack index, vector)
+    chunks, breadth first in floats with a small safety pad: centres summed
+    term by term from the coordinate above, children formed in order by
+    np.repeat, FP_ROWS at a time (parent chunks run to the leaves in turn),
+    the bound left updated by np.float_power, the C library's pow that
+    Python's ** calls (numpy's ** on arrays may differ in the last bit).
     """
-    fact = _ldl(q)
-    if fact is None:
-        return
-    d, cols = fact
-    dim = len(d)
-    pad = bound * (1 + 1e-9) + 1e-12
-    x = [0] * dim                 # x[0] stays 0: the leaves are built apart
-    rem = [0.0] * dim             # bound left on entering each level
-    center = [0] * dim
-    top = [0] * dim               # last value of each level's range
-    rem[-1] = pad
-    zeros = (0,) * (dim - 1)
-    k = dim - 1
-    while True:
-        c = -sum(map(operator.mul, cols[k], x[k + 1:]))
-        lo, hi = 1, 0
-        if d[k] > 0:
-            r = rem[k]
-            if r < 0.0:
-                r = 0.0
-            # half is inf when r / d[k] overflows; the box clamps it first
-            half = math.sqrt(r / d[k])
-            lo = -height if c - half < -height else math.ceil(c - half - 1e-9)
-            hi = height if c + half > height else math.floor(c + half + 1e-9)
-        if k == 0:
-            # the level-0 range in one go, sign-canonical: the highest
-            # nonzero coordinate positive
-            last = next((v for v in reversed(x) if v), 0)
-            if last > 0:
-                tail = tuple(x[1:])
-                cands = [(v,) + tail for v in range(lo, hi + 1)]
-            elif last < 0:
-                tail = tuple(map(operator.neg, x[1:]))
-                cands = [(-v,) + tail for v in range(lo, hi + 1)]
-            else:
-                cands = [(abs(v),) + zeros for v in range(lo, hi + 1) if v]
-            for cand in cands:
-                if cand not in seen:
-                    seen.add(cand)
-                    yield cand
-        elif lo <= hi:
-            x[k], center[k], top[k] = lo, c, hi
-            rem[k - 1] = rem[k] - d[k] * (lo - c) ** 2
-            k -= 1
-            continue
-        # climb to the nearest level with values left, and step it
-        k += 1
-        while k < dim and x[k] == top[k]:
-            x[k] = 0
-            k += 1
-        if k == dim:
-            return
-        x[k] += 1
-        rem[k - 1] = rem[k] - d[k] * (x[k] - center[k]) ** 2
-        k -= 1
+    c = np.zeros(len(ids))
+    for i in range(k + 1, d.shape[1]):
+        c += lmat[ids, i, k] * xs[:, i]
+    c, dk = -c, d[ids, k]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # half is inf when rem / dk overflows; the box clamps it first
+        half = np.sqrt(np.where(rem < 0.0, 0.0, rem) / dk)
+        lo = np.where(c - half < -height, -height, np.ceil(c - half - 1e-9))
+        hi = np.where(c + half > height, height, np.floor(c + half + 1e-9))
+        count = np.where(dk > 0, np.maximum(hi - lo + 1, 0), 0).astype(int)
+    if not k:
+        # rows with an earlier row's tail and x_0 range, times sign, add nothing
+        live = np.flatnonzero((count > 0) & (sign != 0))
+        f = sign[live, None]
+        desc = np.hstack([xs[live, 1:] * f, np.sort(
+            np.column_stack([lo[live], hi[live]]) * f, axis=1).astype(int)])
+        first = np.unique(_row_keys(desc, height), return_index=True)[1]
+        count[np.delete(live, first)] = 0
+    for part in _chunks(count, FP_ROWS):
+        sizes = count[part]
+        rep = np.repeat(np.arange(part.start, part.stop), sizes)
+        v = lo[rep].astype(np.int64) + np.arange(len(rep)) \
+            - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        s, x = sign[rep], xs[rep]
+        if k:
+            x[:, k] = v
+            yield from _fp_level(
+                d, lmat, height, k - 1, ids[rep], x,
+                rem[rep] - dk[rep] * np.float_power(v - c[rep], 2.0),
+                np.where(s != 0, s, np.sign(v)))
+        else:
+            x *= np.where(s != 0, s, 1)[:, None]
+            x[:, 0] = np.where(s != 0, s * v, np.abs(v))
+            keep = (s != 0) | (v != 0)
+            yield ids[rep][keep], x[keep]
 
 
-def _ldl(q: np.ndarray):
-    """LDL^T of a symmetric float matrix, read from its lower triangle,
-    exactly: d and the columns of L below the diagonal (cols[k] holds
-    L_ik for i > k) as floats, or None unless q is positive definite.
+def _ldl(qs):
+    """LDL^T of a stack of symmetric float matrices, each read from its
+    lower triangle, exactly: the indices of the positive definite ones and,
+    for those, d (a row each) and L (below the diagonal) as floats.
 
-    The entries are exact dyadic rationals, so one power-of-two common
-    denominator S makes them integers.  Symmetric fraction-free (Bareiss)
-    elimination of those integers leaves D_k = S^k det q[:k, :k] on the
-    diagonal and, below it in column k, the integer numerators of L; so
-    d_k = D_k / (D_{k-1} S) and L_ik = M_ik / D_k.  Each is one Python int
-    true division, rounded correctly, hence the same float as the exact
-    rational rounded.  Positivity (every D_k > 0) is decided exactly.
-    Stays outside the elimination kernel: symmetric, and its positivity
-    test is the answer.
-    """
-    dim = q.shape[0]
-    ratios = [[x.as_integer_ratio() for x in row[:i + 1]]
-              for i, row in enumerate(q.tolist())]
-    scale = max(den for row in ratios for _, den in row)
-    m = [[num * (scale // den) for num, den in row] for row in ratios]
-    d = []
-    prev = 1
-    for k in range(dim):
-        piv = m[k][k]
-        if piv <= 0:
-            return None
-        d.append(piv / (prev * scale))
-        for i in range(k + 1, dim):
-            mik = m[i][k]
-            row = m[i]
-            for j in range(k + 1, i + 1):
-                row[j] = (row[j] * piv - mik * m[j][k]) // prev
-        prev = piv
-    return d, [[m[i][k] / m[k][k] for i in range(k + 1, dim)]
-               for k in range(dim)]
+    The entries are exact dyadic rationals, so a power-of-two denominator S
+    per matrix makes them integers.  Fraction-free (Bareiss) elimination of
+    those, on object arrays of Python ints LDL_ROWS matrices at a time,
+    leaves D_k = S^k det q[:k, :k] on the diagonal and the numerators of L
+    below it: d_k = D_k / (D_{k-1} S) and L_ik = M_ik / D_k, each a
+    correctly rounded int true division.  Positivity, why this is not the
+    elimination kernel, is exact: a matrix leaves at a pivot D_k <= 0."""
+    rows, dim = qs.shape[:2]
+    if not np.abs(qs).max(initial=0.0) < math.inf:
+        raise OverflowError("cannot factor a non-finite matrix exactly")
+    low, (i, j) = np.tril_indices(dim), np.tril_indices(dim, -1)
+    d, lmat, kept = np.empty((rows, dim)), np.zeros((rows, dim, dim)), []
+    for start in range(0, rows, LDL_ROWS):
+        # entry = num 2^e with num odd or 0; S = 2^s clears the denominators
+        mant, e = np.frexp(qs[start:start + LDL_ROWS, low[0], low[1]])
+        num = (mant * 2.0 ** 53).astype(np.int64)
+        tz = np.frexp((num & -num).astype(float))[1] - 1
+        e = np.where(num != 0, e - 53 + tz, 0)
+        s = (-e.min(axis=1, initial=0)).astype(object)
+        m = np.empty((len(num), dim, dim), dtype=object)
+        m[:, low[0], low[1]] = (num >> np.maximum(tz, 0)).astype(object) \
+            << (e + s[:, None]).astype(object)
+        idx, scale, prev = start + np.arange(len(num)), 1 << s, np.ones_like(s)
+        for k in range(dim):
+            ok = m[:, k, k] > 0
+            idx, m, scale, prev = (a[ok] for a in (idx, m, scale, prev))
+            piv = m[:, k, k]
+            d[idx, k] = piv / (prev * scale)
+            r, c = (a + k + 1 for a in np.tril_indices(dim - k - 1))
+            m[:, r, c] = (m[:, r, c] * piv[:, None]
+                          - m[:, r, k] * m[:, c, k]) // prev[:, None]
+            prev = piv
+        lmat[idx[:, None], i, j] = m[:, i, j] / m[:, j, j]
+        kept.append(idx)
+    idx = np.concatenate(kept + [np.zeros(0, dtype=int)])
+    return idx, d[idx], lmat[idx]
 
 
 def evaluate_product(inp: OrbitInput, torus, witness) -> RInt:

@@ -271,6 +271,31 @@ def recursive_fincke_pohst(q, bound, height, seen):
     return out
 
 
+def sequential_ladder(bmats, qs, best, best_val, height):
+    """The rung-by-rung ladder the batched one replaced, on the recursive
+    enumeration and the Fraction LDL: the best witness, its value, and each
+    rung's list of new candidates."""
+    radius = 3.0 / math.sqrt(2.0) * bmats[0].shape[0] * 1.0001
+    seen = {best}
+    news = []
+    for q in qs:
+        cands = recursive_fincke_pohst(q, radius * best_val, height, seen)
+        news.append(cands)
+        if cands:
+            vals = dy._value_array(bmats, [1, 1], cands)
+            i = int(np.argmin(vals))
+            if vals[i] < best_val:
+                best_val, best = float(vals[i]), cands[i]
+    return best, best_val, news
+
+
+def by_index(ids, pts, count):
+    """Split (stack index, vector) arrays into one list of tuples per
+    index."""
+    return [[tuple(int(c) for c in p) for p in pts[ids == r]]
+            for r in range(count)]
+
+
 # mantissa times a power of two: entries from about 2^-203 to 2^150
 wide = hs.builds(math.ldexp, hs.integers(-2 ** 53, 2 ** 53),
                  hs.integers(-203, 97))
@@ -278,12 +303,12 @@ small = hs.floats(-4, 4, allow_subnormal=False)
 
 
 @hs.composite
-def symmetric_floats(draw):
+def symmetric_floats(draw, dim=None):
     """Symmetric float matrices up to 6 x 6: arbitrary (mostly indefinite)
     wide-range ones, Gram matrices, Gram matrices made near-singular by an
     almost repeated row, and ladder rungs s^2 G1 + G2 / s^2 with s^2 up to
     2^+-150, as the ellipsoid search forms them."""
-    dim = draw(hs.integers(1, 6))
+    dim = dim or draw(hs.integers(1, 6))
     kind = draw(hs.sampled_from(["symmetric", "gram", "near-singular",
                                  "ladder"]))
     if kind == "symmetric":
@@ -301,55 +326,140 @@ def symmetric_floats(draw):
     return g
 
 
+@hs.composite
+def symmetric_stacks(draw):
+    """One to five symmetric_floats matrices of one size, stacked."""
+    dim = draw(hs.integers(1, 6))
+    return np.array(draw(hs.lists(symmetric_floats(dim), min_size=1,
+                                  max_size=5)))
+
+
 @settings(max_examples=400, deadline=None)
-@given(symmetric_floats())
-def test_integer_ldl_matches_fraction_ldl(q):
-    # bit for bit: every d and L float, and None exactly when the oracle
-    # finds a non-positive pivot
-    got = dy._ldl(q)
-    want = fraction_ldl(q)
-    assert (got is None) == (want is None)
-    if want is None:
-        return
-    d, cols = got
-    n = q.shape[0]
-    assert [x.hex() for x in d] == [float(x).hex() for x in want[0]]
-    assert [[x.hex() for x in col] for col in cols] == \
-        [[float(want[1][i][k]).hex() for i in range(k + 1, n)]
-         for k in range(n)]
+@given(symmetric_stacks())
+def test_integer_ldl_matches_fraction_ldl(qs):
+    # bit for bit: every d and L float, and a matrix dropped exactly when
+    # the oracle finds a non-positive pivot, however the stack is sliced
+    idx, d, lmat = dy._ldl(qs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dy, "LDL_ROWS", 2)
+        sliced = dy._ldl(qs)
+    assert idx.tolist() == sliced[0].tolist()
+    assert d.tobytes() == sliced[1].tobytes()
+    assert lmat.tobytes() == sliced[2].tobytes()
+    want = [(r, f) for r, f in enumerate(map(fraction_ldl, qs))
+            if f is not None]
+    assert idx.tolist() == [r for r, _ in want]
+    n = qs.shape[1]
+    for k, (_, (diag, lower)) in enumerate(want):
+        assert [x.hex() for x in d[k]] == [float(x).hex() for x in diag]
+        assert [[lmat[k, i, j].hex() for j in range(i)] for i in range(n)] \
+            == [[float(lower[i][j]).hex() for j in range(i)]
+                for i in range(n)]
+        assert not np.triu(lmat[k]).any()
 
 
 def test_integer_ldl_decides_definiteness_exactly():
     # 1 + 2^-52 off the diagonal against 1 on it: the float determinant
     # rounds to 0 in both orders, the exact one is negative
     e = 1.0 + 2.0 ** -52
-    assert dy._ldl(np.array([[1.0, e], [e, 1.0]])) is None
-    assert dy._ldl(np.array([[e, 1.0], [1.0, e]])) is not None
-    assert dy._ldl(np.array([[0.0]])) is None
+    idx, _, _ = dy._ldl(np.array([[[1.0, e], [e, 1.0]],
+                                  [[e, 1.0], [1.0, e]]]))
+    assert idx.tolist() == [1]
+    assert len(dy._ldl(np.array([[[0.0]]]))[0]) == 0
 
 
 @settings(max_examples=150, deadline=None)
 @given(hs.integers(2, 6), hs.integers(1, 3), hs.data())
-def test_flat_fincke_pohst_matches_recursion(dim, height, data):
-    # the same new vectors, in the same order, with the caller's seen set
-    b = np.array([[data.draw(small) for _ in range(dim)] for _ in range(dim)])
-    q = b.T @ b + np.eye(dim) * data.draw(hs.floats(0, 1))
+def test_vectorised_fincke_pohst_matches_recursion(dim, height, data):
+    # the same new vectors in the same order as the recursion run matrix
+    # after matrix with one seen set, at any row cap
+    def matrix():
+        b = np.array([[data.draw(small) for _ in range(dim)]
+                      for _ in range(dim)])
+        return b.T @ b + np.eye(dim) * data.draw(hs.floats(0, 1))
+
+    qs = np.array([matrix() for _ in range(data.draw(hs.integers(1, 3)))])
     bound = data.draw(hs.floats(0, 40))
     seed = tuple(data.draw(hs.integers(-height, height)) for _ in range(dim))
-    seen = {seed}
-    got = list(dy._fincke_pohst(q, bound, height, seen))
+    idx, d, lmat = dy._ldl(qs)
+    ids, pts = dy._fincke_pohst(d, lmat, bound, height, np.array([seed]))
     want_seen = {seed}
-    assert got == recursive_fincke_pohst(q, bound, height, want_seen)
-    assert seen == want_seen
+    assert by_index(ids, pts, len(idx)) == \
+        [recursive_fincke_pohst(qs[r], bound, height, want_seen) for r in idx]
+    for cap in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dy, "FP_ROWS", cap)
+            ids_c, pts_c = dy._fincke_pohst(d, lmat, bound, height,
+                                            np.array([seed]))
+        assert ids_c.tolist() == ids.tolist()
+        assert pts_c.tolist() == pts.tolist()
+
+
+def test_float_power_squares_as_python_does():
+    # the enumeration squares with np.float_power because it is the pow
+    # Python's ** calls, bit for bit; numpy's ** on arrays need not be
+    x = np.random.default_rng(5).uniform(-50, 50, 20000)
+    assert np.float_power(x, 2.0).tobytes() == \
+        np.array([v ** 2 for v in x.tolist()]).tobytes()
 
 
 def test_fincke_pohst_pivot_below_bound_over_max_float():
     # bound / d overflows to inf: every box vector is in range, and no
     # float infinity reaches ceil or floor
     q = np.eye(2) * 2.0 ** -1022
-    got = list(dy._fincke_pohst(q, 4.0, 1, set()))
+    idx, d, lmat = dy._ldl(q[None])
+    none = np.zeros((0, 2), dtype=int)
+    got = by_index(*dy._fincke_pohst(d, lmat, 4.0, 1, none), 1)[0]
     assert sorted(got) == [(-1, 1), (0, 1), (1, 0), (1, 1)]
     assert got == recursive_fincke_pohst(q, 4.0, 1, set())
+
+
+@hs.composite
+def ladder_inputs(draw):
+    """Image matrices at two real places (1-3 rows, 2-6 columns), a height
+    whose box the recursion can walk, and 1-12 rungs s^2 = s0 2^(k/2); the
+    seed is the box's direct-scan minimum at height 1, or an arbitrary
+    nonzero point, which later rungs usually beat."""
+    dim = draw(hs.integers(2, 6))
+    rows = draw(hs.integers(1, 3))
+    height = draw(hs.integers(1, max(h for h in (1, 2, 3)
+                                     if (2 * h + 1) ** dim <= 3200)))
+    bmats = [np.array([[draw(small) for _ in range(dim)]
+                       for _ in range(rows)]) for _ in range(2)]
+    s2, rungs = math.ldexp(1.0, draw(hs.integers(-8, 4))), []
+    for _ in range(draw(hs.integers(1, 12))):
+        rungs.append(s2)
+        s2 *= math.sqrt(2.0)
+    s2 = np.array(rungs).reshape(-1, 1, 1)
+    g1, g2 = (sum(np.multiply.outer(row, row) for row in b) for b in bmats)
+    if draw(hs.booleans()):
+        best_val, best = dy._direct_scan(bmats, [1, 1], 1, dim)
+    else:
+        best = tuple(draw(hs.integers(-height, height)) for _ in range(dim))
+        if not any(best):
+            best = (1,) + best[1:]
+        best_val = float(dy._value_array(bmats, [1, 1], [best])[0])
+    return bmats, g1 * s2 + g2 / s2, best, best_val, height
+
+
+@settings(max_examples=80, deadline=None)
+@given(ladder_inputs())
+def test_ladder_matches_sequential_oracle(inp):
+    # the same witness, the same value bit for bit, and every rung's new
+    # candidates, whichever rungs beat the running best
+    bmats, qs, best, best_val, height = inp
+    want = sequential_ladder(bmats, qs, best, best_val, height)
+    for cap in (dy.FP_ROWS, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dy, "FP_ROWS", cap)
+            got = dy._ladder(bmats, qs, best, best_val, height)
+        assert got[0] == want[0]
+        assert got[1].hex() == want[1].hex()
+        ids = np.concatenate([np.zeros(0, dtype=int)]
+                             + [ids for ids, _ in got[2]])
+        pts = np.concatenate([np.zeros((0, qs.shape[1]), dtype=int)]
+                             + [pts for _, pts in got[2]])
+        assert by_index(ids, pts, len(qs)) == want[2]
 
 
 def test_run_path_constant(Ksqrt2):

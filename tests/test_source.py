@@ -87,9 +87,12 @@ def test_readers_of_the_fraction_view_are_pinned():
 
 # The systole's float evaluation: every value comes from the elementwise
 # image kernel, so a point's value does not depend on its batch or on the
-# BLAS build, and value(-x) == value(x).
+# BLAS build, and value(-x) == value(x).  The ladder's enumeration sums each
+# centre term by term, as the per-rung search did: a matrix product would
+# reorder those sums and move range edges.
 SCAN_FUNCTIONS = ("systole", "_image", "_sup_product", "_value_array",
-                  "_direct_scan", "_ellipsoid_scan")
+                  "_direct_scan", "_ellipsoid_scan", "_ladder",
+                  "_fincke_pohst", "_fp_level", "_ldl")
 
 
 def test_scan_functions_form_no_matrix_product():
@@ -106,3 +109,20 @@ def test_scan_functions_form_no_matrix_product():
                  and node.attr in ("dot", "matmul", "einsum", "inner",
                                    "tensordot", "vdot"))]
     assert found == []
+
+
+def test_fincke_pohst_squares_with_float_power():
+    """The bound left at each level is rem - d (x - c)^2, squared by
+    np.float_power: the C library's pow, which Python's ** calls in the
+    recursion the search reproduces.  numpy's ** on a float array squares
+    by multiplication or a SIMD pow, which can differ in the last bit and
+    move a range edge."""
+    tree = ast.parse((SRC / "dynamics.py").read_text())
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "_fp_level")
+    assert [node.lineno for node in ast.walk(func)
+            if isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Pow)] == []
+    assert any(isinstance(node, ast.Attribute) and node.attr == "float_power"
+               for node in ast.walk(func))
