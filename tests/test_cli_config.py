@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from torusorbits import forms as fm
 from torusorbits import numfield as nf
 from torusorbits import rootdata as rd
 from torusorbits import strata as st
-from torusorbits.cli import main
+from torusorbits.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -235,13 +236,69 @@ def _acceptance_8_path(case, K):
     return g1, {"n": g1.n, "bases": ["2", "2"], "schedules": list(schedules)}
 
 
+KERNEL_CASES = {
+    "bruhat_cell": ["bruhat", "cell", "--h", "h.json"],
+    "bruhat_ldu": ["bruhat", "ldu", "--h", "ldu.json", "--subset", "1"],
+    "bruhat_ldu_absent": ["bruhat", "ldu", "--h", "h.json"],
+    "forms_reduce": ["forms", "reduce", "--form", "form.json"],
+    "forms_to_group": ["forms", "to-group", "--form", "form.json"],
+    "cm_check": ["--seed", "7", "cm", "check", "--form", "form.json",
+                 "--height", "10", "--sample", "200", "--index-l", "2"],
+    "cm_check_ff": ["--seed", "31", "cm", "check", "--form", "form.json",
+                    "--height", "10", "--sample", "500",
+                    "--index-l", "2"],
+    "dynamics_systole": ["dynamics", "systole", "--g1", "g1.json",
+                         "--g2", "g2.json", "--height", "6"],
+    "dynamics_path": ["--format", "csv", "dynamics", "path",
+                      "--g1", "g1.json", "--g2", "g2.json",
+                      "--path", "path.json", "--height", "4"],
+    "dynamics_path_ellipsoid": ["--format", "csv", "dynamics", "path",
+                                "--g1", "h3.json", "--g2", "i3.json",
+                                "--path", "path3.json", "--height", "8"],
+    "dynamics_path_h20": ["--format", "csv", "dynamics", "path",
+                          "--g1", "g1.json", "--g2", "g2.json",
+                          "--path", "path2.json", "--height", "20"],
+    **{f"dynamics_path_acc8_{name}": [
+        "--format", "csv", "dynamics", "path", "--g1", f"{name}.json",
+        "--g2", "i2.json" if name.startswith("sl2") else "i3.json",
+        "--path", f"{name}_path.json",
+        "--height", "20"] for name in ACCEPTANCE_8_INPUTS},
+    "forms_density": ["forms", "density", "--form", "form.json",
+                      "--height", "5", "--window=-20,20",
+                      "--eps", "0.5"],
+    "forms_density_zeta8": ["--seed", "5", "forms", "density",
+                            "--form", "form.json", "--height", "2",
+                            "--sample", "300", "--window=0,2000",
+                            "--eps", "1"],
+    "forms_spectrum": ["forms", "spectrum", "--form", "form.json",
+                       "--height", "8", "--clip", "100"],
+    "forms_spectrum_zeta8": ["--seed", "5", "forms", "spectrum",
+                             "--form", "form.json", "--height", "5",
+                             "--sample", "300", "--clip", "1e15"],
+    "closed": ["closed", "--g1", "g1.json", "--g2", "g2.json"],
+    "closed_g2": ["closed", "--g", "g1.json", "--g", "g2.json"],
+    "closed_g3": ["closed", "--g", "g1.json", "--g", "g2.json",
+                  "--g", "i2.json"],
+    "units_classify": ["units", "classify"],
+    "forms_scan": ["forms", "scan", "--form", "form.json", "--height", "3"],
+    "forms_scan_csv": ["--format", "csv", "forms", "scan", "--form",
+                       "form.json", "--height", "3", "--limit", "12"],
+    "dynamics_path_json": ["dynamics", "path", "--g1", "g1.json",
+                           "--g2", "g2.json", "--path", "path.json",
+                           "--height", "4"],
+    "dynamics_bounded": ["dynamics", "bounded", "--g1", "sl2a.json",
+                         "--g2", "i2.json", "--path", "sl2a_path.json",
+                         "--C", "4", "--height", "6"],
+}
+
+
 def _kernel_case(case, tmp_path, Ksqrt2, Kzeta8):
     """Inputs and CLI arguments for one exact linear-algebra or float-image
     path: Bruhat rank profiles, block LDU pivot blocks, determinants and
     inverses in the group bridge, ranks in the variable reduction, the CM
     split, the systole scan, the numeric form values at real and complex
-    places and the exact two-place spectrum.  Returns the arguments and the
-    golden file name."""
+    places and the exact two-place spectrum, and every other command's JSON
+    or CSV.  Returns the arguments and the golden file name."""
     K = Kzeta8 if case in ("forms_to_group", "cm_check", "cm_check_ff",
                            "forms_density_zeta8",
                            "forms_spectrum_zeta8") else Ksqrt2
@@ -288,46 +345,7 @@ def _kernel_case(case, tmp_path, Ksqrt2, Kzeta8):
         form = fm.make_form(Ksqrt2, [[[1, 0, s], [0, 1, 1]],
                                      [[1, 1, 0], [0, s, 1]]])
     (tmp_path / "form.json").write_text(json.dumps(cfg.form_to_dict(form)))
-    tail = {
-        "bruhat_cell": ["bruhat", "cell", "--h", "h.json"],
-        "bruhat_ldu": ["bruhat", "ldu", "--h", "ldu.json", "--subset", "1"],
-        "bruhat_ldu_absent": ["bruhat", "ldu", "--h", "h.json"],
-        "forms_reduce": ["forms", "reduce", "--form", "form.json"],
-        "forms_to_group": ["forms", "to-group", "--form", "form.json"],
-        "cm_check": ["--seed", "7", "cm", "check", "--form", "form.json",
-                     "--height", "10", "--sample", "200", "--index-l", "2"],
-        "cm_check_ff": ["--seed", "31", "cm", "check", "--form", "form.json",
-                        "--height", "10", "--sample", "500",
-                        "--index-l", "2"],
-        "dynamics_systole": ["dynamics", "systole", "--g1", "g1.json",
-                             "--g2", "g2.json", "--height", "6"],
-        "dynamics_path": ["--format", "csv", "dynamics", "path",
-                          "--g1", "g1.json", "--g2", "g2.json",
-                          "--path", "path.json", "--height", "4"],
-        "dynamics_path_ellipsoid": ["--format", "csv", "dynamics", "path",
-                                    "--g1", "h3.json", "--g2", "i3.json",
-                                    "--path", "path3.json", "--height", "8"],
-        "dynamics_path_h20": ["--format", "csv", "dynamics", "path",
-                              "--g1", "g1.json", "--g2", "g2.json",
-                              "--path", "path2.json", "--height", "20"],
-        **{f"dynamics_path_acc8_{name}": [
-            "--format", "csv", "dynamics", "path", "--g1", f"{name}.json",
-            "--g2", "i2.json" if name.startswith("sl2") else "i3.json",
-            "--path", f"{name}_path.json",
-            "--height", "20"] for name in ACCEPTANCE_8_INPUTS},
-        "forms_density": ["forms", "density", "--form", "form.json",
-                          "--height", "5", "--window=-20,20",
-                          "--eps", "0.5"],
-        "forms_density_zeta8": ["--seed", "5", "forms", "density",
-                                "--form", "form.json", "--height", "2",
-                                "--sample", "300", "--window=0,2000",
-                                "--eps", "1"],
-        "forms_spectrum": ["forms", "spectrum", "--form", "form.json",
-                           "--height", "8", "--clip", "100"],
-        "forms_spectrum_zeta8": ["--seed", "5", "forms", "spectrum",
-                                 "--form", "form.json", "--height", "5",
-                                 "--sample", "300", "--clip", "1e15"],
-    }[case]
+    tail = KERNEL_CASES[case]
     golden = f"{case}.csv" if "csv" in tail else f"{case}.json"
     args = ["--field", str(tmp_path / "field.json"),
             "--out", str(tmp_path / "out")]
@@ -335,16 +353,7 @@ def _kernel_case(case, tmp_path, Ksqrt2, Kzeta8):
                    for t in tail], golden
 
 
-@pytest.mark.parametrize("case", ["bruhat_cell", "bruhat_ldu",
-                                  "bruhat_ldu_absent", "forms_reduce",
-                                  "forms_to_group", "cm_check",
-                                  "cm_check_ff", "dynamics_systole", "dynamics_path",
-                                  "dynamics_path_ellipsoid",
-                                  "dynamics_path_h20", "forms_density",
-                                  "forms_density_zeta8", "forms_spectrum",
-                                  "forms_spectrum_zeta8"]
-                         + [f"dynamics_path_acc8_{name}"
-                            for name in ACCEPTANCE_8_INPUTS])
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
 def test_cli_kernel_golden(tmp_path, Ksqrt2, Kzeta8, case, monkeypatch):
     """The CLI paths through exact elimination and through the float images
     of field elements, byte for byte against tests/golden/<case>.json (or
@@ -354,3 +363,68 @@ def test_cli_kernel_golden(tmp_path, Ksqrt2, Kzeta8, case, monkeypatch):
     args, golden = _kernel_case(case, tmp_path, Ksqrt2, Kzeta8)
     assert main(args) == 0
     assert (tmp_path / "out").read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def _commands(parser, prefix=()):
+    """Every (command, subcommand) of the parser, subcommand None for a
+    command without subcommands."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {(prefix + (None,))[:2]}
+    return {c for name, p in subs[0].choices.items()
+            for c in _commands(p, prefix + (name,))}
+
+
+def test_every_command_has_a_golden_case():
+    """A new command or subcommand cannot ship without its bytes pinned:
+    each one needs a case of test_cli_kernel_golden (strata is pinned by
+    test_cli_strata_golden)."""
+    ap = build_parser()
+    covered = {("strata", None)}
+    for tail in KERNEL_CASES.values():
+        args = ap.parse_args(["--field", "field.json", *tail])
+        covered.add((args.command, getattr(args, "subcommand", None)))
+    assert _commands(ap) == covered
+
+
+FIELD = ["--field", "field.json"]
+ERROR_CASES = {
+    "no_field": (["strata", "--n", "2", "--g1", "id", "--g2", "id"],
+                 "error: --field is required"),
+    "id_without_n": ([*FIELD, "strata", "--g1", "id", "--g2", "id"],
+                     "error: --n is required with the id shorthand"),
+    "g_with_g1": ([*FIELD, "closed", "--g", "g1.json", "--g1", "g1.json"],
+                  "error: pass either --g components or --g1/--g2"),
+    "closed_neither": ([*FIELD, "closed"],
+                       "error: need --g1 and --g2, or repeated --g"),
+    "det_not_one": ([*FIELD, "closed", "--g1", "det2.json", "--g2", "g1.json"],
+                    "error: components must have determinant one"),
+    "missing_path": ([*FIELD, "dynamics", "path", "--g1", "g1.json", "--g2",
+                      "id", "--n", "2", "--path", "none.json"],
+                     "error: [Errno 2] No such file or directory: "
+                     "'{tmp}/none.json'"),
+    "unwritable_out": ([*FIELD, "--out", "no/out.json", "strata",
+                        "--g1", "g1.json", "--g2", "id", "--n", "2"],
+                       "error: [Errno 2] No such file or directory: "
+                       "'{tmp}/no/out.json'"),
+    "failed_hypothesis": ([*FIELD, "dynamics", "bounded", "--g1", "g1.json",
+                           "--g2", "id", "--n", "2", "--path", "down.json"],
+                          "error: first place root value fell below 1/C"),
+}
+
+
+@pytest.mark.parametrize("case", list(ERROR_CASES))
+def test_cli_error_paths(workdir, Ksqrt2, capsys, monkeypatch, case):
+    """Each error path's exit status and its one stderr line; a .json
+    argument names a file in the work directory."""
+    monkeypatch.delenv("TORUSORBITS_FIELD", raising=False)
+    cfg.save_matrix(dc.MatrixK.from_rational_rows(Ksqrt2, [[2, 0], [0, 1]]),
+                    workdir / "det2.json")
+    (workdir / "down.json").write_text(json.dumps(
+        {"n": 2, "bases": ["2", "2"],
+         "schedules": [[[-k] for k in range(4)], [[-k] for k in range(4)]]}))
+    argv, line = ERROR_CASES[case]
+    assert main([str(workdir / t) if t.endswith(".json") else t
+                 for t in argv]) == 2
+    assert capsys.readouterr().err == line.format(tmp=workdir) + "\n"
