@@ -31,37 +31,11 @@ def _env_default(name, fallback=None):
 
 
 def _meta(field, precision=nf.DEFAULT_PRECISION):
-    """The meta block; precision is the working precision the command
-    actually used, which only units classify takes from --precision."""
-    return {
-        "field": field.label if field else None,
-        "order": "Z[theta]",
-        "precision_bits": precision,
-        "version": __version__,
-    }
-
-
-def _emit(payload, out):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_text(text, out):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _load_field(args):
-    if not args.field:
-        raise ValidationError("--field is required")
-    return cfg.load_field(args.field)
+    """The meta block main adds to every JSON output; precision is the
+    working precision the command actually used, which only units classify
+    takes from --precision (and so returns its own meta)."""
+    return {"field": field.label, "order": "Z[theta]",
+            "precision_bits": precision, "version": __version__}
 
 
 def _load_matrix(field, spec, n):
@@ -70,6 +44,19 @@ def _load_matrix(field, spec, n):
             raise ValidationError("--n is required with the id shorthand")
         return dc.MatrixK.identity(field, n)
     return cfg.load_matrix(field, spec)
+
+
+def _pair(field, args):
+    """g1 and g2 from --g1 and --g2."""
+    return (_load_matrix(field, args.g1, args.n),
+            _load_matrix(field, args.g2, args.n))
+
+
+def _scan(field, args):
+    """The --form file and its scan at --height (--sample, --seed)."""
+    form = cfg.load_form(field, args.form)
+    return form, fm.scan_values(form, args.height, sample=args.sample,
+                                seed=args.seed)
 
 
 def _subset(field_n, spec):
@@ -84,22 +71,16 @@ def _subset(field_n, spec):
 # -- strata ------------------------------------------------------------------
 
 
-def cmd_strata(args):
-    field = _load_field(args)
-    g1 = _load_matrix(field, args.g1, args.n)
-    g2 = _load_matrix(field, args.g2, args.n)
-    sset = st.enumerate_strata(g1, g2)
+def cmd_strata(field, args):
+    sset = st.enumerate_strata(*_pair(field, args))
     edges = st.closure_poset(sset)
     counts = st.verify_counts(sset)
     st.closed_strata(sset)  # raises MinimalNotBorel on a broken poset
     if args.format == "summary":
-        _emit_text(st.summary_line(sset) + "\n", args.out)
-        return 0
+        return st.summary_line(sset) + "\n"
     if args.format == "dot":
-        _emit_text(_poset_dot(sset, edges), args.out)
-        return 0
-    payload = {
-        "meta": _meta(field),
+        return _poset_dot(sset, edges)
+    return {
         "summary": st.summary_line(sset),
         "counts": {
             "strata": counts.strata, "closed": counts.closed,
@@ -109,8 +90,6 @@ def cmd_strata(args):
         "records": [_record_json(i, rec) for i, rec in enumerate(sset.records)],
         "poset_edges": [list(e) for e in edges],
     }
-    _emit(payload, args.out)
-    return 0
 
 
 def _record_json(i, rec):
@@ -146,51 +125,36 @@ def _poset_dot(sset, edges):
     return "\n".join(lines) + "\n"
 
 
-def cmd_closed(args):
-    field = _load_field(args)
+def cmd_closed(field, args):
     if args.g:
         if args.g1 or args.g2:
             raise ValidationError("pass either --g components or --g1/--g2")
         comps = tuple(_load_matrix(field, spec, args.n) for spec in args.g)
-        inp = st.OrbitInput(comps)
-        payload = {
-            "meta": _meta(field),
-            "components": len(comps),
-            "is_orbit_closed": st.is_orbit_closed(inp),
-        }
+        out = {"components": len(comps),
+               "is_orbit_closed": st.is_orbit_closed(st.OrbitInput(comps))}
         if len(comps) == 2:
-            sset = st.enumerate_strata(*comps)
-            payload["closed_count"] = len(st.closed_strata(sset))
-        _emit(payload, args.out)
-        return 0
+            out["closed_count"] = len(st.closed_strata(st.enumerate_strata(*comps)))
+        return out
     if not (args.g1 and args.g2):
         raise ValidationError("need --g1 and --g2, or repeated --g")
-    g1 = _load_matrix(field, args.g1, args.n)
-    g2 = _load_matrix(field, args.g2, args.n)
-    sset = st.enumerate_strata(g1, g2)
-    closed = st.closed_strata(sset)
-    payload = {
-        "meta": _meta(field),
+    sset = st.enumerate_strata(*_pair(field, args))
+    return {
+        "closed_count": len(st.closed_strata(sset)),
         "is_orbit_closed": st.is_orbit_closed(sset.input),
-        "closed_count": len(closed),
         "records": [_record_json(i, rec) for i, rec in enumerate(sset.records)
                     if rec.is_closed],
     }
-    _emit(payload, args.out)
-    return 0
 
 
 # -- units / cm ---------------------------------------------------------------
 
 
-def cmd_units_classify(args):
-    field = _load_field(args)
+def cmd_units_classify(field, args):
     rep = nf.unit_closure_classify(field, args.place,
                                    precision_bits=args.precision)
     if args.format == "summary":
-        _emit_text(rep.classification + "\n", args.out)
-        return 0
-    payload = {
+        return rep.classification + "\n"
+    return {
         "meta": _meta(field, args.precision),
         "target_place": rep.target_place,
         "classification": rep.classification,
@@ -199,18 +163,11 @@ def cmd_units_classify(args):
         "gap_statistic": rep.gap_statistic,
         "notes": rep.notes,
     }
-    _emit(payload, args.out)
-    return 0
 
 
-def cmd_cm_check(args):
-    field = _load_field(args)
-    form = cfg.load_form(field, args.form)
-    scan = fm.scan_values(form, args.height, sample=args.sample,
-                          seed=args.seed)
-    rep = fm.cm_obstruction_check(form, scan, index_l=args.index_l)
-    payload = {
-        "meta": _meta(field),
+def cmd_cm_check(field, args):
+    rep = fm.cm_obstruction_check(*_scan(field, args), index_l=args.index_l)
+    return {
         "constant": cfg.rat_to_str(rep.constant),
         "index_l": rep.index_l,
         "checked": rep.checked,
@@ -220,66 +177,47 @@ def cmd_cm_check(args):
             "ray": sum(1 for p in rep.points if p.branch == "ray"),
         },
     }
-    _emit(payload, args.out)
-    return 0
 
 
 # -- forms ---------------------------------------------------------------------
 
 
-def cmd_forms_scan(args):
-    field = _load_field(args)
-    form = cfg.load_form(field, args.form)
-    scan = fm.scan_values(form, args.height, sample=args.sample, seed=args.seed)
+def cmd_forms_scan(field, args):
+    form, scan = _scan(field, args)
     if args.format == "csv":
         lines = ["point;degenerate;" + ";".join(f"value_place{v}"
                                                 for v in range(form.r))]
-        cap = min(scan.npoints, args.limit or scan.npoints)
-        for i in range(cap):
-            vals = scan.exact_values(i)
-            cells = [",".join(cfg.elem_to_list(val)) for val in vals]
+        for i in range(min(scan.npoints, args.limit or scan.npoints)):
+            cells = [",".join(cfg.elem_to_list(v)) for v in scan.exact_values(i)]
             pt = ",".join(str(int(x)) for x in scan.points[i])
             lines.append(f"{pt};{int(bool(scan.degenerate[i]))};" + ";".join(cells))
-        _emit_text("\n".join(lines) + "\n", args.out)
-        return 0
-    payload = {
-        "meta": _meta(field),
+        return "\n".join(lines) + "\n"
+    return {
         "height": scan.height,
         "mode": scan.mode,
         "points": scan.npoints,
         "degenerate": int(scan.degenerate.sum()),
     }
-    _emit(payload, args.out)
-    return 0
 
 
-def cmd_forms_density(args):
-    field = _load_field(args)
-    form = cfg.load_form(field, args.form)
-    scan = fm.scan_values(form, args.height, sample=args.sample, seed=args.seed)
+def cmd_forms_density(field, args):
+    form, scan = _scan(field, args)
     window = None
     if args.window:
         lo, hi = (float(t) for t in args.window.split(","))
         window = tuple((lo, hi) for _ in range(form.r))
     rep = fm.density_report(scan, window=window, eps=args.eps)
-    payload = {
-        "meta": _meta(field),
+    return {
         "height": rep.height, "eps": rep.eps, "window": list(rep.window),
         "cells_total": rep.cells_total, "cells_hit": rep.cells_hit,
         "coverage": rep.coverage, "points_used": rep.points_used,
         "points_in_window": rep.points_in_window, "mode": rep.mode,
     }
-    _emit(payload, args.out)
-    return 0
 
 
-def cmd_forms_spectrum(args):
-    field = _load_field(args)
-    form = cfg.load_form(field, args.form)
-    scan = fm.scan_values(form, args.height, sample=args.sample, seed=args.seed)
-    rep = fm.two_place_spectrum(scan, clip=args.clip)
-    payload = {
-        "meta": _meta(field),
+def cmd_forms_spectrum(field, args):
+    rep = fm.two_place_spectrum(_scan(field, args)[1], clip=args.clip)
+    return {
         "height": rep.height, "clip": rep.clip,
         "rational_form": rep.rational_form,
         "constant": cfg.rat_to_str(rep.constant) if rep.constant is not None else None,
@@ -288,76 +226,54 @@ def cmd_forms_spectrum(args):
         "min_value": rep.min_value, "min_gap": rep.min_gap,
         "count": rep.count_nonzero, "note": rep.note,
     }
-    _emit(payload, args.out)
-    return 0
 
 
-def cmd_forms_to_group(args):
-    field = _load_field(args)
-    form = cfg.load_form(field, args.form)
-    alphas, inp = fm.form_to_group(form)
-    payload = {
-        "meta": _meta(field),
+def cmd_forms_to_group(field, args):
+    alphas, inp = fm.form_to_group(cfg.load_form(field, args.form))
+    return {
         "alphas": [cfg.elem_to_list(a) for a in alphas],
         "components": [cfg.matrix_to_dict(c) for c in inp.components],
     }
-    _emit(payload, args.out)
-    return 0
 
 
-def cmd_forms_reduce(args):
-    field = _load_field(args)
+def cmd_forms_reduce(field, args):
     form = cfg.load_form(field, args.form)
     reduced, phi = fm.reduce_variables(form, seed=args.seed)
-    payload = {
-        "meta": _meta(field),
+    return {
         "n": reduced.n, "m": reduced.m,
         "substitution": [[cfg.elem_to_list(x) for x in row] for row in phi],
         "factors": [[[cfg.elem_to_list(c) for c in fac] for fac in place]
                     for place in reduced.factors],
     }
-    _emit(payload, args.out)
-    return 0
 
 
 # -- dynamics -------------------------------------------------------------------
 
 
-def cmd_dyn_systole(args):
-    field = _load_field(args)
-    g1 = _load_matrix(field, args.g1, args.n)
-    g2 = _load_matrix(field, args.g2, args.n)
-    inp = st.OrbitInput((g1, g2))
+def cmd_dyn_systole(field, args):
+    inp = st.OrbitInput(_pair(field, args))
     torus = [[Fraction(1)] * inp.n for _ in range(inp.r)]
     enc, wit = dy.systole(inp, torus, args.height)
-    payload = {
-        "meta": _meta(field),
+    return {
         "height": args.height,
         "value": float(enc.mid),
         "enclosure": [float(enc.lo), float(enc.hi)],
         "witness": [int(x) for x in wit],
     }
-    _emit(payload, args.out)
-    return 0
 
 
-def cmd_dyn_path(args):
-    field = _load_field(args)
-    g1 = _load_matrix(field, args.g1, args.n)
-    g2 = _load_matrix(field, args.g2, args.n)
+def cmd_dyn_path(field, args):
+    pair = _pair(field, args)
     path = cfg.load_path(args.path)
-    inp = st.OrbitInput((g1, g2))
-    trace = dy.run_path(inp, path, args.height)
+    trace = dy.run_path(st.OrbitInput(pair), path, args.height)
     if args.format == "csv":
         lines = ["step,systole,witness"]
         for s in trace.steps:
             wit = " ".join(str(int(x)) for x in s.witness)
             lines.append(f"{s.step},{s.value!r},{wit}")
         lines.append(f"# verdict={trace.verdict}")
-        _emit_text("\n".join(lines) + "\n", args.out)
-        return 0
-    payload = {
-        "meta": _meta(field),
+        return "\n".join(lines) + "\n"
+    return {
         "verdict": trace.verdict,
         "bounded_margin": trace.bounded_margin,
         "final_value": trace.final_value,
@@ -365,20 +281,14 @@ def cmd_dyn_path(args):
                    "witness": [int(x) for x in s.witness]}
                   for s in trace.steps],
     }
-    _emit(payload, args.out)
-    return 0
 
 
-def cmd_dyn_bounded(args):
-    field = _load_field(args)
-    g1 = _load_matrix(field, args.g1, args.n)
-    g2 = _load_matrix(field, args.g2, args.n)
+def cmd_dyn_bounded(field, args):
+    g1, g2 = _pair(field, args)
     path = cfg.load_path(args.path)
-    subset = _subset(g1.n, args.subset)
-    rep = dy.check_boundedness(g1, g2, subset, path, Fraction(args.C),
-                               height=args.height)
-    payload = {
-        "meta": _meta(field),
+    rep = dy.check_boundedness(g1, g2, _subset(g1.n, args.subset), path,
+                               Fraction(args.C), height=args.height)
+    return {
         "membership": rep.membership,
         "products_bounded": rep.products_bounded,
         "product_band": list(rep.product_band),
@@ -387,49 +297,30 @@ def cmd_dyn_bounded(args):
         "observed_bounded": rep.observed_bounded,
         "agrees": rep.agrees,
     }
-    _emit(payload, args.out)
-    return 0
 
 
 # -- bruhat ---------------------------------------------------------------------
 
 
-def cmd_bruhat_cell(args):
-    field = _load_field(args)
-    h = _load_matrix(field, args.h, args.n)
-    w = dc.bruhat_cell(h)
-    payload = {
-        "meta": _meta(field),
+def cmd_bruhat_cell(field, args):
+    w = dc.bruhat_cell(_load_matrix(field, args.h, args.n))
+    return {
         "convention": "h in V-minus . w . P (lower unipotent x upper Borel)",
         "cell": str(w),
         "permutation": [p + 1 for p in w.perm],
     }
-    _emit(payload, args.out)
-    return 0
 
 
-def cmd_bruhat_ldu(args):
-    field = _load_field(args)
+def cmd_bruhat_ldu(field, args):
     h = _load_matrix(field, args.h, args.n)
     subset = _subset(h.n, args.subset)
     dec = dc.block_ldu(h, subset)
-    if dec is None:
-        payload = {
-            "meta": _meta(field),
-            "subset": sorted(subset.simples),
-            "present": False,
-        }
-    else:
-        payload = {
-            "meta": _meta(field),
-            "subset": sorted(subset.simples),
-            "present": True,
-            "v_minus": cfg.matrix_to_dict(dec.v_minus),
-            "levi": cfg.matrix_to_dict(dec.levi),
-            "v_plus": cfg.matrix_to_dict(dec.v_plus),
-        }
-    _emit(payload, args.out)
-    return 0
+    out = {"subset": sorted(subset.simples), "present": dec is not None}
+    if dec is not None:
+        out.update(v_minus=cfg.matrix_to_dict(dec.v_minus),
+                   levi=cfg.matrix_to_dict(dec.levi),
+                   v_plus=cfg.matrix_to_dict(dec.v_plus))
+    return out
 
 
 # -- parser ----------------------------------------------------------------------
@@ -451,19 +342,27 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["json", "dot", "csv", "summary"])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def matrix_args(p):
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--g1", required=True)
-        p.add_argument("--g2", required=True)
+    def inputs(p, *flags, required=True):
+        """--n, the size of the id shorthand, and input files named by
+        flags (--g1, --g2, --h, --form)."""
+        for flag in flags:
+            if flag == "--n":
+                p.add_argument("--n", type=int, default=None)
+            else:
+                p.add_argument(flag, required=required)
+
+    def scan_args(p, height=None):
+        inputs(p, "--form")
+        p.add_argument("--height", type=int, default=height,
+                       required=height is None)
+        p.add_argument("--sample", type=int, default=None)
 
     p = sub.add_parser("strata", help="enumerate the orbit closure strata")
-    matrix_args(p)
+    inputs(p, "--n", "--g1", "--g2")
     p.set_defaults(func=cmd_strata)
 
     p = sub.add_parser("closed", help="closed strata and orbit closedness")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--g1", default=None)
-    p.add_argument("--g2", default=None)
+    inputs(p, "--n", "--g1", "--g2", required=False)
     p.add_argument("--g", action="append", default=None,
                    help="repeatable: one component per place (r >= 2)")
     p.set_defaults(func=cmd_closed)
@@ -477,60 +376,46 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cm", help="CM obstruction checks")
     csub = p.add_subparsers(dest="subcommand", required=True)
     pc = csub.add_parser("check")
-    pc.add_argument("--form", required=True)
-    pc.add_argument("--height", type=int, default=10)
-    pc.add_argument("--sample", type=int, default=None)
+    scan_args(pc, height=10)
     pc.add_argument("--index-l", dest="index_l", type=int, required=True)
     pc.set_defaults(func=cmd_cm_check)
 
     p = sub.add_parser("forms", help="decomposable form operations")
     fsub = p.add_subparsers(dest="subcommand", required=True)
     ps = fsub.add_parser("scan")
-    ps.add_argument("--form", required=True)
-    ps.add_argument("--height", type=int, required=True)
-    ps.add_argument("--sample", type=int, default=None)
+    scan_args(ps)
     ps.add_argument("--limit", type=int, default=None)
     ps.set_defaults(func=cmd_forms_scan)
     pd = fsub.add_parser("density")
-    pd.add_argument("--form", required=True)
-    pd.add_argument("--height", type=int, required=True)
-    pd.add_argument("--sample", type=int, default=None)
+    scan_args(pd)
     pd.add_argument("--eps", type=float, default=0.25)
     pd.add_argument("--window", default=None, help="lo,hi per place")
     pd.set_defaults(func=cmd_forms_density)
     pp = fsub.add_parser("spectrum")
-    pp.add_argument("--form", required=True)
-    pp.add_argument("--height", type=int, required=True)
-    pp.add_argument("--sample", type=int, default=None)
+    scan_args(pp)
     pp.add_argument("--clip", type=float, default=10.0)
     pp.add_argument("--limit", type=int, default=None)
     pp.set_defaults(func=cmd_forms_spectrum)
     pg = fsub.add_parser("to-group")
-    pg.add_argument("--form", required=True)
+    inputs(pg, "--form")
     pg.set_defaults(func=cmd_forms_to_group)
     pr = fsub.add_parser("reduce")
-    pr.add_argument("--form", required=True)
+    inputs(pr, "--form")
     pr.set_defaults(func=cmd_forms_reduce)
 
     p = sub.add_parser("dynamics", help="divergence and boundedness diagnostics")
     dsub = p.add_subparsers(dest="subcommand", required=True)
     py = dsub.add_parser("systole")
-    py.add_argument("--n", type=int, default=None)
-    py.add_argument("--g1", required=True)
-    py.add_argument("--g2", required=True)
+    inputs(py, "--n", "--g1", "--g2")
     py.add_argument("--height", type=int, default=10)
     py.set_defaults(func=cmd_dyn_systole)
     pp = dsub.add_parser("path")
-    pp.add_argument("--n", type=int, default=None)
-    pp.add_argument("--g1", required=True)
-    pp.add_argument("--g2", required=True)
+    inputs(pp, "--n", "--g1", "--g2")
     pp.add_argument("--path", required=True)
     pp.add_argument("--height", type=int, default=20)
     pp.set_defaults(func=cmd_dyn_path)
     pb = dsub.add_parser("bounded")
-    pb.add_argument("--n", type=int, default=None)
-    pb.add_argument("--g1", required=True)
-    pb.add_argument("--g2", required=True)
+    inputs(pb, "--n", "--g1", "--g2")
     pb.add_argument("--path", required=True)
     pb.add_argument("--subset", default="")
     pb.add_argument("--C", default="4")
@@ -540,12 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bruhat", help="cell and block factorization")
     bsub = p.add_subparsers(dest="subcommand", required=True)
     pc = bsub.add_parser("cell")
-    pc.add_argument("--n", type=int, default=None)
-    pc.add_argument("--h", required=True)
+    inputs(pc, "--n", "--h")
     pc.set_defaults(func=cmd_bruhat_cell)
     pl = bsub.add_parser("ldu")
-    pl.add_argument("--n", type=int, default=None)
-    pl.add_argument("--h", required=True)
+    inputs(pl, "--n", "--h")
     pl.add_argument("--subset", default="")
     pl.set_defaults(func=cmd_bruhat_ldu)
 
@@ -553,10 +436,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Parse argv, load --field, run the command and write what it returns:
+    a dict as JSON with the meta block added, text as it is."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if not args.field:
+            raise ValidationError("--field is required")
+        field = cfg.load_field(args.field)
+        out = args.func(field, args)
+        if isinstance(out, dict):
+            out = json.dumps({"meta": _meta(field), **out}, indent=2,
+                             sort_keys=True) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        else:
+            sys.stdout.write(out)
+        return 0
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
