@@ -333,10 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "closures and decomposable form scans")
     ap.add_argument("--field", default=_env_default("field"),
                     help="field config JSON")
+    # a string default goes through type=int only when the flag is absent,
+    # and a bad one is a usage error (exit 2)
     ap.add_argument("--precision", type=int,
-                    default=int(_env_default("precision", "128")),
+                    default=_env_default("precision", "128"),
                     help="working precision in bits of units classify")
-    ap.add_argument("--seed", type=int, default=int(_env_default("seed", "0")))
+    ap.add_argument("--seed", type=int, default=_env_default("seed", "0"))
     ap.add_argument("--out", default=None, help="output file (default stdout)")
     ap.add_argument("--format", default="json",
                     choices=["json", "dot", "csv", "summary"])

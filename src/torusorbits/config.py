@@ -24,11 +24,25 @@ def rat_to_str(x: Fraction) -> str:
 
 
 def rat_from_str(s) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, str):
-        return Fraction(s)
+    try:
+        if isinstance(s, (int, str)):
+            return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        pass
     raise ValidationError(f"expected a rational string, got {s!r}")
+
+
+def _read(path, label, parse, *args):
+    """parse(*args, data) on the JSON in the file at path; a missing key or
+    a value of the wrong type is a ValidationError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    try:
+        return parse(*args, data)
+    except KeyError as exc:
+        raise ValidationError(f"{label} {path} misses key {exc}") from None
+    except TypeError as exc:
+        raise ValidationError(f"{label} {path} is malformed: {exc}") from None
 
 
 def elem_to_list(x: FieldElement):
@@ -63,11 +77,8 @@ def field_to_dict(field: NumberField) -> dict:
 
 
 def field_from_dict(data: dict) -> NumberField:
-    try:
-        min_poly = [rat_from_str(c) for c in data["min_poly"]]
-        units = [[rat_from_str(c) for c in u] for u in data.get("units", [])]
-    except KeyError as exc:
-        raise ValidationError(f"field config misses key {exc}")
+    min_poly = [rat_from_str(c) for c in data["min_poly"]]
+    units = [[rat_from_str(c) for c in u] for u in data.get("units", [])]
     cm = None
     if "cm" in data and data["cm"] is not None:
         raw = data["cm"]
@@ -82,8 +93,7 @@ def field_from_dict(data: dict) -> NumberField:
 
 
 def load_field(path) -> NumberField:
-    with open(path, "r", encoding="utf-8") as fh:
-        return field_from_dict(json.load(fh))
+    return _read(path, "field config", field_from_dict)
 
 
 def save_field(field: NumberField, path) -> None:
@@ -115,8 +125,7 @@ def matrix_from_dict(field: NumberField, data: dict) -> MatrixK:
 
 
 def load_matrix(field: NumberField, path) -> MatrixK:
-    with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_dict(field, json.load(fh))
+    return _read(path, "matrix", matrix_from_dict, field)
 
 
 def save_matrix(m: MatrixK, path) -> None:
@@ -155,8 +164,7 @@ def form_from_dict(field: NumberField, data: dict) -> DecomposableForm:
 
 
 def load_form(field: NumberField, path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return form_from_dict(field, json.load(fh))
+    return _read(path, "form", form_from_dict, field)
 
 
 def path_from_dict(data: dict) -> TorusPath:
@@ -169,5 +177,4 @@ def path_from_dict(data: dict) -> TorusPath:
 
 
 def load_path(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return path_from_dict(json.load(fh))
+    return _read(path, "torus path", path_from_dict)

@@ -411,6 +411,24 @@ ERROR_CASES = {
     "failed_hypothesis": ([*FIELD, "dynamics", "bounded", "--g1", "g1.json",
                            "--g2", "id", "--n", "2", "--path", "down.json"],
                           "error: first place root value fell below 1/C"),
+    # malformed input files
+    "field_without_min_poly": (["--field", "bad.json", "units", "classify"],
+                               "error: field config {tmp}/bad.json misses "
+                               "key 'min_poly'"),
+    "matrix_without_rows": ([*FIELD, "bruhat", "cell", "--h", "bad.json"],
+                            "error: matrix {tmp}/bad.json misses key 'rows'"),
+    "list_as_matrix": ([*FIELD, "bruhat", "cell", "--h", "list.json"],
+                       "error: matrix {tmp}/list.json is malformed: list "
+                       "indices must be integers or slices, not str"),
+    "coefficient_x": ([*FIELD, "bruhat", "cell", "--h", "x.json"],
+                      "error: expected a rational string, got 'x'"),
+    "path_without_bases": ([*FIELD, "dynamics", "path", "--g1", "g1.json",
+                            "--g2", "id", "--n", "2", "--path", "bad.json"],
+                           "error: torus path {tmp}/bad.json misses key "
+                           "'bases'"),
+    "form_without_factors": ([*FIELD, "forms", "reduce", "--form", "bad.json"],
+                             "error: form {tmp}/bad.json misses key "
+                             "'factors'"),
 }
 
 
@@ -424,7 +442,29 @@ def test_cli_error_paths(workdir, Ksqrt2, capsys, monkeypatch, case):
     (workdir / "down.json").write_text(json.dumps(
         {"n": 2, "bases": ["2", "2"],
          "schedules": [[[-k] for k in range(4)], [[-k] for k in range(4)]]}))
+    (workdir / "bad.json").write_text(json.dumps(
+        {"label": "bad", "n": 2, "m": 2, "schedules": []}))
+    (workdir / "list.json").write_text("[1, 2]")
+    (workdir / "x.json").write_text(json.dumps(
+        {"rows": [[["x", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]]}))
     argv, line = ERROR_CASES[case]
     assert main([str(workdir / t) if t.endswith(".json") else t
                  for t in argv]) == 2
     assert capsys.readouterr().err == line.format(tmp=workdir) + "\n"
+
+
+@pytest.mark.parametrize("name, value", [("seed", "abc"), ("precision", ""),
+                                         ("precision", "1e3")])
+def test_cli_malformed_env_override(workdir, capsys, monkeypatch, name, value):
+    """A malformed TORUSORBITS_ override is a usage error (exit 2) when its
+    flag is absent, and unused when the flag is given."""
+    monkeypatch.setenv(f"TORUSORBITS_{name.upper()}", value)
+    argv = ["--field", str(workdir / "field.json"), "--format", "summary",
+            "units", "classify"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert (f"argument --{name}: invalid int value: {value!r}"
+            in capsys.readouterr().err)
+    assert main([f"--{name}", "128", *argv]) == 0
+    assert capsys.readouterr().out == "discrete\n"
