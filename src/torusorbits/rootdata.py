@@ -201,7 +201,8 @@ class ParabolicDescriptor:
         return sum(1 << (i * self.n + j) for i, j in self.positions)
 
 
-def _check_cap(n: int):
+def check_cap(n: int):
+    """Refuse n outside the enumerable range 2 <= n <= ENUM_CAP."""
     if not 2 <= n <= ENUM_CAP:
         raise TooLarge(f"enumeration supports 2 <= n <= {ENUM_CAP}")
 
@@ -209,7 +210,7 @@ def _check_cap(n: int):
 @lru_cache(maxsize=None)
 def all_weyl(n: int):
     """All n! Weyl elements in lexicographic one-line order."""
-    _check_cap(n)
+    check_cap(n)
     return tuple(WeylElement(p) for p in itertools.permutations(range(n)))
 
 
@@ -276,7 +277,7 @@ def levi_positions(subset: RootSubset) -> frozenset:
 
 def weyl_stabilizer(subset: RootSubset):
     """The Weyl group of the Levi: permutations preserving each block."""
-    _check_cap(subset.n)
+    check_cap(subset.n)
     out = []
     for w in all_weyl(subset.n):
         blk = subset.block_of()
@@ -302,7 +303,7 @@ def _coset_reps_cached(n: int, simples: frozenset):
 
 def coset_representatives(n: int, subset: RootSubset):
     """Lexicographically minimal representatives of the left cosets w W_subset."""
-    _check_cap(n)
+    check_cap(n)
     return _coset_reps_cached(n, subset.simples)
 
 
@@ -310,7 +311,7 @@ def n_psi(n: int, subset: RootSubset) -> int:
     """Number of parabolic subgroups containing the torus conjugate to the
     standard one of the subset; counted by enumeration and cross-checked
     against n!/prod(block sizes factorial)."""
-    _check_cap(n)
+    check_cap(n)
     distinct = {parabolic_descriptor(subset, w).positions for w in all_weyl(n)}
     formula = math.factorial(n)
     for b in subset.composition:

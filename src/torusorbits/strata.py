@@ -23,10 +23,10 @@ from typing import List, Optional
 import numpy as np
 
 from .decomp import BlockLDU, MatrixK, MinorTable, weyl_translate
-from .errors import BoundViolated, MinimalNotBorel, TooLarge, ValidationError
+from .errors import BoundViolated, MinimalNotBorel, ValidationError
 from .numfield import NumberField
 from .rootdata import (ParabolicDescriptor, RootSubset, WeylElement,
-                       all_subsets, coset_representatives, n_psi,
+                       all_subsets, check_cap, coset_representatives, n_psi,
                        parabolic_descriptor, sum_n_psi_squared)
 
 
@@ -146,10 +146,9 @@ def enumerate_strata(g1: MatrixK, g2: MatrixK) -> StrataSet:
     """
     if g1.n != g2.n or g1.field is not g2.field:
         raise ValidationError("components must share size and field")
-    inp = OrbitInput((g1, g2))
     n = g1.n
-    if n > 5:
-        raise TooLarge("strata enumeration supports n <= 5")
+    check_cap(n)
+    inp = OrbitInput((g1, g2))
     # an identity g2, as on every `--g2 id` run, is never inverted or
     # multiplied by
     right = None if g2.is_identity() else g2

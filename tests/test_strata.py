@@ -202,10 +202,18 @@ def test_generic_implies_full_count(Ksqrt2):
         hits += 1
 
 
-def test_refuses_large_n(Ksqrt2):
-    i6 = dc.MatrixK.identity(Ksqrt2, 6)
-    with pytest.raises((TooLarge, Exception)):
-        st.enumerate_strata(i6, i6)
+def test_refuses_large_n(Ksqrt2, monkeypatch):
+    # n = 1 and n = 6 raise before any field arithmetic: not one
+    # NumberField.dot
+    calls = []
+    dot = nf.NumberField.dot
+    monkeypatch.setattr(nf.NumberField, "dot",
+                        lambda self, xs, ys: calls.append(1) or dot(self, xs, ys))
+    for n in (1, rd.ENUM_CAP + 1):
+        i_n = dc.MatrixK.identity(Ksqrt2, n)
+        with pytest.raises(TooLarge):
+            st.enumerate_strata(i_n, i_n)
+    assert calls == []
 
 
 def test_monotonicity_in_subset(Ksqrt2):
