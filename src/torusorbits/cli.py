@@ -3,8 +3,8 @@
 One process, batch in, deterministic machine-readable out: JSON (records),
 DOT (closure posets), CSV (scans, traces), or a one-line summary.  Exit
 codes: 0 success, 2 validation/configuration error, 3 invariant violation.
-Every structured output embeds the field label, the order used (Z[theta]),
-the working precision, and the package version, so results are auditable.
+Each cmd_* returns its output, a dict or text; main adds to every dict the
+meta block (field label, the order Z[theta], working precision, version).
 """
 
 from __future__ import annotations
