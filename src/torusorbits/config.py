@@ -24,11 +24,11 @@ def rat_to_str(x: Fraction) -> str:
 
 
 def rat_from_str(s) -> Fraction:
-    try:
-        if isinstance(s, (int, str)):
+    if isinstance(s, (int, str)):
+        try:
             return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        pass
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ValidationError(f"expected a rational string, got {s!r}")
 
 
