@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -204,6 +205,39 @@ def test_cli_strata_golden(tmp_path, Ksqrt2, fmt, monkeypatch):
                "--g1", str(tmp_path / "g1.json"), "--g2", "id"])
     assert rc == 0
     assert out.read_bytes() == (GOLDEN / f"strata_sl3.{fmt}").read_bytes()
+
+
+# The `strata` JSON of two SL4 inputs of the benchmark, too large for a
+# golden file: (records, sha256 of the output bytes).
+STRATA_SL4_SHA256 = {
+    "generic": (1077, "b6f2d429d7dddeb8cc444319c9527fd7"
+                      "8767568ba4e7b2cdc20349e9f174a153"),
+    "unipotent": (126, "c32310ca16e140d19e3fac701ab36ae3"
+                       "8d180260a933c2e7fd550eae10b6f6c5"),
+}
+
+
+@pytest.mark.parametrize("case", list(STRATA_SL4_SHA256))
+def test_cli_strata_sl4_sha256(tmp_path, Ksqrt2, case, monkeypatch):
+    """`strata` on the generic (Vandermonde-type) and the unipotent SL4
+    input, byte for byte through the sha256 of the output."""
+    monkeypatch.delenv("TORUSORBITS_PRECISION", raising=False)
+    K = Ksqrt2
+    g1 = (dc.MatrixK.from_rational_rows(
+        K, [[Fraction(1, 12)] * 4, [1, 2, 4, 8], [1, 3, 9, 27],
+            [1, 4, 16, 64]]) if case == "generic" else
+        dc.unipotent_matrix(K, 4, {(1, 0): K.one, (2, 1): K.theta,
+                                   (3, 2): K.one}))
+    cfg.save_field(K, tmp_path / "field.json")
+    cfg.save_matrix(g1, tmp_path / "g1.json")
+    out = tmp_path / "strata.json"
+    assert main(["--field", str(tmp_path / "field.json"), "--out", str(out),
+                 "strata", "--n", "4", "--g1", str(tmp_path / "g1.json"),
+                 "--g2", "id"]) == 0
+    records, digest = STRATA_SL4_SHA256[case]
+    data = out.read_bytes()
+    assert len(json.loads(data)["records"]) == records
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 ACCEPTANCE_8_INPUTS = ("sl2a", "sl2b", "sl3psi", "sl3borel")

@@ -15,7 +15,8 @@ from torusorbits import decomp as dc
 from torusorbits import rootdata as rd
 from torusorbits import strata as st
 from torusorbits import numfield as nf
-from torusorbits.errors import InvariantViolation, Singular, TooLarge
+from torusorbits.errors import (InvariantViolation, Singular, TooLarge,
+                                ValidationError)
 
 from conftest import (echelon_bruhat_cell, elimination_block_ldu,
                       elimination_genericity, random_element, random_sl)
@@ -91,6 +92,18 @@ def test_mat_ops(Ksqrt2):
                                                 {(0, 1): -Ksqrt2.theta})
     with pytest.raises(Singular):
         dc.MatrixK.from_rational_rows(Ksqrt2, [[1, 1], [1, 1]]).inverse()
+
+
+def test_public_constructor_validates(Ksqrt2, Kzeta8):
+    """MatrixK(field, rows) refuses an entry of another field and a row list
+    that is not square."""
+    with pytest.raises(ValidationError):
+        dc.MatrixK(Ksqrt2, [[Ksqrt2.one, Kzeta8.one], [Ksqrt2.zero,
+                                                       Ksqrt2.one]])
+    with pytest.raises(ValidationError):
+        dc.MatrixK(Ksqrt2, [[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValidationError):
+        dc.MatrixK(Ksqrt2, [[1, 0], [0]])
 
 
 def test_inverse_roundtrip_random(Ksqrt2):
