@@ -10,6 +10,7 @@ meta block (field label, the order Z[theta], working precision, version).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -64,8 +65,17 @@ def _subset(field_n, spec):
         return rd.RootSubset.empty(field_n)
     if spec == "full":
         return rd.RootSubset.full(field_n)
-    idx = [int(t) for t in spec.split(",") if t]
+    idx = _parse("--subset", spec,
+                 lambda s: [int(t) for t in s.split(",") if t])
     return rd.RootSubset.make(field_n, idx)
+
+
+def _parse(flag, value, parse):
+    """parse(value), a malformed value a ValidationError naming the flag."""
+    try:
+        return parse(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"malformed {flag} {value!r}") from None
 
 
 # -- strata ------------------------------------------------------------------
@@ -87,12 +97,20 @@ def cmd_strata(field, args):
             "pairs": counts.pair_count, "bound": counts.strata_bound,
             "closed_bound": counts.closed_bound,
         },
-        "records": [_record_json(i, rec) for i, rec in enumerate(sset.records)],
+        "records": _records_json(sset.records),
         "poset_edges": [list(e) for e in edges],
     }
 
 
-def _record_json(i, rec):
+def _records_json(records, closed_only=False):
+    """The JSON of each record (of each closed one for closed_only), with
+    one memo of cfg.elem_to_list: the records share most entries."""
+    elem = functools.lru_cache(maxsize=None)(cfg.elem_to_list)
+    return [_record_json(i, rec, elem) for i, rec in enumerate(records)
+            if rec.is_closed or not closed_only]
+
+
+def _record_json(i, rec, elem):
     return {
         "index": i,
         "is_closed": rec.is_closed,
@@ -104,10 +122,8 @@ def _record_json(i, rec):
             "first_positions": [list(x) for x in p.first.sorted_positions()],
             "second_positions": [list(x) for x in p.second.sorted_positions()],
         } for p in rec.pairs],
-        "representative": [
-            [cfg.elem_to_list(x) for x in row]
-            for comp in rec.representative for row in comp.rows
-        ],
+        "representative": [[elem(x) for x in row]
+                           for comp in rec.representative for row in comp.rows],
     }
 
 
@@ -141,8 +157,7 @@ def cmd_closed(field, args):
     return {
         "closed_count": len(st.closed_strata(sset)),
         "is_orbit_closed": st.is_orbit_closed(sset.input),
-        "records": [_record_json(i, rec) for i, rec in enumerate(sset.records)
-                    if rec.is_closed],
+        "records": _records_json(sset.records, closed_only=True),
     }
 
 
@@ -204,7 +219,9 @@ def cmd_forms_density(field, args):
     form, scan = _scan(field, args)
     window = None
     if args.window:
-        lo, hi = (float(t) for t in args.window.split(","))
+        # lo,hi: partition leaves "" (not a float) for a missing bound
+        lo, hi = _parse("--window", args.window,
+                        lambda s: [float(t) for t in s.partition(",")[::2]])
         window = tuple((lo, hi) for _ in range(form.r))
     rep = fm.density_report(scan, window=window, eps=args.eps)
     return {
@@ -287,7 +304,8 @@ def cmd_dyn_bounded(field, args):
     g1, g2 = _pair(field, args)
     path = cfg.load_path(args.path)
     rep = dy.check_boundedness(g1, g2, _subset(g1.n, args.subset), path,
-                               Fraction(args.C), height=args.height)
+                               _parse("--C", args.C, Fraction),
+                               height=args.height)
     return {
         "membership": rep.membership,
         "products_bounded": rep.products_bounded,
@@ -447,8 +465,7 @@ def main(argv=None) -> int:
         field = cfg.load_field(args.field)
         out = args.func(field, args)
         if isinstance(out, dict):
-            out = json.dumps({"meta": _meta(field), **out}, indent=2,
-                             sort_keys=True) + "\n"
+            out = cfg.json_text({"meta": _meta(field), **out})
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(out)

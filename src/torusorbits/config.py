@@ -32,17 +32,58 @@ def rat_from_str(s) -> Fraction:
     raise ValidationError(f"expected a rational string, got {s!r}")
 
 
+def json_text(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) plus a newline, for every
+    obj json.dumps accepts: the package's one JSON writer.  It walks dicts
+    and lists itself (json.dumps with an indent runs the pure-Python
+    encoder) and renders scalars and keys with json.dumps.  A list of str
+    and exact int (not bool or float, which compare equal to an int) is
+    rendered once per depth: element coordinates recur across records."""
+    memo = {}
+
+    def text(x, depth):
+        if isinstance(x, (list, tuple)):
+            if not _FLAT.issuperset(map(type, x)):
+                return _block("[", [text(v, depth + 1) for v in x], "]", depth)
+            key = (depth, *x)
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = _block("[", [json.dumps(v) for v in x], "]",
+                                         depth)
+            return out
+        if isinstance(x, dict):
+            items = [f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}"
+                     f": {text(v, depth + 1)}" for k, v in sorted(x.items())]
+            return _block("{", items, "}", depth)
+        return json.dumps(x)
+
+    return text(obj, 0) + "\n"
+
+
+_FLAT = frozenset((str, int))
+
+
+def _block(open_, items, close, depth):
+    if not items:
+        return open_ + close
+    pad = "\n" + "  " * depth
+    return f"{open_}{pad}  " + f",{pad}  ".join(items) + f"{pad}{close}"
+
+
 def _read(path, label, parse, *args):
-    """parse(*args, data) on the JSON in the file at path; a missing key or
-    a value of the wrong type is a ValidationError naming the file."""
+    """parse(*args, data) on the JSON in the file at path; a missing key, a
+    value of the wrong type or a malformed value is a ValidationError
+    naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
         return parse(*args, data)
     except KeyError as exc:
         raise ValidationError(f"{label} {path} misses key {exc}") from None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"{label} {path} is malformed: {exc}") from None
+    except ValidationError as exc:
+        raise type(exc)(f"{label} {path}: {exc}") from None
 
 
 def elem_to_list(x: FieldElement):
@@ -98,8 +139,7 @@ def load_field(path) -> NumberField:
 
 def save_field(field: NumberField, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(field_to_dict(field), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(field_to_dict(field)))
 
 
 def matrix_to_dict(m: MatrixK) -> dict:
@@ -130,8 +170,7 @@ def load_matrix(field: NumberField, path) -> MatrixK:
 
 def save_matrix(m: MatrixK, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_dict(m), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(matrix_to_dict(m)))
 
 
 def form_to_dict(form) -> dict:

@@ -35,27 +35,30 @@ class MatrixK:
 
     def __init__(self, field: NumberField, rows):
         n = len(rows)
-        conv = []
-        for row in rows:
-            if len(row) != n:
-                raise ValidationError("matrix must be square")
-            conv.append(tuple(x if isinstance(x, FieldElement)
-                              else field.from_rational(x) for x in row))
-        for row in conv:
-            for x in row:
-                if x.field is not field:
-                    raise ValidationError("entries from a different field")
-        self.field = field
-        self.n = n
-        self.rows = tuple(conv)
-        self._det = None
+        if any(len(row) != n for row in rows):
+            raise ValidationError("matrix must be square")
+        rows = tuple(tuple(x if isinstance(x, FieldElement)
+                           else field.from_rational(x) for x in row)
+                     for row in rows)
+        if any(x.field is not field for row in rows for x in row):
+            raise ValidationError("entries from a different field")
+        self.field, self.n, self.rows, self._det = field, n, rows, None
 
     # -- constructors --
 
+    @classmethod
+    def _of(cls, field: NumberField, rows) -> "MatrixK":
+        """The matrix of square rows whose entries are all elements of
+        field, unchecked: for this module's own results."""
+        m = object.__new__(cls)
+        m.field, m.n, m._det = field, len(rows), None
+        m.rows = tuple(map(tuple, rows))
+        return m
+
     @staticmethod
     def identity(field: NumberField, n: int) -> "MatrixK":
-        return MatrixK(field, [[field.one if i == j else field.zero
-                                for j in range(n)] for i in range(n)])
+        return MatrixK._of(field, [[field.one if i == j else field.zero
+                                    for j in range(n)] for i in range(n)])
 
     @staticmethod
     def from_rational_rows(field: NumberField, rows) -> "MatrixK":
@@ -86,8 +89,8 @@ class MatrixK:
             raise ValidationError("size or field mismatch")
         dot = self.field.dot
         cols = list(zip(*other.rows))
-        return MatrixK(self.field, [[dot(row, col) for col in cols]
-                                    for row in self.rows])
+        return MatrixK._of(self.field, [[dot(row, col) for col in cols]
+                                        for row in self.rows])
 
     def det(self) -> FieldElement:
         if self._det is None:
@@ -98,7 +101,7 @@ class MatrixK:
         inv = invert(self.rows, self.field.one, self.field.zero)
         if inv is None:
             raise Singular("matrix is singular")
-        return MatrixK(self.field, inv)
+        return MatrixK._of(self.field, inv)
 
     def is_monomial(self) -> bool:
         """Exactly one nonzero entry in every row and every column."""
@@ -237,8 +240,8 @@ class MinorTable:
                 if any(f.dot(left, [r[j] for r in zv[:blk.start]] + [zv[i][j]])
                        != target[i][j] for j in range(n)):
                     raise InvariantViolation("block LDU recomposition failed")
-        return BlockLDU(*(MatrixK(f, m) for m in (vminus, levi, vplus)),
-                        subset, MatrixK(f, zv))
+        return BlockLDU(*(MatrixK._of(f, m) for m in (vminus, levi, vplus)),
+                        subset, MatrixK._of(f, zv))
 
 
 def block_ldu(h: MatrixK, subset: RootSubset) -> Optional[BlockLDU]:
@@ -291,8 +294,8 @@ def weyl_untranslate(w1: WeylElement, x: MatrixK, w2: WeylElement) -> MatrixK:
     p1, p2 = w1.perm, w2.perm
     s1, s2 = w1.signs, w2.signs
     rows = x.rows
-    return MatrixK(x.field, [[_signed(rows[p1[a]][p2[b]], s1[a] * s2[b])
-                              for b in range(x.n)] for a in range(x.n)])
+    return MatrixK._of(x.field, [[_signed(rows[p1[a]][p2[b]], s1[a] * s2[b])
+                                  for b in range(x.n)] for a in range(x.n)])
 
 
 def weyl_translate(w1: WeylElement, x: MatrixK, w2: WeylElement) -> MatrixK:
@@ -306,7 +309,7 @@ def weyl_translate(w1: WeylElement, x: MatrixK, w2: WeylElement) -> MatrixK:
     for a, row in enumerate(x.rows):
         for b, v in enumerate(row):
             out[p1[a]][p2[b]] = _signed(v, s1[a] * s2[b])
-    return MatrixK(x.field, out)
+    return MatrixK._of(x.field, out)
 
 
 def _check_weyl(x: MatrixK, w1: WeylElement, w2: WeylElement) -> None:

@@ -156,18 +156,15 @@ def enumerate_strata(g1: MatrixK, g2: MatrixK) -> StrataSet:
     entries = []   # (pair, representative)
     for subset in all_subsets(n):
         reps = coset_representatives(n, subset)
+        firsts = [parabolic_descriptor(subset, w, opposite=True) for w in reps]
+        seconds = [parabolic_descriptor(subset, w) for w in reps]
         for i1, w1 in enumerate(reps):
             for i2, w2 in enumerate(reps):
                 dec = table.ldu(subset, w1, w2)
                 if dec is None:
                     continue
-                pair = ParabolicPair(
-                    first=parabolic_descriptor(subset, w1, opposite=True),
-                    second=parabolic_descriptor(subset, w2, opposite=False),
-                    subset=subset,
-                    witnesses=(w1, w2),
-                    order_key=(len(subset.simples), subset.mask, i1, i2),
-                )
+                pair = ParabolicPair(firsts[i1], seconds[i2], subset, (w1, w2),
+                                     (len(subset.simples), subset.mask, i1, i2))
                 entries.append((pair, pair_representative(dec, w1, w2, right)))
     # merge pairs whose representatives agree entry-exactly: same point,
     # hence provably the same orbit

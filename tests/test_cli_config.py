@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from torusorbits import config as cfg
 from torusorbits import decomp as dc
@@ -57,6 +59,44 @@ def test_matrix_roundtrip_rejects_bad_det(tmp_path, Ksqrt2):
 def test_rational_string_roundtrip():
     for q in (Fraction(3, 7), Fraction(-11, 4), Fraction(5), Fraction(0)):
         assert cfg.rat_from_str(cfg.rat_to_str(q)) == q
+
+
+JSON_TEXT = (hs.text() | hs.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f",
+                                         "\u00e9\u2202\U0001f600", "1"]))
+JSON_SCALARS = (hs.none() | hs.booleans() | hs.integers()
+                | hs.integers(min_value=-2 ** 200, max_value=2 ** 200)
+                | hs.floats() | hs.sampled_from([-0.0, float("nan"),
+                                                 float("inf"), -float("inf")])
+                | JSON_TEXT)
+# scalars that compare equal across types, in sibling flat lists
+EQUAL_SCALARS = hs.sampled_from([0, 1, 0.0, 1.0, False, True, "1"])
+JSON_TREES = hs.recursive(
+    JSON_SCALARS,
+    lambda kids: (hs.lists(kids, max_size=4)
+                  | hs.lists(kids, max_size=4).map(tuple)
+                  | hs.lists(kids, max_size=3).map(lambda xs: [xs, xs, [xs]])
+                  | hs.dictionaries(JSON_TEXT, kids, max_size=4)
+                  | hs.dictionaries(hs.integers(), kids, max_size=3)
+                  | hs.lists(hs.lists(EQUAL_SCALARS, max_size=2), max_size=6)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_TREES)
+def test_json_text_matches_json_dumps(tree):
+    """The package's JSON writer against the encoder it replaces, on trees
+    with repeated subtrees, which its memo renders once."""
+    assert cfg.json_text(tree) == json.dumps(tree, indent=2,
+                                             sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("tree", [[1, True, 1.0, "1"], [[1], [True], [1.0]],
+                                  {"a": [1], "b": [True], "c": [[1.0]]}])
+def test_json_text_keeps_equal_scalars_apart(tree):
+    """1, True and 1.0 compare equal; the memo of flat lists must not give
+    one the text of another."""
+    assert cfg.json_text(tree) == json.dumps(tree, indent=2,
+                                             sort_keys=True) + "\n"
 
 
 def test_cli_strata_summary(workdir, capsys):
@@ -455,7 +495,16 @@ ERROR_CASES = {
                        "error: matrix {tmp}/list.json is malformed: list "
                        "indices must be integers or slices, not str"),
     "coefficient_x": ([*FIELD, "bruhat", "cell", "--h", "x.json"],
-                      "error: expected a rational string, got 'x'"),
+                      "error: matrix {tmp}/x.json: expected a rational "
+                      "string, got 'x'"),
+    "path_exponent_x": ([*FIELD, "dynamics", "path", "--g1", "g1.json",
+                         "--g2", "id", "--n", "2", "--path", "xexp.json"],
+                        "error: torus path {tmp}/xexp.json is malformed: "
+                        "invalid literal for int() with base 10: 'x'"),
+    "path_base_x": ([*FIELD, "dynamics", "path", "--g1", "g1.json",
+                     "--g2", "id", "--n", "2", "--path", "xbase.json"],
+                    "error: torus path {tmp}/xbase.json: expected a rational "
+                    "string, got 'x'"),
     "path_without_bases": ([*FIELD, "dynamics", "path", "--g1", "g1.json",
                             "--g2", "id", "--n", "2", "--path", "bad.json"],
                            "error: torus path {tmp}/bad.json misses key "
@@ -463,6 +512,17 @@ ERROR_CASES = {
     "form_without_factors": ([*FIELD, "forms", "reduce", "--form", "bad.json"],
                              "error: form {tmp}/bad.json misses key "
                              "'factors'"),
+    # malformed flag values
+    "bounded_C_x": ([*FIELD, "dynamics", "bounded", "--g1", "g1.json",
+                     "--g2", "id", "--n", "2", "--path", "path.json",
+                     "--C", "x"],
+                    "error: malformed --C 'x'"),
+    "density_window_1": ([*FIELD, "forms", "density", "--form", "f0.json",
+                          "--height", "2", "--window", "1"],
+                         "error: malformed --window '1'"),
+    "ldu_subset_a": ([*FIELD, "bruhat", "ldu", "--h", "g1.json",
+                      "--subset", "a"],
+                     "error: malformed --subset 'a'"),
 }
 
 
@@ -481,6 +541,10 @@ def test_cli_error_paths(workdir, Ksqrt2, capsys, monkeypatch, case):
     (workdir / "list.json").write_text("[1, 2]")
     (workdir / "x.json").write_text(json.dumps(
         {"rows": [[["x", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]]}))
+    for name, bases, exponent in (("xexp", "2", "x"), ("xbase", "x", 1)):
+        (workdir / f"{name}.json").write_text(json.dumps(
+            {"n": 2, "bases": [bases, "2"],
+             "schedules": [[[exponent]], [[0]]]}))
     argv, line = ERROR_CASES[case]
     assert main([str(workdir / t) if t.endswith(".json") else t
                  for t in argv]) == 2

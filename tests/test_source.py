@@ -126,3 +126,30 @@ def test_fincke_pohst_squares_with_float_power():
             and isinstance(node.op, ast.Pow)] == []
     assert any(isinstance(node, ast.Attribute) and node.attr == "float_power"
                for node in ast.walk(func))
+
+
+def test_one_json_writer():
+    """JSON text comes from config.json_text alone: no other json.dump or
+    json.dumps call, and no import of either name, in the package."""
+    found, writer_calls = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        writer = {id(node) for func in tree.body
+                  if isinstance(func, ast.FunctionDef)
+                  and path.name == "config.py" and func.name == "json_text"
+                  for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module == "json"
+                    and {a.name for a in node.names} & {"dump", "dumps"}):
+                found.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("dump", "dumps")
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "json"):
+                if id(node) in writer:
+                    writer_calls += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    assert writer_calls
