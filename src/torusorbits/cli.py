@@ -87,11 +87,11 @@ def cmd_strata(field, args):
     counts = st.verify_counts(sset)
     st.closed_strata(sset)  # raises MinimalNotBorel on a broken poset
     if args.format == "summary":
-        return st.summary_line(sset) + "\n"
+        return st.summary_line(sset, counts) + "\n"
     if args.format == "dot":
         return _poset_dot(sset, edges)
     return {
-        "summary": st.summary_line(sset),
+        "summary": st.summary_line(sset, counts),
         "counts": {
             "strata": counts.strata, "closed": counts.closed,
             "pairs": counts.pair_count, "bound": counts.strata_bound,

@@ -1,28 +1,32 @@
 """Exact linear algebra over a number field.
 
-MatrixK is an immutable n x n matrix of field elements; its determinant
-and inverse come from the elimination kernel in polyutil.  The rest is
-read from one MinorTable of a matrix h, its minors each computed once: the
-block LDU of every Weyl translate w1^{-1} h w2 along a block composition
-(unit block lower x block diagonal x unit block upper), which exists
-exactly when the leading principal minor at every block end is nonzero (a
-vanishing one returns Absent, None, rather than pivoting, because
-pivoting would change the Weyl component of the factorization); cell
-membership; and the Bruhat cell, for the fixed convention h in V^- . w . P
-(lower unipotent times w times upper Borel).  Weyl representatives act on
-a matrix as signed row and column permutations, and on its minors as
-signed permutations of index sets (WeylElement.set_action).
+MatrixK is an immutable n x n matrix of field elements.  Everything
+else is read from one MinorTable of a matrix h, its minors each computed
+once: the determinant and the inverse (the adjugate over the
+determinant); whether m rows are independent (some m x m minor of the
+rows padded to a square is nonzero); the block LDU of every Weyl
+translate w1^{-1} h w2 along a block composition (unit block lower x
+block diagonal x unit block upper), which exists exactly when the leading
+principal minor at every block end is nonzero (a vanishing one returns
+Absent, None, rather than pivoting, because pivoting would change the
+Weyl component of the factorization); cell membership; and the Bruhat
+cell, for the fixed convention h in V^- . w . P (lower unipotent times w
+times upper Borel).  The table is exponential in n: all of these refuse
+n > MINOR_TABLE_CAP with TooLarge before computing a minor.  Weyl
+representatives act on a matrix as signed row and column permutations,
+and on its minors as signed permutations of index sets
+(WeylElement.set_action).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .errors import InvariantViolation, Singular, TooLarge, ValidationError
 from .numfield import FieldElement, NumberField
-from .polyutil import determinant, invert
 from .rootdata import RootSubset, WeylElement, identity_weyl
 
 MINOR_TABLE_CAP = 10
@@ -94,14 +98,23 @@ class MatrixK:
 
     def det(self) -> FieldElement:
         if self._det is None:
-            self._det = determinant(self.rows, self.field.zero)
+            full = (1 << self.n) - 1
+            self._det = MinorTable(self).minor(full, full)
         return self._det
 
     def inverse(self) -> "MatrixK":
-        inv = invert(self.rows, self.field.one, self.field.zero)
-        if inv is None:
+        """The adjugate over the determinant, read from one MinorTable:
+        entry (i, j) is (-1)^(i+j) times the minor of h without row j and
+        column i, over det h."""
+        n, full = self.n, (1 << self.n) - 1
+        table = MinorTable(self)
+        det = self._det = table.minor(full, full)
+        if not det:
             raise Singular("matrix is singular")
-        return MatrixK._of(self.field, inv)
+        inv = det.inverse()
+        return MatrixK._of(self.field, [
+            [_signed(table.minor(full ^ 1 << j, full ^ 1 << i) * inv,
+                     (-1) ** (i + j)) for j in range(n)] for i in range(n)])
 
     def is_monomial(self) -> bool:
         """Exactly one nonzero entry in every row and every column."""
@@ -249,6 +262,18 @@ def block_ldu(h: MatrixK, subset: RootSubset) -> Optional[BlockLDU]:
     (Absent): MinorTable.ldu with identity Weyl elements."""
     e = identity_weyl(h.n)
     return MinorTable(h).ldu(subset, e, e)
+
+
+def rows_independent(field: NumberField, rows) -> bool:
+    """Whether the m rows of length n >= m over the field are linearly
+    independent: some m x m minor of theirs is nonzero, read from the
+    table of the rows padded with zero rows to n x n."""
+    m, n = len(rows), len(rows[0])
+    padded = list(rows) + [[field.zero] * n] * (n - m)
+    table = MinorTable(MatrixK._of(field, padded))
+    top = (1 << m) - 1
+    return any(table.minor(top, sum(1 << j for j in cols))
+               for cols in itertools.combinations(range(n), m))
 
 
 def bruhat_cell(h: MatrixK) -> WeylElement:

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import polyutil as pu
-from .decomp import MatrixK
+from .decomp import MatrixK, rows_independent
 from .errors import (ArityMismatch, CapExceeded, CoefficientsNotInF,
                      DependentFactors, HypothesisFails, InvariantViolation,
                      NotCm, SearchExhausted, SingularCoefficientMatrix,
@@ -86,6 +86,8 @@ def make_form(field: NumberField, per_place_factors, scalars=None) -> Decomposab
     if m == 0:
         raise ArityMismatch("need at least one factor")
     n = len(per_place_factors[0][0])
+    if m > n:
+        raise ArityMismatch("more factors than variables cannot be independent")
     factors = []
     for v, lst in enumerate(per_place_factors):
         if len(lst) != m:
@@ -96,11 +98,9 @@ def make_form(field: NumberField, per_place_factors, scalars=None) -> Decomposab
                 raise ArityMismatch("factor arities differ")
             conv.append(tuple(x if isinstance(x, FieldElement)
                               else field.from_rational(x) for x in fac))
-        if len(pu.echelon(conv, n)[1]) != m:
+        if not rows_independent(field, conv):
             raise DependentFactors(f"place {v}: factors are dependent")
         factors.append(tuple(conv))
-    if m > n:
-        raise ArityMismatch("more factors than variables cannot be independent")
     if scalars is None:
         scalars = [field.one] * r
     scalars = [s if isinstance(s, FieldElement) else field.from_rational(s)
@@ -190,7 +190,7 @@ def reduce_variables(form: DecomposableForm, seed: int = 0,
         for v in range(form.r):
             lst = [tuple(f.dot(row, fac) for row in phi)
                    for fac in form.factors[v]]
-            if len(pu.echelon(lst, form.m)[1]) != form.m:
+            if not rows_independent(f, lst):
                 ok = False
                 break
             new_factors.append(lst)

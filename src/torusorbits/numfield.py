@@ -619,38 +619,59 @@ def _attach_cm(K: NumberField, cm) -> CmStructure:
 
 
 def subfield_coordinates(K: NumberField, cm: CmStructure, x: FieldElement):
-    """Coordinates of x in the basis g^i of F, or None when x is not in F."""
-    fdeg = pu.degree(cm.subfield_poly)
-    basis = [cm.subfield_gen ** i for i in range(fdeg)]
-    return pu.solve([[b.coeffs[i] for b in basis] for i in range(K.degree)],
-                    x.coeffs, Fraction(0))
+    """Coordinates of x in the basis g^i of F, or None when x is not in F:
+    the first half of its coordinates in the CM basis, whose relative_gen
+    half vanishes exactly on F."""
+    inv = _cm_inverse(K, cm)
+    coords = [sum(a * c for a, c in zip(row, x.num)) / x.den for row in inv]
+    fdeg = len(inv) // 2
+    return None if any(coords[fdeg:]) else coords[:fdeg]
 
 
-def _cm_split_solver(K: NumberField, cm: CmStructure):
-    """The two rational d x d projections of the F + relative_gen*F split:
-    gamma = P_gamma x and delta = P_delta x in power-basis coordinates.
-    Built once and cached on the field."""
-    cached = getattr(K, "_cm_split_cache", None)
+def _cm_inverse(K: NumberField, cm: CmStructure):
+    """The inverse of the CM basis matrix B, whose columns are the
+    power-basis coordinates of g^i, then of relative_gen * g^i (i < d/2),
+    as rational rows.  B diag(den) is the integer matrix N of the basis
+    numerators, inverted by int_solve on the columns of the identity.
+    Built once and cached on the field; a singular B is refused."""
+    cached = getattr(K, "_cm_inverse_cache", None)
     if cached is not None:
         return cached
     fdeg = pu.degree(cm.subfield_poly)
     basis = [cm.subfield_gen ** i for i in range(fdeg)]
     basis += [cm.relative_gen * b for b in basis]
     d = K.degree
-    mat = [[basis[j].coeffs[i] for j in range(d)] for i in range(d)]
-    inv = pu.invert(mat, Fraction(1), Fraction(0))
-    if inv is None:
+    mat = [[b.num[i] for b in basis] for i in range(d)]
+    cols = [pu.int_solve(mat, [int(i == k) for i in range(d)])
+            for k in range(d)]
+    if cols[0] is None:
         raise ValidationError("CM basis is degenerate")
-    # F-coordinates: rows 0..fdeg-1 of inv for gamma, the rest for delta
+    K._cm_inverse_cache = [[Fraction(b.den * xs[j], det) for xs, det in cols]
+                           for j, b in enumerate(basis)]
+    return K._cm_inverse_cache
+
+
+def _cm_split_solver(K: NumberField, cm: CmStructure):
+    """The two rational d x d projections of the F + relative_gen*F split:
+    gamma = P_gamma x and delta = P_delta x in power-basis coordinates, for
+    gamma = sum c_i g^i and delta = sum c_(d/2+i) g^i from the coordinates
+    c in the CM basis.  Built once and cached on the field."""
+    cached = getattr(K, "_cm_split_cache", None)
+    if cached is not None:
+        return cached
+    inv = _cm_inverse(K, cm)
+    d, fdeg = K.degree, len(inv) // 2
+    gens = [cm.subfield_gen ** i for i in range(fdeg)]
     K._cm_split_cache = tuple(
-        [[sum(basis[i].coeffs[k] * inv[off + i][j] for i in range(fdeg))
-          for j in range(d)] for k in range(d)] for off in (0, fdeg))
+        [[sum(Fraction(g.num[k], g.den) * inv[off + i][j]
+              for i, g in enumerate(gens)) for j in range(d)]
+         for k in range(d)] for off in (0, fdeg))
     return K._cm_split_cache
 
 
 def split_cm(K: NumberField, cm: CmStructure, x: FieldElement):
     """Exact splitting x = gamma + relative_gen * delta with gamma, delta in F."""
-    return tuple(K.element([sum(a * c for a, c in zip(row, x.coeffs))
+    return tuple(K.element([sum(a * c for a, c in zip(row, x.num)) / x.den
                             for row in proj])
                  for proj in _cm_split_solver(K, cm))
 
@@ -743,7 +764,10 @@ def order_discriminant(K: NumberField, basis=None) -> Fraction:
     if len(basis) != d:
         raise ValidationError("basis must have length equal to the degree")
     gram = [[trace(K, bi * bj) for bj in basis] for bi in basis]
-    return pu.determinant(gram, Fraction(0))
+    # det(gram) = det(L gram) / L^d for the common denominator L
+    scale = math.lcm(*(t.denominator for row in gram for t in row))
+    return Fraction(pu.int_determinant([[int(t * scale) for t in row]
+                                        for row in gram]), scale ** d)
 
 
 # -- Pell helper ----------------------------------------------------------------

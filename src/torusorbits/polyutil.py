@@ -5,12 +5,10 @@ Provides Sturm-based real root isolation with rational endpoints, certified
 complex root boxes, and an exact irreducibility test for monic integer
 polynomials of small degree.
 
-Also home to the package's one exact elimination kernel (echelon, with
-reduce_above, determinant, invert and solve on top), generic over
-Fraction and FieldElement entries: every rank, determinant, inverse and
-linear solve over Q or a number field goes through it, and its
-fraction-free integer form (bareiss, with int_determinant and int_solve),
-behind the inverse, quotient and norm of a field element.
+Also home to the package's one row elimination, the fraction-free
+integer kernel bareiss with int_determinant and int_solve on top: every
+determinant and linear solve over Q goes through it, rows scaled to
+integers, among them the inverse, quotient and norm of a field element.
 """
 
 from __future__ import annotations
@@ -111,111 +109,17 @@ def reversed_poly(p: Poly) -> Poly:
 
 # -- exact elimination --------------------------------------------------------
 #
-# The one Gaussian elimination of the package.  Entries are Fractions or
-# FieldElements: the kernel uses only +, -, *, 1 / x and the truth value
-# (nonzero), so it runs unchanged over Q and over a number field.  Its
-# fraction-free form for integer matrices, bareiss, carries the field's
-# own exact arithmetic: an element's inverse, a quotient and a norm solve
-# or reduce the integer matrix den(a) M(a), and the pivot reciprocals
-# 1 / x of a run over a number field are such inverses.  Kept apart on
-# purpose: dynamics._ldl (symmetric fraction-free LDL of a float Gram
-# matrix's exact integer image on its lower triangle, half the work of
-# bareiss, with a positivity test), cofactor_det below (division-free:
+# The one row elimination of the package: fraction-free (Bareiss) forward
+# elimination of an integer matrix, with int_determinant and int_solve on
+# top.  Rational matrices reach it with their rows scaled to integers: the
+# inverse, quotient and norm of a field element (on den(a) M(a)), an
+# order's discriminant and the CM basis inverse.  Over a number field,
+# determinants, inverses and ranks are read from decomp.MinorTable.  Kept
+# apart on purpose: dynamics._ldl (symmetric fraction-free LDL of a float
+# Gram matrix's exact integer image on its lower triangle, half the work
+# of bareiss, with a positivity test), cofactor_det below (division-free:
 # symbolic entries, and interval entries, whose enclosures dividing by
-# interval pivots would widen), decomp.MinorTable (memoised Laplace
-# expansion of every minor, from which each block LDU is read, a vanishing
-# boundary minor its answer) and numfield._charpoly (not an elimination).
-
-def echelon(rows, ncols: int, stop_at_gap: bool = False):
-    """Row echelon form of a copy of rows, pivoting in the first ncols
-    columns (later columns, such as an augmented right-hand side, are
-    carried along).
-
-    Each pivot is the first nonzero entry at or below the current row; its
-    row is scaled so the pivot is 1 and the entries below it are cleared.
-    Returns (rows, pivots, values, sign): pivots[r] is the pivot column of
-    row r, so the rank is len(pivots); values[r] is that pivot's original
-    value and sign the sign of the row swaps, so a square matrix of full
-    rank has determinant sign * prod(values).  With stop_at_gap the
-    elimination returns at the first column without a pivot, where a
-    square matrix is already known to be singular.
-    """
-    a = [list(r) for r in rows]
-    pivots = []
-    values = []
-    sign = 1
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if piv is None:
-            if stop_at_gap:
-                break
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
-        p = a[r][c]
-        values.append(p)
-        inv = 1 / p
-        prow = [inv * y if y else y for y in a[r][c:]]
-        a[r][c:] = prow
-        for i in range(r + 1, len(a)):
-            f = a[i][c]
-            if f:
-                a[i][c:] = [x - f * y if y else x
-                            for x, y in zip(a[i][c:], prow)]
-        pivots.append(c)
-    return a, pivots, values, sign
-
-
-def reduce_above(rows, pivots):
-    """Clear the entries above the pivots of an echelon form, in place and
-    without further scaling: the reduced row echelon form."""
-    for r in reversed(range(len(pivots))):
-        c = pivots[r]
-        prow = rows[r][c:]
-        for i in range(r):
-            f = rows[i][c]
-            if f:
-                rows[i][c:] = [x - f * y if y else x
-                               for x, y in zip(rows[i][c:], prow)]
-    return rows
-
-
-def determinant(rows, zero):
-    """Determinant of a square matrix; zero when it is singular."""
-    _, pivots, values, sign = echelon(rows, len(rows), stop_at_gap=True)
-    if len(pivots) < len(rows):
-        return zero
-    det = math.prod(values[1:], start=values[0])
-    return det if sign > 0 else -det
-
-
-def invert(rows, one, zero):
-    """Inverse of a square matrix as a list of rows, or None if singular."""
-    n = len(rows)
-    aug = [list(row) + [one if j == i else zero for j in range(n)]
-           for i, row in enumerate(rows)]
-    a, pivots, _, _ = echelon(aug, n, stop_at_gap=True)
-    if len(pivots) < n:
-        return None
-    return [row[n:] for row in reduce_above(a, pivots)]
-
-
-def solve(rows, rhs, zero):
-    """A solution x of rows . x = rhs, with every free unknown zero, or
-    None when the system is inconsistent."""
-    ncols = len(rows[0])
-    a, pivots, _, _ = echelon([list(row) + [b] for row, b in zip(rows, rhs)],
-                              ncols)
-    if any(row[ncols] for row in a[len(pivots):]):
-        return None
-    reduce_above(a, pivots)
-    x = [zero] * ncols
-    for row, c in zip(a, pivots):
-        x[c] = row[ncols]
-    return x
-
+# interval pivots would widen) and numfield._charpoly (not an elimination).
 
 def bareiss(rows, ncols: int):
     """Fraction-free (Bareiss) forward elimination of a copy of an integer

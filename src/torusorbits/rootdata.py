@@ -309,25 +309,16 @@ def coset_representatives(n: int, subset: RootSubset):
 
 def n_psi(n: int, subset: RootSubset) -> int:
     """Number of parabolic subgroups containing the torus conjugate to the
-    standard one of the subset; counted by enumeration and cross-checked
-    against n!/prod(block sizes factorial)."""
+    standard one of the subset: the Weyl orbit of its position set, whose
+    stabilizer is the Levi's Weyl group, so n!/prod(block sizes factorial)."""
     check_cap(n)
-    distinct = {parabolic_descriptor(subset, w).positions for w in all_weyl(n)}
-    formula = math.factorial(n)
-    for b in subset.composition:
-        formula //= math.factorial(b)
-    if len(distinct) != formula:
-        raise ValidationError("conjugate count disagrees with the closed form")
-    return len(distinct)
+    return math.factorial(n) // math.prod(map(math.factorial,
+                                              subset.composition))
 
 
 def sum_n_psi_squared(n: int) -> int:
     """Sum over all subsets of the squared conjugate counts."""
-    total = 0
-    for mask in itertools.product([0, 1], repeat=n - 1):
-        subset = RootSubset.make(n, [i + 1 for i, b in enumerate(mask) if b])
-        total += n_psi(n, subset) ** 2
-    return total
+    return sum(n_psi(n, subset) ** 2 for subset in all_subsets(n))
 
 
 def all_subsets(n: int):

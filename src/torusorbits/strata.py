@@ -314,7 +314,9 @@ def genericity_check(h: MatrixK) -> bool:
                if r.bit_count() == c.bit_count())
 
 
-def summary_line(s: StrataSet) -> str:
-    rep = verify_counts(s)
+def summary_line(s: StrataSet, rep: Optional[CountReport] = None) -> str:
+    """The one-line summary; rep is verify_counts(s) when already made."""
+    if rep is None:
+        rep = verify_counts(s)
     return (f"strata={rep.strata} closed={rep.closed} "
             f"bound={rep.strata_bound} generic={str(s.is_generic).lower()}")

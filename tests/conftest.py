@@ -12,6 +12,8 @@ from torusorbits.decomp import (BlockLDU, MatrixK, diagonal_matrix,
                                 unipotent_matrix, weyl_untranslate)
 from torusorbits.errors import InvariantViolation
 
+from gauss_oracle import determinant, echelon, invert, solve
+
 
 @pytest.fixture(scope="session")
 def Ksqrt2():
@@ -145,7 +147,7 @@ def resultant(f, g):
             for i in range(m)]
     rows += [[Fraction(0)] * i + gr + [Fraction(0)] * (n - 1 - i)
              for i in range(n)]
-    return pu.determinant(rows, Fraction(0))
+    return determinant(rows, Fraction(0))
 
 
 def resultant_norm(x):
@@ -170,7 +172,7 @@ def resultant_norm_f(field, cm, x):
 # The element arithmetic as it was before elements held integer numerators:
 # Fraction coordinates, the convolution reduced with a Fraction theta-power
 # table built here from the minimal polynomial, and quotients by the Fraction
-# elimination kernel on the multiplication matrix that this product gives.
+# elimination oracle on the multiplication matrix that this product gives.
 
 
 def frac_theta_powers(K):
@@ -211,18 +213,18 @@ def frac_solve(K, a, b):
     """The z with a * z = b, or None for a zero a."""
     if not any(a):
         return None
-    return tuple(pu.solve(frac_mult_matrix(K, a), list(b), Fraction(0)))
+    return tuple(solve(frac_mult_matrix(K, a), list(b), Fraction(0)))
 
 
 def frac_norm(K, a):
-    return pu.determinant(frac_mult_matrix(K, a), Fraction(0))
+    return determinant(frac_mult_matrix(K, a), Fraction(0))
 
 
 # -- elimination oracles for the minors table ----------------------------------
 #
 # The block LDU, Bruhat cell and genericity test as they were computed before
 # decomp read them from one table of minors: block elimination with the
-# pivot blocks inverted by the elimination kernel, n^2 echelon rank counts,
+# pivot blocks inverted by the elimination oracle, n^2 echelon rank counts,
 # and one elimination per Borel pair.
 
 
@@ -237,7 +239,7 @@ def elimination_block_ldu(h, subset):
     invs = []
     for blk in blocks:
         lo, hi = blk.start, blk.stop
-        inv = pu.invert([row[lo:hi] for row in a[lo:hi]], f.one, f.zero)
+        inv = invert([row[lo:hi] for row in a[lo:hi]], f.one, f.zero)
         if inv is None:
             return None
         invs.append(inv)
@@ -278,7 +280,7 @@ def echelon_bruhat_cell(h):
     """w from the ranks r(i, j) of the leading i x j submatrices: w maps
     column b to the first row index where r(i, b + 1) - r(i, b) = 1."""
     n = h.n
-    r = [[len(pu.echelon([row[:j] for row in h.rows[:i]], j)[1])
+    r = [[len(echelon([row[:j] for row in h.rows[:i]], j)[1])
           for j in range(n + 1)] for i in range(n + 1)]
     perm = [next(i - 1 for i in range(1, n + 1) if r[i][b] - r[i][b - 1] == 1)
             for b in range(1, n + 1)]

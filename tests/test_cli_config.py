@@ -240,11 +240,17 @@ def test_cli_strata_golden(tmp_path, Ksqrt2, fmt, monkeypatch):
         Ksqrt2, [[Fraction(1, 2)] * 3, [1, 2, 4], [1, 3, 9]]),
         tmp_path / "g1.json")
     out = tmp_path / f"strata.{fmt}"
+    # the counts are checked once; the summary formats that report
+    reports = []
+    verify = st.verify_counts
+    monkeypatch.setattr(st, "verify_counts",
+                        lambda s: reports.append(s) or verify(s))
     rc = main(["--field", str(tmp_path / "field.json"), "--format", fmt,
                "--out", str(out), "strata", "--n", "3",
                "--g1", str(tmp_path / "g1.json"), "--g2", "id"])
     assert rc == 0
     assert out.read_bytes() == (GOLDEN / f"strata_sl3.{fmt}").read_bytes()
+    assert len(reports) == 1
 
 
 # The `strata` JSON of two SL4 inputs of the benchmark, too large for a
@@ -512,6 +518,10 @@ ERROR_CASES = {
     "form_without_factors": ([*FIELD, "forms", "reduce", "--form", "bad.json"],
                              "error: form {tmp}/bad.json misses key "
                              "'factors'"),
+    # an 11 x 11 matrix: its declared determinant is past the minors' cap
+    "matrix_11x11": ([*FIELD, "bruhat", "cell", "--h", "big.json"],
+                     "error: matrix {tmp}/big.json: the table of minors "
+                     "supports n <= 10"),
     # malformed flag values
     "bounded_C_x": ([*FIELD, "dynamics", "bounded", "--g1", "g1.json",
                      "--g2", "id", "--n", "2", "--path", "path.json",
@@ -539,6 +549,9 @@ def test_cli_error_paths(workdir, Ksqrt2, capsys, monkeypatch, case):
     (workdir / "bad.json").write_text(json.dumps(
         {"label": "bad", "n": 2, "m": 2, "schedules": []}))
     (workdir / "list.json").write_text("[1, 2]")
+    (workdir / "big.json").write_text(json.dumps(
+        {"rows": [[["1" if i == j else "0", "0"] for j in range(11)]
+                  for i in range(11)], "det": ["1", "0"]}))
     (workdir / "x.json").write_text(json.dumps(
         {"rows": [[["x", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]]}))
     for name, bases, exponent in (("xexp", "2", "x"), ("xbase", "x", 1)):

@@ -24,6 +24,7 @@ from torusorbits.intervals import RInt
 
 from conftest import (CUBIC_WINDOW, cubic_density_form, resultant_norm,
                       resultant_norm_f, window_scan_digest)
+from gauss_oracle import echelon
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -58,6 +59,9 @@ def test_make_form_shape_guards(Ksqrt2):
         fm.make_form(Ksqrt2, [[[1, 0], [0, 1]]])          # one place only
     with pytest.raises(ArityMismatch):
         fm.make_form(Ksqrt2, [[[1, 0], [0, 1]], [[1, 0]]])
+    # three factors in two variables, checked before the rank of any place
+    with pytest.raises(ArityMismatch, match="more factors than variables"):
+        fm.make_form(Ksqrt2, [[[1, 0], [0, 1], [1, 1]]] * 2)
 
 
 def test_is_rational(Ksqrt2):
@@ -126,7 +130,7 @@ def test_reduce_three_to_two(Ksqrt2):
     assert red.n == 2 and red.m == 2
     assert fm._nonproportional_witness(red) is not None
     for v in range(2):
-        assert len(pu.echelon(red.factors[v], red.n)[1]) == 2
+        assert len(echelon(red.factors[v], red.n)[1]) == 2
 
 
 def test_reduce_hypothesis_fails(Ksqrt2):

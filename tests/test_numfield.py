@@ -17,10 +17,11 @@ from torusorbits import numfield as nf
 from torusorbits.errors import (DivisionByZero, InvariantViolation,
                                 MissingCmStructure, NoUnits, NotMonic,
                                 Reducible, UnitVerificationFailed,
-                                WrongUnitRank)
+                                ValidationError, WrongUnitRank)
 
 from conftest import (euclid_inverse, frac_mul, frac_norm, frac_solve,
                       random_element, resultant_norm, resultant_norm_f)
+from gauss_oracle import determinant, invert, solve
 
 
 def test_create_field_sqrt2(Ksqrt2):
@@ -99,6 +100,23 @@ def test_norm_form_matches_resultant(Ksqrt2, Kcubic, Kzeta8):
         for _ in range(20):
             x = random_element(K, rng)
             assert form.eval_exact(x.coeffs) == nf.field_norm(x)
+
+
+def test_order_discriminant(Ksqrt2, Kcubic, Kzeta8):
+    # Z[sqrt 2] has discriminant 8, and a basis scaled by 1/2 and 1/3 has
+    # 8 / 36; random rational bases against the oracle's determinant of
+    # the trace Gram matrix
+    assert nf.order_discriminant(Ksqrt2) == 8
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert nf.order_discriminant(
+        Ksqrt2, [Ksqrt2.element([half]), Ksqrt2.element([0, third])]) == \
+        Fraction(2, 9)
+    rng = random.Random(8)
+    for K in (Ksqrt2, Kcubic, Kzeta8):
+        basis = [random_element(K, rng) for _ in range(K.degree)]
+        gram = [[nf.trace(K, a * b) for b in basis] for a in basis]
+        assert nf.order_discriminant(K, basis) == determinant(gram,
+                                                              Fraction(0))
 
 
 def test_product_formula(Ksqrt2, Kcubic):
@@ -283,13 +301,12 @@ def split_cm_oracle(K, cm, x):
     """The split by solving for the F + relative_gen*F coordinates of x and
     recombining them with field multiplications, and the conjugate
     gamma - relative_gen * delta."""
-    from torusorbits import polyutil as pu
-    fdeg = pu.degree(cm.subfield_poly)
+    fdeg = K.degree // 2
     basis = [cm.subfield_gen ** i for i in range(fdeg)]
     basis += [cm.relative_gen * b for b in basis]
     d = K.degree
-    inv = pu.invert([[basis[j].coeffs[i] for j in range(d)] for i in range(d)],
-                    Fraction(1), Fraction(0))
+    inv = invert([[basis[j].coeffs[i] for j in range(d)] for i in range(d)],
+                 Fraction(1), Fraction(0))
     coords = [sum(inv[i][j] * x.coeffs[j] for j in range(d)) for i in range(d)]
     gamma = sum((K.from_rational(coords[i]) * basis[i] for i in range(fdeg)),
                 K.zero)
@@ -306,6 +323,21 @@ def test_split_cm_matches_solved_coordinates(Kzeta8, data):
     gamma, delta, conj = split_cm_oracle(Kzeta8, cm, x)
     assert nf.split_cm(Kzeta8, cm, x) == (gamma, delta)
     assert nf.cm_conjugate(Kzeta8, cm, x) == conj
+    # the F-coordinates against the overdetermined solve in the basis g^i
+    gens = [cm.subfield_gen ** i for i in range(2)]
+    for y in (x, gamma, delta, gamma + delta):
+        want = solve([[g.coeffs[i] for g in gens] for i in range(4)],
+                     y.coeffs, Fraction(0))
+        assert nf.subfield_coordinates(Kzeta8, cm, y) == want
+
+
+def test_degenerate_cm_basis_fails_at_field_creation():
+    # relative_gen = 0 lies in F = Q, so the basis 1, relative_gen is
+    # singular; the field is refused before any split
+    with pytest.raises(ValidationError, match="CM basis is degenerate"):
+        nf.create_field([1, 0, 1], cm_structure=dict(
+            subfield_poly=[0, 1], subfield_gen=[0, 0], d=[0, 0],
+            relative_gen=[0, 0]))
 
 
 FIELDS = ["Ksqrt2", "Kcubic", "Kgauss", "Kquartic", "Kzeta8"]

@@ -57,9 +57,6 @@ COEFFS_READERS = {
     "numfield.py:FieldElement.as_str": 1,
     "numfield.py:NumberField.mult_matrix": 1,
     "numfield.py:NumberField.embed": 2,
-    "numfield.py:subfield_coordinates": 2,
-    "numfield.py:_cm_split_solver": 2,
-    "numfield.py:split_cm": 1,
     "numfield.py:cm_conjugate": 2,
 }
 
@@ -153,3 +150,48 @@ def test_one_json_writer():
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
     assert writer_calls
+
+
+# The Gaussian elimination family that the table of minors and the integer
+# kernel replaced; it lives on only as the tests' oracle (gauss_oracle).
+RETIRED_ELIMINATION = ("echelon", "reduce_above", "determinant", "invert",
+                       "solve")
+
+
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def _functions(tree, prefix=""):
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{prefix}{node.name}", node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield from _functions(node, f"{prefix}{node.name}.")
+
+
+def test_one_row_elimination():
+    """bareiss, with int_determinant and int_solve on top, is the package's
+    one row elimination: no function of the retired family is defined and
+    nothing else calls bareiss.  Over a number field the determinant, the
+    inverse and the rank test read a MinorTable, and the forms' rank tests
+    go through that test."""
+    funcs = {f"{path.name}:{name}": func
+             for path in sorted(SRC.glob("*.py"))
+             for name, func in _functions(ast.parse(path.read_text()))}
+    assert [key for key in funcs
+            if key.split(":")[1].split(".")[-1] in RETIRED_ELIMINATION] == []
+
+    def calls(key):
+        return {_called_name(node) for node in ast.walk(funcs[key])
+                if isinstance(node, ast.Call)}
+
+    assert {key for key in funcs if "bareiss" in calls(key)} == {
+        "polyutil.py:int_determinant", "polyutil.py:int_solve"}
+    for key in ("decomp.py:MatrixK.det", "decomp.py:MatrixK.inverse",
+                "decomp.py:rows_independent"):
+        assert "MinorTable" in calls(key), key
+    for key in ("forms.py:make_form", "forms.py:reduce_variables"):
+        assert "rows_independent" in calls(key), key

@@ -6,7 +6,6 @@ import pytest
 
 from torusorbits import decomp as dc
 from torusorbits import numfield as nf
-from torusorbits import polyutil as pu
 from torusorbits import rootdata as rd
 from torusorbits import strata as st
 from torusorbits.errors import TooLarge, ValidationError
@@ -347,43 +346,41 @@ def test_closure_poset_matches_bruteforce(Ksqrt2, unipotent_sl4):
 
 def test_enumeration_reads_one_table(Ksqrt2, monkeypatch):
     # the work of a table: at most one inverse per nonzero minor
-    # (sum_k C(n, k)^2 of them: 19 at n = 3, 69 at n = 4), and no
-    # elimination; per-pair elimination would fail this loudly
-    counts = {"inverse": 0, "elimination": 0}
+    # (sum_k C(n, k)^2 of them: 19 at n = 3, 69 at n = 4), and no matrix
+    # inverse but g2's, one more field inverse; per-pair elimination or
+    # inversion would fail this loudly
+    counts = {"inverse": 0, "matrix_inverse": 0}
     real_inverse = nf.FieldElement.inverse
+    real_matrix_inverse = dc.MatrixK.inverse
 
     def inverse(x):
         counts["inverse"] += 1
         return real_inverse(x)
 
-    def elimination(real):
-        def counted(*args, **kwargs):
-            counts["elimination"] += 1
-            return real(*args, **kwargs)
-        return counted
+    def matrix_inverse(m):
+        counts["matrix_inverse"] += 1
+        return real_matrix_inverse(m)
 
     g4 = dc.MatrixK.from_rational_rows(
         Ksqrt2, [[Fraction(1, 12)] * 4, [1, 2, 4, 8], [1, 3, 9, 27],
                  [1, 4, 16, 64]])
-    cases = [(g1, dc.MatrixK.identity(Ksqrt2, g1.n), most, records)
-             for g1, most, records in [(generic_sl3(Ksqrt2), 19, 55),
-                                       (g4, 69, 1077)]]
-    for g1, g2, _, _ in cases:
+    g2 = random_sl(Ksqrt2, 3, random.Random(5))
+    cases = [(generic_sl3(Ksqrt2), dc.MatrixK.identity(Ksqrt2, 3), 19, 55, 0),
+             (g4, dc.MatrixK.identity(Ksqrt2, 4), 69, 1077, 0),
+             (generic_sl3(Ksqrt2) * g2, g2, 20, 55, 1)]
+    for g1, g2, _, _, _ in cases:
         # the inputs' determinants are checked when they are loaded, as
         # config.load_matrix does, and kept on the matrices
         g1.det()
         g2.det()
     monkeypatch.setattr(nf.FieldElement, "inverse", inverse)
-    for mod in (pu, dc):
-        for name in ("invert", "echelon"):
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, elimination(getattr(mod, name)))
-    for g1, g2, most, records in cases:
-        counts.update(inverse=0, elimination=0)
+    monkeypatch.setattr(dc.MatrixK, "inverse", matrix_inverse)
+    for g1, g2, most, records, matrix_inverses in cases:
+        counts.update(inverse=0, matrix_inverse=0)
         s = st.enumerate_strata(g1, g2)
         assert len(s.records) == records
         assert counts["inverse"] <= most
-        assert counts["elimination"] == 0
+        assert counts["matrix_inverse"] == matrix_inverses
 
 
 def test_summary_genericity_matches_check(Ksqrt2):
