@@ -295,11 +295,8 @@ def scan_values(form: DecomposableForm, height: int,
         raise ValidationError("height must be positive")
     deg = form.field.degree
     dim = form.n * deg
-    total = (2 * height + 1) ** dim
     if sample is None:
-        if total > cap:
-            raise CapExceeded(
-                f"box of {total} points exceeds the cap {cap}; pass sample=")
+        _box_size(height, dim, cap, "; pass sample=")
         pts = _box(height, dim)
         pts = pts[np.any(pts != 0, axis=1)]
         mode = "full"
@@ -335,10 +332,23 @@ def scan_values(form: DecomposableForm, height: int,
                     seed=None if sample is None else seed)
 
 
-def _box(height: int, dim: int) -> np.ndarray:
-    """Every point of {-height..height}^dim as an (N, dim) int64 array."""
-    grids = np.meshgrid(*[np.arange(-height, height + 1)] * dim, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
+def _box_size(height: int, dim: int, cap: int, hint: str = "") -> int:
+    """(2*height + 1)^dim, the number of points of the height box in dim
+    coordinates; above cap, CapExceeded before anything is built."""
+    total = (2 * height + 1) ** dim
+    if total > cap:
+        raise CapExceeded(f"box of {total} points exceeds the cap {cap}{hint}")
+    return total
+
+
+def _box(height: int, dim: int, start: int = 0,
+         stop: Optional[int] = None) -> np.ndarray:
+    """Rows start..stop (all by default) of {-height..height}^dim in
+    lexicographic order, as an (N, dim) int64 array: row k is the point
+    whose _row_keys key is k."""
+    if stop is None:
+        stop = (2 * height + 1) ** dim
+    return _key_rows(np.arange(start, stop, dtype=np.int64), height, dim)
 
 
 def _int_image(field: NumberField, factors, pts: np.ndarray, norm: bool = False):
@@ -350,11 +360,12 @@ def _int_image(field: NumberField, factors, pts: np.ndarray, norm: bool = False)
     case, whose deg polynomials are the rows of [M(c_1) ... M(c_n)] (M from
     mult_matrix), the power-basis coordinates of c_1 z_1 + ... + c_n z_n.
     A factor's image is D times its polynomial values, D the least common
-    denominator of its coefficients.  Returns an iterator over the
-    (len(factor), N) images, formed one at a time to keep one image in
-    memory, and the list of the D; with norm=True (deg polynomials per
-    factor), the length-N product of the field norms of those images and
-    the product of the D^deg.
+    denominator of its coefficients.  The batch is evaluated
+    WINDOW_CHUNK_POINTS points at a time.  Returns an iterator over the
+    chunks, each as its slice of the batch and the list of the
+    (len(factor), n) images of its n points, and the list of the D; with
+    norm=True (deg polynomials per factor), the length-N product of the
+    field norms of those images and the product of the D^deg.
 
     The dtype follows one a-priori bound on every intermediate: a
     polynomial with integer coefficients c on inputs bounded by B stays
@@ -378,17 +389,21 @@ def _int_image(field: NumberField, factors, pts: np.ndarray, norm: bool = False)
         nform = norm_form(field)
         bounds = [math.prod(_poly_bound(nform, b) for b in bounds)]
     dtype = np.int64 if max(bounds) < 2 ** 63 else object
-    cols = list(pts.astype(dtype, copy=False).T)
-    images = (np.array([p.eval_int_numpy(cols) for p in polys])
-              for polys, _ in maps)
+    # an empty batch is one empty chunk
+    parts = [slice(start, start + WINDOW_CHUNK_POINTS)
+             for start in range(0, max(len(pts), 1), WINDOW_CHUNK_POINTS)]
+
+    def images(part):
+        cols = list(pts[part].astype(dtype, copy=False).T)
+        return [np.array([p.eval_int_numpy(cols) for p in polys])
+                for polys, _ in maps]
+
     dens = [den for _, den in maps]
     if not norm:
-        return images, dens
-    acc = None
-    for img in images:
-        cur = nform.eval_int_numpy(list(img))
-        acc = cur if acc is None else acc * cur
-    return acc, math.prod(den ** deg for den in dens)
+        return ((part, images(part)) for part in parts), dens
+    prods = [math.prod(nform.eval_int_numpy(list(img)) for img in images(part))
+             for part in parts]
+    return np.concatenate(prods), math.prod(den ** deg for den in dens)
 
 
 def _linear_polys(field: NumberField, fac):
@@ -411,8 +426,9 @@ def _degenerate_mask(form: DecomposableForm, pts: np.ndarray) -> np.ndarray:
     """Exact vanishing test of any factor at any place (integer arithmetic)."""
     bad = np.zeros(pts.shape[0], dtype=bool)
     for v in range(form.r):
-        for coords in _int_image(form.field, form.factors[v], pts)[0]:
-            bad |= np.all(coords == 0, axis=0)
+        for part, images in _int_image(form.field, form.factors[v], pts)[0]:
+            for coords in images:
+                bad[part] |= np.all(coords == 0, axis=0)
     return bad
 
 
@@ -420,16 +436,20 @@ def _numeric_form_values(form: DecomposableForm, pts: np.ndarray, v: int) -> np.
     f = form.field
     place = f.places()[v]
     basis = f.float_basis(place)
-    acc = None
-    for coords, den in zip(*_int_image(f, form.factors[v], pts)):
-        coords = np.ascontiguousarray(coords.T, dtype=np.float64)
-        if place.is_real:
-            cur = coords @ basis / den
-        else:
-            cur = coords @ basis.real / den + 1j * (coords @ basis.imag / den)
-        acc = cur if acc is None else acc * cur
     sval = f.float_embed(form.scalars[v], place)
-    return acc * sval if place.is_real else np.abs(acc * sval) ** 2
+    chunks, dens = _int_image(f, form.factors[v], pts)
+    out = np.empty(len(pts))
+    for part, images in chunks:
+        acc = None
+        for coords, den in zip(images, dens):
+            coords = np.ascontiguousarray(coords.T, dtype=np.float64)
+            if place.is_real:
+                cur = coords @ basis / den
+            else:
+                cur = coords @ basis.real / den + 1j * (coords @ basis.imag / den)
+            acc = cur if acc is None else acc * cur
+        out[part] = acc * sval if place.is_real else np.abs(acc * sval) ** 2
+    return out
 
 
 def window_scan(form: DecomposableForm, height: int, window,
@@ -437,13 +457,17 @@ def window_scan(form: DecomposableForm, height: int, window,
     """Every box point whose value vector lands in the window, enumerated
     exactly without touching the rest of the box.
 
-    Binary forms over totally real fields only.  For each first coordinate
-    the admissible second-coordinate embeddings solve per-place quadratic
-    inequalities |f_v| <= W_v, cutting out at most two intervals per place.
-    One interval per place is a parallelepiped, enumerated for all first
-    coordinates at once: the leading deg - 1 coordinates over its bounding
-    box, the last over its exact range given them.  Coverage statistics on
-    the result equal full-box coverage."""
+    Binary forms over totally real fields only, with at most BOX_POINT_CAP
+    first coordinates (CapExceeded before anything is built).  For each
+    first coordinate the admissible second-coordinate embeddings solve
+    per-place quadratic inequalities |f_v| <= W_v, cutting out at most two
+    intervals per place.  One interval per place is a parallelepiped: the
+    leading deg - 1 coordinates run over its bounding box, the last over
+    its exact range given them.  The first coordinates stream through in
+    chunks of WINDOW_CHUNK_POINTS, and so do the leading points of each
+    chunk; a candidate is kept only as its _row_keys key, and one sort of
+    all keys orders and deduplicates the points, decoded by _key_rows.
+    Coverage statistics on the result equal full-box coverage."""
     field = form.field
     if form.n != 2:
         raise ValidationError("window enumeration handles binary forms")
@@ -455,15 +479,14 @@ def window_scan(form: DecomposableForm, height: int, window,
         raise ValidationError("one window interval per place")
     if form.m != 2:
         raise ValidationError("window enumeration handles two factors")
+    deg = field.degree
+    total = _box_size(height, deg, BOX_POINT_CAP)
     scalar_abs = [abs(field.float_embed(s, places[v]))
                   for v, s in enumerate(form.scalars)]
     if any(s == 0 for s in scalar_abs):
         raise ValidationError("zero scalar")
-    deg = field.degree
     phi = np.array([field.float_basis(pl) for pl in places])
     Minv = np.linalg.inv(phi)
-    c_all = _box(height, deg)
-    x_all = c_all @ phi.T                       # (N1, r): embeddings of z1
     # a[v, i], b[v, i]: embeddings of the i-th factor's two coefficients
     a, b = np.array([[[field.float_embed(c, pl) for c in fac]
                       for fac in form.factors[v]]
@@ -471,49 +494,64 @@ def window_scan(form: DecomposableForm, height: int, window,
     ybound = float(np.abs(phi).sum(axis=1).max()) * height * (1 + 1e-9)
     wmax = [(max(abs(lo), abs(hi)) / scalar_abs[v]) * (1 + pad) + pad
             for v, (lo, hi) in enumerate(window)]
-    intervals = np.stack([_abs_quadratic_regions(
-        a[v, 0] * x_all[:, v], b[v, 0], a[v, 1] * x_all[:, v], b[v, 1],
-        wmax[v], ybound) for v in range(r)], axis=1)    # (N1, r, 2, 2)
-    found = [np.zeros((0, 2 * deg), dtype=np.int64)]
-    for combo in itertools.product(range(2), repeat=r):
-        sel = intervals[:, np.arange(r), combo, :]      # (N1, r, 2)
-        idxs = np.nonzero(~np.isnan(sel[:, :, 0]).any(axis=1))[0]
-        lows, highs = sel[idxs, :, 0], sel[idxs, :, 1]
-        # corners of the y-box map to d-space; the integer bounding ranges
-        corners = [np.where(np.array(mask), highs, lows) @ Minv.T
-                   for mask in itertools.product((False, True), repeat=r)]
-        dlo = np.ceil(np.min(corners, axis=0) - 1e-9).astype(np.int64)
-        dhi = np.floor(np.max(corners, axis=0) + 1e-9).astype(np.int64)
-        dlo = np.maximum(dlo, -height)
-        dhi = np.minimum(dhi, height)
-        rows = np.nonzero(np.all(dhi >= dlo, axis=1))[0]
-        sizes = np.prod(dhi[rows, :-1] - dlo[rows, :-1] + 1, axis=1)
-        for part in _chunks(sizes, WINDOW_CHUNK_POINTS):
-            t = rows[part]
-            lead, owner = _ragged_box(dlo[t, :-1], dhi[t, :-1])
-            first, final = _last_range(lead, owner, lows[t], highs[t], phi,
-                                       ybound)
-            first = np.maximum(first, dlo[t, -1][owner]).astype(np.int64)
-            final = np.minimum(final, dhi[t, -1][owner]).astype(np.int64)
-            ok = np.nonzero(first <= final)[0]
-            (last,), pick = _ragged_box(first[ok, None], final[ok, None])
-            pick = ok[pick]
-            d = np.column_stack([c[pick] for c in lead] + [last])
-            src = t[owner[pick]]
-            y = d @ phi.T
-            keep = np.all((y >= lows[src] - 1e-9) & (y <= highs[src] + 1e-9),
-                          axis=1)
-            found.append(np.column_stack([c_all[idxs[src[keep]]], d[keep]]))
-    pts = np.concatenate(found, axis=0)
-    pts = pts[np.unique(_row_keys(pts, height), return_index=True)[1]]
-    pts = pts[np.any(pts != 0, axis=1)]
+    keys = [np.zeros(0, dtype=np.int64)]
+    for start in range(0, total, WINDOW_CHUNK_POINTS):
+        c = _box(height, deg, start, min(start + WINDOW_CHUNK_POINTS, total))
+        x = c @ phi.T                               # (N1, r): embeddings of z1
+        intervals = np.stack([_abs_quadratic_regions(
+            a[v, 0] * x[:, v], b[v, 0], a[v, 1] * x[:, v], b[v, 1],
+            wmax[v], ybound) for v in range(r)], axis=1)    # (N1, r, 2, 2)
+        for combo in itertools.product(range(2), repeat=r):
+            sel = intervals[:, np.arange(r), combo, :]      # (N1, r, 2)
+            idxs = np.nonzero(~np.isnan(sel[:, :, 0]).any(axis=1))[0]
+            if not len(idxs):
+                continue
+            lows, highs = sel[idxs, :, 0], sel[idxs, :, 1]
+            # corners of the y-box map to d-space; the integer bounding ranges
+            lo = hi = None
+            for mask in itertools.product((False, True), repeat=r):
+                corner = np.where(np.array(mask), highs, lows) @ Minv.T
+                lo = corner if lo is None else np.minimum(lo, corner)
+                hi = corner if hi is None else np.maximum(hi, corner)
+            dlo = np.maximum(np.ceil(lo - 1e-9).astype(np.int64), -height)
+            dhi = np.minimum(np.floor(hi + 1e-9).astype(np.int64), height)
+            rows = np.nonzero(np.all(dhi >= dlo, axis=1))[0]
+            sizes = np.prod(dhi[rows, :-1] - dlo[rows, :-1] + 1, axis=1)
+            for part in _chunks(sizes, WINDOW_CHUNK_POINTS):
+                t = rows[part]
+                lead, owner = _ragged_box(dlo[t, :-1], dhi[t, :-1])
+                first, final = _last_range(lead, owner, lows[t], highs[t],
+                                           phi, ybound)
+                first = np.maximum(first, dlo[t, -1][owner]).astype(np.int64)
+                final = np.minimum(final, dhi[t, -1][owner]).astype(np.int64)
+                ok = np.nonzero(first <= final)[0]
+                (last,), pick = _ragged_box(first[ok, None], final[ok, None])
+                pick = ok[pick]
+                d = np.column_stack([col[pick] for col in lead] + [last])
+                src = t[owner[pick]]
+                y = d @ phi.T
+                keep = np.all((y >= lows[src] - 1e-9)
+                              & (y <= highs[src] + 1e-9), axis=1)
+                keys.append(_row_keys(np.column_stack(
+                    [c[idxs[src[keep]]], d[keep]]), height))
+    # np.sort and a neighbour test: np.unique hashes int64 keys, and on these
+    # that is tens of times slower than the sort
+    keys = np.sort(np.concatenate(keys))
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    zero = _row_keys(np.zeros((1, 2 * deg), dtype=np.int64), height)
+    pts = _key_rows(keys[first & (keys != zero)], height, 2 * deg)
     # final exact-window filter happens in density_report's mask; the pad
     # above only ever adds candidates, never loses them
     return FormScan(form, height, pts, "window-complete",
                     _degenerate_mask(form, pts))
 
 
-WINDOW_CHUNK_POINTS = 1 << 17
+# Points per chunk: of first coordinates and of leading points in the
+# window scan, and of a batch in every integer image (_int_image).
+WINDOW_CHUNK_POINTS = 1 << 14
+# Box points that window_scan and norm_product_spectrum may enumerate.
+BOX_POINT_CAP = 1 << 20
 
 
 def _chunks(sizes: np.ndarray, budget: int):
@@ -575,6 +613,17 @@ def _row_keys(pts: np.ndarray, bound: int) -> np.ndarray:
     for col in pts.astype(dtype, copy=False).T:
         keys = keys * side + (col + bound)
     return keys
+
+
+def _key_rows(keys: np.ndarray, bound: int, dim: int) -> np.ndarray:
+    """The inverse of _row_keys: the (N, dim) int64 rows with entries in
+    [-bound, bound] whose keys are keys (int64 or Python-int objects)."""
+    side = 2 * bound + 1
+    rows = np.empty((len(keys), dim), dtype=np.int64)
+    for k in range(dim - 1, -1, -1):
+        rows[:, k] = keys % side - bound
+        keys = keys // side
+    return rows
 
 
 def _abs_quadratic_regions(p1, q1, p2, q2, wmax, ybound):
@@ -644,6 +693,7 @@ def norm_product_spectrum(form: DecomposableForm, height: int,
         touched.append(nz[0])
     if sorted(touched) != list(range(form.n)):
         raise ValidationError("factors must cover each variable once")
+    _box_size(height, field.degree, BOX_POINT_CAP)
     norms, _ = _int_image(field, [(field.one,)], _box(height, field.degree),
                           norm=True)
     norms = np.unique(np.abs(norms)).tolist()
@@ -926,8 +976,8 @@ def cm_obstruction_check(form: DecomposableForm, scan: FormScan,
     ident = ((field.one, field.zero), (field.zero, field.one))
     polys = [p for pair in (ident,) + form.factors
              for p in _cm_det_polys(field, cm, pair)]
-    images, (den,) = _int_image(field, [polys], scan.points)
-    dets = next(images)
+    chunks, (den,) = _int_image(field, [polys], scan.points)
+    dets = np.concatenate([image for _, (image,) in chunks], axis=1)
     det_z = dets[:d]
     prods, _ = _int_image(field, [(field.one,)], det_z.T, norm=True)
     # the per-place sine identity |det(h gamma, h delta)|_v sigma_v(d) =

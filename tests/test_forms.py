@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -481,6 +482,43 @@ def test_chunks_fill_each_budget_greedily(sizes, budget):
             assert total + sizes[p.stop] > budget
 
 
+@settings(max_examples=150, deadline=None)
+@given(hs.data())
+def test_key_rows_inverts_row_keys(data):
+    """Decoding the keys of integer rows in [-b, b]^dim gives the rows back,
+    on int64 keys and on the Python-int keys of (2b + 1)^dim >= 2^63."""
+    dim = data.draw(hs.integers(1, 16))
+    edge = math.ceil(2 ** (63 / dim))   # the least side with side^dim >= 2^63
+    while (edge - 1) ** dim >= 2 ** 63:
+        edge -= 1
+    while edge ** dim < 2 ** 63:
+        edge += 1
+    wide = data.draw(hs.booleans())
+    b = data.draw(hs.integers(edge // 2, 2 ** 63 - 1) if wide
+                  else hs.integers(0, (edge - 2) // 2))
+    entry = hs.integers(-b, b) | hs.sampled_from([-b, 0, b])
+    rows = np.array(data.draw(hs.lists(hs.lists(entry, min_size=dim,
+                                                max_size=dim), max_size=6)),
+                    dtype=np.int64).reshape(-1, dim)
+    keys = fm._row_keys(rows, b)
+    assert keys.dtype == (object if wide else np.int64)
+    got = fm._key_rows(keys, b, dim)
+    assert got.dtype == np.int64 and got.tobytes() == rows.tobytes()
+
+
+def test_box_rows_are_the_keys_in_order():
+    """_box lists the box in meshgrid "ij" order, and rows start..stop of
+    it are the points with those keys."""
+    for height, dim in ((1, 4), (2, 3), (3, 1)):
+        grids = np.meshgrid(*[np.arange(-height, height + 1)] * dim,
+                            indexing="ij")
+        want = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
+        box = fm._box(height, dim)
+        assert box.tobytes() == want.tobytes()
+        assert fm._row_keys(box, height).tolist() == list(range(len(box)))
+        assert fm._box(height, dim, 2, 7).tobytes() == want[2:7].tobytes()
+
+
 def test_window_scan_expansion_respects_the_chunk_budget(Kcubic):
     """Each expansion of the leading coordinates holds at most the budget's
     points, unless it is a single row's box."""
@@ -494,13 +532,94 @@ def test_window_scan_expansion_respects_the_chunk_budget(Kcubic):
             calls.append((len(lo), len(owner)))
         return cols, owner
 
+    firsts = []
+    regions = fm._abs_quadratic_regions
+
+    def first_spy(p1, *args):
+        firsts.append(len(p1))
+        return regions(p1, *args)
+
     with mock.patch.object(fm, "WINDOW_CHUNK_POINTS", 50), \
-            mock.patch.object(fm, "_ragged_box", spy):
+            mock.patch.object(fm, "_ragged_box", spy), \
+            mock.patch.object(fm, "_abs_quadratic_regions", first_spy):
         scan = fm.window_scan(f, 3, CUBIC_WINDOW)
     assert calls and any(rows > 1 for rows, _ in calls)
     assert all(points <= 50 or rows == 1 for rows, points in calls)
+    # the first coordinates stream through in chunks of the budget too
+    assert max(firsts) == 50 and sum(firsts) == 3 * 7 ** 3
     pts, _ = window_scan_oracle(f, 3, CUBIC_WINDOW)
     assert scan.points.tobytes() == pts.tobytes()
+
+
+def test_batch_evaluation_is_chunk_independent(Kcubic, Kzeta8):
+    """A point's float values and degeneracy are the same in any chunk of
+    its batch: a tiny budget and an unaligned one against the default, on
+    acceptance 9's window scan at H = 8 and a sampled Q(zeta8) scan."""
+    cubic = fm.window_scan(cubic_density_form(Kcubic), 8, CUBIC_WINDOW)
+    zeta8 = fm.scan_values(fF(Kzeta8), 1, sample=2000, seed=3)
+    for scan, budget, rows in ((cubic, 1000, slice(None)),
+                               (cubic, 3, slice(None, None, 25)),
+                               (zeta8, 3, slice(None))):
+        form, pts = scan.form, scan.points
+        want = [fm._numeric_form_values(form, pts, v)[rows]
+                for v in range(form.r)]
+        mask = fm._degenerate_mask(form, pts)[rows]
+        with mock.patch.object(fm, "WINDOW_CHUNK_POINTS", budget):
+            for v in range(form.r):
+                got = fm._numeric_form_values(form, pts[rows], v)
+                assert got.tobytes() == want[v].tobytes(), (budget, v)
+            got = fm._degenerate_mask(form, pts[rows])
+        assert got.tobytes() == mask.tobytes()
+    assert cubic.degenerate.any() and zeta8.degenerate.any()
+
+
+def _memory_peak(call):
+    """call() and the most memory tracemalloc saw it hold at once, above
+    what was held before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak - base
+
+
+def test_window_scan_and_density_stream_in_bounded_memory(Kcubic):
+    """At H = 16 on acceptance 9's form the streamed window scan peaks
+    under 17 MiB, half of the 34.6 MiB that whole-box arrays took, and its
+    density report under 10 MiB (15.5 MiB with whole-batch images)."""
+    f = cubic_density_form(Kcubic)
+    fm.window_scan(f, 2, CUBIC_WINDOW)          # places and float bases
+    scan, peak = _memory_peak(lambda: fm.window_scan(f, 16, CUBIC_WINDOW))
+    assert scan.npoints == 135_246 and peak < 17 * 2 ** 20, peak
+    rep, peak = _memory_peak(lambda: fm.density_report(
+        scan, window=CUBIC_WINDOW, eps=0.25))
+    assert rep.cells_hit == 33_561 and peak < 10 * 2 ** 20, peak
+
+
+def test_box_caps_refuse_before_allocating(Kcubic, Ksqrt2):
+    """window_scan and norm_product_spectrum enumerate at most
+    BOX_POINT_CAP box points, and refuse a larger box with CapExceeded
+    before they build anything: at the first height over the cap and at
+    H = 10^6 (about 8e18 first coordinates of the cubic)."""
+    cubic, square = cubic_density_form(Kcubic), f0(Ksqrt2)
+    assert 65 ** 3 <= fm.BOX_POINT_CAP < 103 ** 3
+    assert 1023 ** 2 <= fm.BOX_POINT_CAP < 1025 ** 2
+    Kcubic.places(), Ksqrt2.places()
+    for call, args in ((fm.window_scan, (cubic, 51, CUBIC_WINDOW)),
+                       (fm.window_scan, (cubic, 10 ** 6, CUBIC_WINDOW)),
+                       (fm.norm_product_spectrum, (square, 512)),
+                       (fm.norm_product_spectrum, (square, 10 ** 6))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded):
+                call(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, (call.__name__, args[1], peak)
 
 
 def _edge(b, keep, outward):
@@ -732,7 +851,8 @@ def test_int_image_matches_python_integers(Ksqrt2, Kzeta8, data):
         assert image.dtype == expect
         assert [int(x) for x in image] == want
     else:
-        image = list(image)
+        [(part, image)] = list(image)           # one chunk of all rows
+        assert pts[part].shape == pts.shape
         assert all(img.dtype == expect for img in image)
         assert [[[int(x) for x in row] for row in img.T] for img in image] == want
 
@@ -747,7 +867,7 @@ def test_int_image_dtype_at_the_int64_edge(Ksqrt2, norm):
                        dtype=np.int64)
         image, _ = fm._int_image(Ksqrt2, [(Ksqrt2.one, Ksqrt2.zero)], pts,
                                  norm=norm)
-        got = image if norm else next(image)
+        got = image if norm else next(image)[1][0]
         assert got.dtype == dtype
         want = [[int(p[0]), int(p[1])] for p in pts]
         if norm:
@@ -768,7 +888,7 @@ def test_int_image_polynomial_dtype_at_the_int64_edge(Ksqrt2):
         pts = np.array([[-top, top - 1, top, -top], [top - 1, 1, 5, -7]],
                        dtype=np.int64)
         images, dens = fm._int_image(Ksqrt2, [[poly]], pts)
-        got = next(images)
+        got = next(images)[1][0]
         assert dens == [3] and got.dtype == dtype
         assert [int(v) for v in got[0]] == [
             2 * a * b + c * e + a for a, b, c, e in pts.tolist()]

@@ -195,3 +195,38 @@ def test_one_row_elimination():
         assert "MinorTable" in calls(key), key
     for key in ("forms.py:make_form", "forms.py:reduce_variables"):
         assert "rows_independent" in calls(key), key
+
+
+def _cap_checks(func):
+    """The lines of the if statements in func that raise CapExceeded when
+    their size test holds."""
+    return [node.lineno for node in ast.walk(func)
+            if isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+            and any(isinstance(stmt, ast.Raise)
+                    and isinstance(stmt.exc, ast.Call)
+                    and _called_name(stmt.exc) == "CapExceeded"
+                    for stmt in node.body)]
+
+
+def test_every_box_is_capped_before_it_is_built():
+    """A function that builds a height box with _box first refuses an
+    oversized one: a size test raising CapExceeded, in the function itself
+    or in a function it calls, comes before the _box call."""
+    funcs = {f"{path.name}:{name}": func
+             for path in sorted(SRC.glob("*.py"))
+             for name, func in _functions(ast.parse(path.read_text()))}
+    checks = {key.split(":")[1].split(".")[-1] for key, func in funcs.items()
+              if _cap_checks(func)}
+    builders = {}
+    for key, func in funcs.items():
+        lines = [node.lineno for node in ast.walk(func)
+                 if isinstance(node, ast.Call) and _called_name(node) == "_box"]
+        if lines:
+            guards = _cap_checks(func) + [
+                node.lineno for node in ast.walk(func)
+                if isinstance(node, ast.Call) and _called_name(node) in checks]
+            builders[key] = min(guards, default=None), min(lines)
+    assert set(builders) == {"forms.py:scan_values", "forms.py:window_scan",
+                             "forms.py:norm_product_spectrum"}
+    assert [key for key, (guard, build) in builders.items()
+            if guard is None or guard >= build] == []
