@@ -10,7 +10,6 @@ meta block (field label, the order Z[theta], working precision, version).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -104,8 +103,12 @@ def cmd_strata(field, args):
 
 def _records_json(records, closed_only=False):
     """The JSON of each record (of each closed one for closed_only), with
-    one memo of cfg.elem_to_list: the records share most entries."""
-    elem = functools.lru_cache(maxsize=None)(cfg.elem_to_list)
+    cfg.elem_to_list read once per element object: the records share one
+    element per distinct entry value (MinorTable.matrix)."""
+    texts = {}
+
+    def elem(x):    # every element has a coordinate, so its text is truthy
+        return texts.get(id(x)) or texts.setdefault(id(x), cfg.elem_to_list(x))
     return [_record_json(i, rec, elem) for i, rec in enumerate(records)
             if rec.is_closed or not closed_only]
 

@@ -6,21 +6,21 @@ once: the determinant and the inverse (the adjugate over the
 determinant); whether m rows are independent (some m x m minor of the
 rows padded to a square is nonzero); the block LDU of every Weyl
 translate w1^{-1} h w2 along a block composition (unit block lower x
-block diagonal x unit block upper), which exists exactly when the leading
-principal minor at every block end is nonzero (a vanishing one returns
-Absent, None, rather than pivoting, because pivoting would change the
-Weyl component of the factorization); cell membership; and the Bruhat
-cell, for the fixed convention h in V^- . w . P (lower unipotent times w
-times upper Borel).  The table is exponential in n: all of these refuse
-n > MINOR_TABLE_CAP with TooLarge before computing a minor.  Weyl
-representatives act on a matrix as signed row and column permutations,
-and on its minors as signed permutations of index sets
+block diagonal x unit block upper), on interned ids, which exists exactly
+when the leading principal minor at every block end is nonzero (a
+vanishing one returns Absent, None, rather than pivoting, which would
+change the Weyl component); cell membership; and the Bruhat cell, for
+the convention h in V^- . w . P (lower unipotent times w times upper
+Borel).  All refuse n > MINOR_TABLE_CAP with TooLarge before computing a
+minor.  Weyl representatives act on a matrix as signed row and column
+permutations, on its minors as signed permutations of index sets
 (WeylElement.set_action).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -30,6 +30,7 @@ from .numfield import FieldElement, NumberField
 from .rootdata import RootSubset, WeylElement, identity_weyl
 
 MINOR_TABLE_CAP = 10
+ZERO, ONE = 0, 1     # the ids of zero and one in every MinorTable
 
 
 class MatrixK:
@@ -112,9 +113,10 @@ class MatrixK:
         if not det:
             raise Singular("matrix is singular")
         inv = det.inverse()
+        signed = inv, -inv
         return MatrixK._of(self.field, [
-            [_signed(table.minor(full ^ 1 << j, full ^ 1 << i) * inv,
-                     (-1) ** (i + j)) for j in range(n)] for i in range(n)])
+            [table.minor(full ^ 1 << j, full ^ 1 << i) * signed[(i + j) & 1]
+             for j in range(n)] for i in range(n)])
 
     def is_monomial(self) -> bool:
         """Exactly one nonzero entry in every row and every column."""
@@ -134,15 +136,11 @@ class MatrixK:
 
 @dataclass(frozen=True)
 class BlockLDU:
-    """h = v_minus * levi * v_plus along the block pattern of subset.
-
-    zv_plus is the product levi * v_plus, formed once for the recomposition
-    check and kept for callers that need it."""
+    """h = v_minus * levi * v_plus along the block pattern of subset."""
     v_minus: MatrixK
     levi: MatrixK
     v_plus: MatrixK
     subset: RootSubset
-    zv_plus: MatrixK
 
     def recompose(self) -> MatrixK:
         return self.v_minus * self.levi * self.v_plus
@@ -151,18 +149,21 @@ class BlockLDU:
 class MinorTable:
     """The minors det h[rows, cols] of a square h (index sets as bitmasks),
     each computed once, on demand, by Laplace expansion along the first
-    row: one NumberField.dot over minors one size smaller.  Kept with them,
-    the inverse of every divisor and every signed ratio formed, so all
-    Weyl translates w1^{-1} h w2 factor with at most one inverse per minor.
-    Exponential in n: above MINOR_TABLE_CAP it raises TooLarge up front."""
+    row: one NumberField.dot over minors one size smaller.  Block LDUs run
+    on ids: each value they form is kept once in values, keyed by its
+    lowest-terms (num, den), and negation, products, sums and quotients of
+    minors are memoised on ids, so each operand pair is computed once."""
 
     def __init__(self, h: MatrixK):
         if h.n > MINOR_TABLE_CAP:
             raise TooLarge(f"the table of minors supports n <= {MINOR_TABLE_CAP}")
         self.h, self.field, self.n = h, h.field, h.n
         self._minors = {0: h.field.one}     # keyed by rows | cols << n
-        self._inverses = {}
-        self._ratios = {}
+        self._ids, self.values, self._negs, self._ratios = {}, [], {}, {}
+        self._products, self._sums, self._quotients, self._plans = {}, {}, {}, {}
+        self.id(h.field.zero), self.id(h.field.one)
+        self._h = [self.id(x) for row in h.rows for x in row]
+        self._unit = [int(i == j) for i in range(h.n) for j in range(h.n)]
 
     def minor(self, rows: int, cols: int) -> FieldElement:
         key = rows | cols << self.n
@@ -179,82 +180,144 @@ class MinorTable:
             m = self._minors[key] = self.field.dot(xs, ys)
         return m
 
-    def _ratio(self, rows: int, cols: int, drows: int, dcols: int,
-               sign: int) -> FieldElement:
-        """sign * minor(rows, cols) / minor(drows, dcols), divisor nonzero."""
-        key = (rows, cols, drows, dcols, sign)
-        r = self._ratios.get(key)
+    def id(self, x: FieldElement) -> int:
+        i = self._ids.setdefault((x.num, x.den), len(self.values))
+        if i == len(self.values):
+            self.values.append(x)
+        return i
+
+    def neg(self, a: int) -> int:
+        b = self._negs.get(a)
+        if b is None:
+            b = self._negs[a] = self.id(-self.values[a])
+            self._negs[b] = a
+        return b
+
+    def mul(self, a: int, b: int) -> int:
+        if a <= ONE or b <= ONE:
+            return a * b        # the ids 0 and 1 multiply as their values
+        return self._memo(self._products, operator.mul, a, b)
+
+    def add(self, a: int, b: int) -> int:
+        return self._memo(self._sums, operator.add, a, b) if a and b else a or b
+
+    def _memo(self, memo: dict, op, a: int, b: int) -> int:
+        """The id of op(a, b) for a commutative op, computed once."""
+        key = (a, b) if a < b else (b, a)
+        r = memo.get(key)
         if r is None:
-            r = self.minor(rows, cols)
-            if r and drows:
-                d = drows | dcols << self.n
-                if d not in self._inverses:
-                    self._inverses[d] = self.minor(drows, dcols).inverse()
-                r = r * self._inverses[d]
-            r = self._ratios[key] = r if sign > 0 else -r
+            r = memo[key] = self.id(op(self.values[a], self.values[b]))
         return r
+
+    def matrix(self, ids) -> MatrixK:
+        """The matrix of flat row-major ids, one shared element per id."""
+        vals, n = self.values, self.n
+        return MatrixK._of(self.field, [[vals[x] for x in ids[r:r + n]]
+                                        for r in range(0, len(ids), n)])
+
+    def translate(self, w1: WeylElement, ids, w2: WeylElement) -> list:
+        """The flat ids of w1 x w2^{-1} for the det-one representatives
+        (inverse = transpose): entry (w1(a), w2(b)) is s1[a] s2[b] x[a, b],
+        with s1, s2 their column signs (WeylElement.signs)."""
+        n, p1, p2, s1, s2 = self.n, w1.perm, w2.perm, w1.signs, w2.signs
+        out = [ZERO] * (n * n)
+        for (a, b), x in zip(itertools.product(range(n), repeat=2), ids):
+            out[p1[a] * n + p2[b]] = x if s1[a] == s2[b] else self.neg(x)
+        return out
+
+    def _ratio(self, key) -> int:
+        """minor(rows, cols) / minor(drows, dcols), divisor nonzero."""
+        r, d = (self.id(self.minor(*key[k:k + 2])) for k in (0, 2))
+        if r and d != ONE:
+            if (r, d) not in self._quotients:
+                self._quotients[r, d] = self.id(self.values[r] / self.values[d])
+            r = self._quotients[r, d]
+        self._ratios[key] = r
+        return r
+
+    def _sum_of_products(self, xs, ys, terms, acc=ZERO) -> int:
+        """The id of acc plus the sum of xs[x] ys[y] over (x, y) in terms."""
+        for x, y in terms:
+            acc = self.add(acc, self.mul(xs[x], ys[y]))
+        return acc
 
     def present(self, subset: RootSubset, w1: WeylElement,
                 w2: WeylElement) -> bool:
         """Whether w1^{-1} h w2 has the block LDU of the subset: its leading
         principal minor at every block end is nonzero."""
-        if subset.n != self.n:
-            raise ValidationError("subset size mismatch")
-        _check_weyl(self.h, w1, w2)
-        ends = [(1 << b.stop) - 1 for b in subset.blocks]
+        if not subset.n == w1.n == w2.n == self.n:
+            raise ValidationError("subset or Weyl element size mismatch")
         return all(self.minor(w1.set_action[e][1], w2.set_action[e][1])
-                   for e in ends)
+                   for e in ((1 << b.stop) - 1 for b in subset.blocks))
+
+    def _plan(self, subset: RootSubset):
+        """Per block, its entries of z, v^+, v^- as (slot, rows, cols, sign)
+        over one divisor; the terms of z v^+ and of v^- (z v^+) off it."""
+        plan = self._plans.get(subset.mask)
+        if plan is None:
+            n, groups, products, checks = self.n, [], [], []
+            for blk in subset.blocks:
+                s, e = blk.start, blk.stop
+                head, lead = (1 << s) - 1, (1 << e) - 1
+                right = [(i, j, lead ^ 1 << i | 1 << j, (-1) ** (e - 1 - i))
+                         for i in blk for j in range(e, n)]
+                groups += [
+                    (head, 1, [(i * n + j, head | 1 << i, head | 1 << j, 1)
+                               for i in blk for j in blk]),
+                    (lead, 2, [(i * n + j, lead, swapped, sign)
+                               for i, j, swapped, sign in right]),
+                    (lead, 0, [(j * n + i, swapped, lead, sign)
+                               for i, j, swapped, sign in right])]
+                products += [(i * n + j, [(i * n + t, t * n + j) for t in blk])
+                             for i, j, _, _ in right]
+                checks += [[(i * n + r, r * n + j) for r in range(s)]
+                           for i in blk for j in range(n)]
+            plan = self._plans[subset.mask] = groups, products, checks
+        return plan
+
+    def ldu_ids(self, subset: RootSubset, w1: WeylElement, w2: WeylElement):
+        """ldu on ids: (v^-, z v^+, v^+) as flat row-major ids, or None."""
+        if not self.present(subset, w1, w2):
+            return None
+        groups, products, checks = self._plan(subset)
+        act1, act2 = w1.set_action, w2.set_action
+        ratios, neg = self._ratios, self.neg
+        out = self._unit[:], [ZERO] * self.n ** 2, self._unit[:]
+        for d, part, entries in groups:
+            (sd, rd), (se, cd) = act1[d], act2[d]
+            ids = out[part]
+            for slot, a, b, sign in entries:
+                (sa, ra), (sb, cb) = act1[a], act2[b]
+                r = ratios.get((ra, cb, rd, cd))
+                if r is None:
+                    r = self._ratio((ra, cb, rd, cd))
+                ids[slot] = r if sign * sa * sb * sd * se > 0 else neg(r)
+        vminus, zv, vplus = out
+        for slot, terms in products:
+            zv[slot] = self._sum_of_products(zv, vplus, terms)
+        recomposed = [self._sum_of_products(vminus, zv, terms, zv[k])
+                      for k, terms in enumerate(checks)]
+        if self.translate(w1, recomposed, w2) != self._h:
+            raise InvariantViolation("block LDU recomposition failed")
+        return out
 
     def ldu(self, subset: RootSubset, w1: WeylElement,
             w2: WeylElement) -> Optional[BlockLDU]:
         """The unique M = v^- z v^+ for M = w1^{-1} h w2 and the subset's
         blocks, or None (Absent) when a boundary minor vanishes.  For i in
-        the block [s, e), with the minors of M read through set_action,
-        z[i, j] = det M[:s + {i}, :s + {j}] / det M[:s, :s] for j in the
-        block (Sylvester's identity), v^+[i, j] = (-1)^(e-1-i)
-        det M[:e, :e - {i} + {j}] / det M[:e, :e] for j >= e (Cramer's
-        rule), and v^-[j, i] is its transpose.  z v^+ is formed as the
-        product, so the exact check v^- (z v^+) == M, which raises
-        InvariantViolation, covers every factor.  Both products skip only
-        the zero and identity blocks of z and v^- that are set here."""
-        if not self.present(subset, w1, w2):
+        the block [s, e), with M's minors read through set_action, z[i, j] =
+        det M[:s + {i}, :s + {j}] / det M[:s, :s] for j in the block
+        (Sylvester), v^+[i, j] = (-1)^(e-1-i) det M[:e, :e - {i} + {j}] /
+        det M[:e, :e] for j >= e (Cramer), v^-[j, i] its transpose.  The
+        check w1 v^- (z v^+) w2^{-1} == h on every entry covers them all."""
+        ids = self.ldu_ids(subset, w1, w2)
+        if ids is None:
             return None
-        act1, act2 = w1.set_action, w2.set_action
-        n, f = self.n, self.field
-
-        def entry(a, b, d, sign=1):
-            (sa, ra), (sb, cb) = act1[a], act2[b]
-            (sd, rd), (se, cd) = act1[d], act2[d]
-            return self._ratio(ra, cb, rd, cd, sign * sa * sb * sd * se)
-
-        vminus = [[f.one if i == j else f.zero for j in range(n)]
-                  for i in range(n)]
-        vplus = [row[:] for row in vminus]
-        levi, zv = ([[f.zero] * n for _ in range(n)] for _ in range(2))
-        for blk in subset.blocks:
-            s, e = blk.start, blk.stop
-            head, lead = (1 << s) - 1, (1 << e) - 1
-            for i in blk:
-                for j in blk:
-                    levi[i][j] = zv[i][j] = entry(head | 1 << i,
-                                                  head | 1 << j, head)
-                sign = (-1) ** (e - 1 - i)
-                for j in range(e, n):
-                    swapped = lead ^ 1 << i | 1 << j
-                    vplus[i][j] = entry(lead, swapped, lead, sign)
-                    vminus[j][i] = entry(swapped, lead, lead, sign)
-            for i in blk:
-                for j in range(e, n):
-                    zv[i][j] = f.dot(levi[i][s:e], [vplus[t][j] for t in blk])
-        target = weyl_untranslate(w1, self.h, w2).rows
-        for blk in subset.blocks:
-            for i in blk:
-                left = vminus[i][:blk.start] + [f.one]
-                if any(f.dot(left, [r[j] for r in zv[:blk.start]] + [zv[i][j]])
-                       != target[i][j] for j in range(n)):
-                    raise InvariantViolation("block LDU recomposition failed")
-        return BlockLDU(*(MatrixK._of(f, m) for m in (vminus, levi, vplus)),
-                        subset, MatrixK._of(f, zv))
+        vminus, zv, vplus = ids
+        n, blk = self.n, subset.block_of()
+        levi = [x if blk[k // n] == blk[k % n] else ZERO
+                for k, x in enumerate(zv)]
+        return BlockLDU(*map(self.matrix, (vminus, levi, vplus)), subset)
 
 
 def block_ldu(h: MatrixK, subset: RootSubset) -> Optional[BlockLDU]:
@@ -306,44 +369,6 @@ def cell_membership(h: MatrixK, subset: RootSubset, w1: WeylElement,
     boundary minors alone; invariant under replacing w1, w2 by other
     representatives of their cosets modulo the Levi's Weyl group."""
     return MinorTable(h).present(subset, w1, w2)
-
-
-def weyl_untranslate(w1: WeylElement, x: MatrixK, w2: WeylElement) -> MatrixK:
-    """w1^{-1} x w2 for the det-one representatives of w1 and w2.
-
-    A representative's inverse is its transpose, so the product is a signed
-    permutation of rows and columns, with no field arithmetic beyond
-    negation: entry (a, b) is s1[a] s2[b] x[w1(a), w2(b)], where s1, s2 are
-    the representatives' column signs (WeylElement.signs)."""
-    _check_weyl(x, w1, w2)
-    p1, p2 = w1.perm, w2.perm
-    s1, s2 = w1.signs, w2.signs
-    rows = x.rows
-    return MatrixK._of(x.field, [[_signed(rows[p1[a]][p2[b]], s1[a] * s2[b])
-                                  for b in range(x.n)] for a in range(x.n)])
-
-
-def weyl_translate(w1: WeylElement, x: MatrixK, w2: WeylElement) -> MatrixK:
-    """w1 x w2^{-1} for the det-one representatives, the inverse of
-    weyl_untranslate: entry (w1(a), w2(b)) is s1[a] s2[b] x[a, b]."""
-    _check_weyl(x, w1, w2)
-    n = x.n
-    p1, p2 = w1.perm, w2.perm
-    s1, s2 = w1.signs, w2.signs
-    out = [[None] * n for _ in range(n)]
-    for a, row in enumerate(x.rows):
-        for b, v in enumerate(row):
-            out[p1[a]][p2[b]] = _signed(v, s1[a] * s2[b])
-    return MatrixK._of(x.field, out)
-
-
-def _check_weyl(x: MatrixK, w1: WeylElement, w2: WeylElement) -> None:
-    if w1.n != x.n or w2.n != x.n:
-        raise ValidationError("Weyl element size mismatch")
-
-
-def _signed(v: FieldElement, s: int) -> FieldElement:
-    return v if s > 0 else -v
 
 
 def unipotent_matrix(field, n: int, entries: dict) -> MatrixK:

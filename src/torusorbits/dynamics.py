@@ -25,7 +25,7 @@ from .forms import _chunks, _row_keys
 from .intervals import RInt
 from .numfield import NumberField
 from .rootdata import RootSubset, WeylElement
-from .strata import OrbitInput, pair_representative
+from .strata import OrbitInput, materialised, pair_representative
 
 DIRECT_SCAN_CAP = 6_000_000
 
@@ -603,10 +603,11 @@ def predicted_limit(inp: OrbitInput, subset: RootSubset, w1: WeylElement,
     if inp.r != 2:
         raise ValidationError("limit prediction handles two places")
     g1, g2 = inp.components
-    dec = MinorTable(g1 * g2.inverse()).ldu(subset, w1, w2)
-    if dec is None:
+    table = MinorTable(g1 * g2.inverse())
+    rep = pair_representative(table, subset, w1, w2)
+    if rep is None:
         raise MembershipFails("the quotient misses the requested cell")
-    return pair_representative(dec, w1, w2, g2)
+    return materialised(table, rep, g2)
 
 
 def limit_approach_distances(inp: OrbitInput, subset: RootSubset,

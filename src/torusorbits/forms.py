@@ -305,7 +305,7 @@ def scan_values(form: DecomposableForm, height: int,
         prev = include.points if include is not None else \
             np.zeros((0, dim), dtype=np.int64)
         bound = max(height, int(np.abs(prev).max(initial=0)))
-        taken = np.unique(_row_keys(prev, bound))
+        taken = pu.distinct(_row_keys(prev, bound))
         zero = _row_keys(np.zeros((1, dim), dtype=np.int64), bound)
         chunks = []
         count = guard = 0
@@ -534,13 +534,9 @@ def window_scan(form: DecomposableForm, height: int, window,
                               & (y <= highs[src] + 1e-9), axis=1)
                 keys.append(_row_keys(np.column_stack(
                     [c[idxs[src[keep]]], d[keep]]), height))
-    # np.sort and a neighbour test: np.unique hashes int64 keys, and on these
-    # that is tens of times slower than the sort
-    keys = np.sort(np.concatenate(keys))
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
+    keys = pu.distinct(np.concatenate(keys))
     zero = _row_keys(np.zeros((1, 2 * deg), dtype=np.int64), height)
-    pts = _key_rows(keys[first & (keys != zero)], height, 2 * deg)
+    pts = _key_rows(keys[keys != zero], height, 2 * deg)
     # final exact-window filter happens in density_report's mask; the pad
     # above only ever adds candidates, never loses them
     return FormScan(form, height, pts, "window-complete",
@@ -696,7 +692,7 @@ def norm_product_spectrum(form: DecomposableForm, height: int,
     _box_size(height, field.degree, BOX_POINT_CAP)
     norms, _ = _int_image(field, [(field.one,)], _box(height, field.degree),
                           norm=True)
-    norms = np.unique(np.abs(norms)).tolist()
+    norms = pu.distinct(np.abs(norms)).tolist()
     # per factor: |N(coef)| * |N(w)| over the one-variable box
     scale = Fraction(1)
     for v, s in enumerate(form.scalars):
@@ -774,7 +770,7 @@ def density_report(scan: FormScan, window=None, eps: float = 0.25) -> DensityRep
         cells = np.minimum(((vals[v][mask] - lo) / eps).astype(np.int64),
                            per_axis[v] - 1)
         idx = cells if idx is None else idx * per_axis[v] + cells
-    hit = int(np.unique(idx).size)
+    hit = int(pu.distinct(idx).size)
     return DensityReport(scan.height, eps, tuple(window), total, hit,
                          scan.npoints, int(mask.sum()), scan.mode)
 
@@ -871,7 +867,7 @@ def _spectrum_exact(scan: FormScan, clip: float):
     places = f.places()
     norms, den = _int_image(f, form.factors[0], scan.points, norm=True)
     norms = np.abs(norms)       # zero exactly at the degenerate points
-    vals = np.unique(norms[norms > 0]).tolist()
+    vals = pu.distinct(norms[norms > 0]).tolist()
     if all(s.is_rational() for s in form.scalars):
         const = Fraction(1)
         for v, s in enumerate(form.scalars):

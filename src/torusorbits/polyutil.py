@@ -107,6 +107,15 @@ def reversed_poly(p: Poly) -> Poly:
     return poly(reversed(p))
 
 
+def distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D array: np.unique hashes integer
+    arrays, many times slower than a sort and a neighbour test."""
+    a = np.sort(a)
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
+
+
 # -- exact elimination --------------------------------------------------------
 #
 # The one row elimination of the package: fraction-free (Bareiss) forward

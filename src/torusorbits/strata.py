@@ -22,7 +22,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .decomp import BlockLDU, MatrixK, MinorTable, weyl_translate
+from . import polyutil as pu
+from .decomp import MatrixK, MinorTable
 from .errors import BoundViolated, MinimalNotBorel, ValidationError
 from .numfield import NumberField
 from .rootdata import (ParabolicDescriptor, RootSubset, WeylElement,
@@ -149,52 +150,57 @@ def enumerate_strata(g1: MatrixK, g2: MatrixK) -> StrataSet:
     n = g1.n
     check_cap(n)
     inp = OrbitInput((g1, g2))
-    # an identity g2, as on every `--g2 id` run, is never inverted or
-    # multiplied by
+    # an identity g2 (every `--g2 id` run) is never inverted or multiplied by
     right = None if g2.is_identity() else g2
     table = MinorTable(g1 if right is None else g1 * g2.inverse())
-    entries = []   # (pair, representative)
+    groups = {}
     for subset in all_subsets(n):
         reps = coset_representatives(n, subset)
         firsts = [parabolic_descriptor(subset, w, opposite=True) for w in reps]
         seconds = [parabolic_descriptor(subset, w) for w in reps]
         for i1, w1 in enumerate(reps):
             for i2, w2 in enumerate(reps):
-                dec = table.ldu(subset, w1, w2)
-                if dec is None:
+                rep = pair_representative(table, subset, w1, w2)
+                if rep is None:
                     continue
-                pair = ParabolicPair(firsts[i1], seconds[i2], subset, (w1, w2),
-                                     (len(subset.simples), subset.mask, i1, i2))
-                entries.append((pair, pair_representative(dec, w1, w2, right)))
-    # merge pairs whose representatives agree entry-exactly: same point,
-    # hence provably the same orbit
-    groups = {}
-    for pair, rep in entries:
-        groups.setdefault(rep, []).append(pair)
-    records = [StratumRecord(sorted(pairs, key=lambda p: p.order_key), rep)
+                if right is not None:
+                    rep = materialised(table, rep, right)
+                # equal representatives: same point, hence the same orbit
+                groups.setdefault(rep, []).append(ParabolicPair(
+                    firsts[i1], seconds[i2], subset, (w1, w2),
+                    (len(subset.simples), subset.mask, i1, i2)))
+    records = [StratumRecord(sorted(pairs, key=lambda p: p.order_key),
+                             materialised(table, rep, None) if right is None else rep)
                for rep, pairs in groups.items()]
     records.sort(key=lambda r: r.pairs[0].order_key)
-    out = StrataSet(inp, records, pair_count=len(entries))
+    out = StrataSet(inp, records, pair_count=sum(map(len, groups.values())))
     _mark_closed(out)
     return out
 
 
-def pair_representative(dec: BlockLDU, w1: WeylElement, w2: WeylElement,
-                        g2: Optional[MatrixK]) -> tuple:
-    """The orbit representative attached to the pair (w1, w2).
+def pair_representative(table: MinorTable, subset: RootSubset,
+                        w1: WeylElement, w2: WeylElement) -> Optional[tuple]:
+    """The orbit representative of the pair (w1, w2), before g2, as one
+    tuple of the 2 n^2 ids of its components, or None when h = g1 g2^{-1}
+    (the table's matrix) misses the pair's cell.  From w1^{-1} h w2 =
+    v^- z v^+ and g1 = h g2, (v^-)^{-1} w1^{-1} g1 = z v^+ w2^{-1} g2, so
+    the textbook (w1 (v^-)^{-1} w1^{-1} g1, w2 v^+ w2^{-1} g2) is
+    (w1 (z v^+) w2^{-1} g2, w2 v^+ w2^{-1} g2): no inverse of v^- is
+    formed, and the Weyl factors are signed permutations of ids."""
+    ids = table.ldu_ids(subset, w1, w2)
+    if ids is None:
+        return None
+    _, zv_plus, v_plus = ids
+    return tuple(table.translate(w1, zv_plus, w2)
+                 + table.translate(w2, v_plus, w2))
 
-    From w1^{-1} h w2 = v^- z v^+ (dec) and g1 = h g2, the textbook
-    representative (w1 (v^-)^{-1} w1^{-1} g1, w2 v^+ w2^{-1} g2) equals
-    (w1 (z v^+) w2^{-1} g2, w2 v^+ w2^{-1} g2): w1^{-1} g1 = v^- z v^+
-    w2^{-1} g2, so (v^-)^{-1} w1^{-1} g1 = z v^+ w2^{-1} g2.  No inverse of
-    v^- is formed, and the Weyl factors are signed permutations.  g2 None
-    stands for the identity, whose two products are skipped.
-    """
-    first = weyl_translate(w1, dec.zv_plus, w2)
-    second = weyl_translate(w2, dec.v_plus, w2)
-    if g2 is None:
-        return first, second
-    return first * g2, second * g2
+
+def materialised(table: MinorTable, rep: tuple, g2: Optional[MatrixK]):
+    """The MatrixK pair of the representative's ids, times g2; None stands
+    for the identity, whose two products are skipped."""
+    nn = table.n ** 2
+    return tuple(m if g2 is None else m * g2
+                 for m in (table.matrix(rep[:nn]), table.matrix(rep[nn:])))
 
 
 def _pair_masks(pairs) -> np.ndarray:
@@ -234,7 +240,7 @@ def closure_poset(s: StrataSet):
     succ = [0] * len(recs)
     for b, j in zip(masks, owner.tolist()):
         above = owner[((masks & b) == b) & (masks != b)]
-        for i in np.unique(above).tolist():
+        for i in pu.distinct(above).tolist():
             if i != j:
                 succ[i] |= 1 << j
     edges = []

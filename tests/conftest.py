@@ -8,8 +8,9 @@ from torusorbits import forms as fm
 from torusorbits import numfield as nf
 from torusorbits import polyutil as pu
 from torusorbits import rootdata as rd
-from torusorbits.decomp import (BlockLDU, MatrixK, diagonal_matrix,
-                                unipotent_matrix, weyl_untranslate)
+from torusorbits import strata as st
+from torusorbits.decomp import (BlockLDU, MatrixK, MinorTable,
+                                diagonal_matrix, unipotent_matrix)
 from torusorbits.errors import InvariantViolation
 
 from gauss_oracle import determinant, echelon, invert, solve
@@ -58,6 +59,20 @@ def Kzeta16():
     return nf.create_field([1, 0, 0, 0, 0, 0, 0, 0, 1],
                            declared_units=[[1] * 3, [1] * 5, [1] * 7],
                            label="q-zeta16")
+
+
+def weyl_untranslate(w1, x, w2):
+    """w1^{-1} x w2 for the det-one monomial representatives, as matrix
+    products; a representative's inverse is its transpose."""
+    m1, m2 = w1.matrix(x.field), w2.matrix(x.field)
+    return MatrixK(x.field, list(zip(*m1.rows))) * x * m2
+
+
+def weyl_translate(w1, x, w2):
+    """w1 x w2^{-1} for the det-one monomial representatives, as matrix
+    products."""
+    m1, m2 = w1.matrix(x.field), w2.matrix(x.field)
+    return m1 * x * MatrixK(x.field, list(zip(*m2.rows)))
 
 
 def random_element(K, rng, span=4, denom=3):
@@ -270,10 +285,93 @@ def elimination_block_ldu(h, subset):
             for s in range(hi - lo):
                 vplus[lo + s][j] = sol[s]
     v_minus, z, v_plus = MatrixK(f, vminus), MatrixK(f, levi), MatrixK(f, vplus)
-    zv_plus = z * v_plus
-    if v_minus * zv_plus != h:
+    if v_minus * (z * v_plus) != h:
         raise InvariantViolation("block LDU recomposition failed")
-    return BlockLDU(v_minus, z, v_plus, subset, zv_plus)
+    return BlockLDU(v_minus, z, v_plus, subset)
+
+
+def fieldelement_ldu(table, subset, w1, w2):
+    """The block LDU of w1^{-1} h w2 on FieldElements, with the minors of
+    table (of h): the element-by-element oracle of MinorTable.ldu.  Every
+    ratio is a minor times the inverse of its divisor, and z v^+ and the
+    check v^- (z v^+) == M are NumberField.dot products."""
+    if not table.present(subset, w1, w2):
+        return None
+    act1, act2 = w1.set_action, w2.set_action
+    n, f = table.n, table.field
+
+    def entry(a, b, d, sign=1):
+        (sa, ra), (sb, cb) = act1[a], act2[b]
+        (sd, rd), (se, cd) = act1[d], act2[d]
+        r = table.minor(ra, cb)
+        if r and rd:
+            r = r * table.minor(rd, cd).inverse()
+        return r if sign * sa * sb * sd * se > 0 else -r
+
+    vminus = [[f.one if i == j else f.zero for j in range(n)]
+              for i in range(n)]
+    vplus = [row[:] for row in vminus]
+    levi, zv = ([[f.zero] * n for _ in range(n)] for _ in range(2))
+    for blk in subset.blocks:
+        s, e = blk.start, blk.stop
+        head, lead = (1 << s) - 1, (1 << e) - 1
+        for i in blk:
+            for j in blk:
+                levi[i][j] = zv[i][j] = entry(head | 1 << i, head | 1 << j,
+                                              head)
+            sign = (-1) ** (e - 1 - i)
+            for j in range(e, n):
+                swapped = lead ^ 1 << i | 1 << j
+                vplus[i][j] = entry(lead, swapped, lead, sign)
+                vminus[j][i] = entry(swapped, lead, lead, sign)
+        for i in blk:
+            for j in range(e, n):
+                zv[i][j] = f.dot(levi[i][s:e], [vplus[t][j] for t in blk])
+    target = weyl_untranslate(w1, table.h, w2).rows
+    for blk in subset.blocks:
+        for i in blk:
+            left = vminus[i][:blk.start] + [f.one]
+            if any(f.dot(left, [r[j] for r in zv[:blk.start]] + [zv[i][j]])
+                   != target[i][j] for j in range(n)):
+                raise InvariantViolation("block LDU recomposition failed")
+    return BlockLDU(*(MatrixK(f, m) for m in (vminus, levi, vplus)), subset)
+
+
+def fieldelement_strata(g1, g2):
+    """enumerate_strata on the FieldElement oracle: (records as (pair
+    order keys, representative, is_closed), pair_count).  Representatives
+    are the MatrixK translates (w1 (z v^+) w2^{-1} g2, w2 v^+ w2^{-1} g2),
+    merged by MatrixK equality."""
+    n = g1.n
+    table = MinorTable(g1 * g2.inverse())
+    groups, count = {}, 0
+    for subset in rd.all_subsets(n):
+        reps = rd.coset_representatives(n, subset)
+        for i1, w1 in enumerate(reps):
+            for i2, w2 in enumerate(reps):
+                dec = fieldelement_ldu(table, subset, w1, w2)
+                if dec is None:
+                    continue
+                rep = (weyl_translate(w1, dec.levi * dec.v_plus, w2) * g2,
+                       weyl_translate(w2, dec.v_plus, w2) * g2)
+                groups.setdefault(rep, []).append(st.ParabolicPair(
+                    rd.parabolic_descriptor(subset, w1, opposite=True),
+                    rd.parabolic_descriptor(subset, w2), subset, (w1, w2),
+                    (len(subset.simples), subset.mask, i1, i2)))
+                count += 1
+    records = sorted((st.StratumRecord(pairs, rep)
+                      for rep, pairs in groups.items()),
+                     key=lambda r: r.pairs[0].order_key)
+    s = st.StrataSet(st.OrbitInput((g1, g2)), records, pair_count=count)
+    st._mark_closed(s)
+    return strata_summary(s)
+
+
+def strata_summary(s):
+    """(records as (pair order keys, representative, is_closed),
+    pair_count) of a StrataSet."""
+    return ([([p.order_key for p in rec.pairs], rec.representative,
+              rec.is_closed) for rec in s.records], s.pair_count)
 
 
 def echelon_bruhat_cell(h):

@@ -19,7 +19,8 @@ from torusorbits.errors import (InvariantViolation, Singular, TooLarge,
                                 ValidationError)
 
 from conftest import (echelon_bruhat_cell, elimination_block_ldu,
-                      elimination_genericity, random_element, random_sl)
+                      elimination_genericity, random_element, random_sl,
+                      weyl_untranslate)
 
 
 # -- independent oracles -------------------------------------------------------
@@ -169,7 +170,6 @@ def test_block_ldu_roundtrip_random(Ksqrt2):
         if dec is None:
             continue
         assert dec.recompose() == h
-        assert dec.zv_plus == dec.levi * dec.v_plus
         # pattern shape
         blk = subset.block_of()
         for i in range(3):
@@ -199,17 +199,21 @@ def test_block_ldu_unique(Ksqrt2):
 
 
 def test_block_ldu_recomposition_check_raises(Ksqrt2):
-    # a wrong cached ratio (the first with a nonzero divisor, doubled)
-    # leaves v^- (z v^+) != h, and the factorization must refuse to return it
-    h = dc.MatrixK.from_rational_rows(Ksqrt2, [[2, 3], [1, 2]])
+    # a wrong cached ratio (the first with a nonzero divisor, v^+[0, 1],
+    # doubled) leaves v^- (z v^+) != h, and the factorization must refuse
+    # to return it; with v^-[1, 0] = 0 only the first block's entries,
+    # compared as ids, see it
     empty = rd.RootSubset.empty(2)
     e = rd.identity_weyl(2)
-    table = dc.MinorTable(h)
-    assert table.ldu(empty, e, e) == dc.block_ldu(h, empty)
-    key = next(k for k in table._ratios if k[2])
-    table._ratios[key] = table._ratios[key] + table._ratios[key]
-    with pytest.raises(InvariantViolation):
-        table.ldu(empty, e, e)
+    for rows in ([[2, 3], [1, 2]], [[2, 3], [0, Fraction(1, 2)]]):
+        h = dc.MatrixK.from_rational_rows(Ksqrt2, rows)
+        table = dc.MinorTable(h)
+        assert table.ldu(empty, e, e) == dc.block_ldu(h, empty)
+        key = next(k for k in table._ratios if k[2])
+        ratio = table.values[table._ratios[key]]
+        table._ratios[key] = table.id(ratio + ratio)
+        with pytest.raises(InvariantViolation):
+            table.ldu(empty, e, e)
 
 
 def test_minor_table_refuses_above_its_cap(Ksqrt2, monkeypatch):
@@ -240,7 +244,8 @@ def test_block_ldu_recomposition_check_under_optimize():
         table = dc.MinorTable(h)
         table.ldu(rd.RootSubset.empty(2), e, e)
         key = next(k for k in table._ratios if k[2])
-        table._ratios[key] = table._ratios[key] + table._ratios[key]
+        ratio = table.values[table._ratios[key]]
+        table._ratios[key] = table.id(ratio + ratio)
         try:
             table.ldu(rd.RootSubset.empty(2), e, e)
         except InvariantViolation:
@@ -302,15 +307,15 @@ def test_minor_table_matches_elimination(Ksqrt2, Kzeta8, Kzeta16, data):
         for w1 in weyl(subset):
             for w2 in weyl(subset):
                 got = table.ldu(subset, w1, w2)
-                want = elimination_block_ldu(dc.weyl_untranslate(w1, h, w2),
+                want = elimination_block_ldu(weyl_untranslate(w1, h, w2),
                                              subset)
                 assert table.present(subset, w1, w2) is (want is not None)
                 if want is None:
                     assert got is None
                     continue
                 assert not singular
-                assert (got.v_minus, got.levi, got.v_plus, got.zv_plus) == \
-                    (want.v_minus, want.levi, want.v_plus, want.zv_plus)
+                assert (got.v_minus, got.levi, got.v_plus) == \
+                    (want.v_minus, want.levi, want.v_plus)
 
 
 @settings(max_examples=30, deadline=None)
@@ -349,10 +354,14 @@ def test_weyl_action_matches_matrix_products(Ksqrt2):
                                      for _ in range(n)] for _ in range(n)])
             v = rng.choice(ws)
             mw, mv = w.matrix(Ksqrt2), v.matrix(Ksqrt2)
-            assert dc.weyl_untranslate(w, x, v) == mw.inverse() * x * mv
-            assert dc.weyl_untranslate(v, x, w) == mv.inverse() * x * mw
-            assert dc.weyl_translate(w, x, v) == mw * x * mv.inverse()
-            assert dc.weyl_translate(v, x, w) == mv * x * mw.inverse()
+            assert weyl_untranslate(w, x, v) == mw.inverse() * x * mv
+            assert weyl_untranslate(v, x, w) == mv.inverse() * x * mw
+            table = dc.MinorTable(x)
+            ids = [table.id(e) for row in x.rows for e in row]
+            assert table.matrix(table.translate(w, ids, v)) == \
+                mw * x * mv.inverse()
+            assert table.matrix(table.translate(v, ids, w)) == \
+                mv * x * mw.inverse()
 
 
 # -- Bruhat cell --------------------------------------------------------------------

@@ -172,21 +172,30 @@ def _functions(tree, prefix=""):
             yield from _functions(node, f"{prefix}{node.name}.")
 
 
+def _package_functions():
+    """Every function and method of the package, keyed "file:qualname"."""
+    return {f"{path.name}:{name}": func
+            for path in sorted(SRC.glob("*.py"))
+            for name, func in _functions(ast.parse(path.read_text()))}
+
+
+def _calls(func):
+    return {_called_name(node) for node in ast.walk(func)
+            if isinstance(node, ast.Call)}
+
+
 def test_one_row_elimination():
     """bareiss, with int_determinant and int_solve on top, is the package's
     one row elimination: no function of the retired family is defined and
     nothing else calls bareiss.  Over a number field the determinant, the
     inverse and the rank test read a MinorTable, and the forms' rank tests
     go through that test."""
-    funcs = {f"{path.name}:{name}": func
-             for path in sorted(SRC.glob("*.py"))
-             for name, func in _functions(ast.parse(path.read_text()))}
+    funcs = _package_functions()
     assert [key for key in funcs
             if key.split(":")[1].split(".")[-1] in RETIRED_ELIMINATION] == []
 
     def calls(key):
-        return {_called_name(node) for node in ast.walk(funcs[key])
-                if isinstance(node, ast.Call)}
+        return _calls(funcs[key])
 
     assert {key for key in funcs if "bareiss" in calls(key)} == {
         "polyutil.py:int_determinant", "polyutil.py:int_solve"}
@@ -212,9 +221,7 @@ def test_every_box_is_capped_before_it_is_built():
     """A function that builds a height box with _box first refuses an
     oversized one: a size test raising CapExceeded, in the function itself
     or in a function it calls, comes before the _box call."""
-    funcs = {f"{path.name}:{name}": func
-             for path in sorted(SRC.glob("*.py"))
-             for name, func in _functions(ast.parse(path.read_text()))}
+    funcs = _package_functions()
     checks = {key.split(":")[1].split(".")[-1] for key, func in funcs.items()
               if _cap_checks(func)}
     builders = {}
@@ -230,3 +237,35 @@ def test_every_box_is_capped_before_it_is_built():
                              "forms.py:norm_product_spectrum"}
     assert [key for key, (guard, build) in builders.items()
             if guard is None or guard >= build] == []
+
+
+# The per-pair path of the stratification: the block LDU of one Weyl pair
+# on interned ids, and the representative and merge of enumerate_strata.
+PER_PAIR = ("decomp.py:MinorTable.ldu", "decomp.py:MinorTable.ldu_ids",
+            "decomp.py:MinorTable.mul", "decomp.py:MinorTable.add",
+            "decomp.py:MinorTable.neg", "decomp.py:MinorTable.translate",
+            "strata.py:enumerate_strata",
+            "strata.py:pair_representative")
+
+
+def test_the_per_pair_path_calls_no_dot():
+    """Products and sums of a pair go through the table's memos on ids, so
+    no function of the per-pair path calls NumberField.dot (the table's
+    minors do, once each), and MinorTable.ldu is read off ldu_ids."""
+    funcs = _package_functions()
+    assert [key for key in PER_PAIR if "dot" in _calls(funcs[key])] == []
+    assert "ldu_ids" in _calls(funcs["decomp.py:MinorTable.ldu"])
+    assert "pair_representative" in _calls(funcs["strata.py:enumerate_strata"])
+
+
+def test_no_bare_unique():
+    """np.unique hashes integer arrays on numpy 2.x; distinct values come
+    from polyutil.distinct (a sort and a neighbour test), and np.unique is
+    called only for the indices or counts it returns."""
+    wanted = {"return_index", "return_inverse", "return_counts"}
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and _called_name(node) == "unique"
+             and not wanted & {kw.arg for kw in node.keywords}]
+    assert found == []

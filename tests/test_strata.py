@@ -1,16 +1,20 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from torusorbits import decomp as dc
 from torusorbits import numfield as nf
 from torusorbits import rootdata as rd
 from torusorbits import strata as st
-from torusorbits.errors import TooLarge, ValidationError
+from torusorbits.errors import InvariantViolation, TooLarge, ValidationError
 
-from conftest import random_sl
+from conftest import (fieldelement_ldu, fieldelement_strata, random_sl,
+                      strata_summary)
 
 
 def generic_sl2(K):
@@ -399,3 +403,84 @@ def test_summary_genericity_matches_check(Ksqrt2):
         assert st.summary_line(s).endswith(f"generic={str(want).lower()}")
         seen.add(want)
     assert seen == {True, False}
+
+
+def generic_sl4(K):
+    return dc.MatrixK.from_rational_rows(
+        K, [[Fraction(1, 12)] * 4, [1, 2, 4, 8], [1, 3, 9, 27], [1, 4, 16, 64]])
+
+
+@settings(max_examples=16, deadline=None)
+@given(data=hs.data())
+def test_interned_ldu_and_strata_match_the_fieldelement_oracle(
+        Ksqrt2, Kcubic, data):
+    # random SL3 inputs and a few SL4 ones, over Q(sqrt 2) and the cyclic
+    # cubic, with an identity g2 and with a random one: every ldu of the
+    # table and the records and pair count of enumerate_strata
+    K = data.draw(hs.sampled_from([Ksqrt2, Kcubic]))
+    n = data.draw(hs.sampled_from([3, 3, 3, 4]))
+    rng = random.Random(data.draw(hs.integers(0, 2 ** 32)))
+    g1 = random_sl(K, n, rng, steps=data.draw(hs.integers(2, 8)))
+    g2 = (dc.MatrixK.identity(K, n) if data.draw(hs.booleans())
+          else random_sl(K, n, rng))
+    h = g1 * g2.inverse()
+    table, oracle = dc.MinorTable(h), dc.MinorTable(h)
+    for subset in rd.all_subsets(n):
+        reps = rd.coset_representatives(n, subset)
+        for w1 in reps:
+            for w2 in reps:
+                assert table.ldu(subset, w1, w2) == \
+                    fieldelement_ldu(oracle, subset, w1, w2)
+    assert strata_summary(st.enumerate_strata(g1, g2)) == \
+        fieldelement_strata(g1, g2)
+
+
+def test_enumeration_computes_each_product_and_sum_once(Ksqrt2, monkeypatch):
+    # on the generic SL4 input every distinct operand pair is multiplied,
+    # added or divided once (the table's memos on interned ids), and there
+    # are no more distinct products and sums than the per-pair dots of the
+    # element-by-element LDU had
+    g1, g2 = generic_sl4(Ksqrt2), dc.MatrixK.identity(Ksqrt2, 4)
+    g1.det()
+    seen = {op: Counter() for op in ("mul", "add", "div")}
+
+    def counted(op, real):
+        def wrapper(x, y):
+            seen[op][frozenset([(x.num, x.den), (y.num, y.den)])
+                     if op != "div" else ((x.num, x.den), (y.num, y.den))] += 1
+            return real(x, y)
+        return wrapper
+
+    for op, name in (("mul", "__mul__"), ("add", "__add__"),
+                     ("div", "__truediv__")):
+        monkeypatch.setattr(nf.FieldElement, name,
+                            counted(op, getattr(nf.FieldElement, name)))
+    s = st.enumerate_strata(g1, g2)
+    assert len(s.records) == 1077
+    assert all(c == 1 for counts in seen.values() for c in counts.values())
+    assert len(seen["mul"]) <= 4081
+    assert len(seen["add"]) <= 4203
+
+
+def test_corrupted_ratio_mid_enumeration_raises(Ksqrt2, monkeypatch):
+    # once 100 Borel pairs of the generic SL4 input have run, the stored
+    # ratio v^+[0, 1] of the next pair that reads a stored one is doubled;
+    # that pair's recomposition check must refuse it, memos notwithstanding
+    real = dc.MinorTable.ldu_ids
+    calls, corrupted = [], []
+
+    def ldu_ids(table, subset, w1, w2):
+        calls.append(subset)
+        if len(calls) > 100 and not subset.simples and not corrupted:
+            a1, a2 = w1.set_action, w2.set_action
+            key = (a1[1][1], a2[2][1], a1[1][1], a2[1][1])
+            if key in table._ratios:
+                ratio = table.values[table._ratios[key]]
+                table._ratios[key] = table.id(ratio + ratio)
+                corrupted.append(len(calls))
+        return real(table, subset, w1, w2)
+
+    monkeypatch.setattr(dc.MinorTable, "ldu_ids", ldu_ids)
+    with pytest.raises(InvariantViolation):
+        st.enumerate_strata(generic_sl4(Ksqrt2), dc.MatrixK.identity(Ksqrt2, 4))
+    assert corrupted == [len(calls)] and corrupted[0] > 100
