@@ -160,10 +160,8 @@ class MinorTable:
         self.h, self.field, self.n = h, h.field, h.n
         self._minors = {0: h.field.one}     # keyed by rows | cols << n
         self._ids, self.values, self._negs, self._ratios = {}, [], {}, {}
-        self._products, self._sums, self._quotients, self._plans = {}, {}, {}, {}
+        self._products, self._sums, self._quotients, self._plans, self._h = {}, {}, {}, {}, None
         self.id(h.field.zero), self.id(h.field.one)
-        self._h = [self.id(x) for row in h.rows for x in row]
-        self._unit = [int(i == j) for i in range(h.n) for j in range(h.n)]
 
     def minor(self, rows: int, cols: int) -> FieldElement:
         key = rows | cols << self.n
@@ -279,6 +277,9 @@ class MinorTable:
         """ldu on ids: (v^-, z v^+, v^+) as flat row-major ids, or None."""
         if not self.present(subset, w1, w2):
             return None
+        if self._h is None:     # h's ids and the identity's, for ldu only
+            self._h = [self.id(x) for row in self.h.rows for x in row]
+            self._unit = [int(i == j) for i in range(self.n) for j in range(self.n)]
         groups, products, checks = self._plan(subset)
         act1, act2 = w1.set_action, w2.set_action
         ratios, neg = self._ratios, self.neg

@@ -163,14 +163,13 @@ def enumerate_strata(g1: MatrixK, g2: MatrixK) -> StrataSet:
                 rep = pair_representative(table, subset, w1, w2)
                 if rep is None:
                     continue
-                if right is not None:
-                    rep = materialised(table, rep, right)
-                # equal representatives: same point, hence the same orbit
+                # equal ids: the same point, hence the same orbit; g2 is
+                # invertible, so multiplying by it keeps points apart
                 groups.setdefault(rep, []).append(ParabolicPair(
                     firsts[i1], seconds[i2], subset, (w1, w2),
                     (len(subset.simples), subset.mask, i1, i2)))
     records = [StratumRecord(sorted(pairs, key=lambda p: p.order_key),
-                             materialised(table, rep, None) if right is None else rep)
+                             materialised(table, rep, right))
                for rep, pairs in groups.items()]
     records.sort(key=lambda r: r.pairs[0].order_key)
     out = StrataSet(inp, records, pair_count=sum(map(len, groups.values())))
