@@ -5,6 +5,8 @@ DOT (closure posets), CSV (scans, traces), or a one-line summary.  Exit
 codes: 0 success, 2 validation/configuration error, 3 invariant violation.
 Each cmd_* returns its output, a dict or text; main adds to every dict the
 meta block (field label, the order Z[theta], working precision, version).
+In a dict, the records and edges of strata and closed are iterators of
+item texts, which main writes in chunks (config.json_chunks).
 """
 
 from __future__ import annotations
@@ -96,38 +98,50 @@ def cmd_strata(field, args):
             "pairs": counts.pair_count, "bound": counts.strata_bound,
             "closed_bound": counts.closed_bound,
         },
-        "records": _records_json(sset.records),
-        "poset_edges": [list(e) for e in edges],
+        "records": _record_texts(sset.records),
+        "poset_edges": (cfg.json_block("[", [str(i), str(j)], "]", 2)
+                        for i, j in edges),
     }
 
 
-def _records_json(records, closed_only=False):
-    """The JSON of each record (of each closed one for closed_only), with
-    cfg.elem_to_list read once per element object: the records share one
-    element per distinct entry value (MinorTable.matrix)."""
+def _record_texts(records, closed_only=False):
+    """The JSON text of each record (of each closed one for closed_only) as
+    an item of the top-level records list, at depth 2.  The records share
+    few parts: a few hundred distinct representative rows (one element per
+    table id, MinorTable.matrix), one position list per parabolic
+    descriptor, one subset per block shape, one name per Weyl element.
+    Each part is rendered once, at the depth where it appears, and each
+    record is a join of part texts (an int is its own JSON text)."""
     texts = {}
+    flags = cfg.json_at(False, 0), cfg.json_at(True, 0)
 
-    def elem(x):    # every element has a coordinate, so its text is truthy
-        return texts.get(id(x)) or texts.setdefault(id(x), cfg.elem_to_list(x))
-    return [_record_json(i, rec, elem) for i, rec in enumerate(records)
-            if rec.is_closed or not closed_only]
+    def text(key, value, depth):
+        out = texts.get(key)
+        if out is None:
+            out = texts[key] = cfg.json_at(value(), depth)
+        return out
 
+    def pair(p):
+        (w1, w2), first, second = p.witnesses, p.first, p.second
+        fields = (("first_positions", first, first.sorted_positions),
+                  ("second_positions", second, second.sorted_positions),
+                  ("subset", p.subset, lambda: sorted(p.subset.simples)),
+                  ("w1", w1, w1.__str__), ("w2", w2, w2.__str__))
+        return cfg.json_block("{", [f'"{name}": {text(id(part), value, 5)}'
+                                    for name, part, value in fields], "}", 4)
 
-def _record_json(i, rec, elem):
-    return {
-        "index": i,
-        "is_closed": rec.is_closed,
-        "levi_rank_marker": rec.levi_rank_marker,
-        "pairs": [{
-            "subset": sorted(p.subset.simples),
-            "w1": str(p.witnesses[0]),
-            "w2": str(p.witnesses[1]),
-            "first_positions": [list(x) for x in p.first.sorted_positions()],
-            "second_positions": [list(x) for x in p.second.sorted_positions()],
-        } for p in rec.pairs],
-        "representative": [[elem(x) for x in row]
-                           for comp in rec.representative for row in comp.rows],
-    }
+    for i, rec in enumerate(records):
+        if rec.is_closed or not closed_only:
+            rows = [text(tuple(map(id, r)),
+                         lambda: list(map(cfg.elem_to_list, r)), 4)
+                    for comp in rec.representative for r in comp.rows]
+            pairs = list(map(pair, rec.pairs))
+            yield cfg.json_block("{", [
+                f'"index": {i}', f'"is_closed": {flags[rec.is_closed]}',
+                f'"levi_rank_marker": {rec.levi_rank_marker}',
+                f'"pairs": {cfg.json_block("[", pairs, "]", 3)}',
+                f'"representative": {cfg.json_block("[", rows, "]", 3)}'],
+                "}", 2)
 
 
 def _poset_dot(sset, edges):
@@ -160,7 +174,7 @@ def cmd_closed(field, args):
     return {
         "closed_count": len(st.closed_strata(sset)),
         "is_orbit_closed": st.is_orbit_closed(sset.input),
-        "records": _records_json(sset.records, closed_only=True),
+        "records": _record_texts(sset.records, closed_only=True),
     }
 
 
@@ -460,20 +474,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Parse argv, load --field, run the command and write what it returns:
-    a dict as JSON with the meta block added, text as it is."""
+    a dict as JSON with the meta block added, in chunks, text as it is."""
     args = build_parser().parse_args(argv)
     try:
         if not args.field:
             raise ValidationError("--field is required")
         field = cfg.load_field(args.field)
         out = args.func(field, args)
-        if isinstance(out, dict):
-            out = cfg.json_text({"meta": _meta(field), **out})
+        chunks = (cfg.json_chunks({"meta": _meta(field), **out})
+                  if isinstance(out, dict) else [out])
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(out)
+                fh.writelines(chunks)
         else:
-            sys.stdout.write(out)
+            sys.stdout.writelines(chunks)
         return 0
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

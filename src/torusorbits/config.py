@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .decomp import MatrixK
@@ -36,38 +37,61 @@ def json_text(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) plus a newline, for every
     obj json.dumps accepts: the package's one JSON writer.  It walks dicts
     and lists itself (json.dumps with an indent runs the pure-Python
-    encoder) and renders scalars and keys with json.dumps.  A list of str
-    and exact int (not bool or float, which compare equal to an int) is
-    rendered once per depth: element coordinates recur across records."""
-    memo = {}
-
+    encoder) and renders scalars and keys with json.dumps; json_at,
+    json_block and json_chunks join its texts into larger ones."""
     def text(x, depth):
         if isinstance(x, (list, tuple)):
-            if not _FLAT.issuperset(map(type, x)):
-                return _block("[", [text(v, depth + 1) for v in x], "]", depth)
-            key = (depth, *x)
-            out = memo.get(key)
-            if out is None:
-                out = memo[key] = _block("[", [json.dumps(v) for v in x], "]",
-                                         depth)
-            return out
+            return json_block("[", [text(v, depth + 1) for v in x], "]", depth)
         if isinstance(x, dict):
             items = [f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}"
                      f": {text(v, depth + 1)}" for k, v in sorted(x.items())]
-            return _block("{", items, "}", depth)
+            return json_block("{", items, "}", depth)
         return json.dumps(x)
 
     return text(obj, 0) + "\n"
 
 
-_FLAT = frozenset((str, int))
+def json_at(obj, depth: int) -> str:
+    """json_text(obj) as it reads at the given indent depth, without the
+    final newline.  JSON strings escape their newlines, so every newline of
+    the text starts one of its lines."""
+    return json_text(obj)[:-1].replace("\n", "\n" + "  " * depth)
 
 
-def _block(open_, items, close, depth):
+def json_block(open_, items, close, depth: int) -> str:
+    """The list ("[", "]") or object ("{", "}") of the item texts, each
+    already rendered at depth + 1, as it reads at depth."""
     if not items:
         return open_ + close
     pad = "\n" + "  " * depth
     return f"{open_}{pad}  " + f",{pad}  ".join(items) + f"{pad}{close}"
+
+
+JSON_CHUNK = 1 << 16        # characters per chunk of json_chunks
+
+
+def json_chunks(obj: dict):
+    """json_text(obj) for a dict obj, in chunks of about JSON_CHUNK
+    characters.  A value that is an iterator stands for a list whose item
+    texts it yields, each rendered at depth 2 (json_at or json_block), so a
+    long list is written without its text being held at once."""
+    buf, size, sep = [], 0, "{\n  "
+    for key, value in sorted(obj.items()):
+        buf.append(f"{sep}{json_at(key, 1)}: ")
+        sep = ",\n  "
+        if not isinstance(value, Iterator):
+            buf.append(json_at(value, 1))
+            continue
+        open_ = "[\n    "
+        for item in value:
+            buf += open_, item
+            open_, size = ",\n    ", size + len(item)
+            if size >= JSON_CHUNK:
+                yield "".join(buf)
+                buf, size = [], 0
+        buf.append("[]" if open_ == "[\n    " else "\n  ]")
+    buf.append("\n}\n" if obj else "{}\n")
+    yield "".join(buf)
 
 
 def _read(path, label, parse, *args):

@@ -207,6 +207,18 @@ class MinorTable:
             r = memo[key] = self.id(op(self.values[a], self.values[b]))
         return r
 
+    def ids(self, m: MatrixK) -> list:
+        """The flat row-major ids of the entries of m."""
+        return [self.id(x) for row in m.rows for x in row]
+
+    def matmul(self, xs, ys) -> list:
+        """The flat ids of the product of the n x n matrices of the flat
+        ids xs and ys, each entry one sum of products on ids."""
+        n = self.n
+        return [self._sum_of_products(xs, ys, [(i + t, t * n + j)
+                                               for t in range(n)])
+                for i in range(0, n * n, n) for j in range(n)]
+
     def matrix(self, ids) -> MatrixK:
         """The matrix of flat row-major ids, one shared element per id."""
         vals, n = self.values, self.n
@@ -278,7 +290,7 @@ class MinorTable:
         if not self.present(subset, w1, w2):
             return None
         if self._h is None:     # h's ids and the identity's, for ldu only
-            self._h = [self.id(x) for row in self.h.rows for x in row]
+            self._h = self.ids(self.h)
             self._unit = [int(i == j) for i in range(self.n) for j in range(self.n)]
         groups, products, checks = self._plan(subset)
         act1, act2 = w1.set_action, w2.set_action

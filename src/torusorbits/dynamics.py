@@ -607,7 +607,7 @@ def predicted_limit(inp: OrbitInput, subset: RootSubset, w1: WeylElement,
     rep = pair_representative(table, subset, w1, w2)
     if rep is None:
         raise MembershipFails("the quotient misses the requested cell")
-    return materialised(table, rep, g2)
+    return materialised(table, rep, table.ids(g2))
 
 
 def limit_approach_distances(inp: OrbitInput, subset: RootSubset,

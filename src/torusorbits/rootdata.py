@@ -83,7 +83,7 @@ class RootSubset:
     def __str__(self):
         return "{" + ",".join(str(i) for i in sorted(self.simples)) + "}"
 
-    @property
+    @cached_property
     def mask(self) -> int:
         return sum(1 << (i - 1) for i in self.simples)
 

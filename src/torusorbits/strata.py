@@ -15,14 +15,13 @@ counting bounds.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional
 
-import numpy as np
-
-from . import polyutil as pu
 from .decomp import MatrixK, MinorTable
 from .errors import BoundViolated, MinimalNotBorel, ValidationError
 from .numfield import NumberField
@@ -151,8 +150,9 @@ def enumerate_strata(g1: MatrixK, g2: MatrixK) -> StrataSet:
     check_cap(n)
     inp = OrbitInput((g1, g2))
     # an identity g2 (every `--g2 id` run) is never inverted or multiplied by
-    right = None if g2.is_identity() else g2
-    table = MinorTable(g1 if right is None else g1 * g2.inverse())
+    identity = g2.is_identity()
+    table = MinorTable(g1 if identity else g1 * g2.inverse())
+    right = None if identity else table.ids(g2)
     groups = {}
     for subset in all_subsets(n):
         reps = coset_representatives(n, subset)
@@ -194,26 +194,53 @@ def pair_representative(table: MinorTable, subset: RootSubset,
                  + table.translate(w2, v_plus, w2))
 
 
-def materialised(table: MinorTable, rep: tuple, g2: Optional[MatrixK]):
-    """The MatrixK pair of the representative's ids, times g2; None stands
-    for the identity, whose two products are skipped."""
+def materialised(table: MinorTable, rep: tuple, right=None):
+    """The MatrixK pair of the representative's ids times the matrix of the
+    flat ids right (g2 interned by MinorTable.ids, None for the identity),
+    each entry of a product one sum of products on the table's ids."""
     nn = table.n ** 2
-    return tuple(m if g2 is None else m * g2
-                 for m in (table.matrix(rep[:nn]), table.matrix(rep[nn:])))
+    return tuple(table.matrix(ids if right is None
+                              else table.matmul(ids, right))
+                 for ids in (rep[:nn], rep[nn:]))
 
 
-def _pair_masks(pairs) -> np.ndarray:
-    return np.array([p.mask for p in pairs], dtype=np.uint64)
+def _inside(pairs):
+    """For each pair, in order, the bitset (over indices into pairs) of the
+    pairs strictly inside it.  Pair b sits inside pair a exactly when b's
+    first descriptor lies inside a's first and b's second inside a's
+    second, so the pairs inside a are the AND of two unions of pair
+    bitsets, one per side, each formed once per descriptor.  Strictly
+    inside also means a subset strictly inside a's (a lemma that
+    tests/test_strata.py checks for every n the cap admits), so a union
+    runs over the descriptors of smaller subsets only."""
+    sides = ({}, {})    # subset mask -> descriptor mask -> bitset of pairs
+    for k, p in enumerate(pairs):
+        for side, d in zip(sides, (p.first, p.second)):
+            group = side.setdefault(p.subset.mask, {})
+            group[d.mask] = group.get(d.mask, 0) | 1 << k
+    unions = ({}, {})
+
+    def union(side, sub, mask):
+        out = unions[side].get(mask)
+        if out is None:
+            out = unions[side][mask] = _union(
+                bits for t, group in sides[side].items()
+                if t & sub == t != sub      # t strictly inside sub
+                for m, bits in group.items() if m & mask == m)
+        return out
+
+    for p in pairs:
+        sub = p.subset.mask
+        yield union(0, sub, p.first.mask) & union(1, sub, p.second.mask)
 
 
 def _mark_closed(s: StrataSet) -> None:
     """A record is closed when it carries a pair minimal in the pair set:
-    no other mask b satisfies b & ~a == 0 for the pair's mask a.  The
-    minimal pairs are kept on s for closed_strata."""
+    no other pair sits strictly inside it (_inside).  The minimal pairs are
+    kept on s for closed_strata."""
     pairs = s.all_pairs()
-    masks = _pair_masks(pairs)
-    s.minimal_pairs = [p for p, a in zip(pairs, masks)
-                       if not np.any(((masks & ~a) == 0) & (masks != a))]
+    s.minimal_pairs = [p for p, inside in zip(pairs, _inside(pairs))
+                       if not inside]
     minimal = {p.mask for p in s.minimal_pairs}
     for rec in s.records:
         rec.is_closed = any(p.mask in minimal for p in rec.pairs)
@@ -226,30 +253,33 @@ def closure_poset(s: StrataSet):
     the i-th orbit's closure contains the j-th orbit; the top record is
     always a source and never a target.
 
-    Each pair is a 2 n^2-bit mask (ParabolicPair.mask), so containment of
-    pair b in pair a is b & ~a == 0, tested against all pairs at once.
     The order is kept as one successor bitset per record (bit j of succ[i]
-    for the relation above), and the reduction keeps the successors of i
-    that no successor of i reaches: succ[i] & ~(OR of succ[k], k in succ[i]).
+    for the relation above), read from the pairs' bitsets of _inside, and
+    the reduction keeps the successors of i that no successor of i reaches:
+    succ[i] & ~(OR of succ[k], k in succ[i]).
     """
     recs = s.records
-    owner = np.array([i for i, rec in enumerate(recs) for _ in rec.pairs],
-                     dtype=np.int64)
-    masks = _pair_masks(s.all_pairs())
+    pairs = s.all_pairs()
+    owner = [i for i, rec in enumerate(recs) for _ in rec.pairs]
+    merged = len(pairs) > len(recs)     # else pair k is record k
     succ = [0] * len(recs)
-    for b, j in zip(masks, owner.tolist()):
-        above = owner[((masks & b) == b) & (masks != b)]
-        for i in pu.distinct(above).tolist():
-            if i != j:
-                succ[i] |= 1 << j
+    for i, inside in zip(owner, _inside(pairs)):
+        if merged:
+            inside = _union(1 << owner[k] for k in _bits(inside))
+        succ[i] |= inside & ~(1 << i)
+    inner = _union(1 << k for k, row in enumerate(succ) if row)
     edges = []
     for i, row in enumerate(succ):
         reached = 0
-        for k in _bits(row):
+        for k in _bits(row & inner):    # records with nothing inside skipped
             reached |= succ[k]
         edges.extend((i, j) for j in _bits(row & ~reached))
     s.poset_edges = edges
     return s.poset_edges
+
+
+def _union(bitsets) -> int:
+    return functools.reduce(operator.or_, bitsets, 0)
 
 
 def _bits(x: int):

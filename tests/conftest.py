@@ -2,8 +2,10 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from torusorbits import config as cfg
 from torusorbits import forms as fm
 from torusorbits import numfield as nf
 from torusorbits import polyutil as pu
@@ -99,6 +101,27 @@ def random_sl(K, n, rng, steps=4):
             diag = [x ** e] + [K.one] * (n - 2) + [x ** (-e)]
             m = m * diagonal_matrix(K, diag)
     return m
+
+
+def generic_sl(K, n, rng):
+    """A generic SL_n(K) matrix with high probability: a lower times an upper
+    unipotent factor with random nonzero entries off the diagonal, times a
+    diagonal one of determinant one."""
+    def nonzero():
+        while True:
+            x = random_element(K, rng, 3, 2)
+            if x:
+                return x
+
+    low = unipotent_matrix(K, n, {(i, j): nonzero()
+                                  for i in range(n) for j in range(i)})
+    up = unipotent_matrix(K, n, {(j, i): nonzero()
+                                 for i in range(n) for j in range(i)})
+    diag = [nonzero() for _ in range(n - 1)]
+    last = K.one
+    for x in diag:
+        last = last / x
+    return low * up * diagonal_matrix(K, diag + [last])
 
 
 def cubic_density_form(K):
@@ -372,6 +395,61 @@ def strata_summary(s):
     pair_count) of a StrataSet."""
     return ([([p.order_key for p in rec.pairs], rec.representative,
               rec.is_closed) for rec in s.records], s.pair_count)
+
+
+def all_pairs_poset(s):
+    """The closure poset edges and the minimal pairs of a StrataSet by the
+    all-pairs sweep: every pair mask against every other, with no use of
+    the subsets.  Pair b sits strictly inside pair a when b & ~a == 0 and
+    b != a; the edges are the transitive reduction of the record order."""
+    recs = s.records
+    pairs = s.all_pairs()
+    owner = np.array([i for i, rec in enumerate(recs) for _ in rec.pairs],
+                     dtype=np.int64)
+    masks = np.array([p.mask for p in pairs], dtype=np.uint64)
+    minimal = [p for p, a in zip(pairs, masks)
+               if not np.any(((masks & ~a) == 0) & (masks != a))]
+    succ = [0] * len(recs)
+    for b, j in zip(masks, owner.tolist()):
+        for i in set(owner[((masks & b) == b) & (masks != b)].tolist()):
+            if i != j:
+                succ[i] |= 1 << j
+    edges = []
+    for i, row in enumerate(succ):
+        reached = 0
+        for k in set_bits(row):
+            reached |= succ[k]
+        edges.extend((i, j) for j in set_bits(row & ~reached))
+    return edges, minimal
+
+
+def set_bits(x):
+    """The indices of the set bits of x, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def records_json(records, closed_only=False):
+    """The records of the strata and closed JSON as the dicts and lists that
+    json_text renders into the text the CLI streams."""
+    return [{
+        "index": i,
+        "is_closed": rec.is_closed,
+        "levi_rank_marker": rec.levi_rank_marker,
+        "pairs": [{
+            "subset": sorted(p.subset.simples),
+            "w1": str(p.witnesses[0]),
+            "w2": str(p.witnesses[1]),
+            "first_positions": [list(x) for x in p.first.sorted_positions()],
+            "second_positions": [list(x) for x in p.second.sorted_positions()],
+        } for p in rec.pairs],
+        "representative": [[cfg.elem_to_list(x) for x in row]
+                           for comp in rec.representative for row in comp.rows],
+    } for i, rec in enumerate(records) if rec.is_closed or not closed_only]
 
 
 def echelon_bruhat_cell(h):

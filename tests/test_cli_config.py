@@ -1,10 +1,14 @@
 import argparse
 import hashlib
 import json
+import random
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,8 @@ from torusorbits import numfield as nf
 from torusorbits import rootdata as rd
 from torusorbits import strata as st
 from torusorbits.cli import build_parser, main
+
+from conftest import generic_sl, random_sl, records_json
 
 
 @pytest.fixture()
@@ -85,7 +91,7 @@ JSON_TREES = hs.recursive(
 @given(JSON_TREES)
 def test_json_text_matches_json_dumps(tree):
     """The package's JSON writer against the encoder it replaces, on trees
-    with repeated subtrees, which its memo renders once."""
+    with repeated subtrees."""
     assert cfg.json_text(tree) == json.dumps(tree, indent=2,
                                              sort_keys=True) + "\n"
 
@@ -93,10 +99,21 @@ def test_json_text_matches_json_dumps(tree):
 @pytest.mark.parametrize("tree", [[1, True, 1.0, "1"], [[1], [True], [1.0]],
                                   {"a": [1], "b": [True], "c": [[1.0]]}])
 def test_json_text_keeps_equal_scalars_apart(tree):
-    """1, True and 1.0 compare equal; the memo of flat lists must not give
-    one the text of another."""
+    """1, True and 1.0 compare equal; each keeps its own text."""
     assert cfg.json_text(tree) == json.dumps(tree, indent=2,
                                              sort_keys=True) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.dictionaries(JSON_TEXT, JSON_TREES, max_size=4),
+       hs.integers(1, 64))
+def test_json_chunks_match_json_text(tree, chunk):
+    """json_chunks, in chunks of any size, against json_text on dicts whose
+    list values are passed as iterators of their item texts."""
+    streamed = {k: iter([cfg.json_at(x, 2) for x in v])
+                if isinstance(v, list) else v for k, v in tree.items()}
+    with mock.patch.object(cfg, "JSON_CHUNK", chunk):
+        assert "".join(cfg.json_chunks(streamed)) == cfg.json_text(tree)
 
 
 def test_cli_strata_summary(workdir, capsys):
@@ -284,6 +301,84 @@ def test_cli_strata_sl4_sha256(tmp_path, Ksqrt2, case, monkeypatch):
     data = out.read_bytes()
     assert len(json.loads(data)["records"]) == records
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def _strata_inputs(tmp, K, g1, g2):
+    """The field and the two components as CLI input files in tmp."""
+    cfg.save_field(K, tmp / "field.json")
+    cfg.save_matrix(g1, tmp / "g1.json")
+    cfg.save_matrix(g2, tmp / "g2.json")
+    return ["--field", str(tmp / "field.json")], \
+        ["--g1", str(tmp / "g1.json"), "--g2", str(tmp / "g2.json")]
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=hs.data())
+def test_streamed_strata_json_matches_the_dict_writer(Ksqrt2, data):
+    """`strata` and `closed` JSON, written record by record from rendered
+    parts, against json_text of the records as dicts (conftest.records_json)
+    on random SL3 and SL4 inputs, generic or not, with an identity or a
+    random g2."""
+    n = data.draw(hs.sampled_from([3, 3, 4]))
+    rng = random.Random(data.draw(hs.integers(0, 2 ** 32)))
+    g1 = (generic_sl(Ksqrt2, n, rng) if data.draw(hs.booleans())
+          else random_sl(Ksqrt2, n, rng, steps=data.draw(hs.integers(1, 8))))
+    g2 = (dc.MatrixK.identity(Ksqrt2, n) if data.draw(hs.booleans())
+          else random_sl(Ksqrt2, n, rng))
+    s = st.enumerate_strata(g1 * g2, g2)
+    edges = st.closure_poset(s)
+    counts = st.verify_counts(s)
+    want = {
+        "strata": {
+            "summary": st.summary_line(s, counts),
+            "counts": {"strata": counts.strata, "closed": counts.closed,
+                       "pairs": counts.pair_count,
+                       "bound": counts.strata_bound,
+                       "closed_bound": counts.closed_bound},
+            "records": records_json(s.records),
+            "poset_edges": [list(e) for e in edges]},
+        "closed": {
+            "closed_count": counts.closed,
+            "is_orbit_closed": st.is_orbit_closed(s.input),
+            "records": records_json(s.records, closed_only=True)}}
+    with tempfile.TemporaryDirectory() as tmp:
+        field, comps = _strata_inputs(Path(tmp), Ksqrt2, g1 * g2, g2)
+        for command, body in want.items():
+            out = Path(tmp) / f"{command}.json"
+            assert main(field + ["--out", str(out), command] + comps) == 0
+            text = out.read_text()
+            meta = json.loads(text)["meta"]
+            assert text == cfg.json_text({"meta": meta, **body})
+
+
+def test_strata_json_streams_in_bounded_memory(tmp_path, Ksqrt2, monkeypatch):
+    """Writing the generic SL4 `strata` JSON (3.5 MB) takes at most 4 MiB
+    above what the enumeration holds (13.7 MiB when the records were built
+    as dicts and rendered as one string), and gives the pinned bytes."""
+    monkeypatch.delenv("TORUSORBITS_PRECISION", raising=False)
+    g1 = dc.MatrixK.from_rational_rows(
+        Ksqrt2, [[Fraction(1, 12)] * 4, [1, 2, 4, 8], [1, 3, 9, 27],
+                 [1, 4, 16, 64]])
+    field, comps = _strata_inputs(tmp_path, Ksqrt2, g1,
+                                  dc.MatrixK.identity(Ksqrt2, 4))
+    start, chunks = [], cfg.json_chunks
+
+    def json_chunks(obj):
+        start.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return chunks(obj)
+
+    monkeypatch.setattr(cfg, "json_chunks", json_chunks)
+    out = tmp_path / "strata.json"
+    tracemalloc.start()
+    try:
+        assert main(field + ["--out", str(out), "strata"] + comps) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start[0] <= 4 << 20
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        STRATA_SL4_SHA256["generic"][1]
 
 
 ACCEPTANCE_8_INPUTS = ("sl2a", "sl2b", "sl3psi", "sl3borel")

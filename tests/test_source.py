@@ -240,12 +240,13 @@ def test_every_box_is_capped_before_it_is_built():
 
 
 # The per-pair path of the stratification: the block LDU of one Weyl pair
-# on interned ids, and the representative and merge of enumerate_strata.
+# on interned ids, the representative and merge of enumerate_strata, and
+# each record's product with g2.
 PER_PAIR = ("decomp.py:MinorTable.ldu", "decomp.py:MinorTable.ldu_ids",
             "decomp.py:MinorTable.mul", "decomp.py:MinorTable.add",
             "decomp.py:MinorTable.neg", "decomp.py:MinorTable.translate",
-            "strata.py:enumerate_strata",
-            "strata.py:pair_representative")
+            "decomp.py:MinorTable.matmul", "strata.py:enumerate_strata",
+            "strata.py:pair_representative", "strata.py:materialised")
 
 
 def test_the_per_pair_path_calls_no_dot():

@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -13,8 +15,8 @@ from torusorbits import rootdata as rd
 from torusorbits import strata as st
 from torusorbits.errors import InvariantViolation, TooLarge, ValidationError
 
-from conftest import (fieldelement_ldu, fieldelement_strata, random_sl,
-                      strata_summary)
+from conftest import (all_pairs_poset, fieldelement_ldu, fieldelement_strata,
+                      generic_sl, random_sl, strata_summary)
 
 
 def generic_sl2(K):
@@ -193,16 +195,15 @@ def test_genericity_check(Ksqrt2):
 
 
 def test_generic_implies_full_count(Ksqrt2):
+    # generic SL3 inputs drawn directly as lower x upper unipotent x
+    # diagonal factors (conftest.generic_sl), each confirmed generic
     rng = random.Random(43)
-    hits = 0
     i3 = dc.MatrixK.identity(Ksqrt2, 3)
-    while hits < 5:
-        g1 = random_sl(Ksqrt2, 3, rng, steps=6)
-        if not st.genericity_check(g1):
-            continue
+    for _ in range(5):
+        g1 = generic_sl(Ksqrt2, 3, rng)
+        assert st.genericity_check(g1)
         s = st.enumerate_strata(g1, i3)
         assert len(s.records) == 55
-        hits += 1
 
 
 def test_refuses_large_n(Ksqrt2, monkeypatch):
@@ -484,3 +485,75 @@ def test_corrupted_ratio_mid_enumeration_raises(Ksqrt2, monkeypatch):
     with pytest.raises(InvariantViolation):
         st.enumerate_strata(generic_sl4(Ksqrt2), dc.MatrixK.identity(Ksqrt2, 4))
     assert corrupted == [len(calls)] and corrupted[0] > 100
+
+
+def test_strict_containment_shrinks_the_subset():
+    # the lemma the poset's subset walk rests on, over every pair of every n
+    # the cap admits: a pair mask strictly inside another has its subset
+    # strictly inside the other's.  Strict containment needs fewer bits,
+    # and all masks of one subset have the same number of bits (checked),
+    # so only groups with fewer bits than a group whose subset does not
+    # strictly contain theirs are compared
+    for n in range(2, rd.ENUM_CAP + 1):
+        groups = {}
+        for subset in rd.all_subsets(n):
+            reps = rd.coset_representatives(n, subset)
+            firsts = [rd.parabolic_descriptor(subset, w, opposite=True)
+                      for w in reps]
+            seconds = [rd.parabolic_descriptor(subset, w) for w in reps]
+            masks = [st.ParabolicPair(f, s, subset, (w1, w2)).mask
+                     for f, w1 in zip(firsts, reps)
+                     for s, w2 in zip(seconds, reps)]
+            sizes = {m.bit_count() for m in masks}
+            assert len(sizes) == 1
+            groups[subset.mask] = sizes.pop(), np.array(masks, dtype=np.uint64)
+        compared = 0
+        for t, (size_t, inner) in groups.items():
+            for s, (size_s, outer) in groups.items():
+                if size_t < size_s and not t & s == t != s:
+                    inside = (inner[:, None] & ~outer[None, :]) == 0
+                    assert not inside.any(), (n, t, s)
+                    compared += inner.size * outer.size
+        assert compared or n < 4
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=hs.data())
+def test_poset_by_subset_matches_the_all_pairs_sweep(Ksqrt2, Kcubic, data):
+    # random SL3 and SL4 inputs, generic (conftest.generic_sl) or not
+    # (random_sl, mostly missing pairs, sometimes merging them), with an
+    # identity or a random g2: the poset edges, the minimal pairs and the
+    # closed flags against the sweep of every pair mask against every other
+    K = data.draw(hs.sampled_from([Ksqrt2, Kcubic]))
+    n = data.draw(hs.sampled_from([3, 3, 4]))
+    rng = random.Random(data.draw(hs.integers(0, 2 ** 32)))
+    g1 = (generic_sl(K, n, rng) if data.draw(hs.booleans())
+          else random_sl(K, n, rng, steps=data.draw(hs.integers(1, 8))))
+    g2 = (dc.MatrixK.identity(K, n) if data.draw(hs.booleans())
+          else random_sl(K, n, rng))
+    s = st.enumerate_strata(g1 * g2, g2)
+    edges, minimal = all_pairs_poset(s)
+    assert st.closure_poset(s) == edges
+    assert s.minimal_pairs == minimal
+    masks = {p.mask for p in minimal}
+    assert [rec.is_closed for rec in s.records] == \
+        [any(p.mask in masks for p in rec.pairs) for rec in s.records]
+
+
+def test_g2_multiplies_on_ids(Ksqrt2, monkeypatch):
+    # generic SL4 with a random g2: each entry of a record times g2 is one
+    # sum of products on the table's ids, so the NumberField.dot calls left
+    # are the minors of the tables of g2 (its inverse) and of h, and the
+    # n^2 entries of g1 g2^{-1}; a dot per entry of every record made 34,618
+    g2 = random_sl(Ksqrt2, 4, random.Random(5))
+    g1 = generic_sl4(Ksqrt2) * g2
+    g1.det()
+    g2.det()
+    calls = []
+    dot = nf.NumberField.dot
+    monkeypatch.setattr(nf.NumberField, "dot",
+                        lambda self, xs, ys: calls.append(1) or dot(self, xs, ys))
+    s = st.enumerate_strata(g1, g2)
+    assert len(s.records) == 1077
+    minors = sum(math.comb(4, k) ** 2 for k in range(1, 5))
+    assert len(calls) <= 2 * minors + 16
