@@ -501,9 +501,9 @@ def test_strict_containment_shrinks_the_subset():
             firsts = [rd.parabolic_descriptor(subset, w, opposite=True)
                       for w in reps]
             seconds = [rd.parabolic_descriptor(subset, w) for w in reps]
-            masks = [st.ParabolicPair(f, s, subset, (w1, w2)).mask
-                     for f, w1 in zip(firsts, reps)
-                     for s, w2 in zip(seconds, reps)]
+            masks = [st.ParabolicPair(first, second, subset, (w1, w2)).mask
+                     for first, w1 in zip(firsts, reps)
+                     for second, w2 in zip(seconds, reps)]
             sizes = {m.bit_count() for m in masks}
             assert len(sizes) == 1
             groups[subset.mask] = sizes.pop(), np.array(masks, dtype=np.uint64)
