@@ -4,6 +4,7 @@ Run with `pytest -v -s tests/test_acceptance.py` to see the lines; every
 tolerance is pinned here, nothing is deferred to later calibration.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -281,6 +282,45 @@ def full_ramp(n, steps, s_rate, t_rate):
          tuple(tuple([t_rate * k] * (n - 1)) for k in range(steps))))
 
 
+def trace_digest(trace):
+    """sha256 of a systole trace: each step's value, enclosure and witness,
+    the floats in hex."""
+    text = "".join(f"{s.step} {s.value.hex()} {s.enclosure[0].hex()} "
+                   f"{s.enclosure[1].hex()} {list(s.witness)}\n"
+                   for s in trace.steps)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# The 30-step traces of acceptance 8, pinned: a search change that keeps
+# every value and witness keeps these.
+ACCEPTANCE_8_TRACES = {
+    "sl2-a TT":
+        "dcd1967e97030b71442283d173dc901bed2c696a32261bd9cd1cd94bb4aa3781",
+    "sl2-a TF":
+        "7627d66cafee7fae42fd393f30517f7dccca8d2b63a8ac760025006846d17a47",
+    "sl2-a FT":
+        "012afa61bf3545bdbf416ff54bee540742f2349e5ef2f5b0211bc2638e4b3d6e",
+    "sl2-a FF":
+        "2fc4e249d8ab251ff4c72dbf132cd65759d7bcec6b7fac4e0e1d267b5c92a513",
+    "sl2-b TT":
+        "0b893e328b3ccdb60ee31f931490c9ef0c9d10731cece52dc5fbf2eb856b7f8f",
+    "sl2-b TF":
+        "d0143d319b1322913c58265d7bbbdb05f34f154e04b2ce21aff754da25cd26c2",
+    "sl3-psi TT":
+        "32e1df8a5e67cc3fc17358703867b8645a204d96c434f95e5ead04340ecf7601",
+    "sl3-psi TF":
+        "a2edda213fc658aa1e2469d08ce76c7c5022431a27d142069838b4be48294b4f",
+    "sl3-psi FT":
+        "b2ad0db04a81c7941bf8a0674861125046a32820389472d160e8b1f6806ceece",
+    "sl3-psi FF":
+        "34c984a1448c5b88e3fe54b9ed75b7fa25b547f206e7a282246f6b2647faf0f6",
+    "sl3-borel TT":
+        "e6197e6d94db364ece7cc4c4b153a6ddb5ee8b0ae88a4b897d0ae8b7962217e5",
+    "sl3-borel FF":
+        "653d6115fc0388b0673c66b9b0ec630198ebe183836c1d42569ed9aa994a3359",
+}
+
+
 def test_acceptance_8_boundedness(Ksqrt2):
     K = Ksqrt2
     i2 = dc.MatrixK.identity(K, 2)
@@ -319,7 +359,7 @@ def test_acceptance_8_boundedness(Ksqrt2):
         ("sl3-borel FF", h3t, i3, e3, full_ramp(3, N, 2, -1), False),
     ]
     agree = 0
-    details = []
+    details, digests = [], {}
     for name, g1, g2, subset, path, expect_bounded in configs:
         rep = dy.check_boundedness(g1, g2, subset, path, C, height=20,
                                    bounded_threshold=1e-2,
@@ -328,7 +368,9 @@ def test_acceptance_8_boundedness(Ksqrt2):
         if rep.agrees:
             agree += 1
         details.append(f"{name}:{rep.trace.verdict}")
+        digests[name] = trace_digest(rep.trace)
     report(8, agree == 12, f"12/12 configurations agree ({agree} ok)")
+    assert digests == ACCEPTANCE_8_TRACES
 
 
 # -- 9: density trend and the two-place contrast ---------------------------------------------
