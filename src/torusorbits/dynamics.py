@@ -11,6 +11,7 @@ exact rational, which keeps the boundedness criterion checks exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -185,7 +186,8 @@ def systole(inp: OrbitInput, torus: Sequence[Sequence[Fraction]],
     torus: per place, the diagonal entries (exact rationals).  Returns the
     certified enclosure of the value at the witness, and the witness.
     The search runs in floats and the witness is re-evaluated exactly.  A
-    box of at most DIRECT_SCAN_CAP points is scanned whole, and the witness
+    box of at most DIRECT_SCAN_CAP points is searched whole (skipping only
+    heads whose proved floor exceeds the minimum found), and the witness
     is the lexicographically first minimiser of the elementwise float
     values.  Larger boxes at two real places go through an exact-LDL
     Fincke-Pohst search over a ladder of place weights whose ends are not
@@ -261,52 +263,161 @@ def _direct_scan(bmats, exps, height, dim):
 
     value(-x) == value(x) bit for bit, so that point has its first nonzero
     coordinate negative: it lies in the first half of the lexicographic
-    grid, and only that half is scanned.  The head (every coordinate but
+    grid, and only that half is searched.  The head (every coordinate but
     the last) runs over the first half of its own grid, which ends at the
-    zero head; the last coordinate c, the kernel's last term, is added one
-    chunk at a time into preallocated buffers.  The zero head is masked for
-    c >= 0, and ties across chunks are broken by comparing points.
+    zero head; the last coordinate c is the kernel's last term.  Each head
+    gets a floor, a proved lower bound on its values over every c
+    (`_head_floors`), and `_scan_heads` visits the heads best first and
+    stops at the first floor above the minimum found: the heads it skips
+    hold no value at or below it.
     """
     shape = (2 * height + 1,) * (dim - 1)
     size = (math.prod(shape) + 1) // 2
     cols = [x - height for x in np.unravel_index(np.arange(size), shape)]
     heads = [_image(b, cols) for b in bmats]
     del cols
-    bufs = [np.empty_like(hd) for hd in heads]
-    scratch = np.empty(heads[0].shape)
-    vals = np.empty(size)
+    floor = _head_floors(heads, [b[:, -1] for b in bmats], exps, height)
+    return _scan_heads(heads, bmats, exps, height, shape, floor)
+
+
+def _scan_heads(heads, bmats, exps, height, shape, floor):
+    """The pruned pass of `_direct_scan`: heads in increasing floor order,
+    FP_ROWS points at a time.  A chunk's heads run in increasing order,
+    each over c from -height up, and its values are formed as the
+    whole-box scan forms them (head image plus c times the last column), so
+    a value is the same float in any chunk and its first minimum is the
+    chunk's lexicographically first minimiser.  The zero head is masked for
+    c >= 0, and ties across chunks are broken by comparing points.  The
+    pass ends when the next floor exceeds the minimum found; a NaN floor
+    (an overflowing image) sorts last and proves nothing, so with one the
+    pass visits every head."""
+    size, width = len(floor), 2 * height + 1
+    step = max(1, FP_ROWS // width)
+    order = np.argsort(floor)
+    proved = floor[order[-1]] == floor[order[-1]]
+    cs = np.arange(-height, height + 1)
     best_val, best = math.inf, None
-    for c in range(-height, height + 1):
-        for hd, b, buf in zip(heads, bmats, bufs):
-            np.add(hd, c * b[:, -1:], out=buf)
-        _sup_product(bufs, exps, scratch, vals)
-        if c >= 0:
-            vals[-1] = math.inf
-        i = int(np.argmin(vals))
-        if vals[i] <= best_val:
+    for start in range(0, size, step):
+        if proved and floor[order[start]] > best_val:
+            break
+        sel = np.sort(order[start:start + step])
+        images = [hd[:, sel, None] + np.multiply.outer(b[:, -1], cs)[:, None]
+                  for hd, b in zip(heads, bmats)]
+        vals = _sup_product(images, exps, np.empty(images[0].shape),
+                            np.empty((len(sel), width)))
+        if sel[-1] == size - 1:
+            vals[-1, height:] = math.inf
+        i, c = divmod(int(np.argmin(vals)), width)
+        if vals[i, c] <= best_val:
             pt = tuple(int(x) - height
-                       for x in np.unravel_index(i, shape)) + (c,)
-            if vals[i] < best_val or pt < best:
-                best_val, best = float(vals[i]), pt
+                       for x in np.unravel_index(sel[i], shape)) + (c - height,)
+            if vals[i, c] < best_val or pt < best:
+                best_val, best = float(vals[i, c]), pt
     return best_val, best
+
+
+def _error_bound(total, k, out=None):
+    """A bound on the rounding error of a float sum of k terms x_j B_ij
+    formed as `_image` forms them, one product and one addition at a time:
+    Higham's a-priori bound gamma_k sum_j |x_j||B_ij| (Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.1), with
+    gamma_k = k u / (1 - k u) and u = 2^-53.  total is sum_j |x_j||B_ij| as
+    computed in floats (|Re| + |Im| for a complex entry, which bounds the
+    error's modulus, since each part of the sum is rounded on its own);
+    gamma_k is doubled to cover the rounding of total and of this bound,
+    and k 2^-1074 covers underflow.  Works on a float or, with out, an
+    array in place."""
+    gamma = k * 2.0 ** -53 / (1 - k * 2.0 ** -53)
+    return np.add(np.multiply(total, 2 * gamma, out=out), k * 2.0 ** -1074,
+                  out=out)
+
+
+def _head_floors(heads, lasts, exps, height):
+    """Per head, a lower bound on every float value `_scan_heads` computes
+    for it, over the last coordinate c in [-height, height].
+
+    With a = a head's float image row and b = its last column entry, the
+    kernel rounds a + c b.  At a real place the floor of max_i |a_i + c b_i|
+    is its exact minimum over the interval: the largest of its dual bounds,
+    one per row (|a_i| - height |b_i|, the row at the nearer end) and one
+    per pair of rows (|a_i b_j - a_j b_i| / (|b_i| + |b_j|), their
+    crossing).  At a complex place it is the largest per-row distance from
+    0 to the segment a_i + [-height, height] b_i.  From each bound comes
+    off `_error_bound` with k = 16 of its row's T_i = |a_i| + height |b_i|
+    (the larger of two for a pair): two roundings of the kernel's sum
+    a + c b, two of its modulus, and at most twelve of the bound's own.
+    The largest, at least 0, is at most the kernel's sup norm at that place
+    for every c, and the places fold as `_sup_product` folds them: float
+    rounding is monotone, so the floor's product is at most the value's.
+    The work runs in a few preallocated arrays of one float per head.
+    """
+    size = heads[0].shape[1]
+    lows = [np.zeros(size) for _ in heads]
+    errs = [np.empty(size) for _ in heads[0]]
+    t, u = np.empty(size), np.empty(size)
+    v = np.empty(size) if 2 in exps else None
+    for hd, b, e, low in zip(heads, lasts, exps, lows):
+        for a, bi, err in zip(hd, b, errs):
+            if e == 1:
+                np.abs(a, out=t)
+                reach = height * abs(bi)
+            else:
+                np.add(np.abs(a.real, out=t), np.abs(a.imag, out=u), out=t)
+                reach = height * (abs(bi.real) + abs(bi.imag))
+            _error_bound(np.add(t, reach, out=err), 16, out=err)
+            if e == 1 or abs(bi) < 2.0 ** -1000:
+                # |a_i + c b_i| >= |a_i| - height |b_i|
+                np.subtract(np.abs(a, out=t), height * abs(bi), out=t)
+            else:
+                # along the unit direction r of b_i: the distance to its
+                # line, and beyond the segment's end
+                r = bi * (1 / abs(bi))
+                np.subtract(np.multiply(a.imag, r.real, out=t),
+                            np.multiply(a.real, r.imag, out=u), out=t)
+                np.abs(t, out=t)
+                np.add(np.multiply(a.real, r.real, out=u),
+                       np.multiply(a.imag, r.imag, out=v), out=u)
+                np.subtract(np.abs(u, out=u), height * abs(bi), out=u)
+                np.hypot(t, np.maximum(u, 0.0, out=u), out=t)
+            np.maximum(low, np.subtract(t, err, out=t), out=low)
+        if e == 1:
+            for i, j in itertools.combinations(range(len(b)), 2):
+                s = abs(b[i]) + abs(b[j])
+                if s >= 2.0 ** -1000:
+                    np.subtract(np.multiply(hd[i], b[j] * (1 / s), out=t),
+                                np.multiply(hd[j], b[i] * (1 / s), out=u),
+                                out=t)
+                    np.abs(t, out=t)
+                    np.subtract(t, np.maximum(errs[i], errs[j], out=u),
+                                out=t)
+                    np.maximum(low, t, out=low)
+    return _sup_product([low[None] for low in lows], exps, t[None], u)
 
 
 def _ellipsoid_scan(bmats, height, dim):
     """Exact-LDL Fincke-Pohst over a ladder of place weights (r = 2, real).
 
-    Any candidate with product value p satisfies, for the ladder weight s
-    nearest its own balance point, s^2 |y1|^2 + s^-2 |y2|^2 <= c n p with
-    c = 3/sqrt(2), so the ellipsoids intersected with the box cover every
-    candidate whose balance point lies inside the ladder.  The ladder's
-    ends are not proved to hold every such point: they divide by
+    A candidate x with sup norms a = |B1 x| and b = |B2 x| has product
+    value p = a b and balance point beta = b / a.  At a weight s^2 with
+    s^2 / beta = t, s^2 |B1 x|^2 + s^-2 |B2 x|^2 <= n p (t + 1/t).  The
+    rungs s^2 = lo 2^k are RUNG_RATIO = rho apart, so the rung nearest
+    beta has t in [rho^-1/2, rho^1/2] and the radius c n p with
+    c = rho^1/2 + rho^-1/2 (3/sqrt 2) holds x: the ladder covers every
+    candidate whose balance point lies in [lo rho^-1/2, s^2_last rho^1/2].
+    It runs until that range reaches hi rho^1/4, so it contains
+    [lo rho^-1/4, hi rho^1/4], the range of a ladder twice as dense over
+    the same ends, for at most one rung more than half as many rungs.
+    Powers of two keep each rung's float Gram the first rung's terms
+    scaled exactly.
+
+    The ends are not proved to hold every candidate: they divide by
     sigma_min(B_v) / sqrt(n) as if it bounded the place's sup norm over
     the box from below, but B_v is n x (n deg) and has a kernel, and unit
     multiples push that sup norm lower (acceptance 8's sl3 inputs have
     final witnesses below it, by up to (1 + sqrt 2)^-4).  The result is
     the minimum a search found, exact at its witness, not a certified
     minimum.  Rungs whose float Gram matrix is not positive definite are
-    skipped unsearched: 1,982 of 5,734 on acceptance 8's sl3-psi TT path,
-    1,950 at the last pivot, alternating with definite rungs mid-ladder.
+    skipped unsearched: 34 of 2,883 on acceptance 8's sl3-psi TT path.
     """
     n = bmats[0].shape[0]
     seed_h = 2
@@ -320,12 +431,25 @@ def _ellipsoid_scan(bmats, height, dim):
     hi = min(p_seed / sigma[0] ** 2, u2max / sigma[0]) * 16
     # float Gram matrices, factored exactly as the rationals they hold
     g1, g2 = (sum(np.multiply.outer(row, row) for row in b) for b in bmats)
-    s2, rungs = lo, []
-    while s2 <= hi * 1.0001:
-        rungs.append(s2)
-        s2 *= math.sqrt(2.0)
-    s2 = np.array(rungs).reshape(-1, 1, 1)
+    s2 = np.array(_rungs(lo, hi * 1.0001)).reshape(-1, 1, 1)
     return _ladder(bmats, g1 * s2 + g2 / s2, witness, p_seed, height)[0]
+
+
+RUNG_RATIO = 2.0        # s^2 from one ladder rung to the next
+# x^T q x <= LADDER_RADIUS n p at the rung nearest x's balance point
+LADDER_RADIUS = (RUNG_RATIO + 1.0) / math.sqrt(RUNG_RATIO)
+
+
+def _rungs(lo, hi):
+    """The ladder's weights s^2 = lo RUNG_RATIO^k, from lo until the
+    balance points they cover, up to s^2 RUNG_RATIO^1/2, reach
+    hi RUNG_RATIO^1/4 (none when lo > hi).  The relative 1e-9 pad on that
+    end absorbs the rounding of RUNG_RATIO^-1/4 and of the product."""
+    top = hi * RUNG_RATIO ** -0.25 * (1 + 1e-9)
+    rungs = [lo] if lo <= hi else []
+    while rungs and rungs[-1] < top:
+        rungs.append(rungs[-1] * RUNG_RATIO)
+    return rungs
 
 
 def _ladder(bmats, qs, best, best_val, height):
@@ -337,7 +461,7 @@ def _ladder(bmats, qs, best, best_val, height):
     current bound and evaluates in one call (values do not depend on the
     batch); the first rung that improves ends it, keeping what it and the
     rungs before it found."""
-    radius = 3.0 / math.sqrt(2.0) * bmats[0].shape[0] * 1.0001
+    radius = LADDER_RADIUS * bmats[0].shape[0] * 1.0001
     rung, d, lmat = _ldl(qs)
     seen, out = np.array([best], dtype=np.int64), []
     while len(rung):

@@ -290,6 +290,10 @@ def scan_values(form: DecomposableForm, height: int,
     Full enumeration refuses boxes larger than cap (CapExceeded); pass
     sample=N to draw N distinct points instead.  include merges a previous
     scan's points first, so ladders of scans are nested by construction.
+    Before the first draw, a sample refuses N x dim above
+    SAMPLE_ENTRY_CAP (CapExceeded; a draw holds N x dim int64 entries)
+    and N above the box's nonzero points outside include
+    (SearchExhausted).
     """
     if height < 1:
         raise ValidationError("height must be positive")
@@ -301,11 +305,22 @@ def scan_values(form: DecomposableForm, height: int,
         pts = pts[np.any(pts != 0, axis=1)]
         mode = "full"
     else:
-        rng = np.random.default_rng(seed)
+        if sample * dim > SAMPLE_ENTRY_CAP:
+            raise CapExceeded(
+                f"a sample of {sample} points in {dim} coordinates exceeds "
+                f"the cap of {SAMPLE_ENTRY_CAP} entries")
         prev = include.points if include is not None else \
             np.zeros((0, dim), dtype=np.int64)
         bound = max(height, int(np.abs(prev).max(initial=0)))
         taken = pu.distinct(_row_keys(prev, bound))
+        inside = np.abs(prev).max(axis=1, initial=0) <= height
+        free = (2 * height + 1) ** dim - 1 - len(pu.distinct(
+            _row_keys(prev[inside & np.any(prev != 0, axis=1)], bound)))
+        if sample > free:
+            raise SearchExhausted(
+                f"a sample of {sample} points from a box with {free} "
+                "nonzero points left")
+        rng = np.random.default_rng(seed)
         zero = _row_keys(np.zeros((1, dim), dtype=np.int64), bound)
         chunks = []
         count = guard = 0
@@ -548,6 +563,9 @@ def window_scan(form: DecomposableForm, height: int, window,
 WINDOW_CHUNK_POINTS = 1 << 14
 # Box points that window_scan and norm_product_spectrum may enumerate.
 BOX_POINT_CAP = 1 << 20
+# Entries (points x coordinates) of one scan_values sample draw: admits a
+# 10^6-point sample in 8 coordinates.
+SAMPLE_ENTRY_CAP = 1 << 23
 
 
 def _chunks(sizes: np.ndarray, budget: int):

@@ -208,6 +208,81 @@ def test_values_do_not_depend_on_batch_or_sign(inp, seed):
         [v.hex() for v in dy._value_array(bmats, exps, -pts)]
 
 
+@hs.composite
+def floor_inputs(draw):
+    """scan_inputs at one to three places, with entries of any size up to
+    2^+-30 or small integers, and rows scaled by powers of two up to
+    2^+-20 as a torus element scales them."""
+    dim = draw(hs.integers(2, 5))
+    rows = draw(hs.integers(1, 3))
+    entry = draw(hs.sampled_from([
+        small, hs.integers(-3, 3).map(float),
+        hs.builds(math.ldexp, small, hs.integers(-30, 30))]))
+
+    def matrix():
+        scale = [math.ldexp(1.0, draw(hs.integers(-20, 20)))
+                 for _ in range(rows)]
+        return np.array([[draw(entry) * scale[i] for _ in range(dim)]
+                         for i in range(rows)])
+
+    bmats, exps = [], []
+    for _ in range(draw(hs.integers(1, 3))):
+        if draw(hs.booleans()):
+            bmats.append(matrix() + 1j * matrix())
+            exps.append(2)
+        else:
+            bmats.append(matrix())
+            exps.append(1)
+    height = draw(hs.integers(1, max(h for h in (1, 2, 3)
+                                     if (2 * h + 1) ** dim <= 3000)))
+    return bmats, exps, height, dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(floor_inputs())
+def test_head_floor_bounds_every_kernel_value(inp):
+    # for every head and every last coordinate c, the floor is at most the
+    # float value the scan computes
+    bmats, exps, height, dim = inp
+    shape = (2 * height + 1,) * (dim - 1)
+    size = (math.prod(shape) + 1) // 2
+    cols = [x - height for x in np.unravel_index(np.arange(size), shape)]
+    heads = [dy._image(b, cols) for b in bmats]
+    floor = dy._head_floors(heads, [b[:, -1] for b in bmats], exps, height)
+    assert floor.shape == (size,)
+    for c in range(-height, height + 1):
+        vals = dy._sup_product([hd + c * b[:, -1:]
+                                for hd, b in zip(heads, bmats)],
+                               exps, np.empty(heads[0].shape), np.empty(size))
+        bad = np.flatnonzero(~(floor <= vals))
+        assert len(bad) == 0, (c, bad[:3], floor[bad[:3]], vals[bad[:3]])
+
+
+def test_head_floor_is_the_exact_minimum_on_integer_rows():
+    # one real place, rows a + c b with small integer entries: the floor is
+    # the exact minimum over c in [-h, h] of max_i |a_i + c b_i|, which
+    # these crossings reach at integer c
+    b = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]])
+    height = 3
+    shape = (2 * height + 1,) * 2
+    size = (math.prod(shape) + 1) // 2
+    cols = [x - height for x in np.unravel_index(np.arange(size), shape)]
+    heads = [dy._image(b, cols)]
+    floor = dy._head_floors(heads, [b[:, -1]], [1], height)
+    want = [min(max(abs(x + c), abs(y - c)) for c in np.linspace(-3, 3, 601))
+            for x, y in zip(*cols)]
+    assert np.allclose(floor, want, rtol=1e-12, atol=1e-12)
+
+
+def test_error_bound_is_gamma_k():
+    # 2 gamma_k times the sum of magnitudes, plus k subnormal units
+    u = 2.0 ** -53
+    assert dy._error_bound(1.0, 2) == 2 * (2 * u / (1 - 2 * u)) + 2 * 2.0 ** -1074
+    out = np.array([0.0, 3.0])
+    assert dy._error_bound(out, 16, out=out) is out
+    assert out[0] == 16 * 2.0 ** -1074 and out[1] > 3 * 32 * u
+
+
 # -- exact LDL and the Fincke-Pohst enumeration --------------------------------
 
 
@@ -460,6 +535,66 @@ def test_ladder_matches_sequential_oracle(inp):
         pts = np.concatenate([np.zeros((0, qs.shape[1]), dtype=int)]
                              + [pts for _, pts in got[2]])
         assert by_index(ids, pts, len(qs)) == want[2]
+
+
+def sqrt2_ladder(lo, hi):
+    """The ladder the doubling one replaced: s^2 from lo up to hi in steps
+    of a float sqrt(2)."""
+    rungs, s2 = [], lo
+    while s2 <= hi:
+        rungs.append(s2)
+        s2 *= math.sqrt(2.0)
+    return rungs
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.floats(1e-30, 1e30), hs.floats(2.0 ** -60, 2.0 ** 60))
+def test_rungs_cover_the_sqrt2_ladder(lo, ratio):
+    # the balance points the doubling ladder covers, [r_0 / sqrt 2,
+    # r_last sqrt 2], contain those of the sqrt(2) ladder over the same
+    # ends, [lo 2^-1/4, r_last,old 2^1/4] (checked on fourth powers, in
+    # rationals), with at most one rung more than half as many
+    hi = lo * ratio
+    new, old = dy._rungs(lo, hi), sqrt2_ladder(lo, hi)
+    assert bool(new) == bool(old)
+    if not old:
+        return
+    assert new[0] == lo
+    assert all(b == 2 * a for a, b in zip(new, new[1:]))
+    assert 2 * Fraction(new[-1]) ** 4 >= Fraction(old[-1]) ** 4
+    assert len(new) <= (len(old) + 1) // 2 + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(hs.integers(1, 3), hs.integers(2, 6), hs.data())
+def test_nearest_rung_holds_the_point(rows, dim, data):
+    # a point whose balance point |B2 x| / |B1 x| lies in the range the
+    # rungs cover satisfies x^T q x <= radius n p(x) at the nearest rung,
+    # q formed as the ellipsoid scan forms it and x^T q x in rationals
+    assert dy.LADDER_RADIUS == pytest.approx(
+        math.sqrt(dy.RUNG_RATIO) + 1 / math.sqrt(dy.RUNG_RATIO), rel=1e-15)
+    assert dy.LADDER_RADIUS == 3.0 / math.sqrt(2.0)
+    bmats = [np.array([[data.draw(small) for _ in range(dim)]
+                       for _ in range(rows)]) for _ in range(2)]
+    x = [data.draw(hs.integers(-5, 5)) for _ in range(dim)]
+    sup = [max(abs(sum(Fraction(v) * c for v, c in zip(row, x)))
+               for row in b) for b in bmats]
+    if not all(sup):
+        return
+    balance = sup[1] / sup[0]
+    # rungs from about 2^-8 to 2^8 times the balance point, either way
+    lo = float(balance) * math.ldexp(data.draw(hs.floats(0.5, 1.0)),
+                                     -data.draw(hs.integers(0, 8)))
+    rungs = dy._rungs(lo, lo * math.ldexp(1.0, data.draw(hs.integers(0, 16))))
+    if not Fraction(rungs[0]) ** 2 <= 2 * balance ** 2 \
+            <= 4 * Fraction(rungs[-1]) ** 2:
+        return
+    g1, g2 = (sum(np.multiply.outer(row, row) for row in b) for b in bmats)
+    s2 = np.array(rungs).reshape(-1, 1, 1)
+    qs = g1 * s2 + g2 / s2
+    form = min(sum(Fraction(q[i, j]) * x[i] * x[j]
+                   for i in range(dim) for j in range(dim)) for q in qs)
+    assert form <= Fraction(dy.LADDER_RADIUS * rows * 1.0001) * sup[0] * sup[1]
 
 
 def test_run_path_constant(Ksqrt2):

@@ -19,7 +19,7 @@ from torusorbits import polyutil as pu
 from torusorbits import strata as st
 from torusorbits.errors import (ArityMismatch, CapExceeded,
                                 CoefficientsNotInF, DependentFactors,
-                                HypothesisFails, NotCm,
+                                HypothesisFails, NotCm, SearchExhausted,
                                 SingularCoefficientMatrix, WrongPlaceCount)
 from torusorbits.intervals import RInt
 
@@ -620,6 +620,45 @@ def test_box_caps_refuse_before_allocating(Kcubic, Ksqrt2):
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20, (call.__name__, args[1], peak)
+
+
+def test_sample_refuses_before_drawing(Ksqrt2, Kzeta8):
+    """A sample larger than the nonzero box points outside include raises
+    SearchExhausted, and one of more than SAMPLE_ENTRY_CAP entries raises
+    CapExceeded, both before the first draw (a tracemalloc peak under
+    1 MiB, and no random generator made); the cap admits 10^6 points in 8
+    coordinates."""
+    square, octic = f0(Ksqrt2), f0(Kzeta8)
+    assert 10 ** 6 * 8 <= fm.SAMPLE_ENTRY_CAP
+    Ksqrt2.places(), Kzeta8.places()
+    full = fm.scan_values(square, 1)
+    for form, height, sample, include, error in (
+            (square, 1, 81, None, SearchExhausted),
+            (square, 1, 1, full, SearchExhausted),
+            (octic, 10, fm.SAMPLE_ENTRY_CAP // 8 + 1, None, CapExceeded)):
+        tracemalloc.start()
+        try:
+            with mock.patch.object(fm.np.random, "default_rng",
+                                   side_effect=AssertionError("drew")), \
+                    pytest.raises(error):
+                fm.scan_values(form, height, sample=sample, include=include)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, (height, sample, peak)
+
+
+def test_sample_counts_only_include_points_inside_the_box(Ksqrt2):
+    # include points beyond the height do not shrink the box's free points
+    f = f0(Ksqrt2)
+    include = fm.scan_values(f, 2, sample=30, seed=1)
+    inside = int(np.sum(np.abs(include.points).max(axis=1) <= 1))
+    assert 0 < inside < 30
+    with pytest.raises(SearchExhausted):
+        fm.scan_values(f, 1, sample=81 - inside, include=include)
+    sc = fm.scan_values(f, 1, sample=80 - inside, seed=2, include=include)
+    assert {tuple(p) for p in sc.points.tolist()} >= \
+        {tuple(p) for p in fm.scan_values(f, 1).points.tolist()}
 
 
 def _edge(b, keep, outward):

@@ -84,11 +84,13 @@ def test_readers_of_the_fraction_view_are_pinned():
 
 # The systole's float evaluation: every value comes from the elementwise
 # image kernel, so a point's value does not depend on its batch or on the
-# BLAS build, and value(-x) == value(x).  The ladder's enumeration sums each
-# centre term by term, as the per-rung search did: a matrix product would
-# reorder those sums and move range edges.
+# BLAS build, and value(-x) == value(x).  The head floors and their error
+# bound reason about that kernel's roundings term by term.  The ladder's
+# enumeration sums each centre term by term, as the per-rung search did: a
+# matrix product would reorder those sums and move range edges.
 SCAN_FUNCTIONS = ("systole", "_image", "_sup_product", "_value_array",
-                  "_direct_scan", "_ellipsoid_scan", "_ladder",
+                  "_direct_scan", "_scan_heads", "_head_floors",
+                  "_error_bound", "_ellipsoid_scan", "_rungs", "_ladder",
                   "_fincke_pohst", "_fp_level", "_ldl")
 
 
