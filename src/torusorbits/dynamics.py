@@ -399,16 +399,17 @@ def _ellipsoid_scan(bmats, height, dim):
 
     A candidate x with sup norms a = |B1 x| and b = |B2 x| has product
     value p = a b and balance point beta = b / a.  At a weight s^2 with
-    s^2 / beta = t, s^2 |B1 x|^2 + s^-2 |B2 x|^2 <= n p (t + 1/t).  The
-    rungs s^2 = lo 2^k are RUNG_RATIO = rho apart, so the rung nearest
-    beta has t in [rho^-1/2, rho^1/2] and the radius c n p with
-    c = rho^1/2 + rho^-1/2 (3/sqrt 2) holds x: the ladder covers every
+    s^2 / beta = t, s^2 ||B1 x||_2^2 + s^-2 ||B2 x||_2^2
+    <= n (s^2 a^2 + s^-2 b^2) = n p (t + 1/t).  The rungs s^2 = lo 2^k are
+    RUNG_RATIO = rho apart, so the rung nearest beta has t in
+    [rho^-1/2, rho^1/2] and the radius c n p with c = rho^1/2 + rho^-1/2
+    (3/sqrt 2 at rho = 2) holds x: the ladder covers every
     candidate whose balance point lies in [lo rho^-1/2, s^2_last rho^1/2].
-    It runs until that range reaches hi rho^1/4, so it contains
-    [lo rho^-1/4, hi rho^1/4], the range of a ladder twice as dense over
-    the same ends, for at most one rung more than half as many rungs.
-    Powers of two keep each rung's float Gram the first rung's terms
-    scaled exactly.
+    It runs until that range passes hi, so it contains
+    [lo rho^-1/4, r rho^1/4], the range of the ladder rho^1/2 apart from
+    lo up to its last weight r <= hi, with one rung more than half as
+    many.  Powers of two keep each rung's float Gram the first rung's
+    terms scaled exactly.
 
     The ends are not proved to hold every candidate: they divide by
     sigma_min(B_v) / sqrt(n) as if it bounded the place's sup norm over
@@ -417,7 +418,7 @@ def _ellipsoid_scan(bmats, height, dim):
     final witnesses below it, by up to (1 + sqrt 2)^-4).  The result is
     the minimum a search found, exact at its witness, not a certified
     minimum.  Rungs whose float Gram matrix is not positive definite are
-    skipped unsearched: 34 of 2,883 on acceptance 8's sl3-psi TT path.
+    skipped unsearched: 34 of 2,882 on acceptance 8's sl3-psi TT path.
     """
     n = bmats[0].shape[0]
     seed_h = 2
@@ -441,13 +442,12 @@ LADDER_RADIUS = (RUNG_RATIO + 1.0) / math.sqrt(RUNG_RATIO)
 
 
 def _rungs(lo, hi):
-    """The ladder's weights s^2 = lo RUNG_RATIO^k, from lo until the
-    balance points they cover, up to s^2 RUNG_RATIO^1/2, reach
-    hi RUNG_RATIO^1/4 (none when lo > hi).  The relative 1e-9 pad on that
-    end absorbs the rounding of RUNG_RATIO^-1/4 and of the product."""
-    top = hi * RUNG_RATIO ** -0.25 * (1 + 1e-9)
+    """The ladder's weights s^2 = lo RUNG_RATIO^k, from lo until the top
+    of the balance points they cover, s^2 RUNG_RATIO^1/2, passes hi (none
+    when lo > hi).  The relative 1e-9 pad on hi absorbs the rounding of
+    that product."""
     rungs = [lo] if lo <= hi else []
-    while rungs and rungs[-1] < top:
+    while rungs and rungs[-1] * math.sqrt(RUNG_RATIO) <= hi * (1 + 1e-9):
         rungs.append(rungs[-1] * RUNG_RATIO)
     return rungs
 

@@ -312,10 +312,11 @@ def scan_values(form: DecomposableForm, height: int,
         prev = include.points if include is not None else \
             np.zeros((0, dim), dtype=np.int64)
         bound = max(height, int(np.abs(prev).max(initial=0)))
-        taken = pu.distinct(_row_keys(prev, bound))
+        keys = _row_keys(prev, bound)
+        taken = pu.distinct(keys)
         inside = np.abs(prev).max(axis=1, initial=0) <= height
         free = (2 * height + 1) ** dim - 1 - len(pu.distinct(
-            _row_keys(prev[inside & np.any(prev != 0, axis=1)], bound)))
+            keys[inside & np.any(prev != 0, axis=1)]))
         if sample > free:
             raise SearchExhausted(
                 f"a sample of {sample} points from a box with {free} "
