@@ -309,8 +309,8 @@ def _scan_heads(heads, bmats, exps, height, shape, floor):
             vals[-1, height:] = math.inf
         i, c = divmod(int(np.argmin(vals)), width)
         if vals[i, c] <= best_val:
-            pt = tuple(int(x) - height
-                       for x in np.unravel_index(sel[i], shape)) + (c - height,)
+            pt = tuple(int(x) - height for x in
+                       np.unravel_index(sel[i], shape)) + (c - height,)
             if vals[i, c] < best_val or pt < best:
                 best_val, best = float(vals[i, c]), pt
     return best_val, best

@@ -302,11 +302,11 @@ def test_head_floor_is_the_exact_minimum_on_integer_rows():
 
 def test_error_bound_is_gamma_k():
     # 2 gamma_k times the sum of magnitudes, plus k subnormal units
-    u = 2.0 ** -53
-    assert dy._error_bound(1.0, 2) == 2 * (2 * u / (1 - 2 * u)) + 2 * 2.0 ** -1074
+    u, tiny = 2.0 ** -53, 2.0 ** -1074
+    assert dy._error_bound(1.0, 2) == 2 * (2 * u / (1 - 2 * u)) + 2 * tiny
     out = np.array([0.0, 3.0])
     assert dy._error_bound(out, 16, out=out) is out
-    assert out[0] == 16 * 2.0 ** -1074 and out[1] > 3 * 32 * u
+    assert out[0] == 16 * tiny and out[1] > 3 * 32 * u
 
 
 # -- exact LDL and the Fincke-Pohst enumeration --------------------------------
@@ -610,19 +610,23 @@ def test_nearest_rung_holds_the_point(rows, dim, data):
     if not all(sup):
         return
     balance = sup[1] / sup[0]
-    # rungs from about 2^-8 to 2^8 times the balance point, either way
+    # lo from 2^-9 to 1 times the balance point, hi up to 2^16 lo
     lo = float(balance) * math.ldexp(data.draw(hs.floats(0.5, 1.0)),
                                      -data.draw(hs.integers(0, 8)))
-    rungs = dy._rungs(lo, lo * math.ldexp(1.0, data.draw(hs.integers(0, 16))))
+    hi = lo * math.ldexp(1.0, data.draw(hs.integers(0, 16)))
+    rungs = dy._rungs(lo, hi)
     if not Fraction(rungs[0]) ** 2 <= 2 * balance ** 2 \
             <= 4 * Fraction(rungs[-1]) ** 2:
         return
+    # nearest on a log scale: the least t + 1/t, t = s^2 / balance
+    k = min(range(len(rungs)), key=lambda k: Fraction(rungs[k]) / balance
+            + balance / Fraction(rungs[k]))
     g1, g2 = (sum(np.multiply.outer(row, row) for row in b) for b in bmats)
-    s2 = np.array(rungs).reshape(-1, 1, 1)
-    qs = g1 * s2 + g2 / s2
-    form = min(sum(Fraction(q[i, j]) * x[i] * x[j]
-                   for i in range(dim) for j in range(dim)) for q in qs)
-    assert form <= Fraction(dy.LADDER_RADIUS * rows * 1.0001) * sup[0] * sup[1]
+    q = g1 * rungs[k] + g2 / rungs[k]
+    form = sum(Fraction(q[i, j]) * x[i] * x[j]
+               for i in range(dim) for j in range(dim))
+    radius = Fraction(dy.LADDER_RADIUS * rows * 1.0001)
+    assert form <= radius * sup[0] * sup[1]
 
 
 def test_run_path_constant(Ksqrt2):
