@@ -40,7 +40,6 @@ class HorosphericalData:
     w_plus: frozenset
     w_minus: frozenset
     levi_positions: frozenset
-    basis_permutation: WeylElement
 
 
 def horospherical_data(moduli: Sequence, tolerance=Fraction(1, 10 ** 6)) -> HorosphericalData:
@@ -73,20 +72,13 @@ def horospherical_data(moduli: Sequence, tolerance=Fraction(1, 10 ** 6)) -> Horo
                 raise ToleranceAmbiguous(
                     f"ratio at {(i, j)} is {float(ratio):.6g}: inside the "
                     "tolerance band but not exactly one")
-    # sorting permutation: moduli descending; the element i goes to slot
-    # perm(i), forming the standard form diag sorted large to small
-    order = sorted(range(n), key=lambda i: (-vals[i], i))
-    perm = [0] * n
-    for slot, i in enumerate(order):
-        perm[i] = slot
-    w = WeylElement(tuple(perm))
-    # equal-modulus blocks induce the subset: simple root k is inside when
-    # slots k-1 and k carry equal moduli
-    sorted_vals = [vals[i] for i in order]
+    # equal-modulus blocks induce the subset: with the moduli sorted large
+    # to small, simple root k is inside when slots k-1 and k are equal
+    sorted_vals = sorted(vals, reverse=True)
     simples = {k for k in range(1, n) if sorted_vals[k - 1] == sorted_vals[k]}
     subset = RootSubset.make(n, simples)
     return HorosphericalData(subset, frozenset(w_plus), frozenset(w_minus),
-                             frozenset(levi), w)
+                             frozenset(levi))
 
 
 # -- torus paths --------------------------------------------------------------------

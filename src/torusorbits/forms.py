@@ -282,25 +282,21 @@ class FormScan:
 
 
 def scan_values(form: DecomposableForm, height: int,
-                sample: Optional[int] = None, seed: int = 0,
-                include: Optional[FormScan] = None,
-                cap: int = EXACT_POINT_CAP) -> FormScan:
+                sample: Optional[int] = None, seed: int = 0) -> FormScan:
     """Enumerate (or deterministically sample) the height box.
 
-    Full enumeration refuses boxes larger than cap (CapExceeded); pass
-    sample=N to draw N distinct points instead.  include merges a previous
-    scan's points first, so ladders of scans are nested by construction.
-    Before the first draw, a sample refuses N x dim above
-    SAMPLE_ENTRY_CAP (CapExceeded; a draw holds N x dim int64 entries)
-    and N above the box's nonzero points outside include
-    (SearchExhausted).
+    Full enumeration refuses boxes larger than EXACT_POINT_CAP
+    (CapExceeded); pass sample=N to draw N distinct points instead.  Before
+    the first draw, a sample refuses N x dim above SAMPLE_ENTRY_CAP
+    (CapExceeded; a draw holds N x dim int64 entries) and N above the box's
+    nonzero points (SearchExhausted).
     """
     if height < 1:
         raise ValidationError("height must be positive")
     deg = form.field.degree
     dim = form.n * deg
     if sample is None:
-        _box_size(height, dim, cap, "; pass sample=")
+        _box_size(height, dim, EXACT_POINT_CAP, "; pass sample=")
         pts = _box(height, dim)
         pts = pts[np.any(pts != 0, axis=1)]
         mode = "full"
@@ -309,26 +305,20 @@ def scan_values(form: DecomposableForm, height: int,
             raise CapExceeded(
                 f"a sample of {sample} points in {dim} coordinates exceeds "
                 f"the cap of {SAMPLE_ENTRY_CAP} entries")
-        prev = include.points if include is not None else \
-            np.zeros((0, dim), dtype=np.int64)
-        bound = max(height, int(np.abs(prev).max(initial=0)))
-        keys = _row_keys(prev, bound)
-        taken = pu.distinct(keys)
-        inside = np.abs(prev).max(axis=1, initial=0) <= height
-        free = (2 * height + 1) ** dim - 1 - len(pu.distinct(
-            keys[inside & np.any(prev != 0, axis=1)]))
+        free = (2 * height + 1) ** dim - 1
         if sample > free:
             raise SearchExhausted(
                 f"a sample of {sample} points from a box with {free} "
-                "nonzero points left")
+                "nonzero points")
         rng = np.random.default_rng(seed)
-        zero = _row_keys(np.zeros((1, dim), dtype=np.int64), bound)
+        zero = _row_keys(np.zeros((1, dim), dtype=np.int64), height)
+        taken = np.zeros(0, dtype=zero.dtype)
         chunks = []
         count = guard = 0
         while count < sample:
             draw = rng.integers(-height, height + 1, size=(sample, dim),
                                 dtype=np.int64)
-            keys = _row_keys(draw, bound)
+            keys = _row_keys(draw, height)
             # the first occurrence of each new nonzero row, in draw order
             fresh = np.sort(np.unique(keys, return_index=True)[1])
             fresh = fresh[~np.isin(keys[fresh], taken, assume_unique=True)
@@ -340,8 +330,6 @@ def scan_values(form: DecomposableForm, height: int,
             if guard > 200:
                 raise SearchExhausted("sampling stalled; box too small?")
         pts = np.concatenate(chunks, axis=0)
-        if include is not None and include.npoints:
-            pts = np.concatenate([include.points, pts], axis=0)
         mode = "sampled"
     degenerate = _degenerate_mask(form, pts)
     return FormScan(form, height, pts, mode, degenerate,
@@ -688,7 +676,8 @@ def _quad_roots(a, b, c):
 def norm_product_spectrum(form: DecomposableForm, height: int,
                           clip: float = 10.0) -> SpectrumReport:
     """Exact full-box spectrum for rational forms whose factors each touch a
-    single distinct variable (coordinate-product shape).
+    single distinct variable (coordinate-product shape) and whose constant
+    C is exact (_spectrum_constant); other forms raise ValidationError.
 
     The product over places then splits as a product of independent
     per-variable norms, so the full-box value set at any height follows from
@@ -697,9 +686,11 @@ def norm_product_spectrum(form: DecomposableForm, height: int,
     field = form.field
     if form.r != 2:
         raise WrongPlaceCount("spectrum needs exactly two places")
-    if not (is_rational(form) and _common_factor_lists(form)):
+    scale = (_spectrum_constant(form)
+             if is_rational(form) and _common_factor_lists(form) else None)
+    if scale is None:
         raise ValidationError("factored spectrum needs a rational form with "
-                              "identical factor lists")
+                              "identical factor lists and an exact constant")
     touched = []
     for fac in form.factors[0]:
         nz = [j for j, c in enumerate(fac) if not c.is_zero()]
@@ -713,10 +704,6 @@ def norm_product_spectrum(form: DecomposableForm, height: int,
                           norm=True)
     norms = pu.distinct(np.abs(norms)).tolist()
     # per factor: |N(coef)| * |N(w)| over the one-variable box
-    scale = Fraction(1)
-    for v, s in enumerate(form.scalars):
-        q = abs(s.coeffs[0])
-        scale *= q if field.places()[v].is_real else q * q
     per_var = []
     for fac in form.factors[0]:
         coef = next(c for c in fac if not c.is_zero())
@@ -813,17 +800,20 @@ class SpectrumReport:
 def two_place_spectrum(scan: FormScan, clip: float = 10.0) -> SpectrumReport:
     """Distinct norm products prod_v |f_v(z)|_v in (0, clip].
 
-    Exact for rational forms with a common factor list (products are
-    C * integers); otherwise certified numerics with a dedupe width.  A
-    finite scan can only ever be consistent with discreteness, never prove
-    it; the report says which.
+    Exact for rational forms with a common factor list and an exact
+    constant C (products are C * integers; see _spectrum_constant);
+    otherwise certified numerics with a dedupe width.  A finite scan can
+    only ever be consistent with discreteness, never prove it; the report
+    says which.
     """
     form = scan.form
     if form.r != 2:
         raise WrongPlaceCount("spectrum needs exactly two places")
     rational = is_rational(form)
-    if rational and _common_factor_lists(form):
-        vals, const = _spectrum_exact(scan, clip)
+    const = (_spectrum_constant(form)
+             if rational and _common_factor_lists(form) else None)
+    if const is not None:
+        vals, const = _spectrum_exact(scan, clip, const)
         return _spectrum_report(scan.height, clip, True, const,
                                 sorted(const * v for v in vals),
                                 "exact: products lie in C*N")
@@ -872,7 +862,23 @@ def _common_factor_lists(form: DecomposableForm) -> bool:
     return all(form.factors[v] == first for v in range(1, form.r))
 
 
-def _spectrum_exact(scan: FormScan, clip: float):
+def _spectrum_constant(form: DecomposableForm) -> Optional[Fraction]:
+    """C = prod_v |scalar_v|_v when it is exact, else None.  It is exact
+    when every scalar is rational, and when both places carry one scalar
+    s: the two places are all the places, so C = |N(s)|."""
+    places = form.field.places()
+    if all(s.is_rational() for s in form.scalars):
+        const = Fraction(1)
+        for v, s in enumerate(form.scalars):
+            q = abs(s.coeffs[0])
+            const *= q if places[v].is_real else q * q
+        return const
+    if len(set(form.scalars)) == 1:
+        return abs(field_norm(form.scalars[0]))
+    return None
+
+
+def _spectrum_exact(scan: FormScan, clip: float, const: Fraction):
     """Products for a rational form with identical factor lists.
 
     prod_v |f_v(z)|_v = C * |N(l_1(z))| ... |N(l_m(z))| with
@@ -881,23 +887,10 @@ def _spectrum_exact(scan: FormScan, clip: float):
     times C / den.  Returns the sorted distinct integers whose product with
     that constant is at most clip, and the constant.
     """
-    form = scan.form
-    f = form.field
-    places = f.places()
-    norms, den = _int_image(f, form.factors[0], scan.points, norm=True)
+    f = scan.form.field
+    norms, den = _int_image(f, scan.form.factors[0], scan.points, norm=True)
     norms = np.abs(norms)       # zero exactly at the degenerate points
     vals = pu.distinct(norms[norms > 0]).tolist()
-    if all(s.is_rational() for s in form.scalars):
-        const = Fraction(1)
-        for v, s in enumerate(form.scalars):
-            q = abs(s.coeffs[0])
-            const *= q if places[v].is_real else q * q
-    else:
-        cvals = RInt(1)
-        for v in range(form.r):
-            cvals = cvals * f.normalized_abs(form.scalars[v], places[v],
-                                             max_width=Fraction(1, 2 ** 64))
-        const = Fraction(float(cvals.mid))
     const /= den
     keep = bisect.bisect_right(vals, clip, key=lambda x: const * x)
     return [Fraction(x) for x in vals[:keep]], const
@@ -922,10 +915,6 @@ class CmCheckReport:
     points: List[CmPointResult]
     violations: list
     checked: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def verify_suborder_index(field: NumberField, l: int) -> bool:

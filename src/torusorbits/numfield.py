@@ -8,8 +8,11 @@ independent of full Dirichlet rank); a Pell helper produces the fundamental
 unit for real quadratic fields.
 
 Embeddings are certified: every place carries an isolating rational
-interval (real) or box (complex) for one root of m, and all absolute values
-are returned as enclosures whose width the caller controls.  The field also
+interval (real) or box (complex) for one root of m (polyutil.root_regions),
+and all absolute values are returned as enclosures whose width the caller
+controls.  Every refinement climbs one precision ladder (NumberField._ladder,
+doubling up to MAX_PRECISION = 2^16 bits) and evaluates on the cached power
+enclosures at each rung (NumberField._evaluate).  The field also
 owns the two derived representations the rest of the package uses: the
 float image of an element (float_basis, the midpoints of the cached power
 enclosures; float_embed, the midpoint of embed), which is the one source of
@@ -42,6 +45,7 @@ from .errors import (DivisionByZero, Inconclusive, MissingCmStructure, NoUnits,
 from .intervals import CBox, RInt, _frac, atan2_rint, log_rint, pi_rint
 
 DEFAULT_PRECISION = 128
+MAX_PRECISION = 1 << 16
 MAX_DEGREE = 8
 
 
@@ -228,9 +232,7 @@ class UnitClosureReport:
     log_vectors: list         # per unit: (log modulus, argument) floats at the target place
     relations: list           # verified exponent relations among unit moduli
     gap_statistic: Optional[float]
-    tolerance: float
-    precision_bits: int
-    notes: str = ""
+    notes: str
 
 
 @dataclass
@@ -238,7 +240,6 @@ class BalanceResult:
     xi: FieldElement
     bound: Fraction           # certified upper bound on max(|xi a_i|, |xi a_i|^-1)
     exponents: tuple
-    radius: int
 
 
 class NumberField:
@@ -261,8 +262,12 @@ class NumberField:
         self.theta = FieldElement(self, [0, 1] if self.degree > 1 else [0])
         self.units: tuple = ()
         self.cm_structure: Optional[CmStructure] = None
+        self._real_roots_iso = pu.isolate_real_roots(min_poly)
         self._place_cache: dict = {}
-        self._real_roots_iso = None
+        self._power_cache: dict = {}
+        self._cm_inverse_cache = None
+        self._cm_split_cache = None
+        self._norm_form = None
 
     # -- construction helpers --
 
@@ -362,32 +367,17 @@ class NumberField:
             raise ValidationError("precision must be at least 64 bits")
         if precision_bits in self._place_cache:
             return self._place_cache[precision_bits]
-        width = Fraction(1, 2 ** precision_bits)
-        if self._real_roots_iso is None:
-            self._real_roots_iso = pu.isolate_real_roots(self.min_poly)
-        regions = []
-        for iso in self._real_roots_iso:
-            regions.append(("real", pu.refine_root(self.min_poly, iso, width)))
-        cboxes = sorted(pu.isolate_complex_roots(self.min_poly, precision_bits),
-                        key=lambda b: (b.re.mid, b.im.mid))
-        for b in cboxes:
-            if b.width > width:
-                raise PrecisionExhausted("complex isolation wider than requested")
-            regions.append(("complex", b))
-        n_real = sum(1 for k, _ in regions if k == "real")
-        n_cplx = len(regions) - n_real
-        if n_real + 2 * n_cplx != self.degree:
-            raise PrecisionExhausted("place count does not match the degree")
-        # nesting: at any two precisions the same index isolates the same root
-        for bits, old in sorted(self._place_cache.items()):
-            for new_pl, old_pl in zip(regions, old):
-                kind, reg = new_pl
-                if kind != old_pl.kind:
-                    raise PrecisionExhausted("place kinds changed under refinement")
-                # both regions contain their root, so same-root regions
-                # always intersect; disjointness would mean migration
-                if not old_pl.region.overlaps(reg):
-                    raise PrecisionExhausted("place migrated under refinement")
+        reals, boxes = pu.root_regions(self.min_poly, precision_bits,
+                                       self._real_roots_iso)
+        regions = [("real", r) for r in reals] + [("complex", b) for b in boxes]
+        # nesting: at any two precisions the same index isolates the same
+        # root (the real roots come first at every precision, from one
+        # isolation).  Both regions contain their root, so same-root regions
+        # always intersect; disjointness would mean migration
+        for old in self._place_cache.values():
+            if any(not pl.region.overlaps(reg)
+                   for pl, (_, reg) in zip(old, regions)):
+                raise PrecisionExhausted("place migrated under refinement")
         out = [ArchimedeanPlace(i, kind, reg, precision_bits)
                for i, (kind, reg) in enumerate(regions)]
         self._place_cache[precision_bits] = out
@@ -410,18 +400,33 @@ class NumberField:
     def _power_regions(self, place_index: int, bits: int):
         """Enclosures of 1, theta, ..., theta^(d-1) at a place, cached."""
         key = (place_index, bits)
-        cache = getattr(self, "_power_cache", None)
-        if cache is None:
-            cache = {}
-            self._power_cache = cache
-        if key in cache:
-            return cache[key]
-        region = self.places(bits)[place_index].region
-        powers = [RInt(1) if isinstance(region, RInt) else CBox(1, 0)]
-        for _ in range(self.degree - 1):
-            powers.append(powers[-1] * region)
-        cache[key] = powers
-        return powers
+        if key not in self._power_cache:
+            region = self.places(bits)[place_index].region
+            powers = [RInt(1) if isinstance(region, RInt) else CBox(1, 0)]
+            for _ in range(self.degree - 1):
+                powers.append(powers[-1] * region)
+            self._power_cache[key] = powers
+        return self._power_cache[key]
+
+    def _evaluate(self, x: FieldElement, place_index: int, bits: int):
+        """Enclosure of x at a place from its power enclosures at bits: an
+        RInt at a real place, a CBox at a complex one."""
+        powers = self._power_regions(place_index, bits)
+        terms = [(c, p) for c, p in zip(x.coeffs, powers) if c]
+        if isinstance(powers[0], RInt):
+            return sum((p * c for c, p in terms), RInt(0))
+        return CBox(sum((p.re * c for c, p in terms), RInt(0)),
+                    sum((p.im * c for c, p in terms), RInt(0)))
+
+    @staticmethod
+    def _ladder(start: int):
+        """The precision ladder of every refinement: start, 2 start, 4
+        start, ... bits, raising PrecisionExhausted past MAX_PRECISION."""
+        bits = start
+        while bits <= MAX_PRECISION:
+            yield bits
+            bits *= 2
+        raise PrecisionExhausted(f"refinement exceeded {MAX_PRECISION} bits")
 
     def float_basis(self, place: ArchimedeanPlace) -> np.ndarray:
         """Float midpoints of the enclosures of 1, theta, ..., theta^(d-1) at
@@ -451,49 +456,29 @@ class NumberField:
         return [list(row) for row in zip(*cols)]
 
     def embed(self, x: FieldElement, place: ArchimedeanPlace, max_width=None):
-        """Certified enclosure of the embedding of x at the given place."""
+        """Certified enclosure of the embedding of x at the given place, at
+        the place's precision, or no wider than max_width.  The ladder for a
+        width starts near it (at most at the place's precision), so a
+        coarse width never pays for the place's precision."""
         if max_width is None:
-            bits = place.working_precision
-        else:
-            # start near the requested width; refinement doubles as needed
-            need = max(64, -Fraction(max_width).as_integer_ratio()[0].bit_length()
-                       + Fraction(max_width).as_integer_ratio()[1].bit_length() + 16)
-            bits = min(place.working_precision, 1 << (need - 1).bit_length())
-        while True:
-            powers = self._power_regions(place.index, bits)
-            if isinstance(powers[0], RInt):
-                val = RInt(0)
-                for c, p in zip(x.coeffs, powers):
-                    if c:
-                        val = val + p * c
-            else:
-                re = RInt(0)
-                im = RInt(0)
-                for c, p in zip(x.coeffs, powers):
-                    if c:
-                        re = re + p.re * c
-                        im = im + p.im * c
-                val = CBox(re, im)
-            if max_width is None or val.width <= max_width:
+            return self._evaluate(x, place.index, place.working_precision)
+        num, den = Fraction(max_width).as_integer_ratio()
+        need = max(64, den.bit_length() - num.bit_length() + 16)
+        start = min(place.working_precision, 1 << (need - 1).bit_length())
+        for bits in self._ladder(start):
+            val = self._evaluate(x, place.index, bits)
+            if val.width <= max_width:
                 return val
-            bits *= 2
-            if bits > 1 << 16:
-                raise PrecisionExhausted("embedding refinement exceeded 65536 bits")
 
     def normalized_abs(self, x: FieldElement, place: ArchimedeanPlace,
                        max_width=None) -> RInt:
         """|x|_v for real places, |x|_v^2 for complex, as an enclosure."""
         if max_width is None:
             max_width = Fraction(1, 2 ** (place.working_precision // 2))
-        bits = place.working_precision
-        while True:
-            val = self.embed(x, self.places(bits)[place.index])
-            out = abs(val) if place.is_real else val.modulus_sq()
+        for bits in self._ladder(place.working_precision):
+            out = _normalized(self._evaluate(x, place.index, bits))
             if out.width <= max_width:
                 return out
-            bits *= 2
-            if bits > 1 << 16:
-                raise PrecisionExhausted("normalized_abs refinement exceeded 65536 bits")
 
     def log_abs(self, x: FieldElement, place: ArchimedeanPlace,
                 target_width=Fraction(1, 2 ** 80)) -> RInt:
@@ -505,21 +490,22 @@ class NumberField:
         so the place's own precision serves whenever it can."""
         if x.is_zero():
             raise DivisionByZero("log of zero")
-        bits = place.working_precision
-        while True:
-            pl = self.places(bits)[place.index]
-            val = self.embed(x, pl)
-            enc = abs(val) if pl.is_real else val.modulus_sq()
+        for bits in self._ladder(place.working_precision):
+            enc = _normalized(self._evaluate(x, place.index, bits))
             if enc.lo > 0:
                 need = target_width * enc.lo / 2
                 if enc.width > need:
-                    enc = self.normalized_abs(x, pl, max_width=need)
+                    enc = self.normalized_abs(x, self.places(bits)[place.index],
+                                              max_width=need)
                 out = log_rint(enc, prec=bits + 64)
                 if out.width <= target_width:
                     return out
-            bits *= 2
-            if bits > 1 << 16:
-                raise PrecisionExhausted("log refinement exceeded 65536 bits")
+
+
+def _normalized(val) -> RInt:
+    """The normalized absolute value of an enclosure: |z| of an RInt (a
+    real place), |z|^2 of a CBox (a complex place)."""
+    return abs(val) if isinstance(val, RInt) else val.modulus_sq()
 
 
 # -- public operations ---------------------------------------------------------
@@ -570,24 +556,17 @@ def create_field(min_poly, declared_units=(), cm_structure=None,
 
 
 def _verify_unit_independence(K: NumberField, units):
-    """Full rank of the log-embedding matrix, certified by a nonzero minor."""
-    r = K.n_places
-    k = len(units)
-    places = K.places()
-    width = Fraction(1, 2 ** 40)
-    logs = [[K.log_abs(u, pl, target_width=width) for pl in places[:k]]
-            for u in units]
-    det = pu.cofactor_det(logs)
-    attempts = 0
-    while det.contains(0):
-        attempts += 1
-        if attempts > 4:
-            raise UnitVerificationFailed(
-                "units look multiplicatively dependent at working precision")
-        width /= Fraction(2 ** 40)
-        logs = [[K.log_abs(u, pl, target_width=width) for pl in places[:k]]
+    """Full rank of the log-embedding matrix, certified by a nonzero minor
+    at log widths 2^-40, 2^-80, ..., 2^-200."""
+    places = K.places()[:len(units)]
+    for k in range(1, 6):
+        width = Fraction(1, 2 ** (40 * k))
+        logs = [[K.log_abs(u, pl, target_width=width) for pl in places]
                 for u in units]
-        det = pu.cofactor_det(logs)
+        if not pu.cofactor_det(logs).contains(0):
+            return
+    raise UnitVerificationFailed(
+        "units look multiplicatively dependent at working precision")
 
 
 def _attach_cm(K: NumberField, cm) -> CmStructure:
@@ -634,9 +613,8 @@ def _cm_inverse(K: NumberField, cm: CmStructure):
     as rational rows.  B diag(den) is the integer matrix N of the basis
     numerators, inverted by int_solve on the columns of the identity.
     Built once and cached on the field; a singular B is refused."""
-    cached = getattr(K, "_cm_inverse_cache", None)
-    if cached is not None:
-        return cached
+    if K._cm_inverse_cache is not None:
+        return K._cm_inverse_cache
     fdeg = pu.degree(cm.subfield_poly)
     basis = [cm.subfield_gen ** i for i in range(fdeg)]
     basis += [cm.relative_gen * b for b in basis]
@@ -656,9 +634,8 @@ def _cm_split_solver(K: NumberField, cm: CmStructure):
     gamma = P_gamma x and delta = P_delta x in power-basis coordinates, for
     gamma = sum c_i g^i and delta = sum c_(d/2+i) g^i from the coordinates
     c in the CM basis.  Built once and cached on the field."""
-    cached = getattr(K, "_cm_split_cache", None)
-    if cached is not None:
-        return cached
+    if K._cm_split_cache is not None:
+        return K._cm_split_cache
     inv = _cm_inverse(K, cm)
     d, fdeg = K.degree, len(inv) // 2
     gens = [cm.subfield_gen ** i for i in range(fdeg)]
@@ -713,14 +690,15 @@ def is_cm(field: NumberField) -> bool:
         raise MissingCmStructure(
             "degree > 2 needs a declared CM presentation")
     # F totally real: all roots of subfield_poly are real
-    if len(pu.isolate_real_roots(cm.subfield_poly)) != pu.degree(cm.subfield_poly):
+    roots = pu.isolate_real_roots(cm.subfield_poly)
+    if len(roots) != pu.degree(cm.subfield_poly):
         return False
     # d totally positive in F: evaluate d's F-coordinates at every real root
     coords = subfield_coordinates(field, cm, cm.d)
     if coords is None:
         return False
     dpoly = pu.poly(coords)
-    for iso in pu.isolate_real_roots(cm.subfield_poly):
+    for iso in roots:
         reg = iso
         while True:
             val = pu.peval(dpoly, reg)
@@ -741,13 +719,10 @@ def norm_form(K: NumberField) -> "pu.MultiPoly":
     Symbolic determinant of the multiplication matrix; integer coefficients
     since the minimal polynomial is integral.  Cached on the field.
     """
-    cached = getattr(K, "_norm_form", None)
-    if cached is not None:
-        return cached
-    xs = [pu.MultiPoly.variable(K.degree, i) for i in range(K.degree)]
-    nf_poly = pu.cofactor_det(K.mult_matrix(xs))
-    K._norm_form = nf_poly
-    return nf_poly
+    if K._norm_form is None:
+        xs = [pu.MultiPoly.variable(K.degree, i) for i in range(K.degree)]
+        K._norm_form = pu.cofactor_det(K.mult_matrix(xs))
+    return K._norm_form
 
 
 def trace(K: NumberField, x: FieldElement) -> Fraction:
@@ -803,8 +778,8 @@ def balance_by_unit(field: NumberField, values: Sequence[FieldElement],
                     m: int = 1, radius: int = 16) -> BalanceResult:
     """Find xi in the m-th powers of the unit group making xi*a nearly flat.
 
-    values: one field element per place; the i-th is read at the i-th place,
-    so the tuple (|a_i|_i) should multiply to 1 (checked loosely).  The
+    values: one field element per place; the i-th is read at the i-th place.
+    The tuple (|a_i|_i) should multiply to 1, which is not checked.  The
     search runs over unit exponent vectors in the box |e|_inf <= radius and
     minimizes max_i max(|xi a_i|_i, |xi a_i|_i^-1); ties break toward the
     lexicographically smallest exponent vector.
@@ -849,7 +824,7 @@ def balance_by_unit(field: NumberField, values: Sequence[FieldElement],
         if enc.lo <= 0:
             raise PrecisionExhausted("balanced value not separated from zero")
         bound = max(bound, enc.hi, 1 / enc.lo)
-    return BalanceResult(xi=xi, bound=bound, exponents=best_e, radius=radius)
+    return BalanceResult(xi=xi, bound=bound, exponents=best_e)
 
 
 # -- unit closure classification ---------------------------------------------------
@@ -899,41 +874,23 @@ def modulus_is_one(K: NumberField, x: FieldElement, place: ArchimedeanPlace) -> 
     if pu.degree(g) == 0:
         return False  # no root of chi has its inverse among the roots
     # decide whether 1/sigma(x) and conj(sigma(x)) are the same root of chi
-    bits = max(96, place.working_precision)
-    for _ in range(8):
-        box = K.embed(x, K.places(bits)[place.index])
+    for bits in K._ladder(max(96, place.working_precision)):
+        box = K._evaluate(x, place.index, bits)
         msq = box.modulus_sq()
         if not msq.contains(1):
             return False
         try:
             inv_box = CBox(box.re / msq, -(box.im / msq))  # 1/z = conj z / |z|^2
         except ZeroDivisionError:
-            bits *= 2
             continue
+        reals, boxes = pu.root_regions(chi, bits)
+        regions = [CBox(r, 0) for r in reals] + [
+            c for b in boxes for c in (b, b.conj())]
         conj_box = box.conj()
-        regions = _all_root_regions(chi, bits)
-        hit_inv = [i for i, reg in enumerate(regions) if _region_overlaps(reg, inv_box)]
-        hit_conj = [i for i, reg in enumerate(regions) if _region_overlaps(reg, conj_box)]
+        hit_inv = [i for i, reg in enumerate(regions) if reg.overlaps(inv_box)]
+        hit_conj = [i for i, reg in enumerate(regions) if reg.overlaps(conj_box)]
         if len(hit_inv) == 1 and len(hit_conj) == 1:
             return hit_inv == hit_conj
-        bits *= 2
-    raise PrecisionExhausted("modulus-one test did not separate the roots")
-
-
-def _all_root_regions(p: pu.Poly, bits: int):
-    width = Fraction(1, 2 ** bits)
-    regs = [("r", pu.refine_root(p, iso, width)) for iso in pu.isolate_real_roots(p)]
-    for b in pu.isolate_complex_roots(p, bits):
-        regs.append(("c", b))
-        regs.append(("cbar", CBox(b.re, -b.im)))
-    return regs
-
-
-def _region_overlaps(reg, box: CBox) -> bool:
-    kind, r = reg
-    if kind == "r":
-        return r.overlaps(box.re) and box.im.contains(0)
-    return r.overlaps(box)
 
 
 def is_root_of_unity(K: NumberField, x: FieldElement) -> bool:
@@ -964,27 +921,37 @@ def unit_closure_classify(field: NumberField, target_place: int,
     if not 0 <= target_place < len(places):
         raise ValidationError("no such place")
     pl = places[target_place]
-    r = len(places)
     units = list(field.units)
-
-    logvecs = _log_arg_vectors(field, units, pl, precision_bits)
-
-    if r <= 2:
-        return UnitClosureReport(target_place, "discrete", logvecs, [], None,
-                                 1.0 / max_denominator, precision_bits,
-                                 notes="unit rank <= 1 projects discretely")
+    width = Fraction(1, 2 ** 60)
+    # the normalized log: log|u| at a real place, log|u|^2 at a complex one
+    logs = [float(field.log_abs(u, pl, target_width=width).mid) for u in units]
     if pl.is_real:
-        gap = _ray_gap_statistic(field, units, pl)
-        return UnitClosureReport(target_place, "positive_reals", logvecs, [], gap,
-                                 1.0 / max_denominator, precision_bits,
-                                 notes="real completion, rank >= 2")
+        logvecs = [(lg, 0.0 if field.embed(u, pl, max_width=width).lo > 0
+                    else 3.141592653589793) for u, lg in zip(units, logs)]
+    else:
+        logvecs = [(lg / 2.0, _arg_float(field.embed(u, pl, max_width=width),
+                                         precision_bits))
+                   for u, lg in zip(units, logs)]
+    shape, gap, relations, notes = _closure_shape(
+        field, units, pl, logs, max_denominator, precision_bits)
+    return UnitClosureReport(target_place, shape, logvecs, relations, gap,
+                             notes)
+
+
+def _closure_shape(field, units, pl, logs, max_denominator, precision_bits):
+    """(classification, gap statistic, relations, notes) of the closure at
+    the place pl, from the units' normalized logs there."""
+    r = field.n_places
+    if r <= 2:
+        return "discrete", None, [], "unit rank <= 1 projects discretely"
+    if pl.is_real:
+        return ("positive_reals", _ray_gap_statistic(logs), [],
+                "real completion, rank >= 2")
     # complex target place
     try:
         if is_cm(field):
-            gap = _ray_gap_statistic(field, units, pl)
-            return UnitClosureReport(target_place, "positive_reals", logvecs, [],
-                                     gap, 1.0 / max_denominator, precision_bits,
-                                     notes="CM field: unit moduli fill rays")
+            return ("positive_reals", _ray_gap_statistic(logs), [],
+                    "CM field: unit moduli fill rays")
     except MissingCmStructure:
         pass
 
@@ -1007,41 +974,21 @@ def unit_closure_classify(field: NumberField, target_place: int,
                 w = w * u ** int(e)
             fiber.append(w)
         if any(not is_root_of_unity(field, w) for w in fiber):
-            return UnitClosureReport(target_place, "circle", logvecs, relations,
-                                     None, 1.0 / max_denominator, precision_bits,
-                                     notes="moduli discrete, circle fiber dense")
+            return ("circle", None, relations,
+                    "moduli discrete, circle fiber dense")
         raise Inconclusive("discrete projection at rank >= 2 contradicts the "
                            "unit theorem; relation detection is suspect")
     # moduli dense in R
     if r > 3:
-        return UnitClosureReport(target_place, "full", logvecs, relations, None,
-                                 1.0 / max_denominator, precision_bits,
-                                 notes="dense moduli, more than three places")
+        return ("full", None, relations,
+                "dense moduli, more than three places")
     # r == 3: spiral functional search
     found = _spiral_functional(field, units, pl, max_denominator, precision_bits)
     if found is not None:
-        return UnitClosureReport(target_place, "spiral_candidate", logvecs,
-                                 relations, None, 1.0 / max_denominator,
-                                 precision_bits,
-                                 notes=f"functional {found} at detection bound")
-    return UnitClosureReport(target_place, "full", logvecs, relations, None,
-                             1.0 / max_denominator, precision_bits,
-                             notes="no functional up to the detection bound")
-
-
-def _log_arg_vectors(field, units, pl, precision_bits):
-    out = []
-    for u in units:
-        if pl.is_real:
-            lg = float(field.log_abs(u, pl, target_width=Fraction(1, 2 ** 60)).mid)
-            emb = field.embed(u, pl, max_width=Fraction(1, 2 ** 60))
-            arg = 0.0 if emb.lo > 0 else 3.141592653589793
-            out.append((lg, arg))
-        else:
-            lg = float(field.log_abs(u, pl, target_width=Fraction(1, 2 ** 60)).mid)
-            box = field.embed(u, pl, max_width=Fraction(1, 2 ** 60))
-            out.append((lg / 2.0, _arg_float(box, precision_bits)))
-    return out
+        return ("spiral_candidate", None, relations,
+                f"functional {found} at detection bound")
+    return ("full", None, relations,
+            "no functional up to the detection bound")
 
 
 def _arg_float(box: CBox, precision_bits: int) -> float:
@@ -1053,17 +1000,16 @@ def _arg_float(box: CBox, precision_bits: int) -> float:
         return 3.141592653589793
 
 
-def _ray_gap_statistic(field, units, pl, box: int = 30, window: float = 1.0):
+def _ray_gap_statistic(logs, box: int = 30, window: float = 1.0):
     """Smallest positive gap between log-modulus projections in [-window, window].
 
-    Exponent vectors range over |e|_inf <= box.  A discrete projection keeps
-    this bounded below by the generator length no matter the box; a dense one
-    drives it toward zero, so a small value witnesses non-discreteness.
+    logs are the units' log moduli as floats; exponent vectors range over
+    |e|_inf <= box.  A discrete projection keeps this bounded below by the
+    generator length no matter the box; a dense one drives it toward zero,
+    so a small value witnesses non-discreteness.
     """
-    logs = [float(field.log_abs(u, pl, target_width=Fraction(1, 2 ** 60)).mid)
-            for u in units]
     vals = set()
-    for e in itertools.product(range(-box, box + 1), repeat=len(units)):
+    for e in itertools.product(range(-box, box + 1), repeat=len(logs)):
         s = sum(ej * lj for ej, lj in zip(e, logs))
         if -window <= s <= window:
             vals.add(s)

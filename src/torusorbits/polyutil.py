@@ -1,9 +1,10 @@
 """Polynomial helpers over the rationals.
 
 Polynomials are tuples of Fractions indexed by degree (low to high).
-Provides Sturm-based real root isolation with rational endpoints, certified
-complex root boxes, and an exact irreducibility test for monic integer
-polynomials of small degree.
+Provides Sturm-based real root isolation with rational endpoints, one
+certified isolation of all roots (root_regions: real intervals and
+upper-half-plane boxes), and an exact irreducibility test for monic
+integer polynomials of small degree.
 
 Also home to the package's one row elimination, the fraction-free
 integer kernel bareiss with int_determinant and int_solve on top: every
@@ -280,25 +281,29 @@ def refine_root(p: Poly, iso: RInt, max_width: Fraction) -> RInt:
     return RInt(lo, hi)
 
 
-# -- complex root isolation -----------------------------------------------------
+# -- root regions ---------------------------------------------------------------
 
-def isolate_complex_roots(p: Poly, precision_bits: int = 128):
-    """Certified boxes for the upper-half-plane roots of a squarefree p.
+def root_regions(p: Poly, bits: int, isolated=None):
+    """Certified regions of every root of a squarefree p, each no wider
+    than 2^-bits: the real roots as rational intervals (isolated, the
+    Sturm isolation of p, is computed when not given), then the
+    upper-half-plane roots as boxes sorted by midpoint, one per conjugate
+    pair.
 
-    Each returned CBox contains exactly one root with Im > 0 and has width at
-    most 2^-precision_bits; conjugate pairs are represented once.
-    Certification: around every approximation z the disk of radius
-    deg * |p(z)/p'(z)| contains at least one root, so deg pairwise disjoint
-    such disks pin down one root each.
+    Certification of a box: around every approximation z the disk of
+    radius deg * |p(z)/p'(z)| contains at least one root, so deg pairwise
+    disjoint such disks pin down one root each.
     """
+    if isolated is None:
+        isolated = isolate_real_roots(p)
+    target = Fraction(1, 2 ** bits)
+    reals = [refine_root(p, iso, target) for iso in isolated]
     n = degree(p)
-    nreal = len(isolate_real_roots(p))
-    npairs = (n - nreal) // 2
+    npairs = (n - len(reals)) // 2
     if npairs == 0:
-        return []
+        return reals, []
     dp = pderiv(p)
-    target = Fraction(1, 2 ** precision_bits)
-    work = max(80, 2 * precision_bits + 80)
+    work = max(80, 2 * bits + 80)
     for attempt in range(8):
         with mpmath.workprec(work):
             approx = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
@@ -323,7 +328,7 @@ def isolate_complex_roots(p: Poly, precision_bits: int = 128):
                 and max(b.width for b in boxes) <= target):
             upper = [b for b in boxes if b.im.lo > 0]
             if len(upper) == npairs:
-                return upper
+                return reals, sorted(upper, key=lambda b: (b.re.mid, b.im.mid))
         work *= 2
     raise PrecisionExhausted("complex roots could not be certified")
 

@@ -164,19 +164,10 @@ class ParabolicDescriptor:
     """A parabolic subgroup containing the diagonal torus, as a position set.
 
     positions holds the off-diagonal (i, j) whose root spaces lie in the
-    subgroup; equality of descriptors is equality of position sets.  origin
-    remembers the (subset, weyl, opposite) recipe used to build it.
+    subgroup; equality of descriptors is equality of position sets.
     """
     n: int
     positions: frozenset
-    origin: tuple = None
-
-    def __eq__(self, other):
-        return (isinstance(other, ParabolicDescriptor)
-                and self.n == other.n and self.positions == other.positions)
-
-    def __hash__(self):
-        return hash((self.n, self.positions))
 
     def is_subgroup_of(self, other: "ParabolicDescriptor") -> bool:
         if self.n != other.n:
@@ -244,8 +235,7 @@ def parabolic_descriptor(subset: RootSubset, w: WeylElement = None,
             inside = blk[i] >= blk[j] if opposite else blk[i] <= blk[j]
             if inside:
                 pos.add((w(i), w(j)))
-    return ParabolicDescriptor(n, frozenset(pos),
-                               origin=(subset, w, opposite))
+    return ParabolicDescriptor(n, frozenset(pos))
 
 
 def contains(p: ParabolicDescriptor, q: ParabolicDescriptor) -> bool:

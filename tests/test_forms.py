@@ -20,7 +20,8 @@ from torusorbits import strata as st
 from torusorbits.errors import (ArityMismatch, CapExceeded,
                                 CoefficientsNotInF, DependentFactors,
                                 HypothesisFails, NotCm, SearchExhausted,
-                                SingularCoefficientMatrix, WrongPlaceCount)
+                                SingularCoefficientMatrix, ValidationError,
+                                WrongPlaceCount)
 from torusorbits.intervals import RInt
 
 from conftest import (CUBIC_WINDOW, cubic_density_form, resultant_norm,
@@ -167,25 +168,27 @@ def test_scan_values_exact(Ksqrt2):
 
 
 def test_scan_cap_and_sampling(Kcubic):
+    # 17^6 box points at height 8, above EXACT_POINT_CAP
     f = fm.make_form(Kcubic, [[[1, 0], [0, 1]]] * 3)
-    with pytest.raises(CapExceeded):
-        fm.scan_values(f, 8, cap=10_000)
+    assert 17 ** 6 > fm.EXACT_POINT_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            fm.scan_values(f, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
     sc = fm.scan_values(f, 8, sample=500, seed=1)
     assert sc.npoints == 500 and sc.mode == "sampled"
-    # nesting: include merges the previous points first
-    sc2 = fm.scan_values(f, 16, sample=200, seed=2, include=sc)
-    assert sc2.npoints == 700
-    assert np.array_equal(sc2.points[:500], sc.points)
 
 
-def sample_oracle(form, height, sample, seed, include=None):
+def sample_oracle(form, height, sample, seed):
     """The set-of-tuples sampler that scan_values replaced: its points."""
     dim = form.n * form.field.degree
     rng = np.random.default_rng(seed)
     chunks = []
     seen = set()
-    if include is not None:
-        seen.update(tuple(int(x) for x in row) for row in include.points)
     while sum(len(c) for c in chunks) < sample:
         draw = rng.integers(-height, height + 1, size=(sample, dim),
                             dtype=np.int64)
@@ -198,31 +201,22 @@ def sample_oracle(form, height, sample, seed, include=None):
             fresh.append(row)
         if fresh:
             chunks.append(np.array(fresh, dtype=np.int64))
-    pts = np.concatenate(chunks, axis=0)[:sample]
-    if include is not None and include.npoints:
-        pts = np.concatenate([include.points, pts], axis=0)
-    return pts
+    return np.concatenate(chunks, axis=0)[:sample]
 
 
 @settings(max_examples=40, deadline=None)
 @given(hs.data())
 def test_sampled_scan_matches_oracle(Ksqrt2, Kzeta8, data):
     """Sampling keeps the first new nonzero occurrence of each row, in
-    draw order, bit for bit as the set-based sampler did; include points
-    come first and are never drawn again."""
+    draw order, bit for bit as the set-based sampler did."""
     K = data.draw(hs.sampled_from([Ksqrt2, Kzeta8]))
     f = f0(K)
     height = data.draw(hs.sampled_from([1, 2, 3, 2 ** 40]))
     box = (2 * height + 1) ** (2 * K.degree) - 1
     sample = data.draw(hs.integers(1, min(box // 2, 300)))
     seed = data.draw(hs.integers(0, 2 ** 16))
-    include = None
-    if data.draw(hs.booleans()):
-        include = fm.scan_values(f, data.draw(hs.sampled_from([1, height])),
-                                 sample=data.draw(hs.integers(1, 30)),
-                                 seed=seed + 1)
-    sc = fm.scan_values(f, height, sample=sample, seed=seed, include=include)
-    want = sample_oracle(f, height, sample, seed, include)
+    sc = fm.scan_values(f, height, sample=sample, seed=seed)
+    want = sample_oracle(f, height, sample, seed)
     assert sc.points.dtype == want.dtype
     assert sc.points.tobytes() == want.tobytes()
     assert len({tuple(p) for p in sc.points.tolist()}) == sc.npoints
@@ -623,42 +617,26 @@ def test_box_caps_refuse_before_allocating(Kcubic, Ksqrt2):
 
 
 def test_sample_refuses_before_drawing(Ksqrt2, Kzeta8):
-    """A sample larger than the nonzero box points outside include raises
-    SearchExhausted, and one of more than SAMPLE_ENTRY_CAP entries raises
+    """A sample larger than the nonzero box points raises SearchExhausted, and one of more than SAMPLE_ENTRY_CAP entries raises
     CapExceeded, both before the first draw (a tracemalloc peak under
     1 MiB, and no random generator made); the cap admits 10^6 points in 8
     coordinates."""
     square, octic = f0(Ksqrt2), f0(Kzeta8)
     assert 10 ** 6 * 8 <= fm.SAMPLE_ENTRY_CAP
     Ksqrt2.places(), Kzeta8.places()
-    full = fm.scan_values(square, 1)
-    for form, height, sample, include, error in (
-            (square, 1, 81, None, SearchExhausted),
-            (square, 1, 1, full, SearchExhausted),
-            (octic, 10, fm.SAMPLE_ENTRY_CAP // 8 + 1, None, CapExceeded)):
+    for form, height, sample, error in (
+            (square, 1, 81, SearchExhausted),
+            (octic, 10, fm.SAMPLE_ENTRY_CAP // 8 + 1, CapExceeded)):
         tracemalloc.start()
         try:
             with mock.patch.object(fm.np.random, "default_rng",
                                    side_effect=AssertionError("drew")), \
                     pytest.raises(error):
-                fm.scan_values(form, height, sample=sample, include=include)
+                fm.scan_values(form, height, sample=sample)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20, (height, sample, peak)
-
-
-def test_sample_counts_only_include_points_inside_the_box(Ksqrt2):
-    # include points beyond the height do not shrink the box's free points
-    f = f0(Ksqrt2)
-    include = fm.scan_values(f, 2, sample=30, seed=1)
-    inside = int(np.sum(np.abs(include.points).max(axis=1) <= 1))
-    assert 0 < inside < 30
-    with pytest.raises(SearchExhausted):
-        fm.scan_values(f, 1, sample=81 - inside, include=include)
-    sc = fm.scan_values(f, 1, sample=80 - inside, seed=2, include=include)
-    assert {tuple(p) for p in sc.points.tolist()} >= \
-        {tuple(p) for p in fm.scan_values(f, 1).points.tolist()}
 
 
 def _edge(b, keep, outward):
@@ -797,8 +775,8 @@ def test_spectrum_exact_beyond_float_precision(Kzeta8, height):
 
 
 def test_spectrum_irrational_constant_over_a_denominator(Ksqrt2):
-    # scalar sqrt 2 at both places: C is computed numerically, and the
-    # factor 1/2 puts the integer norms over the denominator 2^2
+    # scalar sqrt 2 at both places: C is the exact |N(sqrt 2)| = 2, and
+    # the factor 1/2 puts the integer norms over the denominator 2^2
     s = Ksqrt2.theta
     f = fm.make_form(Ksqrt2, [[[Fraction(1, 2), 0], [0, 1]]] * 2,
                      scalars=[s, s])
@@ -809,6 +787,39 @@ def test_spectrum_irrational_constant_over_a_denominator(Ksqrt2):
     assert len(rep.values) == len(want)
     for got, w in zip(rep.values, want):
         assert abs(float(got) / float(w) - 1) < 1e-12
+
+
+def test_spectrum_distinct_irrational_scalars_are_not_exact(Ksqrt2):
+    # scalars (sqrt 2, 1): C = sqrt 2 is irrational, so no constant is
+    # reported exact (the float nearest sqrt 2 was, over 2^52), and the
+    # values are the certified per-point products
+    f = fm.make_form(Ksqrt2, [[[1, 0], [0, 1]]] * 2,
+                     scalars=[Ksqrt2.theta, 1])
+    sc = fm.scan_values(f, 3)
+    rep = fm.two_place_spectrum(sc, clip=10.0)
+    assert rep.constant is None and "exact" not in rep.note
+    want = sorted({math.sqrt(2) * abs(int(resultant_norm(
+        f.value(1, sc.coordinate(i))))) for i in range(sc.npoints)} - {0})
+    want = [w for w in want if w <= 10.0]
+    assert len(rep.values) == len(want)
+    for got, w in zip(rep.values, want):
+        assert abs(got / w - 1) < 1e-12
+
+
+def test_factored_spectrum_takes_the_exact_constant(Ksqrt2):
+    # one scalar s at both places: C = |N(s)|, as in the box spectrum;
+    # distinct irrational scalars have no exact constant and are refused
+    for s, const in ((Ksqrt2.theta, 2), (Ksqrt2.element([2, 1]), 2)):
+        f = fm.make_form(Ksqrt2, [[[1, 0], [0, 1]]] * 2, scalars=[s, s])
+        rep = fm.norm_product_spectrum(f, 3, clip=50.0)
+        assert rep.constant == const
+        full = fm.two_place_spectrum(fm.scan_values(f, 3), clip=50.0)
+        assert full.constant == const
+        assert set(full.values) <= set(rep.values)
+    f = fm.make_form(Ksqrt2, [[[1, 0], [0, 1]]] * 2,
+                     scalars=[Ksqrt2.theta, 1])
+    with pytest.raises(ValidationError):
+        fm.norm_product_spectrum(f, 3)
 
 
 def test_numeric_values_beyond_int64(Kzeta8):

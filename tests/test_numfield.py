@@ -7,6 +7,10 @@ import textwrap
 from fractions import Fraction
 from pathlib import Path
 
+from collections import Counter
+from unittest import mock
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,10 +18,12 @@ from hypothesis import strategies as hs
 
 from torusorbits import forms as fm
 from torusorbits import numfield as nf
+from torusorbits import polyutil as pu
 from torusorbits.errors import (DivisionByZero, InvariantViolation,
                                 MissingCmStructure, NoUnits, NotMonic,
                                 Reducible, UnitVerificationFailed,
                                 ValidationError, WrongUnitRank)
+from torusorbits.intervals import mpf_to_fraction
 
 from conftest import (euclid_inverse, frac_mul, frac_norm, frac_solve,
                       random_element, resultant_norm, resultant_norm_f)
@@ -648,3 +654,97 @@ def test_create_field_computes_only_the_default_places():
                         ([1, -2, 1, -2, 1], [[0, 1, 0, 0], [2, 0, 2, -1]])):
         K = nf.create_field(poly, declared_units=units)
         assert list(K._place_cache) == [nf.DEFAULT_PRECISION]
+
+
+def test_create_field_isolates_each_polynomial_once():
+    """The places at every precision share one Sturm isolation of the
+    minimal polynomial, and the complex isolation reuses it; is_cm
+    isolates the subfield's roots once."""
+    calls = Counter()
+    isolate = pu.isolate_real_roots
+
+    def counted(p):
+        calls[p] += 1
+        return isolate(p)
+
+    with mock.patch.object(pu, "isolate_real_roots", counted):
+        K = nf.create_field(
+            [1, 0, 0, 0, 1], declared_units=[[1, 1, 0, -1]],
+            cm_structure=dict(subfield_poly=[-2, 0, 1],
+                              subfield_gen=[0, 1, 0, -1], d=[1, 0, 0, 0],
+                              relative_gen=[0, 0, 1, 0]))
+        K.places(256)
+        assert calls == {K.min_poly: 1}
+        assert nf.is_cm(K)
+        assert calls == {K.min_poly: 1, K.cm_structure.subfield_poly: 1}
+
+
+# -- containment of the certified enclosures ------------------------------------
+
+CONTAINMENT_FIELDS = ("Ksqrt2", "Kcubic", "Kgauss", "Kquartic", "Kzeta8",
+                      "Kzeta16")
+REFERENCE_BITS = 400
+_reference_roots = {}
+
+
+def _reference_root(K, place):
+    """The root of K's minimal polynomial that place isolates, to
+    REFERENCE_BITS bits (mpmath, test-only)."""
+    if K.min_poly not in _reference_roots:
+        with mpmath.workprec(REFERENCE_BITS):
+            _reference_roots[K.min_poly] = mpmath.polyroots(
+                [mpmath.mpf(c.numerator) / c.denominator
+                 for c in reversed(K.min_poly)],
+                maxsteps=400, extraprec=2 * REFERENCE_BITS)
+    z = place.approx()
+    return min(_reference_roots[K.min_poly], key=lambda r: abs(r - z))
+
+
+def _contains(enc, ref) -> bool:
+    """enc contains ref up to the reference's own error, 2^-300 relative."""
+    ref = mpf_to_fraction(ref)
+    tol = Fraction(1, 2 ** 300) * max(1, abs(ref))
+    return enc.lo - tol <= ref <= enc.hi + tol
+
+
+@settings(max_examples=20, deadline=None)
+@given(hs.data())
+def test_enclosures_contain_a_high_precision_reference(request, data):
+    """embed, normalized_abs and log_abs enclose the 400-bit value at every
+    place, at the drawn widths, whichever precision the place caches were
+    warmed at first: the fixture field's at 128 bits (create_field), a
+    fresh copy's at 256.  Both give the same enclosures."""
+    K = request.getfixturevalue(data.draw(hs.sampled_from(CONTAINMENT_FIELDS)))
+    coeffs = data.draw(hs.lists(
+        hs.fractions(-50, 50, max_denominator=7), min_size=K.degree,
+        max_size=K.degree).filter(any))
+    widths = [data.draw(hs.sampled_from(options)) for options in (
+        (None, Fraction(1, 2 ** 64), Fraction(1, 2 ** 160)),
+        (None, Fraction(1, 2 ** 100)),
+        (Fraction(1, 2 ** 60), Fraction(1, 2 ** 200)))]
+    fresh = nf.NumberField(K.min_poly, K.label, _validated=True)
+    fresh.places(256)
+    runs = []
+    for F in (K, fresh):
+        x = F.element(coeffs)
+        run = []
+        for bits in (128, 256):
+            for pl in F.places(bits):
+                root = _reference_root(F, pl)
+                emb = F.embed(x, pl, max_width=widths[0])
+                nabs = F.normalized_abs(x, pl, max_width=widths[1])
+                log = F.log_abs(x, pl, target_width=widths[2])
+                with mpmath.workprec(REFERENCE_BITS):
+                    z = sum(mpmath.mpf(c.numerator) / c.denominator * root ** i
+                            for i, c in enumerate(coeffs))
+                    ref = abs(z) if pl.is_real else abs(z) ** 2
+                    if pl.is_real:
+                        assert _contains(emb, mpmath.re(z))
+                    else:
+                        assert _contains(emb.re, mpmath.re(z))
+                        assert _contains(emb.im, mpmath.im(z))
+                    assert _contains(nabs, ref)
+                    assert _contains(log, mpmath.log(ref))
+                run.append((emb, nabs, log))
+        runs.append([repr(v) for v in run])
+    assert runs[0] == runs[1]

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+from torusorbits.numfield import MAX_PRECISION
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "torusorbits"
 
 
@@ -51,12 +53,11 @@ def test_no_global_precision_assignment():
 # reader of the view belongs on this list only when Fractions serve it.
 COEFFS_READERS = {
     "dynamics.py:_denominator_ok": 1,
-    "forms.py:_spectrum_exact": 1,
-    "forms.py:norm_product_spectrum": 1,
+    "forms.py:_spectrum_constant": 1,
     "forms.py:cm_obstruction_check": 1,
     "numfield.py:FieldElement.as_str": 1,
     "numfield.py:NumberField.mult_matrix": 1,
-    "numfield.py:NumberField.embed": 2,
+    "numfield.py:NumberField._evaluate": 1,
     "numfield.py:cm_conjugate": 2,
 }
 
@@ -272,3 +273,48 @@ def test_no_bare_unique():
              if isinstance(node, ast.Call) and _called_name(node) == "unique"
              and not wanted & {kw.arg for kw in node.keywords}]
     assert found == []
+
+
+def _doubles_a_name(node):
+    """x *= 2, x <<= 1, x = x * 2, x = 2 * x or x = x << 1."""
+    if isinstance(node, ast.AugAssign):
+        op, operands = node.op, [node.value]
+    elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+          and isinstance(node.targets[0], ast.Name)
+          and isinstance(node.value, ast.BinOp)):
+        op, operands = node.value.op, [node.value.left, node.value.right]
+        if not any(isinstance(o, ast.Name) and o.id == node.targets[0].id
+                   for o in operands):
+            return False
+    else:
+        return False
+    want = {ast.Mult: 2, ast.LShift: 1}.get(type(op))
+    return any(isinstance(o, ast.Constant) and o.value == want
+               for o in operands)
+
+
+def test_one_precision_ladder():
+    """Every certified value of numfield refines on one ladder: exactly one
+    function doubles a precision, and it alone reads the 2^16-bit cap."""
+    assert MAX_PRECISION == 1 << 16
+    funcs = {key: func for key, func in _package_functions().items()
+             if key.startswith("numfield.py:")}
+    doubling = {key for key, func in funcs.items()
+                if any(_doubles_a_name(node) for node in ast.walk(func))}
+    capped = {key for key, func in funcs.items()
+              for node in ast.walk(func)
+              if (isinstance(node, ast.Name) and node.id == "MAX_PRECISION")
+              or (isinstance(node, ast.Constant) and node.value == 1 << 16)}
+    assert doubling == capped == {"numfield.py:NumberField._ladder"}
+
+
+def test_one_complex_root_isolation():
+    """Complex roots are isolated in polyutil.root_regions alone (the one
+    caller of a numerical root finder), and the field's places and the
+    modulus-one test are its callers."""
+    funcs = _package_functions()
+    assert {key for key, func in funcs.items()
+            if "polyroots" in _calls(func)} == {"polyutil.py:root_regions"}
+    assert {key for key, func in funcs.items()
+            if "root_regions" in _calls(func)} == {
+        "numfield.py:NumberField.places", "numfield.py:modulus_is_one"}
