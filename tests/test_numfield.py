@@ -4,10 +4,9 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
-
-from collections import Counter
 from unittest import mock
 
 import mpmath
