@@ -21,7 +21,7 @@ import numpy as np
 
 from .decomp import MatrixK, MinorTable, block_ldu, diagonal_matrix
 from .errors import (CapExceeded, HypothesisViolated, MembershipFails,
-                     ToleranceAmbiguous, ValidationError)
+                     PrecisionExhausted, ToleranceAmbiguous, ValidationError)
 from .forms import _chunks, _row_keys
 from .intervals import RInt
 from .numfield import NumberField
@@ -437,7 +437,10 @@ def _rungs(lo, hi):
     """The ladder's weights s^2 = lo RUNG_RATIO^k, from lo until the top
     of the balance points they cover, s^2 RUNG_RATIO^1/2, passes hi (none
     when lo > hi).  The relative 1e-9 pad on hi absorbs the rounding of
-    that product."""
+    that product.  Ends that are not finite and positive are refused: the
+    ladder would never end at lo = 0 or hi = inf."""
+    if not (0 < lo < math.inf and 0 < hi < math.inf):
+        raise PrecisionExhausted(f"ladder ends {lo!r}, {hi!r} out of range")
     rungs = [lo] if lo <= hi else []
     while rungs and rungs[-1] * math.sqrt(RUNG_RATIO) <= hi * (1 + 1e-9):
         rungs.append(rungs[-1] * RUNG_RATIO)

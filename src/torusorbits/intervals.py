@@ -15,7 +15,7 @@ from fractions import Fraction
 from mpmath import iv
 from mpmath.ctx_mp import PrecisionManager
 
-Rat = Fraction
+from .errors import PrecisionExhausted
 
 
 def _frac(x) -> Fraction:
@@ -38,13 +38,9 @@ def _raw_to_fraction(raw) -> Fraction:
     bit count), as an mpf's _mpf_ or either endpoint of an interval's _mpi_."""
     sign, man, exp, _ = raw
     if man == 0 and exp != 0:
-        raise PrecisionExhaustedFloat(f"non-finite float {raw}")
+        raise PrecisionExhausted(f"non-finite float {raw}")
     val = Fraction(man, 1) * (Fraction(2) ** exp if exp >= 0 else Fraction(1, 2 ** (-exp)))
     return -val if sign else val
-
-
-class PrecisionExhaustedFloat(ArithmeticError):
-    pass
 
 
 class RInt:

@@ -1,7 +1,9 @@
 """Exact arithmetic in a number field with archimedean places and units.
 
 The field is Q[x]/(m(x)) for a monic irreducible integer polynomial m of
-degree at most 8; the ring of integers is modeled by the order Z[theta]
+degree at most 8, decided irreducible from the places' own root regions
+(and a CM subfield polynomial from its generator's characteristic
+polynomial); the ring of integers is modeled by the order Z[theta]
 throughout, which every downstream computation is stable under.  Units are
 user supplied and verified (integral, norm +-1, multiplicatively
 independent of full Dirichlet rank); a Pell helper produces the fundamental
@@ -40,8 +42,8 @@ import numpy as np
 
 from . import polyutil as pu
 from .errors import (DivisionByZero, Inconclusive, MissingCmStructure, NoUnits,
-                     NotMonic, PrecisionExhausted, UnitVerificationFailed,
-                     ValidationError, WrongUnitRank)
+                     NotMonic, PrecisionExhausted, Reducible,
+                     UnitVerificationFailed, ValidationError, WrongUnitRank)
 from .intervals import CBox, RInt, _frac, atan2_rint, log_rint, pi_rint
 
 DEFAULT_PRECISION = 128
@@ -516,7 +518,8 @@ def create_field(min_poly, declared_units=(), cm_structure=None,
     """Build a verified field handle.
 
     min_poly: integer coefficient list, low to high, monic, degree <= 8,
-    irreducible (verified).  declared_units: coefficient vectors of the
+    irreducible (verified from the places' root regions, by
+    _certify_irreducible).  declared_units: coefficient vectors of the
     fundamental S_infinity-units, exactly unit_rank many, each verified to be
     integral of norm +-1 and jointly of full rank in the log lattice.
     cm_structure: optional dict with keys subfield_poly, subfield_gen, d,
@@ -531,10 +534,11 @@ def create_field(min_poly, declared_units=(), cm_structure=None,
         raise NotMonic("coefficients must be integers")
     if p[-1] != 1:
         raise NotMonic("leading coefficient must be 1")
-    pu.check_irreducible(p)
+    if _squarefree_part(p) != p:
+        raise Reducible("the polynomial has a repeated factor")
 
     K = NumberField(p, label or f"deg{pu.degree(p)}", _validated=True)
-    K.places(DEFAULT_PRECISION)
+    _certify_irreducible(K)
 
     units = tuple(K.element(u) for u in declared_units)
     need = K.unit_rank
@@ -555,6 +559,48 @@ def create_field(min_poly, declared_units=(), cm_structure=None,
     return K
 
 
+def _certify_irreducible(K: NumberField) -> None:
+    """Raise Reducible unless the squarefree minimal polynomial m is
+    irreducible over Q.
+
+    A reducible m has a monic integer factor of degree at most d/2 (Gauss's
+    lemma).  Its roots are some real roots and some conjugate pairs of m's,
+    so it is the product of x - r over real places and of
+    x^2 - 2 Re z x + |z|^2 over complex ones, and its coefficients lie in
+    that product's interval coefficients for one combination of the
+    places' regions.  The ladder climbs from the default places until each
+    combination has an enclosure without an integer (no factor) or names
+    one integer candidate, which exact division decides.  At degree 8
+    there are at most 2^8 combinations."""
+    m, half = K.min_poly, K.degree // 2
+    for bits in K._ladder(DEFAULT_PRECISION):
+        factors = [(-pl.region, RInt(1)) if pl.is_real else
+                   (pl.region.modulus_sq(), pl.region.re * -2, RInt(1))
+                   for pl in K.places(bits)]
+        candidates = []
+        for combo in (c for k in range(1, half + 1)
+                      for c in itertools.combinations(factors, k)
+                      if sum(len(f) - 1 for f in c) <= half):
+            coeffs = [RInt(1)]
+            for f in combo:
+                prod = [RInt(0)] * (len(coeffs) + len(f) - 1)
+                for i, a in enumerate(coeffs):
+                    for j, b in enumerate(f):
+                        prod[i + j] = prod[i + j] + a * b
+                coeffs = prod
+            ends = [(math.ceil(c.lo), math.floor(c.hi)) for c in coeffs]
+            if any(lo > hi for lo, hi in ends):
+                continue        # an enclosure without an integer: no factor
+            if any(lo < hi for lo, hi in ends):
+                break           # more than one integer: refine
+            candidates.append(pu.poly(lo for lo, _ in ends))
+        else:
+            for g in candidates:
+                if pu.is_zero(pu.pdivmod(m, g)[1]):
+                    raise Reducible(f"monic factor {[int(c) for c in g]}")
+            return
+
+
 def _verify_unit_independence(K: NumberField, units):
     """Full rank of the log-embedding matrix, certified by a nonzero minor
     at log widths 2^-40, 2^-80, ..., 2^-200."""
@@ -569,26 +615,30 @@ def _verify_unit_independence(K: NumberField, units):
         "units look multiplicatively dependent at working precision")
 
 
-def _attach_cm(K: NumberField, cm) -> CmStructure:
-    if isinstance(cm, CmStructure):
-        sp, gen, d, rg = cm.subfield_poly, cm.subfield_gen, cm.d, cm.relative_gen
-    else:
-        sp = pu.poly(cm["subfield_poly"])
-        gen = K.element(cm["subfield_gen"])
-        d = K.element(cm["d"])
-        rg = K.element(cm["relative_gen"])
+def _attach_cm(K: NumberField, cm: dict) -> CmStructure:
+    """The CM presentation cm (a dict) of K, validated.  subfield_poly must
+    be irreducible: it is squarefree and vanishes at subfield_gen, so the
+    minimal polynomial of subfield_gen divides it, and the characteristic
+    polynomial of subfield_gen, a power of that minimal polynomial, is
+    subfield_poly^2 exactly when the two agree."""
+    sp = pu.poly(cm["subfield_poly"])
+    gen, d, rg = (K.element(cm[key])
+                  for key in ("subfield_gen", "d", "relative_gen"))
     fdeg = pu.degree(sp)
     if 2 * fdeg != K.degree:
         raise ValidationError("subfield degree must be half the field degree")
     if any(c.denominator != 1 for c in sp) or sp[-1] != 1:
         raise ValidationError("subfield polynomial must be monic integral")
-    pu.check_irreducible(sp)
+    if _squarefree_part(sp) != sp:
+        raise Reducible("subfield polynomial has a repeated factor")
     # gen satisfies the subfield polynomial inside K
     acc = K.zero
     for i, c in enumerate(sp):
         acc = acc + K.from_rational(c) * gen ** i
     if not acc.is_zero():
         raise ValidationError("subfield_gen does not satisfy subfield_poly")
+    if _charpoly(K, gen) != pu.pmul(sp, sp):
+        raise Reducible("subfield polynomial is reducible")
     if not (rg * rg + d).is_zero():
         raise ValidationError("relative_gen^2 + d must vanish exactly")
     st = CmStructure(sp, gen, d, rg)
@@ -679,7 +729,15 @@ def field_norm(x: FieldElement) -> Fraction:
 def is_cm(field: NumberField) -> bool:
     """True exactly when K is a totally imaginary quadratic extension of a
     totally real field with a totally positive d; needs the declared
-    presentation for degree > 2."""
+    presentation for degree > 2.
+
+    Given the presentation, d is totally positive once K is totally
+    imaginary and F totally real.  create_field checked that d lies in F,
+    that relative_gen^2 = -d and that the g^i and relative_gen g^i span K,
+    so K = F(relative_gen).  A real place sigma of F extends to places of
+    K, all complex, at which relative_gen^2 = -sigma(d); sigma(d) < 0
+    would make relative_gen real there and the place real, and d is not
+    zero."""
     n_real, _ = field.signature
     if n_real > 0:
         return False
@@ -690,27 +748,8 @@ def is_cm(field: NumberField) -> bool:
         raise MissingCmStructure(
             "degree > 2 needs a declared CM presentation")
     # F totally real: all roots of subfield_poly are real
-    roots = pu.isolate_real_roots(cm.subfield_poly)
-    if len(roots) != pu.degree(cm.subfield_poly):
-        return False
-    # d totally positive in F: evaluate d's F-coordinates at every real root
-    coords = subfield_coordinates(field, cm, cm.d)
-    if coords is None:
-        return False
-    dpoly = pu.poly(coords)
-    for iso in roots:
-        reg = iso
-        while True:
-            val = pu.peval(dpoly, reg)
-            s = val.sign()
-            if s != 0:
-                break
-            reg = pu.refine_root(cm.subfield_poly, reg, reg.width / 2 ** 20)
-            if reg.width < Fraction(1, 2 ** 4000):
-                raise PrecisionExhausted("sign of d undecidable")
-        if s < 0:
-            return False
-    return True
+    return (len(pu.isolate_real_roots(cm.subfield_poly))
+            == pu.degree(cm.subfield_poly))
 
 
 def norm_form(K: NumberField) -> "pu.MultiPoly":

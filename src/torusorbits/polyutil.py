@@ -1,10 +1,9 @@
 """Polynomial helpers over the rationals.
 
 Polynomials are tuples of Fractions indexed by degree (low to high).
-Provides Sturm-based real root isolation with rational endpoints, one
+Provides Sturm-based real root isolation with rational endpoints and one
 certified isolation of all roots (root_regions: real intervals and
-upper-half-plane boxes), and an exact irreducibility test for monic
-integer polynomials of small degree.
+upper-half-plane boxes), from which numfield decides irreducibility.
 
 Also home to the package's one row elimination, the fraction-free
 integer kernel bareiss with int_determinant and int_solve on top: every
@@ -21,7 +20,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .errors import PrecisionExhausted, Reducible
+from .errors import PrecisionExhausted
 from .intervals import CBox, RInt, mpf_to_fraction
 
 Poly = tuple
@@ -353,153 +352,6 @@ def _disjoint(boxes) -> bool:
         if a.overlaps(b):
             return False
     return True
-
-
-# -- irreducibility over the integers ------------------------------------------
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
-def _divisors(n: int):
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    full = sorted(out)
-    return [x for d in full for x in (d, -d)]
-
-
-def _is_irreducible_mod_p(p: Poly, q: int) -> bool:
-    """Distinct-degree style check of f mod q via gcd(x^(q^d) - x, f)."""
-    f = [int(c) % q for c in p]
-    while len(f) > 1 and f[-1] == 0:
-        f.pop()
-    if len(f) - 1 != degree(p):
-        return False  # leading coefficient vanished mod q
-
-    def mod_mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] = (out[i + j] + ca * cb) % q
-        return _mod_rem(out, f, q)
-
-    def _mod_rem(a, m, q):
-        a = a[:]
-        dm = len(m) - 1
-        inv = pow(m[-1], -1, q)
-        while len(a) - 1 >= dm and any(a):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            k = len(a) - 1 - dm
-            fac = a[-1] * inv % q
-            for i in range(len(m)):
-                a[k + i] = (a[k + i] - fac * m[i]) % q
-            while len(a) > 1 and a[-1] == 0:
-                a.pop()
-        return a
-
-    def mod_gcd(a, b):
-        a, b = a[:], b[:]
-        while any(b):
-            a, b = b, _mod_rem(a, b, q)
-            while len(b) > 1 and b[-1] == 0:
-                b.pop()
-        return a
-
-    n = degree(p)
-    x = [0, 1]
-    xq = x[:]
-    for d in range(1, n // 2 + 1):
-        # xq <- xq^(q) mod f by square and multiply on the exponent q
-        base = xq[:]
-        acc = [1]
-        e = q
-        while e:
-            if e & 1:
-                acc = mod_mul(acc, base)
-            base = mod_mul(base, base)
-            e >>= 1
-        xq = acc
-        diff = [(c - (1 if i == 1 else 0)) % q for i, c in enumerate(xq)]
-        while len(diff) > 1 and diff[-1] == 0:
-            diff.pop()
-        g = mod_gcd(f, diff)
-        if len(g) > 1:
-            return False
-    return True
-
-
-def check_irreducible(p: Poly) -> None:
-    """Exact irreducibility over Q for a monic integer polynomial, deg <= 8.
-
-    Fast accept when f is irreducible mod some small prime; the complete
-    fallback is a Kronecker search for monic integer factors, which never
-    lies in either direction at these degrees.
-
-    Raises Reducible if a factorization exists.
-    """
-    n = degree(p)
-    if n == 1:
-        return
-    if any(c.denominator != 1 for c in p):
-        raise ValueError("expected integer coefficients")
-    # rational roots: r | constant term for monic integer polynomials
-    if p[0] == 0:
-        raise Reducible("zero constant term: x divides the polynomial")
-    for r in _divisors(int(p[0])):
-        if peval(p, Fraction(r)) == 0:
-            raise Reducible(f"rational root {r}")
-    for q in _SMALL_PRIMES:
-        if int(p[-1]) % q != 0 and _is_irreducible_mod_p(p, q):
-            return
-    # Kronecker: a monic factor g of degree d is pinned by its values at
-    # d+1 integer points, each dividing the corresponding value of p.
-    sample = [0, 1, -1, 2, -2, 3, -3, 4, -4]
-    for d in range(2, n // 2 + 1):
-        pts = sample[:d + 1]
-        vals = [int(peval(p, Fraction(t))) for t in pts]
-        choices = [_divisors(v) for v in vals]
-        if any(not c for c in choices):
-            raise Reducible("integer root at a sample point")
-        total = 1
-        for c in choices:
-            total *= len(c)
-        if total > 4_000_000:
-            raise PrecisionExhausted(
-                f"irreducibility search too large at degree {d} ({total} combos)")
-        for combo in itertools.product(*choices):
-            g = _interpolate(pts, combo)
-            if g is None or degree(g) != d or g[-1] != 1:
-                continue
-            if any(c.denominator != 1 for c in g):
-                continue
-            _, rem = pdivmod(p, g)
-            if is_zero(rem):
-                raise Reducible(f"factor {g}")
-    return
-
-
-def _interpolate(xs, ys):
-    """Lagrange interpolation through integer points; None if degenerate."""
-    n = len(xs)
-    out = (Fraction(0),)
-    for i in range(n):
-        num = (Fraction(1),)
-        den = Fraction(1)
-        for j in range(n):
-            if i == j:
-                continue
-            num = pmul(num, poly([-xs[j], 1]))
-            den *= Fraction(xs[i] - xs[j])
-        out = padd(out, pscale(num, Fraction(ys[i]) / den))
-    return out
 
 
 # -- small multivariate polynomials over Q ------------------------------------

@@ -13,7 +13,7 @@ from torusorbits import dynamics as dy
 from torusorbits import rootdata as rd
 from torusorbits import strata as st
 from torusorbits.errors import (HypothesisViolated, MembershipFails,
-                                ToleranceAmbiguous)
+                                PrecisionExhausted, ToleranceAmbiguous)
 
 from conftest import random_sl
 
@@ -614,6 +614,11 @@ def test_nearest_rung_holds_the_point(rows, dim, data):
     lo = float(balance) * math.ldexp(data.draw(hs.floats(0.5, 1.0)),
                                      -data.draw(hs.integers(0, 8)))
     hi = lo * math.ldexp(1.0, data.draw(hs.integers(0, 16)))
+    if not (lo > 0 and hi < math.inf):
+        # the float ends underflow or overflow at extreme balance points
+        with pytest.raises(PrecisionExhausted):
+            dy._rungs(lo, hi)
+        return
     rungs = dy._rungs(lo, hi)
     if not Fraction(rungs[0]) ** 2 <= 2 * balance ** 2 \
             <= 4 * Fraction(rungs[-1]) ** 2:
@@ -623,10 +628,22 @@ def test_nearest_rung_holds_the_point(rows, dim, data):
             + balance / Fraction(rungs[k]))
     g1, g2 = (sum(np.multiply.outer(row, row) for row in b) for b in bmats)
     q = g1 * rungs[k] + g2 / rungs[k]
+    if not np.isfinite(q).all():
+        with pytest.raises(OverflowError):
+            dy._ldl(q[None])
+        return
     form = sum(Fraction(q[i, j]) * x[i] * x[j]
                for i in range(dim) for j in range(dim))
     radius = Fraction(dy.LADDER_RADIUS * rows * 1.0001)
     assert form <= radius * sup[0] * sup[1]
+
+
+def test_rungs_refuse_ends_that_are_not_finite_and_positive():
+    # lo = 0 or hi = inf would append 0.0 or inf forever
+    for lo, hi in ((0.0, 0.0), (1.0, math.inf), (0.0, 1.0), (-1.0, 1.0),
+                   (math.nan, 1.0), (math.inf, math.inf)):
+        with pytest.raises(PrecisionExhausted):
+            dy._rungs(lo, hi)
 
 
 def test_run_path_constant(Ksqrt2):

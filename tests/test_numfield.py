@@ -20,8 +20,9 @@ from torusorbits import numfield as nf
 from torusorbits import polyutil as pu
 from torusorbits.errors import (DivisionByZero, InvariantViolation,
                                 MissingCmStructure, NoUnits, NotMonic,
-                                Reducible, UnitVerificationFailed,
-                                ValidationError, WrongUnitRank)
+                                PrecisionExhausted, Reducible,
+                                UnitVerificationFailed, ValidationError,
+                                WrongUnitRank)
 from torusorbits.intervals import mpf_to_fraction
 
 from conftest import (euclid_inverse, frac_mul, frac_norm, frac_solve,
@@ -59,6 +60,113 @@ def test_create_field_rejects_nonmonic_and_reducible():
         nf.create_field([1, 0, 2])
     with pytest.raises(Reducible):
         nf.create_field([1, 2, 1])
+
+
+def is_reducible(coeffs) -> bool:
+    """create_field's verdict on a monic integer polynomial (low to high);
+    the units are left out, so an irreducible one stops at the unit rank
+    unless that is 0."""
+    try:
+        nf.create_field(coeffs)
+    except Reducible:
+        return True
+    except WrongUnitRank:
+        pass
+    return False
+
+
+def sympy_reducible(coeffs) -> bool:
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    return not sympy.Poly(list(reversed(coeffs)), x).is_irreducible
+
+
+def monic(degree, bound):
+    return hs.lists(hs.integers(-bound, bound), min_size=degree,
+                    max_size=degree).map(lambda cs: cs + [1])
+
+
+def times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+IRREDUCIBILITY_DRAWS = hs.one_of(
+    hs.integers(1, 8).flatmap(lambda d: monic(d, 6)),
+    hs.integers(1, 4).flatmap(lambda d: hs.tuples(
+        monic(d, 4), hs.integers(1, 8 - d).flatmap(lambda e: monic(e, 4)))
+    ).map(lambda ab: times(*ab)),
+    hs.integers(2, 8).flatmap(lambda d: monic(d, 10 ** 12)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(IRREDUCIBILITY_DRAWS)
+def test_irreducibility_matches_sympy(coeffs):
+    """The verdict from the places' root regions agrees with sympy on small
+    monic polynomials, on products of two of them, and on coefficients up
+    to 10^12."""
+    assert is_reducible(coeffs) == sympy_reducible(coeffs)
+
+
+def test_irreducibility_refines_past_the_default_places():
+    # (x^2 - 2c^2)(x^2 - 3c^2)(x^2 - 5c^2)(x^2 - 7c^2) at c = 2^50: the
+    # enclosures of products of four roots near 2^51 hold more than one
+    # integer at 128 bits
+    c2 = 2 ** 100
+    coeffs = [1]
+    for a in (2, 3, 5, 7):
+        coeffs = times(coeffs, [-a * c2, 0, 1])
+    K = nf.NumberField(pu.poly(coeffs), "wide", _validated=True)
+    with pytest.raises(Reducible):
+        nf._certify_irreducible(K)
+    assert max(K._place_cache) > nf.DEFAULT_PRECISION
+    assert sympy_reducible(coeffs)
+
+
+# Reducible modulo every prime, so no small prime certifies the irreducible
+# ones: cyclotomic Phi_8, Phi_16, Phi_20 and Phi_24, the Swinnerton-Dyer
+# polynomial S_3 of sqrt 2, sqrt 3 and sqrt 5, and the reducible
+# Phi_3(x^4) = Phi_3(x^2) Phi_6(x^2).
+ALL_PRIMES_REDUCIBLE = {
+    "phi8": ([1, 0, 0, 0, 1], False),
+    "phi16": ([1, 0, 0, 0, 0, 0, 0, 0, 1], False),
+    "phi20": ([1, 0, -1, 0, 1, 0, -1, 0, 1], False),
+    "phi24": ([1, 0, 0, 0, -1, 0, 0, 0, 1], False),
+    "s3": ([576, 0, -960, 0, 352, 0, -40, 0, 1], False),
+    "x8+x4+1": ([1, 0, 0, 0, 1, 0, 0, 0, 1], True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_PRIMES_REDUCIBLE))
+def test_irreducibility_without_a_small_prime(name):
+    coeffs, reducible = ALL_PRIMES_REDUCIBLE[name]
+    assert is_reducible(coeffs) is reducible
+    assert sympy_reducible(coeffs) is reducible
+
+
+def test_cm_subfield_polynomial_is_checked_exactly():
+    # x^2 - 1 vanishes at gen = 1 but is reducible: the characteristic
+    # polynomial of 1 is (x - 1)^4, not (x^2 - 1)^2
+    cm = dict(subfield_poly=[-1, 0, 1], subfield_gen=[1, 0, 0, 0],
+              d=[1, 0, 0, 0], relative_gen=[0, 0, 1, 0])
+    with pytest.raises(Reducible):
+        nf.create_field([1, 0, 0, 0, 1], declared_units=[[1, 1, 0, -1]],
+                        cm_structure=cm)
+    # theta (a primitive 8th root of unity) is no root of x^2 - 2
+    cm.update(subfield_poly=[-2, 0, 1], subfield_gen=[0, 1, 0, 0])
+    with pytest.raises(ValidationError, match="does not satisfy") as err:
+        nf.create_field([1, 0, 0, 0, 1], declared_units=[[1, 1, 0, -1]],
+                        cm_structure=cm)
+    assert not isinstance(err.value, Reducible)
+
+
+def test_mpf_to_fraction_refuses_a_non_finite_float():
+    for value in (mpmath.inf, -mpmath.inf, mpmath.nan):
+        with pytest.raises(PrecisionExhausted):
+            mpf_to_fraction(value)
 
 
 def test_elem_arithmetic(Ksqrt2, Kcubic):

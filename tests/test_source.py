@@ -318,3 +318,32 @@ def test_one_complex_root_isolation():
     assert {key for key, func in funcs.items()
             if "root_regions" in _calls(func)} == {
         "numfield.py:NumberField.places", "numfield.py:modulus_is_one"}
+
+
+def test_roots_are_refined_only_by_the_root_regions():
+    """Real roots are refined in polyutil.root_regions alone, behind the
+    places and the modulus-one test: is_cm reads no root's region."""
+    funcs = _package_functions()
+    assert {key for key, func in funcs.items()
+            if "refine_root" in _calls(func)} == {"polyutil.py:root_regions"}
+    assert not {"refine_root", "peval"} & _calls(funcs["numfield.py:is_cm"])
+
+
+# Irreducibility is decided from the places' root regions
+# (numfield._certify_irreducible); the modular accept and the Kronecker
+# interpolation search it replaced are gone.
+RETIRED_IRREDUCIBILITY = ("check_irreducible", "mod_p", "divisors",
+                          "interpolate", "kronecker")
+
+
+def test_no_modular_or_interpolation_irreducibility_search():
+    funcs = _package_functions()
+    assert [key for key in funcs
+            if any(word in key.split(":")[1].lower()
+                   for word in RETIRED_IRREDUCIBILITY)] == []
+    names = {target.id for path in sorted(SRC.glob("*.py"))
+             for node in ast.parse(path.read_text()).body
+             if isinstance(node, ast.Assign)
+             for target in node.targets if isinstance(target, ast.Name)}
+    assert "_SMALL_PRIMES" not in names
+    assert "_certify_irreducible" in _calls(funcs["numfield.py:create_field"])
