@@ -10,12 +10,9 @@ from fractions import Fraction
 
 from torusorbits import numfield as nf
 
-# Q(sqrt 2): the classical Pell unit 1 + sqrt 2, found by continued fractions
-a, b = nf.pell_fundamental_unit(2)
-print(f"Pell solution for d=2: {a} + {b}*sqrt(2)")
-
-K = nf.create_field([-2, 0, 1], declared_units=[[a, b]], label="q-sqrt2")
-print(f"\n{K.label}: degree {K.degree}, signature {K.signature}, "
+# Q(sqrt 2) with its fundamental unit 1 + sqrt 2
+K = nf.create_field([-2, 0, 1], declared_units=[[1, 1]], label="q-sqrt2")
+print(f"{K.label}: degree {K.degree}, signature {K.signature}, "
       f"unit rank {K.unit_rank}")
 for p in K.places():
     print(f"  place {p.index}: {p.kind} at {p.approx():+.6f}")
@@ -36,12 +33,6 @@ for p in K.places():
     prod = e if prod is None else prod * e
 print(f"product formula for 3+2*sqrt2: product encloses |N| = "
       f"{abs(nf.field_norm(x))}: {prod.contains(abs(nf.field_norm(x)))}")
-
-# balancing a lopsided tuple by a unit power
-big = u ** 6
-res = nf.balance_by_unit(K, [big, big], m=1, radius=10)
-print(f"\nbalance (1+sqrt2)^6 across both places: exponent {res.exponents}, "
-      f"achieved bound {float(res.bound):.6f}")
 
 # closure classifications
 print("\nunit closure at the first completion:")

@@ -3,8 +3,9 @@
 
 The systole (minimum lattice product norm over a height box) stays bounded
 below exactly when the quotient sits in the right cell and the two places
-balance; break either condition and the trace decays geometrically.  The
-predicted limit orbit is then approached for real, visibly.
+balance; break either condition and the trace decays geometrically.  A
+divergent direction drifts into a smaller orbit, whose exact representative
+the stratification's table gives.
 """
 
 from fractions import Fraction
@@ -17,11 +18,6 @@ from torusorbits import strata as st
 
 K = nf.create_field([-2, 0, 1], declared_units=[[1, 1]], label="q-sqrt2")
 i2 = dc.MatrixK.identity(K, 2)
-
-# horospherical data of a diagonal element: expanding/contracting positions
-hd = dy.horospherical_data([2, 2, Fraction(1, 4)])
-print("diag(2, 2, 1/4): subset", hd.subset, "levi", sorted(hd.levi_positions),
-      "expanding", sorted(hd.w_plus))
 
 # a bounded configuration: membership holds and the path is balanced
 h = dc.unipotent_matrix(K, 2, {(1, 0): K.one}) * \
@@ -51,7 +47,3 @@ e = rd.identity_weyl(2)
 rep_pt = dy.predicted_limit(inp, rd.RootSubset.empty(2), e, e)
 print("\npredicted limit representative (Borel pair at the identity cosets):")
 print("  ", rep_pt[0], "|", rep_pt[1])
-dist = dy.limit_approach_distances(inp, rd.RootSubset.empty(2), e, e,
-                                   path(1, -1), unit_exponent_bound=6)
-print("  distance to the limit orbit along the path:")
-print("  ", " ".join(f"{d:.1e}" for d in dist))

@@ -4,11 +4,10 @@ decomposable-form value scans."""
 
 __version__ = "0.1.0"
 
-from .numfield import (ArchimedeanPlace, BalanceResult, CmStructure,
-                       FieldElement, NumberField, UnitClosureReport,
-                       balance_by_unit, create_field, field_norm, is_cm,
-                       normalized_abs,
-                       pell_fundamental_unit, unit_closure_classify)
+from .numfield import (ArchimedeanPlace, CmStructure, FieldElement,
+                       NumberField, UnitClosureReport, create_field,
+                       field_norm, is_cm, normalized_abs,
+                       unit_closure_classify)
 from .rootdata import (ParabolicDescriptor, RootSubset, WeylElement, all_weyl,
                        coset_representatives, longest_element, n_psi,
                        parabolic_descriptor, unipotent_positions)
@@ -18,10 +17,8 @@ from .strata import (OrbitInput, ParabolicPair, StrataSet, StratumRecord,
                      closed_strata, closure_poset, enumerate_strata,
                      genericity_check, is_orbit_closed, summary_line,
                      verify_counts)
-from .dynamics import (BoundednessReport, HorosphericalData, SystoleTrace,
-                       TorusPath, check_boundedness, horospherical_data,
-                       limit_approach_distances, predicted_limit, run_path,
-                       systole)
+from .dynamics import (BoundednessReport, SystoleTrace, TorusPath,
+                       check_boundedness, predicted_limit, run_path, systole)
 from .forms import (CmCheckReport, DecomposableForm, DensityReport, FormScan,
                     SpectrumReport, cm_obstruction_check, density_report,
                     form_to_group, is_rational, make_form, reduce_variables,

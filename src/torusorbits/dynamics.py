@@ -19,9 +19,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .decomp import MatrixK, MinorTable, block_ldu, diagonal_matrix
+from .decomp import MatrixK, MinorTable, block_ldu
 from .errors import (CapExceeded, HypothesisViolated, MembershipFails,
-                     PrecisionExhausted, ToleranceAmbiguous, ValidationError)
+                     PrecisionExhausted, ValidationError)
 from .forms import _chunks, _row_keys
 from .intervals import RInt
 from .numfield import NumberField
@@ -29,56 +29,6 @@ from .rootdata import RootSubset, WeylElement
 from .strata import OrbitInput, materialised, pair_representative
 
 DIRECT_SCAN_CAP = 6_000_000
-
-
-# -- horospherical data ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HorosphericalData:
-    subset: RootSubset
-    w_plus: frozenset
-    w_minus: frozenset
-    levi_positions: frozenset
-
-
-def horospherical_data(moduli: Sequence, tolerance=Fraction(1, 10 ** 6)) -> HorosphericalData:
-    """Contracted / expanded / centralized positions of a diagonal element.
-
-    moduli: the absolute values of the diagonal entries at one place, as
-    exact rationals (or floats).  Position (i, j) is expanding when
-    |t_i/t_j| > 1 + tol, contracting below 1 - tol, and a Levi position
-    when the ratio is certifiably 1; anything else raises.
-    """
-    n = len(moduli)
-    vals = [Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10 ** 12)
-            for x in moduli]
-    if any(v <= 0 for v in vals):
-        raise ValidationError("moduli must be positive")
-    tol = Fraction(tolerance)
-    w_plus, w_minus, levi = set(), set(), set()
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            ratio = vals[i] / vals[j]
-            if ratio > 1 + tol:
-                w_plus.add((i, j))
-            elif ratio < 1 / (1 + tol):
-                w_minus.add((i, j))
-            elif ratio == 1:
-                levi.add((i, j))
-            else:
-                raise ToleranceAmbiguous(
-                    f"ratio at {(i, j)} is {float(ratio):.6g}: inside the "
-                    "tolerance band but not exactly one")
-    # equal-modulus blocks induce the subset: with the moduli sorted large
-    # to small, simple root k is inside when slots k-1 and k are equal
-    sorted_vals = sorted(vals, reverse=True)
-    simples = {k for k in range(1, n) if sorted_vals[k - 1] == sorted_vals[k]}
-    subset = RootSubset.make(n, simples)
-    return HorosphericalData(subset, frozenset(w_plus), frozenset(w_minus),
-                             frozenset(levi))
 
 
 # -- torus paths --------------------------------------------------------------------
@@ -727,84 +677,3 @@ def predicted_limit(inp: OrbitInput, subset: RootSubset, w1: WeylElement,
     if rep is None:
         raise MembershipFails("the quotient misses the requested cell")
     return materialised(table, rep, table.ids(g2))
-
-
-def limit_approach_distances(inp: OrbitInput, subset: RootSubset,
-                             w1: WeylElement, w2: WeylElement,
-                             path: TorusPath,
-                             unit_exponent_bound: int = 48,
-                             gamma_denominator_cap: int = 1000) -> List[float]:
-    """Distance from the moving point to the predicted limit orbit per step.
-
-    At each step the point (t_v g_v) Gamma is compared against tau . rep for
-    the best correction: gamma runs over torus-conjugated unit diagonals
-    that are exactly integral (a bounded stabilizer search), tau over the
-    diagonal group (entry-ratio candidates).  Failure to find an integral
-    gamma falls back to the raw unit-balanced distance.
-    """
-    field = inp.field
-    n = inp.n
-    rep = predicted_limit(inp, subset, w1, w2)
-    f = field
-    base_point = rep[1]
-    base_inv = base_point.inverse()
-
-    units = field.units
-    gammas = [(MatrixK.identity(f, n), None)]
-    if units:
-        u = units[0]
-        patterns = []
-        for i in range(n - 1):
-            vec = [0] * n
-            vec[i], vec[i + 1] = 1, -1
-            patterns.append(vec)
-        for pat in patterns:
-            for j in range(-unit_exponent_bound, unit_exponent_bound + 1):
-                if j == 0:
-                    continue
-                dvals = [u ** (j * p) for p in pat]
-                dmat = diagonal_matrix(f, dvals)
-                gam = base_inv * dmat.inverse() * base_point
-                if _is_integral(gam) and _denominator_ok(gam, gamma_denominator_cap):
-                    gammas.append((gam, (pat, j)))
-    rep_num = [_numeric_component(field, rep[v], v) for v in range(2)]
-    # the corrected points g_v gamma do not depend on the step
-    moved = [[_numeric_component(field, inp.components[v] * gam, v)
-              for v in range(2)] for gam, _tag in gammas]
-    out = []
-    for k in range(path.steps):
-        torus = path.realize(k)
-        best = math.inf
-        for gnum in moved:
-            dist = 0.0
-            for v in range(2):
-                moving = np.diag([float(x) for x in torus[v]]) @ gnum[v]
-                dist = max(dist, _diag_orbit_distance(moving, rep_num[v]))
-            best = min(best, dist)
-        out.append(best)
-    return out
-
-
-def _is_integral(m: MatrixK) -> bool:
-    return all(x.is_integral() for row in m.rows for x in row)
-
-
-def _denominator_ok(m: MatrixK, cap: int) -> bool:
-    return all(abs(c.numerator) <= cap ** 3 for row in m.rows for x in row
-               for c in x.coeffs)
-
-
-def _diag_orbit_distance(moving: np.ndarray, target: np.ndarray) -> float:
-    """Upper bound on the distance from moving to the diagonal orbit of
-    target: scale each target row to match its first sizeable entry of
-    moving and measure the residual."""
-    n = moving.shape[0]
-    scale = []
-    for i in range(n):
-        ratios = [moving[i, j] / target[i, j] for j in range(n)
-                  if abs(target[i, j]) > 1e-12]
-        if not ratios:
-            return float(np.abs(target - moving).max())
-        scale.append(ratios[0])
-    tau = np.diag(scale)
-    return float(np.abs(tau @ target - moving).max())

@@ -44,10 +44,6 @@ class PrecisionExhausted(TorusOrbitsError):
     pass
 
 
-class NoUnits(ValidationError):
-    pass
-
-
 class Inconclusive(TorusOrbitsError):
     """Numeric detection fell below its tolerance; reported, never guessed."""
 
@@ -85,10 +81,6 @@ class HypothesisViolated(ValidationError):
 
 
 class MembershipFails(ValidationError):
-    pass
-
-
-class ToleranceAmbiguous(TorusOrbitsError):
     pass
 
 

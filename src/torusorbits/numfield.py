@@ -6,8 +6,7 @@ degree at most 8, decided irreducible from the places' own root regions
 polynomial); the ring of integers is modeled by the order Z[theta]
 throughout, which every downstream computation is stable under.  Units are
 user supplied and verified (integral, norm +-1, multiplicatively
-independent of full Dirichlet rank); a Pell helper produces the fundamental
-unit for real quadratic fields.
+independent of full Dirichlet rank).
 
 Embeddings are certified: every place carries an isolating rational
 interval (real) or box (complex) for one root of m (polyutil.root_regions),
@@ -41,7 +40,7 @@ import mpmath
 import numpy as np
 
 from . import polyutil as pu
-from .errors import (DivisionByZero, Inconclusive, MissingCmStructure, NoUnits,
+from .errors import (DivisionByZero, Inconclusive, MissingCmStructure,
                      NotMonic, PrecisionExhausted, Reducible,
                      UnitVerificationFailed, ValidationError, WrongUnitRank)
 from .intervals import CBox, RInt, _frac, atan2_rint, log_rint, pi_rint
@@ -235,13 +234,6 @@ class UnitClosureReport:
     relations: list           # verified exponent relations among unit moduli
     gap_statistic: Optional[float]
     notes: str
-
-
-@dataclass
-class BalanceResult:
-    xi: FieldElement
-    bound: Fraction           # certified upper bound on max(|xi a_i|, |xi a_i|^-1)
-    exponents: tuple
 
 
 class NumberField:
@@ -782,88 +774,6 @@ def order_discriminant(K: NumberField, basis=None) -> Fraction:
     scale = math.lcm(*(t.denominator for row in gram for t in row))
     return Fraction(pu.int_determinant([[int(t * scale) for t in row]
                                         for row in gram]), scale ** d)
-
-
-# -- Pell helper ----------------------------------------------------------------
-
-def pell_fundamental_unit(d: int):
-    """Fundamental unit coefficients (a, b) with a + b*sqrt(d) for Z[sqrt(d)].
-
-    Continued fraction expansion of sqrt(d); solves a^2 - d b^2 = +-1 with
-    the smallest b > 0.  Only for nonsquare d > 1.
-    """
-    if d <= 1 or math.isqrt(d) ** 2 == d:
-        raise ValidationError("need a nonsquare d > 1")
-    a0 = math.isqrt(d)
-    m, q, a = 0, 1, a0
-    h0, h1 = 1, a0
-    k0, k1 = 0, 1
-    if h1 * h1 - d * k1 * k1 in (1, -1):
-        return h1, k1
-    for _ in range(10_000):
-        m = a * q - m
-        q = (d - m * m) // q
-        a = (a0 + m) // q
-        h0, h1 = h1, a * h1 + h0
-        k0, k1 = k1, a * k1 + k0
-        if h1 * h1 - d * k1 * k1 in (1, -1):
-            return h1, k1
-    raise PrecisionExhausted("Pell expansion did not close")
-
-
-# -- balancing by units -----------------------------------------------------------
-
-def balance_by_unit(field: NumberField, values: Sequence[FieldElement],
-                    m: int = 1, radius: int = 16) -> BalanceResult:
-    """Find xi in the m-th powers of the unit group making xi*a nearly flat.
-
-    values: one field element per place; the i-th is read at the i-th place.
-    The tuple (|a_i|_i) should multiply to 1, which is not checked.  The
-    search runs over unit exponent vectors in the box |e|_inf <= radius and
-    minimizes max_i max(|xi a_i|_i, |xi a_i|_i^-1); ties break toward the
-    lexicographically smallest exponent vector.
-    """
-    places = field.places()
-    r = len(places)
-    if len(values) != r:
-        raise ValidationError(f"need one value per place ({r})")
-    units = field.units
-    if not units:
-        raise NoUnits("field has unit rank 0")
-    if m < 1:
-        raise ValidationError("m must be a positive integer")
-
-    width = Fraction(1, 2 ** 60)
-    log_a = [float(field.log_abs(v, places[i], target_width=width).mid)
-             for i, v in enumerate(values)]
-    log_u = [[float(field.log_abs(u, pl, target_width=width).mid)
-              for pl in places] for u in units]
-
-    best_key = None
-    best_e = None
-    for e in itertools.product(range(-radius, radius + 1), repeat=len(units)):
-        worst = 0.0
-        for i in range(r):
-            s = log_a[i]
-            for j, ej in enumerate(e):
-                s += m * ej * log_u[j][i]
-            worst = max(worst, abs(s))
-        key = (round(worst, 12), e)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_e = e
-
-    xi = field.one
-    for u, ej in zip(units, best_e):
-        xi = xi * u ** (m * ej)
-    # certified bound: max over places of max(enc.hi, 1/enc.lo)
-    bound = Fraction(0)
-    for i, v in enumerate(values):
-        enc = field.normalized_abs(xi * v, places[i], max_width=Fraction(1, 2 ** 60))
-        if enc.lo <= 0:
-            raise PrecisionExhausted("balanced value not separated from zero")
-        bound = max(bound, enc.hi, 1 / enc.lo)
-    return BalanceResult(xi=xi, bound=bound, exponents=best_e)
 
 
 # -- unit closure classification ---------------------------------------------------

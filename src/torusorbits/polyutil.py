@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from mpmath.libmp import NoConvergence
 
 from .errors import PrecisionExhausted
 from .intervals import CBox, RInt, mpf_to_fraction
@@ -292,6 +293,11 @@ def root_regions(p: Poly, bits: int, isolated=None):
     Certification of a box: around every approximation z the disk of
     radius deg * |p(z)/p'(z)| contains at least one root, so deg pairwise
     disjoint such disks pin down one root each.
+
+    A polynomial whose approximations do not converge within mpmath's step
+    budget (non-real roots with coefficients near 10^38 can do this) is
+    refused with PrecisionExhausted, not solved: more precision or more
+    steps rarely helps there and can cost seconds per call.
     """
     if isolated is None:
         isolated = isolate_real_roots(p)
@@ -305,9 +311,13 @@ def root_regions(p: Poly, bits: int, isolated=None):
     work = max(80, 2 * bits + 80)
     for attempt in range(8):
         with mpmath.workprec(work):
-            approx = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
-                                       for c in reversed(p)],
-                                      maxsteps=400, extraprec=120)
+            try:
+                approx = mpmath.polyroots(
+                    [mpmath.mpf(c.numerator) / c.denominator
+                     for c in reversed(p)], maxsteps=400, extraprec=120)
+            except NoConvergence:
+                raise PrecisionExhausted(
+                    "complex root approximations did not converge") from None
         boxes = []
         for z in approx:
             re = mpf_to_fraction(z.real) if isinstance(z, mpmath.mpc) else mpf_to_fraction(z)

@@ -136,6 +136,10 @@ def cubic_density_form(K):
 
 CUBIC_WINDOW = ((-5.0, 5.0),) * 3
 
+# x^3 - 3 10^38 x^2 - 9 x - 8 10^38 (low to high): one real root and a
+# complex pair whose approximations mpmath.polyroots does not converge on
+NONCONVERGENT_CUBIC = [-8 * 10 ** 38, -9, -3 * 10 ** 38, 1]
+
 
 def window_scan_digest(scan, window, eps=0.25):
     """Shape, sha256 of the point array and of the degenerate mask, and the

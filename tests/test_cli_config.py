@@ -23,7 +23,7 @@ from torusorbits import rootdata as rd
 from torusorbits import strata as st
 from torusorbits.cli import build_parser, main
 
-from conftest import generic_sl, random_sl, records_json
+from conftest import NONCONVERGENT_CUBIC, generic_sl, random_sl, records_json
 
 
 @pytest.fixture()
@@ -180,6 +180,15 @@ def test_cli_validation_error_exit_2(workdir, capsys):
     rc = main(["--field", str(workdir / "missing.json"), "--format", "summary",
                "units", "classify"])
     assert rc == 2
+
+
+def test_cli_refuses_a_field_whose_roots_do_not_converge(tmp_path, capsys):
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps(
+        {"min_poly": [str(c) for c in NONCONVERGENT_CUBIC], "units": []}))
+    rc = main(["--field", str(field), "units", "classify"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_forms_pipeline(workdir, capsys):

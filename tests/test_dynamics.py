@@ -13,7 +13,7 @@ from torusorbits import dynamics as dy
 from torusorbits import rootdata as rd
 from torusorbits import strata as st
 from torusorbits.errors import (HypothesisViolated, MembershipFails,
-                                PrecisionExhausted, ToleranceAmbiguous)
+                                PrecisionExhausted)
 
 from conftest import random_sl
 
@@ -30,50 +30,6 @@ def ramp_path(n, steps, s_rate=1, t_rate=-1, root_index=None):
     return dy.TorusPath(n, (Fraction(2), Fraction(2)),
                         (tuple(step(k, s_rate) for k in range(steps)),
                          tuple(step(k, t_rate) for k in range(steps))))
-
-
-# -- horospherical -------------------------------------------------------------
-
-
-def test_horospherical_strict():
-    hd = dy.horospherical_data([2, 1, Fraction(1, 2)])
-    assert not hd.subset.simples
-    assert hd.w_plus == frozenset({(0, 1), (0, 2), (1, 2)})
-    assert hd.w_minus == frozenset({(1, 0), (2, 0), (2, 1)})
-
-
-def test_horospherical_levi_block():
-    hd = dy.horospherical_data([2, 2, Fraction(1, 4)])
-    assert hd.subset.simples == frozenset({1})
-    assert hd.levi_positions == frozenset({(0, 1), (1, 0)})
-    assert hd.subset.composition == (2, 1)
-
-
-def test_horospherical_identity():
-    hd = dy.horospherical_data([1, 1, 1])
-    assert hd.subset.simples == frozenset({1, 2})
-    assert len(hd.levi_positions) == 6
-
-
-def test_horospherical_partition_and_ambiguity():
-    vals = [3, Fraction(5, 4), 1]
-    hd = dy.horospherical_data(vals)
-    n = len(vals)
-    allpos = {(i, j) for i in range(n) for j in range(n) if i != j}
-    assert hd.w_plus | hd.w_minus | hd.levi_positions == allpos
-    assert not (hd.w_plus & hd.w_minus)
-    with pytest.raises(ToleranceAmbiguous):
-        dy.horospherical_data([1, 1 + Fraction(1, 10 ** 9)],
-                              tolerance=Fraction(1, 10 ** 6))
-
-
-def test_horospherical_inverse_swaps_roles():
-    vals = [4, 1, Fraction(1, 4)]
-    hd = dy.horospherical_data(vals)
-    hd_inv = dy.horospherical_data([1 / v for v in vals])
-    assert hd.w_plus == hd_inv.w_minus
-    assert hd.w_minus == hd_inv.w_plus
-    assert hd.levi_positions == hd_inv.levi_positions
 
 
 # -- systole --------------------------------------------------------------------
@@ -748,31 +704,6 @@ def test_predicted_limit_membership_guard(Ksqrt2):
     e = rd.identity_weyl(2)
     with pytest.raises(MembershipFails):
         dy.predicted_limit(inp, rd.RootSubset.empty(2), s, e)
-
-
-def test_limit_distances_decay(Ksqrt2):
-    g1 = dc.MatrixK.from_rational_rows(Ksqrt2, [[1, 1], [1, 2]])
-    i2 = dc.MatrixK.identity(Ksqrt2, 2)
-    inp = st.OrbitInput((g1, i2))
-    e = rd.identity_weyl(2)
-    path = ramp_path(2, 16)
-    d = dy.limit_approach_distances(inp, rd.RootSubset.empty(2), e, e, path,
-                                    unit_exponent_bound=6)
-    assert d[0] > d[-1]
-    assert d[-1] < 1e-3
-    assert all(b <= a * 1.01 + 1e-15 for a, b in zip(d, d[1:]))
-
-
-def test_limit_distances_conjugated_pair(Ksqrt2):
-    g1 = dc.MatrixK.from_rational_rows(Ksqrt2, [[1, 1], [1, 2]])
-    i2 = dc.MatrixK.identity(Ksqrt2, 2)
-    inp = st.OrbitInput((g1, i2))
-    s = rd.all_weyl(2)[1]
-    rev = dy.TorusPath(2, (Fraction(2), Fraction(2)),
-                       (tuple((-k,) for k in range(16)),
-                        tuple((k,) for k in range(16))))
-    d = dy.limit_approach_distances(inp, rd.RootSubset.empty(2), s, s, rev)
-    assert d[-1] < 1e-3
 
 
 def test_path_realization_exact(Ksqrt2):

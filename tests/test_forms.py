@@ -24,6 +24,7 @@ from torusorbits.errors import (ArityMismatch, CapExceeded,
                                 WrongPlaceCount)
 from torusorbits.intervals import RInt
 
+from cm_oracle import sine_identity_enclosure
 from conftest import (CUBIC_WINDOW, cubic_density_form, resultant_norm,
                       resultant_norm_f, window_scan_digest)
 from gauss_oracle import echelon
@@ -1194,7 +1195,7 @@ def test_cm_sine_identity_numeric_spotcheck(Kzeta8):
     sc = fm.scan_values(f, 4, sample=30, seed=5)
     for idx in range(sc.npoints):
         z = sc.coordinate(idx)
-        w = fm.sine_identity_enclosure(Kzeta8, f, z)
+        w = sine_identity_enclosure(Kzeta8, f, z)
         assert w is not None and w < 1e-10
 
 

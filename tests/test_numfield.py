@@ -19,14 +19,15 @@ from torusorbits import forms as fm
 from torusorbits import numfield as nf
 from torusorbits import polyutil as pu
 from torusorbits.errors import (DivisionByZero, InvariantViolation,
-                                MissingCmStructure, NoUnits, NotMonic,
+                                MissingCmStructure, NotMonic,
                                 PrecisionExhausted, Reducible,
-                                UnitVerificationFailed, ValidationError,
-                                WrongUnitRank)
+                                TorusOrbitsError, UnitVerificationFailed,
+                                ValidationError, WrongUnitRank)
 from torusorbits.intervals import mpf_to_fraction
 
-from conftest import (euclid_inverse, frac_mul, frac_norm, frac_solve,
-                      random_element, resultant_norm, resultant_norm_f)
+from conftest import (NONCONVERGENT_CUBIC, euclid_inverse, frac_mul,
+                      frac_norm, frac_solve, random_element, resultant_norm,
+                      resultant_norm_f)
 from gauss_oracle import determinant, invert, solve
 
 
@@ -53,6 +54,25 @@ def test_create_field_rejects_bad_unit():
 def test_create_field_rejects_wrong_rank():
     with pytest.raises(WrongUnitRank):
         nf.create_field([-2, 0, 1], declared_units=[])
+
+
+def test_create_field_refuses_roots_that_do_not_converge():
+    with pytest.raises(PrecisionExhausted):
+        nf.create_field(NONCONVERGENT_CUBIC)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_create_field_returns_or_refuses_on_large_coefficients(seed):
+    """Monic polynomials of degree 2 to 8 with coefficients up to 10^38 (40
+    over the ten seeds) give a field or a package error, never mpmath's."""
+    rng = random.Random(seed)
+    for _ in range(4):
+        coeffs = [rng.randint(-10 ** 38, 10 ** 38)
+                  for _ in range(rng.randint(2, 8))] + [1]
+        try:
+            nf.create_field(coeffs)
+        except TorusOrbitsError:
+            pass
 
 
 def test_create_field_rejects_nonmonic_and_reducible():
@@ -270,44 +290,6 @@ def test_unit_log_vectors_sum_to_zero(Kcubic):
         assert total.contains(0)
 
 
-def test_balance_by_unit(Ksqrt2):
-    plus = next(p for p in Ksqrt2.places() if p.approx() > 0)
-    u4 = Ksqrt2.element([1, 1]) ** 4
-    # already balanced input
-    res0 = nf.balance_by_unit(Ksqrt2, [Ksqrt2.one, Ksqrt2.one], m=1, radius=6)
-    assert res0.exponents == (0,) and res0.bound < Fraction(101, 100)
-    # (1+s)^4 read at both places: the fix is the inverse fourth power
-    res = nf.balance_by_unit(Ksqrt2, [u4, u4], m=1, radius=8)
-    assert res.exponents == (-4,)
-    assert res.bound < Fraction(101, 100)
-    res2 = nf.balance_by_unit(Ksqrt2, [u4, u4], m=2, radius=8)
-    assert res2.exponents == (-2,)          # xi = u^(2 * -2) = u^-4
-    # reported bound is satisfied on re-evaluation
-    xi = res.xi
-    for i, p in enumerate(Ksqrt2.places()):
-        enc = nf.normalized_abs(xi * u4, p, max_width=Fraction(1, 2 ** 70))
-        assert enc.hi <= res.bound and 1 / enc.lo <= res.bound
-
-
-def test_balance_monotone_in_radius(Ksqrt2):
-    rng = random.Random(3)
-    u = Ksqrt2.element([1, 1])
-    for _ in range(6):
-        k = rng.randint(1, 9)
-        vals = [u ** k, u ** k]
-        prev = None
-        for radius in (1, 3, 6, 10):
-            res = nf.balance_by_unit(Ksqrt2, vals, m=1, radius=radius)
-            if prev is not None:
-                assert res.bound <= prev + Fraction(1, 10 ** 12)
-            prev = res.bound
-
-
-def test_balance_requires_units(Kgauss):
-    with pytest.raises(NoUnits):
-        nf.balance_by_unit(Kgauss, [Kgauss.one], m=1)
-
-
 def test_unit_closure_discrete(Ksqrt2):
     rep = nf.unit_closure_classify(Ksqrt2, 0)
     assert rep.classification == "discrete"
@@ -378,13 +360,6 @@ def test_is_cm_needs_structure():
     K = nf.create_field([1, 0, 0, 0, 1], declared_units=[[1, 1, 0, -1]])
     with pytest.raises(MissingCmStructure):
         nf.is_cm(K)
-
-
-def test_pell_helper():
-    assert nf.pell_fundamental_unit(2) == (1, 1)
-    assert nf.pell_fundamental_unit(3) == (2, 1)
-    a, b = nf.pell_fundamental_unit(61)
-    assert a * a - 61 * b * b in (1, -1)
 
 
 def test_split_cm_roundtrip(Kzeta8):

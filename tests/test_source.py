@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 from torusorbits.numfield import MAX_PRECISION
@@ -52,7 +53,6 @@ def test_no_global_precision_assignment():
 # number of reads.  Element arithmetic runs on the integer numerators; a new
 # reader of the view belongs on this list only when Fractions serve it.
 COEFFS_READERS = {
-    "dynamics.py:_denominator_ok": 1,
     "forms.py:_spectrum_constant": 1,
     "forms.py:cm_obstruction_check": 1,
     "numfield.py:FieldElement.as_str": 1,
@@ -347,3 +347,61 @@ def test_no_modular_or_interpolation_irreducibility_search():
              for target in node.targets if isinstance(target, ast.Name)}
     assert "_SMALL_PRIMES" not in names
     assert "_certify_irreducible" in _calls(funcs["numfield.py:create_field"])
+
+
+# Where an exported name may find its caller: the CLI, the acceptance suite,
+# the benchmark (spans.py wraps functions by their dotted names) and every
+# package module but __init__.py.
+ROOT = SRC.parent.parent
+CALLER_FILES = ([path for path in sorted(SRC.glob("*.py"))
+                 if path.name != "__init__.py"]
+                + [ROOT / "tests" / "test_acceptance.py"]
+                + sorted((ROOT / "perfbench").glob("*.py")))
+
+# Exports that no caller reaches, each kept for a stated reason.
+UNCALLED_EXPORTS = {
+    # the exact representative of the paper's limit orbit, read from the
+    # same table as strata; demo 04 and three tests
+    "predicted_limit",
+    # the unipotent radical's positions; demo 02 and test_decomp's oracle
+    "unipotent_positions",
+}
+
+
+def _exports():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _references(tree):
+    """The names a module reads, paired with the top-level definition they
+    sit in: names, attributes, and the words of string constants other
+    than docstrings."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef,
+                                       ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+            elif (isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and id(node) not in docstrings):
+                for word in re.findall(r"\w+", node.value):
+                    yield word, owner
+
+
+def test_every_export_has_a_caller():
+    """Every name torusorbits exports is read somewhere other than its own
+    definition and tests; the exceptions are listed with their reasons."""
+    exports = _exports()
+    called = {name for path in CALLER_FILES
+              for name, owner in _references(ast.parse(path.read_text()))
+              if name in exports and owner != name}
+    assert exports - called == UNCALLED_EXPORTS
