@@ -311,10 +311,10 @@ def root_regions(p: Poly, bits: int, isolated=None):
     work = max(80, 2 * bits + 80)
     for attempt in range(8):
         with mpmath.workprec(work):
+            coeffs = [mpmath.mpf(c.numerator) / c.denominator
+                      for c in reversed(p)]
             try:
-                approx = mpmath.polyroots(
-                    [mpmath.mpf(c.numerator) / c.denominator
-                     for c in reversed(p)], maxsteps=400, extraprec=120)
+                approx = mpmath.polyroots(coeffs, maxsteps=400, extraprec=120)
             except NoConvergence:
                 raise PrecisionExhausted(
                     "complex root approximations did not converge") from None
