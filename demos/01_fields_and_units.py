@@ -20,7 +20,7 @@ for p in K.places():
 u = K.units[0]
 print(f"norm of the unit: {nf.field_norm(u)}")
 plus = next(p for p in K.places() if p.approx() > 0)
-enc = nf.normalized_abs(u, plus)
+enc = K.normalized_abs(u, plus)
 print(f"|1+sqrt2| at the positive place: {float(enc.mid):.8f} "
       f"(enclosure width {float(enc.width):.1e})")
 
@@ -29,7 +29,7 @@ print(f"|1+sqrt2| at the positive place: {float(enc.mid):.8f} "
 x = K.element([3, 2])
 prod = None
 for p in K.places():
-    e = nf.normalized_abs(x, p, max_width=Fraction(1, 2 ** 80))
+    e = K.normalized_abs(x, p, max_width=Fraction(1, 2 ** 80))
     prod = e if prod is None else prod * e
 print(f"product formula for 3+2*sqrt2: product encloses |N| = "
       f"{abs(nf.field_norm(x))}: {prod.contains(abs(nf.field_norm(x)))}")

@@ -52,7 +52,7 @@ s3 = st.enumerate_strata(g3, i3)
 rep = st.verify_counts(s3)
 print(f"\ngeneric SL_3: {rep.strata}/{rep.strata_bound} strata, "
       f"{rep.closed}/{rep.closed_bound} closed, "
-      f"generic={st.genericity_check(g3)}")
+      f"generic={s3.is_generic}")
 
 # DOT export of the small poset
 print("\nDOT of the generic SL_2 closure poset:")

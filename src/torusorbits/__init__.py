@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 
 from .numfield import (ArchimedeanPlace, CmStructure, FieldElement,
                        NumberField, UnitClosureReport, create_field,
-                       field_norm, is_cm, normalized_abs,
-                       unit_closure_classify)
+                       field_norm, is_cm, unit_closure_classify)
 from .rootdata import (ParabolicDescriptor, RootSubset, WeylElement, all_weyl,
                        coset_representatives, longest_element, n_psi,
                        parabolic_descriptor, unipotent_positions)
@@ -15,8 +14,7 @@ from .decomp import (BlockLDU, MatrixK, MinorTable, block_ldu, bruhat_cell,
                      cell_membership, diagonal_matrix, unipotent_matrix)
 from .strata import (OrbitInput, ParabolicPair, StrataSet, StratumRecord,
                      closed_strata, closure_poset, enumerate_strata,
-                     genericity_check, is_orbit_closed, summary_line,
-                     verify_counts)
+                     is_orbit_closed, summary_line, verify_counts)
 from .dynamics import (BoundednessReport, SystoleTrace, TorusPath,
                        check_boundedness, predicted_limit, run_path, systole)
 from .forms import (CmCheckReport, DecomposableForm, DensityReport, FormScan,

@@ -1,8 +1,9 @@
 """Command line driver.
 
-One process, batch in, deterministic machine-readable out: JSON (records),
-DOT (closure posets), CSV (scans, traces), or a one-line summary.  Exit
-codes: 0 success, 2 validation/configuration error, 3 invariant violation.
+One process, batch in, deterministic machine-readable out: JSON, and
+where a command offers it DOT (closure posets), CSV (scans, traces) or a
+one-line summary.  Exit codes: 0 success, 2 validation/configuration error
+(among them a --format the command cannot write), 3 invariant violation.
 Each cmd_* returns its output, a dict or text; main adds to every dict the
 meta block (field label, the order Z[theta], working precision, version).
 In a dict, the records and edges of strata and closed are iterators of
@@ -396,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("strata", help="enumerate the orbit closure strata")
     inputs(p, "--n", "--g1", "--g2")
-    p.set_defaults(func=cmd_strata)
+    p.set_defaults(func=cmd_strata, formats=("json", "summary", "dot"))
 
     p = sub.add_parser("closed", help="closed strata and orbit closedness")
     inputs(p, "--n", "--g1", "--g2", required=False)
@@ -408,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     usub = p.add_subparsers(dest="subcommand", required=True)
     pc = usub.add_parser("classify")
     pc.add_argument("--place", type=int, default=0)
-    pc.set_defaults(func=cmd_units_classify)
+    pc.set_defaults(func=cmd_units_classify, formats=("json", "summary"))
 
     p = sub.add_parser("cm", help="CM obstruction checks")
     csub = p.add_subparsers(dest="subcommand", required=True)
@@ -422,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = fsub.add_parser("scan")
     scan_args(ps)
     ps.add_argument("--limit", type=int, default=None)
-    ps.set_defaults(func=cmd_forms_scan)
+    ps.set_defaults(func=cmd_forms_scan, formats=("json", "csv"))
     pd = fsub.add_parser("density")
     scan_args(pd)
     pd.add_argument("--eps", type=float, default=0.25)
@@ -450,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     inputs(pp, "--n", "--g1", "--g2")
     pp.add_argument("--path", required=True)
     pp.add_argument("--height", type=int, default=20)
-    pp.set_defaults(func=cmd_dyn_path)
+    pp.set_defaults(func=cmd_dyn_path, formats=("json", "csv"))
     pb = dsub.add_parser("bounded")
     inputs(pb, "--n", "--g1", "--g2")
     pb.add_argument("--path", required=True)
@@ -477,6 +478,11 @@ def main(argv=None) -> int:
     a dict as JSON with the meta block added, in chunks, text as it is."""
     args = build_parser().parse_args(argv)
     try:
+        formats = getattr(args, "formats", ("json",))
+        if args.format not in formats:
+            command = f"{args.command} {getattr(args, 'subcommand', '')}".strip()
+            raise ValidationError(f"{command} has no --format {args.format}; "
+                                  f"its formats: {', '.join(formats)}")
         if not args.field:
             raise ValidationError("--field is required")
         field = cfg.load_field(args.field)

@@ -19,16 +19,17 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .decomp import MatrixK, MinorTable, block_ldu
+from .decomp import MatrixK, MinorTable, cell_membership
 from .errors import (CapExceeded, HypothesisViolated, MembershipFails,
                      PrecisionExhausted, ValidationError)
-from .forms import _chunks, _row_keys
 from .intervals import RInt
 from .numfield import NumberField
-from .rootdata import RootSubset, WeylElement
+from .polyutil import chunks, key_rows, row_keys
+from .rootdata import RootSubset, WeylElement, identity_weyl
 from .strata import OrbitInput, materialised, pair_representative
 
 DIRECT_SCAN_CAP = 6_000_000
+PRODUCT_BAND = Fraction(10 ** 6)    # criterion (ii)'s band (1/B, B)
 
 
 # -- torus paths --------------------------------------------------------------------
@@ -211,18 +212,17 @@ def _direct_scan(bmats, exps, height, dim):
     gets a floor, a proved lower bound on its values over every c
     (`_head_floors`), and `_scan_heads` visits the heads best first and
     stops at the first floor above the minimum found: the heads it skips
-    hold no value at or below it.
+    hold no value at or below it.  Head k is the row key_rows decodes from k.
     """
-    shape = (2 * height + 1,) * (dim - 1)
-    size = (math.prod(shape) + 1) // 2
-    cols = [x - height for x in np.unravel_index(np.arange(size), shape)]
+    size = ((2 * height + 1) ** (dim - 1) + 1) // 2
+    cols = list(key_rows(np.arange(size), height, dim - 1).T)
     heads = [_image(b, cols) for b in bmats]
     del cols
     floor = _head_floors(heads, [b[:, -1] for b in bmats], exps, height)
-    return _scan_heads(heads, bmats, exps, height, shape, floor)
+    return _scan_heads(heads, bmats, exps, height, floor)
 
 
-def _scan_heads(heads, bmats, exps, height, shape, floor):
+def _scan_heads(heads, bmats, exps, height, floor):
     """The pruned pass of `_direct_scan`: heads in increasing floor order,
     FP_ROWS points at a time.  A chunk's heads run in increasing order,
     each over c from -height up, and its values are formed as the
@@ -251,8 +251,8 @@ def _scan_heads(heads, bmats, exps, height, shape, floor):
             vals[-1, height:] = math.inf
         i, c = divmod(int(np.argmin(vals)), width)
         if vals[i, c] <= best_val:
-            pt = tuple(int(x) - height for x in
-                       np.unravel_index(sel[i], shape)) + (c - height,)
+            head = key_rows(sel[i:i + 1], height, bmats[0].shape[1] - 1)[0]
+            pt = tuple(int(x) for x in head) + (c - height,)
             if vals[i, c] < best_val or pt < best:
                 best_val, best = float(vals[i, c]), pt
     return best_val, best
@@ -440,7 +440,7 @@ def _fincke_pohst(d, lmat, bound, height, seen):
                             np.zeros(d.shape, dtype=np.int64),
                             np.full(rows, bound * (1 + 1e-9) + 1e-12),
                             np.zeros(rows, dtype=np.int64)):
-        keys = _row_keys(np.concatenate([seen, x]), side)
+        keys = row_keys(np.concatenate([seen, x]), side)
         first = np.unique(keys, return_index=True)[1]
         first = np.sort(first[first >= len(seen)]) - len(seen)
         seen = np.concatenate([seen, x[first]])
@@ -472,9 +472,9 @@ def _fp_level(d, lmat, height, k, ids, xs, rem, sign):
         f = sign[live, None]
         desc = np.hstack([xs[live, 1:] * f, np.sort(
             np.column_stack([lo[live], hi[live]]) * f, axis=1).astype(int)])
-        first = np.unique(_row_keys(desc, height), return_index=True)[1]
+        first = np.unique(row_keys(desc, height), return_index=True)[1]
         count[np.delete(live, first)] = 0
-    for part in _chunks(count, FP_ROWS):
+    for part in chunks(count, FP_ROWS):
         sizes = count[part]
         rep = np.repeat(np.arange(part.start, part.stop), sizes)
         v = lo[rep].astype(np.int64) + np.arange(len(rep)) \
@@ -599,7 +599,6 @@ class BoundednessReport:
 
 def check_boundedness(g1: MatrixK, g2: MatrixK, subset: RootSubset,
                       path: TorusPath, C: Fraction, height: int = 20,
-                      cprime_cap: Fraction = Fraction(10 ** 6),
                       bounded_threshold: float = 1e-2,
                       decay_threshold: float = 1e-3) -> BoundednessReport:
     """Exact criterion check against the observed systole trace.
@@ -607,9 +606,10 @@ def check_boundedness(g1: MatrixK, g2: MatrixK, subset: RootSubset,
     The path must conform to the hypothesis shape: at the first place every
     root value stays above 1/C; at the second place the root values off the
     subset decay to zero while those on the subset stay inside (1/C, C).
-    The report carries (i) exact cell membership, (ii) whether the products
-    |alpha(s)|_1 |alpha(t)|_2 stay within a band, and the trace verdict;
-    the criterion says bounded exactly when (i) and (ii) hold.
+    The report carries (i) exact cell membership, read from the boundary
+    minors of h = g1 g2^{-1} (decomp.cell_membership), (ii) whether the
+    products |alpha(s)|_1 |alpha(t)|_2 stay within a band, and the trace
+    verdict; the criterion says bounded exactly when (i) and (ii) hold.
     """
     C = Fraction(C)
     if C <= 1:
@@ -636,8 +636,8 @@ def check_boundedness(g1: MatrixK, g2: MatrixK, subset: RootSubset,
             raise HypothesisViolated(
                 f"root {i} at the second place does not decay")
 
-    h = g1 * g2.inverse()
-    membership = block_ldu(h, subset) is not None
+    e = identity_weyl(g1.n)
+    membership = cell_membership(g1 * g2.inverse(), subset, e, e)
 
     prods = []
     for k in range(path.steps):
@@ -646,7 +646,7 @@ def check_boundedness(g1: MatrixK, g2: MatrixK, subset: RootSubset,
         prods.extend(a * b for a, b in zip(sv, tv))
     sup = max(prods)
     inf = min(prods)
-    products_bounded = sup < cprime_cap and inf > 1 / cprime_cap
+    products_bounded = sup < PRODUCT_BAND and inf > 1 / PRODUCT_BAND
 
     inp = OrbitInput((g1, g2))
     trace = run_path(inp, path, height, bounded_threshold, decay_threshold)

@@ -35,6 +35,7 @@ from .numfield import (FieldElement, NumberField, _cm_split_solver,
 from .strata import OrbitInput
 
 EXACT_POINT_CAP = 250_000
+REDUCE_DRAWS = 10_000       # substitution matrices reduce_variables tries
 
 
 @dataclass
@@ -161,15 +162,16 @@ def form_to_group(form: DecomposableForm):
     return alphas, OrbitInput(tuple(comps))
 
 
-def reduce_variables(form: DecomposableForm, seed: int = 0,
-                     budget: int = 10_000) -> Tuple[DecomposableForm, list]:
+def reduce_variables(form: DecomposableForm,
+                     seed: int = 0) -> Tuple[DecomposableForm, list]:
     """Cut the variable count down to the factor count.
 
     Requires some factor at one place to be non-proportional to every
     factor at another place (verified exactly); searches small integer
-    matrices until all per-place factor images stay independent and the
-    designated non-proportionality survives.  Returns the reduced form and
-    the substitution matrix (rows = images of the coordinate functionals).
+    matrices, at most REDUCE_DRAWS of them, until all per-place factor
+    images stay independent and the designated non-proportionality
+    survives.  Returns the reduced form and the substitution matrix (rows =
+    images of the coordinate functionals).
     """
     f = form.field
     if form.m == form.n:
@@ -182,7 +184,7 @@ def reduce_variables(form: DecomposableForm, seed: int = 0,
             "every factor is proportional to a factor at every other place")
     (pi, fi, pj) = witness
     rng = random.Random(seed)
-    for _ in range(budget):
+    for _ in range(REDUCE_DRAWS):
         phi = [[f.from_rational(rng.randint(-3, 3)) for _ in range(form.n)]
                for _ in range(form.m)]
         new_factors = []
@@ -201,7 +203,7 @@ def reduce_variables(form: DecomposableForm, seed: int = 0,
             continue
         reduced = make_form(f, new_factors, scalars=list(form.scalars))
         return reduced, phi
-    raise SearchExhausted(f"no valid substitution in {budget} draws")
+    raise SearchExhausted(f"no valid substitution in {REDUCE_DRAWS} draws")
 
 
 def _proportional(field, a, b) -> bool:
@@ -252,7 +254,6 @@ class FormScan:
     points: np.ndarray
     mode: str                    # "full" | "sampled"
     degenerate: np.ndarray       # bool mask
-    seed: Optional[int] = None
 
     @property
     def npoints(self) -> int:
@@ -276,9 +277,6 @@ class FormScan:
         Real places give the signed value, complex places the squared
         modulus (the normalized absolute value scale)."""
         return _numeric_form_values(self.form, self.points, v)
-
-    def nonzero_mask(self) -> np.ndarray:
-        return ~self.degenerate
 
 
 def scan_values(form: DecomposableForm, height: int,
@@ -311,14 +309,14 @@ def scan_values(form: DecomposableForm, height: int,
                 f"a sample of {sample} points from a box with {free} "
                 "nonzero points")
         rng = np.random.default_rng(seed)
-        zero = _row_keys(np.zeros((1, dim), dtype=np.int64), height)
+        zero = pu.row_keys(np.zeros((1, dim), dtype=np.int64), height)
         taken = np.zeros(0, dtype=zero.dtype)
         chunks = []
         count = guard = 0
         while count < sample:
             draw = rng.integers(-height, height + 1, size=(sample, dim),
                                 dtype=np.int64)
-            keys = _row_keys(draw, height)
+            keys = pu.row_keys(draw, height)
             # the first occurrence of each new nonzero row, in draw order
             fresh = np.sort(np.unique(keys, return_index=True)[1])
             fresh = fresh[~np.isin(keys[fresh], taken, assume_unique=True)
@@ -332,8 +330,7 @@ def scan_values(form: DecomposableForm, height: int,
         pts = np.concatenate(chunks, axis=0)
         mode = "sampled"
     degenerate = _degenerate_mask(form, pts)
-    return FormScan(form, height, pts, mode, degenerate,
-                    seed=None if sample is None else seed)
+    return FormScan(form, height, pts, mode, degenerate)
 
 
 def _box_size(height: int, dim: int, cap: int, hint: str = "") -> int:
@@ -349,10 +346,10 @@ def _box(height: int, dim: int, start: int = 0,
          stop: Optional[int] = None) -> np.ndarray:
     """Rows start..stop (all by default) of {-height..height}^dim in
     lexicographic order, as an (N, dim) int64 array: row k is the point
-    whose _row_keys key is k."""
+    whose pu.row_keys key is k."""
     if stop is None:
         stop = (2 * height + 1) ** dim
-    return _key_rows(np.arange(start, stop, dtype=np.int64), height, dim)
+    return pu.key_rows(np.arange(start, stop, dtype=np.int64), height, dim)
 
 
 def _int_image(field: NumberField, factors, pts: np.ndarray, norm: bool = False):
@@ -456,8 +453,7 @@ def _numeric_form_values(form: DecomposableForm, pts: np.ndarray, v: int) -> np.
     return out
 
 
-def window_scan(form: DecomposableForm, height: int, window,
-                pad: float = 1e-9) -> FormScan:
+def window_scan(form: DecomposableForm, height: int, window) -> FormScan:
     """Every box point whose value vector lands in the window, enumerated
     exactly without touching the rest of the box.
 
@@ -469,8 +465,8 @@ def window_scan(form: DecomposableForm, height: int, window,
     leading deg - 1 coordinates run over its bounding box, the last over
     its exact range given them.  The first coordinates stream through in
     chunks of WINDOW_CHUNK_POINTS, and so do the leading points of each
-    chunk; a candidate is kept only as its _row_keys key, and one sort of
-    all keys orders and deduplicates the points, decoded by _key_rows.
+    chunk; a candidate is kept only as its pu.row_keys key, and one sort
+    of all keys orders and deduplicates the points, decoded by pu.key_rows.
     Coverage statistics on the result equal full-box coverage."""
     field = form.field
     if form.n != 2:
@@ -496,8 +492,8 @@ def window_scan(form: DecomposableForm, height: int, window,
                       for fac in form.factors[v]]
                      for v, pl in enumerate(places)]).transpose(2, 0, 1)
     ybound = float(np.abs(phi).sum(axis=1).max()) * height * (1 + 1e-9)
-    wmax = [(max(abs(lo), abs(hi)) / scalar_abs[v]) * (1 + pad) + pad
-            for v, (lo, hi) in enumerate(window)]
+    wmax = [(max(abs(lo), abs(hi)) / scalar_abs[v]) * (1 + WINDOW_PAD)
+            + WINDOW_PAD for v, (lo, hi) in enumerate(window)]
     keys = [np.zeros(0, dtype=np.int64)]
     for start in range(0, total, WINDOW_CHUNK_POINTS):
         c = _box(height, deg, start, min(start + WINDOW_CHUNK_POINTS, total))
@@ -521,7 +517,7 @@ def window_scan(form: DecomposableForm, height: int, window,
             dhi = np.minimum(np.floor(hi + 1e-9).astype(np.int64), height)
             rows = np.nonzero(np.all(dhi >= dlo, axis=1))[0]
             sizes = np.prod(dhi[rows, :-1] - dlo[rows, :-1] + 1, axis=1)
-            for part in _chunks(sizes, WINDOW_CHUNK_POINTS):
+            for part in pu.chunks(sizes, WINDOW_CHUNK_POINTS):
                 t = rows[part]
                 lead, owner = _ragged_box(dlo[t, :-1], dhi[t, :-1])
                 first, final = _last_range(lead, owner, lows[t], highs[t],
@@ -536,11 +532,11 @@ def window_scan(form: DecomposableForm, height: int, window,
                 y = d @ phi.T
                 keep = np.all((y >= lows[src] - 1e-9)
                               & (y <= highs[src] + 1e-9), axis=1)
-                keys.append(_row_keys(np.column_stack(
+                keys.append(pu.row_keys(np.column_stack(
                     [c[idxs[src[keep]]], d[keep]]), height))
     keys = pu.distinct(np.concatenate(keys))
-    zero = _row_keys(np.zeros((1, 2 * deg), dtype=np.int64), height)
-    pts = _key_rows(keys[keys != zero], height, 2 * deg)
+    zero = pu.row_keys(np.zeros((1, 2 * deg), dtype=np.int64), height)
+    pts = pu.key_rows(keys[keys != zero], height, 2 * deg)
     # final exact-window filter happens in density_report's mask; the pad
     # above only ever adds candidates, never loses them
     return FormScan(form, height, pts, "window-complete",
@@ -555,18 +551,7 @@ BOX_POINT_CAP = 1 << 20
 # Entries (points x coordinates) of one scan_values sample draw: admits a
 # 10^6-point sample in 8 coordinates.
 SAMPLE_ENTRY_CAP = 1 << 23
-
-
-def _chunks(sizes: np.ndarray, budget: int):
-    """Consecutive slices of rows whose sizes sum to at most budget (a row
-    larger than budget is a slice of its own)."""
-    ends = np.cumsum(np.concatenate([[0], sizes]))
-    start = 0
-    while start < len(sizes):
-        stop = np.searchsorted(ends, ends[start] + budget, side="right") - 1
-        stop = max(start + 1, int(stop))
-        yield slice(start, stop)
-        start = stop
+WINDOW_PAD = 1e-9       # relative and absolute widening of the window bounds
 
 
 def _ragged_box(lo: np.ndarray, hi: np.ndarray):
@@ -603,30 +588,6 @@ def _last_range(lead, owner, lows, highs, phi, ybound):
         first = np.maximum(first, lo_v[owner] - rest)
         final = np.minimum(final, hi_v[owner] - rest)
     return np.ceil(first - slack), np.floor(final + slack)
-
-
-def _row_keys(pts: np.ndarray, bound: int) -> np.ndarray:
-    """One integer per row of an integer array with entries in
-    [-bound, bound]: the row's digits in base 2*bound + 1, so key order is
-    the lexicographic order of the rows.  int64 when (2*bound + 1)^dim <
-    2^63, Python-int object arrays otherwise."""
-    side = 2 * bound + 1
-    dtype = np.int64 if side ** pts.shape[1] < 2 ** 63 else object
-    keys = np.zeros(pts.shape[0], dtype=dtype)
-    for col in pts.astype(dtype, copy=False).T:
-        keys = keys * side + (col + bound)
-    return keys
-
-
-def _key_rows(keys: np.ndarray, bound: int, dim: int) -> np.ndarray:
-    """The inverse of _row_keys: the (N, dim) int64 rows with entries in
-    [-bound, bound] whose keys are keys (int64 or Python-int objects)."""
-    side = 2 * bound + 1
-    rows = np.empty((len(keys), dim), dtype=np.int64)
-    for k in range(dim - 1, -1, -1):
-        rows[:, k] = keys % side - bound
-        keys = keys // side
-    return rows
 
 
 def _abs_quadratic_regions(p1, q1, p2, q2, wmax, ybound):
@@ -675,9 +636,10 @@ def _quad_roots(a, b, c):
 
 def norm_product_spectrum(form: DecomposableForm, height: int,
                           clip: float = 10.0) -> SpectrumReport:
-    """Exact full-box spectrum for rational forms whose factors each touch a
-    single distinct variable (coordinate-product shape) and whose constant
-    C is exact (_spectrum_constant); other forms raise ValidationError.
+    """Exact full-box spectrum for forms with a common factor list whose
+    factors each touch a single distinct variable (coordinate-product
+    shape) and whose constant C is exact (_spectrum_constant); other forms
+    raise ValidationError.
 
     The product over places then splits as a product of independent
     per-variable norms, so the full-box value set at any height follows from
@@ -686,8 +648,7 @@ def norm_product_spectrum(form: DecomposableForm, height: int,
     field = form.field
     if form.r != 2:
         raise WrongPlaceCount("spectrum needs exactly two places")
-    scale = (_spectrum_constant(form)
-             if is_rational(form) and _common_factor_lists(form) else None)
+    scale = _spectrum_constant(form) if _common_factor_lists(form) else None
     if scale is None:
         raise ValidationError("factored spectrum needs a rational form with "
                               "identical factor lists and an exact constant")
@@ -760,7 +721,7 @@ def density_report(scan: FormScan, window=None, eps: float = 0.25) -> DensityRep
     if window is None:
         window = tuple((-5.0, 5.0) for _ in range(r))
     vals = [scan.numeric_values(v) for v in range(r)]
-    mask = scan.nonzero_mask().copy()
+    mask = ~scan.degenerate
     per_axis = []
     for v in range(r):
         lo, hi = window[v]
@@ -800,8 +761,8 @@ class SpectrumReport:
 def two_place_spectrum(scan: FormScan, clip: float = 10.0) -> SpectrumReport:
     """Distinct norm products prod_v |f_v(z)|_v in (0, clip].
 
-    Exact for rational forms with a common factor list and an exact
-    constant C (products are C * integers; see _spectrum_constant);
+    Exact for forms with a common factor list and an exact constant C
+    (products are C * integers; see _spectrum_constant);
     otherwise certified numerics with a dedupe width.  A finite scan can
     only ever be consistent with discreteness, never prove it; the report
     says which.
@@ -809,9 +770,7 @@ def two_place_spectrum(scan: FormScan, clip: float = 10.0) -> SpectrumReport:
     form = scan.form
     if form.r != 2:
         raise WrongPlaceCount("spectrum needs exactly two places")
-    rational = is_rational(form)
-    const = (_spectrum_constant(form)
-             if rational and _common_factor_lists(form) else None)
+    const = _spectrum_constant(form) if _common_factor_lists(form) else None
     if const is not None:
         vals, const = _spectrum_exact(scan, clip, const)
         return _spectrum_report(scan.height, clip, True, const,
@@ -832,7 +791,8 @@ def two_place_spectrum(scan: FormScan, clip: float = 10.0) -> SpectrumReport:
     for x in prods:
         if not distinct or x - distinct[-1] > 1e-9:
             distinct.append(x)
-    return _spectrum_report(scan.height, clip, rational, None, distinct,
+    return _spectrum_report(scan.height, clip, is_rational(form), None,
+                            distinct,
                             "numeric midpoints; consistent-with evidence only")
 
 
@@ -858,6 +818,9 @@ def _certified_product(form: DecomposableForm, z) -> Optional[RInt]:
 
 
 def _common_factor_lists(form: DecomposableForm) -> bool:
+    """Whether every place carries the first place's factor list.  Such a
+    form is rational: its place polynomials differ only by their nonzero
+    scalars."""
     first = form.factors[0]
     return all(form.factors[v] == first for v in range(1, form.r))
 

@@ -48,6 +48,8 @@ from .intervals import CBox, RInt, _frac, atan2_rint, log_rint, pi_rint
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 1 << 16
 MAX_DEGREE = 8
+RELATION_BOUND = 10 ** 6        # bound on the coefficients of PSLQ relations
+GAP_BOX, GAP_WINDOW = 30, 1.0   # the gap statistic's |e|_inf and |sum| bounds
 
 
 class FieldElement:
@@ -695,22 +697,6 @@ def split_cm(K: NumberField, cm: CmStructure, x: FieldElement):
                  for proj in _cm_split_solver(K, cm))
 
 
-def cm_conjugate(K: NumberField, cm: CmStructure, x: FieldElement) -> FieldElement:
-    """The complex conjugation automorphism gamma + s delta -> gamma - s delta,
-    that is 2 gamma - x.
-
-    For a CM field this automorphism commutes with every embedding into the
-    complex numbers, so conj(sigma(x)) = sigma(cm_conjugate(x)) exactly."""
-    gamma, _ = split_cm(K, cm, x)
-    return K.element([2 * g - c for g, c in zip(gamma.coeffs, x.coeffs)])
-
-
-# -- spec-level wrappers (module functions mirroring the operation names) ------
-
-def normalized_abs(x: FieldElement, place: ArchimedeanPlace, max_width=None) -> RInt:
-    return x.field.normalized_abs(x, place, max_width=max_width)
-
-
 def field_norm(x: FieldElement) -> Fraction:
     """N_{K/Q}(x), exact: the determinant of multiplication by x, which is
     det mult_matrix(num(x)) / den(x)^d."""
@@ -855,16 +841,17 @@ def is_root_of_unity(K: NumberField, x: FieldElement) -> bool:
 
 
 def unit_closure_classify(field: NumberField, target_place: int,
-                          precision_bits: int = DEFAULT_PRECISION,
-                          max_denominator: int = 10 ** 6) -> UnitClosureReport:
+                          precision_bits: int = DEFAULT_PRECISION
+                          ) -> UnitClosureReport:
     """Classify the closure of the unit projections into the target completion.
 
     Rank-2 unit groups project discretely; a real target place with rank >= 2
     closes up to the positive reals; at a complex place the shape follows
     from exact modulus-one tests plus integer-relation detection on the
-    (log modulus, argument) vectors.  Detection beyond the denominator bound
-    raises Inconclusive rather than guessing; a genuine spiral candidate is
-    reported as such, never asserted to exist.
+    (log modulus, argument) vectors, with coefficients bounded by
+    RELATION_BOUND.  Detection beyond that bound raises Inconclusive rather
+    than guessing; a genuine spiral candidate is reported as such, never
+    asserted to exist.
     """
     places = field.places(precision_bits)
     if not 0 <= target_place < len(places):
@@ -882,12 +869,12 @@ def unit_closure_classify(field: NumberField, target_place: int,
                                          precision_bits))
                    for u, lg in zip(units, logs)]
     shape, gap, relations, notes = _closure_shape(
-        field, units, pl, logs, max_denominator, precision_bits)
+        field, units, pl, logs, precision_bits)
     return UnitClosureReport(target_place, shape, logvecs, relations, gap,
                              notes)
 
 
-def _closure_shape(field, units, pl, logs, max_denominator, precision_bits):
+def _closure_shape(field, units, pl, logs, precision_bits):
     """(classification, gap statistic, relations, notes) of the closure at
     the place pl, from the units' normalized logs there."""
     r = field.n_places
@@ -910,8 +897,7 @@ def _closure_shape(field, units, pl, logs, max_denominator, precision_bits):
     if not moving:
         rank = 0
     else:
-        relations = _modulus_relations(field, moving, pl, max_denominator,
-                                       precision_bits)
+        relations = _modulus_relations(field, moving, pl, precision_bits)
         rank = len(moving) - len(relations)
 
     if rank <= 1:
@@ -932,7 +918,7 @@ def _closure_shape(field, units, pl, logs, max_denominator, precision_bits):
         return ("full", None, relations,
                 "dense moduli, more than three places")
     # r == 3: spiral functional search
-    found = _spiral_functional(field, units, pl, max_denominator, precision_bits)
+    found = _spiral_functional(field, units, pl, precision_bits)
     if found is not None:
         return ("spiral_candidate", None, relations,
                 f"functional {found} at detection bound")
@@ -949,18 +935,19 @@ def _arg_float(box: CBox, precision_bits: int) -> float:
         return 3.141592653589793
 
 
-def _ray_gap_statistic(logs, box: int = 30, window: float = 1.0):
-    """Smallest positive gap between log-modulus projections in [-window, window].
+def _ray_gap_statistic(logs):
+    """Smallest positive gap between log-modulus projections in
+    [-GAP_WINDOW, GAP_WINDOW].
 
     logs are the units' log moduli as floats; exponent vectors range over
-    |e|_inf <= box.  A discrete projection keeps this bounded below by the
-    generator length no matter the box; a dense one drives it toward zero,
-    so a small value witnesses non-discreteness.
+    |e|_inf <= GAP_BOX.  A discrete projection keeps this bounded below by
+    the generator length no matter the box; a dense one drives it toward
+    zero, so a small value witnesses non-discreteness.
     """
     vals = set()
-    for e in itertools.product(range(-box, box + 1), repeat=len(logs)):
+    for e in itertools.product(range(-GAP_BOX, GAP_BOX + 1), repeat=len(logs)):
         s = sum(ej * lj for ej, lj in zip(e, logs))
-        if -window <= s <= window:
+        if -GAP_WINDOW <= s <= GAP_WINDOW:
             vals.add(s)
     pts = sorted(vals)
     if len(pts) < 2:
@@ -973,7 +960,7 @@ def _as_mp(r: RInt):
     return mpmath.mpf(r.mid.numerator) / mpmath.mpf(r.mid.denominator)
 
 
-def _modulus_relations(field, moving, pl, max_denominator, precision_bits):
+def _modulus_relations(field, moving, pl, precision_bits):
     """Verified integer relations among the nonzero log moduli.
 
     Candidates come from PSLQ on high-precision midpoints; each candidate is
@@ -985,7 +972,7 @@ def _modulus_relations(field, moving, pl, max_denominator, precision_bits):
     logs = [field.log_abs(u, pl, target_width=Fraction(1, 2 ** 200))
             for u in moving]
     with mpmath.workprec(max(256, precision_bits)):
-        cand = mpmath.pslq([_as_mp(x) for x in logs], maxcoeff=max_denominator,
+        cand = mpmath.pslq([_as_mp(x) for x in logs], maxcoeff=RELATION_BOUND,
                            maxsteps=10 ** 5)
     rels = []
     if cand is not None:
@@ -997,7 +984,7 @@ def _modulus_relations(field, moving, pl, max_denominator, precision_bits):
     return rels
 
 
-def _spiral_functional(field, units, pl, max_denominator, precision_bits):
+def _spiral_functional(field, units, pl, precision_bits):
     """Search for (m1, m2, n) with p*x_j + n*y_j/(2pi) = m_j for a real p.
 
     Existence at the detection bound marks the closure a spiral candidate.
@@ -1017,7 +1004,7 @@ def _spiral_functional(field, units, pl, max_denominator, precision_bits):
         target = [_as_mp(x[1]), -_as_mp(x[0]),
                   -(_as_mp(yhat[0]) * _as_mp(x[1])
                     - _as_mp(yhat[1]) * _as_mp(x[0]))]
-        cand = mpmath.pslq(target, maxcoeff=max_denominator, maxsteps=10 ** 5)
+        cand = mpmath.pslq(target, maxcoeff=RELATION_BOUND, maxsteps=10 ** 5)
     if cand is None:
         return None
     m1, m2, n = (int(c) for c in cand)

@@ -5,10 +5,12 @@ Provides Sturm-based real root isolation with rational endpoints and one
 certified isolation of all roots (root_regions: real intervals and
 upper-half-plane boxes), from which numfield decides irreducibility.
 
-Also home to the package's one row elimination, the fraction-free
-integer kernel bareiss with int_determinant and int_solve on top: every
-determinant and linear solve over Q goes through it, rows scaled to
-integers, among them the inverse, quotient and norm of a field element.
+Also home to the integer row keys of point batches (row_keys, decoded by
+key_rows), which order and deduplicate points with distinct, and to the
+package's one row elimination, the fraction-free integer kernel bareiss
+with int_determinant and int_solve on top: every determinant and linear
+solve over Q goes through it, rows scaled to integers, among them the
+inverse, quotient and norm of a field element.
 """
 
 from __future__ import annotations
@@ -67,12 +69,6 @@ def pmul(a: Poly, b: Poly) -> Poly:
     return poly(out)
 
 
-def padd(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return poly((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                for i in range(n))
-
-
 def pscale(a: Poly, c) -> Poly:
     return poly(Fraction(c) * x for x in a)
 
@@ -115,6 +111,47 @@ def distinct(a: np.ndarray) -> np.ndarray:
     first = np.ones(len(a), dtype=bool)
     first[1:] = a[1:] != a[:-1]
     return a[first]
+
+
+def row_keys(pts: np.ndarray, bound: int) -> np.ndarray:
+    """One integer per row of an integer array with entries in
+    [-bound, bound]: the row's digits in base 2*bound + 1, so key order is
+    the lexicographic order of the rows.  int64 when (2*bound + 1)^dim <
+    2^63, Python-int object arrays otherwise."""
+    side = 2 * bound + 1
+    dtype = np.int64 if side ** pts.shape[1] < 2 ** 63 else object
+    keys = np.zeros(pts.shape[0], dtype=dtype)
+    for col in pts.astype(dtype, copy=False).T:
+        keys = keys * side + (col + bound)
+    return keys
+
+
+def key_rows(keys: np.ndarray, bound: int, dim: int) -> np.ndarray:
+    """The inverse of row_keys: the (N, dim) int64 rows with entries in
+    [-bound, bound] whose keys are keys (int64 or Python-int objects)."""
+    side = 2 * bound + 1
+    rows = np.empty((len(keys), dim), dtype=np.int64)
+    # int64 digits go straight into the rows, the quotient into one buffer
+    for k in range(dim - 1, -1, -1):
+        if keys.dtype == object:
+            rows[:, k] = keys % side - bound
+        else:
+            np.remainder(keys, side, out=rows[:, k])
+            rows[:, k] -= bound
+        keys = np.floor_divide(keys, side, out=None if k == dim - 1 else keys)
+    return rows
+
+
+def chunks(sizes: np.ndarray, budget: int):
+    """Consecutive slices of rows whose sizes sum to at most budget (a row
+    larger than budget is a slice of its own)."""
+    ends = np.cumsum(np.concatenate([[0], sizes]))
+    start = 0
+    while start < len(sizes):
+        stop = np.searchsorted(ends, ends[start] + budget, side="right") - 1
+        stop = max(start + 1, int(stop))
+        yield slice(start, stop)
+        start = stop
 
 
 # -- exact elimination --------------------------------------------------------
@@ -427,16 +464,6 @@ class MultiPoly:
         return MultiPoly(self.nvars, out)
 
     __rmul__ = __mul__
-
-    def eval_exact(self, values):
-        acc = Fraction(0)
-        for e, c in self.terms.items():
-            t = c
-            for v, k in zip(values, e):
-                if k:
-                    t *= Fraction(v) ** k
-            acc += t
-        return acc
 
     def eval_int_numpy(self, cols):
         """Elementwise evaluation on numpy integer arrays (one per variable).

@@ -164,24 +164,12 @@ class ParabolicDescriptor:
     """A parabolic subgroup containing the diagonal torus, as a position set.
 
     positions holds the off-diagonal (i, j) whose root spaces lie in the
-    subgroup; equality of descriptors is equality of position sets.
+    subgroup; equality of descriptors is equality of position sets, and
+    containment is read from the masks: p lies inside q exactly when
+    p.mask & ~q.mask == 0.
     """
     n: int
     positions: frozenset
-
-    def is_subgroup_of(self, other: "ParabolicDescriptor") -> bool:
-        if self.n != other.n:
-            raise ValidationError("descriptors of different sizes")
-        return self.positions <= other.positions
-
-    def check_pattern_closed(self) -> bool:
-        """Closure under the multiplication pattern: (i,j),(j,k) => (i,k)."""
-        pos = self.positions
-        for (i, j) in pos:
-            for (j2, k) in pos:
-                if j == j2 and i != k and (i, k) not in pos:
-                    return False
-        return True
 
     def sorted_positions(self):
         return sorted(self.positions)
@@ -238,11 +226,6 @@ def parabolic_descriptor(subset: RootSubset, w: WeylElement = None,
     return ParabolicDescriptor(n, frozenset(pos))
 
 
-def contains(p: ParabolicDescriptor, q: ParabolicDescriptor) -> bool:
-    """Subset test on position sets: True when p sits inside q."""
-    return p.is_subgroup_of(q)
-
-
 def unipotent_positions(subset: RootSubset, sign: int = +1) -> frozenset:
     """Strictly block upper (sign +) or lower (sign -) positions."""
     blk = subset.block_of()
@@ -256,13 +239,6 @@ def unipotent_positions(subset: RootSubset, sign: int = +1) -> frozenset:
             if sign < 0 and blk[i] > blk[j]:
                 out.add((i, j))
     return frozenset(out)
-
-
-def levi_positions(subset: RootSubset) -> frozenset:
-    """Off-diagonal positions inside the block diagonal."""
-    blk = subset.block_of()
-    return frozenset((i, j) for i in range(subset.n) for j in range(subset.n)
-                     if i != j and blk[i] == blk[j])
 
 
 def weyl_stabilizer(subset: RootSubset):

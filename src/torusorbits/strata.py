@@ -116,20 +116,14 @@ class StrataSet:
     def n(self) -> int:
         return self.input.n
 
-    def top_index(self) -> int:
-        for i, rec in enumerate(self.records):
-            if rec.is_top:
-                return i
-        raise ValidationError("missing top stratum")
-
     def all_pairs(self):
         return [p for rec in self.records for p in rec.pairs]
 
     @property
     def is_generic(self) -> bool:
-        """Whether all (n!)^2 Borel pairs are present, that is, whether h
-        lies in every Borel-pair translate of the open cell: the test
-        genericity_check(h) makes, read from the pair set."""
+        """Whether all (n!)^2 Borel pairs are present: h = g1 g2^{-1} lies
+        in every Borel-pair translate of the open cell, so no minor of h
+        vanishes and the stratum count reaches the full bound."""
         borel = sum(1 for p in self.all_pairs() if not p.subset.simples)
         return borel == math.factorial(self.n) ** 2
 
@@ -336,17 +330,6 @@ def verify_counts(s: StrataSet) -> CountReport:
         raise BoundViolated(f"{s.pair_count} pairs exceed the bound {bound}")
     return CountReport(n, n_strata, n_closed, s.pair_count, bound, closed_bound,
                        n_strata == bound, n_closed == closed_bound)
-
-
-def genericity_check(h: MatrixK) -> bool:
-    """Whether h lies in every Borel-pair translate of the open cell (then
-    the stratum count must reach the full bound): the translate by (w1, w2)
-    needs det h[w1({0..k-1}), w2({0..k-1})] != 0 for every k, so every
-    minor of h must be nonzero, checked smallest first."""
-    table = MinorTable(h)
-    sets = sorted(range(1, 1 << h.n), key=int.bit_count)
-    return all(table.minor(r, c) for r in sets for c in sets
-               if r.bit_count() == c.bit_count())
 
 
 def summary_line(s: StrataSet, rep: Optional[CountReport] = None) -> str:

@@ -1,5 +1,7 @@
 """The numeric spot check of the per-place sine identity that
-forms.cm_obstruction_check proves exactly, kept as a test oracle.
+forms.cm_obstruction_check proves exactly, kept as a test oracle, and the
+field's complex conjugation, which the identity's field-arithmetic form
+reads.
 
 At place v the identity reads det(gamma, delta)_v^2 d_v = Im(w1 conj w2)^2,
 where w1 and w2 are the form's two factor values at v.  The oracle encloses
@@ -10,6 +12,16 @@ batched kernel that the check runs.
 from fractions import Fraction
 
 from torusorbits.numfield import split_cm
+
+
+def cm_conjugate(K, cm, x):
+    """The complex conjugation automorphism gamma + s delta -> gamma - s delta,
+    that is 2 gamma - x.
+
+    For a CM field this automorphism commutes with every embedding into the
+    complex numbers, so conj(sigma(x)) = sigma(cm_conjugate(x)) exactly."""
+    gamma, _ = split_cm(K, cm, x)
+    return K.element([2 * g - c for g, c in zip(gamma.coeffs, x.coeffs)])
 
 
 def sine_identity_enclosure(field, form, z, width=Fraction(1, 2 ** 64)):

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -169,10 +171,17 @@ def euclid_inverse(x):
     while not pu.is_zero(r1):
         q, r = pu.pdivmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, pu.padd(s0, pu.pscale(pu.pmul(q, s1), -1))
+        s0, s1 = s1, pu.poly(a - b for a, b in itertools.zip_longest(
+            s0, pu.pmul(q, s1), fillvalue=0))
     # the minimal polynomial is irreducible, so the gcd r0 is a constant
     _, rem = pu.pdivmod(pu.pscale(s0, 1 / r0[0]), K.min_poly)
     return K.element(rem)
+
+
+def multipoly_value(poly, values):
+    """The exact value of a MultiPoly at rational values, term by term."""
+    return sum((c * math.prod(Fraction(v) ** k for v, k in zip(values, e))
+                for e, c in poly.terms.items()), Fraction(0))
 
 
 def resultant(f, g):
@@ -465,6 +474,17 @@ def echelon_bruhat_cell(h):
     perm = [next(i - 1 for i in range(1, n + 1) if r[i][b] - r[i][b - 1] == 1)
             for b in range(1, n + 1)]
     return rd.WeylElement(tuple(perm))
+
+
+def genericity_check(h):
+    """Whether h lies in every Borel-pair translate of the open cell: the
+    translate by (w1, w2) needs det h[w1({0..k-1}), w2({0..k-1})] != 0 for
+    every k, so every minor of h must be nonzero, checked smallest first.
+    StrataSet.is_generic reads the same test from the pair set."""
+    table = MinorTable(h)
+    sets = sorted(range(1, 1 << h.n), key=int.bit_count)
+    return all(table.minor(r, c) for r in sets for c in sets
+               if r.bit_count() == c.bit_count())
 
 
 def elimination_genericity(h):

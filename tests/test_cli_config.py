@@ -572,6 +572,49 @@ def test_every_command_has_a_golden_case():
     assert _commands(ap) == covered
 
 
+# The formats a command writes besides JSON.
+FORMATS = {("strata", None): ("json", "summary", "dot"),
+           ("units", "classify"): ("json", "summary"),
+           ("forms", "scan"): ("json", "csv"),
+           ("dynamics", "path"): ("json", "csv")}
+
+
+def _command_args():
+    """Each command's arguments, from its first golden case (global flags
+    dropped)."""
+    out = {("strata", None): ["strata", "--n", "2", "--g1", "id", "--g2", "id"]}
+    ap = build_parser()
+    for tail in KERNEL_CASES.values():
+        while tail[0] in ("--format", "--seed"):
+            tail = tail[2:]
+        args = ap.parse_args(["--field", "field.json", *tail])
+        out.setdefault((args.command, getattr(args, "subcommand", None)), tail)
+    return out
+
+
+COMMAND_ARGS = _command_args()
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot", "csv", "summary"])
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS, key=str),
+                         ids=lambda c: "-".join(filter(None, c)))
+def test_cli_refuses_a_format_the_command_cannot_write(tmp_path, capsys,
+                                                       command, fmt):
+    """A --format the command cannot write exits 2 with one error line
+    naming the command's formats, before --field is read; a format it
+    writes goes on to read --field (missing here)."""
+    field = tmp_path / "none.json"
+    rc = main(["--field", str(field), "--format", fmt, *COMMAND_ARGS[command]])
+    formats = FORMATS.get(command, ("json",))
+    name = " ".join(filter(None, command))
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{field}'\n"
+        if fmt in formats else
+        f"error: {name} has no --format {fmt}; its formats: "
+        f"{', '.join(formats)}\n")
+
+
 FIELD = ["--field", "field.json"]
 ERROR_CASES = {
     "no_field": (["strata", "--n", "2", "--g1", "id", "--g2", "id"],

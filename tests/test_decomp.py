@@ -6,21 +6,22 @@ import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from torusorbits import decomp as dc
+from torusorbits import dynamics as dy
 from torusorbits import rootdata as rd
-from torusorbits import strata as st
 from torusorbits import numfield as nf
 from torusorbits.errors import (InvariantViolation, Singular, TooLarge,
                                 ValidationError)
 
 from conftest import (echelon_bruhat_cell, elimination_block_ldu,
-                      elimination_genericity, random_element, random_sl,
-                      weyl_untranslate)
+                      elimination_genericity, genericity_check, random_element,
+                      random_sl, weyl_untranslate)
 
 
 # -- independent oracles -------------------------------------------------------
@@ -324,7 +325,7 @@ def test_minor_table_cell_and_genericity(Ksqrt2, Kzeta8, Kzeta16, data):
     # the Bruhat cell against the echelon rank profile, and genericity
     # against one elimination per Borel pair
     h, _ = data.draw(table_inputs([Ksqrt2, Kzeta8, Kzeta16], 3))
-    assert st.genericity_check(h) is elimination_genericity(h)
+    assert genericity_check(h) is elimination_genericity(h)
     if h.det().is_zero():
         with pytest.raises(Singular):
             dc.bruhat_cell(h)
@@ -332,12 +333,34 @@ def test_minor_table_cell_and_genericity(Ksqrt2, Kzeta8, Kzeta16, data):
         assert dc.bruhat_cell(h) == echelon_bruhat_cell(h)
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=hs.data())
+def test_boundedness_membership_is_the_block_ldu(Ksqrt2, Kzeta8, Kzeta16,
+                                                 data):
+    # check_boundedness reads criterion (i) from the boundary minors; on
+    # SL2 and SL3 inputs and every subset it is the block LDU's existence
+    h, _ = data.draw(table_inputs([Ksqrt2, Kzeta8, Kzeta16], 3))
+    assume(not h.det().is_zero())
+    n, steps = h.n, range(4)
+    trace = dy.SystoleTrace([], 1, "inconclusive", 0.0, 0.0)
+    with mock.patch.object(dy, "run_path", return_value=trace):
+        for subset in rd.all_subsets(n):
+            # the second place decays off the subset and stays put on it
+            path = dy.TorusPath(n, (Fraction(2), Fraction(2)), (
+                tuple((0,) * (n - 1) for _ in steps),
+                tuple(tuple(0 if i in subset.simples else -k
+                            for i in range(1, n)) for k in steps)))
+            rep = dy.check_boundedness(h, dc.MatrixK.identity(h.field, n),
+                                       subset, path, C=Fraction(4))
+            assert rep.membership is (dc.block_ldu(h, subset) is not None)
+
+
 def test_minor_table_generic_sl4(Ksqrt2):
     # a dense input, where no minor vanishes
     h = dc.MatrixK.from_rational_rows(
         Ksqrt2, [[Fraction(1, 12)] * 4, [1, 2, 4, 8], [1, 3, 9, 27],
                  [1, 4, 16, 64]])
-    assert st.genericity_check(h) is elimination_genericity(h) is True
+    assert genericity_check(h) is elimination_genericity(h) is True
     assert dc.bruhat_cell(h) == echelon_bruhat_cell(h)
 
 

@@ -24,9 +24,9 @@ from torusorbits.errors import (ArityMismatch, CapExceeded,
                                 WrongPlaceCount)
 from torusorbits.intervals import RInt
 
-from cm_oracle import sine_identity_enclosure
-from conftest import (CUBIC_WINDOW, cubic_density_form, resultant_norm,
-                      resultant_norm_f, window_scan_digest)
+from cm_oracle import cm_conjugate, sine_identity_enclosure
+from conftest import (CUBIC_WINDOW, cubic_density_form, multipoly_value,
+                      resultant_norm, resultant_norm_f, window_scan_digest)
 from gauss_oracle import echelon
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -467,7 +467,7 @@ def test_abs_quadratic_regions_slot_rule():
 @given(hs.lists(hs.integers(0, 50), max_size=30), hs.integers(1, 100))
 def test_chunks_fill_each_budget_greedily(sizes, budget):
     sizes = np.array(sizes, dtype=np.int64)
-    parts = list(fm._chunks(sizes, budget))
+    parts = list(pu.chunks(sizes, budget))
     bounds = [0] + [p.stop for p in parts]
     assert [p.start for p in parts] == bounds[:-1] and bounds[-1] == len(sizes)
     for p in parts:
@@ -495,10 +495,20 @@ def test_key_rows_inverts_row_keys(data):
     rows = np.array(data.draw(hs.lists(hs.lists(entry, min_size=dim,
                                                 max_size=dim), max_size=6)),
                     dtype=np.int64).reshape(-1, dim)
-    keys = fm._row_keys(rows, b)
+    keys = pu.row_keys(rows, b)
     assert keys.dtype == (object if wide else np.int64)
-    got = fm._key_rows(keys, b, dim)
+    got = pu.key_rows(keys, b, dim)
     assert got.dtype == np.int64 and got.tobytes() == rows.tobytes()
+
+
+def test_key_rows_at_the_largest_bound():
+    """Entries of +-(2^63 - 1): the digits reach 2^64 - 2, past int64, and
+    the rows come back exact."""
+    b = 2 ** 63 - 1
+    rows = np.array([[b, -b, 0], [-b, b, 1]], dtype=np.int64)
+    keys = pu.row_keys(rows, b)
+    assert keys.dtype == object
+    assert pu.key_rows(keys, b, 3).tobytes() == rows.tobytes()
 
 
 def test_box_rows_are_the_keys_in_order():
@@ -510,7 +520,7 @@ def test_box_rows_are_the_keys_in_order():
         want = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
         box = fm._box(height, dim)
         assert box.tobytes() == want.tobytes()
-        assert fm._row_keys(box, height).tolist() == list(range(len(box)))
+        assert pu.row_keys(box, height).tolist() == list(range(len(box)))
         assert fm._box(height, dim, 2, 7).tobytes() == want[2:7].tobytes()
 
 
@@ -832,8 +842,8 @@ def test_numeric_values_beyond_int64(Kzeta8):
     for v in range(f.r):
         vals = sc.numeric_values(v)
         for i in range(sc.npoints):
-            ref = float(nf.normalized_abs(f.value(v, sc.coordinate(i)),
-                                          places[v]).mid)
+            ref = float(Kzeta8.normalized_abs(f.value(v, sc.coordinate(i)),
+                                              places[v]).mid)
             assert abs(vals[i] / ref - 1) < 1e-9
 
 
@@ -867,7 +877,7 @@ def _image_oracle(K, factors, pts, norm):
     if not norm:
         return images, dens
     nform = nf.norm_form(K)
-    prods = [math.prod(int(nform.eval_exact(img[p])) for img in images)
+    prods = [math.prod(int(multipoly_value(nform, img[p])) for img in images)
              for p in range(len(pts))]
     return prods, math.prod(d ** deg for d in dens)
 
@@ -969,7 +979,7 @@ def sine_identity_oracle(field, cm, form, z, det_gd):
     for v in range(form.r):
         w1 = form.factor_value(v, 0, z)
         w2 = form.factor_value(v, 1, z)
-        y = w1 * nf.cm_conjugate(field, cm, w2)
+        y = w1 * cm_conjugate(field, cm, w2)
         _, delta_y = nf.split_cm(field, cm, y)
         if not (delta_y * delta_y == det_gd * det_gd):
             return None

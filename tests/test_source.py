@@ -1,7 +1,6 @@
 """Checks on the package source itself."""
 
 import ast
-import re
 from pathlib import Path
 
 from torusorbits.numfield import MAX_PRECISION
@@ -58,7 +57,6 @@ COEFFS_READERS = {
     "numfield.py:FieldElement.as_str": 1,
     "numfield.py:NumberField.mult_matrix": 1,
     "numfield.py:NumberField._evaluate": 1,
-    "numfield.py:cm_conjugate": 2,
 }
 
 
@@ -349,59 +347,116 @@ def test_no_modular_or_interpolation_irreducibility_search():
     assert "_certify_irreducible" in _calls(funcs["numfield.py:create_field"])
 
 
-# Where an exported name may find its caller: the CLI, the acceptance suite,
-# the benchmark (spans.py wraps functions by their dotted names) and every
-# package module but __init__.py.
+# Where a public function or method may find its caller: the CLI, the
+# acceptance suite, the benchmark and every package module but __init__.py.
 ROOT = SRC.parent.parent
 CALLER_FILES = ([path for path in sorted(SRC.glob("*.py"))
                  if path.name != "__init__.py"]
                 + [ROOT / "tests" / "test_acceptance.py"]
                 + sorted((ROOT / "perfbench").glob("*.py")))
 
-# Exports that no caller reaches, each kept for a stated reason.
-UNCALLED_EXPORTS = {
+# Public functions and methods that no caller reaches, each kept for a
+# stated reason.
+UNCALLED = {
     # the exact representative of the paper's limit orbit, read from the
     # same table as strata; demo 04 and three tests
-    "predicted_limit",
+    "dynamics.predicted_limit",
     # the unipotent radical's positions; demo 02 and test_decomp's oracle
-    "unipotent_positions",
+    "rootdata.unipotent_positions",
+    # a place's float midpoint, for printing; demo 01 and test_numfield
+    "numfield.ArchimedeanPlace.approx",
+    # whether a record carries the full subset's pair; demo 03 and the
+    # strata tests' top record
+    "strata.StratumRecord.is_top",
+    # v^- z v^+ multiplied out; demo 02 and test_decomp's round trip
+    "decomp.BlockLDU.recompose",
 }
 
 
-def _exports():
-    tree = ast.parse((SRC / "__init__.py").read_text())
-    return {alias.asname or alias.name for node in tree.body
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
+def _public_functions():
+    """Every public module-level function and method of the package, keyed
+    "module.name" or "module.Class.name"."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, ast.ClassDef):
+                out.update((f"{path.stem}.{top.name}.{node.name}", node)
+                           for node in top.body
+                           if isinstance(node, ast.FunctionDef))
+            elif isinstance(top, ast.FunctionDef):
+                out[f"{path.stem}.{top.name}"] = top
+    return {key: func for key, func in out.items()
+            if not any(part.startswith("_") for part in key.split(".")[1:])}
 
 
-def _references(tree):
-    """The names a module reads, paired with the top-level definition they
-    sit in: names, attributes, and the words of string constants other
-    than docstrings."""
-    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
-                  if isinstance(node, (ast.Module, ast.ClassDef,
-                                       ast.FunctionDef, ast.AsyncFunctionDef))
-                  and node.body and isinstance(node.body[0], ast.Expr)
-                  and isinstance(node.body[0].value, ast.Constant)}
-    for top in tree.body:
-        owner = getattr(top, "name", None)
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                yield node.id, owner
-            elif isinstance(node, ast.Attribute):
-                yield node.attr, owner
-            elif (isinstance(node, ast.Constant)
-                    and isinstance(node.value, str)
-                    and id(node) not in docstrings):
-                for word in re.findall(r"\w+", node.value):
-                    yield word, owner
+def _references(path):
+    """What a file reads, each with the functions it sits in: any attribute
+    as ".name" (a method call), and as "module.name" a name of a package
+    module's own scope, a name imported from a package module, or an
+    attribute of a package module.  A string counts only as an import path
+    "torusorbits.module.name": the benchmark's span and metric names, such
+    as strata.genericity_check_s, label measurements and call nothing."""
+    tree = ast.parse(path.read_text())
+    modules, imported = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("torusorbits")):
+            source = (node.module or "").removeprefix("torusorbits").strip(".")
+            for alias in node.names:
+                name = alias.asname or alias.name
+                if not source and (SRC / f"{alias.name}.py").exists():
+                    modules[name] = alias.name
+                else:
+                    imported[name] = f"{source}.{alias.name}"
+    own = path.stem if path.parent == SRC else None
+
+    def walk(node, owners):
+        for child in ast.iter_child_nodes(node):
+            ref = None
+            if isinstance(child, ast.Name):
+                ref = imported.get(child.id, own and f"{own}.{child.id}")
+            elif isinstance(child, ast.Attribute):
+                yield f".{child.attr}", owners
+                if (isinstance(child.value, ast.Name)
+                        and child.value.id in modules):
+                    ref = f"{modules[child.value.id]}.{child.attr}"
+            elif (isinstance(child, ast.Constant)
+                    and isinstance(child.value, str)
+                    and child.value.startswith("torusorbits.")):
+                ref = child.value.removeprefix("torusorbits.")
+            if ref:
+                yield ref, owners
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from walk(child, owners + (child,) if inner else owners)
+
+    return walk(tree, ())
 
 
 def test_every_export_has_a_caller():
-    """Every name torusorbits exports is read somewhere other than its own
-    definition and tests; the exceptions are listed with their reasons."""
-    exports = _exports()
-    called = {name for path in CALLER_FILES
-              for name, owner in _references(ast.parse(path.read_text()))
-              if name in exports and owner != name}
-    assert exports - called == UNCALLED_EXPORTS
+    """Every public function and method of the package is read by a program
+    file outside its own body: a method as an attribute, a module-level
+    function through its module.  The exceptions are listed with their
+    reasons."""
+    seen = {}
+    for path in CALLER_FILES:
+        for ref, owners in _references(path):
+            seen.setdefault(ref, []).append(owners)
+    uncalled = set()
+    for key, func in _public_functions().items():
+        ref = f".{key.split('.')[-1]}" if key.count(".") == 2 else key
+        if all(func in owners for owners in seen.get(ref, [])):
+            uncalled.add(key)
+    assert uncalled == UNCALLED
+
+
+def test_no_private_name_crosses_a_module():
+    """A package module imports no underscore name from another; the two
+    left are forms' reads of numfield's cached CM split and numfield's of
+    the intervals' exact Fraction conversion."""
+    found = {f"{path.name}:{alias.name}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.level
+             for alias in node.names
+             if alias.name.startswith("_") and not alias.name.endswith("__")}
+    assert found == {"forms.py:_cm_split_solver", "numfield.py:_frac"}

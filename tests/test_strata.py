@@ -16,7 +16,12 @@ from torusorbits import strata as st
 from torusorbits.errors import InvariantViolation, TooLarge, ValidationError
 
 from conftest import (all_pairs_poset, fieldelement_ldu, fieldelement_strata,
-                      generic_sl, random_sl, strata_summary)
+                      generic_sl, genericity_check, random_sl, strata_summary)
+
+
+def top_index(s):
+    """The index of the record that carries the full subset's pair."""
+    return next(i for i, rec in enumerate(s.records) if rec.is_top)
 
 
 def generic_sl2(K):
@@ -79,7 +84,7 @@ def test_enumerate_generic_sl2(Ksqrt2):
     s = st.enumerate_strata(generic_sl2(Ksqrt2), dc.MatrixK.identity(Ksqrt2, 2))
     assert len(s.records) == 5
     assert sum(1 for r in s.records if r.is_closed) == 4
-    assert s.records[s.top_index()].representative == \
+    assert s.records[top_index(s)].representative == \
         (generic_sl2(Ksqrt2), dc.MatrixK.identity(Ksqrt2, 2))
 
 
@@ -111,7 +116,7 @@ def test_enumerate_identity_all_standard_cells(Ksqrt2):
 def test_closure_poset_generic_sl2(Ksqrt2):
     s = st.enumerate_strata(generic_sl2(Ksqrt2), dc.MatrixK.identity(Ksqrt2, 2))
     edges = st.closure_poset(s)
-    top = s.top_index()
+    top = top_index(s)
     assert len(edges) == 4
     assert all(i == top for (i, j) in edges)
     assert all(j != top for (i, j) in edges)
@@ -132,7 +137,7 @@ def test_closure_poset_generic_sl3(Ksqrt2):
     minimal = [r for r in s.records if r.is_closed]
     assert len(minimal) == 36
     edges = st.closure_poset(s)
-    top = s.top_index()
+    top = top_index(s)
     assert all(j != top for (i, j) in edges)
     # every non-top record is reachable from the top through the reduction
     reach = {top}
@@ -188,10 +193,10 @@ def test_verify_counts(Ksqrt2):
 
 
 def test_genericity_check(Ksqrt2):
-    assert st.genericity_check(generic_sl2(Ksqrt2)) is True
-    assert st.genericity_check(
+    assert genericity_check(generic_sl2(Ksqrt2)) is True
+    assert genericity_check(
         dc.MatrixK.from_rational_rows(Ksqrt2, [[1, 1], [0, 1]])) is False
-    assert st.genericity_check(dc.MatrixK.identity(Ksqrt2, 2)) is False
+    assert genericity_check(dc.MatrixK.identity(Ksqrt2, 2)) is False
 
 
 def test_generic_implies_full_count(Ksqrt2):
@@ -201,7 +206,7 @@ def test_generic_implies_full_count(Ksqrt2):
     i3 = dc.MatrixK.identity(Ksqrt2, 3)
     for _ in range(5):
         g1 = generic_sl(Ksqrt2, 3, rng)
-        assert st.genericity_check(g1)
+        assert genericity_check(g1)
         s = st.enumerate_strata(g1, i3)
         assert len(s.records) == 55
 
@@ -399,7 +404,7 @@ def test_summary_genericity_matches_check(Ksqrt2):
     seen = set()
     for g1, g2 in cases:
         s = st.enumerate_strata(g1, g2)
-        want = st.genericity_check(g1 * g2.inverse())
+        want = genericity_check(g1 * g2.inverse())
         assert s.is_generic is want
         assert st.summary_line(s).endswith(f"generic={str(want).lower()}")
         seen.add(want)
