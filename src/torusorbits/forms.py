@@ -468,6 +468,19 @@ def window_scan(form: DecomposableForm, height: int, window) -> FormScan:
     chunk; a candidate is kept only as its pu.row_keys key, and one sort
     of all keys orders and deduplicates the points, decoded by pu.key_rows.
     Coverage statistics on the result equal full-box coverage."""
+    keys = pu.distinct(np.concatenate(_window_keys(form, height, window)))
+    dim = 2 * form.field.degree
+    keys = keys[keys != pu.row_keys(np.zeros((1, dim), dtype=np.int64), height)]
+    pts = pu.key_rows(keys, height, dim)
+    return FormScan(form, height, pts, "window-complete",
+                    _degenerate_mask(form, pts))
+
+
+def _window_keys(form: DecomposableForm, height: int, window) -> list:
+    """The row keys of window_scan's candidates, chunk by chunk and with
+    repeats, so that the chunks' arrays are freed before the keys are
+    decoded.  The window pad only ever adds candidates, never loses them;
+    density_report's mask applies the exact window."""
     field = form.field
     if form.n != 2:
         raise ValidationError("window enumeration handles binary forms")
@@ -534,13 +547,7 @@ def window_scan(form: DecomposableForm, height: int, window) -> FormScan:
                               & (y <= highs[src] + 1e-9), axis=1)
                 keys.append(pu.row_keys(np.column_stack(
                     [c[idxs[src[keep]]], d[keep]]), height))
-    keys = pu.distinct(np.concatenate(keys))
-    zero = pu.row_keys(np.zeros((1, 2 * deg), dtype=np.int64), height)
-    pts = pu.key_rows(keys[keys != zero], height, 2 * deg)
-    # final exact-window filter happens in density_report's mask; the pad
-    # above only ever adds candidates, never loses them
-    return FormScan(form, height, pts, "window-complete",
-                    _degenerate_mask(form, pts))
+    return keys
 
 
 # Points per chunk: of first coordinates and of leading points in the
@@ -734,7 +741,8 @@ def density_report(scan: FormScan, window=None, eps: float = 0.25) -> DensityRep
     idx = None
     for v in range(r):
         lo, hi = window[v]
-        cells = np.minimum(((vals[v][mask] - lo) / eps).astype(np.int64),
+        # each place's values are freed once its cells are read
+        cells = np.minimum(((vals.pop(0)[mask] - lo) / eps).astype(np.int64),
                            per_axis[v] - 1)
         idx = cells if idx is None else idx * per_axis[v] + cells
     hit = int(pu.distinct(idx).size)

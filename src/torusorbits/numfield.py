@@ -804,7 +804,7 @@ def modulus_is_one(K: NumberField, x: FieldElement, place: ArchimedeanPlace) -> 
     if x.is_zero():
         return False
     chi = _squarefree_part(_charpoly(K, x))
-    rev = pu.reversed_poly(chi)
+    rev = pu.poly(reversed(chi))
     g = pu.pgcd(chi, rev)
     if pu.degree(g) == 0:
         return False  # no root of chi has its inverse among the roots

@@ -100,10 +100,6 @@ def pgcd(a: Poly, b: Poly) -> Poly:
     return a
 
 
-def reversed_poly(p: Poly) -> Poly:
-    return poly(reversed(p))
-
-
 def distinct(a: np.ndarray) -> np.ndarray:
     """The sorted distinct values of a 1-D array: np.unique hashes integer
     arrays, many times slower than a sort and a neighbour test."""
@@ -385,13 +381,8 @@ def _dyadic_sqrt_upper(x: Fraction, out_bits: int = 100) -> Fraction:
         return Fraction(0)
     num = x.numerator << (2 * out_bits)
     den = x.denominator
-    r = _isqrt_ceil(-(-num // den))  # ceil division then ceil sqrt
+    r = math.isqrt(-(-num // den) - 1) + 1  # ceil division then ceil sqrt
     return Fraction(r + 1, 1 << out_bits)
-
-
-def _isqrt_ceil(n: int) -> int:
-    r = math.isqrt(n)
-    return r if r * r == n else r + 1
 
 
 def _disjoint(boxes) -> bool:

@@ -234,7 +234,7 @@ def test_every_box_is_capped_before_it_is_built():
                 node.lineno for node in ast.walk(func)
                 if isinstance(node, ast.Call) and _called_name(node) in checks]
             builders[key] = min(guards, default=None), min(lines)
-    assert set(builders) == {"forms.py:scan_values", "forms.py:window_scan",
+    assert set(builders) == {"forms.py:scan_values", "forms.py:_window_keys",
                              "forms.py:norm_product_spectrum"}
     assert [key for key, (guard, build) in builders.items()
             if guard is None or guard >= build] == []
@@ -347,16 +347,17 @@ def test_no_modular_or_interpolation_irreducibility_search():
     assert "_certify_irreducible" in _calls(funcs["numfield.py:create_field"])
 
 
-# Where a public function or method may find its caller: the CLI, the
-# acceptance suite, the benchmark and every package module but __init__.py.
+# Where a public function, method or exported class may find its caller:
+# the CLI, the acceptance suite, the benchmark and every package module but
+# __init__.py.
 ROOT = SRC.parent.parent
 CALLER_FILES = ([path for path in sorted(SRC.glob("*.py"))
                  if path.name != "__init__.py"]
                 + [ROOT / "tests" / "test_acceptance.py"]
                 + sorted((ROOT / "perfbench").glob("*.py")))
 
-# Public functions and methods that no caller reaches, each kept for a
-# stated reason.
+# Public functions, methods and exported classes that no caller reaches,
+# each kept for a stated reason.
 UNCALLED = {
     # the exact representative of the paper's limit orbit, read from the
     # same table as strata; demo 04 and three tests
@@ -373,9 +374,13 @@ UNCALLED = {
 }
 
 
-def _public_functions():
+def _public_names():
     """Every public module-level function and method of the package, keyed
-    "module.name" or "module.Class.name"."""
+    "module.name" or "module.Class.name", and every class __init__.py
+    exports, keyed "module.Class"."""
+    exported = {alias.name for node in ast.parse(
+                    (SRC / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
     out = {}
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -383,16 +388,18 @@ def _public_functions():
                 out.update((f"{path.stem}.{top.name}.{node.name}", node)
                            for node in top.body
                            if isinstance(node, ast.FunctionDef))
+                if top.name in exported:
+                    out[f"{path.stem}.{top.name}"] = top
             elif isinstance(top, ast.FunctionDef):
                 out[f"{path.stem}.{top.name}"] = top
-    return {key: func for key, func in out.items()
+    return {key: node for key, node in out.items()
             if not any(part.startswith("_") for part in key.split(".")[1:])}
 
 
 def _references(path):
-    """What a file reads, each with the functions it sits in: any attribute
-    as ".name" (a method call), and as "module.name" a name of a package
-    module's own scope, a name imported from a package module, or an
+    """What a file reads, each with the functions and classes it sits in:
+    any attribute as ".name" (a method call), and as "module.name" a name
+    of a package module's own scope, a name imported from a package module, or an
     attribute of a package module.  A string counts only as an import path
     "torusorbits.module.name": the benchmark's span and metric names, such
     as strata.genericity_check_s, label measurements and call nothing."""
@@ -426,25 +433,26 @@ def _references(path):
                 ref = child.value.removeprefix("torusorbits.")
             if ref:
                 yield ref, owners
-            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
             yield from walk(child, owners + (child,) if inner else owners)
 
     return walk(tree, ())
 
 
 def test_every_export_has_a_caller():
-    """Every public function and method of the package is read by a program
-    file outside its own body: a method as an attribute, a module-level
-    function through its module.  The exceptions are listed with their
-    reasons."""
+    """Every public function and method of the package, and every class it
+    exports, is read by a program file outside its own body: a method as an
+    attribute, a module-level function or class through its module.  The
+    exceptions are listed with their reasons."""
     seen = {}
     for path in CALLER_FILES:
         for ref, owners in _references(path):
             seen.setdefault(ref, []).append(owners)
     uncalled = set()
-    for key, func in _public_functions().items():
+    for key, node in _public_names().items():
         ref = f".{key.split('.')[-1]}" if key.count(".") == 2 else key
-        if all(func in owners for owners in seen.get(ref, [])):
+        if all(node in owners for owners in seen.get(ref, [])):
             uncalled.add(key)
     assert uncalled == UNCALLED
 
