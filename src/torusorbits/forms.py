@@ -450,6 +450,7 @@ def _numeric_form_values(form: DecomposableForm, pts: np.ndarray, v: int) -> np.
                 cur = coords @ basis.real / den + 1j * (coords @ basis.imag / den)
             acc = cur if acc is None else acc * cur
         out[part] = acc * sval if place.is_real else np.abs(acc * sval) ** 2
+        del images, coords, cur, acc    # free this chunk before the next
     return out
 
 
