@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import polyutil as pu
 from .errors import InvariantViolation, Singular, TooLarge, ValidationError
 from .numfield import FieldElement, NumberField
 from .rootdata import RootSubset, WeylElement, identity_weyl
@@ -148,11 +149,12 @@ class BlockLDU:
 
 class MinorTable:
     """The minors det h[rows, cols] of a square h (index sets as bitmasks),
-    each computed once, on demand, by Laplace expansion along the first
-    row: one NumberField.dot over minors one size smaller.  Block LDUs run
-    on ids: each value they form is kept once in values, keyed by its
-    lowest-terms (num, den), and negation, products, sums and quotients of
-    minors are memoised on ids, so each operand pair is computed once."""
+    each computed once, on demand, into the table's memo by
+    polyutil.laplace_minor: one NumberField.dot over minors one size
+    smaller.  Block LDUs run on ids: each value they form is kept once in
+    values, keyed by its lowest-terms (num, den), and negation, products,
+    sums and quotients of minors are memoised on ids, so each operand pair
+    is computed once."""
 
     def __init__(self, h: MatrixK):
         if h.n > MINOR_TABLE_CAP:
@@ -164,18 +166,10 @@ class MinorTable:
         self.id(h.field.zero), self.id(h.field.one)
 
     def minor(self, rows: int, cols: int) -> FieldElement:
-        key = rows | cols << self.n
-        m = self._minors.get(key)
+        m = self._minors.get(rows | cols << self.n)
         if m is None:
-            r = (rows & -rows).bit_length() - 1
-            xs, ys = [], []
-            # a zero entry skips the minor it multiplies
-            for t, c in enumerate(j for j in range(self.n) if cols >> j & 1):
-                x = self.h.rows[r][c]
-                if x:
-                    xs.append(-x if t & 1 else x)
-                    ys.append(self.minor(rows ^ 1 << r, cols ^ 1 << c))
-            m = self._minors[key] = self.field.dot(xs, ys)
+            m = pu.laplace_minor(self.h.rows, rows, cols, self._minors,
+                                 self.field.dot)
         return m
 
     def id(self, x: FieldElement) -> int:

@@ -30,6 +30,8 @@ from .strata import OrbitInput, materialised, pair_representative
 
 DIRECT_SCAN_CAP = 6_000_000
 PRODUCT_BAND = Fraction(10 ** 6)    # criterion (ii)'s band (1/B, B)
+BOUNDED_THRESHOLD = 1e-2            # least systole at or above: bounded below
+DECAY_THRESHOLD = 1e-3              # last systole at or below: decaying
 
 
 # -- torus paths --------------------------------------------------------------------
@@ -559,10 +561,9 @@ def evaluate_product(inp: OrbitInput, torus, witness) -> RInt:
     return acc
 
 
-def run_path(inp: OrbitInput, path: TorusPath, height: int,
-             bounded_threshold: float = 1e-2,
-             decay_threshold: float = 1e-3) -> SystoleTrace:
-    """Systole along the realized path with a threshold verdict."""
+def run_path(inp: OrbitInput, path: TorusPath, height: int) -> SystoleTrace:
+    """Systole along the realized path with a threshold verdict
+    (BOUNDED_THRESHOLD on the least value, DECAY_THRESHOLD on the last)."""
     if path.r != inp.r or path.n != inp.n:
         raise ValidationError("path shape does not match the input")
     steps = []
@@ -574,9 +575,9 @@ def run_path(inp: OrbitInput, path: TorusPath, height: int,
     values = [s.value for s in steps]
     final = values[-1]
     margin = min(values)
-    if margin >= bounded_threshold:
+    if margin >= BOUNDED_THRESHOLD:
         verdict = "bounded-below"
-    elif final <= decay_threshold:
+    elif final <= DECAY_THRESHOLD:
         verdict = "decaying"
     else:
         verdict = "inconclusive"
@@ -598,9 +599,8 @@ class BoundednessReport:
 
 
 def check_boundedness(g1: MatrixK, g2: MatrixK, subset: RootSubset,
-                      path: TorusPath, C: Fraction, height: int = 20,
-                      bounded_threshold: float = 1e-2,
-                      decay_threshold: float = 1e-3) -> BoundednessReport:
+                      path: TorusPath, C: Fraction,
+                      height: int = 20) -> BoundednessReport:
     """Exact criterion check against the observed systole trace.
 
     The path must conform to the hypothesis shape: at the first place every
@@ -649,7 +649,7 @@ def check_boundedness(g1: MatrixK, g2: MatrixK, subset: RootSubset,
     products_bounded = sup < PRODUCT_BAND and inf > 1 / PRODUCT_BAND
 
     inp = OrbitInput((g1, g2))
-    trace = run_path(inp, path, height, bounded_threshold, decay_threshold)
+    trace = run_path(inp, path, height)
     predicted = membership and products_bounded
     observed = trace.verdict == "bounded-below"
     return BoundednessReport(membership, products_bounded,

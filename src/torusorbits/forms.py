@@ -114,18 +114,12 @@ def make_form(field: NumberField, per_place_factors, scalars=None) -> Decomposab
 def is_rational(form: DecomposableForm) -> bool:
     """True iff the expanded place polynomials are proportional over K*."""
     base = form.expanded(0)
-    base_items = sorted(base.items())
+    monos = sorted(base)
     for v in range(1, form.r):
         cur = form.expanded(v)
-        if set(cur) != set(base):
+        if set(cur) != set(base) or not _proportional(
+                [base[m] for m in monos], [cur[m] for m in monos]):
             return False
-        ratio = None
-        for mono, coef in base_items:
-            q = cur[mono] / coef
-            if ratio is None:
-                ratio = q
-            elif q != ratio:
-                return False
     return True
 
 
@@ -199,14 +193,14 @@ def reduce_variables(form: DecomposableForm,
         if not ok:
             continue
         red_w = new_factors[pi][fi]
-        if any(_proportional(f, red_w, fac) for fac in new_factors[pj]):
+        if any(_proportional(red_w, fac) for fac in new_factors[pj]):
             continue
         reduced = make_form(f, new_factors, scalars=list(form.scalars))
         return reduced, phi
     raise SearchExhausted(f"no valid substitution in {REDUCE_DRAWS} draws")
 
 
-def _proportional(field, a, b) -> bool:
+def _proportional(a, b) -> bool:
     """Whether vectors a, b over K are proportional (b = lambda a)."""
     ratio = None
     for x, y in zip(a, b):
@@ -229,7 +223,7 @@ def _nonproportional_witness(form: DecomposableForm):
             if pi == pj:
                 continue
             for fi, fac in enumerate(form.factors[pi]):
-                if not any(_proportional(form.field, fac, other)
+                if not any(_proportional(fac, other)
                            for other in form.factors[pj]):
                     return (pi, fi, pj)
     return None
@@ -430,6 +424,7 @@ def _degenerate_mask(form: DecomposableForm, pts: np.ndarray) -> np.ndarray:
         for part, images in _int_image(form.field, form.factors[v], pts)[0]:
             for coords in images:
                 bad[part] |= np.all(coords == 0, axis=0)
+            del images, coords      # free this chunk before the next
     return bad
 
 

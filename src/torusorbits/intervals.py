@@ -79,14 +79,6 @@ class RInt:
     def overlaps(self, other: "RInt") -> bool:
         return not (self.hi < other.lo or other.hi < self.lo)
 
-    def sign(self) -> int:
-        """+1, -1, or 0 when the interval straddles or touches zero."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        return 0
-
     # -- arithmetic --
 
     def __neg__(self):
@@ -187,9 +179,6 @@ class CBox:
 
     def modulus_sq(self) -> RInt:
         return self.re.square() + self.im.square()
-
-    def contains(self, re, im) -> bool:
-        return self.re.contains(re) and self.im.contains(im)
 
     def overlaps(self, other: "CBox") -> bool:
         return self.re.overlaps(other.re) and self.im.overlaps(other.im)

@@ -34,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import mpmath
 import numpy as np
@@ -50,6 +50,7 @@ MAX_PRECISION = 1 << 16
 MAX_DEGREE = 8
 RELATION_BOUND = 10 ** 6        # bound on the coefficients of PSLQ relations
 GAP_BOX, GAP_WINDOW = 30, 1.0   # the gap statistic's |e|_inf and |sum| bounds
+GAP_POINTS = (2 * GAP_BOX + 1) ** 3     # the most exponent vectors it walks
 
 
 class FieldElement:
@@ -244,9 +245,7 @@ class NumberField:
     Construct through create_field, which validates everything.
     """
 
-    def __init__(self, min_poly: pu.Poly, label: str,
-                 declared_units: Sequence[Sequence] = (),
-                 cm_structure=None, _validated=False):
+    def __init__(self, min_poly: pu.Poly, label: str, _validated=False):
         if not _validated:
             raise ValidationError("use create_field() to construct a NumberField")
         self.min_poly = min_poly
@@ -733,8 +732,9 @@ def is_cm(field: NumberField) -> bool:
 def norm_form(K: NumberField) -> "pu.MultiPoly":
     """The norm as a polynomial in the power-basis coordinates.
 
-    Symbolic determinant of the multiplication matrix; integer coefficients
-    since the minimal polynomial is integral.  Cached on the field.
+    Symbolic determinant of the multiplication matrix by pu.cofactor_det,
+    each minor expanded once; integer coefficients since the minimal
+    polynomial is integral.  Cached on the field.
     """
     if K._norm_form is None:
         xs = [pu.MultiPoly.variable(K.degree, i) for i in range(K.degree)]
@@ -765,23 +765,12 @@ def order_discriminant(K: NumberField, basis=None) -> Fraction:
 # -- unit closure classification ---------------------------------------------------
 
 def _charpoly(K: NumberField, x: FieldElement) -> pu.Poly:
-    """Characteristic polynomial of multiplication by x (roots = embeddings).
-
-    Faddeev-LeVerrier: matrix products and traces, not an elimination."""
-    d = K.degree
-    M = K.mult_matrix(x)
-    coeffs = [Fraction(1)]  # leading
-    A = [row[:] for row in M]
-    for k in range(1, d + 1):
-        tr = sum(A[i][i] for i in range(d))
-        c = -tr / k
-        coeffs.append(c)
-        if k < d:
-            for i in range(d):
-                A[i][i] += c
-            A = [[sum(M[i][t] * A[t][j] for t in range(d)) for j in range(d)]
-                 for i in range(d)]
-    return pu.poly(list(reversed(coeffs)))
+    """Characteristic polynomial of multiplication by x (roots = embeddings):
+    det(t I - M(x)) by pu.cofactor_det, with t a one-variable MultiPoly."""
+    t = pu.MultiPoly.variable(1, 0)
+    chi = pu.cofactor_det([[t - c if i == j else -c for j, c in enumerate(row)]
+                           for i, row in enumerate(K.mult_matrix(x))])
+    return pu.poly(chi.terms.get((k,), 0) for k in range(K.degree + 1))
 
 
 def _squarefree_part(p: pu.Poly) -> pu.Poly:
@@ -940,12 +929,18 @@ def _ray_gap_statistic(logs):
     [-GAP_WINDOW, GAP_WINDOW].
 
     logs are the units' log moduli as floats; exponent vectors range over
-    |e|_inf <= GAP_BOX.  A discrete projection keeps this bounded below by
-    the generator length no matter the box; a dense one drives it toward
-    zero, so a small value witnesses non-discreteness.
+    |e|_inf <= b, b = GAP_BOX for up to three units and, for more, the
+    largest b whose box holds at most GAP_POINTS = 61^3 vectors (10, 5, 3
+    and 2 for four to seven units), so the walk is bounded whatever the
+    rank.  A discrete projection keeps this bounded below by the generator
+    length no matter the box; a dense one drives it toward zero, so a small
+    value witnesses non-discreteness.
     """
+    box = GAP_BOX
+    while (2 * box + 1) ** len(logs) > GAP_POINTS:
+        box -= 1
     vals = set()
-    for e in itertools.product(range(-GAP_BOX, GAP_BOX + 1), repeat=len(logs)):
+    for e in itertools.product(range(-box, box + 1), repeat=len(logs)):
         s = sum(ej * lj for ej, lj in zip(e, logs))
         if -GAP_WINDOW <= s <= GAP_WINDOW:
             vals.add(s)

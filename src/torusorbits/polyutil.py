@@ -10,13 +10,16 @@ key_rows), which order and deduplicate points with distinct, and to the
 package's one row elimination, the fraction-free integer kernel bareiss
 with int_determinant and int_solve on top: every determinant and linear
 solve over Q goes through it, rows scaled to integers, among them the
-inverse, quotient and norm of a field element.
+inverse, quotient and norm of a field element.  Its one division-free
+determinant is laplace_minor, a memoised cofactor expansion over any ring
+(field elements, MultiPoly, RInt), with cofactor_det the full-matrix call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -160,9 +163,11 @@ def chunks(sizes: np.ndarray, budget: int):
 # determinants, inverses and ranks are read from decomp.MinorTable.  Kept
 # apart on purpose: dynamics._ldl (symmetric fraction-free LDL of a float
 # Gram matrix's exact integer image on its lower triangle, half the work
-# of bareiss, with a positivity test), cofactor_det below (division-free:
-# symbolic entries, and interval entries, whose enclosures dividing by
-# interval pivots would widen) and numfield._charpoly (not an elimination).
+# of bareiss, with a positivity test) and laplace_minor below, the one
+# cofactor expansion, division-free: field elements (decomp.MinorTable),
+# symbolic entries (the norm form and the characteristic polynomial, through
+# cofactor_det) and interval entries, whose enclosures dividing by interval
+# pivots would widen.
 
 def bareiss(rows, ncols: int):
     """Fraction-free (Bareiss) forward elimination of a copy of an integer
@@ -425,7 +430,7 @@ class MultiPoly:
             other = MultiPoly.const(self.nvars, other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, Fraction(0)) + c
+            v = out.get(e, 0) + c
             if v:
                 out[e] = v
             elif e in out:
@@ -442,12 +447,13 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.nvars, other)
+            return MultiPoly(self.nvars, {e: c * other for e, c in
+                                          self.terms.items()} if other else None)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(operator.add, e1, e2))
+                v = out.get(e, 0) + c1 * c2
                 if v:
                     out[e] = v
                 elif e in out:
@@ -478,15 +484,35 @@ class MultiPoly:
         return np.zeros_like(cols[0]) if acc is None else acc
 
 
+def laplace_minor(matrix, rows: int, cols: int, memo: dict, dot):
+    """The minor det matrix[rows, cols] of a square matrix (row and column
+    index sets as bitmasks of equal size), by Laplace expansion along its
+    lowest row: dot(xs, ys) sums the products of the signed nonzero
+    entries xs of that row and the minors ys one size smaller.  Division
+    free, so it runs on any entries with + - and *.  Every minor is computed
+    once, in memo, keyed rows | cols << n, which the caller owns and seeds
+    with its ring's one under key 0 (the empty minor)."""
+    key = rows | cols << len(matrix)
+    m = memo.get(key)
+    if m is None:
+        r = (rows & -rows).bit_length() - 1
+        xs, ys = [], []
+        # a zero entry skips the minor it multiplies
+        for t, c in enumerate(j for j in range(len(matrix)) if cols >> j & 1):
+            x = matrix[r][c]
+            if x:
+                xs.append(-x if t & 1 else x)
+                ys.append(laplace_minor(matrix, rows ^ 1 << r, cols ^ 1 << c,
+                                        memo, dot))
+        m = memo[key] = dot(xs, ys)
+    return m
+
+
 def cofactor_det(rows):
-    """Determinant of a small square matrix by cofactor expansion along the
-    first row.  Division-free, so it runs on any entries with + - and *:
-    MultiPoly (the norm form) and RInt (the unit-independence minor)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = None
-    for j in range(n):
-        term = rows[0][j] * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
-        acc = term if acc is None else acc + term if j % 2 == 0 else acc - term
-    return acc
+    """Determinant of a small square matrix: laplace_minor on the full
+    index sets, with plain sums of products, for MultiPoly entries (the
+    norm form and the characteristic polynomial) and RInt entries (the
+    unit-independence minor)."""
+    full = (1 << len(rows)) - 1
+    return laplace_minor(rows, full, full, {0: 1},
+                         lambda xs, ys: sum(map(operator.mul, xs, ys)))

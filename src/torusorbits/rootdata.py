@@ -77,9 +77,6 @@ class RootSubset:
                 out[i] = k
         return out
 
-    def __le__(self, other):
-        return self.n == other.n and self.simples <= other.simples
-
     def __str__(self):
         return "{" + ",".join(str(i) for i in sorted(self.simples)) + "}"
 

@@ -218,6 +218,42 @@ def resultant_norm_f(field, cm, x):
     return resultant(cm.subfield_poly, pu.poly(coords))
 
 
+# The characteristic polynomial and the determinant as they were computed
+# before polyutil.laplace_minor: Faddeev-LeVerrier, and the cofactor
+# expansion along the first row without a memo of minors.
+
+
+def faddeev_leverrier(M):
+    """Characteristic polynomial det(t I - M) of a square rational matrix,
+    low to high, by Faddeev-LeVerrier: matrix products and traces."""
+    d = len(M)
+    coeffs = [Fraction(1)]  # leading
+    A = [list(map(Fraction, row)) for row in M]
+    for k in range(1, d + 1):
+        c = -sum(A[i][i] for i in range(d)) / k
+        coeffs.append(c)
+        if k < d:
+            for i in range(d):
+                A[i][i] += c
+            A = [[sum(M[i][t] * A[t][j] for t in range(d)) for j in range(d)]
+                 for i in range(d)]
+    return pu.poly(list(reversed(coeffs)))
+
+
+def cofactor_recursion(rows):
+    """Determinant by cofactor expansion along the first row, each minor
+    recomputed wherever it occurs (O(n!))."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = None
+    for j in range(n):
+        term = rows[0][j] * cofactor_recursion([r[:j] + r[j + 1:]
+                                                for r in rows[1:]])
+        acc = term if acc is None else acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
 # -- Fraction-coefficient oracle for the integer-vector element -----------------
 #
 # The element arithmetic as it was before elements held integer numerators:

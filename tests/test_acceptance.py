@@ -362,9 +362,7 @@ def test_acceptance_8_boundedness(Ksqrt2):
     agree = 0
     details, digests = [], {}
     for name, g1, g2, subset, path, expect_bounded in configs:
-        rep = dy.check_boundedness(g1, g2, subset, path, C, height=20,
-                                   bounded_threshold=1e-2,
-                                   decay_threshold=1e-3)
+        rep = dy.check_boundedness(g1, g2, subset, path, C, height=20)
         assert rep.predicted_bounded == expect_bounded, name
         if rep.agrees:
             agree += 1

@@ -20,7 +20,7 @@ from torusorbits import rootdata as rd
 from torusorbits.errors import Singular, TooLarge
 from torusorbits.intervals import RInt
 
-from conftest import random_element
+from conftest import cofactor_recursion, random_element
 from gauss_oracle import determinant, echelon, invert, solve
 
 ZERO, ONE = Fraction(0), Fraction(1)
@@ -152,6 +152,41 @@ def test_cofactor_det_matches_the_kernel(rows):
     eps = Fraction(1, 1000)
     assert pu.cofactor_det([[RInt(x - eps, x + eps) for x in row]
                             for row in rows]).contains(det)
+
+
+@hs.composite
+def ring_matrices(draw):
+    """Square matrices up to 6 x 6 over one ring: Fractions (a third of the
+    entries zero), linear MultiPolys in two variables, or RInts with
+    rational endpoints (some of them the point zero)."""
+    n = draw(hs.integers(1, 6))
+    kind = draw(hs.sampled_from(["fraction", "multipoly", "rint"]))
+
+    def entry():
+        a = draw(entries)
+        if kind == "fraction":
+            return a
+        if kind == "rint":
+            return RInt(a, a + draw(hs.fractions(0, 2, max_denominator=4)))
+        coeffs = zip(((0, 0), (1, 0), (0, 1)), (a, draw(entries), draw(entries)))
+        return pu.MultiPoly(2, {e: c for e, c in coeffs if c})
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_matrices())
+def test_cofactor_expansion_matches_the_recursion(rows):
+    # the memoised expansion along the lowest row against the unmemoised
+    # recursion it replaced: the same value, and on enclosures the same
+    # endpoints, since the memo shares minors without reordering any sum
+    det, expect = pu.cofactor_det(rows), cofactor_recursion(rows)
+    if isinstance(expect, RInt):
+        assert (det.lo, det.hi) == (expect.lo, expect.hi)
+    elif isinstance(expect, pu.MultiPoly):
+        assert det.terms == expect.terms
+    else:
+        assert det == expect
 
 
 def test_echelon_pivots_and_swap_sign():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -7,6 +8,7 @@ import textwrap
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import mpmath
@@ -26,9 +28,9 @@ from torusorbits.errors import (DivisionByZero, InvariantViolation,
 from torusorbits.intervals import mpf_to_fraction
 
 from cm_oracle import cm_conjugate
-from conftest import (NONCONVERGENT_CUBIC, euclid_inverse, frac_mul,
-                      frac_norm, frac_solve, multipoly_value, random_element,
-                      resultant_norm, resultant_norm_f)
+from conftest import (NONCONVERGENT_CUBIC, euclid_inverse, faddeev_leverrier,
+                      frac_mul, frac_norm, frac_solve, multipoly_value,
+                      random_element, resultant_norm, resultant_norm_f)
 from gauss_oracle import determinant, invert, solve
 
 
@@ -227,9 +229,9 @@ def test_field_norm(Ksqrt2):
     assert nf.field_norm(Ksqrt2.zero) == 0
 
 
-def test_norm_form_matches_resultant(Ksqrt2, Kcubic, Kzeta8):
+def test_norm_form_matches_resultant(Ksqrt2, Kcubic, Kzeta8, Kzeta16):
     rng = random.Random(5)
-    for K in (Ksqrt2, Kcubic, Kzeta8):
+    for K in (Ksqrt2, Kcubic, Kzeta8, Kzeta16):
         form = nf.norm_form(K)
         for _ in range(20):
             x = random_element(K, rng)
@@ -300,6 +302,34 @@ def test_unit_closure_positive_reals(Kcubic):
     rep = nf.unit_closure_classify(Kcubic, 0)
     assert rep.classification == "positive_reals"
     assert rep.gap_statistic < 1e-2
+
+
+def test_gap_statistic_walks_a_bounded_box(monkeypatch):
+    # at most 61^3 exponent vectors whatever the number of units: the full
+    # box |e| <= 30 up to three units, then the largest box within that
+    # budget; the wrapper refuses an over-budget walk before it starts, so
+    # the real classifier at a real place of Q(zeta11)^+ (four units)
+    # returns in well under a second
+    budget, walked = (2 * nf.GAP_BOX + 1) ** 3, []
+
+    def product(*ranges, repeat=1):
+        size = math.prod(map(len, ranges)) ** repeat
+        assert size <= budget, f"a walk over {size} exponent vectors"
+        walked.append(size)
+        return itertools.product(*ranges, repeat=repeat)
+
+    K = nf.create_field([1, 3, -3, -4, 1, 1], label="real-zeta11",
+                        declared_units=[[0, 1], [-2, 0, 1], [0, -3, 0, 1],
+                                        [2, 0, -4, 0, 1]])
+    monkeypatch.setattr(nf, "itertools", SimpleNamespace(product=product))
+    rep = nf.unit_closure_classify(K, 0)
+    assert rep.classification == "positive_reals"
+    assert 0 < rep.gap_statistic < 1e-2
+    logs = [math.log(p) for p in (2, 3, 5, 7, 11, 13, 17)]
+    for k in range(1, 8):
+        assert 0 < nf._ray_gap_statistic(logs[:k]) < math.inf
+    assert walked == [21 ** 4, 61, 61 ** 2, 61 ** 3, 21 ** 4, 11 ** 5,
+                      7 ** 6, 5 ** 7]
 
 
 def test_unit_closure_circle(Kquartic):
@@ -479,6 +509,21 @@ def test_mult_matrix_and_charpoly(name, request):
         for c in reversed(nf._charpoly(K, x)):
             acc = acc * x + c
         assert acc.is_zero()
+
+    check()
+
+
+@pytest.mark.parametrize("name", FIELDS + ["Kzeta16"])
+def test_charpoly_matches_faddeev_leverrier(name, request):
+    # det(t I - M(x)) by the one cofactor expansion against
+    # Faddeev-LeVerrier, the iteration it replaced
+    K = request.getfixturevalue(name)
+
+    @settings(max_examples=30, deadline=None)
+    @given(element_coeffs(K.degree))
+    def check(xc):
+        x = K.element(xc)
+        assert nf._charpoly(K, x) == faddeev_leverrier(K.mult_matrix(x))
 
     check()
 

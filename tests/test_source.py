@@ -207,6 +207,55 @@ def test_one_row_elimination():
         assert "rows_independent" in calls(key), key
 
 
+def _self_recursive(key, func):
+    """Whether func calls itself: by its bare name, or as self.name."""
+    name = key.split(".")[-1].split(":")[-1]
+    for node in ast.walk(func):
+        f = node.func if isinstance(node, ast.Call) else None
+        if (isinstance(f, ast.Name) and f.id == name
+                or isinstance(f, ast.Attribute) and f.attr == name
+                and isinstance(f.value, ast.Name) and f.value.id == "self"):
+            return True
+    return False
+
+
+def _reaches(funcs, start, target):
+    """Whether the package function start calls target, directly or
+    through other package functions (calls matched by bare name)."""
+    by_name = {}
+    for key in funcs:
+        by_name.setdefault(key.split(".")[-1].split(":")[-1], []).append(key)
+    seen, todo = set(), [start]
+    while todo:
+        key = todo.pop()
+        if key not in seen:
+            seen.add(key)
+            todo += [k for name in _calls(funcs[key])
+                     for k in by_name.get(name, [])]
+    return target in seen
+
+
+def test_one_cofactor_expansion():
+    """polyutil.laplace_minor is the one expansion of a determinant into
+    minors: besides it, only the JSON writer's nesting and a Fincke-Pohst
+    level call themselves.  The table of minors, the full-matrix
+    determinant of the norm form and the unit-independence minor, and the
+    characteristic polynomial reach it, the last without a loop of its own
+    (the Faddeev-LeVerrier iteration it replaced is a test oracle)."""
+    funcs = _package_functions()
+    assert {key for key, func in funcs.items()
+            if _self_recursive(key, func)} == {
+        "polyutil.py:laplace_minor", "config.py:json_text.text",
+        "dynamics.py:_fp_level"}
+    target = "polyutil.py:laplace_minor"
+    for key in ("decomp.py:MinorTable.minor", "polyutil.py:cofactor_det",
+                "numfield.py:_charpoly"):
+        assert _reaches(funcs, key, target), key
+    assert "cofactor_det" in _calls(funcs["numfield.py:_charpoly"])
+    assert not any(isinstance(node, (ast.For, ast.While))
+                   for node in ast.walk(funcs["numfield.py:_charpoly"]))
+
+
 def _cap_checks(func):
     """The lines of the if statements in func that raise CapExceeded when
     their size test holds."""
