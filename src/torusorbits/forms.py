@@ -460,10 +460,11 @@ def window_scan(form: DecomposableForm, height: int, window) -> FormScan:
     intervals per place.  One interval per place is a parallelepiped: the
     leading deg - 1 coordinates run over its bounding box, the last over
     its exact range given them.  The first coordinates stream through in
-    chunks of WINDOW_CHUNK_POINTS, and so do the leading points of each
-    chunk; a candidate is kept only as its pu.row_keys key, and one sort
-    of all keys orders and deduplicates the points, decoded by pu.key_rows.
-    Coverage statistics on the result equal full-box coverage."""
+    chunks of WINDOW_FIRST_POINTS, the leading points of each chunk in
+    chunks of WINDOW_CHUNK_POINTS; a candidate is kept only as its
+    pu.row_keys key, and one sort of all keys orders and deduplicates the
+    points, decoded by pu.key_rows.  Coverage statistics on the result
+    equal full-box coverage."""
     keys = pu.distinct(np.concatenate(_window_keys(form, height, window)))
     dim = 2 * form.field.degree
     keys = keys[keys != pu.row_keys(np.zeros((1, dim), dtype=np.int64), height)]
@@ -504,8 +505,8 @@ def _window_keys(form: DecomposableForm, height: int, window) -> list:
     wmax = [(max(abs(lo), abs(hi)) / scalar_abs[v]) * (1 + WINDOW_PAD)
             + WINDOW_PAD for v, (lo, hi) in enumerate(window)]
     keys = [np.zeros(0, dtype=np.int64)]
-    for start in range(0, total, WINDOW_CHUNK_POINTS):
-        c = _box(height, deg, start, min(start + WINDOW_CHUNK_POINTS, total))
+    for start in range(0, total, WINDOW_FIRST_POINTS):
+        c = _box(height, deg, start, min(start + WINDOW_FIRST_POINTS, total))
         x = c @ phi.T                               # (N1, r): embeddings of z1
         intervals = np.stack([_abs_quadratic_regions(
             a[v, 0] * x[:, v], b[v, 0], a[v, 1] * x[:, v], b[v, 1],
@@ -546,9 +547,11 @@ def _window_keys(form: DecomposableForm, height: int, window) -> list:
     return keys
 
 
-# Points per chunk: of first coordinates and of leading points in the
-# window scan, and of a batch in every integer image (_int_image).
+# Points per chunk: of leading points in the window scan and of a batch in
+# every integer image (_int_image); of first coordinates in the window scan
+# a quarter of that, since each one's region and corner arrays live at once.
 WINDOW_CHUNK_POINTS = 1 << 14
+WINDOW_FIRST_POINTS = 1 << 12
 # Box points that window_scan and norm_product_spectrum may enumerate.
 BOX_POINT_CAP = 1 << 20
 # Entries (points x coordinates) of one scan_values sample draw: admits a

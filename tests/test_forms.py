@@ -429,7 +429,8 @@ def test_window_scan_matches_oracle(Kcubic, Ksqrt2, data):
     H = data.draw(hs.integers(1, 6))
     win = data.draw(scan_windows(K.n_places))
     budget = data.draw(hs.sampled_from([1, 3, 40, fm.WINDOW_CHUNK_POINTS]))
-    with mock.patch.object(fm, "WINDOW_CHUNK_POINTS", budget):
+    with mock.patch.object(fm, "WINDOW_CHUNK_POINTS", budget), \
+            mock.patch.object(fm, "WINDOW_FIRST_POINTS", budget):
         scan = fm.window_scan(f, H, win)
     pts, degenerate = window_scan_oracle(f, H, win)
     assert scan.points.dtype == pts.dtype and scan.points.shape == pts.shape
@@ -545,6 +546,7 @@ def test_window_scan_expansion_respects_the_chunk_budget(Kcubic):
         return regions(p1, *args)
 
     with mock.patch.object(fm, "WINDOW_CHUNK_POINTS", 50), \
+            mock.patch.object(fm, "WINDOW_FIRST_POINTS", 50), \
             mock.patch.object(fm, "_ragged_box", spy), \
             mock.patch.object(fm, "_abs_quadratic_regions", first_spy):
         scan = fm.window_scan(f, 3, CUBIC_WINDOW)
