@@ -447,8 +447,8 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return MultiPoly(self.nvars, {e: c * other for e, c in
-                                          self.terms.items()} if other else None)
+            return MultiPoly(self.nvars, other and {
+                e: c * other for e, c in self.terms.items()})
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

@@ -156,9 +156,9 @@ def test_cofactor_det_matches_the_kernel(rows):
 
 @hs.composite
 def ring_matrices(draw):
-    """Square matrices up to 6 x 6 over one ring: Fractions (a third of the
-    entries zero), linear MultiPolys in two variables, or RInts with
-    rational endpoints (some of them the point zero)."""
+    """Square matrices up to 6 x 6 over one ring: Fractions (many of them
+    zero), linear MultiPolys in two variables, or RInts with rational
+    endpoints (some of them the point zero)."""
     n = draw(hs.integers(1, 6))
     kind = draw(hs.sampled_from(["fraction", "multipoly", "rint"]))
 
@@ -168,8 +168,9 @@ def ring_matrices(draw):
             return a
         if kind == "rint":
             return RInt(a, a + draw(hs.fractions(0, 2, max_denominator=4)))
-        coeffs = zip(((0, 0), (1, 0), (0, 1)), (a, draw(entries), draw(entries)))
-        return pu.MultiPoly(2, {e: c for e, c in coeffs if c})
+        coeffs = (a, draw(entries), draw(entries))
+        return pu.MultiPoly(2, {e: c for e, c in zip(((0, 0), (1, 0), (0, 1)),
+                                                     coeffs) if c})
 
     return [[entry() for _ in range(n)] for _ in range(n)]
 
