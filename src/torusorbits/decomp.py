@@ -73,10 +73,6 @@ class MatrixK:
 
     # -- basics --
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def __eq__(self, other):
         return (isinstance(other, MatrixK) and self.field is other.field
                 and self.rows == other.rows)

@@ -91,13 +91,6 @@ class TorusPath:
         n = self.n
         return tuple(b ** (n * m) for m in self.schedules[v][k])
 
-    @staticmethod
-    def constant(n: int, r: int, steps: int, bases=None) -> "TorusPath":
-        bases = bases or tuple(Fraction(2) for _ in range(r))
-        zero = tuple([tuple([0] * (n - 1))] * steps)
-        return TorusPath(n, tuple(Fraction(b) for b in bases),
-                         tuple(zero for _ in range(r)))
-
 
 # -- systole -----------------------------------------------------------------------
 

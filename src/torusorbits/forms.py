@@ -13,8 +13,10 @@ two-place norm-product spectrum.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,21 +63,14 @@ class DecomposableForm:
         return acc
 
     def expanded(self, v: int) -> dict:
-        """Exact monomial expansion of the place-v product polynomial."""
-        terms = {tuple([0] * self.n): self.scalars[v]}
-        for i in range(self.m):
-            new = {}
-            for mono, coef in terms.items():
-                for j, c in enumerate(self.factors[v][i]):
-                    if c.is_zero():
-                        continue
-                    m2 = list(mono)
-                    m2[j] += 1
-                    key = tuple(m2)
-                    cur = new.get(key)
-                    new[key] = c * coef if cur is None else cur + c * coef
-            terms = {k: v2 for k, v2 in new.items() if not v2.is_zero()}
-        return terms
+        """Exact monomial expansion of the place-v product polynomial:
+        monomial exponents -> nonzero coefficient in K."""
+        n = self.n
+        linear = (pu.MultiPoly(n, {tuple(int(i == j) for i in range(n)): c
+                                   for j, c in enumerate(fac) if c})
+                  for fac in self.factors[v])
+        seed = pu.MultiPoly(n, {(0,) * n: self.scalars[v]})
+        return functools.reduce(operator.mul, linear, seed).terms
 
 
 def make_form(field: NumberField, per_place_factors, scalars=None) -> DecomposableForm:
@@ -677,7 +672,7 @@ def norm_product_spectrum(form: DecomposableForm, height: int,
         cn = abs(field_norm(coef))
         per_var.append(sorted({Fraction(x) * cn for x in norms if x > 0}))
     # combine products under the clip
-    limit = Fraction(clip).limit_denominator(10 ** 9) / scale
+    limit = Fraction(clip) / scale
     frontier = [Fraction(1)]
     for vals in per_var:
         new = set()
@@ -893,10 +888,7 @@ def verify_suborder_index(field: NumberField, l: int) -> bool:
     cm = field.cm_structure
     if cm is None:
         raise NotCm("no CM presentation declared")
-    fdeg = pu.degree(cm.subfield_poly)
-    basis = [cm.subfield_gen ** i for i in range(fdeg)]
-    basis += [cm.relative_gen * b for b in basis]
-    sub = order_discriminant(field, basis)
+    sub = order_discriminant(field, cm.basis)
     full = order_discriminant(field)
     ratio = sub / full
     return ratio == l * l

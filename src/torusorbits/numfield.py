@@ -34,6 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import mpmath
@@ -227,6 +228,13 @@ class CmStructure:
     subfield_gen: FieldElement
     d: FieldElement
     relative_gen: FieldElement
+
+    @cached_property
+    def basis(self) -> tuple:
+        """The CM basis of K: g^i, then relative_gen * g^i, for i < [F:Q]."""
+        powers = tuple(self.subfield_gen ** i
+                       for i in range(pu.degree(self.subfield_poly)))
+        return powers + tuple(self.relative_gen * g for g in powers)
 
 
 @dataclass
@@ -624,11 +632,7 @@ def _attach_cm(K: NumberField, cm: dict) -> CmStructure:
         raise ValidationError("subfield polynomial must be monic integral")
     if _squarefree_part(sp) != sp:
         raise Reducible("subfield polynomial has a repeated factor")
-    # gen satisfies the subfield polynomial inside K
-    acc = K.zero
-    for i, c in enumerate(sp):
-        acc = acc + K.from_rational(c) * gen ** i
-    if not acc.is_zero():
+    if pu.peval(sp, gen):
         raise ValidationError("subfield_gen does not satisfy subfield_poly")
     if _charpoly(K, gen) != pu.pmul(sp, sp):
         raise Reducible("subfield polynomial is reducible")
@@ -658,17 +662,14 @@ def _cm_inverse(K: NumberField, cm: CmStructure):
     Built once and cached on the field; a singular B is refused."""
     if K._cm_inverse_cache is not None:
         return K._cm_inverse_cache
-    fdeg = pu.degree(cm.subfield_poly)
-    basis = [cm.subfield_gen ** i for i in range(fdeg)]
-    basis += [cm.relative_gen * b for b in basis]
     d = K.degree
-    mat = [[b.num[i] for b in basis] for i in range(d)]
+    mat = [[b.num[i] for b in cm.basis] for i in range(d)]
     cols = [pu.int_solve(mat, [int(i == k) for i in range(d)])
             for k in range(d)]
     if cols[0] is None:
         raise ValidationError("CM basis is degenerate")
     K._cm_inverse_cache = [[Fraction(b.den * xs[j], det) for xs, det in cols]
-                           for j, b in enumerate(basis)]
+                           for j, b in enumerate(cm.basis)]
     return K._cm_inverse_cache
 
 
@@ -681,7 +682,7 @@ def _cm_split_solver(K: NumberField, cm: CmStructure):
         return K._cm_split_cache
     inv = _cm_inverse(K, cm)
     d, fdeg = K.degree, len(inv) // 2
-    gens = [cm.subfield_gen ** i for i in range(fdeg)]
+    gens = cm.basis[:fdeg]
     K._cm_split_cache = tuple(
         [[sum(Fraction(g.num[k], g.den) * inv[off + i][j]
               for i, g in enumerate(gens)) for j in range(d)]

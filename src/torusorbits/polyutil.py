@@ -400,11 +400,12 @@ def _disjoint(boxes) -> bool:
 # -- small multivariate polynomials over Q ------------------------------------
 
 class MultiPoly:
-    """Sparse multivariate polynomial: exponent tuple -> Fraction.
+    """Sparse multivariate polynomial: exponent tuple -> coefficient, from
+    any ring whose zero is falsy (Fractions, number field elements).
 
     Just enough ring structure to expand determinants symbolically (norm
-    forms) and evaluate them exactly on integer vectors or elementwise on
-    numpy arrays.
+    forms) and products of linear forms over K, and to evaluate them
+    exactly on integer vectors or elementwise on numpy arrays.
     """
 
     __slots__ = ("nvars", "terms")

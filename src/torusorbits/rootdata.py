@@ -102,16 +102,6 @@ class WeylElement:
     def __call__(self, i: int) -> int:
         return self.perm[i]
 
-    def inverse(self) -> "WeylElement":
-        inv = [0] * self.n
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return WeylElement(tuple(inv))
-
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        """self after other: (self*other)(i) = self(other(i))."""
-        return WeylElement(tuple(self.perm[other.perm[i]] for i in range(self.n)))
-
     @cached_property
     def signs(self) -> tuple:
         """Sign of the representative's entry in each column: -1 only in
@@ -135,22 +125,14 @@ class WeylElement:
                         sum(1 << self.perm[a] for a in idx)))
         return tuple(out)
 
-    def representative_entries(self):
-        """(row, col, sign) triples of the det-one monomial representative."""
-        return [(row, col, s)
-                for col, (row, s) in enumerate(zip(self.perm, self.signs))]
-
     def matrix(self, field):
         """Monomial MatrixK representative over the given field."""
         from .decomp import MatrixK
         n = self.n
         rows = [[field.zero] * n for _ in range(n)]
-        for r, c, s in self.representative_entries():
-            rows[r][c] = field.from_rational(Fraction(s))
+        for col, (row, s) in enumerate(zip(self.perm, self.signs)):
+            rows[row][col] = field.from_rational(Fraction(s))
         return MatrixK(field, rows)
-
-    def is_identity(self) -> bool:
-        return all(self.perm[i] == i for i in range(self.n))
 
     def __str__(self):
         return "[" + " ".join(str(p + 1) for p in self.perm) + "]"
@@ -224,50 +206,21 @@ def parabolic_descriptor(subset: RootSubset, w: WeylElement = None,
 
 
 def unipotent_positions(subset: RootSubset, sign: int = +1) -> frozenset:
-    """Strictly block upper (sign +) or lower (sign -) positions."""
-    blk = subset.block_of()
-    out = set()
-    for i in range(subset.n):
-        for j in range(subset.n):
-            if i == j:
-                continue
-            if sign > 0 and blk[i] < blk[j]:
-                out.add((i, j))
-            if sign < 0 and blk[i] > blk[j]:
-                out.add((i, j))
-    return frozenset(out)
-
-
-def weyl_stabilizer(subset: RootSubset):
-    """The Weyl group of the Levi: permutations preserving each block."""
-    check_cap(subset.n)
-    out = []
-    for w in all_weyl(subset.n):
-        blk = subset.block_of()
-        if all(blk[w(i)] == blk[i] for i in range(subset.n)):
-            out.append(w)
-    return tuple(out)
+    """Strictly block upper (sign +) or lower (sign -) positions: those of
+    the standard parabolic outside its opposite, or the other way round."""
+    upper = parabolic_descriptor(subset).positions
+    lower = parabolic_descriptor(subset, opposite=True).positions
+    return upper - lower if sign > 0 else lower - upper
 
 
 @lru_cache(maxsize=None)
-def _coset_reps_cached(n: int, simples: frozenset):
-    subset = RootSubset(n, simples)
-    stab = weyl_stabilizer(subset)
-    seen = set()
-    reps = []
-    for w in all_weyl(n):          # lexicographic order: first hit is minimal
-        key = frozenset(w.compose(u).perm for u in stab)
-        if key in seen:
-            continue
-        seen.add(key)
-        reps.append(w)
-    return tuple(reps)
-
-
 def coset_representatives(n: int, subset: RootSubset):
-    """Lexicographically minimal representatives of the left cosets w W_subset."""
-    check_cap(n)
-    return _coset_reps_cached(n, subset.simples)
+    """Lexicographically minimal representatives of the left cosets
+    w W_subset, in lexicographic order: w W_subset permutes the values of w
+    inside each block, so its least element is the one increasing on every
+    block, w(i-1) < w(i) for each simple root alpha_i of the subset."""
+    return tuple(w for w in all_weyl(n)
+                 if all(w.perm[i - 1] < w.perm[i] for i in subset.simples))
 
 
 def n_psi(n: int, subset: RootSubset) -> int:

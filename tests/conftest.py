@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from torusorbits import config as cfg
+from torusorbits import dynamics as dy
 from torusorbits import forms as fm
 from torusorbits import numfield as nf
 from torusorbits import polyutil as pu
@@ -529,3 +530,76 @@ def elimination_genericity(h):
     return all(elimination_block_ldu(weyl_untranslate(w1, h, w2), empty)
                is not None
                for w1 in rd.all_weyl(h.n) for w2 in rd.all_weyl(h.n))
+
+
+# -- Weyl-group oracles --------------------------------------------------------
+#
+# The Weyl-group layer as rootdata computed it before coset representatives
+# came from the one-line notation: composition of permutations, the Levi's
+# Weyl group by an n!-scan, and cosets enumerated element by element.
+
+
+def weyl_compose(w, u):
+    """w after u: (w u)(i) = w(u(i))."""
+    return rd.WeylElement(tuple(w.perm[u.perm[i]] for i in range(w.n)))
+
+
+def weyl_stabilizer(subset):
+    """The Weyl group of the Levi: permutations preserving each block."""
+    blk = subset.block_of()
+    return tuple(w for w in rd.all_weyl(subset.n)
+                 if all(blk[w(i)] == blk[i] for i in range(subset.n)))
+
+
+def brute_force_cosets(n, subset):
+    """The first element, in lexicographic order, of each left coset
+    w W_subset, each coset built in full."""
+    stab = weyl_stabilizer(subset)
+    seen, reps = set(), []
+    for w in rd.all_weyl(n):
+        key = frozenset(weyl_compose(w, u).perm for u in stab)
+        if key not in seen:
+            seen.add(key)
+            reps.append(w)
+    return tuple(reps)
+
+
+def loop_unipotent_positions(subset, sign=+1):
+    """Strictly block upper (sign +) or lower (sign -) positions, by a
+    double loop over the block indices."""
+    blk = subset.block_of()
+    return frozenset((i, j) for i in range(subset.n) for j in range(subset.n)
+                     if i != j and (sign > 0 and blk[i] < blk[j]
+                                    or sign < 0 and blk[i] > blk[j]))
+
+
+def monomial_entries(m):
+    """(row, col, sign) triples of a signed monomial matrix."""
+    return [(i, j, 1 if x == m.field.one else -1)
+            for i, row in enumerate(m.rows) for j, x in enumerate(row) if x]
+
+
+def constant_path(n, r, steps):
+    """A torus path that stays at the identity: every exponent zero."""
+    zero = tuple([tuple([0] * (n - 1))] * steps)
+    return dy.TorusPath(n, tuple(Fraction(2) for _ in range(r)),
+                        tuple(zero for _ in range(r)))
+
+
+def dict_expansion(form, v):
+    """The place-v product polynomial of a decomposable form as a dict
+    monomial -> coefficient, multiplied out one factor at a time."""
+    terms = {tuple([0] * form.n): form.scalars[v]}
+    for i in range(form.m):
+        new = {}
+        for mono, coef in terms.items():
+            for j, c in enumerate(form.factors[v][i]):
+                if c.is_zero():
+                    continue
+                m2 = list(mono)
+                m2[j] += 1
+                key = tuple(m2)
+                cur = new.get(key)
+                new[key] = c * coef if cur is None else cur + c * coef
+        terms = {k: v2 for k, v2 in new.items() if not v2.is_zero()}
+    return terms

@@ -15,7 +15,7 @@ from torusorbits import strata as st
 from torusorbits.errors import (HypothesisViolated, MembershipFails,
                                 PrecisionExhausted)
 
-from conftest import random_sl
+from conftest import constant_path, random_sl
 
 
 def ramp_path(n, steps, s_rate=1, t_rate=-1, root_index=None):
@@ -605,7 +605,7 @@ def test_rungs_refuse_ends_that_are_not_finite_and_positive():
 def test_run_path_constant(Ksqrt2):
     i2 = dc.MatrixK.identity(Ksqrt2, 2)
     inp = st.OrbitInput((i2, i2))
-    path = dy.TorusPath.constant(2, 2, 5)
+    path = constant_path(2, 2, 5)
     tr = dy.run_path(inp, path, 3)
     vals = [s.value for s in tr.steps]
     assert max(vals) - min(vals) < 1e-12

@@ -25,8 +25,9 @@ from torusorbits.errors import (ArityMismatch, CapExceeded,
 from torusorbits.intervals import RInt
 
 from cm_oracle import cm_conjugate, sine_identity_enclosure
-from conftest import (CUBIC_WINDOW, cubic_density_form, multipoly_value,
-                      resultant_norm, resultant_norm_f, window_scan_digest)
+from conftest import (CUBIC_WINDOW, cubic_density_form, dict_expansion,
+                      multipoly_value, resultant_norm, resultant_norm_f,
+                      window_scan_digest)
 from gauss_oracle import echelon
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -76,6 +77,26 @@ def test_is_rational(Ksqrt2):
     scaled = fm.make_form(Ksqrt2, [[[1, 1], [1, -1]],
                                    [[lam, lam], [1, -1]]])
     assert fm.is_rational(scaled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.data())
+def test_expansion_matches_the_dict_expansion(Ksqrt2, Kzeta8, data):
+    # the product of the linear MultiPolys against the expansion one factor
+    # at a time, zero coefficients and cancelling monomials included
+    K = data.draw(hs.sampled_from([Ksqrt2, Kzeta8]))
+    n, m = data.draw(hs.integers(1, 3)), data.draw(hs.integers(1, 3))
+
+    def element():
+        return K.element([data.draw(hs.integers(-2, 2))
+                          for _ in range(K.degree)])
+
+    factors = tuple(tuple(tuple(element() for _ in range(n))
+                          for _ in range(m)) for _ in range(K.n_places))
+    scalars = tuple(element() or K.one for _ in range(K.n_places))
+    form = fm.DecomposableForm(K, n, m, factors, scalars)
+    for v in range(form.r):
+        assert form.expanded(v) == dict_expansion(form, v)
 
 
 # -- group bridge ----------------------------------------------------------------
@@ -833,6 +854,19 @@ def test_factored_spectrum_takes_the_exact_constant(Ksqrt2):
                      scalars=[Ksqrt2.theta, 1])
     with pytest.raises(ValidationError):
         fm.norm_product_spectrum(f, 3)
+
+
+def test_the_two_spectra_read_the_clip_alike(Ksqrt2):
+    # scalars (1/3, 1): C = 1/3, and the norm product 1 gives the value
+    # 1/3, just above the float clip 1/3; both spectra compare the clip's
+    # exact value, so neither keeps it, and both keep it under 0.34
+    third = Ksqrt2.from_rational(Fraction(1, 3))
+    f = fm.make_form(Ksqrt2, [[[1, 0], [0, 1]]] * 2, scalars=[third, 1])
+    assert Fraction(1, 3) > Fraction(1 / 3)
+    for clip, want in ((1 / 3, []), (0.34, [Fraction(1, 3)])):
+        factored = fm.norm_product_spectrum(f, 2, clip=clip)
+        full = fm.two_place_spectrum(fm.scan_values(f, 2), clip=clip)
+        assert factored.values == full.values == want
 
 
 def test_numeric_values_beyond_int64(Kzeta8):

@@ -6,6 +6,9 @@ import pytest
 from torusorbits import rootdata as rd
 from torusorbits.errors import TooLarge
 
+from conftest import (brute_force_cosets, loop_unipotent_positions,
+                      monomial_entries, weyl_compose, weyl_stabilizer)
+
 
 def test_all_weyl_counts():
     assert len(rd.all_weyl(2)) == 2
@@ -22,7 +25,7 @@ def test_weyl_representative_det_one(Ksqrt2):
             assert m.det() == Ksqrt2.one
             assert m.is_monomial()
     s = rd.all_weyl(2)[1]
-    ent = sorted(s.representative_entries())
+    ent = sorted(monomial_entries(s.matrix(Ksqrt2)))
     assert ent == [(0, 1, -1), (1, 0, 1)] or ent == [(0, 1, 1), (1, 0, -1)]
 
 
@@ -104,12 +107,32 @@ def test_coset_representatives():
     assert len(rd.coset_representatives(3, rd.RootSubset.full(3))) == 1
 
 
+def test_coset_rule_matches_the_brute_force_cosets():
+    # the block-increasing rule returns the very elements of all_weyl that
+    # the coset-by-coset scan keeps, in the same order
+    for n in (2, 3, 4, 5):
+        for subset in rd.all_subsets(n):
+            rule = rd.coset_representatives(n, subset)
+            oracle = brute_force_cosets(n, subset)
+            assert len(rule) == len(oracle) == rd.n_psi(n, subset)
+            assert all(a is b for a, b in zip(rule, oracle))
+
+
 def test_unipotent_positions():
     e3 = rd.RootSubset.empty(3)
     assert rd.unipotent_positions(e3, +1) == frozenset({(0, 1), (0, 2), (1, 2)})
     s = rd.RootSubset.make(3, [1])
     assert rd.unipotent_positions(s, +1) == frozenset({(0, 2), (1, 2)})
     assert rd.unipotent_positions(rd.RootSubset.full(3), +1) == frozenset()
+    assert rd.unipotent_positions(s, -1) == frozenset({(2, 0), (2, 1)})
+
+
+def test_unipotent_positions_match_the_double_loop():
+    for n in (1, 2, 3, 4, 5):
+        for subset in rd.all_subsets(n):
+            for sign in (+1, -1):
+                assert rd.unipotent_positions(subset, sign) == \
+                    loop_unipotent_positions(subset, sign)
 
 
 def levi_positions(subset):
@@ -139,8 +162,9 @@ def test_descriptor_constant_on_cosets():
         for subset in rd.all_subsets(n):
             for w in rd.all_weyl(n):
                 base = rd.parabolic_descriptor(subset, w)
-                for u in rd.weyl_stabilizer(subset):
-                    assert rd.parabolic_descriptor(subset, w.compose(u)) == base
+                for u in weyl_stabilizer(subset):
+                    assert rd.parabolic_descriptor(subset,
+                                                   weyl_compose(w, u)) == base
 
 
 def pattern_closed(d):

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import numpy as np
+
 from torusorbits.numfield import MAX_PRECISION
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "torusorbits"
@@ -256,6 +258,17 @@ def test_one_cofactor_expansion():
                    for node in ast.walk(funcs["numfield.py:_charpoly"]))
 
 
+def test_coset_representatives_come_from_the_one_line_notation():
+    """No function of the package composes Weyl elements or builds the
+    Levi's Weyl group: coset_representatives keeps the permutations that
+    increase on every block, and the coset-by-coset scan it replaced is a
+    test oracle (conftest.brute_force_cosets)."""
+    funcs = _package_functions()
+    retired = {"compose", "weyl_stabilizer"}
+    assert not {key.split(".")[-1].split(":")[-1] for key in funcs} & retired
+    assert [key for key, func in funcs.items() if _calls(func) & retired] == []
+
+
 def _cap_checks(func):
     """The lines of the if statements in func that raise CapExceeded when
     their size test holds."""
@@ -504,6 +517,57 @@ def test_every_export_has_a_caller():
         if all(node in owners for owners in seen.get(ref, [])):
             uncalled.add(key)
     assert uncalled == UNCALLED
+
+
+# Public method and property names of the package that another object a
+# program file reads may carry as well: a method or property of another
+# package class, a dataclass field, or an attribute of numpy or its arrays.
+# test_every_export_has_a_caller matches a method to its callers by bare
+# name, so it cannot tell these owners apart; every owner listed here has a
+# program caller of its own, checked by hand.  A new shared name fails
+# below until its callers are checked the same way.
+SHARED_METHOD_NAMES = {
+    "add": {"decomp.MinorTable"},
+    "conj": {"intervals.CBox"},
+    "dot": {"numfield.NumberField"},
+    "empty": {"rootdata.RootSubset"},
+    "field": {"strata.OrbitInput"},
+    "full": {"rootdata.RootSubset"},
+    "identity": {"decomp.MatrixK"},
+    "inverse": {"decomp.MatrixK", "intervals.RInt", "numfield.FieldElement"},
+    "mask": {"rootdata.ParabolicDescriptor", "rootdata.RootSubset",
+             "strata.ParabolicPair"},
+    "matmul": {"decomp.MinorTable"},
+    "matrix": {"decomp.MinorTable", "rootdata.WeylElement"},
+    "mid": {"intervals.CBox", "intervals.RInt"},
+    "n": {"rootdata.WeylElement", "strata.OrbitInput", "strata.StrataSet"},
+    "overlaps": {"intervals.CBox", "intervals.RInt"},
+    "r": {"dynamics.TorusPath", "forms.DecomposableForm", "strata.OrbitInput"},
+    "square": {"intervals.RInt"},
+    "steps": {"dynamics.TorusPath"},
+    "value": {"forms.DecomposableForm"},
+    "width": {"intervals.CBox", "intervals.RInt"},
+}
+
+
+def test_shared_method_names_are_pinned():
+    owners, fields = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if not isinstance(top, ast.ClassDef):
+                continue
+            for node in top.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("_")):
+                    owners.setdefault(node.name, set()).add(
+                        f"{path.stem}.{top.name}")
+                elif (isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)):
+                    fields.add(node.target.id)
+    shared = {name: classes for name, classes in owners.items()
+              if len(classes) > 1 or name in fields
+              or hasattr(np, name) or hasattr(np.ndarray, name)}
+    assert shared == SHARED_METHOD_NAMES
 
 
 def test_no_private_name_crosses_a_module():

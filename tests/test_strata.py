@@ -16,7 +16,8 @@ from torusorbits import strata as st
 from torusorbits.errors import InvariantViolation, TooLarge, ValidationError
 
 from conftest import (all_pairs_poset, fieldelement_ldu, fieldelement_strata,
-                      generic_sl, genericity_check, random_sl, strata_summary)
+                      generic_sl, genericity_check, random_sl, strata_summary,
+                      weyl_compose, weyl_stabilizer)
 
 
 def top_index(s):
@@ -274,7 +275,7 @@ def test_well_definedness_quotient_is_monomial(Ksqrt2):
         g1 = random_sl(Ksqrt2, n, rng, steps=5)
         h = g1 * i3.inverse()
         for subset in rd.all_subsets(n):
-            stab = rd.weyl_stabilizer(subset)
+            stab = weyl_stabilizer(subset)
             reps = rd.coset_representatives(n, subset)
             for w1 in reps[:2]:
                 for w2 in reps[:2]:
@@ -287,8 +288,8 @@ def test_well_definedness_quotient_is_monomial(Ksqrt2):
                     rep2 = m2 * dec.v_plus * m2.inverse() * i3
                     for u1 in stab[:2]:
                         for u2 in stab[:2]:
-                            w1b = w1.compose(u1)
-                            w2b = w2.compose(u2)
+                            w1b = weyl_compose(w1, u1)
+                            w2b = weyl_compose(w2, u2)
                             m1b = w1b.matrix(Ksqrt2)
                             m2b = w2b.matrix(Ksqrt2)
                             decb = dc.block_ldu(m1b.inverse() * h * m2b, subset)
