@@ -459,20 +459,35 @@ def window_scan(form: DecomposableForm, height: int, window) -> FormScan:
     chunks of WINDOW_CHUNK_POINTS; a candidate is kept only as its
     pu.row_keys key, and one sort of all keys orders and deduplicates the
     points, decoded by pu.key_rows.  Coverage statistics on the result
-    equal full-box coverage."""
-    keys = pu.distinct(np.concatenate(_window_keys(form, height, window)))
+    equal full-box coverage.  As |f_v(-z)| = |f_v(z)| and the scan is odd, it
+    walks half the box and adds the negations: keys (2H + 1)^dim - 1 - key."""
+    _check_window(window)
+    keys = np.concatenate(_window_keys(form, height, window))
     dim = 2 * form.field.degree
+    keys = pu.distinct(np.concatenate(
+        [keys, (2 * height + 1) ** dim - 1 - keys]))
     keys = keys[keys != pu.row_keys(np.zeros((1, dim), dtype=np.int64), height)]
     pts = pu.key_rows(keys, height, dim)
     return FormScan(form, height, pts, "window-complete",
                     _degenerate_mask(form, pts))
 
 
+def _check_window(window, eps: float = 1.0) -> None:
+    """ValidationError unless 0 < eps, lo < hi and all are finite (no NaN)."""
+    if not 0 < eps < math.inf:
+        raise ValidationError("eps must be finite and positive")
+    if not all(-math.inf < lo < hi < math.inf for lo, hi in window):
+        raise ValidationError("window bounds must be finite with lo < hi")
+
+
 def _window_keys(form: DecomposableForm, height: int, window) -> list:
     """The row keys of window_scan's candidates, chunk by chunk and with
     repeats, so that the chunks' arrays are freed before the keys are
-    decoded.  The window pad only ever adds candidates, never loses them;
-    density_report's mask applies the exact window."""
+    decoded, for the first coordinates up to 0 only.  Every step is odd under
+    z -> -z: rounding is, the float products sum each row in one fixed order,
+    the quadratic roots negate and swap, the pads turn ceil into floor, and
+    W_v reads |lo|, |hi|.  The window pad only ever adds candidates, never
+    loses them; density_report's mask applies the exact window."""
     field = form.field
     if form.n != 2:
         raise ValidationError("window enumeration handles binary forms")
@@ -485,7 +500,7 @@ def _window_keys(form: DecomposableForm, height: int, window) -> list:
     if form.m != 2:
         raise ValidationError("window enumeration handles two factors")
     deg = field.degree
-    total = _box_size(height, deg, BOX_POINT_CAP)
+    half = (_box_size(height, deg, BOX_POINT_CAP) + 1) // 2
     scalar_abs = [abs(field.float_embed(s, places[v]))
                   for v, s in enumerate(form.scalars)]
     if any(s == 0 for s in scalar_abs):
@@ -500,8 +515,8 @@ def _window_keys(form: DecomposableForm, height: int, window) -> list:
     wmax = [(max(abs(lo), abs(hi)) / scalar_abs[v]) * (1 + WINDOW_PAD)
             + WINDOW_PAD for v, (lo, hi) in enumerate(window)]
     keys = [np.zeros(0, dtype=np.int64)]
-    for start in range(0, total, WINDOW_FIRST_POINTS):
-        c = _box(height, deg, start, min(start + WINDOW_FIRST_POINTS, total))
+    for start in range(0, half, WINDOW_FIRST_POINTS):
+        c = _box(height, deg, start, min(start + WINDOW_FIRST_POINTS, half))
         x = c @ phi.T                               # (N1, r): embeddings of z1
         intervals = np.stack([_abs_quadratic_regions(
             a[v, 0] * x[:, v], b[v, 0], a[v, 1] * x[:, v], b[v, 1],
@@ -661,9 +676,10 @@ def norm_product_spectrum(form: DecomposableForm, height: int,
         touched.append(nz[0])
     if sorted(touched) != list(range(form.n)):
         raise ValidationError("factors must cover each variable once")
-    _box_size(height, field.degree, BOX_POINT_CAP)
-    norms, _ = _int_image(field, [(field.one,)], _box(height, field.degree),
-                          norm=True)
+    # N(-w) = (-1)^deg N(w): the box up to 0 has every |N(w)|
+    half = (_box_size(height, field.degree, BOX_POINT_CAP) + 1) // 2
+    norms, _ = _int_image(field, [(field.one,)],
+                          _box(height, field.degree, 0, half), norm=True)
     norms = pu.distinct(np.abs(norms)).tolist()
     # per factor: |N(coef)| * |N(w)| over the one-variable box
     per_var = []
@@ -715,12 +731,11 @@ def density_report(scan: FormScan, window=None, eps: float = 0.25) -> DensityRep
     modulus at complex places.  A sampled scan undercounts coverage, never
     overcounts, so thresholds passed on samples hold for the full box.
     """
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
     form = scan.form
     r = form.r
     if window is None:
         window = tuple((-5.0, 5.0) for _ in range(r))
+    _check_window(window, eps)
     vals = [scan.numeric_values(v) for v in range(r)]
     mask = ~scan.degenerate
     per_axis = []

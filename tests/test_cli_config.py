@@ -677,6 +677,21 @@ ERROR_CASES = {
     "density_window_1": ([*FIELD, "forms", "density", "--form", "f0.json",
                           "--height", "2", "--window", "1"],
                          "error: malformed --window '1'"),
+    # windows and cells that are not finite, or empty (a reversed window
+    # once read a positive cell count, NaN and inf a traceback)
+    "density_window_reversed": ([*FIELD, "forms", "density", "--form",
+                                 "f0.json", "--height", "1", "--window=5,-5"],
+                                "error: window bounds must be finite with "
+                                "lo < hi"),
+    "density_window_nan": ([*FIELD, "forms", "density", "--form", "f0.json",
+                            "--height", "1", "--window", "nan,5"],
+                           "error: window bounds must be finite with lo < hi"),
+    "density_window_inf": ([*FIELD, "forms", "density", "--form", "f0.json",
+                            "--height", "1", "--window=-5,inf"],
+                           "error: window bounds must be finite with lo < hi"),
+    "density_eps_inf": ([*FIELD, "forms", "density", "--form", "f0.json",
+                         "--height", "1", "--eps", "inf"],
+                        "error: eps must be finite and positive"),
     "ldu_subset_a": ([*FIELD, "bruhat", "ldu", "--h", "g1.json",
                       "--subset", "a"],
                      "error: malformed --subset 'a'"),

@@ -460,6 +460,51 @@ def test_window_scan_matches_oracle(Kcubic, Ksqrt2, data):
     assert scan.mode == "window-complete" and scan.height == H
 
 
+@settings(max_examples=40, deadline=None)
+@given(hs.data())
+def test_window_scan_is_closed_under_negation(Kcubic, Ksqrt2, data):
+    """-z is a point of the scan with z, and as degenerate: the sorted
+    points read backwards are their negations, on asymmetric windows."""
+    K = data.draw(hs.sampled_from([Kcubic, Ksqrt2]))
+    scan = fm.window_scan(window_forms(K), data.draw(hs.integers(1, 6)),
+                          data.draw(scan_windows(K.n_places)))
+    assert np.array_equal(scan.points[::-1], -scan.points)
+    assert np.array_equal(scan.degenerate[::-1], scan.degenerate)
+
+
+BAD_WINDOWS = {"reversed": (5.0, -5.0), "empty": (1.0, 1.0),
+               "nan": (math.nan, 5.0), "inf": (-5.0, math.inf)}
+
+
+@pytest.mark.parametrize("bound", list(BAD_WINDOWS))
+def test_invalid_windows_are_refused(Kcubic, bound):
+    """A window bound that is not finite, or lo >= hi, is a ValidationError
+    from the window scan and the density report before either computes
+    anything (a reversed window once counted a positive number of cells)."""
+    f = cubic_density_form(Kcubic)
+    scan = fm.window_scan(f, 1, CUBIC_WINDOW)
+    window = (BAD_WINDOWS[bound],) * 3
+    with mock.patch.object(fm, "_window_keys") as keys, \
+            pytest.raises(ValidationError, match="window bounds"):
+        fm.window_scan(f, 2, window)
+    keys.assert_not_called()
+    with mock.patch.object(fm.FormScan, "numeric_values") as values, \
+            pytest.raises(ValidationError, match="window bounds"):
+        fm.density_report(scan, window=window)
+    values.assert_not_called()
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -0.25])
+def test_invalid_cell_sizes_are_refused(Kcubic, eps):
+    """A cell size that is not finite and positive is a ValidationError
+    before the density report computes anything."""
+    scan = fm.window_scan(cubic_density_form(Kcubic), 1, CUBIC_WINDOW)
+    with mock.patch.object(fm.FormScan, "numeric_values") as values, \
+            pytest.raises(ValidationError, match="eps must be finite"):
+        fm.density_report(scan, window=CUBIC_WINDOW, eps=eps)
+    values.assert_not_called()
+
+
 @settings(max_examples=150, deadline=None)
 @given(hs.lists(hs.floats(-8, 8), min_size=1, max_size=20),
        hs.lists(hs.floats(-8, 8), min_size=20, max_size=20),
@@ -566,15 +611,25 @@ def test_window_scan_expansion_respects_the_chunk_budget(Kcubic):
         firsts.append(len(p1))
         return regions(p1, *args)
 
+    stops = []
+    box = fm._box
+
+    def box_spy(height, dim, start=0, stop=None):
+        stops.append(stop)
+        return box(height, dim, start, stop)
+
     with mock.patch.object(fm, "WINDOW_CHUNK_POINTS", 50), \
             mock.patch.object(fm, "WINDOW_FIRST_POINTS", 50), \
             mock.patch.object(fm, "_ragged_box", spy), \
-            mock.patch.object(fm, "_abs_quadratic_regions", first_spy):
+            mock.patch.object(fm, "_abs_quadratic_regions", first_spy), \
+            mock.patch.object(fm, "_box", box_spy):
         scan = fm.window_scan(f, 3, CUBIC_WINDOW)
     assert calls and any(rows > 1 for rows, _ in calls)
     assert all(points <= 50 or rows == 1 for rows, points in calls)
-    # the first coordinates stream through in chunks of the budget too
-    assert max(firsts) == 50 and sum(firsts) == 3 * 7 ** 3
+    # the first coordinates stream through in chunks of the budget too, over
+    # the half box up to and including the zero coordinate (key 171 of 343)
+    assert max(firsts) == 50 and sum(firsts) == 3 * (7 ** 3 + 1) // 2
+    assert stops and max(stops) == (7 ** 3 + 1) // 2
     pts, _ = window_scan_oracle(f, 3, CUBIC_WINDOW)
     assert scan.points.tobytes() == pts.tobytes()
 
@@ -788,6 +843,30 @@ def test_spectrum_wrong_place_count(Kcubic):
     sc = fm.scan_values(f, 1)
     with pytest.raises(WrongPlaceCount):
         fm.two_place_spectrum(sc)
+
+
+@pytest.mark.parametrize("name", ["Ksqrt2", "Kcubic", "Kgauss", "Kquartic",
+                                  "Kzeta8"])
+def test_half_box_has_every_norm(name, request):
+    """N(-w) = (-1)^deg N(w), so the one-variable box up to 0 has the full
+    box's set of |N(w)|, in exact integers, at H <= 8; over Q(sqrt 2) and
+    Q(zeta8) norm_product_spectrum reads the same from either box."""
+    K = request.getfixturevalue(name)
+    box = fm._box
+
+    def norms(height, stop):
+        pts = box(height, K.degree, 0, stop)
+        return pu.distinct(np.abs(fm._int_image(K, [(K.one,)], pts,
+                                                norm=True)[0]))
+
+    for H in range(1, 9):
+        total = (2 * H + 1) ** K.degree
+        assert np.array_equal(norms(H, (total + 1) // 2), norms(H, total)), H
+    if K.n_places == 2:
+        f = f0(K)
+        with mock.patch.object(fm, "_box", lambda h, dim, *_: box(h, dim)):
+            want = [fm.norm_product_spectrum(f, H) for H in (1, 4, 8)]
+        assert [fm.norm_product_spectrum(f, H) for H in (1, 4, 8)] == want
 
 
 def test_spectrum_empty(Ksqrt2):
