@@ -677,8 +677,7 @@ ERROR_CASES = {
     "density_window_1": ([*FIELD, "forms", "density", "--form", "f0.json",
                           "--height", "2", "--window", "1"],
                          "error: malformed --window '1'"),
-    # windows and cells that are not finite, or empty (a reversed window
-    # once read a positive cell count, NaN and inf a traceback)
+    # window bounds and cell sizes that are not finite, and empty windows
     "density_window_reversed": ([*FIELD, "forms", "density", "--form",
                                  "f0.json", "--height", "1", "--window=5,-5"],
                                 "error: window bounds must be finite with "

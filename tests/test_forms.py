@@ -480,7 +480,7 @@ BAD_WINDOWS = {"reversed": (5.0, -5.0), "empty": (1.0, 1.0),
 def test_invalid_windows_are_refused(Kcubic, bound):
     """A window bound that is not finite, or lo >= hi, is a ValidationError
     from the window scan and the density report before either computes
-    anything (a reversed window once counted a positive number of cells)."""
+    anything."""
     f = cubic_density_form(Kcubic)
     scan = fm.window_scan(f, 1, CUBIC_WINDOW)
     window = (BAD_WINDOWS[bound],) * 3
