@@ -483,8 +483,8 @@ def _check_window(window, eps: float = 1.0) -> None:
 def _window_keys(form: DecomposableForm, height: int, window) -> list:
     """The row keys of window_scan's candidates, chunk by chunk and with
     repeats, so that the chunks' arrays are freed before the keys are
-    decoded, for the first coordinates up to 0 only.  Every step is odd under
-    z -> -z: rounding is, the float products sum each row in one fixed order,
+    decoded, for the first coordinates up to 0 only.  Each step is odd under
+    z -> -z: negation commutes with rounding, rows sum in one fixed order,
     the quadratic roots negate and swap, the pads turn ceil into floor, and
     W_v reads |lo|, |hi|.  The window pad only ever adds candidates, never
     loses them; density_report's mask applies the exact window."""
