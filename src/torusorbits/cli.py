@@ -234,13 +234,15 @@ def cmd_forms_scan(field, args):
 
 
 def cmd_forms_density(field, args):
-    form, scan = _scan(field, args)
-    window = None
+    bounds = None
     if args.window:
         # lo,hi: partition leaves "" (not a float) for a missing bound
-        lo, hi = _parse("--window", args.window,
-                        lambda s: [float(t) for t in s.partition(",")[::2]])
-        window = tuple((lo, hi) for _ in range(form.r))
+        bounds = _parse("--window", args.window,
+                        lambda s: tuple(float(t) for t in s.partition(",")[::2]))
+    # a bad window or cell size is refused before the scan
+    fm._check_window([bounds] if bounds else [], args.eps)
+    form, scan = _scan(field, args)
+    window = None if bounds is None else (bounds,) * form.r
     rep = fm.density_report(scan, window=window, eps=args.eps)
     return {
         "height": rep.height, "eps": rep.eps, "window": list(rep.window),

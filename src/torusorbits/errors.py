@@ -94,10 +94,6 @@ class ArityMismatch(ValidationError):
     pass
 
 
-class SingularCoefficientMatrix(ValidationError):
-    pass
-
-
 class HypothesisFails(ValidationError):
     pass
 

@@ -28,8 +28,8 @@ from . import polyutil as pu
 from .decomp import MatrixK, rows_independent
 from .errors import (ArityMismatch, CapExceeded, CoefficientsNotInF,
                      DependentFactors, HypothesisFails, InvariantViolation,
-                     NotCm, SearchExhausted, SingularCoefficientMatrix,
-                     ValidationError, WrongPlaceCount)
+                     NotCm, SearchExhausted, ValidationError,
+                     WrongPlaceCount)
 from .intervals import RInt
 from .numfield import (FieldElement, NumberField, _cm_split_solver,
                        field_norm, is_cm, norm_form, order_discriminant,
@@ -122,8 +122,9 @@ def form_to_group(form: DecomposableForm):
     """Scalars and SL_n(K) components with f_v(x) = alpha_v * f0(g_v x).
 
     g_v has the factor coefficients as rows, the first row divided by the
-    determinant; the identity is verified by exact expansion.  The scalar
-    normalization is one valid choice among the torus orbit of choices.
+    determinant, which is nonzero since make_form refused dependent factors;
+    the identity is verified by exact expansion.  The scalar normalization
+    is one valid choice among the torus orbit of choices.
     """
     if form.m != form.n:
         raise ValidationError("group bridge needs as many factors as variables")
@@ -134,8 +135,6 @@ def form_to_group(form: DecomposableForm):
         rows = [list(form.factors[v][i]) for i in range(form.m)]
         mat = MatrixK(f, rows)
         det = mat.det()
-        if det.is_zero():
-            raise SingularCoefficientMatrix(f"place {v}")
         inv = det.inverse()
         rows[0] = [inv * x for x in rows[0]]
         g = MatrixK(f, rows)
@@ -147,7 +146,7 @@ def form_to_group(form: DecomposableForm):
                               for _ in range(form.r)],
                           scalars=[alpha] * form.r)
         if check.expanded(0) != form.expanded(v):
-            raise ValidationError("group bridge identity failed to verify")
+            raise InvariantViolation("group bridge identity failed to verify")
     return alphas, OrbitInput(tuple(comps))
 
 
@@ -801,7 +800,7 @@ def two_place_spectrum(scan: FormScan, clip: float = 10.0) -> SpectrumReport:
         if scan.degenerate[idx]:
             continue
         p = _certified_product(form, scan.coordinate(idx))
-        if p is not None and 0 < float(p.mid) <= clip:
+        if 0 < float(p.mid) <= clip:
             prods.append(float(p.mid))
     prods.sort()
     distinct = []
@@ -823,12 +822,13 @@ def _spectrum_report(height, clip, rational, constant, values, note):
                           min(gaps) if gaps else least, len(floats), note=note)
 
 
-def _certified_product(form: DecomposableForm, z) -> Optional[RInt]:
-    """Certified enclosure of prod_v |f_v(z)|_v, or None if a value is 0."""
+def _certified_product(form: DecomposableForm, z) -> RInt:
+    """Certified enclosure of prod_v |f_v(z)|_v at a point where no value is
+    0: two_place_spectrum skips the degenerate points, and at the
+    independent points of cm_obstruction_check det(h gamma, h delta) =
+    det(gamma, delta) != 0 leaves no factor value 0."""
     field = form.field
     vals = [form.value(v, z) for v in range(form.r)]
-    if any(val.is_zero() for val in vals):
-        return None
     width = Fraction(1, 2 ** 64)
     return math.prod((field.normalized_abs(val, pl, max_width=width)
                       for val, pl in zip(vals, field.places())), start=RInt(1))
@@ -979,11 +979,7 @@ def cm_obstruction_check(form: DecomposableForm, scan: FormScan,
     violations = []
     for idx, p in enumerate(prods.tolist()):
         if p == 0:
-            res = _ray_branch(field, cm, form, idx, scan.coordinate(idx))
-            if res is None:
-                violations.append((idx, "ray certificate failed"))
-                continue
-            results.append(res)
+            results.append(_ray_branch(field, cm, idx, scan.coordinate(idx)))
             continue
         # independent branch: N_F(det)^2 = N_K(det) > 0
         prod = Fraction(p, prod_den)
@@ -1000,7 +996,7 @@ def cm_obstruction_check(form: DecomposableForm, scan: FormScan,
                 continue
         else:
             lhs = _certified_product(form, scan.coordinate(idx))
-            if lhs is not None and lhs.hi < rhs:
+            if lhs.hi < rhs:
                 violations.append((idx, "certified inequality violation"))
                 continue
         if not sine_ok[idx]:
@@ -1042,26 +1038,18 @@ def _abs_norm_f(x: FieldElement) -> Fraction:
     return Fraction(num, den)
 
 
-def _ray_branch(field, cm, form, idx, z):
-    """delta = a gamma exactly: f_v(z) = (1 + a sqrt(-d))^2 f_v(gamma)."""
+def _ray_branch(field, cm, idx, z):
+    """delta = a gamma exactly: f_v(z) = (1 + a sqrt(-d))^2 f_v(gamma).
+
+    The point's N_F(det(gamma, delta))^2 is the exact integer 0, so
+    det(gamma, delta) = 0 and delta = a gamma with a = d_i / g_i for a
+    nonzero g_i; each factor is linear, so every place value of the binary
+    quadratic form at z = (1 + a sqrt(-d)) gamma is (1 + a sqrt(-d))^2
+    times its value at gamma."""
     (g1, d1), (g2, d2) = (split_cm(field, cm, x) for x in z)
     if g1.is_zero() and g2.is_zero():
         # z purely imaginary multiple: values are (-d) f_v(delta), still a ray
         return CmPointResult(idx, "ray", None, ("inf",), None)
-    # solve a from whichever gamma coordinate is nonzero
-    if not g1.is_zero():
-        a = d1 / g1
-    else:
-        a = d2 / g2
-    if not (d1 == a * g1 and d2 == a * g2):
-        return None
-    factor = (field.one + a * cm.relative_gen)
-    fac2 = factor * factor
-    for v in range(form.r):
-        lhs = form.value(v, (g1 + cm.relative_gen * d1,
-                             g2 + cm.relative_gen * d2))
-        rhs = fac2 * form.value(v, (g1, g2))
-        if lhs != rhs:
-            return None
-    coords = subfield_coordinates(field, cm, a)
-    return CmPointResult(idx, "ray", None, tuple(coords), None)
+    a = d1 / g1 if not g1.is_zero() else d2 / g2
+    return CmPointResult(idx, "ray", None,
+                         tuple(subfield_coordinates(field, cm, a)), None)

@@ -69,9 +69,6 @@ class RInt:
     def __repr__(self):
         return f"RInt({self.lo}, {self.hi})"
 
-    def __float__(self):
-        return float(self.mid)
-
     def contains(self, x) -> bool:
         x = _frac(x)
         return self.lo <= x <= self.hi
@@ -93,9 +90,6 @@ class RInt:
     def __sub__(self, other):
         return self + (-as_rint(other))
 
-    def __rsub__(self, other):
-        return as_rint(other) + (-self)
-
     def __mul__(self, other):
         other = as_rint(other)
         c = (self.lo * other.lo, self.lo * other.hi,
@@ -111,9 +105,6 @@ class RInt:
 
     def __truediv__(self, other):
         return self * as_rint(other).inverse()
-
-    def __rtruediv__(self, other):
-        return as_rint(other) * self.inverse()
 
     def __abs__(self):
         if self.lo >= 0:
@@ -155,17 +146,11 @@ class CBox:
     def mid(self) -> complex:
         return complex(float(self.re.mid), float(self.im.mid))
 
-    def __neg__(self):
-        return CBox(-self.re, -self.im)
-
     def __add__(self, other):
         other = as_cbox(other)
         return CBox(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-as_cbox(other))
 
     def __mul__(self, other):
         other = as_cbox(other)
@@ -187,8 +172,6 @@ class CBox:
 def as_cbox(x) -> CBox:
     if isinstance(x, CBox):
         return x
-    if isinstance(x, RInt):
-        return CBox(x, RInt(0))
     return CBox(as_rint(x), RInt(0))
 
 

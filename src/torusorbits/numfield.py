@@ -79,9 +79,6 @@ class FieldElement:
         """The power-basis coordinates as Fractions (a view, not cached)."""
         return tuple(Fraction(c, self.den) for c in self.num)
 
-    def __repr__(self):
-        return f"<{self.as_str()} in {self.field.label}>"
-
     def as_str(self) -> str:
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -240,7 +237,7 @@ class CmStructure:
 @dataclass
 class UnitClosureReport:
     target_place: int
-    classification: str       # discrete | positive_reals | circle | spiral_candidate | full
+    classification: str       # discrete | positive_reals | circle | full
     log_vectors: list         # per unit: (log modulus, argument) floats at the target place
     relations: list           # verified exponent relations among unit moduli
     gap_statistic: Optional[float]
@@ -818,30 +815,22 @@ def modulus_is_one(K: NumberField, x: FieldElement, place: ArchimedeanPlace) -> 
             return hit_inv == hit_conj
 
 
-def is_root_of_unity(K: NumberField, x: FieldElement) -> bool:
-    """Exact torsion test; orders are bounded since phi(N) <= degree <= 8."""
-    if x.is_zero():
-        return False
-    acc = K.one
-    for _ in range(1, 31):
-        acc = acc * x
-        if acc == K.one:
-            return True
-    return False
-
-
 def unit_closure_classify(field: NumberField, target_place: int,
                           precision_bits: int = DEFAULT_PRECISION
                           ) -> UnitClosureReport:
     """Classify the closure of the unit projections into the target completion.
 
-    Rank-2 unit groups project discretely; a real target place with rank >= 2
-    closes up to the positive reals; at a complex place the shape follows
-    from exact modulus-one tests plus integer-relation detection on the
-    (log modulus, argument) vectors, with coefficients bounded by
-    RELATION_BOUND.  Detection beyond that bound raises Inconclusive rather
-    than guessing; a genuine spiral candidate is reported as such, never
-    asserted to exist.
+    Rank-1 unit groups project discretely; a real target place with rank >= 2
+    closes up to the positive reals, and so does a complex one of a CM field
+    (is_cm, which raises MissingCmStructure for a totally imaginary field of
+    degree > 2 declared without its presentation).  Otherwise the shape at a
+    complex place follows from exact modulus-one tests plus integer-relation
+    detection on the log moduli, with coefficients bounded by
+    RELATION_BOUND: discrete moduli give the circle; dense ones give the
+    full completion, at three places after a spiral-functional search and at
+    more from the rank count alone.  A spiral functional found at the
+    detection bound raises Inconclusive rather than guessing.  A unit that
+    modulus_is_one puts on the circle reports the log modulus 0.0 exactly.
     """
     places = field.places(precision_bits)
     if not 0 <= target_place < len(places):
@@ -851,69 +840,56 @@ def unit_closure_classify(field: NumberField, target_place: int,
     width = Fraction(1, 2 ** 60)
     # the normalized log: log|u| at a real place, log|u|^2 at a complex one
     logs = [float(field.log_abs(u, pl, target_width=width).mid) for u in units]
+    shape, gap, relations, notes, on_circle = _closure_shape(
+        field, units, pl, logs, precision_bits)
     if pl.is_real:
         logvecs = [(lg, 0.0 if field.embed(u, pl, max_width=width).lo > 0
                     else 3.141592653589793) for u, lg in zip(units, logs)]
     else:
-        logvecs = [(lg / 2.0, _arg_float(field.embed(u, pl, max_width=width),
-                                         precision_bits))
-                   for u, lg in zip(units, logs)]
-    shape, gap, relations, notes = _closure_shape(
-        field, units, pl, logs, precision_bits)
+        logvecs = [(0.0 if flag else lg / 2.0,
+                    _arg_float(field.embed(u, pl, max_width=width),
+                               precision_bits))
+                   for u, lg, flag in zip(units, logs, on_circle)]
     return UnitClosureReport(target_place, shape, logvecs, relations, gap,
                              notes)
 
 
 def _closure_shape(field, units, pl, logs, precision_bits):
-    """(classification, gap statistic, relations, notes) of the closure at
-    the place pl, from the units' normalized logs there."""
+    """(classification, gap statistic, relations, notes, on-circle flags) of
+    the closure at the place pl, from the units' normalized logs there.
+
+    The declared units are certified independent, so each unit on the
+    circle and each verified relation's product is a unit of infinite
+    order with modulus one, whose powers are dense in the circle; and when
+    the moduli have rank <= 1 there is at least one of them, since r >= 3
+    means at least two units."""
     r = field.n_places
+    off = [False] * len(units)
     if r <= 2:
-        return "discrete", None, [], "unit rank <= 1 projects discretely"
+        return "discrete", None, [], "unit rank <= 1 projects discretely", off
     if pl.is_real:
         return ("positive_reals", _ray_gap_statistic(logs), [],
-                "real completion, rank >= 2")
-    # complex target place
-    try:
-        if is_cm(field):
-            return ("positive_reals", _ray_gap_statistic(logs), [],
-                    "CM field: unit moduli fill rays")
-    except MissingCmStructure:
-        pass
+                "real completion, rank >= 2", off)
+    if is_cm(field):
+        return ("positive_reals", _ray_gap_statistic(logs), [],
+                "CM field: unit moduli fill rays", off)
 
     on_circle = [modulus_is_one(field, u, pl) for u in units]
     moving = [u for u, flag in zip(units, on_circle) if not flag]
-    relations = []
-    if not moving:
-        rank = 0
-    else:
-        relations = _modulus_relations(field, moving, pl, precision_bits)
-        rank = len(moving) - len(relations)
-
-    if rank <= 1:
-        # moduli are discrete; density on the circle fiber decides
-        fiber = [u for u, flag in zip(units, on_circle) if flag]
-        for rel in relations:
-            w = field.one
-            for u, e in zip(moving, rel):
-                w = w * u ** int(e)
-            fiber.append(w)
-        if any(not is_root_of_unity(field, w) for w in fiber):
-            return ("circle", None, relations,
-                    "moduli discrete, circle fiber dense")
-        raise Inconclusive("discrete projection at rank >= 2 contradicts the "
-                           "unit theorem; relation detection is suspect")
-    # moduli dense in R
+    relations = _modulus_relations(field, moving, pl, precision_bits)
+    if len(moving) - len(relations) <= 1:
+        return ("circle", None, relations,
+                "moduli discrete, circle fiber dense", on_circle)
     if r > 3:
         return ("full", None, relations,
-                "dense moduli, more than three places")
-    # r == 3: spiral functional search
+                "dense moduli, more than three places", on_circle)
+    # r == 3, so two units, both moving
     found = _spiral_functional(field, units, pl, precision_bits)
     if found is not None:
-        return ("spiral_candidate", None, relations,
-                f"functional {found} at detection bound")
+        raise Inconclusive(f"spiral functional {found} at the detection "
+                           "bound")
     return ("full", None, relations,
-            "no functional up to the detection bound")
+            "no functional up to the detection bound", on_circle)
 
 
 def _arg_float(box: CBox, precision_bits: int) -> float:
@@ -963,7 +939,7 @@ def _modulus_relations(field, moving, pl, precision_bits):
     accepted only if the corresponding unit product has modulus exactly one
     (an exact algebraic test), so no relation is ever taken on faith.
     """
-    if len(moving) == 1:
+    if len(moving) <= 1:
         return []
     logs = [field.log_abs(u, pl, target_width=Fraction(1, 2 ** 200))
             for u in moving]
@@ -981,13 +957,9 @@ def _modulus_relations(field, moving, pl, precision_bits):
 
 
 def _spiral_functional(field, units, pl, precision_bits):
-    """Search for (m1, m2, n) with p*x_j + n*y_j/(2pi) = m_j for a real p.
-
-    Existence at the detection bound marks the closure a spiral candidate.
-    Only the two-unit case can occur here (three places).
-    """
-    if len(units) != 2:
-        return None
+    """PSLQ's integer relation (m1, m2, n) with p*x_j + n*y_j/(2pi) = m_j
+    for a real p, between the two units' log moduli x_j and arguments y_j,
+    or None when there is none up to the detection bound."""
     width = Fraction(1, 2 ** 200)
     x = [field.log_abs(u, pl, target_width=width) for u in units]
     y = []
@@ -1001,9 +973,4 @@ def _spiral_functional(field, units, pl, precision_bits):
                   -(_as_mp(yhat[0]) * _as_mp(x[1])
                     - _as_mp(yhat[1]) * _as_mp(x[0]))]
         cand = mpmath.pslq(target, maxcoeff=RELATION_BOUND, maxsteps=10 ** 5)
-    if cand is None:
-        return None
-    m1, m2, n = (int(c) for c in cand)
-    if n == 0:
-        return None  # that would be a modulus relation, handled upstream
-    return (m1, m2, n)
+    return None if cand is None else tuple(int(c) for c in cand)

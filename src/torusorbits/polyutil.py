@@ -266,11 +266,7 @@ def isolate_real_roots(p: Poly):
     """
     chain = sturm_chain(p)
     bound = root_bound(p)
-    a, b = -bound, bound
-    while peval(p, a) == 0:
-        a -= 1
-    while peval(p, b) == 0:
-        b += 1
+    a, b = -bound, bound         # Cauchy's bound is strict: neither is a root
 
     def count(lo, hi):
         return _sign_variations(chain, lo) - _sign_variations(chain, hi)
@@ -306,11 +302,10 @@ def refine_root(p: Poly, iso: RInt, max_width: Fraction) -> RInt:
         mid = (lo + hi) / 2
         fm = peval(p, mid)
         if fm == 0:
+            # the simple root is mid itself, so p changes sign across it
             eps = (hi - lo) / 1024
             lo, hi = mid - eps, mid + eps
             flo, fhi = peval(p, lo), peval(p, hi)
-            if (flo > 0) == (fhi > 0):
-                raise PrecisionExhausted("root collided with bisection point")
             continue
         if (fm > 0) == (flo > 0):
             lo, flo = mid, fm

@@ -138,11 +138,9 @@ def enumerate_strata(g1: MatrixK, g2: MatrixK) -> StrataSet:
     the orbit representative.  Deterministic order: subset size, subset
     mask, then the two representative indices.
     """
-    if g1.n != g2.n or g1.field is not g2.field:
-        raise ValidationError("components must share size and field")
     n = g1.n
     check_cap(n)
-    inp = OrbitInput((g1, g2))
+    inp = OrbitInput((g1, g2))  # refuses components of different size or field
     # an identity g2 (every `--g2 id` run) is never inverted or multiplied by
     identity = g2.is_identity()
     table = MinorTable(g1 if identity else g1 * g2.inverse())

@@ -22,6 +22,7 @@ from torusorbits import numfield as nf
 from torusorbits import rootdata as rd
 from torusorbits import strata as st
 from torusorbits.cli import build_parser, main
+from torusorbits.errors import InvariantViolation
 
 from conftest import NONCONVERGENT_CUBIC, generic_sl, random_sl, records_json
 
@@ -129,6 +130,32 @@ def test_cli_units_classify(workdir, capsys):
                "units", "classify", "--place", "0"])
     assert rc == 0
     assert capsys.readouterr().out == "discrete\n"
+
+
+def test_cli_units_classify_does_not_depend_on_precision(tmp_path, capsys,
+                                                        Kquartic):
+    # at the complex place theta has modulus one, proved exactly, so its
+    # log modulus prints as 0.0, not an enclosure's midpoint near 0
+    cfg.save_field(Kquartic, tmp_path / "field.json")
+    for place in range(3):
+        outs = []
+        for bits in (128, 256):
+            assert main(["--field", str(tmp_path / "field.json"),
+                         "--precision", str(bits), "units", "classify",
+                         "--place", str(place)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].replace('"precision_bits": 128',
+                               '"precision_bits": 256') == outs[1]
+    assert json.loads(outs[0])["log_vectors"][0][0] == 0.0
+
+
+def test_cli_units_classify_refuses_a_cm_field_without_its_presentation(
+        tmp_path, capsys, Kzeta16):
+    cfg.save_field(Kzeta16, tmp_path / "field.json")
+    assert main(["--field", str(tmp_path / "field.json"), "units",
+                 "classify"]) == 2
+    assert capsys.readouterr().err == (
+        "error: degree > 2 needs a declared CM presentation\n")
 
 
 def test_cli_bruhat_cell(workdir, tmp_path, capsys, Ksqrt2):
@@ -723,6 +750,36 @@ def test_cli_error_paths(workdir, Ksqrt2, capsys, monkeypatch, case):
     assert main([str(workdir / t) if t.endswith(".json") else t
                  for t in argv]) == 2
     assert capsys.readouterr().err == line.format(tmp=workdir) + "\n"
+
+
+def test_cli_subset_full(workdir, capsys):
+    assert main(["--field", str(workdir / "field.json"), "bruhat", "ldu",
+                 "--h", "id", "--n", "2", "--subset", "full"]) == 0
+    assert json.loads(capsys.readouterr().out)["subset"] == [1]
+
+
+def test_cli_invariant_violation_exits_3(workdir, capsys, monkeypatch):
+    def violated(*args, **kwargs):
+        raise InvariantViolation("recomposition failed")
+
+    monkeypatch.setattr(nf, "unit_closure_classify", violated)
+    assert main(["--field", str(workdir / "field.json"), "units",
+                 "classify"]) == 3
+    assert capsys.readouterr().err == ("invariant violation: recomposition "
+                                       "failed\n")
+
+
+@pytest.mark.parametrize("flags", [["--window=5,-5"], ["--eps", "inf"]])
+def test_cli_density_refuses_before_the_scan(workdir, capsys, monkeypatch,
+                                             flags):
+    def scan_values(*args, **kwargs):
+        raise AssertionError("the scan ran before the window was checked")
+
+    monkeypatch.setattr(fm, "scan_values", scan_values)
+    assert main(["--field", str(workdir / "field.json"), "forms", "density",
+                 "--form", str(workdir / "f0.json"), "--height", "30",
+                 "--sample", "1000000", *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("name, value", [("seed", "abc"), ("precision", ""),

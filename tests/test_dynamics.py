@@ -624,6 +624,19 @@ def test_run_path_divergent(Ksqrt2):
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+def test_run_path_inconclusive_between_the_thresholds(Ksqrt2):
+    # the systole at step k is 2^-k (e2 shrinks by 2^k at the first place,
+    # nothing moves at the second), so eight steps end at 2^-7, below the
+    # bounded threshold 1e-2 and above the decay threshold 1e-3
+    i2 = dc.MatrixK.identity(Ksqrt2, 2)
+    path = dy.TorusPath(2, (Fraction(2), Fraction(2)),
+                        (tuple((k,) for k in range(8)),
+                         tuple((0,) for _ in range(8))))
+    tr = dy.run_path(st.OrbitInput((i2, i2)), path, 4)
+    assert [s.value for s in tr.steps] == [2.0 ** -k for k in range(8)]
+    assert tr.verdict == "inconclusive"
+
+
 # -- boundedness criterion ---------------------------------------------------------
 
 

@@ -20,8 +20,8 @@ from hypothesis import strategies as hs
 from torusorbits import forms as fm
 from torusorbits import numfield as nf
 from torusorbits import polyutil as pu
-from torusorbits.errors import (DivisionByZero, InvariantViolation,
-                                MissingCmStructure, NotMonic,
+from torusorbits.errors import (DivisionByZero, Inconclusive,
+                                InvariantViolation, MissingCmStructure, NotMonic,
                                 PrecisionExhausted, Reducible,
                                 TorusOrbitsError, UnitVerificationFailed,
                                 ValidationError, WrongUnitRank)
@@ -358,12 +358,140 @@ def test_unit_closure_relation_detection_path():
     assert nf.modulus_is_one(K, w, K.places()[idx])
 
 
-def test_unit_closure_stable_under_precision(Ksqrt2, Kcubic, Kquartic):
+def test_unit_closure_stable_under_precision(Ksqrt2, Kcubic, Kquartic,
+                                             Kspiral, Kquintic, Kzeta7):
     idx = next(p.index for p in Kquartic.places() if not p.is_real)
-    for K, place in ((Ksqrt2, 0), (Kcubic, 0), (Kquartic, idx)):
+    for K, place in ((Ksqrt2, 0), (Kcubic, 0), (Kquartic, idx), (Kspiral, 2),
+                     (Kquintic, 3), (Kzeta7, 0)):
         a = nf.unit_closure_classify(K, place, precision_bits=128)
         b = nf.unit_closure_classify(K, place, precision_bits=256)
-        assert a.classification == b.classification
+        assert (a.classification, a.relations) == (b.classification,
+                                                   b.relations)
+
+
+@pytest.fixture(scope="module")
+def Kspiral():
+    # x^4 - x - 1, signature (2, 1): three places, complex place 2
+    return nf.create_field([-1, -1, 0, 0, 1], declared_units=[[0, 1], [-1, 1]],
+                           label="x4-x-1")
+
+
+@pytest.fixture(scope="module")
+def Kquintic():
+    # x^5 - 4x^2 + 1, signature (3, 1): four places, complex place 3
+    return nf.create_field([1, 0, -4, 0, 0, 1],
+                           declared_units=[[0, -1, -2], [0, -1, -1, 1],
+                                           [0, -1]], label="x5-4x2+1")
+
+
+ZETA7_UNITS = [[1, 1], [1, 1, 1]]          # 1 + z and 1 + z + z^2
+
+
+@pytest.fixture(scope="module")
+def Kzeta7():
+    # Q(zeta7) = F(relative_gen), F = Q(z + 1/z) cut out by x^3 + x^2 - 2x - 1
+    return nf.create_field(
+        [1] * 7, declared_units=ZETA7_UNITS, label="q-zeta7",
+        cm_structure=dict(subfield_poly=[-1, -2, 1, 1],
+                          subfield_gen=[-1, 0, -1, -1, -1, -1],
+                          d=[2, 0, -1, 0, 0, -1],
+                          relative_gen=[1, 2, 1, 1, 1, 1]))
+
+
+def _no_quadratic_or_reciprocal(coeffs):
+    """A unit of modulus one at a complex place has its inverse (the
+    complex conjugate) among its conjugates, so its minimal polynomial is
+    reciprocal.  A reciprocal polynomial of odd degree has the root +-1,
+    and one of degree 4 generates a field with the quadratic subfield
+    Q(w + 1/w).  A field of prime degree has no subfield but Q, and one
+    with Galois group S4 none either; either way no unit but +-1 lies on
+    the circle, so the log moduli of independent units are independent."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.numberfields.galoisgroups import galois_group
+    x = sympy.symbols("x")
+    poly = sympy.Poly(list(reversed(coeffs)), x)
+    deg = poly.degree()
+    return sympy.isprime(deg) or (
+        deg == 4 and galois_group(poly)[0].order() == 24)
+
+
+def _spiral_relation(coeffs, root, units, dps=120):
+    """mpmath's PSLQ on the spiral functional of two units, from the root
+    found by mpmath.polyroots at dps digits (none of the library's
+    enclosures), or None."""
+    with mpmath.workdps(dps):
+        z = sorted(mpmath.polyroots(list(reversed(coeffs)), maxsteps=200,
+                                    extraprec=4 * dps),
+                   key=lambda r: (mpmath.im(r) <= 0, mpmath.re(r)))[root]
+        vals = [mpmath.polyval(list(reversed(u)), z) for u in units]
+        x = [mpmath.log(abs(v)) for v in vals]
+        y = [mpmath.arg(v) / (2 * mpmath.pi) for v in vals]
+        return mpmath.pslq([x[1], -x[0], -(y[0] * x[1] - y[1] * x[0])],
+                           maxcoeff=nf.RELATION_BOUND, maxsteps=10 ** 5)
+
+
+def test_unit_closure_full_at_three_places(Kspiral):
+    # the moduli are dense: theta and theta - 1 are independent and no unit
+    # but +-1 lies on the circle (x^4 - x - 1 has Galois group S4); the
+    # spiral functional has no relation up to the bound at 120 digits
+    pl = Kspiral.places()[2]
+    assert not pl.is_real and Kspiral.n_places == 3
+    assert _no_quadratic_or_reciprocal([-1, -1, 0, 0, 1])
+    assert _spiral_relation([-1, -1, 0, 0, 1], 0, [[0, 1], [-1, 1]]) is None
+    rep = nf.unit_closure_classify(Kspiral, 2)
+    assert (rep.classification, rep.relations) == ("full", [])
+
+
+def test_unit_closure_full_past_three_places(Kquintic):
+    # four places and three independent units, none of them nor any product
+    # on the circle (degree 5 is prime), so the moduli have rank 3 and are
+    # dense; no pair of the units has a spiral functional either
+    pl = Kquintic.places()[3]
+    assert not pl.is_real and Kquintic.n_places == 4
+    assert _no_quadratic_or_reciprocal([1, 0, -4, 0, 0, 1])
+    units = [[0, -1, -2], [0, -1, -1, 1], [0, -1]]
+    for pair in itertools.combinations(units, 2):
+        assert _spiral_relation([1, 0, -4, 0, 0, 1], 0, pair) is None
+    rep = nf.unit_closure_classify(Kquintic, 3)
+    assert (rep.classification, rep.relations) == ("full", [])
+
+
+def test_unit_closure_refuses_a_spiral_functional(Kspiral, monkeypatch):
+    # PSLQ's candidate at the detection bound is not proof of a spiral, and
+    # the classifier refuses it rather than report a shape
+    pslq = mpmath.pslq
+    monkeypatch.setattr(mpmath, "pslq", lambda v, **kw:
+                        [3, -1, 14] if len(v) == 3 else pslq(v, **kw))
+    with pytest.raises(Inconclusive, match=r"\(3, -1, 14\)"):
+        nf.unit_closure_classify(Kspiral, 2)
+
+
+def test_unit_closure_of_a_cm_field_needs_its_presentation(Kzeta16):
+    # Q(zeta16)'s units are a root of unity times a real number at every
+    # place, so the image lies on finitely many rays; without the declared
+    # presentation is_cm cannot tell, and the classifier refuses
+    with pytest.raises(MissingCmStructure):
+        nf.unit_closure_classify(Kzeta16, 0)
+    K = nf.create_field([1] * 7, declared_units=ZETA7_UNITS)
+    with pytest.raises(MissingCmStructure):
+        nf.unit_closure_classify(K, 0)
+
+
+def test_unit_closure_cm_field_rays(Kzeta7):
+    # 1 + z = z^(1/2) (z^(1/2) + z^(-1/2)) and 1 + z + z^2 = z (z + 1 + 1/z):
+    # at each place z = exp(2 pi i k / 7), each unit's argument is a
+    # multiple of pi / 7, so the image lies on 14 rays
+    with mpmath.workdps(50):
+        for k in (1, 2, 3):
+            z = mpmath.expjpi(mpmath.mpf(2 * k) / 7)
+            for u in ZETA7_UNITS:
+                a = mpmath.arg(mpmath.polyval(list(reversed(u)), z))
+                assert abs(a * 7 / mpmath.pi - mpmath.nint(a * 7 / mpmath.pi)
+                           ) < mpmath.mpf(10) ** -40
+    for place in range(3):
+        rep = nf.unit_closure_classify(Kzeta7, place)
+        assert rep.classification == "positive_reals"
+        assert rep.notes == "CM field: unit moduli fill rays"
 
 
 def test_modulus_one_exact(Kquartic, Ksqrt2):
@@ -372,8 +500,6 @@ def test_modulus_one_exact(Kquartic, Ksqrt2):
     t = Kquartic.element([2, 0, 2, -1])
     assert nf.modulus_is_one(Kquartic, theta, pl) is True
     assert nf.modulus_is_one(Kquartic, t, pl) is False
-    assert nf.is_root_of_unity(Kquartic, theta) is False
-    assert nf.is_root_of_unity(Kquartic, -Kquartic.one) is True
 
 
 def test_is_cm(Ksqrt2, Kcubic, Kzeta8, Kgauss):
