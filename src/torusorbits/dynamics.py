@@ -11,6 +11,7 @@ exact rational, which keeps the boundedness criterion checks exact.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -130,35 +131,41 @@ def systole(inp: OrbitInput, torus: Sequence[Sequence[Fraction]],
     values.  Larger boxes at two real places go through an exact-LDL
     Fincke-Pohst search over a ladder of place weights whose ends are not
     proved to hold every candidate: its witness is the minimum that search
-    found, not a certified minimum.
+    found, not a certified minimum.  The one-step case of `run_path`.
     """
+    return _systoles(inp, [torus], height)[0]
+
+
+def _systoles(inp: OrbitInput, tori, height: int):
+    """`systole` at each torus of a path, from one float image of each
+    component: the direct scan step by step, or one ellipsoid search over
+    every step."""
     if height < 1:
         raise ValidationError("height must be at least 1")
     field = inp.field
     n = inp.n
-    deg = field.degree
-    dim = n * deg
+    dim = n * field.degree
     places = field.places()
-    if len(torus) != len(places) or any(len(t) != n for t in torus):
+    if any(len(torus) != len(places) or any(len(t) != n for t in torus)
+           for torus in tori):
         raise ValidationError("need one diagonal entry per matrix row per place")
-    bmats = []
-    for v in range(inp.r):
-        gnum = _numeric_component(field, inp.components[v], v)
-        tnum = np.array([float(x) for x in torus[v]])
-        # B[i, j deg + t] = t_i g_ij theta^t, elementwise
-        bmats.append(np.kron(tnum[:, None] * gnum, field.float_basis(places[v])))
+    gnums = [_numeric_component(field, inp.components[v], v)
+             for v in range(inp.r)]
+    # B[i, j deg + t] = t_i g_ij theta^t, elementwise
+    paths = [[np.kron(np.array([float(x) for x in t])[:, None] * g,
+                      field.float_basis(pl))
+              for t, g, pl in zip(torus, gnums, places)] for torus in tori]
     exps = [1 if pl.is_real else 2 for pl in places]
 
     total = (2 * height + 1) ** dim
     if total <= DIRECT_SCAN_CAP:
-        _, witness = _direct_scan(bmats, exps, height, dim)
+        witnesses = [_direct_scan(b, exps, height, dim)[1] for b in paths]
     elif inp.r == 2 and all(pl.is_real for pl in places):
-        witness = _ellipsoid_scan(bmats, height, dim)
+        witnesses = _ellipsoid_scan(paths, height, dim)
     else:
         raise CapExceeded(
             f"box of {total} points needs the two-real-place search path")
-    enc = evaluate_product(inp, torus, witness)
-    return enc, witness
+    return [(evaluate_product(inp, t, w), w) for t, w in zip(tori, witnesses)]
 
 
 def _image(bmat, cols):
@@ -331,8 +338,11 @@ def _head_floors(heads, lasts, exps, height):
     return _sup_product([low[None] for low in lows], exps, t[None], u)
 
 
-def _ellipsoid_scan(bmats, height, dim):
-    """Exact-LDL Fincke-Pohst over a ladder of place weights (r = 2, real).
+def _ellipsoid_scan(paths, height, dim):
+    """Exact-LDL Fincke-Pohst over a ladder of place weights (r = 2, real)
+    at every step of a path: each step's witness, from its image matrices
+    (paths[k] for step k), all steps walking their ladders in `_ladder`'s
+    shared passes.
 
     A candidate x with sup norms a = |B1 x| and b = |B2 x| has product
     value p = a b and balance point beta = b / a.  At a weight s^2 with
@@ -357,20 +367,26 @@ def _ellipsoid_scan(bmats, height, dim):
     minimum.  Rungs whose float Gram matrix is not positive definite are
     skipped unsearched: 34 of 2,882 on acceptance 8's sl3-psi TT path.
     """
-    n = bmats[0].shape[0]
-    seed_h = 2
-    p_seed, witness = _direct_scan(bmats, [1, 1], seed_h, dim)
-    # sigma_min(B_v) / sqrt(n): a scale for the ladder ends, not a bound
-    sigma = [max(np.linalg.svd(b, compute_uv=False)[-1], 1e-300) / math.sqrt(n)
-             for b in bmats]
-    u1max = float(np.abs(bmats[0]).sum(axis=1).max()) * height + 1e-300
-    u2max = float(np.abs(bmats[1]).sum(axis=1).max()) * height + 1e-300
-    lo = max(sigma[1] ** 2 / p_seed, sigma[1] / u1max) / 16
-    hi = min(p_seed / sigma[0] ** 2, u2max / sigma[0]) * 16
-    # float Gram matrices, factored exactly as the rationals they hold
-    g1, g2 = (sum(np.multiply.outer(row, row) for row in b) for b in bmats)
-    s2 = np.array(_rungs(lo, hi * 1.0001)).reshape(-1, 1, 1)
-    return _ladder(bmats, g1 * s2 + g2 / s2, witness, p_seed, height)[0]
+    n = paths[0][0].shape[0]
+    seeds, vals, grams = [], [], []
+    for bmats in paths:
+        p_seed, witness = _direct_scan(bmats, [1, 1], 2, dim)
+        # sigma_min(B_v) / sqrt(n): a scale for the ladder ends, not a bound
+        sigma = [max(np.linalg.svd(b, compute_uv=False)[-1], 1e-300)
+                 / math.sqrt(n) for b in bmats]
+        u1max = float(np.abs(bmats[0]).sum(axis=1).max()) * height + 1e-300
+        u2max = float(np.abs(bmats[1]).sum(axis=1).max()) * height + 1e-300
+        lo = max(sigma[1] ** 2 / p_seed, sigma[1] / u1max) / 16
+        hi = min(p_seed / sigma[0] ** 2, u2max / sigma[0]) * 16
+        g1, g2 = (sum(np.multiply.outer(row, row) for row in b) for b in bmats)
+        grams.append((g1, g2, np.array(_rungs(lo, hi * 1.0001))[:, None, None]))
+        seeds.append(witness)
+        vals.append(p_seed)
+    # each step's float rung Grams, formed as the factorisation reads them
+    # and factored exactly as the rationals they hold
+    stacks = (g1 * s2 + g2 / s2 for g1, g2, s2 in grams)
+    collections.deque(_ladder(paths, stacks, seeds, vals, height), maxlen=0)
+    return seeds
 
 
 RUNG_RATIO = 2.0        # s^2 from one ladder rung to the next
@@ -392,64 +408,108 @@ def _rungs(lo, hi):
     return rungs
 
 
-def _ladder(bmats, qs, best, best_val, height):
-    """The best witness, its value and each rung's new candidates (rung
-    index and vector arrays, a pair per pass) of the walk from the seed over
-    the Gram matrices qs: a rung searches x^T q x <= radius * best_val, keeps
-    what neither the seed nor an earlier rung yielded, and takes its first
-    minimum if below best_val.  A pass enumerates every rung left at the
-    current bound and evaluates in one call (values do not depend on the
-    batch); the first rung that improves ends it, keeping what it and the
-    rungs before it found."""
-    radius = LADDER_RADIUS * bmats[0].shape[0] * 1.0001
-    rung, d, lmat = _ldl(qs)
-    seen, out = np.array([best], dtype=np.int64), []
-    while len(rung):
-        ids, pts = _fincke_pohst(d, lmat, radius * best_val, height, seen)
-        vals = _value_array(bmats, [1, 1], pts)
-        below = np.flatnonzero(vals < best_val)
-        stop = ids[below[0]] + 1 if len(below) else len(rung)
-        a, b = np.searchsorted(ids, [stop - 1, stop])
-        if len(below):
-            i = a + int(np.argmin(vals[a:b]))
-            best_val, best = float(vals[i]), tuple(int(c) for c in pts[i])
-        seen = np.concatenate([seen, pts[:b]])
-        out.append((rung[ids[:b]], pts[:b]))
-        rung, d, lmat = rung[stop:], d[stop:], lmat[stop:]
-    return best, best_val, out
+def _ladder(bmats, stacks, best, best_val, height):
+    """The walks of the steps of a path from their seeds over their rung
+    Gram matrices (bmats[k], stacks[k], best[k] and best_val[k] for step k),
+    yielding each rung's new candidates in order (step, rung index and
+    vector arrays, a rung's in one or more triples) and updating best and
+    best_val in place.  A rung searches x^T q x <= radius * best_val, keeps
+    what neither the seed nor an earlier rung of its step yielded, and
+    takes its first minimum if below best_val.
+
+    Each pass enumerates, for every step with rungs left, a window of its
+    next rungs at that step's bound, and evaluates the new leaves chunk by
+    chunk as they come (values do not depend on the batch).  The first
+    rung of a window holding a value below best_val ends its step's pass,
+    and what follows it is dropped; the next window starts after it with
+    FIRST_WINDOW rungs.  A window without one is kept whole, and the next
+    is twice as long."""
+    radius = LADDER_RADIUS * bmats[0][0].shape[0] * 1.0001
+    group, rung, d, lmat = _ldl(stacks)
+    steps = np.arange(len(best))
+    side = max(height, len(best), int(np.abs(best).max()))
+    seen = _group_keys(steps, np.array(best), side)
+    start, end = (np.searchsorted(group, steps, side=e) for e in ("left", "right"))
+    window = np.full(len(best), FIRST_WINDOW)
+    while (live := np.flatnonzero(start < end)).size:
+        stop = np.minimum(start + window, end)
+        rows = np.concatenate([np.arange(start[k], stop[k]) for k in live])
+        hit, kept = np.zeros(len(best), dtype=bool), [seen]
+        for ids, pts in _fincke_pohst(d, lmat, rows,
+                                      radius * np.array(best_val)[group[rows]],
+                                      height, group, seen, side):
+            g = group[ids]
+            cuts = [0, *(np.flatnonzero(g[1:] != g[:-1]) + 1), len(g)]
+            for k, a, b in zip(g[cuts[:-1]], cuts, cuts[1:]):
+                sid, spts = ids[a:b], pts[a:b]
+                b = np.searchsorted(sid, stop[k])
+                if not b:
+                    continue
+                sid, spts = sid[:b], spts[:b]
+                vals = _value_array(bmats[k], [1, 1], spts)
+                below = np.flatnonzero(vals < best_val[k])
+                if len(below):
+                    if not hit[k]:
+                        hit[k], stop[k] = True, sid[below[0]] + 1
+                        b = np.searchsorted(sid, stop[k])
+                        sid, spts, vals = sid[:b], spts[:b], vals[:b]
+                    # the first minimum of the rung that ends the pass
+                    i = np.searchsorted(sid, stop[k] - 1)
+                    i += int(np.argmin(vals[i:]))
+                    best_val[k] = float(vals[i])
+                    best[k] = tuple(int(c) for c in spts[i])
+                kept.append(_group_keys(np.full(len(sid), k), spts, side))
+                yield k, rung[sid], spts
+            del ids, pts, sid, spts     # before the search resumes
+        seen = np.sort(np.concatenate(kept))
+        start[live] = stop[live]
+        window[live] = np.where(hit[live], FIRST_WINDOW, 2 * window[live])
 
 
-FP_ROWS, LDL_ROWS = 1 << 12, 32     # bounds on the working memory below
+FP_ROWS, LDL_ROWS = 1 << 11, 32     # bounds on the working memory below
+FIRST_WINDOW = 4        # rungs in a step's first window and after an improvement
 
 
-def _fincke_pohst(d, lmat, bound, height, seen):
-    """Integer x != 0 with x^T q x <= bound and |x|_inf <= height, for each
-    q of a stack factored by `_ldl`, not in seen nor found for an earlier q,
-    as stack index and vector arrays in depth-first order from the last
-    coordinate down, q by q, highest nonzero coordinate positive: each chunk
-    of leaves keeps its first occurrences over seen and earlier chunks."""
-    rows, dim = d.shape
-    side = max(height, int(np.abs(seen).max(initial=0)))
-    out = [(np.zeros(0, dtype=np.int64), np.zeros((0, dim), dtype=np.int64))]
-    for ids, x in _fp_level(d, lmat, height, dim - 1, np.arange(rows),
-                            np.zeros(d.shape, dtype=np.int64),
-                            np.full(rows, bound * (1 + 1e-9) + 1e-12),
-                            np.zeros(rows, dtype=np.int64)):
-        keys = row_keys(np.concatenate([seen, x]), side)
+def _group_keys(group, pts, side):
+    """Integer keys of (group, vector) pairs, entries in [-side, side]: the
+    row_keys of the group followed by the coordinates from the last down,
+    so x_0 + side is the last digit."""
+    return row_keys(np.column_stack([group, pts[:, ::-1]]), side)
+
+
+def _fincke_pohst(d, lmat, rows, bound, height, group, seen, side):
+    """Integer x != 0 with x^T q x <= bound and |x|_inf <= height for the
+    matrices q at the given rows of a stack factored by `_ldl`, each with
+    its own bound, that no earlier row of its group found and seen (the
+    sorted `_group_keys` of its pairs) does not hold: chunks of stack index
+    and vector arrays, in depth-first order from the last coordinate down,
+    row by row, highest nonzero coordinate positive.  A chunk holds the
+    first occurrences per group of its leaves over seen and earlier
+    chunks."""
+    dim = d.shape[1]
+    for ids, keys in _fp_level(d, lmat, height, dim - 1, rows,
+                               np.zeros((len(rows), dim),
+                                        dtype=np.min_scalar_type(-side)),
+                               bound * (1 + 1e-9) + 1e-12,
+                               np.zeros(len(rows), dtype=np.int64), group, side):
         first = np.unique(keys, return_index=True)[1]
-        first = np.sort(first[first >= len(seen)]) - len(seen)
-        seen = np.concatenate([seen, x[first]])
-        out.append((ids[first], x[first]))
-    return tuple(np.concatenate(a) for a in zip(*out))
+        pos = np.searchsorted(seen, keys[first])
+        new = pos == len(seen)
+        new[~new] = seen[pos[~new]] != keys[first[~new]]
+        seen = np.insert(seen, pos[new], keys[first[new]])
+        first = np.sort(first[new])
+        if len(first):
+            yield ids[first], key_rows(keys[first], side, dim + 1)[:, :0:-1]
 
 
-def _fp_level(d, lmat, height, k, ids, xs, rem, sign):
+def _fp_level(d, lmat, height, k, ids, xs, rem, sign, group, side):
     """The leaves below level k of `_fincke_pohst` as (stack index, vector)
     chunks, breadth first in floats with a small safety pad: centres summed
     term by term from the coordinate above, children formed in order by
     np.repeat, FP_ROWS at a time (parent chunks run to the leaves in turn),
-    the bound left updated by np.float_power, the C library's pow that
-    Python's ** calls (numpy's ** on arrays may differ in the last bit).
+    the bound left updated by d_k np.float_power(v - c, 2), the C library's
+    pow that Python's ** calls (numpy's ** on arrays may differ in the last
+    bit), or by (v - c) (d_k (v - c)) where that square overflows.
     """
     c = np.zeros(len(ids))
     for i in range(k + 1, d.shape[1]):
@@ -462,73 +522,88 @@ def _fp_level(d, lmat, height, k, ids, xs, rem, sign):
         hi = np.where(c + half > height, height, np.floor(c + half + 1e-9))
         count = np.where(dk > 0, np.maximum(hi - lo + 1, 0), 0).astype(int)
     if not k:
-        # rows with an earlier row's tail and x_0 range, times sign, add nothing
+        # rows of one group with an earlier row's tail and x_0 range, times
+        # sign, add nothing
         live = np.flatnonzero((count > 0) & (sign != 0))
         f = sign[live, None]
-        desc = np.hstack([xs[live, 1:] * f, np.sort(
+        desc = np.hstack([group[ids[live], None], xs[live, 1:] * f, np.sort(
             np.column_stack([lo[live], hi[live]]) * f, axis=1).astype(int)])
-        first = np.unique(row_keys(desc, height), return_index=True)[1]
+        first = np.unique(row_keys(desc, side), return_index=True)[1]
         count[np.delete(live, first)] = 0
+        # a leaf's key is its row's, signed, with x_0 = -side, plus x_0 + side
+        tail = xs * np.where(sign != 0, sign, 1).astype(xs.dtype)[:, None]
+        tail[:, 0] = -side
+        base = _group_keys(group[ids], tail, side)
+    del half, hi
     for part in chunks(count, FP_ROWS):
         sizes = count[part]
         rep = np.repeat(np.arange(part.start, part.stop), sizes)
         v = lo[rep].astype(np.int64) + np.arange(len(rep)) \
             - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        s, x = sign[rep], xs[rep]
+        s = sign[rep]
         if k:
+            x = xs[rep]
             x[:, k] = v
-            yield from _fp_level(
-                d, lmat, height, k - 1, ids[rep], x,
-                rem[rep] - dk[rep] * np.float_power(v - c[rep], 2.0),
-                np.where(s != 0, s, np.sign(v)))
+            t = v - c[rep]
+            with np.errstate(over="ignore"):
+                sq = np.float_power(t, 2.0)
+                t = rem[rep] - np.where(sq < math.inf, dk[rep] * sq,
+                                        t * (dk[rep] * t))
+            child = (ids[rep], x, t, np.where(s != 0, s, np.sign(v)))
+            del rep, v, s, x, t, sq
+            yield from _fp_level(d, lmat, height, k - 1, *child, group, side)
         else:
-            x *= np.where(s != 0, s, 1)[:, None]
-            x[:, 0] = np.where(s != 0, s * v, np.abs(v))
             keep = (s != 0) | (v != 0)
-            yield ids[rep][keep], x[keep]
+            rep, v, s = rep[keep], v[keep], s[keep]
+            yield ids[rep], base[rep] + (np.where(s != 0, s * v, np.abs(v)) + side)
 
 
-def _ldl(qs):
-    """LDL^T of a stack of symmetric float matrices, each read from its
-    lower triangle, exactly: the indices of the positive definite ones and,
-    for those, d (a row each) and L (below the diagonal) as floats.
+def _ldl(stacks):
+    """LDL^T of every matrix of a sequence of stacks of symmetric float
+    matrices, each read from its lower triangle, exactly: for the positive
+    definite ones, their stack, their index in it, and d (a row each) and L
+    (below the diagonal) as floats.
 
     The entries are exact dyadic rationals, so a power-of-two denominator S
     per matrix makes them integers.  Fraction-free (Bareiss) elimination of
     those, on object arrays of Python ints LDL_ROWS matrices at a time,
-    leaves D_k = S^k det q[:k, :k] on the diagonal and the numerators of L
-    below it: d_k = D_k / (D_{k-1} S) and L_ik = M_ik / D_k, each a
-    correctly rounded int true division.  Positivity, why this is not the
-    elimination kernel, is exact: a matrix leaves at a pivot D_k <= 0."""
-    rows, dim = qs.shape[:2]
-    if not np.abs(qs).max(initial=0.0) < math.inf:
-        raise OverflowError("cannot factor a non-finite matrix exactly")
-    low, (i, j) = np.tril_indices(dim), np.tril_indices(dim, -1)
-    d, lmat, kept = np.empty((rows, dim)), np.zeros((rows, dim, dim)), []
-    for start in range(0, rows, LDL_ROWS):
-        # entry = num 2^e with num odd or 0; S = 2^s clears the denominators
-        mant, e = np.frexp(qs[start:start + LDL_ROWS, low[0], low[1]])
-        num = (mant * 2.0 ** 53).astype(np.int64)
-        tz = np.frexp((num & -num).astype(float))[1] - 1
-        e = np.where(num != 0, e - 53 + tz, 0)
-        s = (-e.min(axis=1, initial=0)).astype(object)
-        m = np.empty((len(num), dim, dim), dtype=object)
-        m[:, low[0], low[1]] = (num >> np.maximum(tz, 0)).astype(object) \
-            << (e + s[:, None]).astype(object)
-        idx, scale, prev = start + np.arange(len(num)), 1 << s, np.ones_like(s)
-        for k in range(dim):
-            ok = m[:, k, k] > 0
-            idx, m, scale, prev = (a[ok] for a in (idx, m, scale, prev))
-            piv = m[:, k, k]
-            d[idx, k] = piv / (prev * scale)
-            r, c = (a + k + 1 for a in np.tril_indices(dim - k - 1))
-            m[:, r, c] = (m[:, r, c] * piv[:, None]
-                          - m[:, r, k] * m[:, c, k]) // prev[:, None]
-            prev = piv
-        lmat[idx[:, None], i, j] = m[:, i, j] / m[:, j, j]
-        kept.append(idx)
-    idx = np.concatenate(kept + [np.zeros(0, dtype=int)])
-    return idx, d[idx], lmat[idx]
+    stack by stack, leaves D_k = S^k det q[:k, :k] on the diagonal and the
+    numerators of L below it: d_k = D_k / (D_{k-1} S) and L_ik = M_ik / D_k,
+    each a correctly rounded int true division.  Positivity, why this is
+    not the elimination kernel, is exact: a matrix leaves at a pivot
+    D_k <= 0."""
+    out = []
+    for g, qs in enumerate(stacks):
+        rows, dim = qs.shape[:2]
+        if not np.abs(qs).max(initial=0.0) < math.inf:
+            raise OverflowError("cannot factor a non-finite matrix exactly")
+        low, (i, j) = np.tril_indices(dim), np.tril_indices(dim, -1)
+        out.append((np.zeros(0, dtype=int),) * 2
+                   + (np.empty((0, dim)), np.empty((0, dim, dim))))
+        for start in range(0, rows, LDL_ROWS):
+            # entry = num 2^e with num odd or 0; S = 2^s clears the denominators
+            mant, e = np.frexp(qs[start:start + LDL_ROWS, low[0], low[1]])
+            num = (mant * 2.0 ** 53).astype(np.int64)
+            tz = np.frexp((num & -num).astype(float))[1] - 1
+            e = np.where(num != 0, e - 53 + tz, 0)
+            s = (-e.min(axis=1, initial=0)).astype(object)
+            m = np.empty((len(num), dim, dim), dtype=object)
+            m[:, low[0], low[1]] = (num >> np.maximum(tz, 0)).astype(object) \
+                << (e + s[:, None]).astype(object)
+            idx, scale, prev = np.arange(len(num)), 1 << s, np.ones_like(s)
+            d, lmat = np.empty((len(num), dim)), np.zeros((len(num), dim, dim))
+            for k in range(dim):
+                ok = m[:, k, k] > 0
+                idx, m, scale, prev = (a[ok] for a in (idx, m, scale, prev))
+                piv = m[:, k, k]
+                d[idx, k] = piv / (prev * scale)
+                r, c = (a + k + 1 for a in np.tril_indices(dim - k - 1))
+                m[:, r, c] = (m[:, r, c] * piv[:, None]
+                              - m[:, r, k] * m[:, c, k]) // prev[:, None]
+                prev = piv
+            lmat[idx[:, None], i, j] = m[:, i, j] / m[:, j, j]
+            out.append((np.full(len(idx), g), start + idx, d[idx], lmat[idx]))
+    return tuple(np.concatenate(a) for a in zip(*out))
 
 
 def evaluate_product(inp: OrbitInput, torus, witness) -> RInt:
@@ -559,12 +634,9 @@ def run_path(inp: OrbitInput, path: TorusPath, height: int) -> SystoleTrace:
     (BOUNDED_THRESHOLD on the least value, DECAY_THRESHOLD on the last)."""
     if path.r != inp.r or path.n != inp.n:
         raise ValidationError("path shape does not match the input")
-    steps = []
-    for k in range(path.steps):
-        torus = path.realize(k)
-        enc, wit = systole(inp, torus, height)
-        steps.append(SystoleStep(k, float(enc.mid),
-                                 (float(enc.lo), float(enc.hi)), wit))
+    found = _systoles(inp, [path.realize(k) for k in range(path.steps)], height)
+    steps = [SystoleStep(k, float(enc.mid), (float(enc.lo), float(enc.hi)), wit)
+             for k, (enc, wit) in enumerate(found)]
     values = [s.value for s in steps]
     final = values[-1]
     margin = min(values)

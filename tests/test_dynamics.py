@@ -1,11 +1,12 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from torusorbits import decomp as dc
@@ -321,7 +322,12 @@ def recursive_fincke_pohst(q, bound, height, seen):
             hi = min(height, math.floor(center + half + 1e-9))
         for xv in range(lo, hi + 1):
             x[k] = xv
-            rec(k - 1, rem - d[k] * (xv - center) ** 2)
+            t = xv - center
+            try:
+                term = d[k] * t ** 2
+            except OverflowError:       # the square alone overflows
+                term = t * (d[k] * t)
+            rec(k - 1, rem - term)
         x[k] = 0
 
     rec(dim - 1, pad)
@@ -351,6 +357,16 @@ def by_index(ids, pts, count):
     index."""
     return [[tuple(int(c) for c in p) for p in pts[ids == r]]
             for r in range(count)]
+
+
+def fincke_pohst(d, lmat, bound, height, group, seen, side):
+    """The enumeration over every row of a factored stack, its chunks
+    joined into one stack index and one vector array."""
+    out = list(dy._fincke_pohst(d, lmat, np.arange(len(d)), bound, height,
+                                group, seen, side))
+    return (np.concatenate([np.zeros(0, dtype=int)] + [i for i, _ in out]),
+            np.concatenate([np.zeros((0, d.shape[1]), dtype=int)]
+                           + [p for _, p in out]))
 
 
 # mantissa times a power of two: entries from about 2^-203 to 2^150
@@ -396,13 +412,15 @@ def symmetric_stacks(draw):
 def test_integer_ldl_matches_fraction_ldl(qs):
     # bit for bit: every d and L float, and a matrix dropped exactly when
     # the oracle finds a non-positive pivot, however the stack is sliced
-    idx, d, lmat = dy._ldl(qs)
+    # or split into stacks
+    group, idx, d, lmat = dy._ldl([qs])
+    assert not group.any()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dy, "LDL_ROWS", 2)
-        sliced = dy._ldl(qs)
-    assert idx.tolist() == sliced[0].tolist()
-    assert d.tobytes() == sliced[1].tobytes()
-    assert lmat.tobytes() == sliced[2].tobytes()
+        split = dy._ldl([qs[:1], qs[1:]])
+    assert (split[0] + split[1]).tolist() == idx.tolist()
+    assert d.tobytes() == split[2].tobytes()
+    assert lmat.tobytes() == split[3].tobytes()
     want = [(r, f) for r, f in enumerate(map(fraction_ldl, qs))
             if f is not None]
     assert idx.tolist() == [r for r, _ in want]
@@ -419,37 +437,86 @@ def test_integer_ldl_decides_definiteness_exactly():
     # 1 + 2^-52 off the diagonal against 1 on it: the float determinant
     # rounds to 0 in both orders, the exact one is negative
     e = 1.0 + 2.0 ** -52
-    idx, _, _ = dy._ldl(np.array([[[1.0, e], [e, 1.0]],
-                                  [[e, 1.0], [1.0, e]]]))
+    _, idx, _, _ = dy._ldl([np.array([[[1.0, e], [e, 1.0]],
+                                      [[e, 1.0], [1.0, e]]])])
     assert idx.tolist() == [1]
-    assert len(dy._ldl(np.array([[[0.0]]]))[0]) == 0
+    assert len(dy._ldl([np.array([[[0.0]]])])[1]) == 0
+
+
+def subnormal_pivot_gram():
+    """The Gram of a 4 x 4 basis with an entry of 6.27e-156, as hypothesis
+    once drew it: its exact LDL has the subnormal pivot d_2 = 3.93e-311
+    and L_32 = 1.60e155, so below x_3 = 1 the centre is about -1.6e155,
+    rem / d_2 overflows and (x_2 - c)^2, about 2.5e310, is not finite
+    while d_2 (x_2 - c)^2 is about 1."""
+    b = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 6.27e-156, 1.0],
+                  [0, 0, 0, 1.0]])
+    return b.T @ b
+
+
+@hs.composite
+def fincke_pohst_inputs(draw):
+    """A stack of one to three Gram matrices (2 x 2 to 6 x 6, made definite
+    or not by a drawn multiple of the identity) in groups 0 and 1, a bound
+    per matrix, a height of 1 to 3 and one seed per group."""
+    dim, height = draw(hs.integers(2, 6)), draw(hs.integers(1, 3))
+
+    def matrix():
+        b = np.array([[draw(small) for _ in range(dim)] for _ in range(dim)])
+        return b.T @ b + np.eye(dim) * draw(hs.floats(0, 1))
+
+    qs = np.array([matrix() for _ in range(draw(hs.integers(1, 3)))])
+    group = np.array([draw(hs.integers(0, 1)) for _ in qs])
+    bound = np.array([draw(hs.floats(0, 40)) for _ in qs])
+    seeds = [tuple(draw(hs.integers(-height, height)) for _ in range(dim))
+             for _ in range(2)]
+    return qs, group, bound, height, seeds
 
 
 @settings(max_examples=150, deadline=None)
-@given(hs.integers(2, 6), hs.integers(1, 3), hs.data())
-def test_vectorised_fincke_pohst_matches_recursion(dim, height, data):
+@given(fincke_pohst_inputs())
+# the draw whose (x_2 - c)^2 overflowed the recursion's float: the true
+# term, about 1.0, is above the 0.5 left, so nothing below x_3 = 1 is kept
+@example((subnormal_pivot_gram()[None], np.array([0]), np.array([1.5]), 1,
+          [(0, 0, 1, 0), (1, 0, 0, 0)]))
+def test_vectorised_fincke_pohst_matches_recursion(inp):
     # the same new vectors in the same order as the recursion run matrix
-    # after matrix with one seen set, at any row cap
-    def matrix():
-        b = np.array([[data.draw(small) for _ in range(dim)]
-                      for _ in range(dim)])
-        return b.T @ b + np.eye(dim) * data.draw(hs.floats(0, 1))
-
-    qs = np.array([matrix() for _ in range(data.draw(hs.integers(1, 3)))])
-    bound = data.draw(hs.floats(0, 40))
-    seed = tuple(data.draw(hs.integers(-height, height)) for _ in range(dim))
-    idx, d, lmat = dy._ldl(qs)
-    ids, pts = dy._fincke_pohst(d, lmat, bound, height, np.array([seed]))
-    want_seen = {seed}
-    assert by_index(ids, pts, len(idx)) == \
-        [recursive_fincke_pohst(qs[r], bound, height, want_seen) for r in idx]
-    for cap in (1, 3):
+    # after matrix, with one seen set per group, at any row cap
+    qs, group, bound, height, seeds = inp
+    _, idx, d, lmat = dy._ldl([qs])
+    want_seen = [{seed} for seed in seeds]
+    want = [recursive_fincke_pohst(qs[r], bound[r], height,
+                                   want_seen[group[r]]) for r in idx]
+    seen = dy._group_keys(np.arange(2), np.array(seeds), height)
+    for cap in (dy.FP_ROWS, 1, 3):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dy, "FP_ROWS", cap)
-            ids_c, pts_c = dy._fincke_pohst(d, lmat, bound, height,
-                                            np.array([seed]))
-        assert ids_c.tolist() == ids.tolist()
-        assert pts_c.tolist() == pts.tolist()
+            got = fincke_pohst(d, lmat, bound[idx], height, group[idx],
+                               seen, height)
+        assert by_index(*got, len(idx)) == want
+
+
+def test_fincke_pohst_keeps_a_term_whose_square_overflows():
+    # below x_3 = 1, d_2 (x_2 - c)^2 is about 1 and 2 is left, so every x_2
+    # of the box is kept; squaring first gives inf and loses them all
+    q = subnormal_pivot_gram()
+    _, _, d, lmat = dy._ldl([q[None]])
+    assert d[0, 2] == pytest.approx(3.93e-311, rel=1e-2)
+    assert lmat[0, 3, 2] == pytest.approx(1.6e155, rel=1e-2)
+    with np.errstate(over="ignore"):
+        assert np.float_power(lmat[0, 3, 2] - 1, 2.0) == math.inf
+    got = by_index(*fincke_pohst(d, lmat, np.array([3.0]), 1, np.zeros(1, int),
+                                 np.zeros(0, dtype=np.int64), 1), 1)[0]
+    # the exact set over the box, highest nonzero coordinate positive
+    qf = [[Fraction(x) for x in row] for row in q]
+    pad = Fraction(3.0 * (1 + 1e-9) + 1e-12)
+    exact = [x for x in itertools.product((-1, 0, 1), repeat=4)
+             if any(x) and next(c for c in reversed(x) if c) > 0
+             and sum(qf[i][j] * x[i] * x[j] for i in range(4)
+                     for j in range(4)) <= pad]
+    assert {(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, -1, 1)} <= set(exact)
+    assert sorted(got) == sorted(exact)
+    assert got == recursive_fincke_pohst(q, 3.0, 1, set())
 
 
 def test_float_power_squares_as_python_does():
@@ -464,23 +531,18 @@ def test_fincke_pohst_pivot_below_bound_over_max_float():
     # bound / d overflows to inf: every box vector is in range, and no
     # float infinity reaches ceil or floor
     q = np.eye(2) * 2.0 ** -1022
-    idx, d, lmat = dy._ldl(q[None])
-    none = np.zeros((0, 2), dtype=int)
-    got = by_index(*dy._fincke_pohst(d, lmat, 4.0, 1, none), 1)[0]
+    _, _, d, lmat = dy._ldl([q[None]])
+    got = by_index(*fincke_pohst(d, lmat, np.array([4.0]), 1, np.zeros(1, int),
+                                 np.zeros(0, dtype=np.int64), 1), 1)[0]
     assert sorted(got) == [(-1, 1), (0, 1), (1, 0), (1, 1)]
     assert got == recursive_fincke_pohst(q, 4.0, 1, set())
 
 
 @hs.composite
-def ladder_inputs(draw):
-    """Image matrices at two real places (1-3 rows, 2-6 columns), a height
-    whose box the recursion can walk, and 1-12 rungs s^2 = s0 2^(k/2); the
-    seed is the box's direct-scan minimum at height 1, or an arbitrary
-    nonzero point, which later rungs usually beat."""
-    dim = draw(hs.integers(2, 6))
-    rows = draw(hs.integers(1, 3))
-    height = draw(hs.integers(1, max(h for h in (1, 2, 3)
-                                     if (2 * h + 1) ** dim <= 3200)))
+def ladder_inputs(draw, dim, rows, height):
+    """Image matrices at two real places (rows x dim) and 1-12 rungs
+    s^2 = s0 2^(k/2); the seed is the box's direct-scan minimum at height 1,
+    or an arbitrary nonzero point, which later rungs usually beat."""
     bmats = [np.array([[draw(small) for _ in range(dim)]
                        for _ in range(rows)]) for _ in range(2)]
     s2, rungs = math.ldexp(1.0, draw(hs.integers(-8, 4))), []
@@ -496,27 +558,45 @@ def ladder_inputs(draw):
         if not any(best):
             best = (1,) + best[1:]
         best_val = float(dy._value_array(bmats, [1, 1], [best])[0])
-    return bmats, g1 * s2 + g2 / s2, best, best_val, height
+    return bmats, g1 * s2 + g2 / s2, best, best_val
+
+
+@hs.composite
+def shared_ladders(draw):
+    """One to three ladder_inputs of one shape (1-3 rows, 2-6 columns) and
+    a height whose box the recursion can walk."""
+    dim, rows = draw(hs.integers(2, 6)), draw(hs.integers(1, 3))
+    height = draw(hs.integers(1, max(h for h in (1, 2, 3)
+                                     if (2 * h + 1) ** dim <= 3200)))
+    ladders = draw(hs.lists(ladder_inputs(dim, rows, height), min_size=1,
+                            max_size=3))
+    return ladders, height
 
 
 @settings(max_examples=80, deadline=None)
-@given(ladder_inputs())
-def test_ladder_matches_sequential_oracle(inp):
-    # the same witness, the same value bit for bit, and every rung's new
-    # candidates, whichever rungs beat the running best
-    bmats, qs, best, best_val, height = inp
-    want = sequential_ladder(bmats, qs, best, best_val, height)
+@given(shared_ladders(), hs.integers(1, 6))
+def test_ladder_matches_sequential_oracle(inp, window):
+    # through one shared walk, each ladder's witness, its value bit for bit
+    # and every rung's new candidates, whichever rungs beat the running
+    # best, whatever the first window and the row cap
+    ladders, height = inp
+    want = [sequential_ladder(*ladder, height) for ladder in ladders]
+    bmats, qs = [b for b, *_ in ladders], [q for _, q, *_ in ladders]
     for cap in (dy.FP_ROWS, 2):
+        best, vals = [lad[2] for lad in ladders], [lad[3] for lad in ladders]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dy, "FP_ROWS", cap)
-            got = dy._ladder(bmats, qs, best, best_val, height)
-        assert got[0] == want[0]
-        assert got[1].hex() == want[1].hex()
-        ids = np.concatenate([np.zeros(0, dtype=int)]
-                             + [ids for ids, _ in got[2]])
-        pts = np.concatenate([np.zeros((0, qs.shape[1]), dtype=int)]
-                             + [pts for _, pts in got[2]])
-        assert by_index(ids, pts, len(qs)) == want[2]
+            mp.setattr(dy, "FIRST_WINDOW", window)
+            news = list(dy._ladder(bmats, qs, best, vals, height))
+        for k, (wbest, wval, wnews) in enumerate(want):
+            assert best[k] == wbest
+            assert vals[k].hex() == wval.hex()
+            mine = [(ids, pts) for step, ids, pts in news if step == k]
+            ids = np.concatenate([np.zeros(0, dtype=int)]
+                                 + [ids for ids, _ in mine])
+            pts = np.concatenate([np.zeros((0, qs[k].shape[1]), dtype=int)]
+                                 + [pts for _, pts in mine])
+            assert by_index(ids, pts, len(qs[k])) == wnews
 
 
 def sqrt2_ladder(lo, hi):
@@ -600,6 +680,57 @@ def test_rungs_refuse_ends_that_are_not_finite_and_positive():
                    (math.nan, 1.0), (math.inf, math.inf)):
         with pytest.raises(PrecisionExhausted):
             dy._rungs(lo, hi)
+
+
+def sl3_paths(K, steps):
+    """Acceptance 8's six SL3 configurations, their paths cut to a number
+    of steps: (name, orbit input, path)."""
+    from test_acceptance import full_ramp, ramp
+    i3 = dc.MatrixK.identity(K, 3)
+    h3 = dc.unipotent_matrix(K, 3, {(2, 0): K.one, (2, 1): K.theta})
+    h3t = rd.longest_element(3).matrix(K) * \
+        dc.unipotent_matrix(K, 3, {(0, 1): K.one})
+    h3g = dc.MatrixK.from_rational_rows(
+        K, [[Fraction(1, 2)] * 3, [1, 2, 4], [1, 3, 9]])
+    return [(name, st.OrbitInput((g, i3)), path) for name, g, path in (
+        ("sl3-psi TT", h3, ramp(3, steps, 1, 1, -1)),
+        ("sl3-psi TF", h3, ramp(3, steps, 1, 2, -1)),
+        ("sl3-psi FT", h3t, ramp(3, steps, 1, 1, -1)),
+        ("sl3-psi FF", h3t, ramp(3, steps, 1, 2, -1)),
+        ("sl3-borel TT", h3g, full_ramp(3, steps, 1, -1)),
+        ("sl3-borel FF", h3t, full_ramp(3, steps, 2, -1)))]
+
+
+def test_run_path_shares_the_search_without_moving_a_step(Ksqrt2):
+    # height 7 is the least whose box (15^6 points) takes the ellipsoid
+    # search: the path's steps walk their ladders in shared passes, and
+    # every value, enclosure and witness is the one-step search's
+    for name, inp, path in sl3_paths(Ksqrt2, 8):
+        trace = dy.run_path(inp, path, 7)
+        for k, step in enumerate(trace.steps):
+            enc, wit = dy.systole(inp, path.realize(k), 7)
+            assert (step.value, step.enclosure, step.witness) == \
+                (float(enc.mid), (float(enc.lo), float(enc.hi)), wit), name
+
+
+# tracemalloc peak of run_path on sl3-borel FF at height 20 before the
+# shared search (three runs after a warm-up step: 0.577-0.597 MiB)
+STEP_BY_STEP_PEAK_MIB = 0.60
+
+
+def test_shared_search_memory_on_the_borel_ff_path(Ksqrt2):
+    # every step's candidates of a pass are evaluated chunk by chunk, not
+    # held: the shared search peaks at most 1 MiB above the step-by-step one
+    name, inp, path = sl3_paths(Ksqrt2, 30)[-1]
+    assert name == "sl3-borel FF"
+    dy.systole(inp, path.realize(0), 20)        # caches of the field
+    tracemalloc.start()
+    try:
+        dy.run_path(inp, path, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (STEP_BY_STEP_PEAK_MIB + 1) * 2 ** 20
 
 
 def test_run_path_constant(Ksqrt2):
