@@ -291,27 +291,61 @@ def isolate_real_roots(p: Poly):
     return [RInt(lo, hi) for lo, hi in out]
 
 
+def _integer_coefficients(p: Poly):
+    """p times the lcm of its coefficients' denominators, as ints."""
+    scale = math.lcm(*(c.denominator for c in p))
+    return [int(c * scale) for c in p]
+
+
+def _horner(coeffs, x: int, y: int, den: int):
+    """sum_i c_i (x + i y)^i den^(m - i) for integer coefficients c_0..c_m,
+    by Horner's rule on Gaussian integers: (real part, imaginary part).
+    Its sign (y = 0) or modulus is that of p((x + i y) / den) for den > 0,
+    times den^m and the coefficients' scale."""
+    re, im, power = coeffs[-1], 0, 1
+    for c in reversed(coeffs[:-1]):
+        power *= den
+        re, im = re * x - im * y + c * power, re * y + im * x
+    return re, im
+
+
 def refine_root(p: Poly, iso: RInt, max_width: Fraction) -> RInt:
-    """Shrink an isolating interval by bisection until it is narrow enough."""
+    """Shrink an isolating interval by bisection until it is narrow enough.
+
+    The cut points lie on the grid lo + k w / 2^j of the interval [lo, hi]
+    of width w, and their signs are read in integers: with lo = A / B and
+    w = C / B, the sign of p there is that of P(A 2^j + k C, B 2^j), the
+    homogenised p scaled to integer coefficients."""
+    coeffs = _integer_coefficients(p)
+
+    def sign(num, den):
+        v = _horner(coeffs, num, 0, den)[0]
+        return (v > 0) - (v < 0)
+
     lo, hi = iso.lo, iso.hi
-    flo = peval(p, lo)
-    fhi = peval(p, hi)
-    if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
+    slo = sign(lo.numerator, lo.denominator)
+    shi = sign(hi.numerator, hi.denominator)
+    if slo == 0 or shi == 0 or slo == shi:
         raise ValueError("not an isolating interval with a sign change")
-    while hi - lo > max_width:
-        mid = (lo + hi) / 2
-        fm = peval(p, mid)
-        if fm == 0:
-            # the simple root is mid itself, so p changes sign across it
-            eps = (hi - lo) / 1024
-            lo, hi = mid - eps, mid + eps
-            flo, fhi = peval(p, lo), peval(p, hi)
-            continue
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+    while True:
+        b = math.lcm(lo.denominator, hi.denominator)
+        a, c = int(lo * b), int((hi - lo) * b)
+        k = j = 0                   # [lo, hi] is grid cell [k, k + 1] at depth j
+        while c * max_width.denominator > max_width.numerator * (b << j):
+            j += 1
+            s = sign((a << j) + (2 * k + 1) * c, b << j)
+            if s == 0:
+                break
+            k = 2 * k + (s == slo)
         else:
-            hi, fhi = mid, fm
-    return RInt(lo, hi)
+            return RInt(Fraction((a << j) + k * c, b << j),
+                        Fraction((a << j) + (k + 1) * c, b << j))
+        # the simple root is the cut point itself, so p changes sign
+        # across it: restart the grid on a small interval around it
+        mid = Fraction((a << j) + (2 * k + 1) * c, b << j)
+        eps = Fraction(c, b << (j - 1)) / 1024
+        lo, hi = mid - eps, mid + eps
+        slo = sign(lo.numerator, lo.denominator)
 
 
 # -- root regions ---------------------------------------------------------------
@@ -340,7 +374,8 @@ def root_regions(p: Poly, bits: int, isolated=None):
     npairs = (n - len(reals)) // 2
     if npairs == 0:
         return reals, []
-    dp = pderiv(p)
+    ints = _integer_coefficients(p)
+    dints = [i * c for i, c in enumerate(ints)][1:]
     work = max(80, 2 * bits + 80)
     for attempt in range(8):
         with mpmath.workprec(work):
@@ -355,16 +390,16 @@ def root_regions(p: Poly, bits: int, isolated=None):
         for z in approx:
             re = mpf_to_fraction(z.real) if isinstance(z, mpmath.mpc) else mpf_to_fraction(z)
             im = mpf_to_fraction(z.imag) if isinstance(z, mpmath.mpc) else Fraction(0)
-            zbox = CBox(RInt(re), RInt(im))
-            val = peval(p, zbox)
-            der = peval(dp, zbox)
-            try:
-                ratio_sq = val.modulus_sq() / der.modulus_sq()
-            except ZeroDivisionError:
+            # |p(z)|^2 / |p'(z)|^2, exactly, over z's common denominator
+            den = math.lcm(re.denominator, im.denominator)
+            x, y = int(re * den), int(im * den)
+            val = sum(t * t for t in _horner(ints, x, y, den))
+            der = sum(t * t for t in _horner(dints, x, y, den))
+            if not der:
                 boxes = None
                 break
-            rad_sq = Fraction(n * n) * ratio_sq.hi
-            rad = _dyadic_sqrt_upper(rad_sq, work + 60)
+            rad = _dyadic_sqrt_upper(Fraction(n * n * val, der * den * den),
+                                     work + 60)
             boxes.append(CBox(RInt(re - rad, re + rad), RInt(im - rad, im + rad)))
         if (boxes is not None and _disjoint(boxes)
                 and max(b.width for b in boxes) <= target):
