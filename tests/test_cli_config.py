@@ -22,7 +22,7 @@ from torusorbits import numfield as nf
 from torusorbits import rootdata as rd
 from torusorbits import strata as st
 from torusorbits.cli import build_parser, main
-from torusorbits.errors import InvariantViolation
+from torusorbits.errors import InvariantViolation, ValidationError
 
 from conftest import NONCONVERGENT_CUBIC, generic_sl, random_sl, records_json
 
@@ -57,9 +57,10 @@ def test_matrix_roundtrip_rejects_bad_det(tmp_path, Ksqrt2):
     data = json.loads((tmp_path / "m.json").read_text())
     back = cfg.matrix_from_dict(Ksqrt2, data)
     assert back == g
-    data["det"] = [["5", "0"], ["0", "0"]][0:1] + [["0"] * 1]
-    data["det"] = [["5"], ["0"]]
-    with pytest.raises(Exception):
+    # a well-formed determinant that is not the matrix's (which is 4/3)
+    data["det"] = cfg.elem_to_list(Ksqrt2.element([5]))
+    with pytest.raises(ValidationError,
+                       match="declared determinant does not match"):
         cfg.matrix_from_dict(Ksqrt2, data)
 
 
