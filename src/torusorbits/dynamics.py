@@ -151,17 +151,17 @@ def _systoles(inp: OrbitInput, tori, height: int):
         raise ValidationError("need one diagonal entry per matrix row per place")
     gnums = [_numeric_component(field, inp.components[v], v)
              for v in range(inp.r)]
-    # B[i, j deg + t] = t_i g_ij theta^t, elementwise
-    paths = [[np.kron(np.array([float(x) for x in t])[:, None] * g,
+    # B[i, j deg + t] = t_i g_ij theta^t, elementwise, per step and place
+    bmats = [[np.kron(np.array([float(x) for x in t])[:, None] * g,
                       field.float_basis(pl))
               for t, g, pl in zip(torus, gnums, places)] for torus in tori]
     exps = [1 if pl.is_real else 2 for pl in places]
 
     total = (2 * height + 1) ** dim
     if total <= DIRECT_SCAN_CAP:
-        witnesses = [_direct_scan(b, exps, height, dim)[1] for b in paths]
+        witnesses = [_direct_scan(b, exps, height, dim)[1] for b in bmats]
     elif inp.r == 2 and all(pl.is_real for pl in places):
-        witnesses = _ellipsoid_scan(paths, height, dim)
+        witnesses = _ellipsoid_scan(bmats, height, dim)
     else:
         raise CapExceeded(
             f"box of {total} points needs the two-real-place search path")
@@ -338,10 +338,10 @@ def _head_floors(heads, lasts, exps, height):
     return _sup_product([low[None] for low in lows], exps, t[None], u)
 
 
-def _ellipsoid_scan(paths, height, dim):
+def _ellipsoid_scan(bmats, height, dim):
     """Exact-LDL Fincke-Pohst over a ladder of place weights (r = 2, real)
     at every step of a path: each step's witness, from its image matrices
-    (paths[k] for step k), all steps walking their ladders in `_ladder`'s
+    (bmats[k] for step k), all steps walking their ladders in `_ladder`'s
     shared passes.
 
     A candidate x with sup norms a = |B1 x| and b = |B2 x| has product
@@ -367,25 +367,26 @@ def _ellipsoid_scan(paths, height, dim):
     minimum.  Rungs whose float Gram matrix is not positive definite are
     skipped unsearched: 34 of 2,882 on acceptance 8's sl3-psi TT path.
     """
-    n = paths[0][0].shape[0]
+    n = bmats[0][0].shape[0]
     seeds, vals, grams = [], [], []
-    for bmats in paths:
-        p_seed, witness = _direct_scan(bmats, [1, 1], 2, dim)
+    for step in bmats:
+        p_seed, witness = _direct_scan(step, [1, 1], 2, dim)
         # sigma_min(B_v) / sqrt(n): a scale for the ladder ends, not a bound
         sigma = [max(np.linalg.svd(b, compute_uv=False)[-1], 1e-300)
-                 / math.sqrt(n) for b in bmats]
-        u1max = float(np.abs(bmats[0]).sum(axis=1).max()) * height + 1e-300
-        u2max = float(np.abs(bmats[1]).sum(axis=1).max()) * height + 1e-300
+                 / math.sqrt(n) for b in step]
+        u1max = float(np.abs(step[0]).sum(axis=1).max()) * height + 1e-300
+        u2max = float(np.abs(step[1]).sum(axis=1).max()) * height + 1e-300
         lo = max(sigma[1] ** 2 / p_seed, sigma[1] / u1max) / 16
         hi = min(p_seed / sigma[0] ** 2, u2max / sigma[0]) * 16
-        g1, g2 = (sum(np.multiply.outer(row, row) for row in b) for b in bmats)
-        grams.append((g1, g2, np.array(_rungs(lo, hi * 1.0001))[:, None, None]))
+        g1, g2 = (sum(np.multiply.outer(row, row) for row in b) for b in step)
+        s2 = np.array(_rungs(lo, hi * 1.0001))[:, None, None]
+        grams.append((g1, g2, s2))
         seeds.append(witness)
         vals.append(p_seed)
     # each step's float rung Grams, formed as the factorisation reads them
     # and factored exactly as the rationals they hold
     stacks = (g1 * s2 + g2 / s2 for g1, g2, s2 in grams)
-    collections.deque(_ladder(paths, stacks, seeds, vals, height), maxlen=0)
+    collections.deque(_ladder(bmats, stacks, seeds, vals, height), maxlen=0)
     return seeds
 
 
@@ -429,7 +430,8 @@ def _ladder(bmats, stacks, best, best_val, height):
     steps = np.arange(len(best))
     side = max(height, len(best), int(np.abs(best).max()))
     seen = _group_keys(steps, np.array(best), side)
-    start, end = (np.searchsorted(group, steps, side=e) for e in ("left", "right"))
+    start, end = (np.searchsorted(group, steps, side=e)
+                  for e in ("left", "right"))
     window = np.full(len(best), FIRST_WINDOW)
     while (live := np.flatnonzero(start < end)).size:
         stop = np.minimum(start + window, end)
@@ -467,7 +469,7 @@ def _ladder(bmats, stacks, best, best_val, height):
 
 
 FP_ROWS, LDL_ROWS = 1 << 11, 32     # bounds on the working memory below
-FIRST_WINDOW = 4        # rungs in a step's first window and after an improvement
+FIRST_WINDOW = 4        # a step's first window, and its window after a hit
 
 
 def _group_keys(group, pts, side):
@@ -487,9 +489,8 @@ def _fincke_pohst(d, lmat, rows, bound, height, group, seen, side):
     first occurrences per group of its leaves over seen and earlier
     chunks."""
     dim = d.shape[1]
-    for ids, keys in _fp_level(d, lmat, height, dim - 1, rows,
-                               np.zeros((len(rows), dim),
-                                        dtype=np.min_scalar_type(-side)),
+    xs = np.zeros((len(rows), dim), dtype=np.min_scalar_type(-side))
+    for ids, keys in _fp_level(d, lmat, height, dim - 1, rows, xs,
                                bound * (1 + 1e-9) + 1e-12,
                                np.zeros(len(rows), dtype=np.int64), group, side):
         first = np.unique(keys, return_index=True)[1]
@@ -534,7 +535,7 @@ def _fp_level(d, lmat, height, k, ids, xs, rem, sign, group, side):
         tail = xs * np.where(sign != 0, sign, 1).astype(xs.dtype)[:, None]
         tail[:, 0] = -side
         base = _group_keys(group[ids], tail, side)
-    del half, hi
+    del half, hi                # not held through the recursion below
     for part in chunks(count, FP_ROWS):
         sizes = count[part]
         rep = np.repeat(np.arange(part.start, part.stop), sizes)
@@ -550,12 +551,13 @@ def _fp_level(d, lmat, height, k, ids, xs, rem, sign, group, side):
                 t = rem[rep] - np.where(sq < math.inf, dk[rep] * sq,
                                         t * (dk[rep] * t))
             child = (ids[rep], x, t, np.where(s != 0, s, np.sign(v)))
-            del rep, v, s, x, t, sq
+            del rep, v, s, x, t, sq     # the child holds what it needs
             yield from _fp_level(d, lmat, height, k - 1, *child, group, side)
         else:
             keep = (s != 0) | (v != 0)
             rep, v, s = rep[keep], v[keep], s[keep]
-            yield ids[rep], base[rep] + (np.where(s != 0, s * v, np.abs(v)) + side)
+            v = np.where(s != 0, s * v, np.abs(v))
+            yield ids[rep], base[rep] + (v + side)
 
 
 def _ldl(stacks):
