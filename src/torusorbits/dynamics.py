@@ -137,13 +137,11 @@ def systole(inp: OrbitInput, torus: Sequence[Sequence[Fraction]],
 
 
 def _systoles(inp: OrbitInput, tori, height: int):
-    """`systole` at each torus of a path, from one float image of each
-    component: the direct scan step by step, or one ellipsoid search over
-    every step."""
+    """`systole` at each torus of a path, each component's float image
+    formed once, the ellipsoid search run once over every step."""
     if height < 1:
         raise ValidationError("height must be at least 1")
-    field = inp.field
-    n = inp.n
+    field, n = inp.field, inp.n
     dim = n * field.degree
     places = field.places()
     if any(len(torus) != len(places) or any(len(t) != n for t in torus)
@@ -340,9 +338,7 @@ def _head_floors(heads, lasts, exps, height):
 
 def _ellipsoid_scan(bmats, height, dim):
     """Exact-LDL Fincke-Pohst over a ladder of place weights (r = 2, real)
-    at every step of a path: each step's witness, from its image matrices
-    (bmats[k] for step k), all steps walking their ladders in `_ladder`'s
-    shared passes.
+    at every step of a path: each step's witness from its image matrices.
 
     A candidate x with sup norms a = |B1 x| and b = |B2 x| has product
     value p = a b and balance point beta = b / a.  At a weight s^2 with
@@ -410,21 +406,16 @@ def _rungs(lo, hi):
 
 
 def _ladder(bmats, stacks, best, best_val, height):
-    """The walks of the steps of a path from their seeds over their rung
-    Gram matrices (bmats[k], stacks[k], best[k] and best_val[k] for step k),
-    yielding each rung's new candidates in order (step, rung index and
-    vector arrays, a rung's in one or more triples) and updating best and
-    best_val in place.  A rung searches x^T q x <= radius * best_val, keeps
-    what neither the seed nor an earlier rung of its step yielded, and
-    takes its first minimum if below best_val.
-
-    Each pass enumerates, for every step with rungs left, a window of its
-    next rungs at that step's bound, and evaluates the new leaves chunk by
-    chunk as they come (values do not depend on the batch).  The first
-    rung of a window holding a value below best_val ends its step's pass,
-    and what follows it is dropped; the next window starts after it with
-    FIRST_WINDOW rungs.  A window without one is kept whole, and the next
-    is twice as long."""
+    """Walk each step's ladder from its seed (step k: image matrices
+    bmats[k], rung Grams stacks[k], best[k] at best_val[k], both updated in
+    place), yielding each rung's new candidates in order as (step, rung
+    indices, vectors).  A rung searches x^T q x <= radius * best_val, keeps
+    what neither the seed nor an earlier rung of its step yielded, and takes
+    its first minimum if below best_val.  A pass searches, for each step
+    with rungs left, a window of its next rungs at its own bound; the first
+    rung holding a value below best_val ends the step's pass and drops
+    what follows it.  The next window has FIRST_WINDOW rungs after such a
+    hit, twice as many as the last one otherwise."""
     radius = LADDER_RADIUS * bmats[0][0].shape[0] * 1.0001
     group, rung, d, lmat = _ldl(stacks)
     steps = np.arange(len(best))
@@ -440,29 +431,25 @@ def _ladder(bmats, stacks, best, best_val, height):
         for ids, pts in _fincke_pohst(d, lmat, rows,
                                       radius * np.array(best_val)[group[rows]],
                                       height, group, seen, side):
+            keep = ids < stop[group[ids]]
+            ids, pts = ids[keep], pts[keep]
             g = group[ids]
-            cuts = [0, *(np.flatnonzero(g[1:] != g[:-1]) + 1), len(g)]
+            cuts = np.flatnonzero(np.diff(g, prepend=-1, append=-1))
             for k, a, b in zip(g[cuts[:-1]], cuts, cuts[1:]):
                 sid, spts = ids[a:b], pts[a:b]
-                b = np.searchsorted(sid, stop[k])
-                if not b:
-                    continue
-                sid, spts = sid[:b], spts[:b]
                 vals = _value_array(bmats[k], [1, 1], spts)
                 below = np.flatnonzero(vals < best_val[k])
                 if len(below):
-                    if not hit[k]:
-                        hit[k], stop[k] = True, sid[below[0]] + 1
-                        b = np.searchsorted(sid, stop[k])
-                        sid, spts, vals = sid[:b], spts[:b], vals[:b]
-                    # the first minimum of the rung that ends the pass
+                    # the rung that ends the pass, and its first minimum
+                    hit[k], stop[k] = True, sid[below[0]] + 1
+                    b = np.searchsorted(sid, stop[k])
+                    sid, spts, vals = sid[:b], spts[:b], vals[:b]
                     i = np.searchsorted(sid, stop[k] - 1)
                     i += int(np.argmin(vals[i:]))
                     best_val[k] = float(vals[i])
                     best[k] = tuple(int(c) for c in spts[i])
                 kept.append(_group_keys(np.full(len(sid), k), spts, side))
                 yield k, rung[sid], spts
-            del ids, pts, sid, spts     # before the search resumes
         seen = np.sort(np.concatenate(kept))
         start[live] = stop[live]
         window[live] = np.where(hit[live], FIRST_WINDOW, 2 * window[live])
@@ -473,21 +460,17 @@ FIRST_WINDOW = 4        # a step's first window, and its window after a hit
 
 
 def _group_keys(group, pts, side):
-    """Integer keys of (group, vector) pairs, entries in [-side, side]: the
-    row_keys of the group followed by the coordinates from the last down,
-    so x_0 + side is the last digit."""
+    """row_keys of (group, vector) rows, coordinates from the last down."""
     return row_keys(np.column_stack([group, pts[:, ::-1]]), side)
 
 
 def _fincke_pohst(d, lmat, rows, bound, height, group, seen, side):
     """Integer x != 0 with x^T q x <= bound and |x|_inf <= height for the
     matrices q at the given rows of a stack factored by `_ldl`, each with
-    its own bound, that no earlier row of its group found and seen (the
-    sorted `_group_keys` of its pairs) does not hold: chunks of stack index
-    and vector arrays, in depth-first order from the last coordinate down,
-    row by row, highest nonzero coordinate positive.  A chunk holds the
-    first occurrences per group of its leaves over seen and earlier
-    chunks."""
+    its own bound, that no earlier row of its group found and seen (sorted
+    `_group_keys`) does not hold: chunks of stack index and vector arrays,
+    in depth-first order from the last coordinate down, row by row, highest
+    nonzero coordinate positive."""
     dim = d.shape[1]
     xs = np.zeros((len(rows), dim), dtype=np.min_scalar_type(-side))
     for ids, keys in _fp_level(d, lmat, height, dim - 1, rows, xs,
@@ -504,14 +487,13 @@ def _fincke_pohst(d, lmat, rows, bound, height, group, seen, side):
 
 
 def _fp_level(d, lmat, height, k, ids, xs, rem, sign, group, side):
-    """The leaves below level k of `_fincke_pohst` as (stack index, vector)
+    """The leaves below level k of `_fincke_pohst` as (stack index, key)
     chunks, breadth first in floats with a small safety pad: centres summed
     term by term from the coordinate above, children formed in order by
     np.repeat, FP_ROWS at a time (parent chunks run to the leaves in turn),
     the bound left updated by d_k np.float_power(v - c, 2), the C library's
     pow that Python's ** calls (numpy's ** on arrays may differ in the last
-    bit), or by (v - c) (d_k (v - c)) where that square overflows.
-    """
+    bit), or by (v - c) (d_k (v - c)) where that square overflows."""
     c = np.zeros(len(ids))
     for i in range(k + 1, d.shape[1]):
         c += lmat[ids, i, k] * xs[:, i]
@@ -561,19 +543,17 @@ def _fp_level(d, lmat, height, k, ids, xs, rem, sign, group, side):
 
 
 def _ldl(stacks):
-    """LDL^T of every matrix of a sequence of stacks of symmetric float
-    matrices, each read from its lower triangle, exactly: for the positive
-    definite ones, their stack, their index in it, and d (a row each) and L
-    (below the diagonal) as floats.
+    """LDL^T of every symmetric float matrix of a sequence of stacks, each
+    read from its lower triangle, exactly: for the positive definite ones,
+    their stack and index in it, and d (a row each) and L as floats.
 
     The entries are exact dyadic rationals, so a power-of-two denominator S
     per matrix makes them integers.  Fraction-free (Bareiss) elimination of
     those, on object arrays of Python ints LDL_ROWS matrices at a time,
-    stack by stack, leaves D_k = S^k det q[:k, :k] on the diagonal and the
-    numerators of L below it: d_k = D_k / (D_{k-1} S) and L_ik = M_ik / D_k,
-    each a correctly rounded int true division.  Positivity, why this is
-    not the elimination kernel, is exact: a matrix leaves at a pivot
-    D_k <= 0."""
+    leaves D_k = S^k det q[:k, :k] on the diagonal and the numerators of L
+    below it: d_k = D_k / (D_{k-1} S) and L_ik = M_ik / D_k, each a
+    correctly rounded int true division.  Positivity, why this is not the
+    elimination kernel, is exact: a matrix leaves at a pivot D_k <= 0."""
     out = []
     for g, qs in enumerate(stacks):
         rows, dim = qs.shape[:2]

@@ -297,55 +297,44 @@ def _integer_coefficients(p: Poly):
     return [int(c * scale) for c in p]
 
 
-def _horner(coeffs, x: int, y: int, den: int):
-    """sum_i c_i (x + i y)^i den^(m - i) for integer coefficients c_0..c_m,
-    by Horner's rule on Gaussian integers: (real part, imaginary part).
-    Its sign (y = 0) or modulus is that of p((x + i y) / den) for den > 0,
-    times den^m and the coefficients' scale."""
-    re, im, power = coeffs[-1], 0, 1
-    for c in reversed(coeffs[:-1]):
+def _horner(ints, x: int, y: int, den: int):
+    """sum_i c_i (x + i y)^i den^(m - i) over integer coefficients c_0..c_m,
+    by Horner's rule on Gaussian integers: (real part, imaginary part)."""
+    re, im, power = ints[-1], 0, 1
+    for c in reversed(ints[:-1]):
         power *= den
         re, im = re * x - im * y + c * power, re * y + im * x
     return re, im
 
 
 def refine_root(p: Poly, iso: RInt, max_width: Fraction) -> RInt:
-    """Shrink an isolating interval by bisection until it is narrow enough.
-
-    The cut points lie on the grid lo + k w / 2^j of the interval [lo, hi]
-    of width w, and their signs are read in integers: with lo = A / B and
-    w = C / B, the sign of p there is that of P(A 2^j + k C, B 2^j), the
-    homogenised p scaled to integer coefficients."""
-    coeffs = _integer_coefficients(p)
+    """Shrink an isolating interval by bisection until it is narrow enough,
+    in integers: [lo, hi] = [a, b] / den, den doubling at each cut, and the
+    sign of p at m / den that of the homogenised P(m, den)."""
+    ints = _integer_coefficients(p)
 
     def sign(num, den):
-        v = _horner(coeffs, num, 0, den)[0]
+        v = _horner(ints, num, 0, den)[0]
         return (v > 0) - (v < 0)
 
-    lo, hi = iso.lo, iso.hi
-    slo = sign(lo.numerator, lo.denominator)
-    shi = sign(hi.numerator, hi.denominator)
-    if slo == 0 or shi == 0 or slo == shi:
+    den = math.lcm(iso.lo.denominator, iso.hi.denominator)
+    a, b = int(iso.lo * den), int(iso.hi * den)
+    slo = sign(a, den)
+    if slo * sign(b, den) >= 0:
         raise ValueError("not an isolating interval with a sign change")
-    while True:
-        b = math.lcm(lo.denominator, hi.denominator)
-        a, c = int(lo * b), int((hi - lo) * b)
-        k = j = 0                   # [lo, hi] is grid cell [k, k + 1] at depth j
-        while c * max_width.denominator > max_width.numerator * (b << j):
-            j += 1
-            s = sign((a << j) + (2 * k + 1) * c, b << j)
-            if s == 0:
-                break
-            k = 2 * k + (s == slo)
+    while (b - a) * max_width.denominator > max_width.numerator * den:
+        a, b, den = 2 * a, 2 * b, 2 * den
+        mid = (a + b) // 2
+        s = sign(mid, den)
+        if not s:
+            # the cut point is the simple root, so p changes sign across it
+            a, b, den = 1024 * mid - (b - a), 1024 * mid + (b - a), 1024 * den
+            slo = sign(a, den)
+        elif s == slo:
+            a = mid
         else:
-            return RInt(Fraction((a << j) + k * c, b << j),
-                        Fraction((a << j) + (k + 1) * c, b << j))
-        # the simple root is the cut point itself, so p changes sign
-        # across it: restart the grid on a small interval around it
-        mid = Fraction((a << j) + (2 * k + 1) * c, b << j)
-        eps = Fraction(c, b << (j - 1)) / 1024
-        lo, hi = mid - eps, mid + eps
-        slo = sign(lo.numerator, lo.denominator)
+            b = mid
+    return RInt(Fraction(a, den), Fraction(b, den))
 
 
 # -- root regions ---------------------------------------------------------------
