@@ -327,9 +327,8 @@ def refine_root(p: Poly, iso: RInt, max_width: Fraction) -> RInt:
         mid = (a + b) // 2
         s = sign(mid, den)
         if not s:
-            # the cut point is the simple root, so p changes sign across it
+            # the cut point is the simple root: p has the sign slo below it
             a, b, den = 1024 * mid - (b - a), 1024 * mid + (b - a), 1024 * den
-            slo = sign(a, den)
         elif s == slo:
             a = mid
         else:
