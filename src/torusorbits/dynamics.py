@@ -460,8 +460,8 @@ FIRST_WINDOW = 4        # a step's first window, and its window after a hit
 
 
 def _group_keys(group, pts, side):
-    """row_keys of (group, vector) rows, coordinates from the last down."""
-    return row_keys(np.column_stack([group, pts[:, ::-1]]), side)
+    """row_keys of the (group, vector) rows."""
+    return row_keys(np.column_stack([group, pts]), side)
 
 
 def _fincke_pohst(d, lmat, rows, bound, height, group, seen, side):
@@ -473,9 +473,10 @@ def _fincke_pohst(d, lmat, rows, bound, height, group, seen, side):
     nonzero coordinate positive."""
     dim = d.shape[1]
     xs = np.zeros((len(rows), dim), dtype=np.min_scalar_type(-side))
-    for ids, keys in _fp_level(d, lmat, height, dim - 1, rows, xs,
-                               bound * (1 + 1e-9) + 1e-12,
-                               np.zeros(len(rows), dtype=np.int64), group, side):
+    for ids, x in _fp_level(d, lmat, height, dim - 1, rows, xs,
+                            bound * (1 + 1e-9) + 1e-12,
+                            np.zeros(len(rows), dtype=np.int64), group, side):
+        keys = _group_keys(group[ids], x, side)
         first = np.unique(keys, return_index=True)[1]
         pos = np.searchsorted(seen, keys[first])
         new = pos == len(seen)
@@ -483,11 +484,11 @@ def _fincke_pohst(d, lmat, rows, bound, height, group, seen, side):
         seen = np.insert(seen, pos[new], keys[first[new]])
         first = np.sort(first[new])
         if len(first):
-            yield ids[first], key_rows(keys[first], side, dim + 1)[:, :0:-1]
+            yield ids[first], x[first]
 
 
 def _fp_level(d, lmat, height, k, ids, xs, rem, sign, group, side):
-    """The leaves below level k of `_fincke_pohst` as (stack index, key)
+    """The leaves below level k of `_fincke_pohst` as (stack index, vector)
     chunks, breadth first in floats with a small safety pad: centres summed
     term by term from the coordinate above, children formed in order by
     np.repeat, FP_ROWS at a time (parent chunks run to the leaves in turn),
@@ -513,10 +514,6 @@ def _fp_level(d, lmat, height, k, ids, xs, rem, sign, group, side):
             np.column_stack([lo[live], hi[live]]) * f, axis=1).astype(int)])
         first = np.unique(row_keys(desc, side), return_index=True)[1]
         count[np.delete(live, first)] = 0
-        # a leaf's key is its row's, signed, with x_0 = -side, plus x_0 + side
-        tail = xs * np.where(sign != 0, sign, 1).astype(xs.dtype)[:, None]
-        tail[:, 0] = -side
-        base = _group_keys(group[ids], tail, side)
     del half, hi                # not held through the recursion below
     for part in chunks(count, FP_ROWS):
         sizes = count[part]
@@ -538,8 +535,9 @@ def _fp_level(d, lmat, height, k, ids, xs, rem, sign, group, side):
         else:
             keep = (s != 0) | (v != 0)
             rep, v, s = rep[keep], v[keep], s[keep]
-            v = np.where(s != 0, s * v, np.abs(v))
-            yield ids[rep], base[rep] + (v + side)
+            x = xs[rep] * np.where(s != 0, s, 1)[:, None]
+            x[:, 0] = np.where(s != 0, s * v, np.abs(v))
+            yield ids[rep], x
 
 
 def _ldl(stacks):
