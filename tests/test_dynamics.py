@@ -475,8 +475,8 @@ def fincke_pohst_inputs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(fincke_pohst_inputs())
-# the draw whose (x_2 - c)^2 overflowed the recursion's float: the true
-# term, about 1.0, is above the 0.5 left, so nothing below x_3 = 1 is kept
+# the draw whose (x_2 - c)^2 overflowed the recursion's float: below
+# x_3 = 1 about 0.5 is left, and the true term is about 1.0
 @example((subnormal_pivot_gram()[None], np.array([0]), np.array([1.5]), 1,
           [(0, 0, 1, 0), (1, 0, 0, 0)]))
 def test_vectorised_fincke_pohst_matches_recursion(inp):
@@ -485,7 +485,7 @@ def test_vectorised_fincke_pohst_matches_recursion(inp):
     qs, group, bound, height, seeds = inp
     _, idx, d, lmat = dy._ldl([qs])
     want_seen = [{seed} for seed in seeds]
-    want = [recursive_fincke_pohst(qs[r], bound[r], height,
+    want = [recursive_fincke_pohst(qs[r], float(bound[r]), height,
                                    want_seen[group[r]]) for r in idx]
     seen = dy._group_keys(np.arange(2), np.array(seeds), height)
     for cap in (dy.FP_ROWS, 1, 3):
@@ -497,8 +497,9 @@ def test_vectorised_fincke_pohst_matches_recursion(inp):
 
 
 def test_fincke_pohst_keeps_a_term_whose_square_overflows():
-    # below x_3 = 1, d_2 (x_2 - c)^2 is about 1 and 2 is left, so every x_2
-    # of the box is kept; squaring first gives inf and loses them all
+    # below x_3 = 1, d_2 (x_2 - c)^2 is about 1 and 2 is left, so the box's
+    # x_1 and x_0 stay in range; squaring first gives inf, which leaves only
+    # the centres x_1 = x_0 = 0 there and loses 12 of the 28 vectors
     q = subnormal_pivot_gram()
     _, _, d, lmat = dy._ldl([q[None]])
     assert d[0, 2] == pytest.approx(3.93e-311, rel=1e-2)
@@ -514,7 +515,8 @@ def test_fincke_pohst_keeps_a_term_whose_square_overflows():
              if any(x) and next(c for c in reversed(x) if c) > 0
              and sum(qf[i][j] * x[i] * x[j] for i in range(4)
                      for j in range(4)) <= pad]
-    assert {(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, -1, 1)} <= set(exact)
+    assert len(exact) == 28
+    assert {(0, 1, -1, 1), (1, 0, 0, 1), (-1, 0, 1, 1)} <= set(exact)
     assert sorted(got) == sorted(exact)
     assert got == recursive_fincke_pohst(q, 3.0, 1, set())
 
