@@ -128,8 +128,8 @@ def systole(inp: OrbitInput, torus: Sequence[Sequence[Fraction]],
     box of at most DIRECT_SCAN_CAP points is searched whole (skipping only
     heads whose proved floor exceeds the minimum found), and the witness
     is the lexicographically first minimiser of the elementwise float
-    values.  Larger boxes at two real places go through an exact-LDL
-    Fincke-Pohst search over a ladder of place weights whose ends are not
+    values.  Larger boxes at two real places go through a Fincke-Pohst
+    search over a ladder of place weights, no rung lost, whose ends are not
     proved to hold every candidate: its witness is the minimum that search
     found, not a certified minimum.  The one-step case of `run_path`.
     """
@@ -337,8 +337,8 @@ def _head_floors(heads, lasts, exps, height):
 
 
 def _ellipsoid_scan(bmats, height, dim):
-    """Exact-LDL Fincke-Pohst over a ladder of place weights (r = 2, real)
-    at every step of a path: each step's witness from its image matrices.
+    """Fincke-Pohst over a ladder of place weights (r = 2, real) at every
+    step of a path: each step's witness from its image matrices.
 
     A candidate x with sup norms a = |B1 x| and b = |B2 x| has product
     value p = a b and balance point beta = b / a.  At a weight s^2 with
@@ -360,8 +360,8 @@ def _ellipsoid_scan(bmats, height, dim):
     multiples push that sup norm lower (acceptance 8's sl3 inputs have
     final witnesses below it, by up to (1 + sqrt 2)^-4).  The result is
     the minimum a search found, exact at its witness, not a certified
-    minimum.  Rungs whose float Gram matrix is not positive definite are
-    skipped unsearched: 34 of 2,882 on acceptance 8's sl3-psi TT path.
+    minimum.  Each rung's float Gram is factored after `_ldl`'s diagonal
+    shift, under which no rung is lost, barring over- or underflow.
     """
     n = bmats[0][0].shape[0]
     seeds, vals, grams = [], [], []
@@ -379,10 +379,13 @@ def _ellipsoid_scan(bmats, height, dim):
         grams.append((g1, g2, s2))
         seeds.append(witness)
         vals.append(p_seed)
-    # each step's float rung Grams, formed as the factorisation reads them
-    # and factored exactly as the rationals they hold
-    stacks = (g1 * s2 + g2 / s2 for g1, g2, s2 in grams)
-    collections.deque(_ladder(bmats, stacks, seeds, vals, height), maxlen=0)
+    # every step's float rung Grams in one stack, which _ldl factors in place
+    sizes = [len(s2) for *_, s2 in grams]
+    qs = np.empty((sum(sizes), dim, dim))
+    for (g1, g2, s2), part in zip(grams, np.split(qs, np.cumsum(sizes)[:-1])):
+        np.add(g1 * s2, g2 / s2, out=part)
+    group = np.repeat(np.arange(len(bmats)), sizes)
+    collections.deque(_ladder(bmats, qs, group, seeds, vals, height), maxlen=0)
     return seeds
 
 
@@ -405,19 +408,20 @@ def _rungs(lo, hi):
     return rungs
 
 
-def _ladder(bmats, stacks, best, best_val, height):
+def _ladder(bmats, qs, group, best, best_val, height):
     """Walk each step's ladder from its seed (step k: image matrices
-    bmats[k], rung Grams stacks[k], best[k] at best_val[k], both updated in
-    place), yielding each rung's new candidates in order as (step, rung
-    indices, vectors).  A rung searches x^T q x <= radius * best_val, keeps
-    what neither the seed nor an earlier rung of its step yielded, and takes
-    its first minimum if below best_val.  A pass searches, for each step
-    with rungs left, a window of its next rungs at its own bound; the first
-    rung holding a value below best_val ends the step's pass and drops
-    what follows it.  The next window has FIRST_WINDOW rungs after such a
-    hit, twice as many as the last one otherwise."""
+    bmats[k], rung Grams the stack qs at the nondecreasing group's entries
+    k, best[k] at best_val[k], both updated in place), yielding each rung's
+    new candidates in order as (step, indices in qs, vectors).  A rung
+    searches x^T q x <= radius * best_val, keeps what neither the seed nor
+    an earlier rung of its step yielded, and takes its first minimum if
+    below best_val.  A pass searches, for each step with rungs left, a
+    window of its next rungs at its own bound; the first rung holding a
+    value below best_val ends the step's pass and drops what follows it.
+    The next window has FIRST_WINDOW rungs after such a hit, twice as many
+    as the last one otherwise."""
     radius = LADDER_RADIUS * bmats[0][0].shape[0] * 1.0001
-    group, rung, d, lmat = _ldl(stacks)
+    d, lmat = _ldl(qs)
     steps = np.arange(len(best))
     side = max(height, len(best), int(np.abs(best).max()))
     seen = _group_keys(steps, np.array(best), side)
@@ -449,13 +453,13 @@ def _ladder(bmats, stacks, best, best_val, height):
                     best_val[k] = float(vals[i])
                     best[k] = tuple(int(c) for c in spts[i])
                 kept.append(_group_keys(np.full(len(sid), k), spts, side))
-                yield k, rung[sid], spts
+                yield k, sid, spts
         seen = np.sort(np.concatenate(kept))
         start[live] = stop[live]
         window[live] = np.where(hit[live], FIRST_WINDOW, 2 * window[live])
 
 
-FP_ROWS, LDL_ROWS = 1 << 11, 32     # bounds on the working memory below
+FP_ROWS = 1 << 11      # a bound on the working memory below
 FIRST_WINDOW = 4        # a step's first window, and its window after a hit
 
 
@@ -494,17 +498,18 @@ def _fp_level(d, lmat, height, k, ids, xs, rem, sign, group, side):
     np.repeat, FP_ROWS at a time (parent chunks run to the leaves in turn),
     the bound left updated by d_k np.float_power(v - c, 2), the C library's
     pow that Python's ** calls (numpy's ** on arrays may differ in the last
-    bit), or by (v - c) (d_k (v - c)) where that square overflows."""
+    bit), or by (v - c) (d_k (v - c)) where that square overflows.  A row
+    whose bound left is negative has no children."""
     c = np.zeros(len(ids))
     for i in range(k + 1, d.shape[1]):
         c += lmat[ids, i, k] * xs[:, i]
     c, dk = -c, d[ids, k]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # half is inf when rem / dk overflows; the box clamps it first
-        half = np.sqrt(np.where(rem < 0.0, 0.0, rem) / dk)
+        # NaN half: no range; inf half (rem / dk overflows): the box clamps
+        half = np.sqrt(rem / dk)
         lo = np.where(c - half < -height, -height, np.ceil(c - half - 1e-9))
         hi = np.where(c + half > height, height, np.floor(c + half + 1e-9))
-        count = np.where(dk > 0, np.maximum(hi - lo + 1, 0), 0).astype(int)
+        count = np.where(half >= 0, np.maximum(hi - lo + 1, 0), 0).astype(int)
     if not k:
         # rows of one group with an earlier row's tail and x_0 range, times
         # sign, add nothing
@@ -540,50 +545,44 @@ def _fp_level(d, lmat, height, k, ids, xs, rem, sign, group, side):
             yield ids[rep], x
 
 
-def _ldl(stacks):
-    """LDL^T of every symmetric float matrix of a sequence of stacks, each
-    read from its lower triangle, exactly: for the positive definite ones,
-    their stack and index in it, and d (a row each) and L as floats.
+def _ldl(qs):
+    """LDL^T in floats of every symmetric matrix of the stack qs, read from
+    its lower triangle, its diagonal first raised by the relative shift
+    delta: d (a row each) and qs, overwritten below its diagonal by L.
+    Column k: w_ik = a_ik - sum_j L_ij (d_j L_kj) from j = 0 up, d_k = w_kk,
+    L_ik = w_ik / d_k, elementwise, so a matrix's factor is the same floats
+    in any stack.  A pivot not positive and finite makes the matrix's d
+    NaN, in which the enumeration finds nothing.
 
-    The entries are exact dyadic rationals, so a power-of-two denominator S
-    per matrix makes them integers.  Fraction-free (Bareiss) elimination of
-    those, on object arrays of Python ints LDL_ROWS matrices at a time,
-    leaves D_k = S^k det q[:k, :k] on the diagonal and the numerators of L
-    below it: d_k = D_k / (D_{k-1} S) and L_ik = M_ik / D_k, each a
-    correctly rounded int true division.  Positivity, why this is not the
-    elimination kernel, is exact: a matrix leaves at a pivot D_k <= 0."""
-    out = []
-    for g, qs in enumerate(stacks):
-        rows, dim = qs.shape[:2]
-        if not np.abs(qs).max(initial=0.0) < math.inf:
-            raise OverflowError("cannot factor a non-finite matrix exactly")
-        low, (i, j) = np.tril_indices(dim), np.tril_indices(dim, -1)
-        out.append((np.zeros(0, dtype=int),) * 2
-                   + (np.empty((0, dim)), np.empty((0, dim, dim))))
-        for start in range(0, rows, LDL_ROWS):
-            # entry = num 2^e with num odd or 0; S = 2^s clears the denominators
-            mant, e = np.frexp(qs[start:start + LDL_ROWS, low[0], low[1]])
-            num = (mant * 2.0 ** 53).astype(np.int64)
-            tz = np.frexp((num & -num).astype(float))[1] - 1
-            e = np.where(num != 0, e - 53 + tz, 0)
-            s = (-e.min(axis=1, initial=0)).astype(object)
-            m = np.empty((len(num), dim, dim), dtype=object)
-            m[:, low[0], low[1]] = (num >> np.maximum(tz, 0)).astype(object) \
-                << (e + s[:, None]).astype(object)
-            idx, scale, prev = np.arange(len(num)), 1 << s, np.ones_like(s)
-            d, lmat = np.empty((len(num), dim)), np.zeros((len(num), dim, dim))
-            for k in range(dim):
-                ok = m[:, k, k] > 0
-                idx, m, scale, prev = (a[ok] for a in (idx, m, scale, prev))
-                piv = m[:, k, k]
-                d[idx, k] = piv / (prev * scale)
-                r, c = (a + k + 1 for a in np.tril_indices(dim - k - 1))
-                m[:, r, c] = (m[:, r, c] * piv[:, None]
-                              - m[:, r, k] * m[:, c, k]) // prev[:, None]
-                prev = piv
-            lmat[idx[:, None], i, j] = m[:, i, j] / m[:, j, j]
-            out.append((np.full(len(idx), g), start + idx, d[idx], lmat[idx]))
-    return tuple(np.concatenate(a) for a in zip(*out))
+    Why delta = 2 dim (gamma_{dim+2} + gamma_{dim+1}), gamma_m = m u / (1 -
+    m u), u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed.; H is a matrix's diagonal scaling): a rung's Gram s^2 B1^T B1 +
+    B2^T B2 / s^2, at most dim rows per B, is positive semidefinite, and
+    forming it moves entry ij by at most gamma_{dim+2} sqrt(q_ii q_jj), so
+    its float H has lambda_min >= -dim gamma_{dim+2} / (1 - gamma_{dim+2})
+    before the shift, which adds about delta.  The loop gives L D L^T = a +
+    E, |E| <= gamma_{dim+1} |L||D||L^T|, a shifted (two roundings a term,
+    the subtractions, the division and the shift: Lemma 8.4), as Cholesky
+    does (Theorem 10.3), so Demmel's condition carries over (Theorem 10.7):
+    every pivot is positive when lambda_min(H) > dim gamma_{dim+1} / (1 -
+    gamma_{dim+1}), as delta ensures with room for its own rounding.  So
+    every rung factors, barring over- or underflow, into the ellipsoid of a
+    matrix within O(dim u) of its form, fl(q)'s own order."""
+    rows, dim = qs.shape[:2]
+    if not (qs.max(initial=0.0) < math.inf and qs.min(initial=0.0) > -math.inf):
+        raise OverflowError("cannot factor a non-finite matrix")
+    gamma = [m * 2.0 ** -53 / (1 - m * 2.0 ** -53) for m in (dim + 1, dim + 2)]
+    d = np.empty((rows, dim))
+    with np.errstate(all="ignore"):
+        for k in range(dim):
+            w = qs[:, k:, k] * 1.0
+            w[:, 0] *= 1 + 2 * dim * sum(gamma)
+            for j in range(k):
+                w -= qs[:, k:, j] * (d[:, j] * qs[:, k, j])[:, None]
+            d[:, k] = w[:, 0]
+            qs[:, k + 1:, k] = w[:, 1:] / w[:, :1]
+        d[~((d > 0) & (d < math.inf)).all(axis=1)] = math.nan
+    return d, qs
 
 
 def evaluate_product(inp: OrbitInput, torus, witness) -> RInt:
@@ -611,7 +610,8 @@ def evaluate_product(inp: OrbitInput, torus, witness) -> RInt:
 
 def run_path(inp: OrbitInput, path: TorusPath, height: int) -> SystoleTrace:
     """Systole along the realized path with a threshold verdict
-    (BOUNDED_THRESHOLD on the least value, DECAY_THRESHOLD on the last)."""
+    (BOUNDED_THRESHOLD on the least value, DECAY_THRESHOLD on the last
+    enclosure's upper end: a witness proves only a systole at most that)."""
     if path.r != inp.r or path.n != inp.n:
         raise ValidationError("path shape does not match the input")
     found = _systoles(inp, [path.realize(k) for k in range(path.steps)], height)
@@ -622,7 +622,7 @@ def run_path(inp: OrbitInput, path: TorusPath, height: int) -> SystoleTrace:
     margin = min(values)
     if margin >= BOUNDED_THRESHOLD:
         verdict = "bounded-below"
-    elif final <= DECAY_THRESHOLD:
+    elif steps[-1].enclosure[1] <= DECAY_THRESHOLD:
         verdict = "decaying"
     else:
         verdict = "inconclusive"

@@ -161,13 +161,11 @@ def chunks(sizes: np.ndarray, budget: int):
 # inverse, quotient and norm of a field element (on den(a) M(a)), an
 # order's discriminant and the CM basis inverse.  Over a number field,
 # determinants, inverses and ranks are read from decomp.MinorTable.  Kept
-# apart on purpose: dynamics._ldl (symmetric fraction-free LDL of a float
-# Gram matrix's exact integer image on its lower triangle, half the work
-# of bareiss, with a positivity test) and laplace_minor below, the one
-# cofactor expansion, division-free: field elements (decomp.MinorTable),
-# symbolic entries (the norm form and the characteristic polynomial, through
-# cofactor_det) and interval entries, whose enclosures dividing by interval
-# pivots would widen.
+# apart on purpose: laplace_minor below, the one cofactor expansion,
+# division-free: field elements (decomp.MinorTable), symbolic entries (the
+# norm form and the characteristic polynomial, through cofactor_det) and
+# interval entries, whose enclosures dividing by interval pivots would
+# widen.
 
 def bareiss(rows, ncols: int):
     """Fraction-free (Bareiss) forward elimination of a copy of an integer

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
 from torusorbits import decomp as dc
@@ -15,8 +15,10 @@ from torusorbits import rootdata as rd
 from torusorbits import strata as st
 from torusorbits.errors import (HypothesisViolated, MembershipFails,
                                 PrecisionExhausted)
+from torusorbits.intervals import RInt
 
 from conftest import constant_path, random_sl
+from gauss_oracle import determinant
 
 
 def ramp_path(n, steps, s_rate=1, t_rate=-1, root_index=None):
@@ -266,37 +268,90 @@ def test_error_bound_is_gamma_k():
     assert out[0] == 16 * tiny and out[1] > 3 * 32 * u
 
 
-# -- exact LDL and the Fincke-Pohst enumeration --------------------------------
+# -- the rung factor and the Fincke-Pohst enumeration -------------------------
 
 
-def fraction_ldl(q):
-    """LDL^T of q's lower triangle over Fractions: the factorisation the
-    ellipsoid search ran before the integer one, kept as its oracle."""
-    n = q.shape[0]
-    qr = [[Fraction(q[i, j]) for j in range(n)] for i in range(n)]
-    lower = [[Fraction(0)] * n for _ in range(n)]
-    diag = [Fraction(0)] * n
-    for j in range(n):
-        s = qr[j][j] - sum(lower[j][k] ** 2 * diag[k] for k in range(j))
-        if s <= 0:
-            return None
-        diag[j] = s
-        lower[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            t = qr[i][j] - sum(lower[i][k] * lower[j][k] * diag[k]
-                               for k in range(j))
-            lower[i][j] = t / s
-    return diag, lower
+def bareiss_ldl(qs):
+    """LDL^T of every symmetric float matrix of the stack qs, read from its
+    lower triangle, exactly: the indices of the positive definite ones and
+    their d (a row each) and L as correctly rounded floats.  The factor the
+    ellipsoid search ran before the shifted float one, kept as the oracle
+    of the float Grams' exact positivity.
+
+    The entries are exact dyadic rationals, so a power-of-two denominator S
+    per matrix makes them integers.  Fraction-free (Bareiss) elimination of
+    those, on object arrays of Python ints, leaves D_k = S^k det q[:k, :k]
+    on the diagonal and the numerators of L below it: d_k = D_k / (D_{k-1}
+    S) and L_ik = M_ik / D_k, each a correctly rounded int true division.
+    A matrix leaves at a pivot D_k <= 0."""
+    rows, dim = qs.shape[:2]
+    low, (i, j) = np.tril_indices(dim), np.tril_indices(dim, -1)
+    # entry = num 2^e with num odd or 0; S = 2^s clears the denominators
+    mant, e = np.frexp(qs[:, low[0], low[1]])
+    num = (mant * 2.0 ** 53).astype(np.int64)
+    tz = np.frexp((num & -num).astype(float))[1] - 1
+    e = np.where(num != 0, e - 53 + tz, 0)
+    s = (-e.min(axis=1, initial=0)).astype(object)
+    m = np.empty((rows, dim, dim), dtype=object)
+    m[:, low[0], low[1]] = (num >> np.maximum(tz, 0)).astype(object) \
+        << (e + s[:, None]).astype(object)
+    idx, scale, prev = np.arange(rows), 1 << s, np.ones_like(s)
+    d, lmat = np.empty((rows, dim)), np.zeros((rows, dim, dim))
+    for k in range(dim):
+        ok = m[:, k, k] > 0
+        idx, m, scale, prev = (a[ok] for a in (idx, m, scale, prev))
+        piv = m[:, k, k]
+        d[idx, k] = piv / (prev * scale)
+        r, c = (a + k + 1 for a in np.tril_indices(dim - k - 1))
+        m[:, r, c] = (m[:, r, c] * piv[:, None]
+                      - m[:, r, k] * m[:, c, k]) // prev[:, None]
+        prev = piv
+    lmat[idx[:, None], i, j] = m[:, i, j] / m[:, j, j]
+    return idx, d[idx], lmat[idx]
+
+
+def gamma(m):
+    """gamma_m = m u / (1 - m u), u = 2^-53, as a rational."""
+    u = Fraction(1, 2 ** 53)
+    return m * u / (1 - m * u)
+
+
+def ldl_shift(dim):
+    """1 + delta, the factor `_ldl` raises a dim x dim diagonal by: its d
+    of the identity."""
+    return float(dy._ldl(np.eye(dim)[None])[0][0, 0])
+
+
+def backward_error_holds(q, d, lmat):
+    """|L D L^T - (q + delta diag q)| <= gamma_{dim+1} |L| |D| |L^T|
+    entrywise, in rationals: the bound of `_ldl`'s docstring.  A product or
+    quotient that underflows is off by up to 2^-1075 more (Higham, section
+    2.1), so entry (i, j <= i) also gets 2^-1074 for the shift or the
+    division by d_j (times |d_j|) and for each term's two products (times
+    1 and |L_im|)."""
+    n = len(d)
+    delta = Fraction(ldl_shift(n)) - 1
+    low = [[Fraction(lmat[i, j]) if j < i else Fraction(int(i == j))
+            for j in range(n)] for i in range(n)]
+    diag = [Fraction(x) for x in d]
+    tiny = Fraction(2) ** -1074
+    for i in range(n):
+        for j in range(i + 1):
+            terms = [low[i][m] * diag[m] * low[j][m] for m in range(j + 1)]
+            a = Fraction(q[i, j]) * (1 + delta if i == j else 1)
+            under = tiny * (1 + abs(diag[j])
+                            + sum(1 + abs(low[i][m]) for m in range(j)))
+            if abs(sum(terms) - a) > gamma(n + 1) * sum(map(abs, terms)) \
+                    + under:
+                return False
+    return True
 
 
 def recursive_fincke_pohst(q, bound, height, seen):
-    """The recursive enumeration with the Fraction LDL and the caller-side
-    dedupe that the flat loop replaced: the same vectors in the same order."""
-    fact = fraction_ldl(q)
-    if fact is None:
-        return []
-    d = [float(x) for x in fact[0]]
-    lf = [[float(x) for x in row] for row in fact[1]]
+    """The recursive enumeration with the caller-side dedupe that the flat
+    loop replaced, on `_ldl`'s factor of q alone: the same vectors in the
+    same order."""
+    d, lf = (a[0].tolist() for a in dy._ldl(q[None].copy()))
     dim = len(d)
     pad = bound * (1 + 1e-9) + 1e-12
     x = [0] * dim
@@ -312,9 +367,9 @@ def recursive_fincke_pohst(q, bound, height, seen):
                     out.append(cand)
             return
         center = -sum(lf[j][k] * x[j] for j in range(k + 1, dim))
-        if d[k] <= 0:
+        if not (d[k] > 0 and rem >= 0):
             return
-        half = math.sqrt(max(rem, 0.0) / d[k])
+        half = math.sqrt(rem / d[k])
         if math.isinf(half):        # the quotient overflowed: all of the box
             lo, hi = -height, height
         else:
@@ -336,8 +391,8 @@ def recursive_fincke_pohst(q, bound, height, seen):
 
 def sequential_ladder(bmats, qs, best, best_val, height):
     """The rung-by-rung ladder the batched one replaced, on the recursive
-    enumeration and the Fraction LDL: the best witness, its value, and each
-    rung's list of new candidates."""
+    enumeration and `_ldl` rung by rung: the best witness, its value, and
+    each rung's list of new candidates."""
     radius = 3.0 / math.sqrt(2.0) * bmats[0].shape[0] * 1.0001
     seen = {best}
     news = []
@@ -409,46 +464,92 @@ def symmetric_stacks(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(symmetric_stacks())
-def test_integer_ldl_matches_fraction_ldl(qs):
-    # bit for bit: every d and L float, and a matrix dropped exactly when
-    # the oracle finds a non-positive pivot, however the stack is sliced
-    # or split into stacks
-    group, idx, d, lmat = dy._ldl([qs])
-    assert not group.any()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dy, "LDL_ROWS", 2)
-        split = dy._ldl([qs[:1], qs[1:]])
-    assert (split[0] + split[1]).tolist() == idx.tolist()
-    assert d.tobytes() == split[2].tobytes()
-    assert lmat.tobytes() == split[3].tobytes()
-    want = [(r, f) for r, f in enumerate(map(fraction_ldl, qs))
-            if f is not None]
-    assert idx.tolist() == [r for r, _ in want]
-    n = qs.shape[1]
-    for k, (_, (diag, lower)) in enumerate(want):
-        assert [x.hex() for x in d[k]] == [float(x).hex() for x in diag]
-        assert [[lmat[k, i, j].hex() for j in range(i)] for i in range(n)] \
-            == [[float(lower[i][j]).hex() for j in range(i)]
-                for i in range(n)]
-        assert not np.triu(lmat[k]).any()
+def test_shifted_ldl_is_batch_independent_and_backward_stable(qs):
+    # bit for bit the same d and L floats however the stack is split, a
+    # matrix the exact factor finds positive definite is kept, and every
+    # kept factor meets the backward-error bound in rationals
+    dim = qs.shape[1]
+    assert ldl_shift(dim) == 1 + 2 * dim * (float(gamma(dim + 2))
+                                            + float(gamma(dim + 1)))
+    d, lmat = dy._ldl(qs.copy())
+    for cuts in ([1], range(1, len(qs)), range(2, len(qs), 2)):
+        parts = [dy._ldl(part.copy()) for part in np.split(qs, cuts)]
+        assert np.concatenate([p[0] for p in parts]).tobytes() == d.tobytes()
+        assert np.concatenate([p[1] for p in parts]).tobytes() \
+            == lmat.tobytes()
+    kept = np.flatnonzero((d > 0).all(axis=1))
+    assert set(bareiss_ldl(qs)[0].tolist()) <= set(kept.tolist())
+    assert (np.triu(lmat) == np.triu(qs)).all()
+    for r in kept:
+        assert backward_error_holds(qs[r], d[r], lmat[r])
 
 
-def test_integer_ldl_decides_definiteness_exactly():
-    # 1 + 2^-52 off the diagonal against 1 on it: the float determinant
-    # rounds to 0 in both orders, the exact one is negative
-    e = 1.0 + 2.0 ** -52
-    _, idx, _, _ = dy._ldl([np.array([[[1.0, e], [e, 1.0]],
-                                      [[e, 1.0], [1.0, e]]])])
-    assert idx.tolist() == [1]
-    assert len(dy._ldl([np.array([[[0.0]]])])[1]) == 0
+# A rung of acceptance 8's sl3-borel TT path (step 21, rung 149) whose
+# float Gram the exact factor finds indefinite: in its diagonal scaling the
+# least eigenvalue is -5.6e-16, against the shift of 2.0e-14.
+BOREL_TT_RUNG = [
+    ["0x1.0000000000000p+144"],
+    ["-0x1.6a09e667f3bcdp+144", "0x1.0000000000001p+145"],
+    ["0x1.0000000000000p+144", "-0x1.6a09e667f3bcdp+144",
+     "0x1.0000000000000p+144"],
+    ["-0x1.6a09e667f3bcdp+144", "0x1.0000000000001p+145",
+     "-0x1.6a09e667f3bcdp+144", "0x1.0000000000001p+145"],
+    ["0x1.0000000000000p+144", "-0x1.6a09e667f3bcdp+144",
+     "0x1.0000000000000p+144", "-0x1.6a09e667f3bcdp+144",
+     "0x1.0000000004000p+144"],
+    ["-0x1.6a09e667f3bcdp+144", "0x1.0000000000001p+145",
+     "-0x1.6a09e667f3bcdp+144", "0x1.0000000000001p+145",
+     "-0x1.6a09e667ee14bp+144", "0x1.0000000004001p+145"]]
+
+
+def test_shifted_ldl_factors_a_rung_the_exact_factor_rejects():
+    # the exact factor decided the positivity of the rounded Gram, not of
+    # the form, and lost the rung; the shifted factor keeps it, and still
+    # leaves out a zero matrix and an indefinite one
+    q = np.array([[float.fromhex(BOREL_TT_RUNG[max(i, j)][min(i, j)])
+                   for j in range(6)] for i in range(6)])
+    assert len(bareiss_ldl(q[None])[0]) == 0
+    d, lmat = dy._ldl(q[None].copy())
+    assert (d > 0).all() and backward_error_holds(q, d[0], lmat[0])
+    for dropped in ([[0.0]], [[1.0, 2.0], [2.0, 1.0]]):
+        assert np.isnan(dy._ldl(np.array([dropped]))[0]).all()
+
+
+@hs.composite
+def ladder_grams(draw):
+    """A rung's Gram s^2 B1^T B1 + B2^T B2 / s^2 as the ellipsoid search
+    forms it, with B1 and B2 of 1 to 3 rows and twice as many columns,
+    [B1; B2] invertible and on some draws near-singular (a row almost
+    repeated), and s^2 any float from 2^-150 to 2^150."""
+    rows = draw(hs.integers(1, 3))
+    entry = small.filter(lambda x: x == 0 or abs(x) >= 2.0 ** -20)
+    b = np.array([[draw(entry) for _ in range(2 * rows)]
+                  for _ in range(2 * rows)])
+    if draw(hs.booleans()):
+        b[-1] = b[0] + math.ldexp(1.0, -draw(hs.integers(20, 60))) * b[-1]
+    assume(determinant([[Fraction(x) for x in row] for row in b], 0) != 0)
+    s2 = math.ldexp(draw(hs.floats(1, 2, exclude_max=True)),
+                    draw(hs.integers(-150, 149)))
+    g1, g2 = (sum(np.multiply.outer(row, row) for row in half)
+              for half in (b[:rows], b[rows:]))
+    return g1 * s2 + g2 / s2
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladder_grams())
+def test_every_ladder_rung_factors(q):
+    # the form is positive definite, so the shifted factor of its rounded
+    # Gram completes: no rung is dropped
+    d, lmat = dy._ldl(q[None].copy())
+    assert (d > 0).all() and backward_error_holds(q, d[0], lmat[0])
 
 
 def subnormal_pivot_gram():
     """The Gram of a 4 x 4 basis with an entry of 6.27e-156, as hypothesis
-    once drew it: its exact LDL has the subnormal pivot d_2 = 3.93e-311
-    and L_32 = 1.60e155, so below x_3 = 1 the centre is about -1.6e155,
-    rem / d_2 overflows and (x_2 - c)^2, about 2.5e310, is not finite
-    while d_2 (x_2 - c)^2 is about 1."""
+    once drew it: its LDL has the subnormal pivot d_2 = 3.93e-311 (too
+    small to take the shift) and L_32 = 1.60e155, so below x_3 = 1 the
+    centre is about -1.6e155, rem / d_2 overflows and (x_2 - c)^2, about
+    2.5e310, is not finite while d_2 (x_2 - c)^2 is about 1."""
     b = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 6.27e-156, 1.0],
                   [0, 0, 0, 1.0]])
     return b.T @ b
@@ -483,17 +584,16 @@ def test_vectorised_fincke_pohst_matches_recursion(inp):
     # the same new vectors in the same order as the recursion run matrix
     # after matrix, with one seen set per group, at any row cap
     qs, group, bound, height, seeds = inp
-    _, idx, d, lmat = dy._ldl([qs])
+    d, lmat = dy._ldl(qs.copy())
     want_seen = [{seed} for seed in seeds]
-    want = [recursive_fincke_pohst(qs[r], float(bound[r]), height,
-                                   want_seen[group[r]]) for r in idx]
+    want = [recursive_fincke_pohst(q, float(b), height, want_seen[g])
+            for q, b, g in zip(qs, bound, group)]
     seen = dy._group_keys(np.arange(2), np.array(seeds), height)
     for cap in (dy.FP_ROWS, 1, 3):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dy, "FP_ROWS", cap)
-            got = fincke_pohst(d, lmat, bound[idx], height, group[idx],
-                               seen, height)
-        assert by_index(*got, len(idx)) == want
+            got = fincke_pohst(d, lmat, bound, height, group, seen, height)
+        assert by_index(*got, len(qs)) == want
 
 
 def test_fincke_pohst_keeps_a_term_whose_square_overflows():
@@ -501,7 +601,7 @@ def test_fincke_pohst_keeps_a_term_whose_square_overflows():
     # x_1 and x_0 stay in range; squaring first gives inf, which leaves only
     # the centres x_1 = x_0 = 0 there and loses 12 of the 28 vectors
     q = subnormal_pivot_gram()
-    _, _, d, lmat = dy._ldl([q[None]])
+    d, lmat = dy._ldl(q[None].copy())
     assert d[0, 2] == pytest.approx(3.93e-311, rel=1e-2)
     assert lmat[0, 3, 2] == pytest.approx(1.6e155, rel=1e-2)
     with np.errstate(over="ignore"):
@@ -533,11 +633,27 @@ def test_fincke_pohst_pivot_below_bound_over_max_float():
     # bound / d overflows to inf: every box vector is in range, and no
     # float infinity reaches ceil or floor
     q = np.eye(2) * 2.0 ** -1022
-    _, _, d, lmat = dy._ldl([q[None]])
+    d, lmat = dy._ldl(q[None].copy())
     got = by_index(*fincke_pohst(d, lmat, np.array([4.0]), 1, np.zeros(1, int),
                                  np.zeros(0, dtype=np.int64), 1), 1)[0]
     assert sorted(got) == [(-1, 1), (0, 1), (1, 0), (1, 1)]
     assert got == recursive_fincke_pohst(q, 4.0, 1, set())
+
+
+def test_fincke_pohst_prunes_a_negative_bound_left():
+    # at bound 1.5, below x_3 = 1 about 0.5 is left and the x_2 term is
+    # about 1.0: the row goes, where a bound left clamped to 0 kept the
+    # centre x_1 = x_0 = 0 and emitted (0, 0, x_2, 1), outside the ellipsoid
+    q = subnormal_pivot_gram()
+    d, lmat = dy._ldl(q[None].copy())
+    got = by_index(*fincke_pohst(d, lmat, np.array([1.5]), 1, np.zeros(1, int),
+                                 np.zeros(0, dtype=np.int64), 1), 1)[0]
+    assert not {(0, 0, x, 1) for x in (-1, 0, 1)} & set(got)
+    qf = [[Fraction(x) for x in row] for row in q]
+    pad = Fraction(1.5 * (1 + 1e-9) + 1e-12)
+    assert all(sum(qf[i][j] * x[i] * x[j] for i in range(4) for j in range(4))
+               <= pad for x in got)
+    assert got == recursive_fincke_pohst(q, 1.5, 1, set())
 
 
 @hs.composite
@@ -584,16 +700,21 @@ def test_ladder_matches_sequential_oracle(inp, window):
     ladders, height = inp
     want = [sequential_ladder(*ladder, height) for ladder in ladders]
     bmats, qs = [b for b, *_ in ladders], [q for _, q, *_ in ladders]
+    sizes = [len(q) for q in qs]
+    group, start = np.repeat(np.arange(len(qs)), sizes), np.cumsum(sizes)
+    start -= sizes
     for cap in (dy.FP_ROWS, 2):
         best, vals = [lad[2] for lad in ladders], [lad[3] for lad in ladders]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dy, "FP_ROWS", cap)
             mp.setattr(dy, "FIRST_WINDOW", window)
-            news = list(dy._ladder(bmats, qs, best, vals, height))
+            news = list(dy._ladder(bmats, np.concatenate(qs), group, best,
+                                   vals, height))
         for k, (wbest, wval, wnews) in enumerate(want):
             assert best[k] == wbest
             assert vals[k].hex() == wval.hex()
-            mine = [(ids, pts) for step, ids, pts in news if step == k]
+            mine = [(ids - start[k], pts)
+                    for step, ids, pts in news if step == k]
             ids = np.concatenate([np.zeros(0, dtype=int)]
                                  + [ids for ids, _ in mine])
             pts = np.concatenate([np.zeros((0, qs[k].shape[1]), dtype=int)]
@@ -735,6 +856,42 @@ def test_shared_search_memory_on_the_borel_ff_path(Ksqrt2):
     assert peak <= (STEP_BY_STEP_PEAK_MIB + 1) * 2 ** 20
 
 
+def test_no_rung_is_skipped_on_the_acceptance_paths(Ksqrt2, monkeypatch):
+    # the exact factor of the float Grams left out 3,963 of these 12,072
+    # rungs (3,911 on sl3-borel TT); the shifted float factor keeps all
+    counts, factor = [], dy._ldl
+
+    def counted(qs):
+        out = factor(qs)
+        counts.append((len(qs), np.count_nonzero((out[0] > 0).all(axis=1))))
+        return out
+
+    monkeypatch.setattr(dy, "_ldl", counted)
+    for name, inp, path in sl3_paths(Ksqrt2, 30):
+        dy.run_path(inp, path, 20)
+    assert sum(total for total, _ in counts) == 12072
+    assert all(total == kept for total, kept in counts)
+
+
+# tracemalloc peak of run_path on sl3-psi TT at height 20 while the exact
+# factor held every rung's factors twice at its end: 2.21 MiB
+FACTOR_PEAK_MIB = 1.9
+
+
+def test_factors_held_once_on_the_psi_tt_path(Ksqrt2):
+    # the factor fills the rung stack in place: d and L are held once
+    name, inp, path = sl3_paths(Ksqrt2, 30)[0]
+    assert name == "sl3-psi TT"
+    dy.systole(inp, path.realize(0), 20)        # caches of the field
+    tracemalloc.start()
+    try:
+        dy.run_path(inp, path, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= FACTOR_PEAK_MIB * 2 ** 20
+
+
 def test_run_path_constant(Ksqrt2):
     i2 = dc.MatrixK.identity(Ksqrt2, 2)
     inp = st.OrbitInput((i2, i2))
@@ -768,6 +925,24 @@ def test_run_path_inconclusive_between_the_thresholds(Ksqrt2):
     tr = dy.run_path(st.OrbitInput((i2, i2)), path, 4)
     assert [s.value for s in tr.steps] == [2.0 ** -k for k in range(8)]
     assert tr.verdict == "inconclusive"
+
+
+def test_decaying_reads_the_upper_end_of_the_last_enclosure(Ksqrt2,
+                                                             monkeypatch):
+    # a last enclosure straddling DECAY_THRESHOLD with its midpoint below
+    # it proves no decay; one whose upper end reaches it does
+    i2 = dc.MatrixK.identity(Ksqrt2, 2)
+    inp, path = st.OrbitInput((i2, i2)), constant_path(2, 2, 2)
+    first = RInt(Fraction(1, 200), Fraction(1, 100))
+    for last, verdict in ((RInt(Fraction(1, 2000), Fraction(6, 5000)),
+                           "inconclusive"),
+                          (RInt(Fraction(1, 2000), Fraction(1, 1000)),
+                           "decaying")):
+        monkeypatch.setattr(dy, "_systoles", lambda *_: [
+            (first, (1, 0, 0, 0)), (last, (1, 0, 0, 0))])
+        trace = dy.run_path(inp, path, 1)
+        assert trace.final_value < dy.DECAY_THRESHOLD
+        assert trace.verdict == verdict
 
 
 # -- boundedness criterion ---------------------------------------------------------
