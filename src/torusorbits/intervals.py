@@ -159,9 +159,6 @@ class CBox:
 
     __rmul__ = __mul__
 
-    def conj(self):
-        return CBox(self.re, -self.im)
-
     def modulus_sq(self) -> RInt:
         return self.re.square() + self.im.square()
 
@@ -207,11 +204,13 @@ def log_rint(r: RInt, prec: int = 256) -> RInt:
 
 
 def atan2_rint(y: RInt, x: RInt, prec: int = 256) -> RInt:
-    """Certified enclosure of atan2 over a box that avoids the branch cut."""
+    """Certified enclosure of atan2 over a box that avoids the branch cut;
+    mpmath rounds its ends twice (a point box gives a point), so pad them."""
     if x.hi < 0 and y.contains(0):
         raise ValueError("argument box straddles the branch cut")
+    pad = Fraction(16, 2 ** prec)
     with _iv_workprec(prec):
-        return _from_iv(iv.atan2(_to_iv(y), _to_iv(x)))
+        return _from_iv(iv.atan2(_to_iv(y), _to_iv(x))) + RInt(-pad, pad)
 
 
 def pi_rint(prec: int = 256) -> RInt:

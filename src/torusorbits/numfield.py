@@ -772,19 +772,20 @@ def _charpoly(K: NumberField, x: FieldElement) -> pu.Poly:
 
 
 def _squarefree_part(p: pu.Poly) -> pu.Poly:
-    g = pu.pgcd(p, pu.pderiv(p))
-    if pu.degree(g) == 0:
-        return p
-    q, _ = pu.pdivmod(p, g)
-    return q
+    return pu.pdivmod(p, pu.pgcd(p, pu.pderiv(p)))[0]
 
 
 def modulus_is_one(K: NumberField, x: FieldElement, place: ArchimedeanPlace) -> bool:
     """Exact test |sigma_v(x)| = 1 at a complex place.
 
-    |z| = 1 iff 1/z equals conj(z); both are roots of the squarefree part of
-    the characteristic polynomial of x (or its reverse), and distinct roots
-    can be separated, so the identity of the two roots is decidable.
+    1/z and conj(z), equal iff |z| = 1, are roots of P, the squarefree part
+    of chi rev(chi) (chi: that of the characteristic polynomial of x), a
+    primitive integer polynomial of degree m.  Its distinct roots are more
+    than sep apart, sep^2 = 3 m^-(m+2) ||P||_2^(2(1-m)) (Mahler, Michigan
+    Math. J. 11, 1964; |disc P| >= 1), and |1/z - conj z| = |1 - |z|^2|/|z|,
+    so a rung's enclosure [lo, hi] of |z|^2 decides: off the circle if it
+    excludes 1, on it if max((1 - lo)^2, (hi - 1)^2) < sep^2 lo.  Some rung
+    does.
     """
     if place.is_real:
         raise ValidationError("modulus_is_one is for complex places")
@@ -792,27 +793,17 @@ def modulus_is_one(K: NumberField, x: FieldElement, place: ArchimedeanPlace) -> 
         return False
     chi = _squarefree_part(_charpoly(K, x))
     rev = pu.poly(reversed(chi))
-    g = pu.pgcd(chi, rev)
-    if pu.degree(g) == 0:
+    if pu.degree(pu.pgcd(chi, rev)) == 0:
         return False  # no root of chi has its inverse among the roots
-    # decide whether 1/sigma(x) and conj(sigma(x)) are the same root of chi
+    ints = pu.integer_coefficients(_squarefree_part(pu.pmul(chi, rev)))
+    m, norm_sq = len(ints) - 1, sum(c * c for c in ints) // math.gcd(*ints) ** 2
+    sep_sq = Fraction(3, m ** (m + 2) * norm_sq ** (m - 1))
     for bits in K._ladder(max(96, place.working_precision)):
-        box = K._evaluate(x, place.index, bits)
-        msq = box.modulus_sq()
+        msq = K._evaluate(x, place.index, bits).modulus_sq()
         if not msq.contains(1):
             return False
-        try:
-            inv_box = CBox(box.re / msq, -(box.im / msq))  # 1/z = conj z / |z|^2
-        except ZeroDivisionError:
-            continue
-        reals, boxes = pu.root_regions(chi, bits)
-        regions = [CBox(r, 0) for r in reals] + [
-            c for b in boxes for c in (b, b.conj())]
-        conj_box = box.conj()
-        hit_inv = [i for i, reg in enumerate(regions) if reg.overlaps(inv_box)]
-        hit_conj = [i for i, reg in enumerate(regions) if reg.overlaps(conj_box)]
-        if len(hit_inv) == 1 and len(hit_conj) == 1:
-            return hit_inv == hit_conj
+        if max((1 - msq.lo) ** 2, (msq.hi - 1) ** 2) < sep_sq * msq.lo:
+            return True
 
 
 def unit_closure_classify(field: NumberField, target_place: int,
@@ -828,9 +819,10 @@ def unit_closure_classify(field: NumberField, target_place: int,
     detection on the log moduli, with coefficients bounded by
     RELATION_BOUND: discrete moduli give the circle; dense ones give the
     full completion, at three places after a spiral-functional search and at
-    more from the rank count alone.  A spiral functional found at the
-    detection bound raises Inconclusive rather than guessing.  A unit that
-    modulus_is_one puts on the circle reports the log modulus 0.0 exactly.
+    more when no relation is found.  A spiral functional at the detection
+    bound, or one relation at more than three places (a second would make
+    the circle), raises Inconclusive.  A unit that modulus_is_one puts on
+    the circle reports the log modulus 0.0 exactly.
     """
     places = field.places(precision_bits)
     if not 0 <= target_place < len(places):
@@ -880,6 +872,9 @@ def _closure_shape(field, units, pl, logs, precision_bits):
     if len(moving) - len(relations) <= 1:
         return ("circle", None, relations,
                 "moduli discrete, circle fiber dense", on_circle)
+    if r > 3 and relations:
+        raise Inconclusive(f"{len(moving) - 1} units still move after the "
+                           f"relation {relations[0]} at {r} places")
     if r > 3:
         return ("full", None, relations,
                 "dense moduli, more than three places", on_circle)

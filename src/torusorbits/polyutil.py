@@ -289,7 +289,7 @@ def isolate_real_roots(p: Poly):
     return [RInt(lo, hi) for lo, hi in out]
 
 
-def _integer_coefficients(p: Poly):
+def integer_coefficients(p: Poly):
     """p times the lcm of its coefficients' denominators, as ints."""
     scale = math.lcm(*(c.denominator for c in p))
     return [int(c * scale) for c in p]
@@ -309,7 +309,7 @@ def refine_root(p: Poly, iso: RInt, max_width: Fraction) -> RInt:
     """Shrink an isolating interval by bisection until it is narrow enough,
     in integers: [lo, hi] = [a, b] / den, den doubling at each cut, and the
     sign of p at m / den that of the homogenised P(m, den)."""
-    ints = _integer_coefficients(p)
+    ints = integer_coefficients(p)
 
     def sign(num, den):
         v = _horner(ints, num, 0, den)[0]
@@ -360,7 +360,7 @@ def root_regions(p: Poly, bits: int, isolated=None):
     npairs = (n - len(reals)) // 2
     if npairs == 0:
         return reals, []
-    ints = _integer_coefficients(p)
+    ints = integer_coefficients(p)
     dints = [i * c for i, c in enumerate(ints)][1:]
     work = max(80, 2 * bits + 80)
     for attempt in range(8):

@@ -11,6 +11,7 @@ batched kernel that the check runs.
 
 from fractions import Fraction
 
+from torusorbits.intervals import CBox
 from torusorbits.numfield import split_cm
 
 
@@ -42,7 +43,7 @@ def sine_identity_enclosure(field, form, z, width=Fraction(1, 2 ** 64)):
         dval = field.embed(cm.d, pl, max_width=width)
         w1 = field.embed(form.factor_value(v, 0, z), pl, max_width=width)
         w2 = field.embed(form.factor_value(v, 1, z), pl, max_width=width)
-        cross = w1 * w2.conj()
+        cross = w1 * CBox(w2.re, -w2.im)
         det_sq = (demb.re if hasattr(demb, "re") else demb).square()
         d_re = dval.re if hasattr(dval, "re") else dval
         diff = det_sq * d_re - cross.im.square()

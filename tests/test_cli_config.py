@@ -150,6 +150,24 @@ def test_cli_units_classify_does_not_depend_on_precision(tmp_path, capsys,
     assert json.loads(outs[0])["log_vectors"][0][0] == 0.0
 
 
+def test_cli_units_classify_decides_a_relation_of_large_height(tmp_path,
+                                                              capsys,
+                                                              Kquartic):
+    # u2 and u2 theta^150 share their modulus at the complex place, so the
+    # relation (1, -1) leaves one moving unit and the closure is the
+    # circle; verifying it means deciding theta^-150, with coefficients
+    # near 10^40, on the circle
+    u2 = Kquartic.element([2, 0, 2, -1])
+    K = nf.create_field([1, -2, 1, -2, 1], declared_units=[
+        [2, 0, 2, -1], [int(c) for c in (u2 * Kquartic.theta ** 150).coeffs]],
+        label="circle-quartic")
+    cfg.save_field(K, tmp_path / "field.json")
+    assert main(["--field", str(tmp_path / "field.json"), "units",
+                 "classify", "--place", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["classification"], out["relations"]) == ("circle", [[1, -1]])
+
+
 def test_cli_units_classify_refuses_a_cm_field_without_its_presentation(
         tmp_path, capsys, Kzeta16):
     cfg.save_field(Kzeta16, tmp_path / "field.json")

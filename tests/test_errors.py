@@ -324,8 +324,8 @@ def test_root_regions_refuse_uncertified_approximations(monkeypatch, approx):
 
 
 def test_modulus_one_refines_a_box_too_wide_to_invert(Kquartic, monkeypatch):
-    # a first rung whose |z|^2 encloses 0 and 1 cannot be inverted; the
-    # next rung decides
+    # a first rung whose |z|^2 encloses 0 and 1 decides nothing: the
+    # separation test needs |z|^2 bounded away from 0; the next rung decides
     pl = next(p for p in Kquartic.places() if not p.is_real)
     evaluate, calls = Kquartic._evaluate, []
 

@@ -14,7 +14,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from torusorbits import forms as fm
@@ -25,8 +25,9 @@ from torusorbits.errors import (DivisionByZero, Inconclusive,
                                 PrecisionExhausted, Reducible,
                                 TorusOrbitsError, UnitVerificationFailed,
                                 ValidationError, WrongUnitRank)
-from torusorbits.intervals import mpf_to_fraction
+from torusorbits.intervals import atan2_rint, mpf_to_fraction
 
+from circle_oracle import root_matching_modulus_is_one
 from cm_oracle import cm_conjugate
 from conftest import (NONCONVERGENT_CUBIC, euclid_inverse, faddeev_leverrier,
                       frac_mul, frac_norm, frac_solve, multipoly_value,
@@ -338,14 +339,20 @@ def test_unit_closure_circle(Kquartic):
     assert rep.classification == "circle"
 
 
-def test_unit_closure_relation_detection_path():
+@pytest.fixture(scope="module")
+def Kfourth():
+    # x^4 - 2, signature (2, 1): theta = i 2^(1/4) at the complex place
+    return nf.create_field([-2, 0, 0, 0, 1],
+                           declared_units=[[-1, 1, 0, 0], [-1, 0, 1, 0]],
+                           label="q-fourth-root-2")
+
+
+def test_unit_closure_relation_detection_path(Kfourth):
     # x^4 - 2 has signature (2, 1): the complex moduli of the two units
     # satisfy a verified relation ((theta-1)^2 and theta^2-1 share their
     # modulus there), so the projection closes up to the circle; the
     # detection is PSLQ, the acceptance of the relation is exact algebra
-    K = nf.create_field([-2, 0, 0, 0, 1],
-                        declared_units=[[-1, 1, 0, 0], [-1, 0, 1, 0]],
-                        label="q-fourth-root-2")
+    K = Kfourth
     idx = next(p.index for p in K.places() if not p.is_real)
     rep = nf.unit_closure_classify(K, idx)
     assert rep.classification == "circle"
@@ -456,6 +463,25 @@ def test_unit_closure_full_past_three_places(Kquintic):
     assert (rep.classification, rep.relations) == ("full", [])
 
 
+def test_unit_closure_refuses_one_relation_past_three_places(Kquintic,
+                                                            monkeypatch):
+    # one PSLQ search finds at most one relation; three moving units with
+    # one relation have moduli of rank 2, or of rank 1 with a second
+    # relation, which would be the circle, so the classifier refuses rather
+    # than read full from the rank count
+    seen = []
+
+    def one_relation(field, moving, pl, precision_bits):
+        seen.append(len(moving))
+        return [(1, 1, -1)]
+
+    monkeypatch.setattr(nf, "_modulus_relations", one_relation)
+    with pytest.raises(Inconclusive, match=r"2 units still move after the "
+                       r"relation \(1, 1, -1\) at 4 places"):
+        nf.unit_closure_classify(Kquintic, 3)
+    assert seen == [3]
+
+
 def test_unit_closure_refuses_a_spiral_functional(Kspiral, monkeypatch):
     # PSLQ's candidate at the detection bound is not proof of a spiral, and
     # the classifier refuses it rather than report a shape
@@ -498,8 +524,60 @@ def test_modulus_one_exact(Kquartic, Ksqrt2):
     pl = next(p for p in Kquartic.places() if not p.is_real)
     theta = Kquartic.theta
     t = Kquartic.element([2, 0, 2, -1])
+    # theta is decided by the separation bound; t = theta + 1/theta is
+    # 1 +- sqrt 2, whose conjugates' inverses are not among its conjugates
     assert nf.modulus_is_one(Kquartic, theta, pl) is True
     assert nf.modulus_is_one(Kquartic, t, pl) is False
+
+
+def test_modulus_one_decides_high_powers_of_theta(Kquartic):
+    # theta^150 and theta^200 lie on the circle, where the roots of their
+    # characteristic polynomials stop converging and the root-matching
+    # oracle raises PrecisionExhausted; the separation bound decides them
+    pl = next(p for p in Kquartic.places() if not p.is_real)
+    for k in (1, 7, 60, 120, 150, 200, 300, 400):
+        assert nf.modulus_is_one(Kquartic, Kquartic.theta ** k, pl) is True
+
+
+# per field: (numerator, denominator) words on the circle at every complex
+# place, then words off it: theta on the circle quartic; zeta and
+# (1 + 2 zeta) / (1 + 2 / zeta) in Q(zeta8); (theta - a) / (theta + a) in
+# Q(2^(1/4)), where theta is imaginary at the complex place
+CIRCLE_WORDS = {
+    "Kquartic": ([([0, 1], [1])], [([2, 0, 2, -1], [1]), ([1, 1], [1])]),
+    "Kzeta8": ([([0, 1], [1]), ([1, 2], [1, 0, 0, -2])],
+               [([1, 1, 0, -1], [1]), ([1, 1], [1])]),
+    "Kfourth": ([([-1, 1], [1, 1]), ([-2, 1], [2, 1])],
+                [([-1, 1], [1]), ([0, 1], [1])]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.data())
+def test_modulus_one_matches_the_root_matching_oracle(request, data):
+    """The separation-bound test against the root-matching oracle, on words
+    on the circle, words off it and random elements times words, wherever
+    the oracle decides."""
+    name = data.draw(hs.sampled_from(sorted(CIRCLE_WORDS)))
+    K = request.getfixturevalue(name)
+    pl = data.draw(hs.sampled_from([p for p in K.places() if not p.is_real]))
+    circle, off = CIRCLE_WORDS[name]
+    kind = data.draw(hs.sampled_from(["circle", "word", "random"]))
+    x = K.element([data.draw(hs.sampled_from([-1, 1]))])
+    for (num, den), span in [(w, 6) for w in circle] + (
+            [] if kind == "circle" else [(w, 2) for w in off]):
+        e = data.draw(hs.integers(-span, span))
+        x = x * (K.element(num) / K.element(den)) ** e
+    if kind == "random":
+        x = x * K.element(data.draw(hs.lists(
+            hs.integers(-3, 3), min_size=K.degree, max_size=K.degree
+        ).filter(any)))
+    try:
+        want = root_matching_modulus_is_one(K, x, pl)
+    except PrecisionExhausted:
+        assume(False)
+    assert nf.modulus_is_one(K, x, pl) is want
+    assert want or kind != "circle"
 
 
 def test_is_cm(Ksqrt2, Kcubic, Kzeta8, Kgauss):
@@ -967,7 +1045,9 @@ def test_enclosures_contain_a_high_precision_reference(request, data):
     """embed, normalized_abs and log_abs enclose the 400-bit value at every
     place, at the drawn widths, whichever precision the place caches were
     warmed at first: the fixture field's at 128 bits (create_field), a
-    fresh copy's at 256.  Both give the same enclosures."""
+    fresh copy's at 256.  Both give the same enclosures.  At a complex
+    place, atan2_rint of the embed box, where it is off the branch cut,
+    encloses the 400-bit argument too."""
     K = request.getfixturevalue(data.draw(hs.sampled_from(CONTAINMENT_FIELDS)))
     coeffs = data.draw(hs.lists(
         hs.fractions(-50, 50, max_denominator=7), min_size=K.degree,
@@ -999,6 +1079,11 @@ def test_enclosures_contain_a_high_precision_reference(request, data):
                         assert _contains(emb.im, mpmath.im(z))
                     assert _contains(nabs, ref)
                     assert _contains(log, mpmath.log(ref))
-                run.append((emb, nabs, log))
+                    arg = None
+                    if not (pl.is_real or emb.re.hi < 0 and emb.im.contains(0)):
+                        arg = atan2_rint(emb.im, emb.re, prec=bits + 64)
+                        assert _contains(arg, mpmath.atan2(mpmath.im(z),
+                                                           mpmath.re(z)))
+                run.append((emb, nabs, log, arg))
         runs.append([repr(v) for v in run])
     assert runs[0] == runs[1]

@@ -370,19 +370,19 @@ def test_one_precision_ladder():
 
 def test_one_complex_root_isolation():
     """Complex roots are isolated in polyutil.root_regions alone (the one
-    caller of a numerical root finder), and the field's places and the
-    modulus-one test are its callers."""
+    caller of a numerical root finder), and the field's places are its one
+    caller: the modulus-one test decides from a separation bound."""
     funcs = _package_functions()
     assert {key for key, func in funcs.items()
             if "polyroots" in _calls(func)} == {"polyutil.py:root_regions"}
     assert {key for key, func in funcs.items()
             if "root_regions" in _calls(func)} == {
-        "numfield.py:NumberField.places", "numfield.py:modulus_is_one"}
+        "numfield.py:NumberField.places"}
 
 
 def test_roots_are_refined_only_by_the_root_regions():
     """Real roots are refined in polyutil.root_regions alone, behind the
-    places and the modulus-one test: is_cm reads no root's region."""
+    field's places: is_cm reads no root's region."""
     funcs = _package_functions()
     assert {key for key, func in funcs.items()
             if "refine_root" in _calls(func)} == {"polyutil.py:root_regions"}
@@ -528,7 +528,6 @@ def test_every_export_has_a_caller():
 # below until its callers are checked the same way.
 SHARED_METHOD_NAMES = {
     "add": {"decomp.MinorTable"},
-    "conj": {"intervals.CBox"},
     "dot": {"numfield.NumberField"},
     "empty": {"rootdata.RootSubset"},
     "field": {"strata.OrbitInput"},
