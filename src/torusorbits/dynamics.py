@@ -55,8 +55,9 @@ class TorusPath:
         if any(Fraction(b) <= 0 for b in self.bases):
             raise ValidationError("bases must be positive")
         steps = {len(s) for s in self.schedules}
-        if len(steps) != 1:
-            raise ValidationError("all places need the same number of steps")
+        if len(steps) != 1 or 0 in steps:
+            raise ValidationError(
+                "all places need the same number of steps, at least one")
         for sched in self.schedules:
             for step in sched:
                 if len(step) != self.n - 1:
@@ -150,9 +151,14 @@ def _systoles(inp: OrbitInput, tori, height: int):
     gnums = [_numeric_component(field, inp.components[v], v)
              for v in range(inp.r)]
     # B[i, j deg + t] = t_i g_ij theta^t, elementwise, per step and place
-    bmats = [[np.kron(np.array([float(x) for x in t])[:, None] * g,
-                      field.float_basis(pl))
-              for t, g, pl in zip(torus, gnums, places)] for torus in tori]
+    try:
+        bmats = [[np.kron(np.array([float(x) for x in t])[:, None] * g,
+                          field.float_basis(pl))
+                  for t, g, pl in zip(torus, gnums, places)] for torus in tori]
+    except OverflowError:           # a torus entry past the float range
+        raise PrecisionExhausted("the torus images overflow floats") from None
+    if not all(np.isfinite(b).all() for step in bmats for b in step):
+        raise PrecisionExhausted("the torus images overflow floats")
     exps = [1 if pl.is_real else 2 for pl in places]
 
     total = (2 * height + 1) ** dim
@@ -383,7 +389,10 @@ def _ellipsoid_scan(bmats, height, dim):
     sizes = [len(s2) for *_, s2 in grams]
     qs = np.empty((sum(sizes), dim, dim))
     for (g1, g2, s2), part in zip(grams, np.split(qs, np.cumsum(sizes)[:-1])):
-        np.add(g1 * s2, g2 / s2, out=part)
+        with np.errstate(over="ignore"):    # refused just below
+            np.add(g1 * s2, g2 / s2, out=part)
+    if not np.isfinite(qs).all():
+        raise PrecisionExhausted("the ladder's Grams overflow floats")
     group = np.repeat(np.arange(len(bmats)), sizes)
     collections.deque(_ladder(bmats, qs, group, seeds, vals, height), maxlen=0)
     return seeds

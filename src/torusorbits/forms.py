@@ -447,19 +447,19 @@ def window_scan(form: DecomposableForm, height: int, window) -> FormScan:
     """Every box point whose value vector lands in the window, enumerated
     exactly without touching the rest of the box.
 
-    Binary forms over totally real fields only, with at most BOX_POINT_CAP
-    first coordinates (CapExceeded before anything is built).  For each
-    first coordinate the admissible second-coordinate embeddings solve
-    per-place quadratic inequalities |f_v| <= W_v, cutting out at most two
-    intervals per place.  One interval per place is a parallelepiped: the
-    leading deg - 1 coordinates run over its bounding box, the last over
-    its exact range given them.  The first coordinates stream through in
-    chunks of WINDOW_FIRST_POINTS, the leading points of each chunk in
-    chunks of WINDOW_CHUNK_POINTS; a candidate is kept only as its
-    pu.row_keys key, and one sort of all keys orders and deduplicates the
-    points, decoded by pu.key_rows.  Coverage statistics on the result
-    equal full-box coverage.  As |f_v(-z)| = |f_v(z)| and the scan is odd, it
-    walks half the box and adds the negations: keys (2H + 1)^dim - 1 - key."""
+    Binary forms with two factors at any signature, with at most
+    BOX_POINT_CAP first coordinates (CapExceeded before anything is built).
+    A point is kept when |f_v| <= W_v at every place, in floats, W_v the
+    window's largest |value| (its root at a complex place, whose value is
+    |f_v|^2) padded by WINDOW_PAD.  Given the first coordinate, the second's
+    embedding lies in one of two discs per place (`_disc_boxes`); one disc
+    per place is a parallelepiped of the real embedding: its leading deg - 1
+    coordinates run over its bounding box, the last over its exact range.
+    First coordinates stream through in chunks of WINDOW_FIRST_POINTS,
+    leading points in chunks of WINDOW_CHUNK_POINTS; candidates are kept as
+    pu.row_keys keys, and one sort orders and deduplicates them.  Coverage
+    statistics equal full-box coverage.  As |f_v(-z)| = |f_v(z)| and the
+    scan is odd, it walks half the box and adds the negations' keys."""
     _check_window(window)
     keys = np.concatenate(_window_keys(form, height, window))
     dim = 2 * form.field.degree
@@ -480,55 +480,58 @@ def _check_window(window, eps: float = 1.0) -> None:
 
 
 def _window_keys(form: DecomposableForm, height: int, window) -> list:
-    """The row keys of window_scan's candidates, chunk by chunk and with
+    """The row keys of window_scan's points, chunk by chunk and with
     repeats, so that the chunks' arrays are freed before the keys are
     decoded, for the first coordinates up to 0 only.  Each step is odd under
     z -> -z: negation commutes with rounding, rows sum in one fixed order,
-    the quadratic roots negate and swap, the pads turn ceil into floor, and
-    W_v reads |lo|, |hi|.  The window pad only ever adds candidates, never
-    loses them; density_report's mask applies the exact window."""
+    the discs' centres negate, the pads turn ceil into floor, and the value
+    test reads |f_v| and |lo|, |hi|.  The window pad only ever adds points;
+    density_report's mask applies the exact window."""
     field = form.field
     if form.n != 2:
         raise ValidationError("window enumeration handles binary forms")
     places = field.places()
-    if any(not p.is_real for p in places):
-        raise ValidationError("window enumeration needs a totally real field")
-    r = len(places)
-    if len(window) != r:
+    if len(window) != len(places):
         raise ValidationError("one window interval per place")
     if form.m != 2:
         raise ValidationError("window enumeration handles two factors")
     deg = field.degree
     half = (_box_size(height, deg, BOX_POINT_CAP) + 1) // 2
-    scalar_abs = [abs(field.float_embed(s, places[v]))
-                  for v, s in enumerate(form.scalars)]
+    scalar_abs = np.abs([field.float_embed(s, places[v])
+                         for v, s in enumerate(form.scalars)])
     if any(s == 0 for s in scalar_abs):
         raise ValidationError("zero scalar")
-    phi = np.array([field.float_basis(pl) for pl in places])
+    # the float bases psi, and the real embedding phi: their real parts, then
+    # the imaginary parts at the complex places; row k is place_of[k]'s
+    psi = np.array([field.float_basis(pl) for pl in places])
+    real = np.array([pl.is_real for pl in places])
+    phi = np.concatenate([psi.real, psi.imag[~real]])
+    place_of = np.concatenate([np.arange(len(places)), np.nonzero(~real)[0]])
     Minv = np.linalg.inv(phi)
     # a[v, i], b[v, i]: embeddings of the i-th factor's two coefficients
     a, b = np.array([[[field.float_embed(c, pl) for c in fac]
                       for fac in form.factors[v]]
                      for v, pl in enumerate(places)]).transpose(2, 0, 1)
     ybound = float(np.abs(phi).sum(axis=1).max()) * height * (1 + 1e-9)
-    wmax = [(max(abs(lo), abs(hi)) / scalar_abs[v]) * (1 + WINDOW_PAD)
-            + WINDOW_PAD for v, (lo, hi) in enumerate(window)]
+    top = np.abs(window).max(axis=1)      # W_v, its root at a complex place
+    wmax = np.where(real, top, np.sqrt(top)) / scalar_abs * (1 + WINDOW_PAD) \
+        + WINDOW_PAD
     keys = [np.zeros(0, dtype=np.int64)]
     for start in range(0, half, WINDOW_FIRST_POINTS):
         c = _box(height, deg, start, min(start + WINDOW_FIRST_POINTS, half))
-        x = c @ phi.T                               # (N1, r): embeddings of z1
-        intervals = np.stack([_abs_quadratic_regions(
-            a[v, 0] * x[:, v], b[v, 0], a[v, 1] * x[:, v], b[v, 1],
-            wmax[v], ybound) for v in range(r)], axis=1)    # (N1, r, 2, 2)
-        for combo in itertools.product(range(2), repeat=r):
-            sel = intervals[:, np.arange(r), combo, :]      # (N1, r, 2)
+        p = (c @ psi.T)[:, :, None] * a         # (N1, r, 2): the z1 terms
+        boxes = np.stack([_disc_boxes(p[:, v], b[v], wmax[v], ybound)
+                          for v in range(len(places))], axis=1)
+        boxes = np.concatenate([boxes[:, :, 0], boxes[:, ~real, 1]], axis=1)
+        for combo in itertools.product(range(2), repeat=len(places)):
+            sel = boxes[:, np.arange(deg), np.array(combo)[place_of]]
             idxs = np.nonzero(~np.isnan(sel[:, :, 0]).any(axis=1))[0]
             if not len(idxs):
                 continue
             lows, highs = sel[idxs, :, 0], sel[idxs, :, 1]
             # corners of the y-box map to d-space; the integer bounding ranges
             lo = hi = None
-            for mask in itertools.product((False, True), repeat=r):
+            for mask in itertools.product((False, True), repeat=deg):
                 corner = np.where(np.array(mask), highs, lows) @ Minv.T
                 lo = corner if lo is None else np.minimum(lo, corner)
                 hi = corner if hi is None else np.maximum(hi, corner)
@@ -547,12 +550,12 @@ def _window_keys(form: DecomposableForm, height: int, window) -> list:
                 (last,), pick = _ragged_box(first[ok, None], final[ok, None])
                 pick = ok[pick]
                 d = np.column_stack([col[pick] for col in lead] + [last])
-                src = t[owner[pick]]
-                y = d @ phi.T
-                keep = np.all((y >= lows[src] - 1e-9)
-                              & (y <= highs[src] + 1e-9), axis=1)
+                src = idxs[t[owner[pick]]]
+                y, (p1, p2) = d @ psi.T, p[src].transpose(2, 0, 1)
+                val = (p1 + b[:, 0] * y) * (p2 + b[:, 1] * y)   # f_v / s_v
+                keep = np.all(np.abs(val) <= wmax, axis=1)
                 keys.append(pu.row_keys(np.column_stack(
-                    [c[idxs[src[keep]]], d[keep]]), height))
+                    [c[src[keep]], d[keep]]), height))
     return keys
 
 
@@ -585,68 +588,56 @@ def _ragged_box(lo: np.ndarray, hi: np.ndarray):
 
 def _last_range(lead, owner, lows, highs, phi, ybound):
     """For each point of leading coordinates lead in box row owner: the
-    range of the last coordinate that may pass lows_v - 1e-9 <= phi_v . d <=
-    highs_v + 1e-9 at every place v, as integral floats."""
-    # phi[:, -1] holds theta_v^(deg-1), nonzero.  Every quantity here is at
-    # most 2*ybound + 1 in size, so the filter's deg-term dot product and
-    # this solve (products, a sum, a difference, a division) each move a
-    # bound by at most about deg * eps * (2*ybound + 1) / |phi_v,last|.
-    # Sixteen times that as slack keeps every point that the filter keeps.
-    slack = (16 * phi.shape[1] * np.finfo(float).eps * (2 * ybound + 1)
-             / np.abs(phi[:, -1]).min())
+    range of the last coordinate that may pass lows_k - 1e-9 <= phi_k . d <=
+    highs_k + 1e-9 at every row k of phi, as integral floats; a row whose
+    last entry is about 0 (an Re or Im row may be) is left out."""
+    # Each quantity here is at most 2*ybound + 1, so the filter's dot
+    # product and this solve each move row k's bound by at most about
+    # deg * eps * (2*ybound + 1) / |phi_k,last|: sixteen times that as slack.
     first = np.full(len(owner), -np.inf)
     final = np.full(len(owner), np.inf)
-    for v, p in enumerate(phi[:, -1]):
-        ends = ((lows[:, v] - 1e-9) / p, (highs[:, v] + 1e-9) / p)
-        lo_v, hi_v = ends if p > 0 else ends[::-1]
-        rest = sum(phi[v, k] / p * c for k, c in enumerate(lead))
-        first = np.maximum(first, lo_v[owner] - rest)
-        final = np.minimum(final, hi_v[owner] - rest)
-    return np.ceil(first - slack), np.floor(final + slack)
+    for k, p in enumerate(phi[:, -1]):
+        if abs(p) <= 1e-9 * np.abs(phi[k]).max():
+            continue
+        slack = 16 * phi.shape[1] * 2.0 ** -52 * (2 * ybound + 1) / abs(p)
+        ends = ((lows[:, k] - 1e-9) / p, (highs[:, k] + 1e-9) / p)
+        lo_k, hi_k = ends if p > 0 else ends[::-1]
+        rest = sum(phi[k, j] / p * c for j, c in enumerate(lead))
+        first = np.maximum(first, (lo_k - slack)[owner] - rest)
+        final = np.minimum(final, (hi_k + slack)[owner] - rest)
+    return np.ceil(first), np.floor(final)
 
 
-def _abs_quadratic_regions(p1, q1, p2, q2, wmax, ybound):
-    """Per row: up to two intervals where |(p1 + q1 y)(p2 + q2 y)| <= wmax,
-    intersected with |y| <= ybound.  Shape (N, 2, 2); NaN marks absent, and
-    a segment that clips to empty leaves its slot to the next one."""
-    aa = q1 * q2 * np.ones(p1.shape[0])
-    bb = p1 * q2 + p2 * q1
-    cc = p1 * p2
-    quad = np.abs(aa) > 1e-300
-    lin = (~quad) & (np.abs(bb) > 1e-300)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # linear: |b y + c| <= w between two roots
-        e1, e2 = (-wmax - cc) / bb, (wmax - cc) / bb
-        # quadratic g = a y^2 + b y + c, opened upwards by sign(a): |g| <= w
-        # between the roots of sign g = w (outer), minus the open interval
-        # between those of sign g = -w (inner)
-        has_o, o1, o2 = _quad_roots(aa, bb, cc - np.sign(aa) * wmax)
-        has_i, i1, i2 = _quad_roots(aa, bb, cc + np.sign(aa) * wmax)
-    # a constant |c| <= w holds on the whole line
-    segs = ((np.where(quad, o1, np.where(lin, np.minimum(e1, e2), -ybound)),
-             np.where(quad, np.where(has_i, i1, o2),
-                      np.where(lin, np.maximum(e1, e2), ybound)),
-             np.where(quad, has_o, lin | (np.abs(cc) <= wmax))),
-            (i2, o2, quad & has_o & has_i))
-    out = np.full((len(aa), 2, 2), np.nan)
-    slot = np.zeros(len(aa), dtype=np.int64)
-    for lo, hi, has in segs:
-        lo = np.maximum(lo, -ybound)
-        hi = np.minimum(hi, ybound)
-        good = has & (lo <= hi)
-        out[good, slot[good]] = np.stack([lo[good], hi[good]], axis=1)
-        slot += good
-    return out
-
-
-def _quad_roots(a, b, c):
-    """Per row of quadratics: whether it has real roots, and the sorted
-    pair."""
-    disc = b * b - 4 * a * c
-    s = np.sqrt(np.maximum(disc, 0))
-    r1 = (-b - s) / (2 * a)
-    r2 = (-b + s) / (2 * a)
-    return ~(disc < 0), np.minimum(r1, r2), np.maximum(r1, r2)
+def _disc_boxes(p, q, wmax, ybound):
+    """Per row of p (N, 2), with q = (q1, q2), real or complex: the [lo, hi]
+    boxes (N, 2 rows Re and Im, 2 discs, 2), clipped to |y| <= ybound and
+    NaN when absent, of two discs holding every y with |(p1 + q1 y)(p2 +
+    q2 y)| <= wmax, the Cassini oval |y - r1| |y - r2| <= c, r_i = -p_i / q_i,
+    c = wmax / |q1 q2|.  With D = |r1 - r2| its exact bounding discs are one
+    about each root, of radius 2c / (D + sqrt(D^2 - 4c)), if D^2 >= 4c, else
+    one about (r1 + r2) / 2, of radius sqrt(c + D^2 / 4); a factor constant
+    in y (q_i = 0) leaves one about r_j, of radius wmax / |p_i q_j| (the
+    whole line if p_i = 0).  Radii are padded by a relative 1e-12."""
+    with np.errstate(all="ignore"):
+        roots = -p / q
+        if not q.all():
+            i, split = int(q[0] != 0), False    # i: the factor constant in y
+            mid, rad = roots[:, 1 - i], wmax / np.abs(p[:, i] * q[1 - i])
+        else:
+            c = wmax / abs(q[0] * q[1])
+            dist = np.abs(roots[:, 0] - roots[:, 1])
+            gap = dist * dist - 4 * c
+            split = gap >= 0
+            mid = np.where(split, roots[:, 0], roots.mean(axis=1))
+            rad = np.where(split, 2 * c / (dist + np.sqrt(gap)),
+                           np.sqrt(c + dist * dist / 4))
+    centers = np.stack([mid, np.where(split, roots[:, 1], np.nan)], axis=1)
+    radii = np.stack([rad, np.where(split, rad, np.nan)], axis=1) * (1 + 1e-12)
+    box = np.stack([np.stack([np.maximum(x - radii, -ybound),
+                              np.minimum(x + radii, ybound)], axis=2)
+                    for x in (centers.real, centers.imag)], axis=1)
+    box[~(box[..., 0] <= box[..., 1])] = np.nan
+    return box
 
 
 def norm_product_spectrum(form: DecomposableForm, height: int,

@@ -740,6 +740,24 @@ ERROR_CASES = {
     "ldu_subset_a": ([*FIELD, "bruhat", "ldu", "--h", "g1.json",
                       "--subset", "a"],
                      "error: malformed --subset 'a'"),
+    # a path without steps, and paths whose torus images or ladder Grams
+    # overflow floats
+    "path_no_steps": ([*FIELD, "dynamics", "path", "--g1", "id", "--g2", "id",
+                       "--n", "2", "--path", "empty.json"],
+                      "error: torus path {tmp}/empty.json: all places need "
+                      "the same number of steps, at least one"),
+    "bounded_no_steps": ([*FIELD, "dynamics", "bounded", "--g1", "id",
+                          "--g2", "id", "--n", "2", "--path", "empty.json"],
+                         "error: torus path {tmp}/empty.json: all places "
+                         "need the same number of steps, at least one"),
+    "path_torus_overflow": ([*FIELD, "dynamics", "path", "--g1", "id",
+                             "--g2", "id", "--n", "2", "--height", "3",
+                             "--path", "far2.json"],
+                            "error: the torus images overflow floats"),
+    "path_ladder_overflow": ([*FIELD, "dynamics", "path", "--g1", "id",
+                              "--g2", "id", "--n", "3", "--height", "20",
+                              "--path", "far3.json"],
+                             "error: the ladder's Grams overflow floats"),
 }
 
 
@@ -765,6 +783,11 @@ def test_cli_error_paths(workdir, Ksqrt2, capsys, monkeypatch, case):
         (workdir / f"{name}.json").write_text(json.dumps(
             {"n": 2, "bases": [bases, "2"],
              "schedules": [[[exponent]], [[0]]]}))
+    for name, n, schedules in (("empty", 2, [[], []]),
+                               ("far2", 2, [[[2000]], [[-2000]]]),
+                               ("far3", 3, [[[0, 200]], [[0, -200]]])):
+        (workdir / f"{name}.json").write_text(json.dumps(
+            {"n": n, "bases": ["2", "2"], "schedules": schedules}))
     argv, line = ERROR_CASES[case]
     assert main([str(workdir / t) if t.endswith(".json") else t
                  for t in argv]) == 2

@@ -85,6 +85,8 @@ CASES = {
                   ValidationError, "bases must be positive"),
     "path_steps": (lambda F: path((2, 2), ((0,),), ((0,), (0,))),
                    ValidationError, "same number of steps"),
+    "path_no_steps": (lambda F: path((2, 2), (), ()), ValidationError,
+                      "same number of steps, at least one"),
     "path_exponents": (lambda F: path((2, 2), ((0, 0),), ((0, 0),)),
                        ValidationError, "n-1 exponents"),
     "systole_height": (lambda F: dy.systole(orbit(F.sqrt2), [[1, 1]] * 2, 0),
@@ -141,9 +143,6 @@ CASES = {
         lambda F: fm.window_scan(fm.make_form(
             F.sqrt2, [[[1, 0, 0], [0, 1, 0]]] * 2), 1, WINDOW),
         ValidationError, "binary forms"),
-    "window_complex_place": (lambda F: fm.window_scan(binary(F.zeta8), 1,
-                                                      WINDOW),
-                             ValidationError, "totally real"),
     "window_place_count": (lambda F: fm.window_scan(binary(F.sqrt2), 1,
                                                     WINDOW[:1]),
                            ValidationError, "one window interval per place"),
@@ -287,6 +286,20 @@ def test_library_error_paths(fields, case):
     call, exc, pattern = CASES[case]
     with pytest.raises(exc, match=pattern):
         call(fields)
+
+
+def test_window_scan_runs_at_complex_places(Kzeta8):
+    """The window scan takes a field with a complex place: over Q(zeta8) it
+    holds every box point whose squared moduli lie inside the window, and
+    none outside it beyond rounding."""
+    f = binary(Kzeta8)
+    scan = fm.window_scan(f, 1, WINDOW)
+    full = fm.scan_values(f, 1)
+    vals = np.array([full.numeric_values(v) for v in range(f.r)])
+    inside, near = ({tuple(p) for p in full.points[np.all(vals <= top, axis=0)]
+                     .tolist()} for top in (1 - 1e-6, 1 + 1e-6))
+    assert scan.mode == "window-complete" and inside
+    assert inside <= {tuple(p) for p in scan.points.tolist()} <= near
 
 
 def test_reduce_variables_refuses_after_every_draw_fails(Ksqrt2, monkeypatch):

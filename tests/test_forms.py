@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
 from torusorbits import decomp as dc
@@ -401,6 +401,52 @@ def abs_quadratic_regions_oracle(p1, q1, p2, q2, wmax, ybound):
     return out
 
 
+def abs_quadratic_regions(p1, q1, p2, q2, wmax, ybound):
+    """The vectorised real-place region solver that the disc rule
+    (fm._disc_boxes) replaced in the window scan.  Per row: up to two
+    intervals where |(p1 + q1 y)(p2 + q2 y)| <= wmax, intersected with
+    |y| <= ybound.  Shape (N, 2, 2); NaN marks absent, and a segment that
+    clips to empty leaves its slot to the next one."""
+    aa = q1 * q2 * np.ones(p1.shape[0])
+    bb = p1 * q2 + p2 * q1
+    cc = p1 * p2
+    quad = np.abs(aa) > 1e-300
+    lin = (~quad) & (np.abs(bb) > 1e-300)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # linear: |b y + c| <= w between two roots
+        e1, e2 = (-wmax - cc) / bb, (wmax - cc) / bb
+        # quadratic g = a y^2 + b y + c, opened upwards by sign(a): |g| <= w
+        # between the roots of sign g = w (outer), minus the open interval
+        # between those of sign g = -w (inner)
+        has_o, o1, o2 = quad_roots(aa, bb, cc - np.sign(aa) * wmax)
+        has_i, i1, i2 = quad_roots(aa, bb, cc + np.sign(aa) * wmax)
+    # a constant |c| <= w holds on the whole line
+    segs = ((np.where(quad, o1, np.where(lin, np.minimum(e1, e2), -ybound)),
+             np.where(quad, np.where(has_i, i1, o2),
+                      np.where(lin, np.maximum(e1, e2), ybound)),
+             np.where(quad, has_o, lin | (np.abs(cc) <= wmax))),
+            (i2, o2, quad & has_o & has_i))
+    out = np.full((len(aa), 2, 2), np.nan)
+    slot = np.zeros(len(aa), dtype=np.int64)
+    for lo, hi, has in segs:
+        lo = np.maximum(lo, -ybound)
+        hi = np.minimum(hi, ybound)
+        good = has & (lo <= hi)
+        out[good, slot[good]] = np.stack([lo[good], hi[good]], axis=1)
+        slot += good
+    return out
+
+
+def quad_roots(a, b, c):
+    """Per row of quadratics: whether it has real roots, and the sorted
+    pair."""
+    disc = b * b - 4 * a * c
+    s = np.sqrt(np.maximum(disc, 0))
+    r1 = (-b - s) / (2 * a)
+    r2 = (-b + s) / (2 * a)
+    return ~(disc < 0), np.minimum(r1, r2), np.maximum(r1, r2)
+
+
 def quad_roots_oracle(a, b, c):
     """Sorted real root pairs of each quadratic row, or None."""
     disc = b * b - 4 * a * c
@@ -418,10 +464,40 @@ def quad_roots_oracle(a, b, c):
 
 def window_forms(K):
     """A non-rational binary form for the window scan: acceptance 9's over
-    the cyclic cubic, and a two-place one over Q(sqrt 2)."""
+    the cyclic cubic, a two-place one over Q(sqrt 2), and over a field with
+    a complex place one with a factor constant in the second variable and
+    coefficients off Q."""
     if K.degree == 3:
         return cubic_density_form(K)
-    return fm.make_form(K, [[[1, 1], [1, -1]], [[1, 2], [1, -1]]])
+    if K.degree == 2 and K.n_places == 2:
+        return fm.make_form(K, [[[1, 1], [1, -1]], [[1, 2], [1, -1]]])
+    th = K.theta
+    return fm.make_form(K, [[[1, 0], [th, 1]], [[1, th], [0, 1]],
+                            [[1, 1], [1, -th]]][:K.n_places])
+
+
+def window_box_oracle(form, height, window, pad=fm.WINDOW_PAD):
+    """window_scan's points by their definition, over the whole box: every
+    nonzero point with |f_v| <= W_v at every place, in floats, W_v the
+    window's padded largest |value| (its square root at a complex place,
+    whose value is |f_v|^2).  The points in key order, and their degenerate
+    mask."""
+    K = form.field
+    deg = K.degree
+    pts = fm._box(height, 2 * deg)
+    pts = pts[np.any(pts != 0, axis=1)]
+    psi = np.array([K.float_basis(pl) for pl in K.places()])
+    x, y = pts[:, :deg] @ psi.T, pts[:, deg:] @ psi.T
+    keep = np.ones(len(pts), dtype=bool)
+    for v, pl in enumerate(K.places()):
+        (a1, b1), (a2, b2) = ([K.float_embed(c, pl) for c in fac]
+                              for fac in form.factors[v])
+        top = max(abs(window[v][0]), abs(window[v][1]))
+        top = top if pl.is_real else math.sqrt(top)
+        w = (top / abs(K.float_embed(form.scalars[v], pl))) * (1 + pad) + pad
+        keep &= np.abs((a1 * x[:, v] + b1 * y[:, v])
+                       * (a2 * x[:, v] + b2 * y[:, v])) <= w
+    return pts[keep], fm._degenerate_mask(form, pts[keep])
 
 
 @hs.composite
@@ -471,6 +547,32 @@ def test_window_scan_is_closed_under_negation(Kcubic, Ksqrt2, data):
     assert np.array_equal(scan.degenerate[::-1], scan.degenerate)
 
 
+@settings(max_examples=20, deadline=None)
+@given(hs.data())
+def test_window_scan_matches_the_full_box_at_complex_places(
+        Kgauss, Kzeta8, Kquartic, data):
+    """Over Q(i), Q(zeta8) (CM) and the circle quartic (two real places and
+    a complex one, not CM): the points, their order and the degenerate mask
+    against the whole box, under any chunk budget, and closed under
+    negation."""
+    K = data.draw(hs.sampled_from([Kgauss, Kzeta8, Kquartic]))
+    scalars = [K.from_rational(Fraction(data.draw(hs.integers(-4, 4)) or 1,
+                                        data.draw(hs.integers(1, 3))))
+               for _ in range(K.n_places)]
+    f = fm.make_form(K, [list(fac) for fac in window_forms(K).factors],
+                     scalars=scalars)
+    H = data.draw(hs.integers(1, 4 if K.degree == 2 else 2))
+    win = data.draw(scan_windows(K.n_places))
+    budget = data.draw(hs.sampled_from([1, 3, 40, fm.WINDOW_CHUNK_POINTS]))
+    with mock.patch.object(fm, "WINDOW_CHUNK_POINTS", budget), \
+            mock.patch.object(fm, "WINDOW_FIRST_POINTS", budget):
+        scan = fm.window_scan(f, H, win)
+    pts, degenerate = window_box_oracle(f, H, win)
+    assert scan.points.tobytes() == pts.tobytes()
+    assert scan.degenerate.tobytes() == degenerate.tobytes()
+    assert np.array_equal(scan.points[::-1], -scan.points)
+
+
 BAD_WINDOWS = {"reversed": (5.0, -5.0), "empty": (1.0, 1.0),
                "nan": (math.nan, 5.0), "inf": (-5.0, math.inf)}
 
@@ -513,7 +615,7 @@ def test_invalid_cell_sizes_are_refused(Kcubic, eps):
 def test_abs_quadratic_regions_match_oracle(p1, p2, q1, q2, wmax, ybound):
     p1 = np.array(p1)
     p2 = np.array(p2[:len(p1)])
-    got = fm._abs_quadratic_regions(p1, q1, p2, q2, wmax, ybound)
+    got = abs_quadratic_regions(p1, q1, p2, q2, wmax, ybound)
     want = abs_quadratic_regions_oracle(p1, q1, p2, q2, wmax, ybound)
     assert got.tobytes() == want.tobytes()
 
@@ -521,12 +623,70 @@ def test_abs_quadratic_regions_match_oracle(p1, p2, q1, q2, wmax, ybound):
 def test_abs_quadratic_regions_slot_rule():
     # |(y + 3)(y + 1)| <= 1/2 holds on two intervals, near -3 and near -1;
     # |y| <= 2 empties the first, so the second takes slot 0
-    out = fm._abs_quadratic_regions(np.array([3.0]), 1.0, np.array([1.0]),
-                                    1.0, 0.5, 2.0)
+    out = abs_quadratic_regions(np.array([3.0]), 1.0, np.array([1.0]),
+                                1.0, 0.5, 2.0)
     assert -1.3 < out[0, 0, 0] < out[0, 0, 1] < -0.7
     assert np.isnan(out[0, 1]).all()
     assert out.tobytes() == abs_quadratic_regions_oracle(
         np.array([3.0]), 1.0, np.array([1.0]), 1.0, 0.5, 2.0).tobytes()
+
+
+def _covered(lo, hi, boxes, slack=1e-9):
+    """Whether [lo, hi] lies in the union of the intervals boxes, each
+    widened by slack."""
+    merged = []
+    for a, b in sorted((a - slack, b + slack) for a, b in boxes):
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return any(a <= lo and hi <= b for a, b in merged)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.lists(hs.floats(-8, 8) | hs.just(0.0), min_size=1, max_size=20),
+       hs.lists(hs.floats(-8, 8), min_size=20, max_size=20),
+       hs.sampled_from([0.0, 1.0, -1.0, 0.5, -2.0]),
+       hs.sampled_from([0.0, 1.0, -1.0, 3.0]),
+       hs.floats(1e-3, 30), hs.floats(0.1, 12))
+# a factor constant in y; roots 1/2 apart, whose discs merge; a zero factor
+@example([2.0], [1.0] * 20, 0.0, 1.0, 1.0, 10.0)
+@example([1.0], [1.5] * 20, 1.0, 1.0, 1.0, 10.0)
+@example([0.0], [1.0] * 20, 0.0, 1.0, 1.0, 10.0)
+def test_disc_boxes_hold_the_quadratic_regions(p1, p2, q1, q2, wmax, ybound):
+    """At a real place, every interval of the region solver that the disc
+    rule replaced lies in the union of the disc boxes, widened by the
+    scan's 1e-9."""
+    assume(q1 or q2)            # make_form refuses two factors in z1 alone
+    p1 = np.array(p1)
+    p2 = np.array(p2[:len(p1)])
+    regions = abs_quadratic_regions(p1, q1, p2, q2, wmax, ybound)
+    boxes = fm._disc_boxes(np.stack([p1, p2], axis=1), np.array([q1, q2]),
+                           wmax, ybound)[:, 0]
+    for row, box in zip(regions, boxes):
+        for lo, hi in row[~np.isnan(row[:, 0])]:
+            assert _covered(lo, hi, box[~np.isnan(box[:, 0])])
+
+
+@settings(max_examples=100, deadline=None)
+@given(hs.lists(hs.complex_numbers(max_magnitude=8), min_size=2, max_size=2),
+       hs.lists(hs.sampled_from([0, 1, -1j, 0.5 + 2j, -2 + 1j]), min_size=2,
+                max_size=2),
+       hs.floats(1e-3, 30), hs.integers(0, 2 ** 32 - 1))
+def test_disc_boxes_hold_the_region_at_a_complex_place(p, q, wmax, seed):
+    """Every y of a square about the roots with |(p1 + q1 y)(p2 + q2 y)| <=
+    wmax lies in one disc's (Re, Im) box."""
+    assume(q[0] or q[1])
+    p, q = np.array([p]), np.array(q, dtype=complex)
+    box = fm._disc_boxes(p, q, wmax, 100.0)[0]        # (Re, Im), disc, end
+    centre = np.mean([-p[0, i] / q[i] for i in range(2) if q[i]])
+    square = np.random.default_rng(seed).uniform(-20, 20, (2000, 2))
+    y = centre + square @ [1, 1j]
+    y = y[np.abs((p[0, 0] + q[0] * y) * (p[0, 1] + q[1] * y)) <= wmax]
+    inside = [(box[0, k, 0] <= y.real) & (y.real <= box[0, k, 1])
+              & (box[1, k, 0] <= y.imag) & (y.imag <= box[1, k, 1])
+              for k in range(2)]
+    assert np.all(inside[0] | inside[1])
 
 
 @settings(max_examples=100, deadline=None)
@@ -604,11 +764,11 @@ def test_window_scan_expansion_respects_the_chunk_budget(Kcubic):
         return cols, owner
 
     firsts = []
-    regions = fm._abs_quadratic_regions
+    regions = fm._disc_boxes
 
-    def first_spy(p1, *args):
-        firsts.append(len(p1))
-        return regions(p1, *args)
+    def first_spy(p, *args):
+        firsts.append(len(p))
+        return regions(p, *args)
 
     stops = []
     box = fm._box
@@ -620,7 +780,7 @@ def test_window_scan_expansion_respects_the_chunk_budget(Kcubic):
     with mock.patch.object(fm, "WINDOW_CHUNK_POINTS", 50), \
             mock.patch.object(fm, "WINDOW_FIRST_POINTS", 50), \
             mock.patch.object(fm, "_ragged_box", spy), \
-            mock.patch.object(fm, "_abs_quadratic_regions", first_spy), \
+            mock.patch.object(fm, "_disc_boxes", first_spy), \
             mock.patch.object(fm, "_box", box_spy):
         scan = fm.window_scan(f, 3, CUBIC_WINDOW)
     assert calls and any(rows > 1 for rows, _ in calls)
