@@ -50,7 +50,7 @@ sqrt2 = K8.element([0, 1, 0, -1])
 ray = np.array([list((K8.one + rg * K8.from_rational(3)).coeffs)
                 + list((sqrt2 + rg * (K8.from_rational(3) * sqrt2)).coeffs)],
                dtype=np.int64)
-ray_scan = fm.FormScan(f0, 10, ray, "full", fm._degenerate_mask(f0, ray))
+ray_scan = fm.FormScan(f0, 10, ray, "full")
 ray_rep = fm.cm_obstruction_check(f0, ray_scan, index_l=2)
 print(f"\nengineered ray point: branch {ray_rep.points[0].branch}, "
       f"scalar a = {ray_rep.points[0].ray_scalar}")

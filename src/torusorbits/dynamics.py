@@ -185,17 +185,19 @@ def _image(bmat, cols):
 
 def _sup_product(images, exps, scratch, out):
     """out[k]: the product over places of the sup norm of image column k,
-    squared at complex places; scratch is a float array of an image's shape."""
+    squared at complex places; scratch is a float array of an image's shape.
+    A product past the float range is inf, which no minimum takes."""
     for p, (img, e) in enumerate(zip(images, exps)):
         u = np.abs(img, out=scratch)[0]
         for row in scratch[1:]:
             np.maximum(u, row, out=u)
-        if e == 2:
-            np.multiply(u, u, out=u)
-        if p:
-            np.multiply(out, u, out=out)
-        else:
-            out[:] = u
+        with np.errstate(over="ignore"):
+            if e == 2:
+                np.multiply(u, u, out=u)
+            if p:
+                np.multiply(out, u, out=out)
+            else:
+                out[:] = u
     return out
 
 
@@ -378,10 +380,12 @@ def _ellipsoid_scan(bmats, height, dim):
                  / math.sqrt(n) for b in step]
         u1max = float(np.abs(step[0]).sum(axis=1).max()) * height + 1e-300
         u2max = float(np.abs(step[1]).sum(axis=1).max()) * height + 1e-300
-        lo = max(sigma[1] ** 2 / p_seed, sigma[1] / u1max) / 16
-        hi = min(p_seed / sigma[0] ** 2, u2max / sigma[0]) * 16
-        g1, g2 = (sum(np.multiply.outer(row, row) for row in b) for b in step)
-        s2 = np.array(_rungs(lo, hi * 1.0001))[:, None, None]
+        # _rungs and the isfinite test below refuse ends or Grams past floats
+        with np.errstate(all="ignore"):
+            lo = max(sigma[1] ** 2 / p_seed, sigma[1] / u1max) / 16
+            hi = min(p_seed / sigma[0] ** 2, u2max / sigma[0]) * 16
+            s2 = np.array(_rungs(float(lo), float(hi) * 1.0001))[:, None, None]
+            g1, g2 = (sum(np.multiply.outer(r, r) for r in b) for b in step)
         grams.append((g1, g2, s2))
         seeds.append(witness)
         vals.append(p_seed)
@@ -389,7 +393,7 @@ def _ellipsoid_scan(bmats, height, dim):
     sizes = [len(s2) for *_, s2 in grams]
     qs = np.empty((sum(sizes), dim, dim))
     for (g1, g2, s2), part in zip(grams, np.split(qs, np.cumsum(sizes)[:-1])):
-        with np.errstate(over="ignore"):    # refused just below
+        with np.errstate(all="ignore"):     # refused just below
             np.add(g1 * s2, g2 / s2, out=part)
     if not np.isfinite(qs).all():
         raise PrecisionExhausted("the ladder's Grams overflow floats")

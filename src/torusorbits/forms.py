@@ -232,16 +232,19 @@ class FormScan:
 
     points is an integer array of shape (N, n*deg): the power-basis
     coefficients of the n coordinates, concatenated.  mode records whether
-    the box was enumerated completely or sampled deterministically (the
+    the box was enumerated completely, sampled deterministically (the
     sampled point set is always a subset of the box, so coverage statistics
-    are conservative).  degenerate marks points where some factor vanishes
-    at some place (exact test).
+    are conservative) or enumerated exactly inside a window.
     """
     form: DecomposableForm
     height: int
     points: np.ndarray
-    mode: str                    # "full" | "sampled"
-    degenerate: np.ndarray       # bool mask
+    mode: str                    # "full" | "sampled" | "window-complete"
+
+    @functools.cached_property
+    def degenerate(self) -> np.ndarray:
+        """Where some factor vanishes at some place (exact), on first read."""
+        return _degenerate_mask(self.form, self.points)
 
     @property
     def npoints(self) -> int:
@@ -273,52 +276,51 @@ def scan_values(form: DecomposableForm, height: int,
 
     Full enumeration refuses boxes larger than EXACT_POINT_CAP
     (CapExceeded); pass sample=N to draw N distinct points instead.  Before
-    the first draw, a sample refuses N x dim above SAMPLE_ENTRY_CAP
-    (CapExceeded; a draw holds N x dim int64 entries) and N above the box's
-    nonzero points (SearchExhausted).
+    the first draw, a sample refuses N < 1 (ValidationError), N x dim above
+    SAMPLE_ENTRY_CAP and a height past int64 (CapExceeded; a draw holds
+    N x dim int64 entries) and N above the box's nonzero points
+    (SearchExhausted).
     """
     if height < 1:
         raise ValidationError("height must be positive")
-    deg = form.field.degree
-    dim = form.n * deg
+    dim = form.n * form.field.degree
     if sample is None:
         _box_size(height, dim, EXACT_POINT_CAP, "; pass sample=")
         pts = _box(height, dim)
-        pts = pts[np.any(pts != 0, axis=1)]
-        mode = "full"
-    else:
-        if sample * dim > SAMPLE_ENTRY_CAP:
-            raise CapExceeded(
-                f"a sample of {sample} points in {dim} coordinates exceeds "
-                f"the cap of {SAMPLE_ENTRY_CAP} entries")
-        free = (2 * height + 1) ** dim - 1
-        if sample > free:
-            raise SearchExhausted(
-                f"a sample of {sample} points from a box with {free} "
-                "nonzero points")
-        rng = np.random.default_rng(seed)
-        zero = pu.row_keys(np.zeros((1, dim), dtype=np.int64), height)
-        taken = np.zeros(0, dtype=zero.dtype)
-        chunks = []
-        count = guard = 0
-        while count < sample:
-            draw = rng.integers(-height, height + 1, size=(sample, dim),
-                                dtype=np.int64)
-            keys = pu.row_keys(draw, height)
-            # the first occurrence of each new nonzero row, in draw order
-            fresh = np.sort(np.unique(keys, return_index=True)[1])
-            fresh = fresh[~np.isin(keys[fresh], taken, assume_unique=True)
-                          & (keys[fresh] != zero)][:sample - count]
-            chunks.append(draw[fresh])
-            taken = np.concatenate([taken, keys[fresh]])
-            count += len(fresh)
-            guard += 1
-            if guard > 200:
-                raise SearchExhausted("sampling stalled; box too small?")
-        pts = np.concatenate(chunks, axis=0)
-        mode = "sampled"
-    degenerate = _degenerate_mask(form, pts)
-    return FormScan(form, height, pts, mode, degenerate)
+        return FormScan(form, height, pts[np.any(pts != 0, axis=1)], "full")
+    if sample < 1:
+        raise ValidationError("a sample needs at least one point")
+    if sample * dim > SAMPLE_ENTRY_CAP:
+        raise CapExceeded(
+            f"a sample of {sample} points in {dim} coordinates exceeds "
+            f"the cap of {SAMPLE_ENTRY_CAP} entries")
+    if height > np.iinfo(np.int64).max:
+        raise CapExceeded(f"sample coordinates up to {height} pass int64")
+    free = (2 * height + 1) ** dim - 1
+    if sample > free:
+        raise SearchExhausted(
+            f"a sample of {sample} points from a box with {free} "
+            "nonzero points")
+    rng = np.random.default_rng(seed)
+    zero = pu.row_keys(np.zeros((1, dim), dtype=np.int64), height)
+    taken = np.zeros(0, dtype=zero.dtype)
+    chunks = []
+    count = guard = 0
+    while count < sample:
+        draw = rng.integers(-height, height + 1, size=(sample, dim),
+                            dtype=np.int64)
+        keys = pu.row_keys(draw, height)
+        # the first occurrence of each new nonzero row, in draw order
+        fresh = np.sort(np.unique(keys, return_index=True)[1])
+        fresh = fresh[~np.isin(keys[fresh], taken, assume_unique=True)
+                      & (keys[fresh] != zero)][:sample - count]
+        chunks.append(draw[fresh])
+        taken = np.concatenate([taken, keys[fresh]])
+        count += len(fresh)
+        guard += 1
+        if guard > 200:
+            raise SearchExhausted("sampling stalled; box too small?")
+    return FormScan(form, height, np.concatenate(chunks), "sampled")
 
 
 def _box_size(height: int, dim: int, cap: int, hint: str = "") -> int:
@@ -466,9 +468,8 @@ def window_scan(form: DecomposableForm, height: int, window) -> FormScan:
     keys = pu.distinct(np.concatenate(
         [keys, (2 * height + 1) ** dim - 1 - keys]))
     keys = keys[keys != pu.row_keys(np.zeros((1, dim), dtype=np.int64), height)]
-    pts = pu.key_rows(keys, height, dim)
-    return FormScan(form, height, pts, "window-complete",
-                    _degenerate_mask(form, pts))
+    return FormScan(form, height, pu.key_rows(keys, height, dim),
+                    "window-complete")
 
 
 def _check_window(window, eps: float = 1.0) -> None:
@@ -529,12 +530,10 @@ def _window_keys(form: DecomposableForm, height: int, window) -> list:
             if not len(idxs):
                 continue
             lows, highs = sel[idxs, :, 0], sel[idxs, :, 1]
-            # corners of the y-box map to d-space; the integer bounding ranges
-            lo = hi = None
-            for mask in itertools.product((False, True), repeat=deg):
-                corner = np.where(np.array(mask), highs, lows) @ Minv.T
-                lo = corner if lo is None else np.minimum(lo, corner)
-                hi = corner if hi is None else np.maximum(hi, corner)
+            # the y-box's bounding box in d-space, and its integer ranges
+            mid = (lows + highs) / 2 @ Minv.T
+            rad = (highs - lows) / 2 @ np.abs(Minv).T
+            lo, hi = mid - rad, mid + rad
             dlo = np.maximum(np.ceil(lo - 1e-9).astype(np.int64), -height)
             dhi = np.minimum(np.floor(hi + 1e-9).astype(np.int64), height)
             rows = np.nonzero(np.all(dhi >= dlo, axis=1))[0]
@@ -561,7 +560,7 @@ def _window_keys(form: DecomposableForm, height: int, window) -> list:
 
 # Points per chunk: of leading points in the window scan and of a batch in
 # every integer image (_int_image); of first coordinates in the window scan
-# a quarter of that, since each one's region and corner arrays live at once.
+# a quarter of that, since each one's disc and bounding boxes live at once.
 WINDOW_CHUNK_POINTS = 1 << 14
 WINDOW_FIRST_POINTS = 1 << 12
 # Box points that window_scan and norm_product_spectrum may enumerate.
@@ -876,7 +875,6 @@ class CmPointResult:
     branch: str                   # "norm-product" | "ray"
     norm_product: Optional[Fraction]
     ray_scalar: Optional[tuple]   # F-coordinates of a with delta = a gamma
-    sine_gap: Optional[float]     # max certified width of the identity check
 
 
 @dataclass
@@ -909,15 +907,15 @@ def cm_obstruction_check(form: DecomposableForm, scan: FormScan,
     below by |N_F(d)| times the exact rational N_F(det(gamma, delta))^2,
     which lies in (1/l^(4r)) N; otherwise delta = a gamma for an exact
     a in F and every place value sits on the ray through (1 + a sqrt(-d))^2.
-    The per-place sine identity is verified exactly at every point.
+    The per-place sine identity is decided once, as an identity of
+    polynomials in the point, so it holds at every point, scanned or not.
 
-    The whole batch is checked in integer arithmetic: det(gamma, delta) at
-    z and at each place's factor values are quadratic polynomials in the
-    point coordinates, N_F(det)^2 is the field norm of det (K/F has degree
-    two), and with common factor lists the exact value norm is the integer
-    norm image of the factors.  Per-point field arithmetic is left to the
-    ray points and, when the factor lists differ between places, to the
-    certified normalized values.
+    The whole batch is checked in integer arithmetic: det(gamma, delta) is
+    a quadratic polynomial in the point coordinates, N_F(det)^2 is the
+    field norm of det (K/F has degree two), and with common factor lists
+    the exact value norm is the integer norm image of the factors.
+    Per-point field arithmetic is left to the ray points and, when the
+    factor lists differ between places, to the certified normalized values.
     """
     field = form.field
     if not is_cm(field):
@@ -944,28 +942,25 @@ def cm_obstruction_check(form: DecomposableForm, scan: FormScan,
     scale = Fraction(index_l) ** (4 * r)
     constant = nd / scale
 
-    d = field.degree
-    ident = ((field.one, field.zero), (field.zero, field.one))
-    polys = [p for pair in (ident,) + form.factors
-             for p in _cm_det_polys(field, cm, pair)]
-    chunks, (den,) = _int_image(field, [polys], scan.points)
-    dets = np.concatenate([image for _, (image,) in chunks], axis=1)
-    det_z = dets[:d]
-    prods, _ = _int_image(field, [(field.one,)], det_z.T, norm=True)
+    polys = _cm_det_polys(field, cm, ((field.one, field.zero),
+                                      (field.zero, field.one)))
     # the per-place sine identity |det(h gamma, h delta)|_v sigma_v(d) =
     # |f_v(z)|_v |sin(phi_1 - phi_2)|^2: conjugation commutes with every
     # embedding, so it is delta_y^2 = det^2 in F for y = w1 conj(w2), and
-    # as s^2 = -d, delta_y = -det(gamma_w, delta_w): it reads det_w = +-det_z
-    sine_ok = np.ones(scan.npoints, dtype=bool)
-    for v in range(form.r):
-        det_w = dets[(v + 1) * d:(v + 2) * d]
-        sine_ok &= (np.all(det_w == det_z, axis=0)
-                    | np.all(det_w == -det_z, axis=0))
+    # as s^2 = -d, delta_y = -det(gamma_w, delta_w): it reads det_w = +-det_z.
+    # With F-coefficients det_w = det(h_v) det_z as polynomials, so at every
+    # z with det_z != 0 it holds exactly when the polynomials agree up to sign
+    signs = ([p.terms for p in polys], [(-p).terms for p in polys])
+    sine_ok = all([p.terms for p in _cm_det_polys(field, cm, pair)] in signs
+                  for pair in form.factors)
+    chunks, (den,) = _int_image(field, [polys], scan.points)
+    det_z = np.concatenate([image for _, (image,) in chunks], axis=1)
+    prods, _ = _int_image(field, [(field.one,)], det_z.T, norm=True)
     common_factors = _common_factor_lists(form)
     if common_factors:
         norms, norm_den = _int_image(field, form.factors[0], scan.points,
                                      norm=True)
-    prod_den = den ** d
+    prod_den = den ** field.degree
     results = []
     violations = []
     for idx, p in enumerate(prods.tolist()):
@@ -990,10 +985,10 @@ def cm_obstruction_check(form: DecomposableForm, scan: FormScan,
             if lhs.hi < rhs:
                 violations.append((idx, "certified inequality violation"))
                 continue
-        if not sine_ok[idx]:
+        if not sine_ok:
             violations.append((idx, "sine identity failed"))
             continue
-        results.append(CmPointResult(idx, "norm-product", prod, None, 0.0))
+        results.append(CmPointResult(idx, "norm-product", prod, None))
     return CmCheckReport(constant, index_l, results, violations,
                          checked=scan.npoints)
 
@@ -1040,7 +1035,7 @@ def _ray_branch(field, cm, idx, z):
     (g1, d1), (g2, d2) = (split_cm(field, cm, x) for x in z)
     if g1.is_zero() and g2.is_zero():
         # z purely imaginary multiple: values are (-d) f_v(delta), still a ray
-        return CmPointResult(idx, "ray", None, ("inf",), None)
+        return CmPointResult(idx, "ray", None, ("inf",))
     a = d1 / g1 if not g1.is_zero() else d2 / g2
     return CmPointResult(idx, "ray", None,
-                         tuple(subfield_coordinates(field, cm, a)), None)
+                         tuple(subfield_coordinates(field, cm, a)))

@@ -758,13 +758,31 @@ ERROR_CASES = {
                               "--g2", "id", "--n", "3", "--height", "20",
                               "--path", "far3.json"],
                              "error: the ladder's Grams overflow floats"),
+    "path_ladder_ends": ([*FIELD, "dynamics", "path", "--g1", "id", "--g2",
+                          "id", "--n", "3", "--height", "20", "--path",
+                          "far4.json"],
+                         "error: ladder ends 9.373105086847693e-243, inf out "
+                         "of range"),
+    # samples of no points, and coordinates past int64
+    "scan_sample_0": ([*FIELD, "forms", "scan", "--form", "f0.json",
+                       "--height", "2", "--sample", "0"],
+                      "error: a sample needs at least one point"),
+    "density_sample_negative": ([*FIELD, "forms", "density", "--form",
+                                 "f0.json", "--height", "2", "--sample", "-3"],
+                                "error: a sample needs at least one point"),
+    "cm_sample_height": ([*FIELD, "cm", "check", "--form", "f0.json",
+                          "--index-l", "2", "--height", str(10 ** 30),
+                          "--sample", "5"],
+                         f"error: sample coordinates up to {10 ** 30} pass "
+                         "int64"),
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", list(ERROR_CASES))
 def test_cli_error_paths(workdir, Ksqrt2, capsys, monkeypatch, case):
-    """Each error path's exit status and its one stderr line; a .json
-    argument names a file in the work directory."""
+    """Each error path's exit status and its one stderr line, with no
+    warning; a .json argument names a file in the work directory."""
     monkeypatch.delenv("TORUSORBITS_FIELD", raising=False)
     cfg.save_matrix(dc.MatrixK.from_rational_rows(Ksqrt2, [[2, 0], [0, 1]]),
                     workdir / "det2.json")
@@ -785,7 +803,8 @@ def test_cli_error_paths(workdir, Ksqrt2, capsys, monkeypatch, case):
              "schedules": [[[exponent]], [[0]]]}))
     for name, n, schedules in (("empty", 2, [[], []]),
                                ("far2", 2, [[[2000]], [[-2000]]]),
-                               ("far3", 3, [[[0, 200]], [[0, -200]]])):
+                               ("far3", 3, [[[0, 200]], [[0, -200]]]),
+                               ("far4", 3, [[[0, 400]], [[0, -400]]])):
         (workdir / f"{name}.json").write_text(json.dumps(
             {"n": n, "bases": ["2", "2"], "schedules": schedules}))
     argv, line = ERROR_CASES[case]

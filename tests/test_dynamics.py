@@ -57,6 +57,18 @@ def test_systole_decays_with_scaling(Ksqrt2):
     assert again.overlaps(enc)
 
 
+@pytest.mark.filterwarnings("error")
+def test_systole_takes_products_past_the_float_range(Ksqrt2):
+    """At the torus 2^(+-1020), the sup product of a point with both
+    coordinates nonzero passes the float range: it is inf, with no numpy
+    warning, and the minimum 1 sits on the first axis, at a unit."""
+    i2 = dc.MatrixK.identity(Ksqrt2, 2)
+    a = Fraction(2) ** 1020
+    torus = [(a, 1 / a), (1 / a, a)]
+    enc, wit = dy.systole(st.OrbitInput((i2, i2)), torus, 3)
+    assert enc.contains(1) and wit[2:] == (0, 0)
+
+
 def test_systole_monotone_in_height(Ksqrt2):
     i2 = dc.MatrixK.identity(Ksqrt2, 2)
     g = dc.unipotent_matrix(Ksqrt2, 2, {(1, 0): Ksqrt2.element([0, 1])})

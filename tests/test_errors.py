@@ -139,6 +139,15 @@ CASES = {
         ValidationError, "as many factors as variables"),
     "scan_height": (lambda F: fm.scan_values(binary(F.sqrt2), 0),
                     ValidationError, "height must be positive"),
+    "sample_empty": (lambda F: fm.scan_values(binary(F.sqrt2), 2, sample=0),
+                     ValidationError, "at least one point"),
+    "sample_negative": (
+        lambda F: fm.scan_values(binary(F.sqrt2), 2, sample=-3),
+        ValidationError, "at least one point"),
+    # numpy draws int64 coordinates: 2^63 - 1 is the largest height
+    "sample_height_past_int64": (
+        lambda F: fm.scan_values(binary(F.sqrt2), 2 ** 63, sample=5),
+        CapExceeded, "pass int64"),
     "window_ternary": (
         lambda F: fm.window_scan(fm.make_form(
             F.sqrt2, [[[1, 0, 0], [0, 1, 0]]] * 2), 1, WINDOW),
@@ -170,8 +179,8 @@ CASES = {
     "spectrum_per_point_cap": (
         lambda F: fm.two_place_spectrum(fm.FormScan(
             fm.make_form(F.sqrt2, [[[1, 0], [0, 1]], [[1, 1], [0, 1]]]), 1,
-            np.zeros((fm.EXACT_POINT_CAP + 1, 4), dtype=np.int64), "sampled",
-            np.zeros(fm.EXACT_POINT_CAP + 1, dtype=bool))),
+            np.zeros((fm.EXACT_POINT_CAP + 1, 4), dtype=np.int64),
+            "sampled")),
         CapExceeded, "smaller scan"),
     "suborder_without_presentation": (
         lambda F: fm.verify_suborder_index(F.gauss, 1),

@@ -350,9 +350,20 @@ def window_scan_oracle(form, height, window, pad=1e-9):
         pts = pts[np.any(pts != 0, axis=1)]
     else:
         pts = np.zeros((0, 2 * deg), dtype=np.int64)
-    degenerate = fm._degenerate_mask(form, pts) if len(pts) else \
-        np.zeros(0, dtype=bool)
-    return pts, degenerate
+    return pts, degenerate_oracle(form, pts)
+
+
+def degenerate_oracle(form, pts):
+    """Where some factor vanishes at some place: the power-basis coordinates
+    [M(c_1) ... M(c_n)] z of its value, M from mult_matrix, are all 0."""
+    K = form.field
+    bad = np.zeros(len(pts), dtype=bool)
+    for fac in itertools.chain.from_iterable(form.factors):
+        mat = np.hstack([np.array(K.mult_matrix(c), dtype=object)
+                         for c in fac])
+        den = math.lcm(*(Fraction(x).denominator for x in mat.flat))
+        bad |= ~np.any(pts @ (mat * den).astype(np.int64).T, axis=1)
+    return bad
 
 
 def abs_quadratic_regions_oracle(p1, q1, p2, q2, wmax, ybound):
@@ -497,7 +508,7 @@ def window_box_oracle(form, height, window, pad=fm.WINDOW_PAD):
         w = (top / abs(K.float_embed(form.scalars[v], pl))) * (1 + pad) + pad
         keep &= np.abs((a1 * x[:, v] + b1 * y[:, v])
                        * (a2 * x[:, v] + b2 * y[:, v])) <= w
-    return pts[keep], fm._degenerate_mask(form, pts[keep])
+    return pts[keep], degenerate_oracle(form, pts[keep])
 
 
 @hs.composite
@@ -805,12 +816,12 @@ def test_batch_evaluation_is_chunk_independent(Kcubic, Kzeta8):
         form, pts = scan.form, scan.points
         want = [fm._numeric_form_values(form, pts, v)[rows]
                 for v in range(form.r)]
-        mask = fm._degenerate_mask(form, pts)[rows]
+        mask = scan.degenerate[rows]
         with mock.patch.object(fm, "WINDOW_CHUNK_POINTS", budget):
             for v in range(form.r):
                 got = fm._numeric_form_values(form, pts[rows], v)
                 assert got.tobytes() == want[v].tobytes(), (budget, v)
-            got = fm._degenerate_mask(form, pts[rows])
+            got = fm.FormScan(form, scan.height, pts[rows], scan.mode).degenerate
         assert got.tobytes() == mask.tobytes()
     assert cubic.degenerate.any() and zeta8.degenerate.any()
 
@@ -1248,16 +1259,16 @@ def fF(K):
 
 
 def sine_identity_oracle(field, cm, form, z, det_gd):
-    """The per-place identity delta_y^2 = det^2 with y = w1 conj(w2), in
-    field arithmetic; 0.0 when it holds, None otherwise."""
+    """Whether the per-place identity delta_y^2 = det^2 with
+    y = w1 conj(w2) holds at z at every place, in field arithmetic."""
     for v in range(form.r):
         w1 = form.factor_value(v, 0, z)
         w2 = form.factor_value(v, 1, z)
         y = w1 * cm_conjugate(field, cm, w2)
         _, delta_y = nf.split_cm(field, cm, y)
         if not (delta_y * delta_y == det_gd * det_gd):
-            return None
-    return 0.0
+            return False
+    return True
 
 
 def ray_oracle(field, cm, form, idx, split1, split2):
@@ -1266,7 +1277,7 @@ def ray_oracle(field, cm, form, idx, split1, split2):
     arithmetic."""
     (g1, d1), (g2, d2) = split1, split2
     if g1.is_zero() and g2.is_zero():
-        return fm.CmPointResult(idx, "ray", None, ("inf",), None)
+        return fm.CmPointResult(idx, "ray", None, ("inf",))
     a = d1 / g1 if not g1.is_zero() else d2 / g2
     assert d1 == a * g1 and d2 == a * g2
     factor = field.one + a * cm.relative_gen
@@ -1274,7 +1285,7 @@ def ray_oracle(field, cm, form, idx, split1, split2):
     for v in range(form.r):
         assert form.value(v, z) == factor * factor * form.value(v, (g1, g2))
     return fm.CmPointResult(idx, "ray", None,
-                            tuple(nf.subfield_coordinates(field, cm, a)), None)
+                            tuple(nf.subfield_coordinates(field, cm, a)))
 
 
 def cm_check_oracle(form, scan, index_l):
@@ -1326,12 +1337,10 @@ def cm_check_oracle(form, scan, index_l):
             if ok and lhs.hi < rhs:
                 violations.append((idx, "certified inequality violation"))
                 continue
-        sine_gap = sine_identity_oracle(field, cm, form, z, det_gd)
-        if sine_gap is None:
+        if not sine_identity_oracle(field, cm, form, z, det_gd):
             violations.append((idx, "sine identity failed"))
             continue
-        results.append(fm.CmPointResult(idx, "norm-product", prod, None,
-                                         sine_gap))
+        results.append(fm.CmPointResult(idx, "norm-product", prod, None))
     return fm.CmCheckReport(constant, index_l, results, violations,
                             checked=scan.npoints)
 
@@ -1376,7 +1385,7 @@ def cm_batches(draw, K):
 def test_cm_kernel_matches_oracle(Kzeta8, data):
     form = data.draw(hs.sampled_from([f0, fF, fD]))(Kzeta8)
     pts = data.draw(cm_batches(Kzeta8))
-    scan = fm.FormScan(form, 10, pts, "sampled", fm._degenerate_mask(form, pts))
+    scan = fm.FormScan(form, 10, pts, "sampled")
     assert fm.cm_obstruction_check(form, scan, index_l=2) == \
         cm_check_oracle(form, scan, 2)
 
@@ -1385,21 +1394,50 @@ HALF = [[Fraction(1, 2), 0], [0, 1]]
 SWAP = [[0, 1], [1, 0]]
 
 
+def drawn_f_matrix(K, det, rng):
+    """A 2 x 2 matrix over F = Q(sqrt 2) of determinant det: four row
+    additions with drawn multipliers in Z[sqrt 2], then its first row times
+    det."""
+    sqrt2 = K.element([0, 1, 0, -1])
+    rows = [[K.one, K.zero], [K.zero, K.one]]
+    for k in range(4):
+        x = K.from_rational(rng.randint(-2, 2)) \
+            + K.from_rational(rng.randint(-2, 2)) * sqrt2
+        rows[k % 2] = [a + x * b for a, b in zip(rows[k % 2],
+                                                 rows[1 - k % 2])]
+    rows[0] = [K.from_rational(det) * a for a in rows[0]]
+    return rows
+
+
 @pytest.mark.parametrize("places, l, kinds", [
     (None, 1, {"norm"}),
     ([HALF, HALF], 2, {"exact", "sine"}),
     ([[[1, 0], [0, 1]], HALF], 2, {"certified", "sine"}),
-    ([[[1, 0], [0, 1]], SWAP], 2, set())])
+    ([[[1, 0], [0, 1]], SWAP], 2, set()),
+    ((1, -1), 2, set()),
+    ((-1, 3), 2, {"sine"}),
+    ((3, Fraction(1, 2)), 2, {"sine"}),
+    ((Fraction(1, 2), 1), 2, {"sine"})])
 def test_cm_kernel_violations_match_oracle(Kzeta8, places, l, kinds,
                                            monkeypatch):
     """With l = 1 accepted, points fail the integrality test.  With the det
     check bypassed, a factor matrix of det 1/2 makes the inequality (exact
     with common factor lists, certified otherwise) and the sine identity
     fail, and det -1 flips the sign of det(gamma, delta), which the
-    identity allows."""
+    identity allows.  A tuple of dets draws one F-coefficient matrix of
+    each det per place: the identity, decided once for every point, fails
+    at a place of det 1/2 or 3 and holds at det +-1, point for point as the
+    oracle decides it at each point."""
     monkeypatch.setattr(fm, "verify_suborder_index", lambda field, l: True)
     monkeypatch.setattr(fm.MatrixK, "det", lambda self: self.field.one)
-    form = fF(Kzeta8) if places is None else fm.make_form(Kzeta8, places)
+    if places is None:
+        form = fF(Kzeta8)
+    elif isinstance(places, tuple):
+        rng = random.Random(repr(places))
+        form = fm.make_form(Kzeta8, [drawn_f_matrix(Kzeta8, det, rng)
+                                     for det in places])
+    else:
+        form = fm.make_form(Kzeta8, places)
     scan = acceptance7_scan(Kzeta8, stride=50, count=200)
     rep = fm.cm_obstruction_check(form, scan, index_l=l)
     want = cm_check_oracle(form, scan, l)
@@ -1479,7 +1517,7 @@ def test_cm_ray_branch(Kzeta8):
     pts = np.array([list(z1.coeffs) + list(z2.coeffs),
                     list((rg * Kzeta8.one).coeffs) + list((rg * sqrt2).coeffs)],
                    dtype=np.int64)
-    scan = fm.FormScan(f, 10, pts, "full", fm._degenerate_mask(f, pts))
+    scan = fm.FormScan(f, 10, pts, "full")
     rep = fm.cm_obstruction_check(f, scan, index_l=2)
     assert rep.violations == []
     branches = [p.branch for p in rep.points]
@@ -1512,7 +1550,7 @@ def cm_report_payload(rep):
             "points": [[p.index, p.branch,
                         None if p.norm_product is None else str(p.norm_product),
                         None if p.ray_scalar is None
-                        else [str(x) for x in p.ray_scalar], p.sine_gap]
+                        else [str(x) for x in p.ray_scalar]]
                        for p in rep.points],
             "violations": [[i, msg] for i, msg in rep.violations]}
 
@@ -1530,7 +1568,7 @@ def acceptance7_scan(K, stride=33, count=300):
                      dtype=np.int64)
     base = fm.scan_values(f, 10, sample=10_000, seed=7).points
     pts = np.concatenate([base[::stride][:count], extra], axis=0)
-    return fm.FormScan(f, 10, pts, "sampled", fm._degenerate_mask(f, pts))
+    return fm.FormScan(f, 10, pts, "sampled")
 
 
 def test_cm_report_golden(Kzeta8):
