@@ -152,9 +152,11 @@ def _systoles(inp: OrbitInput, tori, height: int):
              for v in range(inp.r)]
     # B[i, j deg + t] = t_i g_ij theta^t, elementwise, per step and place
     try:
-        bmats = [[np.kron(np.array([float(x) for x in t])[:, None] * g,
-                          field.float_basis(pl))
-                  for t, g, pl in zip(torus, gnums, places)] for torus in tori]
+        with np.errstate(over="ignore"):    # refused just below
+            bmats = [[np.kron(np.array([float(x) for x in t])[:, None] * g,
+                              field.float_basis(pl))
+                      for t, g, pl in zip(torus, gnums, places)]
+                     for torus in tori]
     except OverflowError:           # a torus entry past the float range
         raise PrecisionExhausted("the torus images overflow floats") from None
     if not all(np.isfinite(b).all() for step in bmats for b in step):
@@ -380,8 +382,7 @@ def _ellipsoid_scan(bmats, height, dim):
                  / math.sqrt(n) for b in step]
         u1max = float(np.abs(step[0]).sum(axis=1).max()) * height + 1e-300
         u2max = float(np.abs(step[1]).sum(axis=1).max()) * height + 1e-300
-        # _rungs and the isfinite test below refuse ends or Grams past floats
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):     # refused by _rungs and below
             lo = max(sigma[1] ** 2 / p_seed, sigma[1] / u1max) / 16
             hi = min(p_seed / sigma[0] ** 2, u2max / sigma[0]) * 16
             s2 = np.array(_rungs(float(lo), float(hi) * 1.0001))[:, None, None]

@@ -740,8 +740,8 @@ ERROR_CASES = {
     "ldu_subset_a": ([*FIELD, "bruhat", "ldu", "--h", "g1.json",
                       "--subset", "a"],
                      "error: malformed --subset 'a'"),
-    # a path without steps, and paths whose torus images or ladder Grams
-    # overflow floats
+    # a path without steps, and paths whose torus entries, torus images
+    # (2^1023 times g1's entry 2) or ladder Grams overflow floats
     "path_no_steps": ([*FIELD, "dynamics", "path", "--g1", "id", "--g2", "id",
                        "--n", "2", "--path", "empty.json"],
                       "error: torus path {tmp}/empty.json: all places need "
@@ -753,6 +753,10 @@ ERROR_CASES = {
     "path_torus_overflow": ([*FIELD, "dynamics", "path", "--g1", "id",
                              "--g2", "id", "--n", "2", "--height", "3",
                              "--path", "far2.json"],
+                            "error: the torus images overflow floats"),
+    "path_image_overflow": ([*FIELD, "dynamics", "path", "--g1", "g1.json",
+                             "--g2", "id", "--n", "2", "--height", "3",
+                             "--path", "far1.json"],
                             "error: the torus images overflow floats"),
     "path_ladder_overflow": ([*FIELD, "dynamics", "path", "--g1", "id",
                               "--g2", "id", "--n", "3", "--height", "20",
@@ -802,6 +806,7 @@ def test_cli_error_paths(workdir, Ksqrt2, capsys, monkeypatch, case):
             {"n": 2, "bases": [bases, "2"],
              "schedules": [[[exponent]], [[0]]]}))
     for name, n, schedules in (("empty", 2, [[], []]),
+                               ("far1", 2, [[[-1023]], [[1023]]]),
                                ("far2", 2, [[[2000]], [[-2000]]]),
                                ("far3", 3, [[[0, 200]], [[0, -200]]]),
                                ("far4", 3, [[[0, 400]], [[0, -400]]])):
