@@ -821,7 +821,8 @@ def test_batch_evaluation_is_chunk_independent(Kcubic, Kzeta8):
             for v in range(form.r):
                 got = fm._numeric_form_values(form, pts[rows], v)
                 assert got.tobytes() == want[v].tobytes(), (budget, v)
-            got = fm.FormScan(form, scan.height, pts[rows], scan.mode).degenerate
+            got = fm.FormScan(form, scan.height, pts[rows],
+                              scan.mode).degenerate
         assert got.tobytes() == mask.tobytes()
     assert cubic.degenerate.any() and zeta8.degenerate.any()
 
